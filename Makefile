@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slo test-planner bench-smoke bench tune-smoke trace-smoke chaos-smoke docs-check lint profile
+.PHONY: test test-slo test-planner bench-smoke bench perf-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
 
 ## tier-1 suite — must stay green (ROADMAP.md)
 test:
@@ -30,6 +30,13 @@ bench-smoke:
 	    benchmarks/bench_fault_tolerance.py \
 	    benchmarks/bench_obs_overhead.py --smoke \
 	    --benchmark-only --benchmark-json=BENCH_smoke.json -q -s
+
+## the repo benchmark's own tests (perfbench/selftest.py, ~2 min on 2 cores):
+## tiny runs of every BENCHMARK.json workload, traced and untraced, so every
+## entry point perfbench/tracing.py patches must still resolve and
+## fleet_replay must keep every argument perfbench/workloads.py passes
+perf-selftest:
+	python3 -m pytest perfbench/selftest.py -q
 
 ## measure one model on one GPU and emit the tuning DB (TUNE_smoke.json);
 ## CI uploads it next to the bench trajectory artifacts

@@ -4,10 +4,10 @@ Not a paper artifact — this is the zero-overhead acceptance gate for the
 obs layer (`repro.obs`).  One request stream replays twice: once with the
 default ``NullTracer``/``NullMetrics`` (the hot path every other benchmark
 and test exercises) and once with a live ``Tracer`` + ``MetricsRegistry``
-exporting Chrome-trace JSON and Prometheus text.  The two ``StreamReport``
-results must be *identical* (instrumentation may observe, never perturb),
-and enabled tracing must stay within a generous constant factor of the
-uninstrumented run.
+exporting Chrome-trace JSON and Prometheus text.  The two
+``FleetStreamReport`` results must be *identical* (instrumentation may
+observe, never perturb), and enabled tracing must stay within a generous
+constant factor of the uninstrumented run.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import time
 
 from repro.gpu.specs import RTX_A4000
 from repro.obs import MetricsRegistry, Tracer, chrome_trace_json, prometheus_text
-from repro.serve import replay
+from repro.serve import fleet_replay
 
 #: enabled-tracing budget: a replay records a few hundred spans; anything
 #: past this factor (plus absolute slack for timer noise on a ~10ms run)
@@ -25,8 +25,8 @@ SLACK_S = 0.05
 
 
 def _replay(n_requests, tracer=None, metrics=None):
-    return replay(
-        RTX_A4000, "mobilenet_v2", n_requests=n_requests, rate_rps=5000.0,
+    return fleet_replay(
+        [RTX_A4000], "mobilenet_v2", n_requests=n_requests, rate_rps=5000.0,
         tracer=tracer, metrics=metrics,
     )
 

@@ -241,7 +241,7 @@ def _slo_kwargs(args: argparse.Namespace) -> dict:
         "arrival": args.arrival or None,
     }
     if args.trace:
-        kwargs["trace"] = read_trace(args.trace)
+        kwargs["request_trace"] = read_trace(args.trace)
     return kwargs
 
 
@@ -260,56 +260,33 @@ def _autoscale_policy(spec: str, cooldown_ms: float):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.loadgen import fleet_replay, replay
+    from .serve.loadgen import fleet_replay
 
     db = calibration = None
     if args.db:
         db, calibration = _load_tuning(args.db)
-    slo = _slo_kwargs(args)
     tracer, metrics = _obs_sinks(args)
-    if args.gpus:
-        trace = slo.pop("trace", None)
-        report = fleet_replay(
-            _fleet_gpus(args.gpus),
-            args.model,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            dtype=_dtype(args.dtype),
-            policy=args.policy,
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            poisson=args.poisson,
-            request_trace=trace,
-            autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
-            max_chain=args.max_chain,
-            db=db,
-            calibration=calibration,
-            engine=args.engine,
-            tracer=tracer,
-            metrics=metrics,
-            **slo,
-        )
-    else:
-        if args.autoscale:
-            print("error: --autoscale needs a fleet (--gpus)", file=sys.stderr)
-            return 2
-        report = replay(
-            gpu_by_name(args.gpu),
-            args.model,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            dtype=_dtype(args.dtype),
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            poisson=args.poisson,
-            max_chain=args.max_chain,
-            db=db,
-            calibration=calibration,
-            engine=args.engine,
-            tracer=tracer,
-            metrics=metrics,
-            **slo,
-        )
+    # A single --gpu is served as a one-worker fleet.
+    gpus = _fleet_gpus(args.gpus) if args.gpus else [gpu_by_name(args.gpu)]
+    report = fleet_replay(
+        gpus,
+        args.model,
+        n_requests=args.requests,
+        rate_rps=args.rate,
+        dtype=_dtype(args.dtype),
+        policy=args.policy,
+        max_batch=args.max_batch,
+        max_delay_s=args.max_delay_ms * 1e-3,
+        poisson=args.poisson,
+        autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
+        max_chain=args.max_chain,
+        db=db,
+        calibration=calibration,
+        engine=args.engine,
+        tracer=tracer,
+        metrics=metrics,
+        **_slo_kwargs(args),
+    )
     print(report.describe())
     _export_obs(args, tracer, metrics)
     return 0
@@ -474,7 +451,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     db = calibration = None
     if args.db:
         db, calibration = _load_tuning(args.db)
-    slo = _slo_kwargs(args)
     tracer, metrics = _obs_sinks(args)
     report = fleet_replay(
         _fleet_gpus(args.gpus),
@@ -487,7 +463,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms * 1e-3,
         poisson=args.poisson,
-        request_trace=slo.pop("trace", None),
         autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
         faults=_fault_plan(args),
         retry=_retry_policy(args),
@@ -498,7 +473,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         workers=args.workers,
         tracer=tracer,
         metrics=metrics,
-        **slo,
+        **_slo_kwargs(args),
     )
     print(report.describe())
     if args.chaos_out:
@@ -746,7 +721,7 @@ def _add_slo_args(p: argparse.ArgumentParser) -> None:
                         "stream (see repro.serve.loadgen.write_trace)")
     p.add_argument("--autoscale", default="",
                    help="reactive fleet autoscaling bounds as MIN:MAX "
-                        "workers (fleet replays only)")
+                        "workers")
     p.add_argument("--cooldown-ms", type=float, default=0.0,
                    help="autoscaler cooldown between resize actions in ms "
                         "(default 0)")
@@ -854,8 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="planner chain cap for served models (default 2)")
     p.add_argument("--gpus", default="",
                    help="comma-separated GPU presets (repeats allowed); when "
-                        "given, replay through a multi-GPU fleet instead of "
-                        "one server")
+                        "given, replay through this multi-GPU fleet instead "
+                        "of the one --gpu")
     p.add_argument("--policy", choices=["affinity", "round_robin"],
                    default="affinity",
                    help="fleet routing policy (with --gpus; default affinity)")

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baselines.cudnn import CudnnAlgo, cudnn_counters, run_cudnn
+from ..baselines.cudnn import (
+    CudnnAlgo,
+    cudnn_batched,
+    cudnn_counters,
+    cudnn_timing,
+    run_cudnn,
+)
 from ..baselines.tvm import TvmConvStep, TvmPlan
 from ..core.dtypes import DType
 from ..errors import PlanError, ShapeError
@@ -166,70 +172,13 @@ class InferenceSession:
 
     # ---- functional execution -------------------------------------------------
     def run(self, input_array: np.ndarray, engine: str | None = None) -> SessionReport:
-        """Run real tensors through the simulated kernels per the plan."""
-        engine = self.engine if engine is None else resolve_engine(engine)
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
-        values: dict[str, np.ndarray] = {}
-
-        def input_of(layer_name: str) -> np.ndarray:
-            preds = self.graph.predecessors(layer_name)
-            if not preds:
-                return input_array
-            return values[preds[0]]
-
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                kernel = build_chain_kernel(
-                    [self.params[sp.name] for sp in step.specs],
-                    step.tiling,
-                    step.fcm_type,
-                )
-                res = kernel.simulate(input_of(step.specs[0].name), self.gpu, engine)
-                values[step.specs[-1].name] = res.output
-                report.records.append(
-                    _record(
-                        "+".join(step.layer_names), "fcm", res.counters, self.gpu,
-                        self.dtype, res.timing(),
-                    )
-                )
-            elif isinstance(step, LblStep):
-                kernel = build_lbl_kernel(self.params[step.spec.name], step.tiling)
-                res = kernel.simulate(input_of(step.spec.name), self.gpu, engine)
-                values[step.spec.name] = res.output
-                report.records.append(
-                    _record(step.spec.name, "lbl", res.counters, self.gpu,
-                            self.dtype, res.timing())
-                )
-            elif isinstance(step, StdStep):
-                out, counters, timing = run_cudnn(
-                    self.params[step.spec.name], input_of(step.spec.name),
-                    _STD_ALGO, self.gpu,
-                )
-                values[step.spec.name] = out
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                spec = step.spec
-                preds = self.graph.predecessors(spec.name)
-                inputs = [values[p] if p in values else input_array for p in preds]
-                scales = [self.params.out_scales.get(p) for p in preds]
-                out, _scale = apply_glue(spec, inputs, scales, self.dtype)
-                values[spec.name] = out
-                counters = glue_counters(spec, self.dtype)
-                report.records.append(
-                    _record(spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-            else:  # pragma: no cover - exhaustive
-                raise PlanError(f"unknown plan step {step!r}")
-        report.output = values.get(self._output_name())
+        """Run one image (no batch dim) through the simulated kernels per the
+        plan: a batch of one through :meth:`run_batch`, output unbatched."""
+        report = self.run_batch(input_array[None], engine)
+        if report.output is not None:
+            report.output = report.output[0]
         return report
 
-    def _output_name(self) -> str:
-        names = [s.name for s in self.graph.topological()]
-        return names[-1]
-
-    # ---- batched execution ------------------------------------------------------
     def run_batch(
         self, batch_input: np.ndarray, engine: str | None = None
     ) -> SessionReport:
@@ -239,7 +188,7 @@ class InferenceSession:
         traffic and compute scale with the batch while launch overhead is paid
         once and cross-image weight re-streams are served from L2 (see
         :meth:`~repro.gpu.counters.AccessCounters.batched`).  Outputs are
-        numerically identical to running each image through :meth:`run`.
+        numerically identical to running each image alone.
         """
         engine = self.engine if engine is None else resolve_engine(engine)
         if batch_input.ndim != 4:
@@ -284,8 +233,6 @@ class InferenceSession:
                             self.dtype, res.timing())
                 )
             elif isinstance(step, StdStep):
-                from ..baselines.cudnn import cudnn_batched
-
                 ifms = input_of(step.spec.name)
                 outs = [
                     run_cudnn(self.params[step.spec.name], ifm, _STD_ALGO, self.gpu)[0]
@@ -317,6 +264,20 @@ class InferenceSession:
         report.output = values.get(self._output_name())
         return report
 
+    def _output_name(self) -> str:
+        names = [s.name for s in self.graph.topological()]
+        return names[-1]
+
+    # ---- analytic execution -----------------------------------------------------
+    def run_analytic(self) -> SessionReport:
+        """Counters-only execution via the measured-convention estimators.
+
+        Byte counts and MACs equal the functional run exactly (verified by
+        integration tests); no tensors are materialized, so full-size models
+        sweep in milliseconds.
+        """
+        return self._analytic(1)
+
     def run_analytic_batch(self, batch_size: int) -> SessionReport:
         """Counters-only batched execution (the serving fast path).
 
@@ -324,10 +285,13 @@ class InferenceSession:
         materialized — one call per (plan, batch size) prices a whole
         micro-batch in microseconds.
         """
+        return self._analytic(batch_size)
+
+    def _analytic(self, batch_size: int) -> SessionReport:
+        # Shared by both public entry points; neither calls the other, so a
+        # wrapper around one of them sees each report exactly once.
         if batch_size < 1:
             raise PlanError(f"batch_size must be >= 1, got {batch_size}")
-        from ..baselines.cudnn import cudnn_batched
-
         report = SessionReport(
             self.plan.model_name, self.gpu, self.dtype, batch_size=batch_size
         )
@@ -359,42 +323,6 @@ class InferenceSession:
                 )
             elif isinstance(step, GlueStep):
                 counters = glue_counters(step.spec, self.dtype).batched(batch_size)
-                report.records.append(
-                    _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        return report
-
-    # ---- analytic execution -----------------------------------------------------
-    def run_analytic(self) -> SessionReport:
-        """Counters-only execution via the measured-convention estimators.
-
-        Byte counts and MACs equal the functional run exactly (verified by
-        integration tests); no tensors are materialized, so full-size models
-        sweep in milliseconds.
-        """
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                counters = chain_counters(step.specs, step.tiling, step.fcm_type)
-                report.records.append(
-                    _record("+".join(step.layer_names), "fcm", counters,
-                            self.gpu, self.dtype)
-                )
-            elif isinstance(step, LblStep):
-                counters = lbl_counters(step.spec, step.tiling)
-                report.records.append(
-                    _record(step.spec.name, "lbl", counters, self.gpu, self.dtype)
-                )
-            elif isinstance(step, StdStep):
-                counters = cudnn_counters(step.spec, _STD_ALGO)
-                from ..baselines.cudnn import cudnn_timing
-
-                timing = cudnn_timing(step.spec, _STD_ALGO, self.gpu)
-                report.records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                counters = glue_counters(step.spec, self.dtype)
                 report.records.append(
                     _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
                 )
@@ -493,8 +421,6 @@ class TvmSession:
 
     def run_analytic(self) -> SessionReport:
         """Counters-only execution of the TVM plan."""
-        from ..baselines.cudnn import cudnn_timing
-
         report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):

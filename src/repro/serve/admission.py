@@ -137,9 +137,10 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Judge one offered request against ``slo_s`` and tally the outcome.
 
-        ``occupancy_s`` is the target device's remaining busy time (the fleet
-        path passes :meth:`FleetWorker.occupancy_s`; the single-server replay
-        models occupancy by advancing its clock, so it passes 0).
+        ``occupancy_s`` is the budget already spent before the request can
+        start: ``fleet_replay`` passes the routed worker's remaining busy
+        time (:meth:`FleetWorker.occupancy_s`) plus any clock drift past the
+        arrival instant.
         ``throttle`` is the target worker's slowdown factor under faults, so
         admission sheds earlier on a thermally degraded worker.
         """

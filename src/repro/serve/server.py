@@ -84,11 +84,6 @@ class InferenceResult:
     energy_per_image_j: float
     output: np.ndarray | None
 
-    @property
-    def latency_s(self) -> float:
-        """Request latency: queue wait plus the batched execution."""
-        return self.wait_s + self.exec_s
-
 
 @dataclass
 class ServerStats:

@@ -45,6 +45,20 @@ def register_tiny_zoo(monkeypatch) -> None:
         monkeypatch.setitem(MODELS, name, tiny_model_builder(name, channels))
 
 
+def check_replay(report) -> None:
+    """Accounting invariants every ``fleet_replay`` report must satisfy."""
+    lost = report.fault_stats.lost if report.fault_stats is not None else 0
+    assert report.n_requests == report.served + report.shed + lost
+    if report.slo_s is not None:
+        assert report.attained + report.late == report.served
+    latencies = report.latencies_s
+    assert len(latencies) == report.served
+    assert latencies == sorted(latencies)
+    assert all(v >= 0 for v in latencies)
+    for w in report.per_worker:
+        assert w.busy_s <= report.duration_s, (w.worker, w.busy_s, report.duration_s)
+
+
 def ref_layer(params: LayerParams, x: np.ndarray) -> np.ndarray:
     """Golden execution of one conv layer + epilogue at the layer's dtype.
 

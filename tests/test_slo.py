@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import register_tiny_zoo
+from helpers import check_replay, register_tiny_zoo
+from repro.cli import main
 from repro.core.dtypes import DType
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660
@@ -44,7 +45,6 @@ from repro.serve import (
     pareto_arrival_times,
     percentile,
     read_trace,
-    replay,
     write_trace,
 )
 
@@ -97,10 +97,11 @@ class TestRegressionBitIdentical:
     old `oldest + max_delay_s` when no request carries a deadline."""
 
     def test_uniform_replay_unchanged(self):
-        r = replay(GTX1660, "tiny_a", 32, 1e7, max_batch=8)
+        r = fleet_replay([GTX1660], "tiny_a", 32, 1e7, max_batch=8)
+        check_replay(r)
         assert r.throughput_img_s == 409214.91361018503
         assert r.latency_p50_s == 5.6523888888888874e-05
-        assert r.latency_p99_s == 7.579851851851851e-05
+        assert r.latency_p99_s == 7.57985185185185e-05
         assert r.duration_s == 7.81985185185185e-05
         assert r.mean_batch == 8.0
         assert r.energy_per_image_j == 4.625449746666667e-05
@@ -110,7 +111,8 @@ class TestRegressionBitIdentical:
         assert (r.shed, r.degraded, r.late) == (0, 0, 0)
 
     def test_poisson_replay_unchanged(self):
-        r = replay(GTX1660, "tiny_a", 24, 2e5, max_batch=4, poisson=True, seed=3)
+        r = fleet_replay([GTX1660], "tiny_a", 24, 2e5, max_batch=4, poisson=True, seed=3)
+        check_replay(r)
         assert r.throughput_img_s == 189368.9514480203
         assert r.latency_p50_s == 3.2590017136664413e-05
         assert r.latency_p99_s == 4.269784230528658e-05
@@ -120,6 +122,7 @@ class TestRegressionBitIdentical:
         r = fleet_replay(
             [GTX1660, GTX1660], ["tiny_a", "tiny_b"], 24, 1e6, max_batch=4, seed=1
         )
+        check_replay(r)
         assert r.throughput_img_s == 11765.578254498812
         assert r.latency_p50_s == 3.159666384786543e-05
         assert r.latency_p99_s == 0.0020179627897584235
@@ -132,6 +135,35 @@ class TestRegressionBitIdentical:
             ("GTX#1", 9, 3, 5.3808717380069184e-05),
         ]
         assert r.scale_events == () and r.slo_per_worker == ()
+
+
+class TestConcurrentFlushes:
+    """Two partial batches that flush at the same instant run back to back on
+    their one device: the second batch's request waits for the first to
+    finish, and its latency must say so."""
+
+    TRACE = (
+        TraceRequest(0.0, "tiny_a"),
+        TraceRequest(0.0, "tiny_b"),
+        TraceRequest(10e-3, "tiny_a"),
+    )
+
+    def test_second_batch_waits_for_the_device(self):
+        r = fleet_replay([GTX1660], request_trace=self.TRACE, max_delay_s=1e-3)
+        check_replay(r)
+        # tiny_a at 0 and at 10 ms: 1 ms formation + 16.64 us execution;
+        # tiny_b at 0 also waits out tiny_a's execution before its own.
+        assert r.latencies_s == pytest.approx(
+            [1.01664e-3, 1.01664e-3, 1.03349e-3], abs=5e-9
+        )
+
+    def test_cli_serve_reports_the_device_wait(self, tmp_path, capsys):
+        path = write_trace(tmp_path / "burst.jsonl", self.TRACE)
+        assert main([
+            "serve", "tiny_a", "--gpu", "GTX", "--trace", str(path),
+            "--max-delay-ms", "1",
+        ]) == 0
+        assert "p99 1.033 ms" in capsys.readouterr().out
 
 
 # ---- percentile contract ----------------------------------------------------
@@ -248,10 +280,12 @@ class TestAttainment:
         slo = _slo_s()
         cap = capacity_rps(GTX1660, "tiny_a", max_batch=MAX_BATCH)
         kw = dict(arrival="lognormal", slo_s=slo, max_batch=MAX_BATCH, seed=SEED)
-        base = replay(GTX1660, "tiny_a", N_REQUESTS, cap * 16, **kw)
-        adm = replay(
-            GTX1660, "tiny_a", N_REQUESTS, cap * 16, admission="degrade", **kw
+        base = fleet_replay([GTX1660], "tiny_a", N_REQUESTS, cap * 16, **kw)
+        adm = fleet_replay(
+            [GTX1660], "tiny_a", N_REQUESTS, cap * 16, admission="degrade", **kw
         )
+        check_replay(base)
+        check_replay(adm)
         assert base.shed == 0
         assert adm.shed > 0
         assert adm.attained > base.attained
@@ -289,10 +323,10 @@ class TestAttainment:
             n_requests=N_REQUESTS,
             seed=SEED,
         )
-        assert [p.attained for p in pts] == [256, 191, 94, 65, 41, 33, 32, 32]
+        assert [p.attained for p in pts] == [256, 194, 94, 65, 41, 33, 32, 32]
         assert [p.shed for p in pts] == [0, 36, 128, 176, 208, 216, 223, 223]
         assert [p.degraded for p in pts] == [0, 16, 32, 40, 16, 8, 1, 1]
-        assert [p.late for p in pts] == [0, 29, 34, 15, 7, 7, 1, 1]
+        assert [p.late for p in pts] == [0, 26, 34, 15, 7, 7, 1, 1]
 
     def test_attainment_curve_replay_deterministic(self):
         """The 1x-100x curve replayed twice is identical, point for point
@@ -318,8 +352,9 @@ class TestReplayDeterminism:
             seed=SEED,
         )
         cap = capacity_rps(GTX1660, "tiny_a", max_batch=MAX_BATCH)
-        a = replay(GTX1660, "tiny_a", 96, cap * 8, **kw)
-        b = replay(GTX1660, "tiny_a", 96, cap * 8, **kw)
+        a = fleet_replay([GTX1660], "tiny_a", 96, cap * 8, **kw)
+        b = fleet_replay([GTX1660], "tiny_a", 96, cap * 8, **kw)
+        check_replay(a)
         assert a.latencies_s == b.latencies_s
         assert (a.attained, a.shed, a.degraded, a.late) == (
             b.attained,
@@ -344,6 +379,7 @@ class TestReplayDeterminism:
         cap = capacity_rps(GTX1660, "tiny_a", max_batch=4)
         a = fleet_replay([GTX1660], ["tiny_a"], 64, cap * 8, **kw)
         b = fleet_replay([GTX1660], ["tiny_a"], 64, cap * 8, **kw)
+        check_replay(a)
         assert a.latencies_s == b.latencies_s
         assert a.scale_events == b.scale_events
         assert a.slo_per_worker == b.slo_per_worker
@@ -449,6 +485,7 @@ class TestAutoscaler:
             ),
             seed=SEED,
         )
+        check_replay(r)
         actions = [e.action for e in r.scale_events]
         assert "grow" in actions
         assert r.peak_workers > 1
@@ -580,7 +617,8 @@ class TestTraces:
             for i in range(16)
         ]
         path = write_trace(tmp_path / "mixed.jsonl", reqs)
-        r = replay(GTX1660, trace=read_trace(path), max_batch=4)
+        r = fleet_replay([GTX1660], request_trace=read_trace(path), max_batch=4)
+        check_replay(r)
         assert r.n_requests == 16
         assert r.slo_s is not None  # armed by the entries that carry one
         # stream is unloaded: everything makes its deadline (or had none)
