@@ -1,4 +1,4 @@
-"""The shipped invariant rules, RPR001 through RPR008.
+"""The shipped invariant rules, RPR001 through RPR009.
 
 Each rule enforces a contract the dynamic test suite defends end-to-end;
 see the class docstrings for the mapping.  Real, audited exceptions are
@@ -626,11 +626,44 @@ class AmbientSleepRule(Rule):
                     )
 
 
+@register_rule
+class BuiltinHashRule(Rule):
+    """RPR009: no builtin ``hash()`` outside ``__hash__``.
+
+    ``str`` and ``bytes`` hashes are salted per process (``PYTHONHASHSEED``),
+    so a seed or key derived from ``hash()`` changes from one process to the
+    next: network weights seeded that way differed between two runs of the
+    same command.  Inside ``__hash__`` the value only keys in-process dicts
+    and sets, which is what builtin ``hash()`` is for.  Anything that seeds,
+    persists or crosses a process boundary derives its key from a stable
+    digest (``hashlib.blake2b``) instead.
+    """
+
+    rule_id = "RPR009"
+    title = "no builtin hash() outside __hash__"
+
+    def check(self, ctx: AnalysisContext) -> Iterator[Finding]:
+        for info in ctx.modules:
+            inside_hash: set[int] = set()
+            for node in ast.walk(info.tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and node.name == "__hash__":
+                    inside_hash.update(id(n) for n in ast.walk(node))
+            for node in ast.walk(info.tree):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "hash" and id(node) not in inside_hash:
+                    yield _finding(
+                        info, node, self.rule_id,
+                        "builtin `hash()` changes with PYTHONHASHSEED; derive "
+                        "seeds and keys from a stable digest (hashlib.blake2b)",
+                    )
+
+
 #: Canonical ordered rule vocabulary (the resolver's `ENGINES` analogue).
 ALL_RULE_IDS: tuple[str, ...] = tuple(sorted(
     cls.rule_id for cls in (
         WallClockRule, UnseededRngRule, SerializerOrderRule,
         LayeringRule, RegistryParityRule, SubmissionOrderRule,
-        SpanContextRule, AmbientSleepRule,
+        SpanContextRule, AmbientSleepRule, BuiltinHashRule,
     )
 ))

@@ -10,6 +10,7 @@ setup where a layer's output scale becomes the next layer's input scale
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,11 @@ class LayerParams:
 
 
 def _rng_for(spec: ConvSpec, seed: int) -> np.random.Generator:
-    """Deterministic per-layer RNG (stable across runs and processes)."""
-    key = abs(hash((spec.name, spec.kind.value, spec.in_channels, spec.out_channels))) % (2**31)
+    """Deterministic per-layer RNG (stable across runs, processes and
+    ``PYTHONHASHSEED`` values: keyed on a digest, not builtin ``hash()``)."""
+    ident = f"{spec.name}|{spec.kind.value}|{spec.in_channels}|{spec.out_channels}"
+    digest = hashlib.blake2b(ident.encode(), digest_size=8).digest()
+    key = int.from_bytes(digest, "big") % (2**31)
     return np.random.default_rng(seed ^ key)
 
 

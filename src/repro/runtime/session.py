@@ -17,7 +17,7 @@ measured-convention estimators) for the large end-to-end sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,18 +77,28 @@ class SessionReport:
     dimension.  ``latency_s`` is then the batch's wall time; the per-image
     views (:attr:`throughput_img_s`, :attr:`energy_per_image_j`) are what the
     serving layer reports.
+
+    A report is built from its finished records: the totals are summed once,
+    in record order, when it is constructed (serving re-reads the memoized
+    analytic reports' latency on every routing and flush decision).
     """
 
     model_name: str
     gpu: GpuSpec
     dtype: DType
-    records: list[StepRecord] = field(default_factory=list)
+    records: tuple[StepRecord, ...] = ()
     output: np.ndarray | None = None
     batch_size: int = 1
 
+    def __post_init__(self) -> None:
+        self._latency_s = sum(r.time_s for r in self.records)
+        self._energy_j = sum(r.energy_j for r in self.records)
+        self._total_gma_bytes = sum(r.counters.total_bytes for r in self.records)
+        self._kernel_launches = sum(r.counters.kernel_launches for r in self.records)
+
     @property
     def latency_s(self) -> float:
-        return sum(r.time_s for r in self.records)
+        return self._latency_s
 
     @property
     def latency_per_image_s(self) -> float:
@@ -105,15 +115,15 @@ class SessionReport:
 
     @property
     def energy_j(self) -> float:
-        return sum(r.energy_j for r in self.records)
+        return self._energy_j
 
     @property
     def total_gma_bytes(self) -> int:
-        return sum(r.counters.total_bytes for r in self.records)
+        return self._total_gma_bytes
 
     @property
     def kernel_launches(self) -> int:
-        return sum(r.counters.kernel_launches for r in self.records)
+        return self._kernel_launches
 
     def describe(self) -> str:
         batch = f" batch={self.batch_size}" if self.batch_size > 1 else ""
@@ -196,9 +206,7 @@ class InferenceSession:
                 f"run_batch expects (batch, C, H, W), got shape {batch_input.shape}"
             )
         n = batch_input.shape[0]
-        report = SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, batch_size=n
-        )
+        records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
 
         def input_of(layer_name: str) -> np.ndarray:
@@ -218,7 +226,7 @@ class InferenceSession:
                     input_of(step.specs[0].name), self.gpu, engine
                 )
                 values[step.specs[-1].name] = res.output
-                report.records.append(
+                records.append(
                     _record(
                         "+".join(step.layer_names), "fcm", res.counters, self.gpu,
                         self.dtype, res.timing(),
@@ -228,7 +236,7 @@ class InferenceSession:
                 kernel = build_lbl_kernel(self.params[step.spec.name], step.tiling)
                 res = kernel.simulate_batch(input_of(step.spec.name), self.gpu, engine)
                 values[step.spec.name] = res.output
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "lbl", res.counters, self.gpu,
                             self.dtype, res.timing())
                 )
@@ -240,7 +248,7 @@ class InferenceSession:
                 ]
                 values[step.spec.name] = np.stack(outs)
                 counters, timing = cudnn_batched(step.spec, _STD_ALGO, self.gpu, n)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
                 )
             elif isinstance(step, GlueStep):
@@ -256,13 +264,15 @@ class InferenceSession:
                     outs.append(out)
                 values[spec.name] = np.stack(outs)
                 counters = glue_counters(spec, self.dtype).batched(n)
-                report.records.append(
+                records.append(
                     _record(spec.name, "glue", counters, self.gpu, self.dtype)
                 )
             else:  # pragma: no cover - exhaustive
                 raise PlanError(f"unknown plan step {step!r}")
-        report.output = values.get(self._output_name())
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, tuple(records),
+            values.get(self._output_name()), batch_size=n,
+        )
 
     def _output_name(self) -> str:
         names = [s.name for s in self.graph.topological()]
@@ -292,9 +302,7 @@ class InferenceSession:
         # wrapper around one of them sees each report exactly once.
         if batch_size < 1:
             raise PlanError(f"batch_size must be >= 1, got {batch_size}")
-        report = SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, batch_size=batch_size
-        )
+        records: list[StepRecord] = []
         for step in self.plan.steps:
             if isinstance(step, FcmStep):
                 counters = chain_counters(
@@ -303,7 +311,7 @@ class InferenceSession:
                     batch_size,
                     sum(sp.weights_bytes for sp in step.specs),
                 )
-                report.records.append(
+                records.append(
                     _record("+".join(step.layer_names), "fcm", counters,
                             self.gpu, self.dtype)
                 )
@@ -311,22 +319,25 @@ class InferenceSession:
                 counters = lbl_counters(step.spec, step.tiling).batched(
                     batch_size, step.spec.weights_bytes
                 )
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "lbl", counters, self.gpu, self.dtype)
                 )
             elif isinstance(step, StdStep):
                 counters, timing = cudnn_batched(
                     step.spec, _STD_ALGO, self.gpu, batch_size
                 )
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
                 )
             elif isinstance(step, GlueStep):
                 counters = glue_counters(step.spec, self.dtype).batched(batch_size)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
                 )
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, tuple(records),
+            batch_size=batch_size,
+        )
 
 
 def build_session(
@@ -338,7 +349,8 @@ def build_session(
     seed: int = 0,
     engine: str = DEFAULT_ENGINE,
 ) -> InferenceSession:
-    """Plan ``model`` on ``gpu`` and materialize a ready session.
+    """Plan ``model`` on ``gpu`` and build a ready session (its weights are
+    generated on the first functional run).
 
     The build-graph -> plan -> materialize -> session scaffold every
     functional entry point needs (CLI ``run``, ``make profile``, the engine
@@ -389,7 +401,7 @@ class TvmSession:
 
     def run(self, input_array: np.ndarray) -> SessionReport:
         """Functional execution (reference ops + cuDNN accounting)."""
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
+        records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):
@@ -400,7 +412,7 @@ class TvmSession:
                     gemm_tile=step.gemm_tile,
                 )
                 values[step.spec.name] = out
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "tvm-conv", counters, self.gpu,
                             self.dtype, timing)
                 )
@@ -412,27 +424,31 @@ class TvmSession:
                 out, _scale = apply_glue(spec, inputs, scales, self.dtype)
                 values[spec.name] = out
                 counters = glue_counters(spec, self.dtype, fused=step.fused)
-                report.records.append(
+                records.append(
                     _record(spec.name, "glue", counters, self.gpu, self.dtype)
                 )
         names = [s.name for s in self.graph.topological()]
-        report.output = values.get(names[-1])
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, tuple(records),
+            values.get(names[-1]),
+        )
 
     def run_analytic(self) -> SessionReport:
         """Counters-only execution of the TVM plan."""
-        report = SessionReport(self.plan.model_name, self.gpu, self.dtype)
+        records: list[StepRecord] = []
         for step in self.plan.steps:
             if isinstance(step, TvmConvStep):
                 counters = cudnn_counters(step.spec, step.algo, gemm_tile=step.gemm_tile)
                 timing = cudnn_timing(step.spec, step.algo, self.gpu, gemm_tile=step.gemm_tile)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "tvm-conv", counters, self.gpu,
                             self.dtype, timing)
                 )
             else:
                 counters = glue_counters(step.spec, self.dtype, fused=step.fused)
-                report.records.append(
+                records.append(
                     _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
                 )
-        return report
+        return SessionReport(
+            self.plan.model_name, self.gpu, self.dtype, tuple(records)
+        )

@@ -4,7 +4,8 @@ The serving subsystem turns the one-shot reproduction pipeline (plan ->
 session -> report) into a request-serving layer:
 
 * :mod:`repro.serve.cache` — LRU :class:`PlanCache` memoizing FusePlanner
-  plans + materialized weights per (model, dtype, GPU, convention), with
+  plans + sessions per (model, dtype, GPU, convention), whose weights are
+  generated on the first functional request, with
   :meth:`PlanCache.warm_start` preloading plans from a
   :class:`repro.tune.records.TuningDB` at boot;
 * :mod:`repro.serve.server` — :class:`ModelServer` with synchronous batched

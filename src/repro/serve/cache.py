@@ -4,9 +4,11 @@ FusePlanner's whole-model pass (tiling search over every layer and fusion
 candidate) costs orders of magnitude more than pricing one inference, yet its
 output depends only on (model, precision, GPU, cost convention).  The serving
 layer therefore memoizes the :class:`~repro.planner.plan.ExecutionPlan`
-*together with* the materialized :class:`~repro.runtime.network_params.
-NetworkParams` and a ready :class:`~repro.runtime.session.InferenceSession`,
-keyed by exactly those four inputs.  Cross-layer reuse work (Wang et al.)
+*together with* a :class:`~repro.runtime.network_params.NetworkParams` handle
+and a ready :class:`~repro.runtime.session.InferenceSession`, keyed by exactly
+those four inputs.  The handle generates the weights when the first
+functional request reads them; analytic (counters-only) serving never does,
+so its entries hold no weight tensors.  Cross-layer reuse work (Wang et al.)
 makes the same point for fused kernels: fusion pays off most when one plan is
 amortized over many invocations.
 """
@@ -120,10 +122,11 @@ class CacheStats:
 class PlanCache:
     """LRU cache of :class:`CachedPlan` entries.
 
-    ``capacity`` bounds the number of resident plans (a materialized network
-    holds every weight tensor, so unbounded growth would be a memory leak in
-    a long-running server).  Least-recently-*used* eviction: every hit
-    refreshes the entry's recency.
+    ``capacity`` bounds the number of resident plans (once a functional
+    request has read its weights, an entry holds every weight tensor of its
+    network, so unbounded growth would be a memory leak in a long-running
+    server).  Least-recently-*used* eviction: every hit refreshes the
+    entry's recency.
     """
 
     def __init__(
@@ -211,11 +214,12 @@ class PlanCache:
         The planner already ran — possibly in another process — so this
         counts as a ``warm_start``, not a miss or a planner invocation: the
         plan-once/serve-many accounting the replay asserts must not depend
-        on *where* boot-time planning happened.  The graph, weights and
-        session are materialized here (they are cheap relative to planning
-        and not worth shipping across a process boundary).  An already
-        resident entry wins: installing under a live key is a no-op so a
-        preplan pass can never clobber serving state.
+        on *where* boot-time planning happened.  The graph, weights handle
+        and session are built here (cheap relative to planning and not worth
+        shipping across a process boundary); the weights themselves are
+        generated only when a functional request first reads them.  An
+        already resident entry wins: installing under a live key is a no-op
+        so a preplan pass can never clobber serving state.
         """
         key = PlanKey.of(model, dtype, gpu, convention, max_chain)
         entry = self._entries.get(key)
@@ -249,11 +253,12 @@ class PlanCache:
     def adopt(self, entry: CachedPlan) -> CachedPlan:
         """Share a peer's resident entry (recovery re-warm path).
 
-        The plan, weights and session were already materialized on a
-        same-GPU peer, so adopting the object is free and counts as a
-        ``warm_start`` exactly like :meth:`install`.  An already resident
-        entry wins (no-op), and adoption respects capacity via LRU
-        eviction like any other insertion.
+        The plan, weights handle and session already exist on a same-GPU
+        peer, so adopting the object is free (weights the peer generated are
+        shared, not generated again) and counts as a ``warm_start`` exactly
+        like :meth:`install`.  An already resident entry wins (no-op), and
+        adoption respects capacity via LRU eviction like any other
+        insertion.
         """
         resident = self._entries.get(entry.key)
         if resident is not None:

@@ -58,9 +58,9 @@ def _preplan_job(job: tuple) -> "object":
     """Plan one (GPU, model, dtype) in a worker process; returns the plan.
 
     Module-level so it pickles under spawn-based pools too.  Only the
-    :class:`~repro.planner.plan.ExecutionPlan` crosses back — weights and
-    sessions are rebuilt cheaply on the parent side by
-    :meth:`repro.serve.cache.PlanCache.install`.
+    :class:`~repro.planner.plan.ExecutionPlan` crosses back — sessions and
+    their (not yet generated) weights handles are built cheaply on the
+    parent side by :meth:`repro.serve.cache.PlanCache.install`.
     """
     gpu, model, dtype, convention, max_chain, calibration = job
     from ..models.zoo import build_model
@@ -517,8 +517,9 @@ class Fleet:
 
         A crash wiped the worker's on-device plans (``PlanCache.clear``);
         before it takes traffic again, adopt every plan still resident on
-        a peer with the same GPU — adoption shares the peer's materialized
-        entry and counts as a warm start, never a planner invocation.
+        a peer with the same GPU — adoption shares the peer's entry (plan,
+        session, and weights if a functional request already generated
+        them) and counts as a warm start, never a planner invocation.
         Returns the number of plans adopted.
         """
         adopted = 0

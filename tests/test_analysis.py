@@ -50,10 +50,10 @@ def _analyze_snippet(tmp_path: Path, source: str, rules: "str | None" = None):
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_rules_registered(self):
         assert ALL_RULE_IDS == (
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008",
+            "RPR007", "RPR008", "RPR009",
         )
         registry = rule_registry()
         assert set(registry) == set(ALL_RULE_IDS)
@@ -482,6 +482,55 @@ class TestAmbientSleepRule:
             "    # repro: allow[RPR008] operator-facing poll loop, not replay\n"
             "    time.sleep(1.0)\n"
         ), rules="RPR008")
+        assert findings == []
+
+
+class TestBuiltinHashRule:
+    """RPR009 — seeds and keys never come from the per-process hash salt."""
+
+    def test_flags_hash_seeded_rng(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "import numpy as np\n"
+            "def rng_for(spec, seed):\n"
+            "    key = abs(hash((spec.name, spec.kind.value, spec.in_channels,\n"
+            "                    spec.out_channels))) % (2**31)\n"
+            "    return np.random.default_rng(seed ^ key)\n"
+        ), rules="RPR009")
+        assert _rule_ids(findings) == {"RPR009"}
+        assert findings[0].line == 3
+        assert "PYTHONHASHSEED" in findings[0].message
+
+    def test_dunder_hash_is_clean(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "class Site:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.module, self.qualname))\n"
+        ), rules="RPR009")
+        assert findings == []
+
+    def test_hash_in_other_method_is_flagged(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "class Site:\n"
+            "    def key(self):\n"
+            "        return hash(self.name)\n"
+        ), rules="RPR009")
+        assert [f.line for f in findings] == [3]
+
+    def test_digest_and_foreign_hash_attribute_are_clean(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "import hashlib\n"
+            "def key(name, store):\n"
+            "    store.hash(name)\n"
+            "    return hashlib.blake2b(name.encode(), digest_size=8).digest()\n"
+        ), rules="RPR009")
+        assert findings == []
+
+    def test_suppressed_with_reason(self, tmp_path):
+        findings = _analyze_snippet(tmp_path, (
+            "def tuning_seed(name, seed):\n"
+            "    # repro: allow[RPR009] re-seeding moves the pinned baseline\n"
+            "    return (seed * 1000003 + abs(hash(name))) % (2**31)\n"
+        ), rules="RPR009")
         assert findings == []
 
 

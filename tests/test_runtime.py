@@ -2,21 +2,52 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from helpers import register_tiny_zoo
 from repro.baselines.tvm import TvmCompiler
 from repro.core.dtypes import DType
 from repro.core.quantize import QuantParams
 from repro.errors import ShapeError, UnsupportedError
-from repro.gpu.specs import GTX1660, ORIN
+from repro.experiments.fig10_fig11 import end_to_end_point
+from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
+from repro.ir.layers import ConvSpec
+from repro.models.zoo import build_model
 from repro.planner.planner import FusePlanner
+from repro.runtime import network_params
 from repro.runtime.glue import apply_glue, glue_counters
 from repro.runtime.network_params import materialize_network
 from repro.runtime.profiler import compare, profile_table
-from repro.runtime.session import InferenceSession, TvmSession
+from repro.runtime.session import InferenceSession, TvmSession, seeded_input
+from repro.serve import FakeClock, Fleet, ModelServer, fleet_replay
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Digest of every mobilenet_v2 weight tensor, FP32 then INT8 (seed 0).
+MOBILENET_V2_WEIGHTS_DIGEST = "7d481fdaa10309f1147eafbc034b1070"
+
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.core.dtypes import DType
+from repro.models.zoo import build_model
+from repro.runtime.network_params import materialize_network
+
+h = hashlib.blake2b(digest_size=16)
+for dtype in (DType.FP32, DType.INT8):
+    net = materialize_network(build_model("mobilenet_v2", dtype), dtype)
+    for name, p in net.layers.items():
+        h.update(name.encode())
+        h.update(p.weights.tobytes())
+print(h.hexdigest())
+"""
 
 
 def _toy_graph(dtype=DType.FP32):
@@ -108,6 +139,63 @@ class TestNetworkParams:
         b = materialize_network(g, DType.FP32, seed=5)
         np.testing.assert_array_equal(a["b1_pw"].weights, b["b1_pw"].weights)
 
+    def test_same_weights_under_every_hash_seed(self):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE, text=True,
+            )
+            for seed in ("1", "2")
+        ]
+        digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert digests == [MOBILENET_V2_WEIGHTS_DIGEST] * 2
+
+
+class TestWeightsOnFirstRead:
+    """Analytic paths price every step from shapes alone, so they generate
+    no weights; the first functional request generates each conv once."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch) -> list[str]:
+        register_tiny_zoo(monkeypatch)
+        names: list[str] = []
+        real = network_params.make_layer_params
+
+        def counting(spec, *args, **kwargs):
+            names.append(spec.name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(network_params, "make_layer_params", counting)
+        return names
+
+    def test_analytic_paths_generate_no_weights(self, generated):
+        end_to_end_point("mobilenet_v1", RTX_A4000, DType.FP32)
+
+        clock = FakeClock()
+        gpus = [RTX_A4000, GTX1660]
+        fleet = Fleet(gpus, clock=clock, sleep=clock.sleep)
+        assert fleet.preplan(["tiny_a"], (DType.FP32, DType.INT8)) == 4
+        report = fleet_replay(gpus, ["tiny_a"], 16, 1e4, fleet=fleet)
+        assert report.served == 16
+
+        graph = build_model("mobilenet_v1", DType.FP32)
+        tvm_plan = TvmCompiler(RTX_A4000).compile(graph, DType.FP32)
+        TvmSession(graph, tvm_plan).run_analytic()
+        assert generated == []
+
+    def test_first_functional_submit_generates_each_conv_once(self, generated):
+        server = ModelServer(GTX1660)
+        graph = build_model("tiny_a", DType.FP32)
+        x = seeded_input(graph, DType.FP32)
+        server.submit("tiny_a", x)
+        convs = [s.name for s in graph.topological() if isinstance(s, ConvSpec)]
+        assert generated == convs
+        generated.clear()
+        server.submit("tiny_a", x)
+        assert generated == []
+
 
 class TestSessions:
     @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8])
@@ -152,6 +240,21 @@ class TestSessions:
             # TVM launches one kernel per conv; we fuse pairs (but pay glue
             # kernels TVM fused away).
             assert ours.kernel_launches <= tvm.kernel_launches + 2
+
+    def test_report_totals_sum_records_in_order(self, rng):
+        g = _toy_graph()
+        sess = InferenceSession(g, FusePlanner(GTX1660).plan(g))
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        for rep in (sess.run_batch(x), sess.run_analytic_batch(2)):
+            assert isinstance(rep.records, tuple)
+            assert rep.latency_s == sum(r.time_s for r in rep.records)
+            assert rep.energy_j == sum(r.energy_j for r in rep.records)
+            assert rep.total_gma_bytes == sum(
+                r.counters.total_bytes for r in rep.records
+            )
+            assert rep.kernel_launches == sum(
+                r.counters.kernel_launches for r in rep.records
+            )
 
     def test_report_describe_and_profile(self):
         g = _toy_graph()

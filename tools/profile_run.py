@@ -1,13 +1,14 @@
 """cProfile one end-to-end functional model run or one planning pass.
 
-``--what run`` (default) plans the model, materializes parameters, runs one
-warm-up inference, then profiles a second run.  ``--what plan`` profiles
-FusePlanner's whole-model pass in isolation — the tiling search over every
-layer and fusion candidate — which is what the vectorized search engine
-targets (``--search-engine reference`` profiles the scalar oracle instead).
-Both modes print the top-N functions by cumulative and by internal time —
-the starting point for every simulator perf PR (this is how the fast-path
-engine's and the grid search's hot spots were found).
+``--what run`` (default) plans the model, runs one warm-up inference (which
+also generates the weights, on their first read), then profiles a second
+run.  ``--what plan`` profiles FusePlanner's whole-model pass in isolation —
+the tiling search over every layer and fusion candidate — which is what the
+vectorized search engine targets (``--search-engine reference`` profiles
+the scalar oracle instead).  Both modes print the top-N functions by
+cumulative and by internal time — the starting point for every simulator
+perf PR (this is how the fast-path engine's and the grid search's hot spots
+were found).
 
 Usage::
 
@@ -89,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         args.model, gpu, dtype, max_chain=args.max_chain, engine=args.engine
     )
     x = seeded_input(session.graph, dtype)
-    session.run(x)  # warm-up: BLAS threads, planner caches, allocators
+    session.run(x)  # warm-up: weights, BLAS threads, planner caches, allocators
     report = _profile(lambda: session.run(x), args.top)
     print(f"{report.describe()}  [engine={args.engine}]")
     return 0
