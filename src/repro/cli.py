@@ -231,20 +231,6 @@ def _fleet_gpus(spec: str) -> list:
     return [gpu_by_name(name) for name in spec.split(",") if name]
 
 
-def _slo_kwargs(args: argparse.Namespace) -> dict:
-    """Shared --slo-ms/--admission/--arrival/--trace handling (serve/fleet)."""
-    from .serve.loadgen import read_trace
-
-    kwargs: dict = {
-        "slo_s": args.slo_ms * 1e-3 if args.slo_ms else None,
-        "admission": None if args.admission == "none" else args.admission,
-        "arrival": args.arrival or None,
-    }
-    if args.trace:
-        kwargs["request_trace"] = read_trace(args.trace)
-    return kwargs
-
-
 def _autoscale_policy(spec: str, cooldown_ms: float):
     """Parse ``--autoscale MIN:MAX`` into an AutoscalePolicy (or None)."""
     from .serve.autoscale import AutoscalePolicy
@@ -257,39 +243,6 @@ def _autoscale_policy(spec: str, cooldown_ms: float):
         max_workers=int(hi or lo),
         cooldown_s=cooldown_ms * 1e-3,
     )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.loadgen import fleet_replay
-
-    db = calibration = None
-    if args.db:
-        db, calibration = _load_tuning(args.db)
-    tracer, metrics = _obs_sinks(args)
-    # A single --gpu is served as a one-worker fleet.
-    gpus = _fleet_gpus(args.gpus) if args.gpus else [gpu_by_name(args.gpu)]
-    report = fleet_replay(
-        gpus,
-        args.model,
-        n_requests=args.requests,
-        rate_rps=args.rate,
-        dtype=_dtype(args.dtype),
-        policy=args.policy,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms * 1e-3,
-        poisson=args.poisson,
-        autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
-        max_chain=args.max_chain,
-        db=db,
-        calibration=calibration,
-        engine=args.engine,
-        tracer=tracer,
-        metrics=metrics,
-        **_slo_kwargs(args),
-    )
-    print(report.describe())
-    _export_obs(args, tracer, metrics)
-    return 0
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
@@ -445,8 +398,10 @@ def _write_chaos_out(path: str, report) -> None:
     print(f"chaos accounting -> {path}")
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .serve.loadgen import fleet_replay
+def _cmd_replay(args: argparse.Namespace) -> int:
+    """``serve`` and ``fleet``: one command that replays a request stream
+    over a fleet (``serve MODEL`` is ``fleet --models MODEL``)."""
+    from .serve.loadgen import fleet_replay, read_trace
 
     db = calibration = None
     if args.db:
@@ -458,22 +413,24 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         n_requests=args.requests,
         rate_rps=args.rate,
         dtype=_dtype(args.dtype),
-        policy=args.policy,
-        spill_factor=args.spill_factor,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms * 1e-3,
-        poisson=args.poisson,
+        arrival=args.arrival,
+        request_trace=read_trace(args.trace) if args.trace else None,
+        slo_s=args.slo_ms * 1e-3 if args.slo_ms else None,
+        admission=None if args.admission == "none" else args.admission,
         autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
         faults=_fault_plan(args),
         retry=_retry_policy(args),
-        max_chain=args.max_chain,
+        workers=args.workers,
+        policy=args.policy,
+        spill_factor=args.spill_factor,
         trace=args.explain,
+        max_batch=args.max_batch,
+        max_delay_s=args.max_delay_ms * 1e-3,
+        max_chain=args.max_chain,
         db=db,
         calibration=calibration,
-        workers=args.workers,
         tracer=tracer,
         metrics=metrics,
-        **_slo_kwargs(args),
     )
     print(report.describe())
     if args.chaos_out:
@@ -627,12 +584,11 @@ _EPILOGS: dict[str, str] = {
     "serve": (
         "examples:\n"
         "  python -m repro.cli serve mobilenet_v2 --requests 64 --rate 5000\n"
-        "  python -m repro.cli serve xception --max-batch 16 --poisson\n"
+        "  python -m repro.cli serve xception --max-batch 16 --arrival poisson\n"
         "  python -m repro.cli serve mobilenet_v2 --gpus RTX,RTX,Orin  # fleet replay\n"
         "  python -m repro.cli serve mobilenet_v2 --slo-ms 5 --admission degrade "
         "--arrival lognormal\n"
         "  python -m repro.cli serve mobilenet_v2 --trace requests.jsonl --slo-ms 5\n"
-        "  python -m repro.cli serve mobilenet_v2 --engine reference  # interpreted path\n"
         "  python -m repro.cli serve mobilenet_v2 --trace-out TRACE_serve.json "
         "--metrics-out METRICS_serve.txt"
     ),
@@ -649,7 +605,8 @@ _EPILOGS: dict[str, str] = {
         "  python -m repro.cli fleet --gpus RTX,RTX,RTX,RTX --models mobilenet_v2\n"
         "  python -m repro.cli fleet --gpus GTX,RTX,Orin "
         "--models mobilenet_v2,xception --explain\n"
-        "  python -m repro.cli fleet --gpus RTX,RTX --policy round_robin --poisson\n"
+        "  python -m repro.cli fleet --gpus RTX,RTX --policy round_robin "
+        "--arrival poisson\n"
         "  python -m repro.cli fleet --gpus RTX --slo-ms 5 --admission degrade "
         "--autoscale 1:4 --cooldown-ms 2\n"
         "  python -m repro.cli fleet --gpus GTX,RTX --db TUNE_zoo.json  # warm start\n"
@@ -700,8 +657,27 @@ _EPILOGS: dict[str, str] = {
 }
 
 
-def _add_slo_args(p: argparse.ArgumentParser) -> None:
-    """The SLO traffic-layer flags shared by serve and fleet."""
+def _add_replay_args(p: argparse.ArgumentParser, gpus: str) -> None:
+    """The flag set of serve and fleet, one replay command under two names
+    (``--gpus`` defaults to ``gpus``)."""
+    p.add_argument("--gpus", "--gpu", default=gpus,
+                   help="comma-separated GPU presets, one worker each "
+                        f"(repeats allowed; default {gpus})")
+    p.add_argument("--requests", type=int, default=64,
+                   help="number of requests to replay (default 64)")
+    p.add_argument("--rate", type=float, default=5000.0,
+                   help="arrival rate in requests/s (default 5000)")
+    p.add_argument("--policy", choices=["affinity", "round_robin"],
+                   default="affinity",
+                   help="routing policy (default affinity)")
+    p.add_argument("--spill-factor", type=float, default=2.0,
+                   help="full micro-batches of backlog imbalance tolerated "
+                        "before affinity replicates a plan (default 2.0)")
+    p.add_argument("--max-batch", type=int, default=8,
+                   help="per-worker micro-batch size cap (default 8)")
+    p.add_argument("--max-delay-ms", type=float, default=2.0,
+                   help="micro-batch deadline in ms (default 2.0)")
+    p.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
     p.add_argument("--slo-ms", type=float, default=0.0,
                    help="per-request completion SLO in ms (0 = best effort); "
                         "arms deadline-aware micro-batch flushing")
@@ -711,10 +687,10 @@ def _add_slo_args(p: argparse.ArgumentParser) -> None:
                         "the SLO: shed rejects, degrade retries the INT8 "
                         "plan variant first (default none)")
     p.add_argument("--arrival",
-                   choices=["", "uniform", "poisson", "lognormal", "pareto",
+                   choices=["uniform", "poisson", "lognormal", "pareto",
                             "diurnal"],
-                   default="",
-                   help="arrival process (overrides --poisson); lognormal/"
+                   default="uniform",
+                   help="arrival process (default uniform); lognormal/"
                         "pareto are heavy-tailed, diurnal is rate-modulated")
     p.add_argument("--trace", default="",
                    help="JSONL trace file to replay instead of a synthetic "
@@ -725,6 +701,44 @@ def _add_slo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cooldown-ms", type=float, default=0.0,
                    help="autoscaler cooldown between resize actions in ms "
                         "(default 0)")
+    p.add_argument("--max-chain", type=int, default=2,
+                   help="planner chain cap for served models (default 2)")
+    p.add_argument("--explain", action="store_true",
+                   help="print the scheduler's per-request routing trace "
+                        "(chosen worker, reason, backlog estimates)")
+    p.add_argument("--db", default="",
+                   help="tuning DB path: every worker warm-starts its own "
+                        "GPU's model records at boot")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process-pool size for boot-time preplanning; >1 "
+                        "plans every (GPU, model, dtype) before the stream "
+                        "starts, off the serving critical path (default 1, "
+                        "plan on first request)")
+    p.add_argument("--faults", default="",
+                   help="JSONL fault plan to replay (crash / slowdown / "
+                        "transient / recover events; see "
+                        "repro.serve.faults.FaultPlan)")
+    p.add_argument("--chaos", default="",
+                   help="synthesize a seeded crash/recover plan as "
+                        "MTBF_MS:MTTR_MS (exponential up/down times per "
+                        "worker; alternative to --faults)")
+    p.add_argument("--chaos-seed", type=int, default=0,
+                   help="seed for the --chaos plan generator (default 0)")
+    p.add_argument("--retries", type=int, default=0,
+                   help="max retries per failed request (default 0: a "
+                        "failed request is lost)")
+    p.add_argument("--retry-budget", type=float, default=0.2,
+                   help="fleet-wide retry cap as a fraction of offered "
+                        "load (default 0.2)")
+    p.add_argument("--hedge-ms", type=float, default=0.0,
+                   help="launch a hedged duplicate after this many ms "
+                        "unserved, first copy wins (default 0: off; tune "
+                        "from a report's p99 via repro.serve.hedge_delay)")
+    p.add_argument("--chaos-out", default="",
+                   help="write canonical chaos-accounting JSON "
+                        "(availability, attainment, retries, losses) to "
+                        "this file")
+    _add_obs_args(p)
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -809,38 +823,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chain", type=int, default=3,
                    help="chain cap for the chain-planner column (default 3)")
 
-    p = _add_cmd(sub, "serve", _cmd_serve,
-                 "replay a request stream through the micro-batching server")
-    p.add_argument("model")
-    p.add_argument("--gpu", default="RTX")
-    p.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
-    p.add_argument("--requests", type=int, default=64,
-                   help="number of requests to replay (default 64)")
-    p.add_argument("--rate", type=float, default=5000.0,
-                   help="arrival rate in requests/s (default 5000)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="micro-batch size cap (default 8)")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="micro-batch deadline in ms (default 2.0)")
-    p.add_argument("--poisson", action="store_true",
-                   help="Poisson arrivals instead of uniform spacing")
-    _add_slo_args(p)
-    p.add_argument("--max-chain", type=int, default=2,
-                   help="planner chain cap for served models (default 2)")
-    p.add_argument("--gpus", default="",
-                   help="comma-separated GPU presets (repeats allowed); when "
-                        "given, replay through this multi-GPU fleet instead "
-                        "of the one --gpu")
-    p.add_argument("--policy", choices=["affinity", "round_robin"],
-                   default="affinity",
-                   help="fleet routing policy (with --gpus; default affinity)")
-    p.add_argument("--db", default="",
-                   help="tuning DB path: warm-start the server/fleet from its "
-                        "model records and plan new models calibrated")
-    p.add_argument("--engine", choices=["fast", "reference"], default="fast",
-                   help="execution engine for functional batches "
-                        "(default fast)")
-    _add_obs_args(p)
+    p = _add_cmd(sub, "serve", _cmd_replay,
+                 "replay a request stream of one model (fleet with one model)")
+    p.add_argument("models", metavar="model",
+                   help="model to serve (see repro.models.zoo)")
+    _add_replay_args(p, gpus="RTX")
 
     p = _add_cmd(sub, "bench-serve", _cmd_bench_serve,
                  "sweep batch size x model and report serving throughput")
@@ -866,70 +853,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered-load multiples of analytic capacity for the "
                         "SLO-mode sweep (default 0.5,1,4,16)")
 
-    p = _add_cmd(sub, "fleet", _cmd_fleet,
+    p = _add_cmd(sub, "fleet", _cmd_replay,
                  "replay a multi-model stream over a multi-GPU fleet")
-    p.add_argument("--gpus", default="RTX,RTX,Orin",
-                   help="comma-separated GPU presets, one worker each "
-                        "(repeats allowed; default RTX,RTX,Orin)")
     p.add_argument("--models", default="mobilenet_v2,xception",
                    help="comma-separated models; request i targets model "
                         "i mod len(models)")
-    p.add_argument("--requests", type=int, default=64,
-                   help="number of requests to replay (default 64)")
-    p.add_argument("--rate", type=float, default=5000.0,
-                   help="arrival rate in requests/s (default 5000)")
-    p.add_argument("--policy", choices=["affinity", "round_robin"],
-                   default="affinity",
-                   help="routing policy (default affinity)")
-    p.add_argument("--spill-factor", type=float, default=2.0,
-                   help="full micro-batches of backlog imbalance tolerated "
-                        "before affinity replicates a plan (default 2.0)")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="per-worker micro-batch size cap (default 8)")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="micro-batch deadline in ms (default 2.0)")
-    p.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
-    p.add_argument("--poisson", action="store_true",
-                   help="Poisson arrivals instead of uniform spacing")
-    _add_slo_args(p)
-    p.add_argument("--max-chain", type=int, default=2,
-                   help="planner chain cap for served models (default 2)")
-    p.add_argument("--explain", action="store_true",
-                   help="print the scheduler's per-request routing trace "
-                        "(chosen worker, reason, backlog estimates)")
-    p.add_argument("--db", default="",
-                   help="tuning DB path: every worker warm-starts its own "
-                        "GPU's model records at boot")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for boot-time preplanning; >1 "
-                        "plans every (GPU, model, dtype) before the stream "
-                        "starts, off the serving critical path (default 1, "
-                        "plan on first request)")
-    p.add_argument("--faults", default="",
-                   help="JSONL fault plan to replay (crash / slowdown / "
-                        "transient / recover events; see "
-                        "repro.serve.faults.FaultPlan)")
-    p.add_argument("--chaos", default="",
-                   help="synthesize a seeded crash/recover plan as "
-                        "MTBF_MS:MTTR_MS (exponential up/down times per "
-                        "worker; alternative to --faults)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="seed for the --chaos plan generator (default 0)")
-    p.add_argument("--retries", type=int, default=0,
-                   help="max retries per failed request (default 0: a "
-                        "failed request is lost)")
-    p.add_argument("--retry-budget", type=float, default=0.2,
-                   help="fleet-wide retry cap as a fraction of offered "
-                        "load (default 0.2)")
-    p.add_argument("--hedge-ms", type=float, default=0.0,
-                   help="launch a hedged duplicate after this many ms "
-                        "unserved, first copy wins (default 0: off; tune "
-                        "from a report's p99 via repro.serve.hedge_delay)")
-    p.add_argument("--chaos-out", default="",
-                   help="write canonical chaos-accounting JSON "
-                        "(availability, attainment, retries, losses) to "
-                        "this file")
-    _add_obs_args(p)
+    _add_replay_args(p, gpus="RTX,RTX,Orin")
 
     p = _add_cmd(sub, "lint", _cmd_lint,
                  "run the AST invariant linter (repro.analysis) over the tree")

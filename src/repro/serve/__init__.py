@@ -4,13 +4,15 @@ The serving subsystem turns the one-shot reproduction pipeline (plan ->
 session -> report) into a request-serving layer:
 
 * :mod:`repro.serve.cache` — LRU :class:`PlanCache` memoizing FusePlanner
-  plans + sessions per (model, dtype, GPU, convention), whose weights are
-  generated on the first functional request, with
+  plans + sessions per (model, dtype, GPU, convention, chain cap), whose
+  weights are generated on the first functional request, with
   :meth:`PlanCache.warm_start` preloading plans from a
   :class:`repro.tune.records.TuningDB` at boot;
 * :mod:`repro.serve.server` — :class:`ModelServer` with synchronous batched
   submits and a micro-batching request queue (flush on ``max_batch``,
-  formation deadline, or a queued request's SLO slack running out);
+  formation deadline, or a queued request's SLO slack running out), whose
+  constructor declares the serving settings every other entry point
+  forwards;
 * :mod:`repro.serve.admission` — SLO-aware :class:`AdmissionController`
   that sheds or degrades (to the INT8 plan variant) requests whose projected
   latency would bust their deadline;

@@ -2,11 +2,12 @@
 
 FusePlanner's whole-model pass (tiling search over every layer and fusion
 candidate) costs orders of magnitude more than pricing one inference, yet its
-output depends only on (model, precision, GPU, cost convention).  The serving
-layer therefore memoizes the :class:`~repro.planner.plan.ExecutionPlan`
-*together with* a :class:`~repro.runtime.network_params.NetworkParams` handle
-and a ready :class:`~repro.runtime.session.InferenceSession`, keyed by exactly
-those four inputs.  The handle generates the weights when the first
+output depends only on (model, precision, GPU, cost convention, chain cap).
+The serving layer therefore memoizes the
+:class:`~repro.planner.plan.ExecutionPlan` *together with* a
+:class:`~repro.runtime.network_params.NetworkParams` handle and a ready
+:class:`~repro.runtime.session.InferenceSession`, keyed by exactly those
+five inputs.  The handle generates the weights when the first
 functional request reads them; analytic (counters-only) serving never does,
 so its entries hold no weight tensors.  Cross-layer reuse work (Wang et al.)
 makes the same point for fused kernels: fusion pays off most when one plan is
@@ -126,13 +127,13 @@ class PlanCache:
     request has read its weights, an entry holds every weight tensor of its
     network, so unbounded growth would be a memory leak in a long-running
     server).  Least-recently-*used* eviction: every hit refreshes the
-    entry's recency.
+    entry's recency.  Weights use :func:`materialize_network`'s default
+    seed, so every cache serves the same weights for one (model, dtype).
     """
 
     def __init__(
         self,
         capacity: int = 8,
-        seed: int = 0,
         calibration=None,
         *,
         tracer=None,
@@ -141,7 +142,6 @@ class PlanCache:
         if capacity < 1:
             raise PlanError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.seed = seed
         #: optional measurement-feedback corrections (duck-typed
         #: :class:`repro.tune.calibrate.Calibration`) handed to every
         #: FusePlanner this cache builds.
@@ -190,13 +190,14 @@ class PlanCache:
             return entry
         self.stats.misses += 1
         self._count("miss")
-        entry = self._build(key, model, dtype, gpu, convention, max_chain)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("eviction")
-        return entry
+        graph = build_model(model, dtype)
+        self.stats.planner_invocations += 1
+        self._count("planner_invocation")
+        plan = FusePlanner(
+            gpu, convention, max_chain=max_chain, calibration=self.calibration,
+            tracer=self.tracer, metrics=self.metrics,
+        ).plan(graph)
+        return self._insert(_entry(key, dtype, graph, plan))
 
     def install(
         self,
@@ -222,21 +223,10 @@ class PlanCache:
         so a preplan pass can never clobber serving state.
         """
         key = PlanKey.of(model, dtype, gpu, convention, max_chain)
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry
-        graph = build_model(model, dtype)
-        params = materialize_network(graph, dtype, self.seed)
-        session = InferenceSession(graph, plan, params)
-        entry = CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("eviction")
-        self.stats.warm_starts += 1
-        self._count("warm_start")
-        return entry
+        resident = self._entries.get(key)
+        if resident is not None:
+            return resident
+        return self.adopt(_entry(key, dtype, build_model(model, dtype), plan))
 
     def clear(self) -> int:
         """Drop every resident entry, keeping cumulative stats (crash path).
@@ -263,11 +253,7 @@ class PlanCache:
         resident = self._entries.get(entry.key)
         if resident is not None:
             return resident
-        self._entries[entry.key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._count("eviction")
+        self._insert(entry)
         self.stats.warm_starts += 1
         self._count("warm_start")
         return entry
@@ -311,30 +297,28 @@ class PlanCache:
             except ValueError:
                 continue  # a dtype this build doesn't know: skip, not fatal
             try:
-                self.get(model, dtype, gpu, convention, max_chain)
+                entry = self.get(model, dtype, gpu, convention, max_chain)
             except (UnsupportedError, PlanError):
                 continue
             self.stats.warm_starts += 1
             self._count("warm_start")
-            loaded.append(PlanKey.of(model, DType(k.dtype), gpu, convention, max_chain))
+            loaded.append(entry.key)
         return loaded
 
-    def _build(
-        self,
-        key: PlanKey,
-        model: str,
-        dtype: DType,
-        gpu: GpuSpec,
-        convention: str,
-        max_chain: int,
-    ) -> CachedPlan:
-        graph = build_model(model, dtype)
-        self.stats.planner_invocations += 1
-        self._count("planner_invocation")
-        plan = FusePlanner(
-            gpu, convention, max_chain=max_chain, calibration=self.calibration,
-            tracer=self.tracer, metrics=self.metrics,
-        ).plan(graph)
-        params = materialize_network(graph, dtype, self.seed)
-        session = InferenceSession(graph, plan, params)
-        return CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)
+    def _insert(self, entry: CachedPlan) -> CachedPlan:
+        """Make ``entry`` resident, evicting least-recently-used entries
+        past capacity."""
+        self._entries[entry.key] = entry
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            self._count("eviction")
+        return entry
+
+
+def _entry(key: PlanKey, dtype: DType, graph: ModelGraph, plan: ExecutionPlan) -> CachedPlan:
+    """A ready-to-serve entry for ``plan``: its session and a weights handle
+    that generates the weights when a functional request first reads them."""
+    params = materialize_network(graph, dtype)
+    session = InferenceSession(graph, plan, params)
+    return CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)

@@ -28,9 +28,8 @@ routing never perturbs the hit/miss accounting it is driven by.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,13 +61,12 @@ def _preplan_job(job: tuple) -> "object":
     their (not yet generated) weights handles are built cheaply on the
     parent side by :meth:`repro.serve.cache.PlanCache.install`.
     """
-    gpu, model, dtype, convention, max_chain, calibration = job
+    gpu, model, dtype, max_chain, calibration = job
     from ..models.zoo import build_model
     from ..planner.planner import FusePlanner
 
     graph = build_model(model, dtype)
-    planner = FusePlanner(gpu, convention, max_chain=max_chain, calibration=calibration)
-    return planner.plan(graph)
+    return FusePlanner(gpu, max_chain=max_chain, calibration=calibration).plan(graph)
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,7 @@ class FleetWorker:
         self.breaker = None
 
     def plan_key(self, model: str, dtype: DType) -> PlanKey:
-        return PlanKey.of(
-            model, dtype, self.gpu, self.server.convention, self.server.max_chain
-        )
+        return self.server.plan_key(model, dtype)
 
     def holds_plan(self, model: str, dtype: DType) -> bool:
         """Does this worker's cache already hold the routed plan?"""
@@ -326,8 +322,10 @@ class Fleet:
     """A set of per-GPU workers behind one scheduler.
 
     ``gpus`` may repeat (homogeneous scale-out) or mix presets
-    (heterogeneous, e.g. ``[RTX_A4000, ORIN, ORIN]``); every worker gets its
-    own :class:`ModelServer` sharing the fleet's clock.  The queued path
+    (heterogeneous, e.g. ``[RTX_A4000, ORIN, ORIN]``).  Every worker,
+    autoscaled ones included, is a :class:`ModelServer` built from the
+    forwarded ``**server`` settings; the fleet runs on its first worker's
+    clock and shares its sinks with the scheduler.  The queued path
     mirrors the single-server API (``enqueue`` / ``step`` / ``pending`` /
     ``next_deadline``) so :func:`repro.serve.loadgen.fleet_replay` can drive
     it with the same discrete-event loop, and ``submit_analytic`` gives the
@@ -341,46 +339,11 @@ class Fleet:
         policy: str = "affinity",
         spill_factor: float = 2.0,
         trace: bool = False,
-        max_batch: int = 8,
-        max_delay_s: float = 2e-3,
-        cache_capacity: int = 8,
-        convention: str = "paper",
-        max_chain: int = 2,
-        seed: int = 0,
-        # repro: allow[RPR001] injectable-clock default for interactive use;
-        # fleet_replay drives every worker off one shared FakeClock instead
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-        db=None,
-        calibration=None,
-        engine: str | None = None,
-        tracer=None,
-        metrics=None,
+        **server,
     ) -> None:
         if not gpus:
             raise PlanError("a fleet needs at least one GPU")
-        self.clock = clock
-        #: observability sinks shared by the scheduler, the autoscaler, and
-        #: every worker — autoscaled workers included, via _server_kwargs.
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = resolve_metrics(metrics)
-        #: every dynamically added worker (autoscaling) boots with the same
-        #: server configuration the fleet was constructed with.
-        self._server_kwargs = dict(
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            cache_capacity=cache_capacity,
-            convention=convention,
-            max_chain=max_chain,
-            seed=seed,
-            clock=clock,
-            sleep=sleep,
-            db=db,
-            calibration=calibration,
-            engine=engine,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        self._server_settings = server
         self._next_worker_id = 0
         #: one shared tuning DB warm-starts every worker: each preloads only
         #: the model-level records matching *its own* GPU, so heterogeneous
@@ -392,6 +355,10 @@ class Fleet:
         self.retired: list[FleetWorker] = []
         for gpu in gpus:
             self._build_worker(gpu)
+        first = self.workers[0].server
+        self.clock = first.clock
+        self.tracer = first.tracer
+        self.metrics = first.metrics
         self.scheduler = FleetScheduler(
             self.workers, policy, spill_factor=spill_factor, trace=trace,
             tracer=self.tracer, metrics=self.metrics,
@@ -401,9 +368,7 @@ class Fleet:
         self.scheduler.workers = self.workers
 
     def _build_worker(self, gpu: GpuSpec) -> FleetWorker:
-        worker = FleetWorker(
-            self._next_worker_id, gpu, ModelServer(gpu, **self._server_kwargs)
-        )
+        worker = FleetWorker(self._next_worker_id, gpu, ModelServer(gpu, **self._server_settings))
         # The worker's events land on its own process lane in trace exports
         # ("RTX#0", "RTX#1"), not the shared GPU-name lane.
         worker.server.lane = worker.name
@@ -433,9 +398,6 @@ class Fleet:
         """
         if workers < 1:
             raise PlanError(f"workers must be >= 1, got {workers}")
-        convention = self._server_kwargs["convention"]
-        max_chain = self._server_kwargs["max_chain"]
-        calibration = self._server_kwargs["calibration"]
         jobs: list[tuple] = []
         seen: set[tuple[str, str, str]] = set()
         for w in self.workers:
@@ -444,7 +406,10 @@ class Fleet:
                     ident = (w.gpu.name, model, dtype.value)
                     if ident not in seen:
                         seen.add(ident)
-                        jobs.append((w.gpu, model, dtype, convention, max_chain, calibration))
+                        jobs.append((
+                            w.gpu, model, dtype, w.server.max_chain,
+                            w.server.cache.calibration,
+                        ))
         if workers == 1 or len(jobs) <= 1:
             plans = [_preplan_job(job) for job in jobs]
         else:
@@ -467,7 +432,7 @@ class Fleet:
                     plan = by_ident[(w.gpu.name, model, dtype.value)]
                     before = w.server.cache.stats.warm_starts
                     w.server.cache.install(
-                        model, dtype, w.gpu, convention, max_chain, plan=plan
+                        model, dtype, w.gpu, max_chain=w.server.max_chain, plan=plan
                     )
                     installed += w.server.cache.stats.warm_starts - before
         return installed
@@ -475,7 +440,7 @@ class Fleet:
     # ---- elasticity (driven by repro.serve.autoscale) ---------------------------
     def add_worker(self, gpu: GpuSpec) -> FleetWorker:
         """Grow the fleet by one worker on ``gpu``, configured identically to
-        the boot-time workers (shared clock, tuning DB, engine).  The new
+        the boot-time workers (shared clock, tuning DB, sinks).  The new
         worker starts idle and cold — backlog-aware routing makes it
         attractive immediately."""
         return self._build_worker(gpu)

@@ -53,10 +53,9 @@ from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from .admission import AdmissionController, admission_controller
 from .autoscale import AutoscalePolicy, ScaleEvent
-from .cache import PlanCache
 from .faults import FaultInjector, FaultPlan, FaultStats, RetryPolicy
 from .fleet import Fleet, FleetWorker, RouteDecision, WorkerStats
-from .server import InferenceResult
+from .server import InferenceResult, ModelServer
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -287,8 +286,11 @@ class TraceRequest:
 def _validate_trace(requests: Sequence[TraceRequest]) -> None:
     if not requests:
         raise PlanError("a trace needs at least one request")
+    dtypes = {d.value for d in DType}
     last = 0.0
     for i, req in enumerate(requests):
+        if req.dtype not in dtypes:
+            raise PlanError(f"trace entry {i}: unknown dtype {req.dtype!r}")
         if req.t < 0:
             raise PlanError(f"trace entry {i}: negative arrival time {req.t}")
         if req.t < last:
@@ -330,7 +332,7 @@ def write_trace(path: "str | Path", requests: Sequence[TraceRequest]) -> Path:
 
 def read_trace(path: "str | Path") -> list[TraceRequest]:
     """Read a JSONL trace written by :func:`write_trace` (validated: sorted,
-    non-negative arrivals, positive SLOs)."""
+    non-negative arrivals, known dtypes, positive SLOs)."""
     requests: list[TraceRequest] = []
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
         if not line.strip():
@@ -402,23 +404,13 @@ def _stream_entries(
 # ---- capacity + attainment sweeps ---------------------------------------------
 
 
-def capacity_rps(
-    gpu: GpuSpec,
-    model: str,
-    dtype: DType = DType.FP32,
-    *,
-    max_batch: int = 8,
-    max_chain: int = 2,
-    convention: str = "paper",
-    calibration=None,
-) -> float:
+def capacity_rps(gpu: GpuSpec, model: str, dtype: DType = DType.FP32, **server) -> float:
     """The server's analytic saturation throughput (img/s at full batches):
-    the natural ``1x`` anchor for offered-load sweeps."""
-    entry = PlanCache(calibration=calibration).get(
-        model, dtype, gpu, convention, max_chain
-    )
-    report = entry.analytic_report(max_batch)
-    return max_batch / report.latency_s
+    the natural ``1x`` anchor for offered-load sweeps.  ``server`` holds
+    :class:`~repro.serve.server.ModelServer` settings (``max_batch``,
+    ``max_chain``, ``calibration``, ...)."""
+    srv = ModelServer(gpu, **server)
+    return srv.max_batch / srv.submit_analytic(model, srv.max_batch, dtype).latency_s
 
 
 @dataclass(frozen=True)
@@ -450,18 +442,16 @@ def attainment_curve(
     dtype: DType = DType.FP32,
     admission: str | None = "degrade",
     arrival: str = "lognormal",
-    max_batch: int = 8,
-    max_delay_s: float = 2e-3,
-    max_chain: int = 2,
     seed: int = 0,
+    **server,
 ) -> list[AttainmentPoint]:
     """SLO attainment vs offered load: replay the same seeded stream shape on
     one GPU at each multiple of its analytic capacity and report the
-    attained/shed/degraded/late split per point.  Fully deterministic — the
+    attained/shed/degraded/late split per point.  ``server`` holds
+    :class:`~repro.serve.server.ModelServer` settings, forwarded to both
+    :func:`capacity_rps` and :func:`fleet_replay`.  Fully deterministic — the
     acceptance test replays the whole curve twice and asserts equality."""
-    base = capacity_rps(
-        gpu, model, dtype, max_batch=max_batch, max_chain=max_chain
-    )
+    base = capacity_rps(gpu, model, dtype, **server)
     points: list[AttainmentPoint] = []
     for overload in overloads:
         report = fleet_replay(
@@ -470,13 +460,11 @@ def attainment_curve(
             n_requests,
             base * overload,
             dtype,
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
             arrival=arrival,
             slo_s=slo_s,
             admission=admission,
-            max_chain=max_chain,
             seed=seed,
+            **server,
         )
         points.append(
             AttainmentPoint(
@@ -647,10 +635,6 @@ def fleet_replay(
     rate_rps: float | None = None,
     dtype: DType = DType.FP32,
     *,
-    policy: str = "affinity",
-    spill_factor: float = 2.0,
-    max_batch: int = 8,
-    max_delay_s: float = 2e-3,
     poisson: bool = False,
     arrival: str | None = None,
     request_trace: Sequence[TraceRequest] | None = None,
@@ -662,16 +646,10 @@ def fleet_replay(
     probe_s: float = 1e-4,
     breaker_threshold: int = 3,
     breaker_reset_s: float = 1e-3,
-    max_chain: int = 2,
     seed: int = 0,
-    trace: bool = False,
     fleet: Fleet | None = None,
-    db=None,
-    calibration=None,
-    engine: str | None = None,
     workers: int = 1,
-    tracer=None,
-    metrics=None,
+    **fleet_settings,
 ) -> FleetStreamReport:
     """Replay one stream over a fleet of GPUs on a shared :class:`FakeClock`.
 
@@ -680,7 +658,14 @@ def fleet_replay(
     deterministic multi-model trace (or pass ``request_trace`` to replay
     explicit :class:`TraceRequest` entries; ``models``/``n_requests``/
     ``rate_rps`` are then ignored).  ``arrival`` picks a generator from
-    :data:`ARRIVAL_KINDS` (overriding the legacy ``poisson`` flag).
+    :data:`ARRIVAL_KINDS` (overriding the legacy ``poisson`` flag), and
+    ``seed`` seeds it.
+
+    ``fleet_settings`` (``policy``, ``spill_factor``, ``trace`` and the
+    :class:`~repro.serve.server.ModelServer` settings) build the replay's
+    :class:`Fleet` on the shared clock.  Pass ``fleet`` to reuse one built
+    on a FakeClock as both ``clock`` and ``sleep``; passing fleet settings
+    alongside it raises :class:`PlanError`.
 
     The shared clock never advances by execution time: each
     :class:`FleetWorker` keeps its own occupancy timeline (``busy_until``),
@@ -712,9 +697,7 @@ def fleet_replay(
     :class:`repro.obs.MetricsRegistry`) capture the replay as a
     deterministic timeline: the tracer binds to the shared FakeClock and
     every worker, the scheduler, and the autoscaler emit into the same
-    sinks, so two identical invocations export byte-identical traces.  Pass
-    ``fleet`` to reuse one (it must run on a FakeClock as both ``clock``
-    and ``sleep``); its own sinks, set at construction, then win.
+    sinks, so two identical invocations export byte-identical traces.
 
     ``faults``/``retry`` arm the chaos path (:mod:`repro.serve.faults`):
     a :class:`FaultInjector` replays the :class:`FaultPlan` on the shared
@@ -726,24 +709,13 @@ def fleet_replay(
     ``FleetStreamReport.fault_stats``.  With neither armed, no injector is
     constructed and each batch commits as it flushes.
     """
-    clock = FakeClock()
     if fleet is None:
-        fleet = Fleet(
-            gpus,
-            policy=policy,
-            spill_factor=spill_factor,
-            trace=trace,
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            max_chain=max_chain,
-            seed=seed,
-            clock=clock,
-            sleep=clock.sleep,
-            db=db,
-            calibration=calibration,
-            engine=engine,
-            tracer=tracer,
-            metrics=metrics,
+        clock = FakeClock()
+        fleet = Fleet(gpus, clock=clock, sleep=clock.sleep, **fleet_settings)
+    elif fleet_settings:
+        raise PlanError(
+            f"fleet_replay got fleet= and fleet settings {sorted(fleet_settings)}; "
+            "set them when the fleet is built"
         )
     elif isinstance(fleet.clock, FakeClock):
         clock = fleet.clock

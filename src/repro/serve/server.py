@@ -40,7 +40,6 @@ import numpy as np
 
 from ..core.dtypes import DType
 from ..errors import PlanError, ShapeError
-from ..gpu.fastpath import resolve_engine
 from ..gpu.specs import GpuSpec
 from ..obs import (
     BATCH_SIZE_BUCKETS,
@@ -50,7 +49,7 @@ from ..obs import (
     resolve_tracer,
 )
 from ..runtime.session import SessionReport
-from .cache import CacheStats, PlanCache, PlanKey
+from .cache import CachedPlan, CacheStats, PlanCache, PlanKey
 
 __all__ = ["InferenceRequest", "InferenceResult", "ServerStats", "ModelServer"]
 
@@ -102,7 +101,12 @@ class ServerStats:
 
 
 class ModelServer:
-    """Micro-batching inference server with memoized FusePlanner plans."""
+    """Micro-batching inference server with memoized FusePlanner plans.
+
+    ``__init__`` is the one declaration of the serving settings and their
+    defaults; ``Fleet``, ``fleet_replay``, ``capacity_rps`` and
+    ``attainment_curve`` forward theirs here.  Plans use the paper's cost
+    convention."""
 
     def __init__(
         self,
@@ -111,16 +115,13 @@ class ModelServer:
         max_batch: int = 8,
         max_delay_s: float = 2e-3,
         cache_capacity: int = 8,
-        convention: str = "paper",
         max_chain: int = 2,
-        seed: int = 0,
         # repro: allow[RPR001] injectable-clock default for interactive use;
         # every deterministic replay passes a shared FakeClock instead
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         db=None,
         calibration=None,
-        engine: str | None = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -128,15 +129,11 @@ class ModelServer:
             raise PlanError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_s < 0:
             raise PlanError(f"max_delay_s must be >= 0, got {max_delay_s}")
+        if max_chain < 1:
+            raise PlanError(f"max_chain must be >= 1, got {max_chain}")
         self.gpu = gpu
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
-        self.convention = convention
-        #: execution engine every functional batch runs on (None -> "fast";
-        #: "reference" keeps the per-block interpreted launches).
-        self.engine = resolve_engine(engine)
-        if max_chain < 1:
-            raise PlanError(f"max_chain must be >= 1, got {max_chain}")
         self.max_chain = max_chain
         #: observability sinks (default: shared no-ops, zero overhead) and
         #: the process lane this server's events land on in trace exports —
@@ -149,19 +146,25 @@ class ModelServer:
         #: TuningDB`) warm-starts the cache at construction time so tuned
         #: models never plan on the serving critical path.
         self.cache = PlanCache(
-            capacity=cache_capacity, seed=seed, calibration=calibration,
+            capacity=cache_capacity, calibration=calibration,
             tracer=self.tracer, metrics=self.metrics,
         )
         if db is not None:
-            self.cache.warm_start(
-                db, gpu, convention=convention, max_chain=max_chain
-            )
+            self.cache.warm_start(db, gpu, max_chain=max_chain)
         self.clock = clock
         self.sleep = sleep
         self.stats = ServerStats(plan_cache=self.cache.stats)
         self._queues: OrderedDict[tuple[str, str], deque[InferenceRequest]] = OrderedDict()
         self._next_id = 0
         self._next_batch = 0
+
+    def plan_key(self, model: str, dtype: DType) -> PlanKey:
+        """Identity of this server's plan for ``model`` at ``dtype``."""
+        return PlanKey.of(model, dtype, self.gpu, "paper", self.max_chain)
+
+    def _plan(self, model: str, dtype: DType) -> CachedPlan:
+        """Counted cache lookup under :meth:`plan_key`, planning on a miss."""
+        return self.cache.get(model, dtype, self.gpu, "paper", self.max_chain)
 
     # ---- synchronous path -----------------------------------------------------
     def submit(
@@ -173,10 +176,7 @@ class ModelServer:
             inputs = inputs[None]
         if inputs.ndim != 4:
             raise ShapeError(f"submit expects (N, C, H, W), got {inputs.shape}")
-        cached = self.cache.get(
-            model, dtype, self.gpu, self.convention, self.max_chain
-        )
-        report = cached.session.run_batch(inputs, engine=self.engine)
+        report = self._plan(model, dtype).session.run_batch(inputs)
         self._account(report)
         self.stats.requests += inputs.shape[0]
         return report
@@ -185,10 +185,7 @@ class ModelServer:
         self, model: str, batch_size: int = 1, dtype: DType = DType.FP32
     ) -> SessionReport:
         """Price one batched pass (counters only, memoized per batch size)."""
-        cached = self.cache.get(
-            model, dtype, self.gpu, self.convention, self.max_chain
-        )
-        report = cached.analytic_report(batch_size)
+        report = self._plan(model, dtype).analytic_report(batch_size)
         self._account(report)
         self.stats.requests += batch_size
         return report
@@ -226,10 +223,8 @@ class ModelServer:
             priority=priority,
         )
         self._next_id += 1
-        if slo_s is not None and self.cache.peek(
-            PlanKey.of(model, dtype, self.gpu, self.convention, self.max_chain)
-        ) is None:
-            self.cache.get(model, dtype, self.gpu, self.convention, self.max_chain)
+        if slo_s is not None and self.cache.peek(self.plan_key(model, dtype)) is None:
+            self._plan(model, dtype)
         queue = self._queues.setdefault((model, dtype.value), deque())
         if priority and any(r.priority < priority for r in queue):
             idx = next(i for i, r in enumerate(queue) if r.priority < priority)
@@ -289,14 +284,9 @@ class ModelServer:
         from the resident plan (peeked — never perturbs cache accounting);
         0.0 while the model is unplanned."""
         model, dtype_value = key
+        # plan_key's identity without its DType round trip (hot path)
         entry = self.cache.peek(
-            PlanKey(
-                model=model,
-                dtype=dtype_value,
-                gpu=self.gpu.name,
-                convention=self.convention,
-                max_chain=self.max_chain,
-            )
+            PlanKey(model, dtype_value, self.gpu.name, "paper", self.max_chain)
         )
         return 0.0 if entry is None else entry.analytic_report(batch).latency_s
 
@@ -402,14 +392,10 @@ class ModelServer:
         for (model, dtype_value), queue in self._queues.items():
             if not queue:
                 continue
-            key = PlanKey(
-                model=model,
-                dtype=dtype_value,
-                gpu=self.gpu.name,
-                convention=self.convention,
-                max_chain=self.max_chain,
+            # plan_key's identity without its DType round trip (hot path)
+            entry = self.cache.peek(
+                PlanKey(model, dtype_value, self.gpu.name, "paper", self.max_chain)
             )
-            entry = self.cache.peek(key)
             if entry is None:
                 unknown += len(queue)
                 continue
@@ -487,13 +473,9 @@ class ModelServer:
         stamp its results — the execution/accounting core every flush path
         (and the fleet worker) funnels through."""
         first = batch[0]
-        cached = self.cache.get(
-            first.model, first.dtype, self.gpu, self.convention, self.max_chain
-        )
+        cached = self._plan(first.model, first.dtype)
         if first.input is not None:
-            report = cached.session.run_batch(
-                np.stack([r.input for r in batch]), engine=self.engine
-            )
+            report = cached.session.run_batch(np.stack([r.input for r in batch]))
         else:
             report = cached.analytic_report(len(batch))
         self._account(report)

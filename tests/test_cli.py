@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shlex
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,6 +62,26 @@ def test_help_epilog_has_examples(cmd, capsys):
     out = capsys.readouterr().out
     assert "examples:" in out
     assert f"python -m repro.cli {cmd}" in out
+
+
+def test_every_epilog_example_parses():
+    """Each worked example in a --help epilog is a valid command line."""
+    from repro.cli import _EPILOGS
+
+    parser = build_parser()
+    examples = [
+        line.strip()
+        for text in _EPILOGS.values()
+        for line in text.splitlines()
+        if "python -m repro.cli" in line
+    ]
+    assert len(examples) > len(_EPILOGS)
+    for line in examples:
+        argv = shlex.split(line, comments=True)[3:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"epilog example does not parse: {line}")
 
 
 def test_serve_command(capsys, tiny_model):

@@ -391,17 +391,18 @@ def test_session_engine_parity(model, dtype):
     assert_outputs_match(fast.output, ref.output, dtype)
 
 
-def test_server_engine_threads_through(monkeypatch):
-    """A reference-engine server returns the same report as a fast one."""
+def test_server_matches_reference_engine(monkeypatch):
+    """A server's functional batch equals the reference engine run on the
+    same resident plan."""
     from repro.serve.server import ModelServer
 
     register_tiny_zoo(monkeypatch)
     rng = np.random.default_rng(0)
     inputs = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-    fast_srv = ModelServer(RTX_A4000, engine="fast")
-    ref_srv = ModelServer(RTX_A4000, engine="reference")
-    rep_fast = fast_srv.submit("tiny_a", inputs)
-    rep_ref = ref_srv.submit("tiny_a", inputs)
+    srv = ModelServer(RTX_A4000)
+    rep_fast = srv.submit("tiny_a", inputs)
+    session = srv.cache.peek(srv.plan_key("tiny_a", DType.FP32)).session
+    rep_ref = session.run_batch(inputs, engine="reference")
     np.testing.assert_allclose(rep_fast.output, rep_ref.output, rtol=1e-4, atol=1e-4)
     assert rep_fast.latency_s == rep_ref.latency_s
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import register_tiny_zoo
+from helpers import check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660
@@ -91,7 +91,9 @@ def _chaos_replay(**overrides):
         probe_s=1e-6,
     )
     kw.update(overrides)
-    return fleet_replay([GTX1660] * 4, ["tiny_a", "tiny_b"], 24, 1e6, **kw)
+    report = fleet_replay([GTX1660] * 4, ["tiny_a", "tiny_b"], 24, 1e6, **kw)
+    check_replay(report)
+    return report
 
 
 class TestFaultPlanValidation:
@@ -517,6 +519,7 @@ class TestChaosReplay:
         # pinned pre-refactor float: the fault machinery must stay fully
         # disarmed when neither faults nor retry are passed
         report = fleet_replay([GTX1660] * 2, ["tiny_a", "tiny_b"], 24, 1e6, max_batch=4, seed=1)
+        check_replay(report)
         assert report.throughput_img_s == 11765.578254498812
         assert report.fault_stats is None
         assert report.availability == 1.0
@@ -534,6 +537,8 @@ class TestChaosReplay:
             seed=1,
             retry=RetryPolicy(),
         )
+        check_replay(base)
+        check_replay(armed)
         assert armed.latencies_s == base.latencies_s
         assert armed.throughput_img_s == base.throughput_img_s
         assert [w.busy_s for w in armed.per_worker] == [w.busy_s for w in base.per_worker]
@@ -580,6 +585,8 @@ class TestChaosReplay:
             retry=RetryPolicy(max_attempts=3, budget=1.0),
             **kw,
         )
+        check_replay(baseline)
+        check_replay(retried)
         assert baseline.fault_stats.lost > 0
         assert retried.fault_stats.lost == 0
         assert len(retried.latencies_s) == 16
@@ -598,6 +605,7 @@ class TestChaosReplay:
             faults=plan,
             retry=RetryPolicy(max_attempts=3, budget=0.0),
         )
+        check_replay(report)
         stats = report.fault_stats
         assert stats.retries == 0
         assert stats.budget_denied > 0
@@ -616,6 +624,7 @@ class TestChaosReplay:
             retry=RetryPolicy(max_attempts=3, budget=1.0),
             breaker_threshold=1,
         )
+        check_replay(report)
         assert report.fault_stats.transients == 1
         assert report.fault_stats.breaker_trips >= 1
         assert report.fault_stats.lost == 0
@@ -624,13 +633,20 @@ class TestChaosReplay:
         plan = FaultPlan((FaultEvent(t=0.0, worker=0, kind="slowdown", factor=8.0),))
         base = fleet_replay([GTX1660], ["tiny_a"], 16, 1e6, max_batch=4, seed=1)
         slow = fleet_replay([GTX1660], ["tiny_a"], 16, 1e6, max_batch=4, seed=1, faults=plan)
+        check_replay(base)
+        check_replay(slow)
         assert slow.fault_stats.slowdowns == 1
         assert slow.throughput_img_s < base.throughput_img_s
         assert slow.fault_stats.availability == 1.0  # degraded, never down
 
     def test_recovery_rewarms_plan_cache(self):
         fleet = _fleet(4, max_batch=4)
-        report = _chaos_replay(fleet=fleet, max_batch=4)
+        # max_batch is the fleet's own setting, so it is not passed again
+        report = fleet_replay(
+            [GTX1660] * 4, ["tiny_a", "tiny_b"], 24, 1e6, seed=1, slo_s=5e-3,
+            faults=CHAOS_PLAN, retry=CHAOS_RETRY, probe_s=1e-6, fleet=fleet,
+        )
+        check_replay(report)
         assert report.fault_stats.recoveries == 1
         # the crash wiped worker #1's plans; recovery adopted them back from
         # same-GPU peers instead of re-planning on the critical path
@@ -647,6 +663,7 @@ class TestChaosReplay:
         )
         first = fleet_replay([GTX1660] * 2, ["tiny_a"], 8, 1e6, **kw)
         second = fleet_replay([GTX1660] * 2, ["tiny_a"], 8, 1e6, **kw)
+        check_replay(first)
         assert first == second
         stats = first.fault_stats
         assert stats.hedges > 0
@@ -675,6 +692,7 @@ class TestChaosReplay:
         )
         first = fleet_replay([GTX1660] * 2, ["tiny_a", "tiny_b"], 32, 1e6, **kw)
         second = fleet_replay([GTX1660] * 2, ["tiny_a", "tiny_b"], 32, 1e6, **kw)
+        check_replay(first)
         assert first == second
         assert any(ev.reason == "lost_capacity" for ev in first.scale_events)
         assert first.fault_stats.lost == 0
@@ -689,6 +707,7 @@ class TestChaosReplay:
         report = fleet_replay(
             [GTX1660] * 2, ["tiny_a"], 8, 1e6, max_batch=4, seed=1, faults=plan
         )
+        check_replay(report)
         stats = report.fault_stats
         assert stats.lost == 8
         assert report.latencies_s == []
@@ -713,6 +732,7 @@ class TestChaosReplay:
             faults=plan,
             probe_s=1e-6,
         )
+        check_replay(report)
         assert report.fault_stats.lost == 0
         assert len(report.latencies_s) == 8
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import register_tiny_zoo
+from helpers import check_replay, register_tiny_zoo
 
 from repro.core.dtypes import DType
 from repro.errors import PlanError
@@ -19,6 +19,7 @@ from repro.serve import (
     FakeClock,
     Fleet,
     FleetScheduler,
+    ModelServer,
     PlanCache,
     fleet_replay,
 )
@@ -186,6 +187,7 @@ class TestFleetReplay:
         kw = dict(n_requests=48, rate_rps=2e5, poisson=True, max_batch=8)
         first = fleet_replay(HETERO, ["tiny_a", "tiny_b"], **kw)
         second = fleet_replay(HETERO, ["tiny_a", "tiny_b"], **kw)
+        check_replay(first)
         assert first == second
 
     def test_homogeneous_fleet_scales_throughput(self):
@@ -194,6 +196,8 @@ class TestFleetReplay:
         kw = dict(n_requests=512, rate_rps=1e8, max_batch=8, max_delay_s=5e-5)
         one = fleet_replay([RTX_A4000], "tiny_a", **kw)
         four = fleet_replay([RTX_A4000] * 4, "tiny_a", **kw)
+        check_replay(one)
+        check_replay(four)
         assert four.throughput_img_s >= 3 * one.throughput_img_s
         # The spread is real: every worker served a meaningful share.
         shares = [w.requests for w in four.per_worker]
@@ -207,6 +211,8 @@ class TestFleetReplay:
         models = ["tiny_a", "tiny_b", "tiny_c"]
         affinity = fleet_replay(HETERO, models, **kw)
         rr = fleet_replay(HETERO, models, policy="round_robin", **kw)
+        check_replay(affinity)
+        check_replay(rr)
         assert affinity.plan_hit_rate > rr.plan_hit_rate
         # Affinity also plans less: plans replicate only on spill, while
         # round-robin forces every worker to plan every model.
@@ -215,6 +221,7 @@ class TestFleetReplay:
 
     def test_fleet_of_one_matches_worker_accounting(self):
         report = fleet_replay([GTX1660], "tiny_a", 32, 1e7, max_batch=8)
+        check_replay(report)
         assert report.n_requests == 32
         assert len(report.per_worker) == 1
         w = report.per_worker[0]
@@ -224,6 +231,7 @@ class TestFleetReplay:
 
     def test_per_worker_breakdown_sums_to_fleet(self):
         report = fleet_replay(HETERO, ["tiny_a", "tiny_b"], 64, 5e4)
+        check_replay(report)
         assert sum(w.requests for w in report.per_worker) == 64
         total_batches = sum(w.batches for w in report.per_worker)
         assert report.mean_batch == pytest.approx(64 / total_batches)
@@ -233,12 +241,15 @@ class TestFleetReplay:
         # so the latency tail must exceed a lone batch's latency.
         shallow = fleet_replay([GTX1660], "tiny_a", 8, 1e9, max_batch=8)
         deep = fleet_replay([GTX1660], "tiny_a", 64, 1e9, max_batch=8)
+        check_replay(shallow)
+        check_replay(deep)
         assert deep.latency_p99_s > 2 * shallow.latency_p99_s
 
     def test_trace_records_every_request(self):
         report = fleet_replay(
             HETERO, ["tiny_a", "tiny_b"], 16, 5e4, trace=True
         )
+        check_replay(report)
         assert len(report.routing_trace) == 16
         assert [d.seq for d in report.routing_trace] == list(range(16))
         assert {d.model for d in report.routing_trace} == {"tiny_a", "tiny_b"}
@@ -247,6 +258,8 @@ class TestFleetReplay:
     def test_mixed_dtype_streams_use_distinct_plans(self):
         fp32 = fleet_replay([GTX1660, RTX_A4000], "tiny_a", 16, 1e6)
         int8 = fleet_replay([GTX1660, RTX_A4000], "tiny_a", 16, 1e6, dtype=DType.INT8)
+        check_replay(fp32)
+        check_replay(int8)
         assert fp32.dtype == "fp32" and int8.dtype == "int8"
         assert fp32.n_requests == int8.n_requests == 16
 
@@ -260,6 +273,31 @@ class TestFleetReplay:
         fleet = Fleet([GTX1660], clock=time.monotonic)
         with pytest.raises(PlanError):
             fleet_replay([GTX1660], "tiny_a", 4, 100.0, fleet=fleet)
+
+
+class TestSettingsForwarding:
+    """ModelServer declares the serving settings; Fleet and fleet_replay
+    forward them instead of re-declaring them."""
+
+    def test_replay_refuses_settings_next_to_a_fleet(self):
+        fleet = _fleet([GTX1660], max_batch=4)
+        with pytest.raises(PlanError, match="max_batch"):
+            fleet_replay([GTX1660], "tiny_a", 4, 100.0, fleet=fleet, max_batch=4)
+
+    def test_removed_knobs_are_rejected(self):
+        with pytest.raises(TypeError, match="engine"):
+            ModelServer(GTX1660, engine="fast")
+        with pytest.raises(TypeError, match="convention"):
+            Fleet([GTX1660], convention="paper")
+        with pytest.raises(TypeError, match="engine"):
+            fleet_replay([GTX1660], "tiny_a", 4, 100.0, seed=1, engine="fast")
+
+    def test_added_worker_gets_the_forwarded_settings(self):
+        fleet = _fleet([GTX1660], max_batch=4, max_delay_s=1e-4)
+        worker = fleet.add_worker(RTX_A4000)
+        assert worker.server.max_batch == 4
+        assert worker.server.max_delay_s == 1e-4
+        assert worker.server.clock is fleet.clock is fleet.test_clock
 
 
 class TestFleetFunctionalPath:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import register_tiny_zoo
+from helpers import check_replay, register_tiny_zoo
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660
 from repro.obs import (
@@ -304,6 +304,7 @@ def _traced_replay():
         [GTX1660], "tiny_a", n_requests=24, rate_rps=20000.0, max_batch=4,
         slo_s=5e-3, admission="shed", tracer=tracer, metrics=metrics,
     )
+    check_replay(report)
     return report, chrome_trace_json(tracer), prometheus_text(metrics)
 
 
@@ -320,6 +321,7 @@ def _traced_fleet_replay():
         ),
         tracer=tracer, metrics=metrics,
     )
+    check_replay(report)
     return report, chrome_trace_json(tracer), prometheus_text(metrics)
 
 
@@ -372,6 +374,7 @@ class TestZeroOverhead:
             [GTX1660], "tiny_a", tracer=Tracer(), metrics=MetricsRegistry(),
             **kwargs,
         )
+        check_replay(plain)
         assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
 
     def test_fleet_report_unperturbed_by_tracing(self, tiny_zoo):
@@ -389,6 +392,7 @@ class TestZeroOverhead:
             [GTX1660], ["tiny_a", "tiny_b"], tracer=Tracer(),
             metrics=MetricsRegistry(), **kwargs,
         )
+        check_replay(plain)
         assert dataclasses.asdict(traced) == dataclasses.asdict(plain)
 
     def test_tuning_db_bytes_unperturbed_by_tracing(self, tiny_zoo):
@@ -416,7 +420,10 @@ class TestZeroOverhead:
         fleet = Fleet(
             [GTX1660], max_batch=4, clock=clock, sleep=clock.sleep, tracer=tracer
         )
-        fleet_replay([GTX1660], "tiny_a", n_requests=8, rate_rps=20000.0, fleet=fleet)
+        report = fleet_replay(
+            [GTX1660], "tiny_a", n_requests=8, rate_rps=20000.0, fleet=fleet
+        )
+        check_replay(report)
         assert any(s.name == "batch.execute" for s in tracer.spans)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import register_tiny_zoo
+from helpers import check_replay, register_tiny_zoo
 from repro.baselines.tvm import TvmCompiler
 from repro.core.dtypes import DType
 from repro.core.quantize import QuantParams
@@ -178,6 +178,7 @@ class TestWeightsOnFirstRead:
         fleet = Fleet(gpus, clock=clock, sleep=clock.sleep)
         assert fleet.preplan(["tiny_a"], (DType.FP32, DType.INT8)) == 4
         report = fleet_replay(gpus, ["tiny_a"], 16, 1e4, fleet=fleet)
+        check_replay(report)
         assert report.served == 16
 
         graph = build_model("mobilenet_v1", DType.FP32)

@@ -6,6 +6,12 @@ the full-size acceptance sweep lives in benchmarks/bench_serving_throughput.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +24,8 @@ from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
 from repro.runtime.session import InferenceSession
 from repro.serve import FakeClock, ModelServer, PlanCache, fleet_replay
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -336,3 +344,61 @@ class TestReplay:
         assert percentile(samples, 50) == 3.0
         assert percentile(samples, 99) == 4.0
         assert percentile([7.0], 99) == 7.0
+
+
+#: A chaos fleet replay with a crash, transient failures, retries and hedging
+#: (its accounting written by the CLI's --chaos-out), then one functional
+#: ModelServer.submit per precision, digested.
+_CROSS_PROCESS_SCRIPT = """
+import hashlib
+from repro.cli import main
+from repro.core.dtypes import DType
+from repro.gpu.specs import RTX_A4000
+from repro.models.zoo import build_model
+from repro.runtime.session import seeded_input
+from repro.serve import FaultEvent, FaultPlan, ModelServer
+
+FaultPlan((
+    FaultEvent(t=1e-3, worker=1, kind="crash"),
+    FaultEvent(t=1.5e-3, worker=0, kind="transient"),
+    FaultEvent(t=2e-3, worker=2, kind="slowdown", factor=4.0),
+    FaultEvent(t=2.5e-3, worker=3, kind="transient"),
+    FaultEvent(t=4e-3, worker=1, kind="recover"),
+)).save("PLAN.jsonl")
+main([
+    "fleet", "--gpus", "GTX,GTX,GTX,GTX", "--models", "mobilenet_v1",
+    "--requests", "48", "--rate", "8000", "--slo-ms", "12",
+    "--faults", "PLAN.jsonl", "--retries", "2", "--hedge-ms", "4",
+    "--chaos-out", "CHAOS.json",
+])
+server = ModelServer(RTX_A4000)
+h = hashlib.blake2b(digest_size=16)
+for dtype in (DType.FP32, DType.INT8):
+    x = seeded_input(build_model("mobilenet_v2", dtype), dtype)
+    h.update(server.submit("mobilenet_v2", x, dtype).output.tobytes())
+print("outputs", h.hexdigest())
+"""
+
+
+class TestCrossProcessDeterminism:
+    def test_same_bytes_under_every_hash_seed(self, tmp_path):
+        """Chaos accounting and functional outputs do not depend on the
+        process's hash seed (server weights always use the default seed)."""
+        seeds = ("1", "2")
+        procs = []
+        for seed in seeds:
+            (tmp_path / seed).mkdir()
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", _CROSS_PROCESS_SCRIPT],
+                cwd=tmp_path / seed,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE, text=True,
+            ))
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outs[0] == outs[1]
+        assert "outputs " in outs[0]
+        chaos = [(tmp_path / seed / "CHAOS.json").read_bytes() for seed in seeds]
+        assert chaos[0] == chaos[1]
+        accounting = json.loads(chaos[0])
+        assert accounting["retries"] > 0 and accounting["hedges"] > 0

@@ -609,6 +609,23 @@ class TestTraces:
         with pytest.raises(PlanError, match="malformed trace line"):
             read_trace(bad)
 
+    def test_unknown_dtype_rejected_before_replay(self, tmp_path):
+        """A dtype outside DType is refused by every trace entry point, not
+        discovered mid-replay as a raw ValueError."""
+        match = "trace entry 1: unknown dtype 'fp16'"
+        path = tmp_path / "fp16.jsonl"
+        path.write_text(
+            '{"dtype":"fp32","model":"tiny_a","priority":0,"slo_s":null,"t":0.0}\n'
+            '{"dtype":"fp16","model":"tiny_a","priority":0,"slo_s":null,"t":0.001}\n'
+        )
+        with pytest.raises(PlanError, match=match):
+            read_trace(path)
+        reqs = [TraceRequest(0.0, "tiny_a"), TraceRequest(1e-3, "tiny_a", dtype="fp16")]
+        with pytest.raises(PlanError, match=match):
+            write_trace(tmp_path / "out.jsonl", reqs)
+        with pytest.raises(PlanError, match=match):
+            fleet_replay([GTX1660], request_trace=reqs)
+
     def test_trace_driven_replay_with_mixed_slo(self, tmp_path):
         """Per-entry SLOs win over the global default, and best-effort
         entries (no SLO) count as attained when served."""

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from helpers import TINY_ZOO, register_tiny_zoo
+from helpers import TINY_ZOO, check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.errors import TuneError
 from repro.gpu.specs import GTX1660, RTX_A4000
@@ -431,15 +431,18 @@ class TestWarmStart:
         gpus = [GTX1660, RTX_A4000]
         models = [name for name, _ch in TINY_ZOO]
         warm = fleet_replay(gpus, models, 48, 1e5, db=tiny_db)
+        check_replay(warm)
         assert warm.warm_starts == len(gpus) * len(TINY_ZOO)
         assert warm.critical_path_planner_invocations == 0
         # No worker missed: every plan was resident before the first arrival.
         assert all(w.plan_misses == len(TINY_ZOO) for w in warm.per_worker)
         # Deterministic replay: byte-identical latency stream on a rerun.
         again = fleet_replay(gpus, models, 48, 1e5, db=tiny_db)
+        check_replay(again)
         assert warm.latencies_s == again.latencies_s
         # The cold fleet pays its planning during the replay instead.
         cold = fleet_replay(gpus, models, 48, 1e5)
+        check_replay(cold)
         assert cold.warm_starts == 0
         assert cold.critical_path_planner_invocations > 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import TINY_ZOO, register_tiny_zoo
+from helpers import TINY_ZOO, check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.errors import PlanError, TuneError
 from repro.gpu.specs import GTX1660, RTX_A4000
@@ -136,6 +136,8 @@ class TestFleetReplayWorkers:
     def test_preplanned_replay_keeps_planning_off_critical_path(self):
         serial = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5)
         pooled = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=2)
+        check_replay(serial)
+        check_replay(pooled)
         assert serial.critical_path_planner_invocations > 0
         assert pooled.critical_path_planner_invocations == 0
         assert pooled.warm_starts == len(GPUS) * len(MODELS)
@@ -144,4 +146,5 @@ class TestFleetReplayWorkers:
     def test_report_is_identical_for_every_pool_size(self):
         r2 = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=2)
         r3 = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=3)
+        check_replay(r2)
         assert r2 == r3

@@ -6,7 +6,9 @@ on any dead reference, so the README can't drift from the code:
 * dotted ``repro.*`` module paths — the module must import (a trailing
   attribute like ``repro.models.zoo.build_model`` must resolve on it);
 * ``python -m repro.cli <command>`` invocations — the subcommand must be
-  registered in :func:`repro.cli.build_parser`;
+  registered in :func:`repro.cli.build_parser`, and every such command line
+  inside a fenced code block (``\\`` continuations joined, ``# comments``
+  dropped) must parse with it;
 * repo-relative paths (``src/...``, ``benchmarks/...``, ``examples/...``,
   ``docs/...``, ``tools/...``) — the file or directory must exist;
 * ``make <target>`` mentions — the target must exist in the Makefile.
@@ -16,9 +18,12 @@ Usage: ``python tools/docs_check.py README.md docs/architecture.md``
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -26,6 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 MODULE_RE = re.compile(r"\brepro(?:\.[a-zA-Z_][a-zA-Z_0-9]*)+")
+CLI = "python -m repro.cli"
 CLI_RE = re.compile(r"python -m repro\.cli ([a-z][a-z0-9-]*)")
 PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools)/[\w./-]*")
 # Backticked only: prose like "make sure" must not read as a target claim.
@@ -52,13 +58,46 @@ def check_module(dotted: str) -> str | None:
     return f"module {dotted!r} does not import"
 
 
-def cli_commands() -> set[str]:
-    from repro.cli import build_parser
-
-    parser = build_parser()
+def cli_commands(parser) -> set[str]:
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         return set(action.choices)
     return set()
+
+
+def code_block_commands(text: str) -> list[str]:
+    """Every ``python -m repro.cli`` line inside a fenced code block, with
+    backslash continuations joined."""
+    commands: list[str] = []
+    in_block = False
+    pending = ""
+    for raw in text.splitlines():
+        if raw.lstrip().startswith("```"):
+            in_block, pending = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line = pending + raw.lstrip() if pending else raw
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        if CLI in line:
+            commands.append(line.strip())
+    return commands
+
+
+def check_cli_example(line: str, parser) -> str | None:
+    """Return an error string if a documented command line does not parse."""
+    argv = shlex.split(line.split(CLI, 1)[1], comments=True)
+    output = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+            parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:
+            reason = output.getvalue().strip().splitlines()[-1]
+            return f"CLI example does not parse: {line!r} ({reason})"
+    return None
 
 
 def make_targets() -> set[str]:
@@ -72,8 +111,9 @@ def make_targets() -> set[str]:
     return targets
 
 
-def check_file(path: Path, commands: set[str], targets: set[str]) -> list[str]:
+def check_file(path: Path, parser, targets: set[str]) -> list[str]:
     text = path.read_text()
+    commands = cli_commands(parser)
     errors: list[str] = []
     for dotted in sorted(set(MODULE_RE.findall(text))):
         err = check_module(dotted)
@@ -85,6 +125,10 @@ def check_file(path: Path, commands: set[str], targets: set[str]) -> list[str]:
                 f"{path.name}: CLI command {cmd!r} not registered "
                 f"(have: {sorted(commands)})"
             )
+    for line in code_block_commands(text):
+        err = check_cli_example(line, parser)
+        if err:
+            errors.append(f"{path.name}: {err}")
     for ref in sorted(set(PATH_RE.findall(text))):
         ref = ref.rstrip("./")
         if ref and not (REPO / ref).exists():
@@ -96,13 +140,15 @@ def check_file(path: Path, commands: set[str], targets: set[str]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    from repro.cli import build_parser
+
     files = [Path(a) for a in argv] or [REPO / "README.md"]
     errors: list[str] = []
     for f in files:
         if not f.exists():
             errors.append(f"{f}: file not found")
             continue
-        errors.extend(check_file(f, cli_commands(), make_targets()))
+        errors.extend(check_file(f, build_parser(), make_targets()))
     if errors:
         print("docs-check FAILED:")
         for e in errors:
