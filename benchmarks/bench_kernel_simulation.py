@@ -129,7 +129,7 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     benchmark JSON (``BENCH_smoke.json`` under ``extra_info``) — the number
     the fast-path acceptance tracks.
     """
-    from repro.runtime.session import build_session, seeded_input
+    from repro.runtime.session import InferenceSession, build_session, seeded_input
 
     configs = [
         ("mobilenet_v1", DType.FP32),
@@ -147,11 +147,14 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     first_run = None
     for model, dtype in configs:
         session = build_session(model, RTX_A4000, dtype)
+        reference = InferenceSession(
+            session.graph, session.plan, session.params, engine="reference"
+        )
         x = seeded_input(session.graph, dtype)
         if first_run is None:
             first_run = (session, x)
-        t_ref = _best_of(lambda: session.run(x, engine="reference"), rounds=2)
-        t_fast = _best_of(lambda: session.run(x, engine="fast"), rounds=2)
+        t_ref = _best_of(lambda: reference.run(x), rounds=2)
+        t_fast = _best_of(lambda: session.run(x), rounds=2)
         key = f"{model}/{dtype.value}"
         speedups[key] = t_ref / t_fast
         rows.append((key, t_ref * 1e3, t_fast * 1e3, t_ref / t_fast))
@@ -164,5 +167,5 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     benchmark.extra_info["speedups"] = {k: round(v, 2) for k, v in speedups.items()}
     benchmark.extra_info["median_speedup"] = round(med, 2)
     session, x = first_run
-    once(benchmark, lambda: session.run(x, engine="fast"))
+    once(benchmark, lambda: session.run(x))
     assert all(s > 1.0 for s in speedups.values())

@@ -154,22 +154,9 @@ def cudnn_blocks(spec: ConvSpec, gemm_tile: int = _GEMM_TILE) -> int:
 def cudnn_timing(
     spec: ConvSpec, algo: CudnnAlgo, gpu: GpuSpec, gemm_tile: int = _GEMM_TILE
 ) -> KernelTiming:
-    """Roofline timing of one cuDNN launch with the algorithm's knobs.
-
-    Occupancy matters: a launch with fewer blocks than SMs leaves compute
-    idle in proportion and loses memory-level parallelism roughly with the
-    square root of the occupancy deficit — this is why library GEMMs cannot
-    simply choose enormous blocking on the paper's small-HW layers.
-    """
-    prof = _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)]
-    occ = min(1.0, cudnn_blocks(spec, gemm_tile) / gpu.sm_count)
-    return time_kernel(
-        cudnn_counters(spec, algo, gemm_tile=gemm_tile),
-        gpu,
-        spec.dtype,
-        utilization=prof.utilization * occ,
-        bandwidth_efficiency=prof.bandwidth_efficiency * occ**0.5,
-    )
+    """Roofline timing of one single-image cuDNN launch (:func:`cudnn_batched`
+    at batch 1)."""
+    return cudnn_batched(spec, algo, gpu, 1, gemm_tile)[1]
 
 
 def cudnn_batched(
@@ -179,12 +166,16 @@ def cudnn_batched(
     batch: int,
     gemm_tile: int = _GEMM_TILE,
 ) -> tuple[AccessCounters, KernelTiming]:
-    """Counters + timing of one cuDNN launch covering ``batch`` images.
+    """Counters + timing of one cuDNN launch covering ``batch`` images, with
+    the algorithm's efficiency knobs.
 
-    Batching helps library kernels twice: weights are re-streamed from L2
-    rather than DRAM for images beyond the first, and the launch grid grows
-    ``batch``-fold, lifting the occupancy of the small-grid layers that
-    otherwise leave SMs idle (``cudnn_timing``'s occupancy penalty).
+    Occupancy matters: a launch with fewer blocks than SMs leaves compute
+    idle in proportion and loses memory-level parallelism roughly with the
+    square root of the occupancy deficit — this is why library GEMMs cannot
+    simply choose enormous blocking on the paper's small-HW layers.  Batching
+    helps library kernels twice: weights are re-streamed from L2 rather than
+    DRAM for images beyond the first, and the launch grid grows
+    ``batch``-fold, lifting the occupancy of the small-grid layers.
     """
     counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile).batched(
         batch, spec.weights_bytes
@@ -248,5 +239,5 @@ def run_cudnn(
         out = np.clip(np.rint(x / epi.out_scale.scale), -128, 127).astype(np.int8)
     else:
         out = x.astype(np.float32)
-    counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile)
-    return out, counters, cudnn_timing(spec, algo, gpu, gemm_tile=gemm_tile)
+    counters, timing = cudnn_batched(spec, algo, gpu, 1, gemm_tile)
+    return out, counters, timing

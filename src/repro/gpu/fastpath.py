@@ -21,9 +21,10 @@ derived from the same clamped tile ranges the interpreted blocks use
 matrix in ``tests/test_fastpath.py``.
 
 Engine selection is a string everywhere (``"fast"`` — the default — or
-``"reference"``), validated by :func:`resolve_engine` and threaded through
-``SimKernel.simulate``, ``InferenceSession.run``, the serving layer and the
-CLI ``--engine`` flags.
+``"reference"``), validated by :func:`resolve_engine` and taken by
+``SimKernel.simulate``, ``InferenceSession(engine=)``, ``build_session``,
+the tuning harness and the CLI ``--engine`` flags; serving always runs the
+fast engine.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
     "grid_depthwise",
 ]
 
-#: Execution engines threaded through the whole stack (CLI ``--engine``).
+#: Execution engines of the simulated kernels (CLI ``--engine``).
 ENGINES = ("fast", "reference")
 
 #: The fast vectorized engine is the default everywhere; the per-block

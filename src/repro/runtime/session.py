@@ -10,9 +10,14 @@ they differ exactly where the paper's systems differ:
 * the TVM session runs every conv through its tuned cuDNN-backend algorithm
   and gets residual adds for free (injective fusion).
 
-Each session offers a functional ``run`` (real tensors through the simulated
-kernels) and an ``run_analytic`` (counters-only, byte-identical totals via the
-measured-convention estimators) for the large end-to-end sweeps.
+Every entry point of both sessions is one walk over the plan that prices
+each step with :func:`step_record`.  The functional walk (``run``,
+``run_batch``) pushes real tensors through the simulated kernels and prices
+DW/PW steps from the counters those kernels metered; the analytic walk
+(``run_analytic``, ``run_analytic_batch``) materializes nothing and prices
+them from the measured-convention estimators, whose global bytes, MACs and
+re-reads equal the metered ones exactly — so the large end-to-end sweeps
+get the same per-step latency in milliseconds.
 """
 
 from __future__ import annotations
@@ -21,38 +26,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.cudnn import (
-    CudnnAlgo,
-    cudnn_batched,
-    cudnn_counters,
-    cudnn_timing,
-    run_cudnn,
-)
-from ..baselines.tvm import TvmConvStep, TvmPlan
+from ..baselines.cudnn import CudnnAlgo, cudnn_batched, run_cudnn
+from ..baselines.tvm import TvmConvStep, TvmGlueStep, TvmPlan
 from ..core.dtypes import DType
 from ..errors import PlanError, ShapeError
 from ..gpu.counters import AccessCounters
 from ..gpu.energy import energy_of
 from ..gpu.fastpath import DEFAULT_ENGINE, resolve_engine
-from ..gpu.roofline import KernelTiming, time_kernel
+from ..gpu.roofline import time_kernel
 from ..gpu.specs import GpuSpec
 from ..ir.graph import ModelGraph
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
 from ..planner.analytic import chain_counters, lbl_counters
-from ..planner.plan import ExecutionPlan, FcmStep, GlueStep, LblStep, StdStep
+from ..planner.plan import ChainStep, ExecutionPlan, LblStep, PlanStep, StdStep
 from .glue import apply_glue, glue_counters
 from .network_params import NetworkParams, materialize_network
 
 __all__ = [
     "StepRecord",
     "SessionReport",
+    "step_record",
     "InferenceSession",
     "TvmSession",
     "build_session",
     "seeded_input",
 ]
 
-#: cuDNN efficiency knobs applied to standard-conv steps in *both* runtimes.
+#: cuDNN algorithm of our standard-conv steps (TVM's carry their tuned one).
 _STD_ALGO = CudnnAlgo.IMPLICIT_PRECOMP_GEMM
 
 
@@ -135,30 +135,152 @@ class SessionReport:
         )
 
 
-def _record(
-    name: str,
-    kind: str,
-    counters: AccessCounters,
+def _cudnn_launch(step: StdStep | TvmConvStep) -> dict:
+    """Algorithm (and blocking) of a library conv step: TVM's tuned pair, or
+    :data:`_STD_ALGO` at the library's default blocking."""
+    if isinstance(step, TvmConvStep):
+        return {"algo": step.algo, "gemm_tile": step.gemm_tile}
+    return {"algo": _STD_ALGO}
+
+
+def step_record(
+    step: PlanStep | TvmConvStep | TvmGlueStep,
     gpu: GpuSpec,
     dtype: DType,
-    timing: KernelTiming | None = None,
+    batch: int = 1,
+    counters: AccessCounters | None = None,
 ) -> StepRecord:
-    t = timing if timing is not None else time_kernel(counters, gpu, dtype)
-    e = energy_of(counters, t, gpu, dtype)
+    """Price one plan step launched once over ``batch`` images.
+
+    The one pricer of both sessions and of the tuning harness.  A DW/PW step
+    takes ``counters`` — what its kernel metered on a functional walk — or
+    else the measured-convention estimators' (:func:`chain_counters`,
+    :func:`lbl_counters`), through the roofline.  Library convs (our standard
+    convs and every TVM conv) price through :func:`cudnn_batched`, glue
+    through :func:`glue_counters` (free when TVM fused it).
+    """
+    timing = None
+    if isinstance(step, ChainStep):
+        name, kind = "+".join(step.layer_names), "fcm"
+        if counters is None:
+            counters = chain_counters(step.specs, step.tiling, step.fcm_type).batched(
+                batch, sum(sp.weights_bytes for sp in step.specs)
+            )
+    elif isinstance(step, LblStep):
+        name, kind = step.spec.name, "lbl"
+        if counters is None:
+            counters = lbl_counters(step.spec, step.tiling).batched(
+                batch, step.spec.weights_bytes
+            )
+    elif isinstance(step, (StdStep, TvmConvStep)):
+        name, kind = step.spec.name, "std" if isinstance(step, StdStep) else "tvm-conv"
+        counters, timing = cudnn_batched(
+            step.spec, gpu=gpu, batch=batch, **_cudnn_launch(step)
+        )
+    else:
+        name, kind = step.spec.name, "glue"
+        fused = isinstance(step, TvmGlueStep) and step.fused
+        counters = glue_counters(step.spec, dtype, fused=fused).batched(batch)
+    if timing is None:
+        timing = time_kernel(counters, gpu, dtype)
+    energy = energy_of(counters, timing, gpu, dtype)
     return StepRecord(
-        name=name, kind=kind, counters=counters, time_s=t.t_total_s,
-        energy_j=e.total_j, bound=t.bound,
+        name=name, kind=kind, counters=counters, time_s=timing.t_total_s,
+        energy_j=energy.total_j, bound=timing.bound,
     )
 
 
-class InferenceSession:
+def _unbatched(report: SessionReport) -> SessionReport:
+    """A batch-of-one report with the batch dimension dropped from its output."""
+    if report.output is not None:
+        report.output = report.output[0]
+    return report
+
+
+class _PlanSession:
+    """A plan over a materialized network, and the one walk that runs it."""
+
+    def __init__(
+        self,
+        graph: ModelGraph,
+        plan: ExecutionPlan | TvmPlan,
+        params: NetworkParams | None = None,
+        seed: int = 0,
+    ) -> None:
+        self.graph = graph
+        self.plan = plan
+        self.gpu = plan.gpu
+        self.dtype = plan.dtype
+        self.params = params if params is not None else materialize_network(
+            graph, plan.dtype, seed
+        )
+        if self.params.dtype is not plan.dtype:
+            raise PlanError("network params precision differs from the plan's")
+
+    def _walk(
+        self,
+        batch: int,
+        batch_input: np.ndarray | None = None,
+        engine: str = DEFAULT_ENGINE,
+    ) -> SessionReport:
+        """Price every plan step once; with ``batch_input`` also execute it.
+
+        The functional walk runs each step over the whole batch as one
+        launch — DW/PW kernels on ``engine``, library convs and glue through
+        their reference ops image by image — and prices DW/PW steps from the
+        counters their kernels metered.  Without ``batch_input`` nothing is
+        materialized and :func:`step_record` prices every step analytically.
+        """
+        if batch < 1:
+            raise PlanError(f"batch_size must be >= 1, got {batch}")
+        params, gpu, dtype = self.params, self.gpu, self.dtype
+        records: list[StepRecord] = []
+        values: dict[str, np.ndarray] = {}
+        for step in self.plan.steps:
+            metered = None
+            if batch_input is not None:
+                specs = step.specs if isinstance(step, ChainStep) else (step.spec,)
+                preds = self.graph.predecessors(specs[0].name)
+                inputs = [values.get(p, batch_input) for p in preds] or [batch_input]
+                if isinstance(step, (ChainStep, LblStep)):
+                    kernel = (
+                        build_chain_kernel(
+                            [params[sp.name] for sp in specs], step.tiling, step.fcm_type
+                        )
+                        if isinstance(step, ChainStep)
+                        else build_lbl_kernel(params[step.spec.name], step.tiling)
+                    )
+                    res = kernel.simulate_batch(inputs[0], gpu, engine)
+                    out, metered = res.output, res.counters
+                elif isinstance(step, (StdStep, TvmConvStep)):
+                    launch = _cudnn_launch(step)
+                    out = np.stack([
+                        run_cudnn(params[step.spec.name], ifm, gpu=gpu, **launch)[0]
+                        for ifm in inputs[0]
+                    ])
+                else:
+                    scales = [params.out_scales.get(p) for p in preds]
+                    out = np.stack([
+                        apply_glue(step.spec, [x[i] for x in inputs], scales, dtype)[0]
+                        for i in range(batch)
+                    ])
+                values[specs[-1].name] = out
+            records.append(step_record(step, gpu, dtype, batch, metered))
+        output = None
+        if batch_input is not None:
+            output = values.get([s.name for s in self.graph.topological()][-1])
+        return SessionReport(
+            self.plan.model_name, gpu, dtype, tuple(records), output, batch_size=batch
+        )
+
+
+class InferenceSession(_PlanSession):
     """Execute a FusePlanner :class:`ExecutionPlan` end to end.
 
     ``engine`` selects how DW/PW simulated kernels execute: ``"fast"``
     (default) runs each grid as one vectorized pass with bulk counter
     accounting, ``"reference"`` interprets block by block.  Reports are
-    identical down to the counters; only wall-clock differs.  Per-call
-    ``engine=`` arguments override the session default.
+    identical down to the counters; only wall-clock differs.
     """
 
     def __init__(
@@ -169,29 +291,16 @@ class InferenceSession:
         seed: int = 0,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.gpu = plan.gpu
-        self.dtype = plan.dtype
+        super().__init__(graph, plan, params, seed)
         self.engine = resolve_engine(engine)
-        self.params = params if params is not None else materialize_network(
-            graph, plan.dtype, seed
-        )
-        if self.params.dtype is not plan.dtype:
-            raise PlanError("network params precision differs from the plan's")
 
     # ---- functional execution -------------------------------------------------
-    def run(self, input_array: np.ndarray, engine: str | None = None) -> SessionReport:
+    def run(self, input_array: np.ndarray) -> SessionReport:
         """Run one image (no batch dim) through the simulated kernels per the
         plan: a batch of one through :meth:`run_batch`, output unbatched."""
-        report = self.run_batch(input_array[None], engine)
-        if report.output is not None:
-            report.output = report.output[0]
-        return report
+        return _unbatched(self.run_batch(input_array[None]))
 
-    def run_batch(
-        self, batch_input: np.ndarray, engine: str | None = None
-    ) -> SessionReport:
+    def run_batch(self, batch_input: np.ndarray) -> SessionReport:
         """Run a stack of inputs (leading batch dim) through batched launches.
 
         Per step the whole batch goes through one kernel launch: per-image
@@ -200,144 +309,32 @@ class InferenceSession:
         :meth:`~repro.gpu.counters.AccessCounters.batched`).  Outputs are
         numerically identical to running each image alone.
         """
-        engine = self.engine if engine is None else resolve_engine(engine)
         if batch_input.ndim != 4:
             raise ShapeError(
                 f"run_batch expects (batch, C, H, W), got shape {batch_input.shape}"
             )
-        n = batch_input.shape[0]
-        records: list[StepRecord] = []
-        values: dict[str, np.ndarray] = {}
-
-        def input_of(layer_name: str) -> np.ndarray:
-            preds = self.graph.predecessors(layer_name)
-            if not preds:
-                return batch_input
-            return values[preds[0]]
-
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                kernel = build_chain_kernel(
-                    [self.params[sp.name] for sp in step.specs],
-                    step.tiling,
-                    step.fcm_type,
-                )
-                res = kernel.simulate_batch(
-                    input_of(step.specs[0].name), self.gpu, engine
-                )
-                values[step.specs[-1].name] = res.output
-                records.append(
-                    _record(
-                        "+".join(step.layer_names), "fcm", res.counters, self.gpu,
-                        self.dtype, res.timing(),
-                    )
-                )
-            elif isinstance(step, LblStep):
-                kernel = build_lbl_kernel(self.params[step.spec.name], step.tiling)
-                res = kernel.simulate_batch(input_of(step.spec.name), self.gpu, engine)
-                values[step.spec.name] = res.output
-                records.append(
-                    _record(step.spec.name, "lbl", res.counters, self.gpu,
-                            self.dtype, res.timing())
-                )
-            elif isinstance(step, StdStep):
-                ifms = input_of(step.spec.name)
-                outs = [
-                    run_cudnn(self.params[step.spec.name], ifm, _STD_ALGO, self.gpu)[0]
-                    for ifm in ifms
-                ]
-                values[step.spec.name] = np.stack(outs)
-                counters, timing = cudnn_batched(step.spec, _STD_ALGO, self.gpu, n)
-                records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                spec = step.spec
-                preds = self.graph.predecessors(spec.name)
-                scales = [self.params.out_scales.get(p) for p in preds]
-                outs = []
-                for i in range(n):
-                    inputs = [
-                        values[p][i] if p in values else batch_input[i] for p in preds
-                    ]
-                    out, _scale = apply_glue(spec, inputs, scales, self.dtype)
-                    outs.append(out)
-                values[spec.name] = np.stack(outs)
-                counters = glue_counters(spec, self.dtype).batched(n)
-                records.append(
-                    _record(spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-            else:  # pragma: no cover - exhaustive
-                raise PlanError(f"unknown plan step {step!r}")
-        return SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, tuple(records),
-            values.get(self._output_name()), batch_size=n,
-        )
-
-    def _output_name(self) -> str:
-        names = [s.name for s in self.graph.topological()]
-        return names[-1]
+        return self._walk(batch_input.shape[0], batch_input, self.engine)
 
     # ---- analytic execution -----------------------------------------------------
+    # Neither analytic entry point calls another public one, so a wrapper
+    # around any of them sees each report exactly once.
     def run_analytic(self) -> SessionReport:
         """Counters-only execution via the measured-convention estimators.
 
-        Byte counts and MACs equal the functional run exactly (verified by
-        integration tests); no tensors are materialized, so full-size models
-        sweep in milliseconds.
+        Per-step bytes, MACs, re-reads and latency equal the functional run
+        exactly; no tensors are materialized, so full-size models sweep in
+        milliseconds.
         """
-        return self._analytic(1)
+        return self._walk(1)
 
     def run_analytic_batch(self, batch_size: int) -> SessionReport:
         """Counters-only batched execution (the serving fast path).
 
-        Byte/MAC totals equal :meth:`run_batch` exactly, with no tensors
-        materialized — one call per (plan, batch size) prices a whole
-        micro-batch in microseconds.
+        Per-step bytes, MACs, re-reads and latency equal :meth:`run_batch`
+        exactly, with no tensors materialized — one call per (plan, batch
+        size) prices a whole micro-batch in microseconds.
         """
-        return self._analytic(batch_size)
-
-    def _analytic(self, batch_size: int) -> SessionReport:
-        # Shared by both public entry points; neither calls the other, so a
-        # wrapper around one of them sees each report exactly once.
-        if batch_size < 1:
-            raise PlanError(f"batch_size must be >= 1, got {batch_size}")
-        records: list[StepRecord] = []
-        for step in self.plan.steps:
-            if isinstance(step, FcmStep):
-                counters = chain_counters(
-                    step.specs, step.tiling, step.fcm_type
-                ).batched(
-                    batch_size,
-                    sum(sp.weights_bytes for sp in step.specs),
-                )
-                records.append(
-                    _record("+".join(step.layer_names), "fcm", counters,
-                            self.gpu, self.dtype)
-                )
-            elif isinstance(step, LblStep):
-                counters = lbl_counters(step.spec, step.tiling).batched(
-                    batch_size, step.spec.weights_bytes
-                )
-                records.append(
-                    _record(step.spec.name, "lbl", counters, self.gpu, self.dtype)
-                )
-            elif isinstance(step, StdStep):
-                counters, timing = cudnn_batched(
-                    step.spec, _STD_ALGO, self.gpu, batch_size
-                )
-                records.append(
-                    _record(step.spec.name, "std", counters, self.gpu, self.dtype, timing)
-                )
-            elif isinstance(step, GlueStep):
-                counters = glue_counters(step.spec, self.dtype).batched(batch_size)
-                records.append(
-                    _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        return SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, tuple(records),
-            batch_size=batch_size,
-        )
+        return self._walk(batch_size)
 
 
 def build_session(
@@ -381,74 +378,14 @@ def seeded_input(graph: ModelGraph, dtype: DType, seed: int = 0, batch: int = 1)
     return rng.standard_normal(shape).astype(np.float32)
 
 
-class TvmSession:
+class TvmSession(_PlanSession):
     """Execute a :class:`TvmPlan` (cuDNN-backend per-layer, fused adds)."""
 
-    def __init__(
-        self,
-        graph: ModelGraph,
-        plan: TvmPlan,
-        params: NetworkParams | None = None,
-        seed: int = 0,
-    ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.gpu = plan.gpu
-        self.dtype = plan.dtype
-        self.params = params if params is not None else materialize_network(
-            graph, plan.dtype, seed
-        )
-
     def run(self, input_array: np.ndarray) -> SessionReport:
-        """Functional execution (reference ops + cuDNN accounting)."""
-        records: list[StepRecord] = []
-        values: dict[str, np.ndarray] = {}
-        for step in self.plan.steps:
-            if isinstance(step, TvmConvStep):
-                preds = self.graph.predecessors(step.spec.name)
-                ifm = values[preds[0]] if preds else input_array
-                out, counters, timing = run_cudnn(
-                    self.params[step.spec.name], ifm, step.algo, self.gpu,
-                    gemm_tile=step.gemm_tile,
-                )
-                values[step.spec.name] = out
-                records.append(
-                    _record(step.spec.name, "tvm-conv", counters, self.gpu,
-                            self.dtype, timing)
-                )
-            else:
-                spec = step.spec
-                preds = self.graph.predecessors(spec.name)
-                inputs = [values[p] if p in values else input_array for p in preds]
-                scales = [self.params.out_scales.get(p) for p in preds]
-                out, _scale = apply_glue(spec, inputs, scales, self.dtype)
-                values[spec.name] = out
-                counters = glue_counters(spec, self.dtype, fused=step.fused)
-                records.append(
-                    _record(spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        names = [s.name for s in self.graph.topological()]
-        return SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, tuple(records),
-            values.get(names[-1]),
-        )
+        """Functional execution of one image (reference ops + cuDNN
+        accounting): a batch of one, output unbatched."""
+        return _unbatched(self._walk(1, input_array[None]))
 
     def run_analytic(self) -> SessionReport:
         """Counters-only execution of the TVM plan."""
-        records: list[StepRecord] = []
-        for step in self.plan.steps:
-            if isinstance(step, TvmConvStep):
-                counters = cudnn_counters(step.spec, step.algo, gemm_tile=step.gemm_tile)
-                timing = cudnn_timing(step.spec, step.algo, self.gpu, gemm_tile=step.gemm_tile)
-                records.append(
-                    _record(step.spec.name, "tvm-conv", counters, self.gpu,
-                            self.dtype, timing)
-                )
-            else:
-                counters = glue_counters(step.spec, self.dtype, fused=step.fused)
-                records.append(
-                    _record(step.spec.name, "glue", counters, self.gpu, self.dtype)
-                )
-        return SessionReport(
-            self.plan.model_name, self.gpu, self.dtype, tuple(records)
-        )
+        return self._walk(1)

@@ -28,22 +28,19 @@ byte-identical by the integration tests, so both return the same cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..baselines.autotune import random_search
-from ..baselines.cudnn import CudnnAlgo, cudnn_counters, cudnn_timing
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..errors import TuneError
-from ..gpu.roofline import time_kernel
 from ..gpu.specs import GpuSpec
 from ..kernels.params import chain_quant, make_layer_params
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
 from ..models.zoo import build_model
 from ..obs import resolve_metrics, resolve_tracer
-from ..planner.analytic import chain_counters, lbl_counters
 from ..planner.plan import (
     ChainStep,
     ExecutionPlan,
@@ -58,9 +55,8 @@ from ..planner.search import (
     enumerate_fcm_tilings,
     enumerate_lbl_tilings,
 )
-from ..runtime.glue import glue_counters
 from ..runtime.network_params import materialize_network
-from ..runtime.session import InferenceSession
+from ..runtime.session import InferenceSession, step_record
 from .calibrate import analytic_cost_s
 from .records import TuningDB, TuningKey, TuningRecord, chain_geometry, spec_geometry
 
@@ -78,28 +74,14 @@ __all__ = [
 
 MODES = ("guided", "random", "exhaustive")
 
-#: cuDNN algorithm shared with the runtime's standard-conv steps.
-_STD_ALGO = CudnnAlgo.IMPLICIT_PRECOMP_GEMM
-
 
 # ---- per-step costing ---------------------------------------------------------
 def estimated_step_cost_s(step: PlanStep, gpu: GpuSpec, dtype: DType) -> float:
     """The planner-side analytic latency proxy for one step (uncalibrated)."""
     if isinstance(step, (LblStep, ChainStep)):
         return analytic_cost_s(step.est_gma_bytes, 1, gpu)
-    if isinstance(step, StdStep):
-        c = cudnn_counters(step.spec, _STD_ALGO)
-    else:
-        c = glue_counters(step.spec, dtype)
+    c = step_record(step, gpu, dtype).counters
     return analytic_cost_s(c.total_bytes, c.kernel_launches, gpu)
-
-
-def _step_gma_bytes(step: PlanStep, dtype: DType) -> int:
-    if isinstance(step, (LblStep, ChainStep)):
-        return step.est_gma_bytes
-    if isinstance(step, StdStep):
-        return cudnn_counters(step.spec, _STD_ALGO).total_bytes
-    return glue_counters(step.spec, dtype).total_bytes
 
 
 def measured_step_cost_s(
@@ -108,23 +90,12 @@ def measured_step_cost_s(
     dtype: DType,
     tiling: dict[str, int] | None = None,
 ) -> float:
-    """Observed batch-1 latency of one step (``tiling`` overrides the plan's).
-
-    Matches :meth:`~repro.runtime.session.InferenceSession.run_analytic`
-    exactly: measured-convention counters through the roofline for DW/PW
-    work, the cuDNN timing model for standard convs.
-    """
-    if isinstance(step, ChainStep):
-        t = tiling if tiling is not None else step.tiling
-        c = chain_counters(step.specs, t, step.fcm_type)
-    elif isinstance(step, LblStep):
-        t = tiling if tiling is not None else step.tiling
-        c = lbl_counters(step.spec, t)
-    elif isinstance(step, StdStep):
-        return cudnn_timing(step.spec, _STD_ALGO, gpu).t_total_s
-    else:
-        c = glue_counters(step.spec, dtype)
-    return time_kernel(c, gpu, dtype).t_total_s
+    """Observed batch-1 latency of one step (``tiling`` overrides the plan's):
+    its :func:`~repro.runtime.session.step_record` time, which is what
+    :meth:`~repro.runtime.session.InferenceSession.run_analytic` charges."""
+    if tiling is not None:
+        step = replace(step, tiling=tiling)
+    return step_record(step, gpu, dtype).time_s
 
 
 def simulated_kernel_cost_s(
@@ -405,7 +376,10 @@ def _measure_model_impl(
                 est_cost_s=est,
                 measured_cost_s=rec.time_s,
                 tuned_cost_s=tuned,
-                gma_bytes=_step_gma_bytes(step, dtype),
+                gma_bytes=(
+                    step.est_gma_bytes if isinstance(step, (LblStep, ChainStep))
+                    else rec.counters.total_bytes
+                ),
                 evaluated=evaluated,
                 seed=seed,
                 engine=record_engine,
@@ -516,7 +490,6 @@ def tune_models(
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from dataclasses import replace as _replace
 
     # fork shares the warmed geometry memo / pow2 caches with the children
     # for free; spawn-only platforms still work, just with cold caches.
@@ -526,5 +499,5 @@ def tune_models(
         results = list(pool.map(_measure_one_job, jobs))
     for dumped, mm in results:  # submission order == the serial sweep order
         adopted = db.merge(TuningDB.loads(dumped))
-        out.append(_replace(mm, records_added=adopted))
+        out.append(replace(mm, records_added=adopted))
     return db, out

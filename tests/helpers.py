@@ -45,6 +45,48 @@ def register_tiny_zoo(monkeypatch) -> None:
         monkeypatch.setitem(MODELS, name, tiny_model_builder(name, channels))
 
 
+#: models of the functional-vs-analytic parity tests: the tiny zoo, plus
+#: mobilenet_v2, whose ``max_chain=3`` plans mix pairwise FCMs with 3-stage
+#: chains.
+PARITY_MODELS = tuple(name for name, _ in TINY_ZOO) + ("mobilenet_v2",)
+
+
+def parity_sessions(monkeypatch):
+    """Yield ``(graph, session)`` planned at ``max_chain=3`` on the GTX for
+    every parity model at FP32 and INT8."""
+    from repro.gpu.specs import GTX1660
+    from repro.models.zoo import build_model
+    from repro.planner.planner import FusePlanner
+    from repro.runtime.session import InferenceSession
+
+    register_tiny_zoo(monkeypatch)
+    for model in PARITY_MODELS:
+        for dtype in (DType.FP32, DType.INT8):
+            graph = build_model(model, dtype)
+            plan = FusePlanner(GTX1660, max_chain=3).plan(graph)
+            yield graph, InferenceSession(graph, plan)
+
+
+def assert_records_match(functional, analytic) -> None:
+    """A functional and an analytic report of one plan agree exactly, step
+    by step, in name, kind, byte totals, MACs, re-reads, time and bound.
+
+    Bytes are compared as read/write totals: kernels label traffic by
+    tensor, the estimators by step kind.  DW/PW energy is left out: the
+    analytic fused-step counters carry no shared-memory bytes, so their
+    energy is slightly below the functional run's (ROADMAP, "Analytic
+    fused-step energy leaves out shared memory").
+    """
+    assert len(functional.records) == len(analytic.records)
+    for f, a in zip(functional.records, analytic.records):
+        fc, ac = f.counters, a.counters
+        assert (f.name, f.kind, f.time_s, f.bound) == (a.name, a.kind, a.time_s, a.bound)
+        assert (fc.read_bytes, fc.write_bytes, fc.macs, fc.redundant_macs) == (
+            ac.read_bytes, ac.write_bytes, ac.macs, ac.redundant_macs
+        ), f.name
+        assert sorted(fc.rereads) == sorted(ac.rereads), f.name
+
+
 def check_replay(report) -> None:
     """Accounting invariants every ``fleet_replay`` report must satisfy."""
     lost = report.fault_stats.lost if report.fault_stats is not None else 0

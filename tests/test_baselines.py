@@ -191,21 +191,11 @@ class TestTvmCompiler:
 
     def test_tuning_deterministic(self):
         g = self._graph()
-        p1 = TvmCompiler(GTX1660, seed=3).compile(g)
-        p2 = TvmCompiler(GTX1660, seed=3).compile(g)
+        p1 = TvmCompiler(GTX1660).compile(g)
+        p2 = TvmCompiler(GTX1660).compile(g)
         assert [
             (s.spec.name, s.algo, s.gemm_tile) for s in p1.conv_steps
         ] == [(s.spec.name, s.algo, s.gemm_tile) for s in p2.conv_steps]
-
-    def test_plan_latency_positive(self):
-        g = self._graph()
-        compiler = TvmCompiler(RTX_A4000)
-        plan = compiler.compile(g)
-        assert compiler.plan_latency_s(plan) > 0
-
-    def test_invalid_iterations(self):
-        with pytest.raises(PlanError):
-            TvmCompiler(GTX1660, tuning_iterations=0)
 
     def test_describe(self):
         plan = TvmCompiler(GTX1660).compile(self._graph())

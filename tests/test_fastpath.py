@@ -372,15 +372,14 @@ def test_session_engine_parity(model, dtype):
     graph = build_model(model, dtype)
     plan = FusePlanner(RTX_A4000).plan(graph)
     params = materialize_network(graph, dtype, 0)
-    session = InferenceSession(graph, plan, params)
     rng = np.random.default_rng(0)
     shape = next(iter(graph.topological())).ifm.shape
     if dtype is DType.INT8:
         x = rng.integers(-128, 128, shape).astype(np.int8)
     else:
         x = rng.standard_normal(shape).astype(np.float32)
-    fast = session.run(x, engine="fast")
-    ref = session.run(x, engine="reference")
+    fast = InferenceSession(graph, plan, params).run(x)
+    ref = InferenceSession(graph, plan, params, engine="reference").run(x)
     assert len(fast.records) == len(ref.records)
     for rf, rr in zip(fast.records, ref.records):
         assert rf.name == rr.name
@@ -394,6 +393,7 @@ def test_session_engine_parity(model, dtype):
 def test_server_matches_reference_engine(monkeypatch):
     """A server's functional batch equals the reference engine run on the
     same resident plan."""
+    from repro.runtime.session import InferenceSession
     from repro.serve.server import ModelServer
 
     register_tiny_zoo(monkeypatch)
@@ -402,7 +402,10 @@ def test_server_matches_reference_engine(monkeypatch):
     srv = ModelServer(RTX_A4000)
     rep_fast = srv.submit("tiny_a", inputs)
     session = srv.cache.peek(srv.plan_key("tiny_a", DType.FP32)).session
-    rep_ref = session.run_batch(inputs, engine="reference")
+    reference = InferenceSession(
+        session.graph, session.plan, session.params, engine="reference"
+    )
+    rep_ref = reference.run_batch(inputs)
     np.testing.assert_allclose(rep_fast.output, rep_ref.output, rtol=1e-4, atol=1e-4)
     assert rep_fast.latency_s == rep_ref.latency_s
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,17 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_replay, register_tiny_zoo
+from helpers import assert_records_match, check_replay, parity_sessions, register_tiny_zoo
 from repro.baselines.tvm import TvmCompiler
 from repro.core.dtypes import DType
 from repro.core.quantize import QuantParams
 from repro.errors import ShapeError, UnsupportedError
 from repro.experiments.fig10_fig11 import end_to_end_point
-from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
 from repro.ir.layers import ConvSpec
-from repro.models.zoo import build_model
+from repro.models.zoo import build_model, model_names
 from repro.planner.planner import FusePlanner
 from repro.runtime import network_params
 from repro.runtime.glue import apply_glue, glue_counters
@@ -219,17 +220,15 @@ class TestSessions:
             # values at layer borders; outputs are fp32 after gap.
             np.testing.assert_allclose(ours.output, tvm.output, rtol=0.1, atol=0.2)
 
-    def test_analytic_matches_functional_traffic(self, rng):
-        g = _toy_graph()
-        net = materialize_network(g, DType.FP32)
-        plan = FusePlanner(ORIN).plan(g)
-        sess = InferenceSession(g, plan, net)
-        x = rng.standard_normal((3, 32, 32)).astype(np.float32)
-        functional = sess.run(x)
-        analytic = sess.run_analytic()
-        assert functional.total_gma_bytes == analytic.total_gma_bytes
-        assert functional.kernel_launches == analytic.kernel_launches
-        assert functional.latency_s == pytest.approx(analytic.latency_s, rel=1e-6)
+    def test_analytic_matches_functional_traffic(self, monkeypatch):
+        """Single images: ours agrees step by step (energy aside); the TVM
+        session's functional and analytic records are equal in every field."""
+        for graph, sess in parity_sessions(monkeypatch):
+            x = seeded_input(graph, sess.dtype)
+            assert_records_match(sess.run_batch(x[None]), sess.run_analytic_batch(1))
+            tvm_plan = TvmCompiler(GTX1660).compile(graph, sess.dtype)
+            tvm = TvmSession(graph, tvm_plan, sess.params)
+            assert tvm.run(x).records == tvm.run_analytic().records
 
     def test_fusion_reduces_launches(self, rng):
         g = _toy_graph()
@@ -275,3 +274,43 @@ class TestSessions:
         assert c.speedup == pytest.approx(tvm.latency_s / ours.latency_s)
         assert c.energy_ratio == pytest.approx(ours.energy_j / tvm.energy_j)
         assert "GTX" in c.describe()
+
+
+def _hash_records(h, report) -> None:
+    """Feed every field of every record (counter breakdowns included, floats
+    by ``repr``) into ``h``."""
+    for r in report.records:
+        c = r.counters
+        h.update(repr((
+            r.name, r.kind, repr(float(r.time_s)), repr(float(r.energy_j)), r.bound,
+            sorted(c.global_reads.items()), sorted(c.global_writes.items()),
+            c.shared_bytes, c.rereads, c.macs, c.redundant_macs, c.kernel_launches,
+        )).encode())
+
+
+class TestPinnedReports:
+    """Regression guard: the simulated reports of the whole zoo, pinned.
+
+    A change that means to move simulated numbers re-pins the digest and
+    says so; any other change must leave it as it is.
+    """
+
+    #: SHA-256 over every analytic report below, in sweep order.
+    DIGEST = "6a78edebc6648fe96a8121a5b1e56b17890552c99c1f54867d2ec1827ab65d29"
+
+    def test_analytic_reports_are_pinned(self):
+        h = hashlib.sha256()
+        for model in model_names():
+            for dtype in (DType.FP32, DType.INT8):
+                graph = build_model(model, dtype)
+                for gpu in ALL_GPUS:
+                    for max_chain in (1, 2, 3):
+                        plan = FusePlanner(gpu, max_chain=max_chain).plan(graph)
+                        sess = InferenceSession(graph, plan)
+                        for n in (1, 8):
+                            h.update(f"{model}/{gpu.name}/{dtype}/{max_chain}/{n}".encode())
+                            _hash_records(h, sess.run_analytic_batch(n))
+                    tvm = TvmSession(graph, TvmCompiler(gpu).compile(graph, dtype))
+                    h.update(f"tvm/{model}/{gpu.name}/{dtype}".encode())
+                    _hash_records(h, tvm.run_analytic())
+        assert h.hexdigest() == self.DIGEST

@@ -15,14 +15,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_replay, register_tiny_zoo, tiny_model_builder
+from helpers import (
+    assert_records_match,
+    check_replay,
+    parity_sessions,
+    register_tiny_zoo,
+    tiny_model_builder,
+)
 
 from repro.core.dtypes import DType
 from repro.errors import PlanError, ShapeError
 from repro.gpu.specs import GTX1660
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
-from repro.runtime.session import InferenceSession
+from repro.runtime.session import InferenceSession, seeded_input
 from repro.serve import FakeClock, ModelServer, PlanCache, fleet_replay
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -117,14 +123,10 @@ class TestBatchedExecution:
         assert batched.latency_per_image_s < per_image.latency_s
         assert batched.energy_per_image_j < per_image.energy_j
 
-    def test_analytic_matches_functional_batched(self, rng):
-        sess = _toy_session()
-        x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
-        functional = sess.run_batch(x)
-        analytic = sess.run_analytic_batch(4)
-        assert functional.total_gma_bytes == analytic.total_gma_bytes
-        assert functional.kernel_launches == analytic.kernel_launches
-        assert functional.latency_s == pytest.approx(analytic.latency_s, rel=1e-6)
+    def test_analytic_matches_functional_batched(self, monkeypatch):
+        for graph, sess in parity_sessions(monkeypatch):
+            x = np.stack([seeded_input(graph, sess.dtype, seed=i) for i in range(3)])
+            assert_records_match(sess.run_batch(x), sess.run_analytic_batch(3))
 
     def test_batch_one_reduces_to_single_image(self):
         sess = _toy_session()
