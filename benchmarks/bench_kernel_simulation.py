@@ -122,6 +122,45 @@ def test_bench_engine_speedup_kernels(benchmark, once, smoke):
     assert all(s > 1.0 for s in speedups.values())
 
 
+def test_bench_int8_stem_conv(benchmark, once):
+    """INT8 standard convolutions run on BLAS like FP32 ones.
+
+    Xception's 32->64 3x3 stem conv on its 149x149 input, through the
+    direct reference (``conv2d_standard``) and the explicit-GEMM oracle
+    (``conv_via_im2col``), at INT8 and FP32 (best of 3).  An INT8 conv
+    accumulating through NumPy's integer matmul or einsum (no BLAS path)
+    takes 50x its FP32 twin or more; through the exact float GEMM it takes
+    about as long.
+    """
+    from repro.baselines.im2col import conv_via_im2col
+    from repro.core.ops import conv2d_standard
+
+    rng = np.random.default_rng(0)
+    operands = {
+        DType.INT8: (
+            rng.integers(-128, 128, (32, 149, 149)).astype(np.int8),
+            rng.integers(-128, 128, (64, 32, 3, 3)).astype(np.int8),
+        ),
+        DType.FP32: (
+            rng.standard_normal((32, 149, 149)).astype(np.float32),
+            rng.standard_normal((64, 32, 3, 3)).astype(np.float32),
+        ),
+    }
+    times_ms = {}
+    for fn in (conv2d_standard, conv_via_im2col):
+        for dtype, (x, w) in operands.items():
+            times_ms[f"{fn.__name__}/{dtype.value}"] = 1e3 * _best_of(lambda: fn(x, w))
+    print("\nstem conv 32->64 3x3 @ 149x149 (best of 3):")
+    for key, ms in times_ms.items():
+        print(f"{key:24s} {ms:8.2f} ms")
+    benchmark.extra_info["stem_conv_ms"] = {k: round(v, 3) for k, v in times_ms.items()}
+    x, w = operands[DType.INT8]
+    once(benchmark, lambda: conv2d_standard(x, w))
+    for fn in (conv2d_standard, conv_via_im2col):
+        name = fn.__name__
+        assert times_ms[f"{name}/int8"] <= 5 * times_ms[f"{name}/fp32"], times_ms
+
+
 def test_bench_engine_speedup_models(benchmark, once, smoke):
     """End-to-end functional model runs, fast vs reference engine.
 

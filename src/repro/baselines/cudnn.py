@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.dtypes import DType
-from ..core.ops import apply_activation, apply_norm, conv2d_standard
+from ..core.ops import conv2d_standard
 from ..core.tiling import ceil_div
 from ..errors import ShapeError
 from ..gpu.counters import AccessCounters
@@ -211,7 +210,8 @@ def run_cudnn(
 
     The convolution itself goes through the im2col/GEMM oracles (explicit
     algorithm) or the direct reference (implicit ones) — numerically
-    identical; the counters/timing come from the traffic model.
+    identical — and its tail through the layer's ``ConvEpilogue``, like
+    every simulated kernel; the counters/timing come from the traffic model.
     """
     spec = params.spec
     if ifm.shape != spec.ifm.shape:
@@ -227,17 +227,6 @@ def run_cudnn(
             if algo is CudnnAlgo.GEMM
             else conv2d_standard(ifm, params.weights, spec.stride, spec.padding)
         )
-    epi = params.epilogue
-    if spec.dtype is DType.INT8:
-        x = acc.astype(np.float64) * epi.dequant_multiplier()
-    else:
-        x = acc.astype(np.float32)
-    if epi.norm_scale is not None:
-        x = apply_norm(x, epi.norm_scale, epi.norm_shift)
-    x = apply_activation(x, epi.activation)
-    if spec.dtype is DType.INT8:
-        out = np.clip(np.rint(x / epi.out_scale.scale), -128, 127).astype(np.int8)
-    else:
-        out = x.astype(np.float32)
+    out = params.epilogue.apply(acc, 0, acc.shape[0], spec.dtype)
     counters, timing = cudnn_batched(spec, algo, gpu, 1, gemm_tile)
     return out, counters, timing

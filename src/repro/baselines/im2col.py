@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..core.ops import exact_matmul
 from ..errors import ShapeError
 
 __all__ = ["im2col", "conv_via_im2col", "depthwise_via_im2col"]
@@ -44,8 +45,7 @@ def conv_via_im2col(
         raise ShapeError("conv_via_im2col supports square kernels")
     cols = im2col(ifm, kh, stride, padding)
     acc = np.int32 if np.issubdtype(ifm.dtype, np.integer) else np.float32
-    a = weights.reshape(m, c * kh * kw).astype(acc)
-    y = a @ cols.astype(acc)
+    y = exact_matmul(weights.reshape(m, c * kh * kw), cols, acc)
     out_h = (ifm.shape[1] + 2 * padding - kh) // stride + 1
     out_w = (ifm.shape[2] + 2 * padding - kw) // stride + 1
     return y.reshape(m, out_h, out_w)
@@ -64,10 +64,16 @@ def depthwise_via_im2col(
         raise ShapeError("depthwise_via_im2col supports square kernels")
     cols = im2col(ifm, kh, stride, padding)  # (C*k*k, HW)
     hw = cols.shape[1]
-    acc = np.int32 if np.issubdtype(ifm.dtype, np.integer) else np.float32
-    cols3 = cols.reshape(c, kh * kw, hw).astype(acc)
-    w2 = weights.reshape(c, 1, kh * kw).astype(acc)
-    y = np.einsum("cik,ckj->cij", w2, cols3)[:, 0, :]
+    cols3 = cols.reshape(c, kh * kw, hw)
+    w2 = weights.reshape(c, 1, kh * kw)
+    if np.issubdtype(ifm.dtype, np.integer):
+        y = exact_matmul(w2, cols3, np.int32)[:, 0, :]
+    else:
+        # Floats stay on the einsum: a batched GEMM sums in another order
+        # and would round FP32 outputs differently.
+        y = np.einsum(
+            "cik,ckj->cij", w2.astype(np.float32), cols3.astype(np.float32)
+        )[:, 0, :]
     out_h = (ifm.shape[1] + 2 * padding - kh) // stride + 1
     out_w = (ifm.shape[2] + 2 * padding - kw) // stride + 1
     return y.reshape(c, out_h, out_w)

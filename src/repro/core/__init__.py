@@ -10,6 +10,7 @@ from .ops import (
     conv2d_depthwise,
     conv2d_pointwise,
     conv2d_standard,
+    exact_matmul,
     fold_batchnorm,
     out_dim,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "conv2d_depthwise",
     "conv2d_pointwise",
     "conv2d_standard",
+    "exact_matmul",
     "fold_batchnorm",
     "out_dim",
     "QuantParams",

@@ -5,6 +5,11 @@ against.  They are fully vectorized NumPy (``sliding_window_view`` + einsum):
 no Python-level loops over pixels, views instead of copies wherever possible,
 per the HPC guidance for this repo.
 
+NumPy has no BLAS path for integer matmuls, so integer convolutions (the
+INT8 dp4a pipeline) run on BLAS through :func:`exact_matmul`, the one exact
+integer GEMM every kernel and baseline shares: a float GEMM chosen so that
+every partial sum is an exactly representable integer.
+
 Layout convention: single-image inference, channels-first ``(C, H, W)``.
 Weights are ``(M, C, KH, KW)`` for standard convolution, ``(C, KH, KW)`` for
 depthwise (one filter slice per channel) and ``(M, C)`` for pointwise
@@ -20,6 +25,7 @@ from ..errors import ShapeError
 
 __all__ = [
     "out_dim",
+    "exact_matmul",
     "conv2d_standard",
     "conv2d_depthwise",
     "conv2d_pointwise",
@@ -61,6 +67,28 @@ def _windows(ifm: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np
     return win[:, ::stride, ::stride]
 
 
+def exact_matmul(w: np.ndarray, x: np.ndarray, acc_dtype) -> np.ndarray:
+    """``w @ x`` at the accumulator dtype, on BLAS wherever that is exact.
+
+    Floating accumulators go straight to BLAS.  An integer accumulator gets
+    exactly what ``w.astype(acc) @ x.astype(acc)`` returns, computed by the
+    cheapest float GEMM that provably equals it: with int8 operands every
+    partial sum, in any summation order, is an integer of magnitude at most
+    ``K * 128**2`` (``K`` = reduction depth), so float32 is exact while that
+    bound is at most ``2**24`` (``K <= 1024``) and float64 while it fits the
+    accumulator (and ``2**53``).  Other integer operands, or deeper
+    reductions, fall back to NumPy's integer matmul.
+    """
+    acc = np.dtype(acc_dtype)
+    if np.issubdtype(acc, np.integer) and w.dtype == x.dtype == np.int8:
+        bound = w.shape[-1] * 128 * 128
+        if bound <= 2**24:
+            return (w.astype(np.float32) @ x.astype(np.float32)).astype(acc)
+        if bound <= min(2**53, np.iinfo(acc).max):
+            return (w.astype(np.float64) @ x.astype(np.float64)).astype(acc)
+    return w.astype(acc, copy=False) @ x.astype(acc, copy=False)
+
+
 def conv2d_standard(
     ifm: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
@@ -73,22 +101,28 @@ def conv2d_standard(
         padding: symmetric zero padding.
 
     Returns:
-        OFMs of shape ``(M, Ho, Wo)``.  Integer inputs accumulate in int32,
-        floating inputs in float32.
+        OFMs of shape ``(M, Ho, Wo)``.  Integer inputs accumulate in int32
+        (through :func:`exact_matmul`), floating inputs in float32.
     """
     if ifm.ndim != 3 or weights.ndim != 4:
         raise ShapeError(f"expected (C,H,W) and (M,C,KH,KW), got {ifm.shape}, {weights.shape}")
     if ifm.shape[0] != weights.shape[1]:
         raise ShapeError(f"channel mismatch: ifm C={ifm.shape[0]}, weights C={weights.shape[1]}")
-    win = _windows(ifm, weights.shape[2], weights.shape[3], stride, padding)
-    acc = np.int32 if np.issubdtype(ifm.dtype, np.integer) else np.float32
+    m, c, kh, kw = weights.shape
+    win = _windows(ifm, kh, kw, stride, padding)
+    if np.issubdtype(ifm.dtype, np.integer):
+        _, ho, wo, _, _ = win.shape
+        # (C, Ho, Wo, KH, KW) -> (C*KH*KW, Ho*Wo), rows ordered like the
+        # flattened (C, KH, KW) filters.
+        cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
+        return exact_matmul(weights.reshape(m, -1), cols, np.int32).reshape(m, ho, wo)
     # optimize=True lowers the reduction to a BLAS contraction — an order of
     # magnitude over the naive einsum loop on stem-sized convolutions, which
     # otherwise dominates the fast engine's end-to-end floor.
     return np.einsum(
         "chwkl,mckl->mhw",
-        win.astype(acc, copy=False),
-        weights.astype(acc, copy=False),
+        win.astype(np.float32, copy=False),
+        weights.astype(np.float32, copy=False),
         optimize=True,
     )
 

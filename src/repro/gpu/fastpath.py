@@ -20,6 +20,10 @@ derived from the same clamped tile ranges the interpreted blocks use
 *bit-identical* to the reference path — enforced by the zoo-wide parity
 matrix in ``tests/test_fastpath.py``.
 
+Whole-grid GEMMs go through :func:`repro.core.ops.exact_matmul`: INT8 runs
+as float32 BLAS while the reduction depth is at most 1024 and as float64
+beyond, bit-equal to the reference engine's integer matmuls.
+
 Engine selection is a string everywhere (``"fast"`` — the default — or
 ``"reference"``), validated by :func:`resolve_engine` and taken by
 ``SimKernel.simulate``, ``InferenceSession(engine=)``, ``build_session``,
@@ -47,7 +51,6 @@ __all__ = [
     "launch_fast",
     "axis_tile_extents",
     "axis_window_extents",
-    "grid_matmul",
     "grid_depthwise",
 ]
 
@@ -141,22 +144,6 @@ def axis_window_extents(
 
 
 # ---- whole-tensor compute primitives ------------------------------------------
-def grid_matmul(w: np.ndarray, x: np.ndarray, acc_dtype) -> np.ndarray:
-    """Full-precision matmul at the accumulator dtype, BLAS wherever legal.
-
-    Floating accumulators go straight through BLAS.  *Integer* accumulators
-    (the INT8 dp4a pipeline) would fall into NumPy's scalar integer matmul —
-    an order of magnitude slower than GEMM — so they run as a float64 GEMM
-    and cast back: every product is bounded by ``127 * 127`` and the deepest
-    reduction in the model zoo keeps ``|acc|`` far below ``2**53``, so the
-    float64 result is the exact int32 accumulator, bit for bit.
-    """
-    acc_np = np.dtype(acc_dtype)
-    if np.issubdtype(acc_np, np.integer):
-        return (w.astype(np.float64) @ x.astype(np.float64)).astype(acc_np)
-    return w.astype(acc_np, copy=False) @ x.astype(acc_np, copy=False)
-
-
 def grid_depthwise(
     window: np.ndarray,
     weights: np.ndarray,

@@ -14,10 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import PwTiling, ceil_div
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_matmul
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -111,7 +111,7 @@ class PwDirectKernel(SimKernel):
         ctr.write_bulk("ofm", m_all * self.out_hw * eb)
         ctr.compute(m_all * c_in * self.out_hw)
 
-        acc = grid_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
+        acc = exact_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
         self._out.array[...] = self.params.epilogue.apply(acc, 0, m_all, self.dtype)
         return 0  # direct kernels keep everything in registers / L1
 

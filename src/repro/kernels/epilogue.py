@@ -67,14 +67,19 @@ class ConvEpilogue:
 
         Returns:
             The tile in storage dtype (fp32 or int8).
+
+        ``acc`` is never written, though an fp32 tile without norm may be
+        returned as-is.  INT8 dequantizes into one float64 copy, then
+        normalizes, divides, rounds and clips that copy in place; FP32
+        allocates once, for the norm.
         """
-        if dtype is DType.INT8:
+        quantized = dtype is DType.INT8
+        if quantized:
             if not self.is_quantized:
                 raise UnsupportedError("INT8 kernel requires quantization scales")
-            x = acc.astype(np.float64) * self.dequant_multiplier()
+            x = acc.astype(np.float64)
+            x *= self.dequant_multiplier()
         else:
-            # copy=False: fp32 accumulators pass through as-is (the epilogue
-            # never mutates in place, so aliasing the accumulator is safe).
             x = acc.astype(np.float32, copy=False)
         if self.norm_scale is not None:
             bshape = (-1,) + (1,) * (acc.ndim - 1)
@@ -84,9 +89,15 @@ class ConvEpilogue:
                 raise ShapeError(
                     f"epilogue norm slice [{ch0}:{ch1}] does not cover tile of {acc.shape[0]}"
                 )
-            x = x * scale + shift
+            if x is acc:
+                x = x * scale
+            else:
+                x *= scale
+            x += shift
         x = apply_activation(x, self.activation)
-        if dtype is DType.INT8:
-            q = np.rint(x / self.out_scale.scale)
-            return np.clip(q, -128, 127).astype(np.int8)
+        if quantized:
+            x /= self.out_scale.scale
+            np.rint(x, out=x)
+            np.clip(x, -128, 127, out=x)
+            return x.astype(np.int8)
         return x.astype(np.float32, copy=False)

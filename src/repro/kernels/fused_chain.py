@@ -33,10 +33,11 @@ import numpy as np
 
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div, tile_input_range
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_depthwise, grid_matmul
+from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -352,7 +353,7 @@ class FusedChainKernel(SimKernel):
                 # A first PW reads the pre-subsampled view bound at stride 1.
                 pw_stride = 1 if i == 0 and in_b == 1 else spec.stride
                 x = cur if pw_stride == 1 else cur[:, ::pw_stride, ::pw_stride]
-                acc = grid_matmul(
+                acc = exact_matmul(
                     self._weights[i].array,
                     np.ascontiguousarray(x).reshape(spec.in_channels, -1),
                     acc_t,

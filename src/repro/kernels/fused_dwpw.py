@@ -21,10 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div, input_extent, tile_input_range
 from ..errors import CapacityError, ShapeError, UnsupportedError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import axis_window_extents, grid_depthwise, grid_matmul
+from ..gpu.fastpath import axis_window_extents, grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -207,7 +208,7 @@ class DwPwFusedKernel(SimKernel):
             acc_dtype=self.dtype.acc_dtype,
         )
         interm = self.dw.epilogue.apply(acc, 0, c_mid, self.dtype)
-        acc2 = grid_matmul(
+        acc2 = exact_matmul(
             self._pw_w.array, interm.reshape(c_mid, oh * ow), self.dtype.acc_dtype
         )
         y = self.pw.epilogue.apply(acc2, 0, m_all, self.dtype)

@@ -24,10 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_depthwise, grid_matmul
+from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -171,7 +172,7 @@ class PwDwFusedKernel(SimKernel):
         ctr.compute(c_mid * c_in * h * w)
         ctr.compute(c_mid * spec_dw.out_h * spec_dw.out_w * k * k)
 
-        acc = grid_matmul(self._pw_w.array, self._ifm.array, self.dtype.acc_dtype)
+        acc = exact_matmul(self._pw_w.array, self._ifm.array, self.dtype.acc_dtype)
         interm = self.pw.epilogue.apply(acc, 0, c_mid, self.dtype).reshape(c_mid, h, w)
         acc2 = grid_depthwise(
             window=interm,

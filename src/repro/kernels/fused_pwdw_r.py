@@ -20,10 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div, input_extent, tile_input_range
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import axis_window_extents, grid_depthwise, grid_matmul
+from ..gpu.fastpath import axis_window_extents, grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -203,7 +204,7 @@ class PwDwRFusedKernel(SimKernel):
         self._executed_pw_elems = c_mid * sum(wr) * sum(wc)
 
         x = self._ifm.array  # subsampled (c_in, Hmid, Wmid) view from bind
-        acc = grid_matmul(
+        acc = exact_matmul(
             self._pw_w.array, x.reshape(c_in, -1), self.dtype.acc_dtype
         )
         interm = self.pw.epilogue.apply(acc, 0, c_mid, self.dtype).reshape(

@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div
 from ..errors import CapacityError, ShapeError, UnsupportedError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_matmul
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -163,10 +163,10 @@ class PwPwFusedKernel(SimKernel):
 
         acc_t = self.dtype.acc_dtype
         interm = self.pw1.epilogue.apply(
-            grid_matmul(self._w1.array, self._ifm.array, acc_t), 0, c_mid, self.dtype
+            exact_matmul(self._w1.array, self._ifm.array, acc_t), 0, c_mid, self.dtype
         )
         y = self.pw2.epilogue.apply(
-            grid_matmul(self._w2.array, interm, acc_t), 0, m_all, self.dtype
+            exact_matmul(self._w2.array, interm, acc_t), 0, m_all, self.dtype
         )
         self._out.array[...] = y
         return self.comm_buffer_bytes()  # every block allocs the full slot

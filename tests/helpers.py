@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.dtypes import DType
 from repro.core.ops import (
@@ -99,6 +100,14 @@ def check_replay(report) -> None:
     assert all(v >= 0 for v in latencies)
     for w in report.per_worker:
         assert w.busy_s <= report.duration_s, (w.worker, w.busy_s, report.duration_s)
+
+
+def int32_conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Standard convolution by NumPy's einsum at int32: the integer result
+    :func:`repro.core.ops.exact_matmul` must reproduce, computed without it."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.int32)
+    win = sliding_window_view(xp, w.shape[2:], axis=(1, 2))[:, ::stride, ::stride]
+    return np.einsum("chwkl,mckl->mhw", win, w.astype(np.int32))
 
 
 def ref_layer(params: LayerParams, x: np.ndarray) -> np.ndarray:

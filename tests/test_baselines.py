@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dw_spec, pw_spec, random_ifm, ref_layer
+from helpers import dw_spec, int32_conv2d, pw_spec, random_ifm, ref_layer
 from repro.baselines.autotune import random_search
 from repro.baselines.cudnn import (
     CudnnAlgo,
@@ -47,6 +47,12 @@ class TestIm2col:
         np.testing.assert_allclose(
             depthwise_via_im2col(x, w, 1, 1), conv2d_depthwise(x, w, 1, 1), rtol=1e-4
         )
+        # INT8: conv2d_depthwise accumulates by NumPy's int32 einsum.
+        xq = rng.integers(-128, 128, (4, 9, 9)).astype(np.int8)
+        wq = rng.integers(-128, 128, (4, 3, 3)).astype(np.int8)
+        y = depthwise_via_im2col(xq, wq, 2, 1)
+        assert y.dtype == np.int32
+        np.testing.assert_array_equal(y, conv2d_depthwise(xq, wq, 2, 1))
 
 
 @settings(max_examples=20, deadline=None)
@@ -58,7 +64,8 @@ class TestIm2col:
     s=st.integers(1, 2),
 )
 def test_im2col_oracle_property(c, m, h, k, s):
-    """im2col-GEMM and direct convolution agree on random geometries."""
+    """im2col-GEMM and direct convolution agree on random geometries; at
+    INT8 the GEMM equals NumPy's int32 einsum exactly."""
     rng = np.random.default_rng(c * 37 + m * 11 + h + k + s)
     x = rng.standard_normal((c, h, h)).astype(np.float32)
     w = rng.standard_normal((m, c, k, k)).astype(np.float32)
@@ -67,6 +74,11 @@ def test_im2col_oracle_property(c, m, h, k, s):
         conv2d_standard(x, w, s, k // 2),
         rtol=1e-4, atol=1e-5,
     )
+    xq = rng.integers(-128, 128, (c, h, h)).astype(np.int8)
+    wq = rng.integers(-128, 128, (m, c, k, k)).astype(np.int8)
+    y = conv_via_im2col(xq, wq, s, k // 2)
+    assert y.dtype == np.int32
+    np.testing.assert_array_equal(y, int32_conv2d(xq, wq, s, k // 2))
 
 
 class TestCudnnModels:

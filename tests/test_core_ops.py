@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import int32_conv2d
 from repro.core.ops import (
     ACTIVATIONS,
     apply_activation,
@@ -14,6 +15,7 @@ from repro.core.ops import (
     conv2d_depthwise,
     conv2d_pointwise,
     conv2d_standard,
+    exact_matmul,
     fold_batchnorm,
     out_dim,
 )
@@ -65,12 +67,63 @@ class TestStandardConv:
         w = rng.integers(-128, 128, (3, 2, 3, 3)).astype(np.int8)
         y = conv2d_standard(x, w, padding=1)
         assert y.dtype == np.int32
+        np.testing.assert_array_equal(y, int32_conv2d(x, w, padding=1))
+
+    @pytest.mark.parametrize("c", [2, 128], ids=["float32-gemm", "float64-gemm"])
+    def test_int_values_at_int8_extremes(self, rng, c):
+        """Operands at the int8 extremes, at a reduction depth each side of
+        the float32 limit (2 * 9 and 128 * 9 = 1152 > 1024)."""
+        x = rng.choice(np.array([-128, -127, 127], dtype=np.int8), (c, 6, 6))
+        w = rng.choice(np.array([-128, -127, 127], dtype=np.int8), (3, c, 3, 3))
+        for stride, padding in ((1, 1), (2, 0)):
+            y = conv2d_standard(x, w, stride, padding)
+            assert y.dtype == np.int32
+            np.testing.assert_array_equal(y, int32_conv2d(x, w, stride, padding))
 
     def test_channel_mismatch(self, rng):
         x = rng.standard_normal((2, 5, 5)).astype(np.float32)
         w = rng.standard_normal((3, 4, 3, 3)).astype(np.float32)
         with pytest.raises(ShapeError):
             conv2d_standard(x, w)
+
+
+class TestExactMatmul:
+    """Each case checks ``exact_matmul`` against NumPy's int32 matmul."""
+
+    @staticmethod
+    def _check(w, x):
+        y = exact_matmul(w, x, np.int32)
+        assert y.dtype == np.int32
+        np.testing.assert_array_equal(y, w.astype(np.int32) @ x.astype(np.int32))
+        return y
+
+    def test_depth_1024_sums_to_float32_limit(self):
+        """Every product is 128**2: the sum is exactly 2**24."""
+        w = np.full((2, 1024), -128, dtype=np.int8)
+        x = np.full((1024, 3), -128, dtype=np.int8)
+        assert (self._check(w, x) == 2**24).all()
+
+    def test_depth_1025_sum_no_float32_gemm_can_return(self):
+        """1024 products of 128**2 and one of 127**2: 2**24 + 16129 is odd
+        and above 2**24, so a float32 GEMM would round it."""
+        w = np.full((2, 1025), -128, dtype=np.int8)
+        x = np.full((1025, 3), -128, dtype=np.int8)
+        w[:, -1] = 127
+        x[-1, :] = 127
+        assert (self._check(w, x) == 2**24 + 127 * 127).all()
+
+    def test_depth_2048_same_sign(self, rng):
+        w = rng.integers(100, 128, (4, 2048)).astype(np.int8)
+        x = rng.integers(100, 128, (2048, 5)).astype(np.int8)
+        assert (self._check(w, x) > 2**24).all()
+
+    def test_int16_operand(self, rng):
+        """Not int8 x int8: NumPy's integer matmul, sums above 2**24."""
+        w = rng.integers(2000, 3000, (3, 96)).astype(np.int16)
+        x = rng.integers(-128, 128, (96, 4)).astype(np.int8)
+        x[:, 0] = 127
+        y = self._check(w, x)
+        assert (y[:, 0] > 2**24).all()
 
 
 class TestDepthwiseConv:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import dw_spec, pw_spec
 from repro.core.dtypes import DType
+from repro.core.ops import apply_activation
 from repro.core.quantize import QuantParams
 from repro.errors import ShapeError, UnsupportedError
 from repro.kernels.epilogue import ConvEpilogue
@@ -58,6 +59,40 @@ class TestConvEpilogue:
         acc = np.array([[10**6, -(10**6)]], dtype=np.int32)
         out = epi.apply(acc, 0, 1, DType.INT8)
         np.testing.assert_array_equal(out, [[127, -128]])
+
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8], ids=["fp32", "int8"])
+    @pytest.mark.parametrize("norm", [False, True], ids=["plain", "norm"])
+    @pytest.mark.parametrize("activation", ["identity", "relu", "relu6", "hswish", "gelu"])
+    def test_equals_out_of_place_and_keeps_acc(self, rng, dtype, norm, activation):
+        """Bit-identical to the out-of-place expression; ``acc`` unchanged."""
+        c = 3
+        scale = rng.uniform(0.5, 2.0, c).astype(np.float32) if norm else None
+        shift = rng.standard_normal(c).astype(np.float32) if norm else None
+        int8 = dtype is DType.INT8
+        quant = {
+            "in_scale": QuantParams(0.02),
+            "w_scale": QuantParams(0.01),
+            "out_scale": QuantParams(0.05),
+        } if int8 else {}
+        epi = ConvEpilogue(scale, shift, activation, **quant)
+        if int8:
+            acc = rng.integers(-20000, 20000, (c, 4, 5)).astype(np.int32)
+            x = acc.astype(np.float64) * epi.dequant_multiplier()
+        else:
+            acc = 4 * rng.standard_normal((c, 4, 5)).astype(np.float32)
+            x = acc
+        if norm:
+            x = x * scale[:, None, None] + shift[:, None, None]
+        x = apply_activation(x, activation)
+        if int8:
+            want = np.clip(np.rint(x / 0.05), -128, 127).astype(np.int8)
+        else:
+            want = x.astype(np.float32)
+        before = acc.copy()
+        out = epi.apply(acc, 0, c, dtype)
+        np.testing.assert_array_equal(acc, before)
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out, want)
 
 
 class TestLayerParams:
