@@ -70,8 +70,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
 
 ## cProfile top-25 of one MobileNetV2 functional run (fast engine) — the
-## starting point for simulator perf PRs; pass ARGS="--engine reference",
-## ARGS="--what plan" (planning in isolation), etc.
+## starting point for simulator performance work; pass ARGS="--what plan"
+## (planning in isolation), ARGS="--reference" (the per-block kernel
+## oracle, or with --what plan the scalar tile sweeps), etc.
 profile:
 	$(PYTHON) tools/profile_run.py mobilenet_v2 --top 25 $(ARGS)
 

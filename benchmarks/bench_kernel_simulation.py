@@ -6,9 +6,10 @@ numbers to watch when optimizing the simulator's NumPy hot paths.
 
 The engine-speedup benches compare the two execution engines — the
 vectorized whole-grid ``"fast"`` path against the per-block interpreted
-``"reference"`` path — on single kernels and on end-to-end functional model
-runs, and record the speedup table in the pytest-benchmark JSON
-(``BENCH_smoke.json`` via ``make bench-smoke``) so the trajectory
+``"reference"`` path — on single kernels (``SimKernel.simulate(engine=)``)
+and on end-to-end functional model runs (``run_batch`` against
+``reference_run``), and record the speedup table in the pytest-benchmark
+JSON (``BENCH_smoke.json`` via ``make bench-smoke``) so the trajectory
 accumulates in CI artifacts.
 """
 
@@ -168,7 +169,7 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     benchmark JSON (``BENCH_smoke.json`` under ``extra_info``) — the number
     the fast-path acceptance tracks.
     """
-    from repro.runtime.session import InferenceSession, build_session, seeded_input
+    from repro.runtime.session import build_session, reference_run, seeded_input
 
     configs = [
         ("mobilenet_v1", DType.FP32),
@@ -186,14 +187,11 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     first_run = None
     for model, dtype in configs:
         session = build_session(model, RTX_A4000, dtype)
-        reference = InferenceSession(
-            session.graph, session.plan, session.params, engine="reference"
-        )
-        x = seeded_input(session.graph, dtype)
+        x = seeded_input(session.graph, dtype)[None]
         if first_run is None:
             first_run = (session, x)
-        t_ref = _best_of(lambda: reference.run(x), rounds=2)
-        t_fast = _best_of(lambda: session.run(x), rounds=2)
+        t_ref = _best_of(lambda: reference_run(session, x), rounds=2)
+        t_fast = _best_of(lambda: session.run_batch(x), rounds=2)
         key = f"{model}/{dtype.value}"
         speedups[key] = t_ref / t_fast
         rows.append((key, t_ref * 1e3, t_fast * 1e3, t_ref / t_fast))
@@ -206,5 +204,5 @@ def test_bench_engine_speedup_models(benchmark, once, smoke):
     benchmark.extra_info["speedups"] = {k: round(v, 2) for k, v in speedups.items()}
     benchmark.extra_info["median_speedup"] = round(med, 2)
     session, x = first_run
-    once(benchmark, lambda: session.run(x))
+    once(benchmark, lambda: session.run_batch(x))
     assert all(s > 1.0 for s in speedups.values())

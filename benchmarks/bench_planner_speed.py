@@ -1,16 +1,18 @@
-"""Planner search speed: vectorized grid search vs the scalar reference.
+"""Planner search speed: the grid search vs the scalar oracle.
 
-Not a paper artifact — this benchmarks the PR that turned FusePlanner's
-tiling search ("explores all tile sizes that meet the constraints in
-Equations 2, 3 and 4", §IV-B) from scalar Python loops into whole-grid
-NumPy array programs, the same bulk-ops discipline `gpu/fastpath.py`
-applies to kernel execution.  Three configurations plan the same zoo:
+Not a paper artifact — this benchmarks the change that turned
+FusePlanner's tiling search ("explores all tile sizes that meet the
+constraints in Equations 2, 3 and 4", §IV-B) from scalar Python loops into
+whole-grid NumPy array programs, the same bulk-ops discipline
+`gpu/fastpath.py` applies to kernel execution.  Three configurations plan
+the same zoo:
 
-* ``reference`` — the scalar per-candidate loop, kept as the oracle.
-* ``vectorized cold`` — grid search with a fresh geometry memo per model
-  (pure search speed, no cross-model reuse).
-* ``vectorized warm`` — grid search with one shared memo across the zoo
-  (what a fleet boot or tune sweep actually sees: zoo layers repeat
+* ``reference`` — ``ScalarPlanner``, the per-candidate sweeps kept as the
+  oracle.
+* ``vectorized cold`` — ``FusePlanner`` with a fresh geometry memo per
+  model (pure search speed, no cross-model reuse).
+* ``vectorized warm`` — ``FusePlanner`` with one shared memo across the
+  zoo (what a fleet boot or tune sweep actually sees: zoo layers repeat
   geometries heavily).
 
 The parity assertion — every configuration returns bit-identical plans —
@@ -31,20 +33,20 @@ from repro.experiments import format_table
 from repro.gpu.specs import GTX1660, RTX_A4000
 from repro.models.zoo import build_model, model_names
 from repro.planner.memo import GeometryMemo
-from repro.planner.planner import FusePlanner
+from repro.planner.planner import FusePlanner, ScalarPlanner
 from repro.tune import tune_models
 
 GPU = RTX_A4000
 
 
-def _plan_zoo(models, graphs, *, engine, memo_per_model):
+def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo_per_model):
     """Plan every model, returning (plans, wall seconds)."""
     shared = GeometryMemo()
     plans = []
     t0 = time.perf_counter()
     for m in models:
         memo = GeometryMemo() if memo_per_model else shared
-        planner = FusePlanner(GPU, search_engine=engine, memo=memo)
+        planner = planner_cls(GPU, memo=memo)
         plans.append(planner.plan(graphs[m]))
     return plans, time.perf_counter() - t0
 
@@ -54,15 +56,13 @@ def test_vectorized_vs_reference_plan_time(benchmark, once, capsys, smoke):
     graphs = {m: build_model(m, DType.FP32) for m in models}
 
     def run():
-        ref, t_ref = _plan_zoo(models, graphs, engine="reference",
+        ref, t_ref = _plan_zoo(models, graphs, planner_cls=ScalarPlanner,
                                memo_per_model=True)
-        cold, t_cold = _plan_zoo(models, graphs, engine="vectorized",
-                                 memo_per_model=True)
+        cold, t_cold = _plan_zoo(models, graphs, memo_per_model=True)
         # Warm: one shared memo, pre-seeded by a throwaway pass — the
         # steady state of a long-lived process planning the zoo again.
-        _plan_zoo(models, graphs, engine="vectorized", memo_per_model=False)
-        warm, t_warm = _plan_zoo(models, graphs, engine="vectorized",
-                                 memo_per_model=False)
+        _plan_zoo(models, graphs, memo_per_model=False)
+        warm, t_warm = _plan_zoo(models, graphs, memo_per_model=False)
         return ref, cold, warm, {"reference": t_ref, "vectorized_cold": t_cold,
                                  "vectorized_warm": t_warm}
 

@@ -8,7 +8,7 @@ engine parity, and the ``core -> gpu -> planner -> kernels -> runtime ->
 serve``/``tune`` layering.  This package enforces the same contracts
 *statically*, before a single test runs: a rule-driven analyzer over the
 stdlib ``ast`` (no third-party dependencies) with a rule registry mirroring
-the house ``ENGINES``/``SEARCH_ENGINES`` resolver style.
+the house ``ENGINES``/``resolve_engine`` resolver style.
 
 Rules ship as ``RPR0xx`` identifiers (see :mod:`repro.analysis.rules`);
 individual lines opt out with an explicit, reasoned suppression comment::

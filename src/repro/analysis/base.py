@@ -1,11 +1,10 @@
 """Rule base class, finding record, registry and suppression comments.
 
 The registry follows the house resolver style (`ENGINES`/`resolve_engine`
-in :mod:`repro.gpu.fastpath`, `SEARCH_ENGINES` in :mod:`repro.planner.search`):
-rules register under a stable ``RPR0xx`` identifier, ``ALL_RULE_IDS`` is the
-canonical ordered vocabulary, and :func:`resolve_rules` normalizes a
-user-supplied selection (``None`` -> everything) or raises
-:class:`~repro.errors.AnalysisError` on an unknown id.
+in :mod:`repro.gpu.fastpath`): rules register under a stable ``RPR0xx``
+identifier, ``ALL_RULE_IDS`` is the canonical ordered vocabulary, and
+:func:`resolve_rules` normalizes a user-supplied selection (``None`` ->
+everything) or raises :class:`~repro.errors.AnalysisError` on an unknown id.
 """
 
 from __future__ import annotations

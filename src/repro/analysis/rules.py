@@ -490,10 +490,10 @@ class RegistryParityRule(Rule):
 class SubmissionOrderRule(Rule):
     """RPR006: pool results merge in submission order, never completion order.
 
-    ``tune_models(workers=N)`` and ``Fleet.preplan`` guarantee byte-identical
-    merged output at any worker count because they consume ``pool.map``
-    results in submission order.  ``as_completed`` / ``imap_unordered``
-    reintroduce scheduling order into the merge.
+    ``tune_models(workers=N)`` guarantees a byte-identical merged DB at any
+    worker count because it consumes ``pool.map`` results in submission
+    order.  ``as_completed`` / ``imap_unordered`` reintroduce scheduling
+    order into the merge.
     """
 
     rule_id = "RPR006"

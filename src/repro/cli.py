@@ -13,7 +13,7 @@ Usage:
     python -m repro.cli fig6 --dtype fp32
     python -m repro.cli fig10 --dtype fp32
     python -m repro.cli plan mobilenet_v2 --gpu RTX --dtype int8
-    python -m repro.cli run mobilenet_v2 --gpu RTX --engine fast
+    python -m repro.cli run mobilenet_v2 --gpu RTX --batch 4
     python -m repro.cli serve mobilenet_v2 --requests 64 --rate 5000
     python -m repro.cli bench-serve --models mobilenet_v2,xception
     python -m repro.cli fleet --gpus GTX,RTX,Orin --models mobilenet_v2,xception
@@ -113,8 +113,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
               f"{len(calibration)} family factors ({args.db})")
     graph = build_model(args.model, _dtype(args.dtype))
     planner = FusePlanner(
-        gpu_by_name(args.gpu), max_chain=args.max_chain, calibration=calibration,
-        search_engine=args.search_engine,
+        gpu_by_name(args.gpu), max_chain=args.max_chain, calibration=calibration
     )
     plan = planner.plan(graph)
     print(plan.describe())
@@ -181,8 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     dtype = _dtype(args.dtype)
     session = build_session(
-        args.model, gpu_by_name(args.gpu), dtype,
-        max_chain=args.max_chain, engine=args.engine,
+        args.model, gpu_by_name(args.gpu), dtype, max_chain=args.max_chain
     )
     x = seeded_input(session.graph, dtype, seed=args.seed, batch=args.batch)
     # repro: allow[RPR001] operator-facing host wall-clock display only;
@@ -191,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = session.run_batch(x) if args.batch > 1 else session.run(x)
     wall_s = time.perf_counter() - t0  # repro: allow[RPR001] same display-only wall clock
     print(report.describe())
-    print(f"engine: {session.engine}; host wall clock {wall_s * 1e3:.1f} ms")
+    print(f"host wall clock {wall_s * 1e3:.1f} ms")
     tracer, metrics = _obs_sinks(args)
     if tracer is not None or metrics is not None:
         # One-shot runs have no replay clock: lay the batch at t=0 on the
@@ -200,7 +198,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         record_session_report(
             resolve_tracer(tracer), resolve_metrics(metrics), report,
-            start_s=0.0, pid=session.gpu.name, engine=session.engine,
+            start_s=0.0, pid=session.gpu.name,
         )
         _export_obs(args, tracer, metrics)
     return 0
@@ -420,7 +418,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         autoscale=_autoscale_policy(args.autoscale, args.cooldown_ms),
         faults=_fault_plan(args),
         retry=_retry_policy(args),
-        workers=args.workers,
         policy=args.policy,
         spill_factor=args.spill_factor,
         trace=args.explain,
@@ -463,7 +460,6 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         backend=args.backend,
-        engine=args.engine,
         workers=args.workers,
     )
     path = db.save(args.db)
@@ -564,14 +560,11 @@ _EPILOGS: dict[str, str] = {
         "examples:\n"
         "  python -m repro.cli plan mobilenet_v2 --gpu RTX\n"
         "  python -m repro.cli plan xception --gpu Orin --dtype int8\n"
-        "  python -m repro.cli plan mobilenet_v2 --max-chain 3 --explain\n"
-        "  python -m repro.cli plan mobilenet_v2 --search-engine reference "
-        "# scalar oracle"
+        "  python -m repro.cli plan mobilenet_v2 --max-chain 3 --explain"
     ),
     "run": (
         "examples:\n"
         "  python -m repro.cli run mobilenet_v2 --gpu RTX\n"
-        "  python -m repro.cli run mobilenet_v1 --engine reference  # per-block launches\n"
         "  python -m repro.cli run xception --dtype int8 --batch 4\n"
         "  python -m repro.cli run mobilenet_v2 --trace-out TRACE_run.json "
         "--metrics-out METRICS_run.txt"
@@ -610,8 +603,6 @@ _EPILOGS: dict[str, str] = {
         "  python -m repro.cli fleet --gpus RTX --slo-ms 5 --admission degrade "
         "--autoscale 1:4 --cooldown-ms 2\n"
         "  python -m repro.cli fleet --gpus GTX,RTX --db TUNE_zoo.json  # warm start\n"
-        "  python -m repro.cli fleet --gpus RTX,RTX,Orin --workers 4  "
-        "# parallel boot-time preplanning\n"
         "  python -m repro.cli fleet --gpus RTX,RTX --autoscale 1:4 "
         "--trace-out TRACE_fleet.json --metrics-out METRICS_fleet.txt\n"
         "  python -m repro.cli fleet --gpus RTX,RTX,RTX,RTX --slo-ms 5 "
@@ -635,7 +626,7 @@ _EPILOGS: dict[str, str] = {
         "  python -m repro.cli tune run --models mobilenet_v1 --gpus GTX "
         "--mode exhaustive --db TUNE_zoo.json\n"
         "  python -m repro.cli tune run --models mobilenet_v1 --gpus GTX "
-        "--backend kernel --engine fast --db TUNE_zoo.json\n"
+        "--backend kernel --db TUNE_zoo.json\n"
         "  python -m repro.cli tune run --models mobilenet_v1,mobilenet_v2 "
         "--gpus GTX,RTX --workers 4 --db TUNE_zoo.json  # parallel sweep"
     ),
@@ -709,11 +700,6 @@ def _add_replay_args(p: argparse.ArgumentParser, gpus: str) -> None:
     p.add_argument("--db", default="",
                    help="tuning DB path: every worker warm-starts its own "
                         "GPU's model records at boot")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool size for boot-time preplanning; >1 "
-                        "plans every (GPU, model, dtype) before the stream "
-                        "starts, off the serving critical path (default 1, "
-                        "plan on first request)")
     p.add_argument("--faults", default="",
                    help="JSONL fault plan to replay (crash / slowdown / "
                         "transient / recover events; see "
@@ -791,20 +777,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default="",
                    help="tuning DB path (see `tune run`); when given, fusion "
                         "decisions rank candidates by calibrated cost")
-    p.add_argument("--search-engine", choices=["vectorized", "reference"],
-                   default="vectorized",
-                   help="tiling search engine: whole-grid NumPy evaluation "
-                        "(default) or the scalar reference loop — both "
-                        "return bit-identical plans")
 
-    p = _add_cmd(sub, "run", _cmd_run,
-                 "run one functional inference end to end (fast or reference)")
+    p = _add_cmd(sub, "run", _cmd_run, "run one functional inference end to end")
     p.add_argument("model")
     p.add_argument("--gpu", default="RTX")
     p.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
-    p.add_argument("--engine", choices=["fast", "reference"], default="fast",
-                   help="execution engine: vectorized whole-grid fast path "
-                        "(default) or the per-block reference interpreter")
     p.add_argument("--batch", type=int, default=1,
                    help="run a batched pass over this many random images "
                         "(default 1)")
@@ -915,9 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="counters",
                     help="measurement backend: analytic counters (default) "
                          "or the kernel-in-the-loop simulated grid")
-    tp.add_argument("--engine", choices=["fast", "reference"], default="fast",
-                    help="execution engine for --backend kernel (default "
-                         "fast; counters are bit-identical either way)")
     tp.add_argument("--workers", type=int, default=1,
                     help="process-pool size for the (model, GPU) sweep; the "
                          "merged DB is byte-identical for every worker count "

@@ -24,11 +24,11 @@ Whole-grid GEMMs go through :func:`repro.core.ops.exact_matmul`: INT8 runs
 as float32 BLAS while the reduction depth is at most 1024 and as float64
 beyond, bit-equal to the reference engine's integer matmuls.
 
-Engine selection is a string everywhere (``"fast"`` — the default — or
-``"reference"``), validated by :func:`resolve_engine` and taken by
-``SimKernel.simulate``, ``InferenceSession(engine=)``, ``build_session``,
-the tuning harness and the CLI ``--engine`` flags; serving always runs the
-fast engine.
+The engine is a string (``"fast"`` — the default — or ``"reference"``),
+validated by :func:`resolve_engine` and taken by ``SimKernel.simulate`` /
+``simulate_batch``.  Every session, the tuning harness and serving run the
+fast engine; :func:`repro.runtime.session.reference_run` replays a whole
+plan on the reference engine for the parity tests and the benches.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ __all__ = [
     "grid_depthwise",
 ]
 
-#: Execution engines of the simulated kernels (CLI ``--engine``).
+#: Execution engines of the simulated kernels.
 ENGINES = ("fast", "reference")
 
 #: The fast vectorized engine is the default everywhere; the per-block
-#: interpreted path stays available as the reference mode.
+#: interpreted path stays available as the reference oracle.
 DEFAULT_ENGINE = "fast"
 
 

@@ -16,15 +16,15 @@ from .fcm_costs import FcmCost, fcm_feasible, fcm_footprints, fcm_gma
 from .grid_search import TilingGrid, chain_grid, fcm_grid, lbl_grid, pow2_candidates
 from .memo import GeometryMemo, shared_memo
 from .plan import ChainStep, ExecutionPlan, FcmStep, GlueStep, LblStep, StdStep
-from .planner import CandidateReport, ChainDecision, FusePlanner, FusionDecision
+from .planner import CandidateReport, ChainDecision, FusePlanner, FusionDecision, ScalarPlanner
 from .search import (
-    DEFAULT_SEARCH_ENGINE,
-    SEARCH_ENGINES,
     SearchResult,
     best_chain_tiling,
     best_fcm_tiling,
     best_lbl_tiling,
-    resolve_search_engine,
+    scalar_chain_tiling,
+    scalar_fcm_tiling,
+    scalar_lbl_tiling,
 )
 
 __all__ = [
@@ -52,16 +52,17 @@ __all__ = [
     "LblStep",
     "StdStep",
     "FusePlanner",
+    "ScalarPlanner",
     "FusionDecision",
     "ChainDecision",
     "CandidateReport",
     "SearchResult",
-    "SEARCH_ENGINES",
-    "DEFAULT_SEARCH_ENGINE",
-    "resolve_search_engine",
     "best_chain_tiling",
     "best_fcm_tiling",
     "best_lbl_tiling",
+    "scalar_chain_tiling",
+    "scalar_fcm_tiling",
+    "scalar_lbl_tiling",
     "TilingGrid",
     "lbl_grid",
     "fcm_grid",

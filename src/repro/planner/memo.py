@@ -14,9 +14,8 @@ Only the three *search* families are memoized — ``best_lbl_tiling``,
 solely on (geometry, dtype, GPU limits, cost convention).  FCM-type
 arbitration and the run-partitioning DP are deliberately *not* memoized
 here: those decisions are calibration-dependent and stay in the planner.
-The search engine is excluded from the key by design: the vectorized and
-reference engines are bit-identical (enforced by the parity suite), so a
-memo may serve either.
+The scalar oracles (``scalar_*_tiling``) never read or fill a memo, so the
+parity suite always compares a real sweep against the grid search.
 """
 
 from __future__ import annotations

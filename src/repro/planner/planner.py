@@ -46,10 +46,12 @@ from .search import (
     best_chain_tiling,
     best_fcm_tiling,
     best_lbl_tiling,
-    resolve_search_engine,
+    scalar_chain_tiling,
+    scalar_fcm_tiling,
+    scalar_lbl_tiling,
 )
 
-__all__ = ["FusePlanner", "FusionDecision", "ChainDecision", "CandidateReport"]
+__all__ = ["FusePlanner", "ScalarPlanner", "FusionDecision", "ChainDecision", "CandidateReport"]
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,11 @@ class FusePlanner:
             factors for keep the byte ranking, so ``None``, an empty
             calibration, and a DB tuned on other silicon all reproduce the
             uncalibrated plans bit-for-bit.
-        search_engine: tile-search engine, ``"vectorized"`` (default) or the
-            scalar ``"reference"`` oracle — bit-identical winners either way
-            (:data:`repro.planner.search.SEARCH_ENGINES`).
         memo: a :class:`repro.planner.memo.GeometryMemo` to consult/fill;
             defaults to the process-wide shared memo, so planners built for
             different models reuse each other's searches.  Safe to share
-            across engines and calibrations — only calibration-independent
-            search winners are stored.
+            across calibrations — only calibration-independent search
+            winners are stored.
     """
 
     def __init__(
@@ -175,7 +174,6 @@ class FusePlanner:
         convention: str = "paper",
         max_chain: int = 2,
         calibration=None,
-        search_engine: str | None = None,
         memo=None,
         tracer=None,
         metrics=None,
@@ -186,7 +184,6 @@ class FusePlanner:
         self.convention = convention
         self.max_chain = max_chain
         self.calibration = calibration
-        self.search_engine = resolve_search_engine(search_engine)
         self.memo = shared_memo() if memo is None else memo
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
@@ -198,18 +195,26 @@ class FusePlanner:
         #: candidate evaluations of the most recent :meth:`plan` call.
         self.last_candidates: list[CandidateReport] = []
 
+    # ---- tile searches (ScalarPlanner swaps in the scalar oracles) -----------
+    def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
+        return best_lbl_tiling(spec, self.gpu, self.convention, memo=self.memo)
+
+    def _fcm_tiling(
+        self, fcm_type: FcmType, first: ConvSpec, second: ConvSpec
+    ) -> SearchResult | None:
+        return best_fcm_tiling(
+            fcm_type, first, second, self.gpu, self.convention, memo=self.memo
+        )
+
+    def _chain_tiling(self, chain: FusedChain) -> SearchResult | None:
+        return best_chain_tiling(chain, self.gpu, self.convention, memo=self.memo)
+
     # ---- single-layer pass ---------------------------------------------------
     def lbl_plan(self, spec: ConvSpec) -> SearchResult:
         """Minimum-GMA layer-by-layer tiling for one DW/PW layer (cached)."""
         key = _lbl_key(spec)
         if key not in self._lbl_cache:
-            self._lbl_cache[key] = best_lbl_tiling(
-                spec,
-                self.gpu,
-                self.convention,
-                engine=self.search_engine,
-                memo=self.memo,
-            )
+            self._lbl_cache[key] = self._lbl_tiling(spec)
         return self._lbl_cache[key]
 
     # ---- candidate-ranking currency --------------------------------------------
@@ -258,15 +263,7 @@ class FusePlanner:
         types = candidate_fcm_types(first.kind.short, second.kind.short)
         best: tuple[tuple, FcmType, SearchResult] | None = None
         for t in types:
-            res = best_fcm_tiling(
-                t,
-                first,
-                second,
-                self.gpu,
-                self.convention,
-                engine=self.search_engine,
-                memo=self.memo,
-            )
+            res = self._fcm_tiling(t, first, second)
             if res is None:
                 continue
             cost = self._cost(chain_family(t, 2), res.gma_bytes, first.dtype)
@@ -327,13 +324,7 @@ class FusePlanner:
     ) -> tuple[FcmType | None, SearchResult] | None:
         if len(specs) == 2:
             return self._arbitrate_pair(specs[0], specs[1])
-        res = best_chain_tiling(
-            FusedChain(specs),
-            self.gpu,
-            self.convention,
-            engine=self.search_engine,
-            memo=self.memo,
-        )
+        res = self._chain_tiling(FusedChain(specs))
         if res is None:
             return None
         return None, res
@@ -472,6 +463,23 @@ class FusePlanner:
                 LblStep(spec=spec, tiling=lbl.tiling, est_gma_bytes=lbl.gma_bytes)
             )
         return plan
+
+
+class ScalarPlanner(FusePlanner):
+    """:class:`FusePlanner` on the scalar tile sweeps: the oracle whose plans
+    the grid search must reproduce.  It never consults a memo, so it always
+    sweeps rather than replaying memoized grid-search winners."""
+
+    def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
+        return scalar_lbl_tiling(spec, self.gpu, self.convention)
+
+    def _fcm_tiling(
+        self, fcm_type: FcmType, first: ConvSpec, second: ConvSpec
+    ) -> SearchResult | None:
+        return scalar_fcm_tiling(fcm_type, first, second, self.gpu, self.convention)
+
+    def _chain_tiling(self, chain: FusedChain) -> SearchResult | None:
+        return scalar_chain_tiling(chain, self.gpu, self.convention)
 
 
 def _graph_dtype(graph: ModelGraph) -> DType:

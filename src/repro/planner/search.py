@@ -9,17 +9,13 @@ tiny spatial extents (7x7) can still trade pixels for filters.  Among
 feasible configurations, warp-multiple blocks are preferred, then minimum
 GMA, then larger tiles (fewer blocks) as the tie-break.
 
-Two engines implement the same search contract, mirroring the kernel
-simulator's ``fast``/``reference`` split (:mod:`repro.gpu.fastpath`):
-
-* ``vectorized`` (default) — the whole candidate grid evaluated as array
-  programs (:mod:`repro.planner.grid_search`);
-* ``reference`` — the original scalar sweep, kept as the oracle the parity
-  suite compares against.
-
-Both produce bit-identical :class:`SearchResult` winners; an optional
-:class:`repro.planner.memo.GeometryMemo` caches winners across planner
-instances (and, persisted, across processes).
+The ``best_*`` searches evaluate the whole candidate grid as array programs
+(:mod:`repro.planner.grid_search`); an optional
+:class:`repro.planner.memo.GeometryMemo` caches their winners across planner
+instances (and, persisted, across processes).  The ``scalar_*`` sweeps are
+the per-candidate loops the grid search replaced, kept as the oracles the
+parity suite compares against (:class:`repro.planner.planner.ScalarPlanner`
+plans with them); both return bit-identical :class:`SearchResult` winners.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import Iterable, Mapping
 from ..core.chain import FusedChain
 from ..core.fcm import FcmType
 from ..core.tiling import DwTiling, PwTiling
-from ..errors import PlanError, UnsupportedError
+from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import chain_feasible, chain_gma
@@ -41,12 +37,12 @@ from .grid_search import chain_grid, fcm_grid, lbl_grid, pow2_candidates
 
 __all__ = [
     "SearchResult",
-    "SEARCH_ENGINES",
-    "DEFAULT_SEARCH_ENGINE",
-    "resolve_search_engine",
     "best_lbl_tiling",
     "best_fcm_tiling",
     "best_chain_tiling",
+    "scalar_lbl_tiling",
+    "scalar_fcm_tiling",
+    "scalar_chain_tiling",
     "enumerate_lbl_tilings",
     "enumerate_fcm_tilings",
     "enumerate_chain_tilings",
@@ -62,24 +58,6 @@ class SearchResult:
     redundancy_ratio: float = 0.0
 
 
-SEARCH_ENGINES = ("vectorized", "reference")
-
-#: The whole-grid array evaluation is the default everywhere; the scalar
-#: per-candidate sweep stays available as the reference oracle.
-DEFAULT_SEARCH_ENGINE = "vectorized"
-
-
-def resolve_search_engine(engine: str | None) -> str:
-    """Normalize a search-engine name (``None`` -> the default), or raise."""
-    if engine is None:
-        return DEFAULT_SEARCH_ENGINE
-    if engine not in SEARCH_ENGINES:
-        raise UnsupportedError(
-            f"unknown search engine {engine!r}; choose from {SEARCH_ENGINES}"
-        )
-    return engine
-
-
 def _pow2_upto(limit: int, minimum: int = 1) -> tuple[int, ...]:
     """Powers of two in [minimum, limit], always including ``limit`` itself."""
     return pow2_candidates(limit, minimum)
@@ -93,15 +71,32 @@ def _rank_key(tiling: Mapping[str, int], gma: int, warp: int) -> tuple[int, int,
 
 def _best(
     scored: Iterable[tuple[tuple[int, int, int], dict[str, int], float]],
-) -> tuple[dict[str, int], int, float] | None:
-    """Pick the minimum-ranked configuration; returns (tiling, gma, redund)."""
+) -> SearchResult | None:
+    """Pick the minimum-ranked configuration (``None`` if there is none)."""
     best = None
     for key, tiling, redundancy in scored:
         if best is None or key < best[0]:
             best = (key, tiling, redundancy)
     if best is None:
         return None
-    return best[1], best[0][1], best[2]
+    return SearchResult(tiling=best[1], gma_bytes=best[0][1], redundancy_ratio=best[2])
+
+
+def _grid_best(grid, gpu: GpuSpec) -> SearchResult | None:
+    """A grid's winner under the same rank order (``None`` if none feasible)."""
+    win = grid.best(gpu.warp_size)
+    if win is None:
+        return None
+    return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
+
+
+def _feasible_lbl(res: SearchResult | None, spec: ConvSpec, gpu: GpuSpec) -> SearchResult:
+    if res is None:
+        raise PlanError(
+            f"{spec.name}: no feasible LBL tiling on {gpu.name} "
+            f"(L1 {gpu.l1_kb}KiB, {gpu.sm_count} SMs)"
+        )
+    return res
 
 
 def enumerate_lbl_tilings(spec: ConvSpec, gpu: GpuSpec) -> list[dict[str, int]]:
@@ -128,12 +123,30 @@ def enumerate_lbl_tilings(spec: ConvSpec, gpu: GpuSpec) -> list[dict[str, int]]:
     return out
 
 
-def _search_lbl(spec: ConvSpec, gpu: GpuSpec, convention: str, engine: str) -> SearchResult | None:
-    if engine == "vectorized":
-        win = lbl_grid(spec, gpu, convention).best(gpu.warp_size)
-        if win is None:
-            return None
-        return SearchResult(tiling=win[0], gma_bytes=win[1])
+def best_lbl_tiling(
+    spec: ConvSpec,
+    gpu: GpuSpec,
+    convention: str = "paper",
+    *,
+    memo=None,
+) -> SearchResult:
+    """Minimize Eq. 2 / Eq. 3 over the feasible tile grid for one layer.
+
+    ``memo`` is an optional :class:`repro.planner.memo.GeometryMemo`
+    consulted before searching.
+    """
+    def search() -> SearchResult | None:
+        return _grid_best(lbl_grid(spec, gpu, convention), gpu)
+
+    if memo is None:
+        res = search()
+    else:
+        res = memo.get_or_search(memo.lbl_key(spec, gpu, convention), search)
+    return _feasible_lbl(res, spec, gpu)
+
+
+def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> SearchResult:
+    """:func:`best_lbl_tiling` as the scalar per-candidate sweep (the oracle)."""
     scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
     for d in enumerate_lbl_tilings(spec, gpu):
         if spec.kind is ConvKind.POINTWISE:
@@ -143,40 +156,7 @@ def _search_lbl(spec: ConvSpec, gpu: GpuSpec, convention: str, engine: str) -> S
                 spec, DwTiling(d["tile_c"], d["tile_h"], d["tile_w"]), convention
             ).total_bytes
         scored.append((_rank_key(d, gma, gpu.warp_size), d, 0.0))
-    win = _best(scored)
-    if win is None:
-        return None
-    return SearchResult(tiling=win[0], gma_bytes=win[1])
-
-
-def best_lbl_tiling(
-    spec: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-    *,
-    engine: str | None = None,
-    memo=None,
-) -> SearchResult:
-    """Minimize Eq. 2 / Eq. 3 over the feasible tile grid for one layer.
-
-    ``engine`` picks the grid evaluation (:data:`SEARCH_ENGINES`); ``memo``
-    is an optional :class:`repro.planner.memo.GeometryMemo` consulted before
-    searching.
-    """
-    engine = resolve_search_engine(engine)
-    if memo is None:
-        res = _search_lbl(spec, gpu, convention, engine)
-    else:
-        res = memo.get_or_search(
-            memo.lbl_key(spec, gpu, convention),
-            lambda: _search_lbl(spec, gpu, convention, engine),
-        )
-    if res is None:
-        raise PlanError(
-            f"{spec.name}: no feasible LBL tiling on {gpu.name} "
-            f"(L1 {gpu.l1_kb}KiB, {gpu.sm_count} SMs)"
-        )
-    return res
+    return _feasible_lbl(_best(scored), spec, gpu)
 
 
 def _fcm_tiling_candidates(
@@ -221,19 +201,40 @@ def enumerate_fcm_tilings(
     ]
 
 
-def _search_fcm(
+def best_fcm_tiling(
     fcm_type: FcmType,
     first: ConvSpec,
     second: ConvSpec,
     gpu: GpuSpec,
-    convention: str,
-    engine: str,
+    convention: str = "paper",
+    *,
+    memo=None,
 ) -> SearchResult | None:
-    if engine == "vectorized":
-        win = fcm_grid(fcm_type, first, second, gpu, convention).best(gpu.warp_size)
-        if win is None:
-            return None
-        return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
+    """Minimize the FCM estimator over the feasible tile grid.
+
+    Returns ``None`` when no tiling satisfies the fused constraints — the
+    module is infeasible on this GPU at this precision (paper §IV-B: "PWPW
+    fusion is less likely when the weights use FP32").  ``None`` outcomes
+    are memoized too when a ``memo`` is supplied.
+    """
+    def search() -> SearchResult | None:
+        return _grid_best(fcm_grid(fcm_type, first, second, gpu, convention), gpu)
+
+    if memo is None:
+        return search()
+    return memo.get_or_search(
+        memo.fcm_key(fcm_type, first, second, gpu, convention), search
+    )
+
+
+def scalar_fcm_tiling(
+    fcm_type: FcmType,
+    first: ConvSpec,
+    second: ConvSpec,
+    gpu: GpuSpec,
+    convention: str = "paper",
+) -> SearchResult | None:
+    """:func:`best_fcm_tiling` as the scalar per-candidate sweep (the oracle)."""
     scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
     for tiling in enumerate_fcm_tilings(fcm_type, first, second, gpu):
         cost: FcmCost = fcm_gma(fcm_type, first, second, tiling, convention)
@@ -244,36 +245,7 @@ def _search_fcm(
                 cost.redundancy_ratio,
             )
         )
-    win = _best(scored)
-    if win is None:
-        return None
-    return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
-
-
-def best_fcm_tiling(
-    fcm_type: FcmType,
-    first: ConvSpec,
-    second: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-    *,
-    engine: str | None = None,
-    memo=None,
-) -> SearchResult | None:
-    """Minimize the FCM estimator over the feasible tile grid.
-
-    Returns ``None`` when no tiling satisfies the fused constraints — the
-    module is infeasible on this GPU at this precision (paper §IV-B: "PWPW
-    fusion is less likely when the weights use FP32").  ``None`` outcomes
-    are memoized too when a ``memo`` is supplied.
-    """
-    engine = resolve_search_engine(engine)
-    if memo is None:
-        return _search_fcm(fcm_type, first, second, gpu, convention, engine)
-    return memo.get_or_search(
-        memo.fcm_key(fcm_type, first, second, gpu, convention),
-        lambda: _search_fcm(fcm_type, first, second, gpu, convention, engine),
-    )
+    return _best(scored)
 
 
 def _chain_tiling_candidates(chain: FusedChain) -> list[dict[str, int]]:
@@ -299,34 +271,11 @@ def enumerate_chain_tilings(chain: FusedChain, gpu: GpuSpec) -> list[dict[str, i
     ]
 
 
-def _search_chain(chain: FusedChain, gpu: GpuSpec, convention: str, engine: str) -> SearchResult | None:
-    if engine == "vectorized":
-        win = chain_grid(chain, gpu, convention).best(gpu.warp_size)
-        if win is None:
-            return None
-        return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
-    scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
-    for tiling in enumerate_chain_tilings(chain, gpu):
-        cost: FcmCost = chain_gma(chain, tiling, convention)
-        scored.append(
-            (
-                _rank_key(tiling, cost.gma.total_bytes, gpu.warp_size),
-                dict(tiling),
-                cost.redundancy_ratio,
-            )
-        )
-    win = _best(scored)
-    if win is None:
-        return None
-    return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
-
-
 def best_chain_tiling(
     chain: FusedChain,
     gpu: GpuSpec,
     convention: str = "paper",
     *,
-    engine: str | None = None,
     memo=None,
 ) -> SearchResult | None:
     """Minimize the N-stage chain estimator over the feasible tile grid.
@@ -337,10 +286,26 @@ def best_chain_tiling(
     final output plus ``tile_m`` when the last stage is pointwise).
     Returns ``None`` when no tiling satisfies the chained constraints.
     """
-    engine = resolve_search_engine(engine)
+    def search() -> SearchResult | None:
+        return _grid_best(chain_grid(chain, gpu, convention), gpu)
+
     if memo is None:
-        return _search_chain(chain, gpu, convention, engine)
-    return memo.get_or_search(
-        memo.chain_key(chain, gpu, convention),
-        lambda: _search_chain(chain, gpu, convention, engine),
-    )
+        return search()
+    return memo.get_or_search(memo.chain_key(chain, gpu, convention), search)
+
+
+def scalar_chain_tiling(
+    chain: FusedChain, gpu: GpuSpec, convention: str = "paper"
+) -> SearchResult | None:
+    """:func:`best_chain_tiling` as the scalar per-candidate sweep (the oracle)."""
+    scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
+    for tiling in enumerate_chain_tilings(chain, gpu):
+        cost: FcmCost = chain_gma(chain, tiling, convention)
+        scored.append(
+            (
+                _rank_key(tiling, cost.gma.total_bytes, gpu.warp_size),
+                dict(tiling),
+                cost.redundancy_ratio,
+            )
+        )
+    return _best(scored)

@@ -32,7 +32,7 @@ from ..core.dtypes import DType
 from ..errors import PlanError, ShapeError
 from ..gpu.counters import AccessCounters
 from ..gpu.energy import energy_of
-from ..gpu.fastpath import DEFAULT_ENGINE, resolve_engine
+from ..gpu.fastpath import DEFAULT_ENGINE
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GpuSpec
 from ..ir.graph import ModelGraph
@@ -49,6 +49,7 @@ __all__ = [
     "InferenceSession",
     "TvmSession",
     "build_session",
+    "reference_run",
     "seeded_input",
 ]
 
@@ -274,25 +275,21 @@ class _PlanSession:
         )
 
 
+def _batch_size(batch_input: np.ndarray) -> int:
+    if batch_input.ndim != 4:
+        raise ShapeError(
+            f"run_batch expects (batch, C, H, W), got shape {batch_input.shape}"
+        )
+    return batch_input.shape[0]
+
+
 class InferenceSession(_PlanSession):
     """Execute a FusePlanner :class:`ExecutionPlan` end to end.
 
-    ``engine`` selects how DW/PW simulated kernels execute: ``"fast"``
-    (default) runs each grid as one vectorized pass with bulk counter
-    accounting, ``"reference"`` interprets block by block.  Reports are
-    identical down to the counters; only wall-clock differs.
+    DW/PW simulated kernels run each grid as one vectorized pass with bulk
+    counter accounting; :func:`reference_run` replays a batch on the
+    per-block engine they are checked against.
     """
-
-    def __init__(
-        self,
-        graph: ModelGraph,
-        plan: ExecutionPlan,
-        params: NetworkParams | None = None,
-        seed: int = 0,
-        engine: str = DEFAULT_ENGINE,
-    ) -> None:
-        super().__init__(graph, plan, params, seed)
-        self.engine = resolve_engine(engine)
 
     # ---- functional execution -------------------------------------------------
     def run(self, input_array: np.ndarray) -> SessionReport:
@@ -309,11 +306,7 @@ class InferenceSession(_PlanSession):
         :meth:`~repro.gpu.counters.AccessCounters.batched`).  Outputs are
         numerically identical to running each image alone.
         """
-        if batch_input.ndim != 4:
-            raise ShapeError(
-                f"run_batch expects (batch, C, H, W), got shape {batch_input.shape}"
-            )
-        return self._walk(batch_input.shape[0], batch_input, self.engine)
+        return self._walk(_batch_size(batch_input), batch_input)
 
     # ---- analytic execution -----------------------------------------------------
     # Neither analytic entry point calls another public one, so a wrapper
@@ -344,13 +337,12 @@ def build_session(
     *,
     max_chain: int = 2,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
 ) -> InferenceSession:
     """Plan ``model`` on ``gpu`` and build a ready session (its weights are
     generated on the first functional run).
 
     The build-graph -> plan -> materialize -> session scaffold every
-    functional entry point needs (CLI ``run``, ``make profile``, the engine
+    functional entry point needs (CLI ``run``, ``make profile``, the kernel
     benches); keep them on this one helper so the setup can't drift apart.
     """
     from ..models.zoo import build_model
@@ -359,7 +351,14 @@ def build_session(
     graph = build_model(model, dtype)
     plan = FusePlanner(gpu, max_chain=max_chain).plan(graph)
     params = materialize_network(graph, dtype, seed)
-    return InferenceSession(graph, plan, params, engine=engine)
+    return InferenceSession(graph, plan, params)
+
+
+def reference_run(session: InferenceSession, batch_input: np.ndarray) -> SessionReport:
+    """:meth:`InferenceSession.run_batch` with every DW/PW kernel on the
+    per-block ``"reference"`` engine — the oracle the fast path must match:
+    identical records down to the counters, outputs at dtype tolerance."""
+    return session._walk(_batch_size(batch_input), batch_input, "reference")
 
 
 def seeded_input(graph: ModelGraph, dtype: DType, seed: int = 0, batch: int = 1) -> np.ndarray:

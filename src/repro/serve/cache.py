@@ -209,18 +209,18 @@ class PlanCache:
         *,
         plan: ExecutionPlan,
     ) -> CachedPlan:
-        """Adopt a plan produced elsewhere (e.g. by a preplanning worker
-        process) as a resident entry.
+        """Adopt a plan produced elsewhere as a resident entry
+        (:meth:`repro.serve.fleet.Fleet.preplan` plans once per GPU and
+        installs the plan on every worker sharing it).
 
-        The planner already ran — possibly in another process — so this
-        counts as a ``warm_start``, not a miss or a planner invocation: the
-        plan-once/serve-many accounting the replay asserts must not depend
-        on *where* boot-time planning happened.  The graph, weights handle
-        and session are built here (cheap relative to planning and not worth
-        shipping across a process boundary); the weights themselves are
-        generated only when a functional request first reads them.  An
-        already resident entry wins: installing under a live key is a no-op
-        so a preplan pass can never clobber serving state.
+        The planner already ran, so this counts as a ``warm_start``, not a
+        miss or a planner invocation: the plan-once/serve-many accounting
+        the replay asserts must not depend on *where* boot-time planning
+        happened.  The graph, weights handle and session are built here
+        (cheap relative to planning); the weights themselves are generated
+        only when a functional request first reads them.  An already
+        resident entry wins: installing under a live key is a no-op so a
+        preplan pass can never clobber serving state.
         """
         key = PlanKey.of(model, dtype, gpu, convention, max_chain)
         resident = self._entries.get(key)

@@ -53,22 +53,6 @@ __all__ = [
 POLICIES = ("affinity", "round_robin")
 
 
-def _preplan_job(job: tuple) -> "object":
-    """Plan one (GPU, model, dtype) in a worker process; returns the plan.
-
-    Module-level so it pickles under spawn-based pools too.  Only the
-    :class:`~repro.planner.plan.ExecutionPlan` crosses back — sessions and
-    their (not yet generated) weights handles are built cheaply on the
-    parent side by :meth:`repro.serve.cache.PlanCache.install`.
-    """
-    gpu, model, dtype, max_chain, calibration = job
-    from ..models.zoo import build_model
-    from ..planner.planner import FusePlanner
-
-    graph = build_model(model, dtype)
-    return FusePlanner(gpu, max_chain=max_chain, calibration=calibration).plan(graph)
-
-
 @dataclass(frozen=True)
 class RouteDecision:
     """One routing trace entry (``fleet --explain`` renders these)."""
@@ -378,61 +362,35 @@ class Fleet:
 
     # ---- boot-time preplanning ---------------------------------------------------
     def preplan(
-        self,
-        models: Sequence[str],
-        dtypes: Sequence[DType] = (DType.FP32,),
-        *,
-        workers: int = 1,
+        self, models: Sequence[str], dtypes: Sequence[DType] = (DType.FP32,)
     ) -> int:
         """Plan every (worker GPU, model, dtype) combination before serving.
 
-        Planning is the expensive boot-time step, and distinct plan
-        identities are independent — so ``workers > 1`` fans them over a
-        process pool (one planner pass per *distinct* ``(gpu, model,
-        dtype)``; homogeneous fleets plan each identity once and install it
-        on every worker sharing that GPU).  Plans land via
-        :meth:`PlanCache.install`, counted as ``warm_starts``: the replay's
-        plan-once accounting is identical for every worker count, and the
-        plans themselves are bit-identical because the planner is
-        deterministic per task.  Returns the number of cache installs.
+        Planning is the expensive boot-time step.  Each *distinct* ``(gpu,
+        model, dtype)`` is planned once, and a homogeneous fleet installs
+        that one plan on every worker sharing the GPU.  Plans land via
+        :meth:`PlanCache.install`, counted as ``warm_starts``, so a replay
+        over the preplanned fleet has no planning on its critical path.
+        Returns the number of cache installs.
         """
-        if workers < 1:
-            raise PlanError(f"workers must be >= 1, got {workers}")
-        jobs: list[tuple] = []
-        seen: set[tuple[str, str, str]] = set()
-        for w in self.workers:
-            for model in models:
-                for dtype in dtypes:
-                    ident = (w.gpu.name, model, dtype.value)
-                    if ident not in seen:
-                        seen.add(ident)
-                        jobs.append((
-                            w.gpu, model, dtype, w.server.max_chain,
-                            w.server.cache.calibration,
-                        ))
-        if workers == 1 or len(jobs) <= 1:
-            plans = [_preplan_job(job) for job in jobs]
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        from ..models.zoo import build_model
+        from ..planner.planner import FusePlanner
 
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)), mp_context=ctx
-            ) as pool:
-                plans = list(pool.map(_preplan_job, jobs))
-        by_ident = {
-            (job[0].name, job[1], job[2].value): plan for job, plan in zip(jobs, plans)
-        }
+        plans = {}  # (GPU name, model, dtype) -> its one plan
         installed = 0
         for w in self.workers:
             for model in models:
                 for dtype in dtypes:
-                    plan = by_ident[(w.gpu.name, model, dtype.value)]
+                    ident = (w.gpu.name, model, dtype)
+                    if ident not in plans:
+                        plans[ident] = FusePlanner(
+                            w.gpu, max_chain=w.server.max_chain,
+                            calibration=w.server.cache.calibration,
+                        ).plan(build_model(model, dtype))
                     before = w.server.cache.stats.warm_starts
                     w.server.cache.install(
-                        model, dtype, w.gpu, max_chain=w.server.max_chain, plan=plan
+                        model, dtype, w.gpu, max_chain=w.server.max_chain,
+                        plan=plans[ident],
                     )
                     installed += w.server.cache.stats.warm_starts - before
         return installed

@@ -648,7 +648,6 @@ def fleet_replay(
     breaker_reset_s: float = 1e-3,
     seed: int = 0,
     fleet: Fleet | None = None,
-    workers: int = 1,
     **fleet_settings,
 ) -> FleetStreamReport:
     """Replay one stream over a fleet of GPUs on a shared :class:`FakeClock`.
@@ -665,7 +664,9 @@ def fleet_replay(
     :class:`~repro.serve.server.ModelServer` settings) build the replay's
     :class:`Fleet` on the shared clock.  Pass ``fleet`` to reuse one built
     on a FakeClock as both ``clock`` and ``sleep``; passing fleet settings
-    alongside it raises :class:`PlanError`.
+    alongside it raises :class:`PlanError`.  A fleet preplanned with
+    :meth:`Fleet.preplan` serves the stream with no planning on the
+    critical path.
 
     The shared clock never advances by execution time: each
     :class:`FleetWorker` keeps its own occupancy timeline (``busy_until``),
@@ -685,13 +686,6 @@ def fleet_replay(
     ``autoscale`` binds a reactive :class:`~repro.serve.autoscale.
     Autoscaler` to the fleet; it observes the backlog at every arrival and
     during the drain, and its decisions land in ``scale_events``.
-
-    ``workers > 1`` preplans every (GPU, model, dtype) the stream will
-    touch over a process pool (:meth:`Fleet.preplan`) before the replay
-    clock starts: per-worker planning scales across cores and never lands
-    on the serving critical path.  The plans — and therefore the replayed
-    stream — are identical for every worker count; only boot wall-clock
-    changes.
 
     ``tracer``/``metrics`` (a :class:`repro.obs.Tracer` /
     :class:`repro.obs.MetricsRegistry`) capture the replay as a
@@ -731,11 +725,6 @@ def fleet_replay(
         poisson, seed,
     )
 
-    if workers < 1:
-        raise PlanError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        dtypes = tuple(dict.fromkeys(DType(e.dtype) for e in entries))
-        fleet.preplan(model_list, dtypes, workers=workers)
     # Anything planned so far (warm start, preplan, or a pre-used fleet)
     # happened at boot: replay-time planning is what the critical-path
     # accounting tracks.

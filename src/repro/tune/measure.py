@@ -36,6 +36,7 @@ from ..baselines.autotune import random_search
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..errors import TuneError
+from ..gpu.fastpath import DEFAULT_ENGINE
 from ..gpu.specs import GpuSpec
 from ..kernels.params import chain_quant, make_layer_params
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
@@ -104,20 +105,16 @@ def simulated_kernel_cost_s(
     dtype: DType,
     tiling: dict[str, int] | None = None,
     seed: int = 0,
-    engine: str | None = None,
 ) -> float:
     """Hardware-in-the-loop variant: run the actual simulated kernel grid.
 
     Materializes deterministic parameters for the step's layer(s), builds the
     kernel through the registry, streams a seeded random IFM through the
-    instrumented launch and prices the metered counters — by default on the
-    vectorized ``"fast"`` engine, whose counters are bit-identical to the
-    per-block ``"reference"`` launch (so the measured cost is the same and
-    the tuning loop stops paying the interpreter tax per candidate).
+    instrumented launch and prices the metered counters.  The launch runs on
+    the vectorized fast path, whose counters are bit-identical to the
+    per-block reference launch, so the tuning loop measures the same cost
+    without paying the interpreter tax per candidate.
     """
-    from ..gpu.fastpath import resolve_engine
-
-    engine = resolve_engine(engine)
     if not isinstance(step, (LblStep, ChainStep)):
         raise TuneError("only DW/PW (LBL or fused) steps have simulated kernels")
     t = tiling if tiling is not None else step.tiling
@@ -135,7 +132,7 @@ def simulated_kernel_cost_s(
         ifm = rng.integers(-128, 128, shape).astype(np.int8)
     else:
         ifm = rng.standard_normal(shape).astype(np.float32)
-    return kernel.simulate(ifm, gpu, engine).time_s
+    return kernel.simulate(ifm, gpu).time_s
 
 
 def _step_geometry(step: PlanStep) -> tuple:
@@ -167,14 +164,12 @@ def tune_step_tiling(
     iterations: int = 20,
     seed: int = 0,
     backend: str = "counters",
-    engine: str | None = None,
 ) -> tuple[dict[str, int], float, int]:
     """Search one step's feasible tiling grid by *observed* cost.
 
     Returns ``(tiling, measured_cost_s, candidates_evaluated)``.  Steps
     without a tiling vocabulary (std/glue) are measured as-is with one
-    evaluation.  ``engine`` selects the execution engine of the ``"kernel"``
-    backend (fast by default; ignored by the counter backend).
+    evaluation.
     """
     if mode not in MODES:
         raise TuneError(f"unknown search mode {mode!r}; choose from {MODES}")
@@ -195,7 +190,7 @@ def tune_step_tiling(
         k = tuple(sorted(t.items()))
         if k not in memo:
             if backend == "kernel":
-                memo[k] = simulated_kernel_cost_s(step, gpu, dtype, t, seed, engine)
+                memo[k] = simulated_kernel_cost_s(step, gpu, dtype, t, seed)
             else:
                 memo[k] = measured_step_cost_s(step, gpu, dtype, t)
         return memo[k]
@@ -270,7 +265,6 @@ def measure_model(
     iterations: int = 20,
     seed: int = 0,
     backend: str = "counters",
-    engine: str | None = None,
     tracer=None,
     metrics=None,
 ) -> ModelMeasurement:
@@ -281,7 +275,8 @@ def measure_model(
     one wins) plus one model-level record (family ``"model"``, geometry
     ``(model, max_chain)``) that the serving warm-start path replays.
     Every record carries its measurement provenance: ``"analytic"`` for the
-    counter backend, else the execution engine the kernel backend ran on.
+    counter backend, else the execution engine the kernel backend ran on
+    (``"fast"``).
 
     ``tracer``/``metrics`` wrap the whole measurement in one
     ``tune.measure`` span (the planning pass nests inside) and tally
@@ -294,7 +289,7 @@ def measure_model(
         return _measure_model_impl(
             model, gpu, dtype, db=db, convention=convention, max_chain=max_chain,
             mode=mode, iterations=iterations, seed=seed, backend=backend,
-            engine=engine, tracer=tracer, metrics=metrics,
+            tracer=tracer, metrics=metrics,
         )
     with tracer.span(
         "tune.measure", model=model, gpu=gpu.name, dtype=dtype.value, mode=mode
@@ -302,7 +297,7 @@ def measure_model(
         mm = _measure_model_impl(
             model, gpu, dtype, db=db, convention=convention, max_chain=max_chain,
             mode=mode, iterations=iterations, seed=seed, backend=backend,
-            engine=engine, tracer=tracer, metrics=metrics,
+            tracer=tracer, metrics=metrics,
         )
     metrics.counter(
         "repro_tune_candidates_total", help="Tiling candidates measured"
@@ -325,13 +320,10 @@ def _measure_model_impl(
     iterations: int,
     seed: int,
     backend: str,
-    engine: str | None,
     tracer,
     metrics,
 ) -> ModelMeasurement:
-    from ..gpu.fastpath import resolve_engine
-
-    record_engine = "analytic" if backend == "counters" else resolve_engine(engine)
+    record_engine = "analytic" if backend == "counters" else DEFAULT_ENGINE
     graph = build_model(model, dtype)
     plan = FusePlanner(
         gpu, convention, max_chain=max_chain, tracer=tracer, metrics=metrics
@@ -356,7 +348,7 @@ def _measure_model_impl(
         if (family, geometry) not in searched:
             result = tune_step_tiling(
                 step, gpu, dtype, mode=mode, iterations=iterations, seed=seed,
-                backend=backend, engine=engine,
+                backend=backend,
             )
             searched[(family, geometry)] = result
             evaluated_total += result[2]  # measurements actually performed
@@ -430,12 +422,12 @@ def _measure_one_job(job: tuple) -> tuple[str, ModelMeasurement]:
     the measurement summary.  Module-level so it is picklable by spawn-based
     pools too.
     """
-    (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend, engine) = job
+    (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend) = job
     child = TuningDB()
     mm = measure_model(
         model, gpu, dtype, db=child, convention=convention,
         max_chain=max_chain, mode=mode, iterations=iterations,
-        seed=seed, backend=backend, engine=engine,
+        seed=seed, backend=backend,
     )
     return child.dumps(), mm
 
@@ -452,7 +444,6 @@ def tune_models(
     iterations: int = 20,
     seed: int = 0,
     backend: str = "counters",
-    engine: str | None = None,
     workers: int = 1,
     tracer=None,
     metrics=None,
@@ -475,7 +466,7 @@ def tune_models(
         raise TuneError(f"workers must be >= 1, got {workers}")
     db = db if db is not None else TuningDB()
     jobs = [
-        (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend, engine)
+        (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend)
         for gpu in gpus
         for model in models
     ]
@@ -484,7 +475,7 @@ def tune_models(
         for job in jobs:
             out.append(measure_model(job[0], job[1], dtype, db=db, convention=convention,
                                      max_chain=max_chain, mode=mode, iterations=iterations,
-                                     seed=seed, backend=backend, engine=engine,
+                                     seed=seed, backend=backend,
                                      tracer=tracer, metrics=metrics))
         return db, out
 

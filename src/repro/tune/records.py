@@ -131,8 +131,9 @@ class TuningRecord:
     actually spent.  ``engine`` records the measurement's provenance: the
     analytic counter backend (``"analytic"``, the default — also assumed for
     records written before the field existed) or, for kernel-in-the-loop
-    measurements, which execution engine ran the simulated grid (``"fast"``
-    / ``"reference"``).
+    measurements, which execution engine ran the simulated grid (``"fast"``;
+    ``"reference"`` in DBs written when tuning could select that engine,
+    which still load and round-trip unchanged).
     """
 
     key: TuningKey

@@ -54,6 +54,21 @@ def test_plan_int8(capsys):
     assert "int8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "mobilenet_v1", "--engine", "reference"],
+    ["plan", "mobilenet_v1", "--search-engine", "reference"],
+    ["tune", "run", "--models", "mobilenet_v1", "--db", "TUNE_removed.json",
+     "--engine", "fast"],
+    ["fleet", "--models", "mobilenet_v1", "--workers", "2"],
+], ids=["run-engine", "plan-search-engine", "tune-run-engine", "fleet-workers"])
+def test_removed_selector_flags_are_usage_errors(argv, capsys):
+    """The oracle and preplan-pool selectors are gone from the CLI."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
 def test_help_epilog_has_examples(cmd, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -289,6 +289,28 @@ def test_reference_fallback_for_kernels_without_fast_path():
     assert res.counters.total_bytes > 0
 
 
+def test_removed_engine_selectors_are_rejected(monkeypatch):
+    """The oracles live on SimKernel.simulate(engine=), reference_run and
+    ScalarPlanner; no session, planner, search or tuning call selects one."""
+    from repro.planner.planner import FusePlanner
+    from repro.planner.search import best_lbl_tiling
+    from repro.runtime.session import InferenceSession, build_session
+    from repro.tune.measure import tune_models
+
+    register_tiny_zoo(monkeypatch)
+    with pytest.raises(TypeError, match="search_engine"):
+        FusePlanner(RTX_A4000, search_engine="reference")
+    with pytest.raises(TypeError, match="engine"):
+        best_lbl_tiling(pw_spec(), RTX_A4000, engine="reference")
+    session = build_session("tiny_a", RTX_A4000)
+    with pytest.raises(TypeError, match="engine"):
+        InferenceSession(session.graph, session.plan, session.params, engine="reference")
+    with pytest.raises(TypeError, match="engine"):
+        build_session("tiny_a", RTX_A4000, engine="reference")
+    with pytest.raises(TypeError, match="engine"):
+        tune_models(["tiny_a"], [RTX_A4000], engine="reference")
+
+
 # ---- batched execution -------------------------------------------------------
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_batched_counters_scale_single_image_totals(engine):
@@ -367,7 +389,7 @@ def test_session_engine_parity(model, dtype):
     from repro.models.zoo import build_model
     from repro.planner.planner import FusePlanner
     from repro.runtime.network_params import materialize_network
-    from repro.runtime.session import InferenceSession
+    from repro.runtime.session import InferenceSession, reference_run
 
     graph = build_model(model, dtype)
     plan = FusePlanner(RTX_A4000).plan(graph)
@@ -378,8 +400,9 @@ def test_session_engine_parity(model, dtype):
         x = rng.integers(-128, 128, shape).astype(np.int8)
     else:
         x = rng.standard_normal(shape).astype(np.float32)
-    fast = InferenceSession(graph, plan, params).run(x)
-    ref = InferenceSession(graph, plan, params, engine="reference").run(x)
+    session = InferenceSession(graph, plan, params)
+    fast = session.run(x)
+    ref = reference_run(session, x[None])
     assert len(fast.records) == len(ref.records)
     for rf, rr in zip(fast.records, ref.records):
         assert rf.name == rr.name
@@ -387,13 +410,13 @@ def test_session_engine_parity(model, dtype):
         assert rf.time_s == rr.time_s
         assert rf.energy_j == rr.energy_j
     assert fast.latency_s == ref.latency_s
-    assert_outputs_match(fast.output, ref.output, dtype)
+    assert_outputs_match(fast.output, ref.output[0], dtype)
 
 
 def test_server_matches_reference_engine(monkeypatch):
     """A server's functional batch equals the reference engine run on the
     same resident plan."""
-    from repro.runtime.session import InferenceSession
+    from repro.runtime.session import reference_run
     from repro.serve.server import ModelServer
 
     register_tiny_zoo(monkeypatch)
@@ -402,30 +425,12 @@ def test_server_matches_reference_engine(monkeypatch):
     srv = ModelServer(RTX_A4000)
     rep_fast = srv.submit("tiny_a", inputs)
     session = srv.cache.peek(srv.plan_key("tiny_a", DType.FP32)).session
-    reference = InferenceSession(
-        session.graph, session.plan, session.params, engine="reference"
-    )
-    rep_ref = reference.run_batch(inputs)
+    rep_ref = reference_run(session, inputs)
     np.testing.assert_allclose(rep_fast.output, rep_ref.output, rtol=1e-4, atol=1e-4)
     assert rep_fast.latency_s == rep_ref.latency_s
 
 
 # ---- tuning integration ------------------------------------------------------
-def test_simulated_kernel_cost_engine_invariant():
-    """Kernel-in-the-loop cost is identical on both engines (exact counters)."""
-    from repro.planner.plan import LblStep
-    from repro.planner.search import best_lbl_tiling
-
-    spec = pw_spec(c_in=8, c_out=16, h=10, w=10)
-    tiling = best_lbl_tiling(spec, RTX_A4000)
-    step = LblStep(spec=spec, tiling=tiling.tiling, est_gma_bytes=tiling.gma_bytes)
-    from repro.tune.measure import simulated_kernel_cost_s
-
-    fast = simulated_kernel_cost_s(step, RTX_A4000, DType.FP32, engine="fast")
-    ref = simulated_kernel_cost_s(step, RTX_A4000, DType.FP32, engine="reference")
-    assert fast == ref
-
-
 def test_tuning_record_engine_provenance_round_trip():
     from repro.tune.records import SCHEMA_VERSION, TuningDB, TuningKey, TuningRecord
 
@@ -443,6 +448,15 @@ def test_tuning_record_engine_provenance_round_trip():
     reloaded = TuningDB.loads(db.dumps())
     assert reloaded.get(key).engine == "fast"
     assert reloaded.dumps() == db.dumps()  # canonical round-trip keeps the field
+
+    # DBs from when `tune run --backend kernel` could pick the reference
+    # engine carry "engine": "reference"; nothing writes that any more, but
+    # such a DB still loads and round-trips byte for byte.
+    written_by_reference = db.dumps().replace('"engine":"fast"', '"engine":"reference"')
+    assert written_by_reference != db.dumps()
+    old_kernel_db = TuningDB.loads(written_by_reference)
+    assert old_kernel_db.get(key).engine == "reference"
+    assert old_kernel_db.dumps() == written_by_reference
 
     # Schema guard: a v1 record written *before* the engine field existed
     # (no "engine" key) still loads, defaulting to the analytic backend.

@@ -291,6 +291,11 @@ class TestSettingsForwarding:
             Fleet([GTX1660], convention="paper")
         with pytest.raises(TypeError, match="engine"):
             fleet_replay([GTX1660], "tiny_a", 4, 100.0, seed=1, engine="fast")
+        # Preplanning is in-process: there is no pool to size.
+        with pytest.raises(TypeError, match="workers"):
+            fleet_replay([GTX1660], "tiny_a", 4, 100.0, seed=1, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            _fleet([GTX1660]).preplan(["tiny_a"], workers=2)
 
     def test_added_worker_gets_the_forwarded_settings(self):
         fleet = _fleet([GTX1660], max_batch=4, max_delay_s=1e-4)

@@ -1,7 +1,9 @@
 """Parity suite: the vectorized grid search vs the scalar reference oracle.
 
-The vectorized engine must be a pure *implementation* change — bit-identical
-``SearchResult`` winners and whole-model plans, including the rank order's
+The grid search (``best_*_tiling``, ``FusePlanner``) must be a pure
+*implementation* change of the scalar sweeps (``scalar_*_tiling``,
+``ScalarPlanner``) — bit-identical ``SearchResult`` winners and whole-model
+plans, including the rank order's
 tie-breaking (warp-multiple first, GMA, then larger tiles, first minimum in
 sweep order wins).  The hypothesis property tests pin the stronger invariant
 underneath: every grid cell's feasibility and GMA equals the scalar
@@ -21,7 +23,7 @@ from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
-from repro.errors import PlanError, UnsupportedError
+from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.models.zoo import build_model
 from repro.planner.chain_costs import chain_feasible, chain_gma
@@ -29,14 +31,14 @@ from repro.planner.costs import dw_feasible, dw_gma, pw_feasible, pw_gma
 from repro.planner.fcm_costs import fcm_feasible, fcm_gma
 from repro.planner.grid_search import chain_grid, fcm_grid, lbl_grid, pow2_candidates
 from repro.planner.memo import GeometryMemo, shared_memo
-from repro.planner.planner import FusePlanner
+from repro.planner.planner import FusePlanner, ScalarPlanner
 from repro.planner.search import (
-    DEFAULT_SEARCH_ENGINE,
-    SEARCH_ENGINES,
     best_chain_tiling,
     best_fcm_tiling,
     best_lbl_tiling,
-    resolve_search_engine,
+    scalar_chain_tiling,
+    scalar_fcm_tiling,
+    scalar_lbl_tiling,
 )
 
 GPUS = (GTX1660, RTX_A4000, ORIN)
@@ -79,21 +81,8 @@ class TestPow2Candidates:
         assert pow2_candidates(112) is pow2_candidates(112)
 
 
-class TestEngineResolution:
-    def test_default_and_roster(self):
-        assert resolve_search_engine(None) == DEFAULT_SEARCH_ENGINE == "vectorized"
-        for e in SEARCH_ENGINES:
-            assert resolve_search_engine(e) == e
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(UnsupportedError):
-            resolve_search_engine("bogus")
-        with pytest.raises(UnsupportedError):
-            FusePlanner(RTX_A4000, search_engine="bogus")
-
-
 class TestDirectSearchParity:
-    """best_* with engine='vectorized' equals engine='reference' exactly."""
+    """Every best_* grid search equals its scalar_* sweep exactly."""
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
     @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -105,8 +94,8 @@ class TestDirectSearchParity:
             dw_spec(c=32, h=56, w=56, dtype=dtype),
             dw_spec(c=96, h=28, w=28, stride=2, dtype=dtype),
         ):
-            vec = best_lbl_tiling(spec, gpu, convention, engine="vectorized")
-            ref = best_lbl_tiling(spec, gpu, convention, engine="reference")
+            vec = best_lbl_tiling(spec, gpu, convention)
+            ref = scalar_lbl_tiling(spec, gpu, convention)
             assert vec == ref
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
@@ -115,18 +104,16 @@ class TestDirectSearchParity:
     def test_fcm(self, gpu, convention, fcm_type):
         for dtype in (DType.FP32, DType.INT8):
             first, second = _fcm_pair(fcm_type, dtype)
-            vec = best_fcm_tiling(fcm_type, first, second, gpu, convention,
-                                  engine="vectorized")
-            ref = best_fcm_tiling(fcm_type, first, second, gpu, convention,
-                                  engine="reference")
+            vec = best_fcm_tiling(fcm_type, first, second, gpu, convention)
+            ref = scalar_fcm_tiling(fcm_type, first, second, gpu, convention)
             assert vec == ref  # including both being None (infeasible)
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_chain(self, gpu, convention):
         chain = _chain3()
-        vec = best_chain_tiling(chain, gpu, convention, engine="vectorized")
-        ref = best_chain_tiling(chain, gpu, convention, engine="reference")
+        vec = best_chain_tiling(chain, gpu, convention)
+        ref = scalar_chain_tiling(chain, gpu, convention)
         assert vec == ref
 
     def test_infeasible_lbl_raises_same_error(self):
@@ -136,43 +123,48 @@ class TestDirectSearchParity:
             name="nano", compute_capability="0", sm_count=100000, cuda_cores=1,
             l1_kb=1, shared_kb=1, l2_mb=0.1, dram="X", dram_bw_gbps=1, clock_ghz=1,
         )
-        # Too few blocks to cover 100000 SMs: infeasible for both engines.
-        for engine in SEARCH_ENGINES:
-            with pytest.raises(PlanError):
-                best_lbl_tiling(pw_spec(), nano, engine=engine)
+        # Too few blocks to cover 100000 SMs: infeasible for both searches.
+        for search in (best_lbl_tiling, scalar_lbl_tiling):
+            with pytest.raises(PlanError, match="no feasible LBL tiling"):
+                search(pw_spec(), nano)
 
 
 class TestPlanParity:
-    """Whole-model plans are bit-identical across engines (the acceptance
-    criterion).  Fresh memos everywhere: the reference planner must search,
-    not replay the vectorized planner's winners."""
+    """Whole-model plans are bit-identical between FusePlanner and the
+    ScalarPlanner oracle (the acceptance criterion).  The grid planner gets a
+    fresh memo; the scalar one never reads a memo, so it always sweeps."""
 
     @pytest.mark.parametrize("gpu", (GTX1660, RTX_A4000), ids=lambda g: g.name)
     @pytest.mark.parametrize("model", ("mobilenet_v1", "mobilenet_v2", "xception"))
     def test_zoo_fp32(self, model, gpu):
         graph = build_model(model, DType.FP32)
-        vec = FusePlanner(gpu, search_engine="vectorized", memo=GeometryMemo()).plan(graph)
-        ref = FusePlanner(gpu, search_engine="reference", memo=GeometryMemo()).plan(graph)
+        vec = FusePlanner(gpu, memo=GeometryMemo()).plan(graph)
+        ref = ScalarPlanner(gpu).plan(graph)
         assert vec.steps == ref.steps
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     @pytest.mark.parametrize("dtype", (DType.FP32, DType.INT8))
     def test_conventions_and_dtypes(self, convention, dtype):
         graph = build_model("mobilenet_v2", dtype)
-        vec = FusePlanner(ORIN, convention, search_engine="vectorized",
-                          memo=GeometryMemo()).plan(graph)
-        ref = FusePlanner(ORIN, convention, search_engine="reference",
-                          memo=GeometryMemo()).plan(graph)
+        vec = FusePlanner(ORIN, convention, memo=GeometryMemo()).plan(graph)
+        ref = ScalarPlanner(ORIN, convention).plan(graph)
         assert vec.steps == ref.steps
 
     @pytest.mark.parametrize("max_chain", (3, 4))
     def test_chains(self, max_chain):
         graph = build_model("proxylessnas", DType.FP32)
-        vec = FusePlanner(RTX_A4000, max_chain=max_chain,
-                          search_engine="vectorized", memo=GeometryMemo()).plan(graph)
-        ref = FusePlanner(RTX_A4000, max_chain=max_chain,
-                          search_engine="reference", memo=GeometryMemo()).plan(graph)
+        vec = FusePlanner(RTX_A4000, max_chain=max_chain, memo=GeometryMemo()).plan(graph)
+        ref = ScalarPlanner(RTX_A4000, max_chain=max_chain).plan(graph)
         assert vec.steps == ref.steps
+
+    def test_scalar_planner_never_reads_a_memo(self):
+        # A memo full of grid-search winners must not short-cut the oracle.
+        memo = GeometryMemo()
+        graph = build_model("mobilenet_v1", DType.FP32)
+        FusePlanner(GTX1660, memo=memo).plan(graph)
+        before = (memo.hits, memo.misses, len(memo))
+        ScalarPlanner(GTX1660, memo=memo).plan(graph)
+        assert (memo.hits, memo.misses, len(memo)) == before
 
 
 class TestGridPointwise:
@@ -300,9 +292,9 @@ class TestGeometryMemo:
     def test_shared_across_planner_instances(self):
         memo = GeometryMemo()
         graph = build_model("mobilenet_v1", DType.FP32)
-        p1 = FusePlanner(GTX1660, search_engine="vectorized", memo=memo).plan(graph)
+        p1 = FusePlanner(GTX1660, memo=memo).plan(graph)
         searched = memo.misses
-        p2 = FusePlanner(GTX1660, search_engine="vectorized", memo=memo).plan(graph)
+        p2 = FusePlanner(GTX1660, memo=memo).plan(graph)
         assert p1.steps == p2.steps
         assert memo.misses == searched  # second planner replayed every search
         assert memo.hits > 0

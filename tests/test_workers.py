@@ -1,11 +1,11 @@
-"""Process-pool determinism guards: tune sweeps and fleet preplanning.
+"""Process-pool determinism guards and boot-time preplanning.
 
 The contract is that worker count is an *execution* knob, never a *result*
 knob: `tune_models(workers=N)` merges child DBs in submission order into
-byte-identical canonical JSONL for every N, and `fleet_replay(workers=N)`
-preplans the same bit-identical plans the serial path would build — only
-boot wall-clock (and where planning is accounted: warm starts, off the
-critical path) changes.
+byte-identical canonical JSONL for every N.  `Fleet.preplan` plans each
+distinct (GPU, model, dtype) once, in-process, and installs the same
+bit-identical plans the lazy path would build, counted as warm starts — so
+a replay over a preplanned fleet has no planning on its critical path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from helpers import TINY_ZOO, check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
-from repro.errors import PlanError, TuneError
+from repro.errors import TuneError
 from repro.gpu.specs import GTX1660, RTX_A4000
 from repro.serve.cache import PlanCache, PlanKey
 from repro.serve.fleet import Fleet
@@ -85,11 +85,6 @@ class TestFleetPreplan:
         clock = FakeClock()
         return Fleet(gpus, clock=clock, sleep=clock.sleep)
 
-    def test_workers_must_be_positive(self, monkeypatch):
-        register_tiny_zoo(monkeypatch)
-        with pytest.raises(PlanError):
-            self._fleet([GTX1660]).preplan([TINY_ZOO[0][0]], workers=0)
-
     def test_preplan_installs_per_worker_plans(self, monkeypatch):
         register_tiny_zoo(monkeypatch)
         models = [name for name, _ in TINY_ZOO[:2]]
@@ -129,22 +124,15 @@ class TestFleetPreplan:
 
 
 class TestFleetReplayWorkers:
-    def test_workers_must_be_positive(self):
-        with pytest.raises(PlanError):
-            fleet_replay(GPUS, MODELS, 8, 1e6, workers=0)
-
     def test_preplanned_replay_keeps_planning_off_critical_path(self):
         serial = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5)
-        pooled = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=2)
+        clock = FakeClock()
+        fleet = Fleet(GPUS, clock=clock, sleep=clock.sleep)
+        fleet.preplan(MODELS)
+        preplanned = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, fleet=fleet)
         check_replay(serial)
-        check_replay(pooled)
+        check_replay(preplanned)
         assert serial.critical_path_planner_invocations > 0
-        assert pooled.critical_path_planner_invocations == 0
-        assert pooled.warm_starts == len(GPUS) * len(MODELS)
-        assert pooled.n_requests == serial.n_requests == 16
-
-    def test_report_is_identical_for_every_pool_size(self):
-        r2 = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=2)
-        r3 = fleet_replay(GPUS, MODELS, 16, 1e6, seed=5, workers=3)
-        check_replay(r2)
-        assert r2 == r3
+        assert preplanned.critical_path_planner_invocations == 0
+        assert preplanned.warm_starts == len(GPUS) * len(MODELS)
+        assert preplanned.n_requests == serial.n_requests == 16

@@ -3,18 +3,18 @@
 ``--what run`` (default) plans the model, runs one warm-up inference (which
 also generates the weights, on their first read), then profiles a second
 run.  ``--what plan`` profiles FusePlanner's whole-model pass in isolation —
-the tiling search over every layer and fusion candidate — which is what the
-vectorized search engine targets (``--search-engine reference`` profiles
-the scalar oracle instead).  Both modes print the top-N functions by
-cumulative and by internal time — the starting point for every simulator
-perf PR (this is how the fast-path engine's and the grid search's hot spots
-were found).
+the tiling search over every layer and fusion candidate, which is what the
+grid search targets.  ``--reference`` profiles the oracle instead: the
+per-block kernel engine (``reference_run``) for ``run``, the scalar tile
+sweeps (``ScalarPlanner``) for ``plan``.  Both modes print the top-N
+functions by cumulative and by internal time — the starting point for every
+simulator performance change (this is how the fast-path engine's and the
+grid search's hot spots were found) — then one closing summary line.
 
 Usage::
 
     PYTHONPATH=src python tools/profile_run.py [model] [--what plan|run]
-                                               [--engine fast|reference]
-                                               [--search-engine vectorized|reference]
+                                               [--reference]
                                                [--dtype fp32|int8] [--gpu RTX]
                                                [--max-chain 2] [--top 25]
 """
@@ -47,10 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--what", choices=["run", "plan"], default="run",
                         help="profile one functional inference (default) or "
                              "one FusePlanner whole-model pass in isolation")
-    parser.add_argument("--engine", choices=["fast", "reference"], default="fast")
-    parser.add_argument("--search-engine", choices=["vectorized", "reference"],
-                        default="vectorized",
-                        help="tiling search engine for --what plan")
+    parser.add_argument("--reference", action="store_true",
+                        help="profile the oracle: the per-block kernel engine "
+                             "for run, the scalar tile sweeps for plan")
     parser.add_argument("--dtype", choices=["fp32", "int8"], default="fp32")
     parser.add_argument("--gpu", default="RTX")
     parser.add_argument("--max-chain", type=int, default=2)
@@ -66,33 +65,33 @@ def main(argv: list[str] | None = None) -> int:
     if args.what == "plan":
         from repro.models.zoo import build_model
         from repro.planner.memo import GeometryMemo
-        from repro.planner.planner import FusePlanner
+        from repro.planner.planner import FusePlanner, ScalarPlanner
 
         graph = build_model(args.model, dtype)
+        planner_cls = ScalarPlanner if args.reference else FusePlanner
 
         def plan_once():
             # A fresh memo per pass: profile the search itself, not the
             # cross-model cache hits a prior pass would leave behind.
-            planner = FusePlanner(
-                gpu, max_chain=args.max_chain,
-                search_engine=args.search_engine, memo=GeometryMemo(),
-            )
+            planner = planner_cls(gpu, max_chain=args.max_chain, memo=GeometryMemo())
             return planner.plan(graph)
 
         plan = _profile(plan_once, args.top)
         print(f"{len(plan.steps)} plan steps for {args.model} on {gpu.name} "
-              f"[search_engine={args.search_engine}]")
+              f"[{planner_cls.__name__}]")
         return 0
 
-    from repro.runtime.session import build_session, seeded_input
+    from repro.runtime.session import build_session, reference_run, seeded_input
 
-    session = build_session(
-        args.model, gpu, dtype, max_chain=args.max_chain, engine=args.engine
-    )
-    x = seeded_input(session.graph, dtype)
-    session.run(x)  # warm-up: weights, BLAS threads, planner caches, allocators
-    report = _profile(lambda: session.run(x), args.top)
-    print(f"{report.describe()}  [engine={args.engine}]")
+    session = build_session(args.model, gpu, dtype, max_chain=args.max_chain)
+    x = seeded_input(session.graph, dtype)[None]
+
+    def run_once():
+        return reference_run(session, x) if args.reference else session.run_batch(x)
+
+    run_once()  # warm-up: weights, BLAS threads, planner caches, allocators
+    report = _profile(run_once, args.top)
+    print(f"{report.describe()}  [engine={'reference' if args.reference else 'fast'}]")
     return 0
 
 
