@@ -71,8 +71,9 @@ bench:
 
 ## cProfile top-25 of one MobileNetV2 functional run (fast engine) — the
 ## starting point for simulator performance work; pass ARGS="--what plan"
-## (planning in isolation), ARGS="--reference" (the per-block kernel
-## oracle, or with --what plan the scalar tile sweeps), etc.
+## (planning in isolation), ARGS="--what replay" (one 2000-request fleet
+## replay: the serving bookkeeping), ARGS="--reference" (the per-block
+## kernel oracle, or with --what plan the scalar tile sweeps), etc.
 profile:
 	$(PYTHON) tools/profile_run.py mobilenet_v2 --top 25 $(ARGS)
 

@@ -7,13 +7,15 @@ img/s, per-image latency and energy per batch size, plus a replayed request
 stream's p50/p99 latency under micro-batching.
 """
 
+import time
+
 import pytest
 
 from repro.core.dtypes import DType
 from repro.experiments import format_table
-from repro.gpu.specs import RTX_A4000
+from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.models.zoo import CNN_MODELS
-from repro.serve import ModelServer, fleet_replay
+from repro.serve import FakeClock, Fleet, ModelServer, PlanCache, fleet_replay
 
 BATCHES = (1, 2, 4, 8, 16)
 
@@ -73,3 +75,53 @@ def test_serving_stream_latency(benchmark, once, capsys, rate):
     assert report.planner_invocations == 1
     assert report.latency_p99_s >= report.latency_p50_s > 0
     assert report.throughput_img_s > 0
+
+
+#: plan-cache probes per replayed request the serving bookkeeping may make.
+#: With prices, dues and backlogs memoized, what is left is routing's
+#: residency check on each of the 4 workers and the SLO enqueue's
+#: eager-planning check (5 per request); re-deriving them on every read
+#: costs 43, so a memo that stops being used fails this bound.
+MAX_PEEKS_PER_REQUEST = 8
+
+
+def test_bench_replay_bookkeeping(benchmark, once, capsys, monkeypatch):
+    """Count the bookkeeping of one replay over the repo benchmark's fleet:
+    2000 Poisson requests at 6000 req/s over RTX+GTX+Orin+RTX, 10 ms SLO,
+    degrade admission, every plan preplanned.  The guard is the count of
+    ``PlanCache.peek`` calls per request, which is deterministic (a timing
+    bound would not be); the wall time rides along in ``extra_info``."""
+    gpus = (RTX_A4000, GTX1660, ORIN, RTX_A4000)
+    models = ("mobilenet_v1", "mobilenet_v2", "proxylessnas", "xception")
+    n = 2000
+    clock = FakeClock()
+    fleet = Fleet(gpus, max_batch=8, max_delay_s=2e-3, clock=clock, sleep=clock.sleep)
+    fleet.preplan(models, (DType.FP32, DType.INT8))
+    peeks = 0
+    peek = PlanCache.peek
+
+    def counted(cache, key):
+        nonlocal peeks
+        peeks += 1
+        return peek(cache, key)
+
+    monkeypatch.setattr(PlanCache, "peek", counted)
+
+    def replay():
+        start = time.perf_counter()
+        report = fleet_replay(
+            gpus, models, n, 6000.0, poisson=True, seed=1, slo_s=10e-3,
+            admission="degrade", fleet=fleet,
+        )
+        return report, time.perf_counter() - start
+
+    report, wall_s = once(benchmark, replay)
+    per_request = peeks / n
+    benchmark.extra_info["peeks_per_request"] = round(per_request, 3)
+    benchmark.extra_info["replay_wall_s"] = round(wall_s, 4)
+    with capsys.disabled():
+        print(f"\n[Serving] {report.describe().splitlines()[0]}")
+        print(f"-> {per_request:.2f} plan-cache peeks per request, "
+              f"{n / wall_s:.0f} simulated req/s")
+    assert report.critical_path_planner_invocations == 0
+    assert per_request <= MAX_PEEKS_PER_REQUEST, per_request

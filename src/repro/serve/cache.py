@@ -150,6 +150,10 @@ class PlanCache:
         self.metrics = resolve_metrics(metrics)
         self.stats = CacheStats()
         self._entries: OrderedDict[PlanKey, CachedPlan] = OrderedDict()
+        #: bumped whenever the resident set changes (insert, eviction,
+        #: clear) — not on a hit's recency refresh — so a server can drop
+        #: what it derived from the resident plans exactly when they move.
+        self.generation = 0
 
     def _count(self, event: str, amount: int = 1) -> None:
         self.metrics.counter(
@@ -238,6 +242,7 @@ class PlanCache:
         """
         dropped = len(self._entries)
         self._entries.clear()
+        self.generation += 1
         return dropped
 
     def adopt(self, entry: CachedPlan) -> CachedPlan:
@@ -309,6 +314,7 @@ class PlanCache:
         """Make ``entry`` resident, evicting least-recently-used entries
         past capacity."""
         self._entries[entry.key] = entry
+        self.generation += 1
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

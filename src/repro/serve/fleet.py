@@ -117,11 +117,6 @@ class FleetWorker:
         """Does this worker's cache already hold the routed plan?"""
         return self.server.cache.peek(self.plan_key(model, dtype)) is not None
 
-    def per_request_cost_s(self, model: str, dtype: DType) -> float | None:
-        """Single-image analytic latency of the resident plan, or None."""
-        entry = self.server.cache.peek(self.plan_key(model, dtype))
-        return None if entry is None else entry.analytic_report(1).latency_s
-
     def occupancy_s(self, now: float) -> float:
         """Remaining device-busy time at instant ``now``."""
         return max(0.0, self.busy_until - now)
@@ -204,8 +199,10 @@ class FleetScheduler:
             def load(w: FleetWorker) -> tuple[float, int]:
                 return (backlogs[w.name], w.worker_id)  # deterministic ties
 
-            holders = [w for w in pool if w.holds_plan(model, dtype)]
-            others = [w for w in pool if not w.holds_plan(model, dtype)]
+            holders: list[FleetWorker] = []
+            others: list[FleetWorker] = []
+            for w in pool:
+                (holders if w.holds_plan(model, dtype) else others).append(w)
             if not holders:
                 worker = min(others, key=load)
             else:
@@ -215,7 +212,7 @@ class FleetScheduler:
                     best_other = min(others, key=load)
                     # Tolerate spill_factor full micro-batches of imbalance
                     # before replicating the plan onto a fresh worker.
-                    per = worker.per_request_cost_s(model, dtype) or 0.0
+                    per = worker.server.estimated_flush_cost_s((model, dtype.value), 1)
                     threshold = self.spill_factor * worker.server.max_batch * per
                     gap = backlogs[worker.name] - backlogs[best_other.name]
                     if gap > threshold:

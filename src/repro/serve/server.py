@@ -157,10 +157,45 @@ class ModelServer:
         self._queues: OrderedDict[tuple[str, str], deque[InferenceRequest]] = OrderedDict()
         self._next_id = 0
         self._next_batch = 0
+        #: memos of what routing, admission and flushing derive from the
+        #: queues and resident plans, filled by the same arithmetic on first
+        #: read: plan keys (kept), flush prices (dropped when the cache's
+        #: ``generation`` moves), each queue's due instant (dropped when that
+        #: queue changes, or with the prices) and the server-wide totals
+        #: (dropped on any change).  Queued requests are never mutated, so
+        #: nothing else can stale them.
+        self._plan_keys: dict[tuple[str, str], PlanKey] = {}
+        self._prices: dict[tuple[tuple[str, str], int], float | None] = {}
+        self._dues: dict[tuple[str, str], float] = {}
+        self._totals: dict[str, float | None] = {}
+        self._generation = self.cache.generation
 
     def plan_key(self, model: str, dtype: DType) -> PlanKey:
         """Identity of this server's plan for ``model`` at ``dtype``."""
-        return PlanKey.of(model, dtype, self.gpu, "paper", self.max_chain)
+        return self._plan_key((model, dtype.value))
+
+    def _plan_key(self, key: tuple[str, str]) -> PlanKey:
+        """:meth:`plan_key` of queue ``key``, memoized: it depends only on
+        settings nothing reassigns after construction."""
+        plan_key = self._plan_keys.get(key)
+        if plan_key is None:
+            model, dtype_value = key
+            plan_key = PlanKey(model, dtype_value, self.gpu.name, "paper", self.max_chain)
+            self._plan_keys[key] = plan_key
+        return plan_key
+
+    def _fresh(self) -> None:
+        """Drop every memo derived from resident plans once they moved."""
+        if self._generation != self.cache.generation:
+            self._generation = self.cache.generation
+            self._prices.clear()
+            self._dues.clear()
+            self._totals.clear()
+
+    def _touch(self, key: tuple[str, str]) -> None:
+        """Drop the memos derived from queue ``key``, which just changed."""
+        self._dues.pop(key, None)
+        self._totals.clear()
 
     def _plan(self, model: str, dtype: DType) -> CachedPlan:
         """Counted cache lookup under :meth:`plan_key`, planning on a miss."""
@@ -223,14 +258,15 @@ class ModelServer:
             priority=priority,
         )
         self._next_id += 1
-        if slo_s is not None and self.cache.peek(self.plan_key(model, dtype)) is None:
+        key = (model, dtype.value)
+        if slo_s is not None and self.cache.peek(self._plan_key(key)) is None:
             self._plan(model, dtype)
-        queue = self._queues.setdefault((model, dtype.value), deque())
-        if priority and any(r.priority < priority for r in queue):
-            idx = next(i for i, r in enumerate(queue) if r.priority < priority)
-            queue.insert(idx, req)
-        else:
-            queue.append(req)
+        queue = self._queues.setdefault(key, deque())
+        idx = len(queue)
+        if priority:
+            idx = next((i for i, r in enumerate(queue) if r.priority < priority), idx)
+        queue.insert(idx, req)
+        self._touch(key)
         self.stats.requests += 1
         if self.tracer.enabled or self.metrics.enabled:
             self.tracer.instant(
@@ -262,6 +298,7 @@ class ModelServer:
             for i, req in enumerate(queue):
                 if req.id == request_id:
                     del queue[i]
+                    self._touch(key)
                     if not queue:
                         del self._queues[key]
                     return True
@@ -277,35 +314,51 @@ class ModelServer:
         for queue in self._queues.values():
             drained.extend(queue)
         self._queues.clear()
+        self._dues.clear()
+        self._totals.clear()
         return drained
 
     def estimated_flush_cost_s(self, key: tuple[str, str], batch: int) -> float:
         """Analytic cost of flushing ``batch`` requests of queue ``key`` now,
         from the resident plan (peeked — never perturbs cache accounting);
         0.0 while the model is unplanned."""
-        model, dtype_value = key
-        # plan_key's identity without its DType round trip (hot path)
-        entry = self.cache.peek(
-            PlanKey(model, dtype_value, self.gpu.name, "paper", self.max_chain)
-        )
-        return 0.0 if entry is None else entry.analytic_report(batch).latency_s
+        return self._price(key, batch) or 0.0
+
+    def _price(self, key: tuple[str, str], batch: int) -> float | None:
+        """:meth:`estimated_flush_cost_s`, None while unplanned; memoized
+        until the resident plans move."""
+        self._fresh()
+        try:
+            return self._prices[key, batch]
+        except KeyError:
+            entry = self.cache.peek(self._plan_key(key))
+            price = None if entry is None else entry.analytic_report(batch).latency_s
+            self._prices[key, batch] = price
+            return price
 
     def _queue_due(self, key: tuple[str, str], queue: deque[InferenceRequest]) -> float:
         """Instant at which this (non-empty) queue's partial batch must flush:
         the classic formation deadline (oldest arrival + ``max_delay_s``), or
         earlier when a queued request's SLO slack — its deadline minus the
         estimated batch execution cost — runs out first."""
-        due = min(r.enqueued_at for r in queue) + self.max_delay_s
-        deadlines = [r.deadline_s for r in queue if r.deadline_s is not None]
-        if deadlines:
-            est = self.estimated_flush_cost_s(key, len(queue))
-            due = min(due, min(deadlines) - est)
+        self._fresh()
+        due = self._dues.get(key)
+        if due is None:
+            due = min(r.enqueued_at for r in queue) + self.max_delay_s
+            deadlines = [r.deadline_s for r in queue if r.deadline_s is not None]
+            if deadlines:
+                est = self.estimated_flush_cost_s(key, len(queue))
+                due = min(due, min(deadlines) - est)
+            self._dues[key] = due
         return due
 
     def next_deadline(self) -> float | None:
         """Earliest instant at which a queued micro-batch must flush."""
-        dues = [self._queue_due(k, q) for k, q in self._queues.items() if q]
-        return min(dues) if dues else None
+        self._fresh()
+        if "next_deadline" not in self._totals:
+            dues = [self._queue_due(k, q) for k, q in self._queues.items() if q]
+            self._totals["next_deadline"] = min(dues) if dues else None
+        return self._totals["next_deadline"]
 
     def step(
         self, *, force: bool = False, max_flushes: int | None = None
@@ -318,6 +371,10 @@ class ModelServer:
         :meth:`serve_forever` enforces ``max_batches`` exactly.
         """
         now = self.clock()
+        if not force and all(len(q) < self.max_batch for q in self._queues.values()):
+            due = self.next_deadline()
+            if due is None or now < due:
+                return []
         start = self._next_batch
         results: list[InferenceResult] = []
 
@@ -329,7 +386,7 @@ class ModelServer:
         for key in list(self._queues):
             queue = self._queues[key]
             while len(queue) >= self.max_batch and budget() != 0:
-                results.extend(self._flush(queue, self.max_batch, now, budget()))
+                results.extend(self._flush(key, self.max_batch, now, budget()))
             # Same arithmetic as next_deadline(), so stepping a clock pinned
             # to the deadline always flushes (a - b >= d can round false when
             # a == b + d in floats).
@@ -338,7 +395,7 @@ class ModelServer:
                 and budget() != 0
                 and (force or now >= self._queue_due(key, queue))
             ):
-                results.extend(self._flush(queue, len(queue), now, budget()))
+                results.extend(self._flush(key, len(queue), now, budget()))
             if not queue:
                 del self._queues[key]
             if budget() == 0:
@@ -386,24 +443,25 @@ class ModelServer:
         Requests for not-yet-planned models are priced at the mean known
         per-request cost (0 when nothing is planned yet, which makes a cold
         worker attractive — exactly when spilling to it is cheapest)."""
+        self._fresh()
+        total = self._totals.get("queue_cost")
+        if total is not None:
+            return total
         total = 0.0
         unknown = 0
         known: list[float] = []
-        for (model, dtype_value), queue in self._queues.items():
+        for key, queue in self._queues.items():
             if not queue:
                 continue
-            # plan_key's identity without its DType round trip (hot path)
-            entry = self.cache.peek(
-                PlanKey(model, dtype_value, self.gpu.name, "paper", self.max_chain)
-            )
-            if entry is None:
+            per_request = self._price(key, 1)
+            if per_request is None:
                 unknown += len(queue)
                 continue
-            per_request = entry.analytic_report(1).latency_s
             known.append(per_request)
             total += len(queue) * per_request
         if unknown and known:
             total += unknown * sum(known) / len(known)
+        self._totals["queue_cost"] = total
         return total
 
     def estimated_drain_s(self, extra: tuple[str, str] | None = None) -> float:
@@ -438,20 +496,22 @@ class ModelServer:
 
     def _flush(
         self,
-        queue: deque[InferenceRequest],
+        key: tuple[str, str],
         count: int,
         now: float,
         budget: int | None = None,
     ) -> list[InferenceResult]:
-        """Pop up to ``count`` requests and execute them as *homogeneous*
-        micro-batches: one batch per contiguous real/analytic run, arrival
-        order preserved, each with its own ``batch_seq``.  A mixed span thus
-        splits into sub-batches so requests that supplied real tensors always
-        come back with outputs (analytic placeholders never demote them).
+        """Pop up to ``count`` requests of queue ``key`` and execute them as
+        *homogeneous* micro-batches: one batch per contiguous real/analytic
+        run, arrival order preserved, each with its own ``batch_seq``.  A
+        mixed span thus splits into sub-batches so requests that supplied
+        real tensors always come back with outputs (analytic placeholders
+        never demote them).
 
         ``budget`` caps the number of sub-batches executed; surplus requests
         stay queued for the next flush.
         """
+        queue = self._queues[key]
         results: list[InferenceResult] = []
         popped = 0
         while popped < count and budget != 0:
@@ -464,6 +524,7 @@ class ModelServer:
             results.extend(self._execute_batch(batch, now))
             if budget is not None:
                 budget -= 1
+        self._touch(key)
         return results
 
     def _execute_batch(

@@ -17,6 +17,7 @@ from repro.ir.blocks import dsc_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
 from repro.ir.layers import ConvKind, ConvSpec, EpilogueSpec
 from repro.kernels.params import LayerParams
+from repro.serve.cache import PlanKey
 
 
 #: (name, stem channels) of the tiny zoo the serving/fleet tests register —
@@ -100,6 +101,75 @@ def check_replay(report) -> None:
     assert all(v >= 0 for v in latencies)
     for w in report.per_worker:
         assert w.busy_s <= report.duration_s, (w.worker, w.busy_s, report.duration_s)
+
+
+# ---- replay bookkeeping oracles ------------------------------------------
+# ModelServer memoizes what routing, admission and flushing derive from its
+# queues and resident plans.  These rescan both on every call, with the
+# arithmetic the memos replaced, so a memo that missed an invalidation
+# disagrees with them.
+
+
+def rescan_flush_cost_s(server, key: tuple[str, str], batch: int) -> float:
+    model, dtype_value = key
+    entry = server.cache.peek(
+        PlanKey(model, dtype_value, server.gpu.name, "paper", server.max_chain)
+    )
+    return 0.0 if entry is None else entry.analytic_report(batch).latency_s
+
+
+def rescan_queue_due(server, key: tuple[str, str], queue) -> float:
+    due = min(r.enqueued_at for r in queue) + server.max_delay_s
+    deadlines = [r.deadline_s for r in queue if r.deadline_s is not None]
+    if deadlines:
+        est = rescan_flush_cost_s(server, key, len(queue))
+        due = min(due, min(deadlines) - est)
+    return due
+
+
+def rescan_next_deadline(server) -> float | None:
+    dues = [rescan_queue_due(server, k, q) for k, q in server._queues.items() if q]
+    return min(dues) if dues else None
+
+
+def rescan_queue_cost_s(server) -> float:
+    total = 0.0
+    unknown = 0
+    known: list[float] = []
+    for (model, dtype_value), queue in server._queues.items():
+        if not queue:
+            continue
+        entry = server.cache.peek(
+            PlanKey(model, dtype_value, server.gpu.name, "paper", server.max_chain)
+        )
+        if entry is None:
+            unknown += len(queue)
+            continue
+        per_request = entry.analytic_report(1).latency_s
+        known.append(per_request)
+        total += len(queue) * per_request
+    if unknown and known:
+        total += unknown * sum(known) / len(known)
+    return total
+
+
+def rescan_drain_s(server, extra: tuple[str, str] | None = None) -> float:
+    total = 0.0
+    keys = list(server._queues)
+    if extra is not None and extra not in server._queues:
+        keys.append(extra)
+    for key in keys:
+        n = len(server._queues.get(key, ()))
+        if extra == key:
+            n += 1
+        if not n:
+            continue
+        full, rest = divmod(n, server.max_batch)
+        if full:
+            total += full * rescan_flush_cost_s(server, key, server.max_batch)
+        if rest:
+            total += rescan_flush_cost_s(server, key, rest)
+    return total
 
 
 def int32_conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Each mode runs as a subprocess, the way a developer runs it: the functional
 run or the planning pass, on the production path or (``--reference``) on
-its oracle — the per-block kernel engine or the scalar tile sweeps.
+its oracle — the per-block kernel engine or the scalar tile sweeps — and
+the fleet replay, which has no oracle.
 """
 
 import subprocess
@@ -31,3 +32,19 @@ def test_profile_run_modes(what, reference):
         engine = "reference" if reference else "fast"
         assert summary.startswith("mobilenet_v1 on RTX (fp32): ")
         assert summary.endswith(f"26 kernel launches  [engine={engine}]")
+
+
+def test_profile_replay_mode():
+    argv = [sys.executable, str(TOOL), "mobilenet_v1", "--what", "replay", "--top", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "function calls" in proc.stdout
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert summary.startswith(
+        "fleet[RTX+RTX+RTX+RTX] policy=affinity (fp32): 2000 reqs of mobilenet_v1 @ 6000 rps"
+    )
+    assert summary.endswith("0 on the critical path)")  # every plan preplanned
+    # A replay has no oracle: --reference with it is a usage error.
+    proc = subprocess.run(argv + ["--reference"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "--reference" in proc.stderr

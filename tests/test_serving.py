@@ -6,6 +6,7 @@ the full-size acceptance sweep lives in benchmarks/bench_serving_throughput.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,22 +15,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_records_match,
     check_replay,
     parity_sessions,
     register_tiny_zoo,
+    rescan_drain_s,
+    rescan_next_deadline,
+    rescan_queue_cost_s,
+    rescan_queue_due,
     tiny_model_builder,
 )
 
 from repro.core.dtypes import DType
 from repro.errors import PlanError, ShapeError
-from repro.gpu.specs import GTX1660
+from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
 from repro.runtime.session import InferenceSession, seeded_input
-from repro.serve import FakeClock, ModelServer, PlanCache, fleet_replay
+from repro.serve import FakeClock, ModelServer, PlanCache, TraceRequest, fleet_replay
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,6 +91,21 @@ class TestPlanCache:
     def test_capacity_validated(self):
         with pytest.raises(PlanError):
             PlanCache(capacity=0)
+
+    def test_generation_moves_with_residency_only(self):
+        cache = PlanCache(capacity=1)
+        seen = [cache.generation]
+        cache.get("tiny_a", DType.FP32, GTX1660)  # miss: insert
+        seen.append(cache.generation)
+        cache.get("tiny_a", DType.FP32, GTX1660)  # hit: recency only
+        seen.append(cache.generation)
+        entry = cache.get("tiny_b", DType.FP32, GTX1660)  # insert, evict
+        seen.append(cache.generation)
+        cache.adopt(entry)  # already resident: no-op
+        seen.append(cache.generation)
+        cache.clear()
+        seen.append(cache.generation)
+        assert seen == [0, 1, 1, 2, 2, 3]
 
     def test_32_requests_plan_once(self):
         """Acceptance: serving N=32 requests invokes FusePlanner exactly once."""
@@ -144,6 +166,73 @@ class TestBatchedExecution:
         sess = _toy_session()
         with pytest.raises(ShapeError):
             sess.run_batch(rng.standard_normal((3, 32, 32)).astype(np.float32))
+
+
+_MEMO_KEYS = [(m, d) for m in ("tiny_a", "tiny_b", "tiny_c") for d in (DType.FP32, DType.INT8)]
+#: arrival gaps: 0 keeps requests at one instant, the others stagger them
+#: around the 40 us formation delay.
+_MEMO_DT = st.sampled_from([0.0, 5e-6, 2e-5, 1e-4])
+_MEMO_ENQUEUE = st.tuples(
+    st.just("enqueue"), _MEMO_DT, st.sampled_from([_MEMO_KEYS[0], _MEMO_KEYS[3]]),
+    st.sampled_from([None, 2e-5, 6e-5, 1e-3]), st.integers(-1, 2),
+)
+#: one operation on a server: arrivals on two queue keys (the likeliest
+#: op, so queues fill past ``max_batch``), clock + flush, cancellation,
+#: crash drain, and every way a resident plan comes or goes (planning miss,
+#: LRU eviction, clear, adoption).
+_MEMO_OPS = st.one_of(
+    _MEMO_ENQUEUE,
+    _MEMO_ENQUEUE,
+    _MEMO_ENQUEUE,
+    st.tuples(st.just("step"), _MEMO_DT),
+    st.tuples(st.just("step"), _MEMO_DT),
+    st.tuples(st.just("cancel"), st.integers(0, 7)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("get"), st.sampled_from(_MEMO_KEYS)),
+    st.tuples(st.just("adopt"), st.sampled_from(_MEMO_KEYS)),
+)
+
+
+class TestBookkeepingMemos:
+    def test_memos_equal_a_rescan(self):
+        """After any sequence of queue and plan-residency changes, every
+        memoized figure equals a rescan of the queues and resident plans."""
+        peer = ModelServer(GTX1660)
+        for model, dtype in _MEMO_KEYS:
+            peer.cache.get(model, dtype, GTX1660)
+
+        @settings(max_examples=200, deadline=None)
+        @given(capacity=st.integers(1, 2), ops=st.lists(_MEMO_OPS, max_size=50))
+        def run(capacity, ops):
+            srv = _server(cache_capacity=capacity, max_batch=2, max_delay_s=4e-5)
+            for op, *args in ops:
+                if op == "enqueue":
+                    dt, (model, dtype), slo, priority = args
+                    srv.test_clock.advance(dt)
+                    srv.enqueue(model, dtype=dtype, slo_s=slo, priority=priority)
+                elif op == "step":
+                    srv.test_clock.advance(args[0])
+                    srv.step()
+                elif op == "cancel":  # a queued request, else an unknown id
+                    queued = [r.id for q in srv._queues.values() for r in q]
+                    srv.cancel(queued[args[0] % len(queued)] if queued else args[0])
+                elif op == "drain":
+                    srv.drain()
+                elif op == "clear":
+                    srv.cache.clear()
+                elif op == "get":
+                    srv.cache.get(*args[0], GTX1660)
+                else:
+                    srv.cache.adopt(peer.cache.peek(peer.plan_key(*args[0])))
+                assert srv.next_deadline() == rescan_next_deadline(srv)
+                assert srv.estimated_queue_cost_s() == rescan_queue_cost_s(srv)
+                for key, queue in srv._queues.items():
+                    assert srv._queue_due(key, queue) == rescan_queue_due(srv, key, queue)
+                for extra in [None] + [(m, d.value) for m, d in _MEMO_KEYS]:
+                    assert srv.estimated_drain_s(extra) == rescan_drain_s(srv, extra)
+
+        run()
 
 
 class TestMicroBatching:
@@ -346,6 +435,101 @@ class TestReplay:
         assert percentile(samples, 50) == 3.0
         assert percentile(samples, 99) == 4.0
         assert percentile([7.0], 99) == 7.0
+
+
+#: the heterogeneous fleet of the repo benchmark's replays, on the tiny zoo.
+_PIN_FLEET = [RTX_A4000, GTX1660, ORIN, RTX_A4000]
+_PIN_MODELS = ["tiny_a", "tiny_b", "tiny_c"]
+
+
+def _pinned_trace() -> list[TraceRequest]:
+    """64 requests mixing priorities, SLOs (some best effort) and dtypes."""
+    return [
+        TraceRequest(
+            t=i * 2.5e-6,
+            model=_PIN_MODELS[i % 3],
+            dtype="int8" if i % 4 == 1 else "fp32",
+            slo_s=None if i % 5 == 2 else (4e-5 if i % 2 else 8e-5),
+            priority=(i * 7) % 3,
+        )
+        for i in range(64)
+    ]
+
+
+def _pinned_replays():
+    """Yield ``(label, text)`` for every pinned replay, in order."""
+    from repro.obs import MetricsRegistry, Tracer, chrome_trace_json, prometheus_text
+    from repro.planner.memo import shared_memo
+    from repro.serve import AutoscalePolicy, FaultEvent, FaultPlan, RetryPolicy
+
+    for policy in ("affinity", "round_robin"):
+        for admission in ("degrade", "shed"):
+            report = fleet_replay(
+                _PIN_FLEET, _PIN_MODELS, 96, 1e6, arrival="poisson", seed=3,
+                slo_s=4e-5, admission=admission, policy=policy, trace=True,
+                max_batch=4, max_delay_s=2e-5, spill_factor=0.5,
+            )
+            check_replay(report)
+            yield f"{policy}/{admission}", repr(report)
+    # cache_capacity=1: every model or dtype switch evicts a plan mid-replay.
+    report = fleet_replay(
+        [GTX1660, RTX_A4000], request_trace=_pinned_trace(), admission="degrade",
+        max_batch=4, max_delay_s=2e-5, cache_capacity=1,
+    )
+    check_replay(report)
+    yield "trace/capacity-1", repr(report)
+    # The exports count planner-memo hits: start from a cold memo.
+    shared_memo().clear()
+    tracer, metrics = Tracer(), MetricsRegistry()
+    report = fleet_replay(
+        [GTX1660], ["tiny_a", "tiny_b"], 48, 8e5, arrival="lognormal", seed=7,
+        slo_s=6e-5, admission="degrade", max_batch=4, max_delay_s=2e-5,
+        autoscale=AutoscalePolicy(
+            min_workers=1, max_workers=3, grow_backlog_s=2e-5, shrink_backlog_s=1e-6,
+        ),
+        tracer=tracer, metrics=metrics,
+    )
+    check_replay(report)
+    assert report.scale_events
+    yield "autoscale", repr(report)
+    yield "autoscale/trace", chrome_trace_json(tracer)
+    yield "autoscale/metrics", prometheus_text(metrics)
+    plan = FaultPlan((
+        FaultEvent(t=4e-6, worker=1, kind="crash"),
+        FaultEvent(t=6e-6, worker=0, kind="transient"),
+        FaultEvent(t=8e-6, worker=2, kind="slowdown", factor=4.0),
+        FaultEvent(t=1e-5, worker=3, kind="transient"),
+        FaultEvent(t=1.6e-5, worker=1, kind="recover"),
+    ))
+    report = fleet_replay(
+        [GTX1660] * 4, ["tiny_a", "tiny_b"], 48, 1e6, slo_s=5e-5, max_batch=4,
+        max_delay_s=2e-5, faults=plan, probe_s=1e-6,
+        retry=RetryPolicy(max_attempts=3, budget=0.5, hedge_delay_s=2e-5),
+    )
+    check_replay(report)
+    stats = report.fault_stats
+    assert stats.retries and stats.requeues and stats.hedges
+    yield "chaos", repr(report)
+
+
+class TestPinnedReplays:
+    """Regression guard: fleet replay reports, pinned byte for byte.
+
+    The replay counterpart of ``test_runtime.TestPinnedReports``: routing
+    (with its backlog trace), admission, deadline flushing, plan eviction,
+    autoscaling with both exports, and the fault path.  A change that
+    means to move a replay re-pins the digest and says so.
+    """
+
+    #: SHA-256 over every replay of :func:`_pinned_replays`, in order.
+    DIGEST = "602e7434e6d81e1797a4e107506729564133dee70fe96b8cc56659cc00b9746f"
+
+    def test_replay_reports_are_pinned(self):
+        h = hashlib.sha256()
+        for label, text in _pinned_replays():
+            h.update(label.encode())
+            h.update(text.encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 #: A chaos fleet replay with a crash, transient failures, retries and hedging
