@@ -2,8 +2,7 @@
 
 The test suite defends the repo's invariants *dynamically* — replay
 determinism on the shared ``FakeClock``, byte-identical canonical JSONL
-(:class:`~repro.tune.records.TuningDB`,
-:class:`~repro.planner.memo.GeometryMemo`, request traces), fast/reference
+(:class:`~repro.tune.records.TuningDB`, request traces), fast/reference
 engine parity, and the ``core -> gpu -> planner -> kernels -> runtime ->
 serve``/``tune`` layering.  This package enforces the same contracts
 *statically*, before a single test runs: a rule-driven analyzer over the

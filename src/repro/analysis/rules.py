@@ -295,8 +295,8 @@ def _unordered_desc(expr: ast.AST) -> "str | None":
 class SerializerOrderRule(Rule):
     """RPR003: canonical serializers iterate in sorted order only.
 
-    TuningDB, GeometryMemo and trace files guarantee byte-identical output
-    for equal contents at any worker count.  Inside any function reachable
+    TuningDB and trace files guarantee byte-identical output for equal
+    contents at any worker count.  Inside any function reachable
     from the canonical serialization roots (``dump``/``dumps``/``save``/
     ``to_json``/``to_jsonl``/``write_trace``), iterating a dict view, set,
     or directory listing without ``sorted(...)`` lets insertion/filesystem

@@ -4,8 +4,7 @@ from .base import KernelResult, SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
 from .epilogue import ConvEpilogue
-from .fused_chain import FusedChainKernel
-from .fused_dwpw import DwPwFusedKernel
+from .fused_chain import DwPwFusedKernel, FusedChainKernel
 from .fused_pwdw import PwDwFusedKernel
 from .fused_pwdw_r import PwDwRFusedKernel
 from .fused_pwpw import PwPwFusedKernel

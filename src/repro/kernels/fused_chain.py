@@ -1,6 +1,6 @@
 """Generic fused-chain kernel: N conv stages, one launch, on-chip intermediates.
 
-The four pairwise FCM kernels each hard-code a two-stage dataflow; this
+The PWDW, PWDW_R and PWPW kernels each hard-code a two-stage dataflow; this
 kernel executes an arbitrary-length :class:`~repro.core.chain.FusedChain`
 with the spatial-tiling discipline the chain cost models price
 (:mod:`repro.planner.chain_costs`):
@@ -20,9 +20,10 @@ with the spatial-tiling discipline the chain cost models price
 * a final PW stage streams its filter matrix in ``tile_m`` groups against
   the resident last commBuffer; a final DW stage consumes it channel-wise.
 
-At length 2 this kernel reproduces the DWPW / PWDW_R dataflows; the
-registry keeps routing pairwise plans to the specialized kernels (which
-also cover the channel-grouped PWDW and flat-tiled PWPW vocabularies).
+The paper's DWPW module is the length-2 DW->PW chain, so this kernel is its
+only implementation (:class:`DwPwFusedKernel` just names it).  The other
+three pairwise kernels stay, because their channel-grouped ``tile_f`` and
+flat ``tile_hw`` vocabularies are not the chain's.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .base import SimKernel
 from .direct_dw import depthwise_tile
 from .params import LayerParams
 
-__all__ = ["FusedChainKernel"]
+__all__ = ["FusedChainKernel", "DwPwFusedKernel"]
 
 
 class FusedChainKernel(SimKernel):
@@ -382,6 +383,25 @@ class FusedChainKernel(SimKernel):
         counters.macs -= ref.redundant_macs
         counters.redundant_macs += ref.redundant_macs
         counters.rereads.extend(ref.rereads)
+
+
+class DwPwFusedKernel(FusedChainKernel):
+    """The paper's DWPW module (Fig. 3b, 4): a DW layer fused with its PW
+    consumer, run as the length-2 chain.
+
+    The DW stage computes all channels of a spatial tile into the
+    commBuffer and the PW stage streams its filters in ``tile_m`` groups
+    against it; the intermediate is neither written to global memory nor
+    recomputed.  Only the name differs from :class:`FusedChainKernel`.
+    """
+
+    def __init__(
+        self, dw: LayerParams, pw: LayerParams, tile_h: int, tile_w: int, tile_m: int
+    ) -> None:
+        if (dw.spec.kind, pw.spec.kind) != (ConvKind.DEPTHWISE, ConvKind.POINTWISE):
+            raise ShapeError("DwPwFusedKernel fuses a DW layer followed by a PW layer")
+        super().__init__((dw, pw), tile_h, tile_w, tile_m)
+        self.name = f"fcm_dwpw[{self.chain.name}]"
 
 
 def _pw_window(

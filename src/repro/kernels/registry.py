@@ -3,7 +3,8 @@
 The planner emits *what* to run (fuse or not, which FCM type, which tile
 sizes); this registry turns those decisions into concrete simulated kernels.
 Tile-size vocabularies differ per kernel, so the registry also defines the
-canonical tiling-dict keys each kernel understands.
+canonical tiling-dict keys each kernel understands.  A DWPW module is the
+length-2 DW->PW chain and builds the chain kernel under its DWPW name.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from ..ir.layers import ConvKind
 from .base import SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
-from .fused_chain import FusedChainKernel
-from .fused_dwpw import DwPwFusedKernel
+from .fused_chain import DwPwFusedKernel, FusedChainKernel
 from .fused_pwdw import PwDwFusedKernel
 from .fused_pwdw_r import PwDwRFusedKernel
 from .fused_pwpw import PwPwFusedKernel
@@ -53,7 +53,7 @@ def build_fcm_kernel(
 
     ``tiling`` keys per type:
 
-    * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m``
+    * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m`` (the chain vocabulary)
     * PWDW   -> ``tile_f``
     * PWDW_R -> ``tile_f``, ``tile_h``, ``tile_w``
     * PWPW   -> ``tile_hw``, ``tile_m``
@@ -80,11 +80,11 @@ def build_chain_kernel(
 ) -> SimKernel:
     """Build the fused kernel for a chain of any length.
 
-    Length-2 chains carrying their pairwise ``fcm_type`` route to the four
-    specialized FCM kernels (whose tiling vocabularies match the pairwise
-    estimators byte-for-byte); longer chains build the generic
-    :class:`~repro.kernels.fused_chain.FusedChainKernel` with the chain
-    vocabulary ``tile_h``/``tile_w``[/``tile_m``].
+    Length-2 chains carrying their pairwise ``fcm_type`` route through
+    :func:`build_fcm_kernel` (PWDW, PWDW_R and PWPW to their specialized
+    kernels, DWPW to the chain kernel under its DWPW name); other chains
+    build the generic :class:`~repro.kernels.fused_chain.FusedChainKernel`
+    with the chain vocabulary ``tile_h``/``tile_w``[/``tile_m``].
     """
     if len(stages) < 2:
         raise UnsupportedError("a fused chain kernel needs at least two stages")

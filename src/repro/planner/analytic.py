@@ -19,7 +19,7 @@ from ..core.tiling import DwTiling, PwTiling, ceil_div
 from ..errors import UnsupportedError
 from ..gpu.counters import AccessCounters
 from ..ir.layers import ConvKind, ConvSpec
-from .chain_costs import chain_gma
+from .chain_costs import _chain_gma_general
 from .costs import lbl_gma
 from .fcm_costs import fcm_gma
 
@@ -79,7 +79,12 @@ def fcm_counters(
     second: ConvSpec,
     tiling: Mapping[str, int],
 ) -> AccessCounters:
-    """Counters of one fused-module launch (redundant MACs included)."""
+    """Counters of one fused-module launch (redundant MACs included).
+
+    DWPW is the length-2 DW->PW chain and gets :func:`chain_counters`.
+    """
+    if fcm_type is FcmType.DWPW:
+        return chain_counters((first, second), tiling)
     cost = fcm_gma(fcm_type, first, second, tiling, "measured")
     counters = AccessCounters()
     counters.kernel_launches = 1
@@ -89,16 +94,7 @@ def fcm_counters(
     eb = first.dtype.nbytes
     w1 = first.weights_elements * eb
     w2 = second.weights_elements * eb
-    if fcm_type is FcmType.DWPW:
-        dw, pw = first, second
-        tile_h = min(tiling["tile_h"], dw.out_h)
-        tile_w = min(tiling["tile_w"], dw.out_w)
-        n_sp = ceil_div(dw.out_h, tile_h) * ceil_div(dw.out_w, tile_w)
-        counters.reread(w1, (n_sp - 1) * w1)
-        counters.reread(w2, (n_sp - 1) * w2)
-        halo = counters.read_bytes - n_sp * (w1 + w2) - dw.ifm.nbytes
-        counters.reread(dw.ifm.nbytes, max(halo, 0))
-    elif fcm_type is FcmType.PWDW:
+    if fcm_type is FcmType.PWDW:
         pw = first
         tile_f = min(tiling["tile_f"], pw.out_channels)
         n_f = ceil_div(pw.out_channels, tile_f)
@@ -135,12 +131,13 @@ def chain_counters(
 
     Length-2 chains with a pairwise ``fcm_type`` delegate to
     :func:`fcm_counters` so the pairwise annotations are preserved
-    byte-for-byte; longer chains use the compositional chain estimator.
+    byte-for-byte; other chains, DWPW among them, use the compositional
+    chain estimator.
     """
     if fcm_type is not None and len(specs) == 2:
         return fcm_counters(fcm_type, specs[0], specs[1], tiling)
     chain = FusedChain(specs)
-    cost = chain_gma(chain, tiling, "measured")
+    cost = _chain_gma_general(chain, tiling, "measured")
     counters = AccessCounters()
     counters.kernel_launches = 1
     counters.read("fcm", cost.gma.read_bytes)

@@ -1,14 +1,15 @@
 """Chain-fusion cost models: the Eq. 4 family generalized to N stages.
 
-The pairwise FCM estimators (:mod:`repro.planner.fcm_costs`) hard-code two
-stages.  This module rebuilds them *compositionally*: a chain's global
-memory accesses, shared-memory footprint and halo redundancy are derived
-per stage by propagating the final output tile backward through every
-stage's ``(kernel, stride, padding)`` geometry.  At length 2 the
-construction reduces to the existing Eq. 4 family:
+The paper builds each FCM's GMA model from the DW and PW models (Eq. 2-3
+into the Eq. 4 family).  This module does that *compositionally* for any
+length: a chain's global memory accesses, shared-memory footprint and halo
+redundancy are derived per stage by propagating the final output tile
+backward through every stage's ``(kernel, stride, padding)`` geometry.  At
+length 2 the construction is the Eq. 4 family:
 
-* ``dw->pw``  — identical formulas to :data:`~repro.core.fcm.FcmType.DWPW`
-  (same tiling vocabulary, term for term);
+* ``dw->pw``  — *is* :data:`~repro.core.fcm.FcmType.DWPW`: the chain
+  vocabulary is DWPW's, and :mod:`repro.planner.fcm_costs` prices DWPW
+  with the general model here;
 * ``pw->dw``  — the PWDW_R formulas with ``tile_f = Cmid`` (the chain
   model always keeps all intermediate channels resident; the untiled PWDW
   channel-group dataflow remains a pairwise specialization);
@@ -16,9 +17,9 @@ construction reduces to the existing Eq. 4 family:
   flattened ``tile_hw`` vocabulary.
 
 :func:`chain_gma` therefore dispatches length-2 chains carrying a pairwise
-tiling vocabulary straight to :func:`~repro.planner.fcm_costs.fcm_gma`, so
-pairwise numbers are reproduced bit-for-bit, and runs the general N-stage
-model everywhere else.
+``tile_f``/``tile_hw`` vocabulary straight to
+:func:`~repro.planner.fcm_costs.fcm_gma`, so pairwise numbers are
+reproduced bit-for-bit, and runs the general N-stage model everywhere else.
 
 Chain dataflow (one thread block):
 
@@ -286,13 +287,18 @@ def chain_footprints(
     resident DW windows/filters, streamed PW reduction chunks, and the final
     stage's output tile.
     """
-    from .costs import STREAM_CHUNK, streamed_matmul_l1_bytes
-
     if _is_pairwise_tiling(chain, tiling):
         from .fcm_costs import fcm_footprints
 
         first, second, fcm_type = _pairwise_dispatch(chain, tiling)
         return fcm_footprints(fcm_type, first, second, tiling)
+    return _chain_footprints_general(chain, tiling)
+
+
+def _chain_footprints_general(
+    chain: FusedChain, tiling: Mapping[str, int]
+) -> tuple[int, int, int]:
+    from .costs import STREAM_CHUNK, streamed_matmul_l1_bytes
 
     n = chain.length
     eb = chain.dtype.nbytes

@@ -5,7 +5,10 @@ intermediate feature maps never touch global memory, and each fused layer's
 accesses depend on the other's tiling.  Eq. 4 is given for PWDW_R; "the
 equations of the other FCMs are constructed from the PW and DW Equations 2
 and 3 similarly" — those constructions live here, with the ``measured``
-convention again matching the simulated kernels byte-for-byte.
+convention again matching the simulated kernels byte-for-byte.  DWPW is the
+length-2 DW->PW chain, so the general chain model of
+:mod:`repro.planner.chain_costs` prices it and sizes its footprints; the
+other three modules keep their own formulas here.
 
 Feasibility adds the fused constraints: five tiles + commBuffer within L1,
 the shared-memory subset within the shared partition, and at least #SMs
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..core.chain import FusedChain
 from ..core.fcm import FcmType
 from ..core.tiling import ceil_div, overlap_elements
 from ..errors import ShapeError, UnsupportedError
@@ -70,31 +74,6 @@ def _validate_pair(fcm_type: FcmType, first: ConvSpec, second: ConvSpec) -> None
         )
     if first.dtype is not second.dtype:
         raise ShapeError(f"{fcm_type}: fused layers must share one precision")
-
-
-def _dwpw_gma(
-    dw: ConvSpec, pw: ConvSpec, tiling: Mapping[str, int], convention: str
-) -> FcmCost:
-    """DWPW: spatial tiles over all channels; PW weights streamed per tile."""
-    c = dw.in_channels
-    m = pw.out_channels
-    k, s, pad = dw.kernel, dw.stride, dw.padding
-    tile_h = min(tiling["tile_h"], dw.out_h)
-    tile_w = min(tiling["tile_w"], dw.out_w)
-    n_sp = ceil_div(dw.out_h, tile_h) * ceil_div(dw.out_w, tile_w)
-    dw_w = c * k * k
-    pw_w = m * c
-    if convention == "paper":
-        ovl = overlap_elements(dw.in_w, dw.in_h, tile_w * s, tile_h * s, k, k, s)
-        ifm_reads = 2 * c * ovl + c * dw.in_h * dw.in_w
-    else:
-        rows = loaded_axis_elems(dw.out_h, tile_h, k, s, pad, dw.in_h)
-        cols = loaded_axis_elems(dw.out_w, tile_w, k, s, pad, dw.in_w)
-        ifm_reads = c * rows * cols
-    reads = ifm_reads + n_sp * (dw_w + pw_w)
-    writes = m * pw.out_h * pw.out_w
-    useful = dw.macs + pw.macs
-    return FcmCost(GmaEstimate(reads, writes, dw.dtype.nbytes), 0, useful)
 
 
 def _pwdw_gma(
@@ -198,7 +177,6 @@ def covered_axis_table(
 
 
 _ESTIMATORS = {
-    FcmType.DWPW: _dwpw_gma,
     FcmType.PWDW: _pwdw_gma,
     FcmType.PWDW_R: _pwdw_r_gma,
     FcmType.PWPW: _pwpw_gma,
@@ -216,6 +194,10 @@ def fcm_gma(
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
     _validate_pair(fcm_type, first, second)
+    if fcm_type is FcmType.DWPW:
+        from .chain_costs import _chain_gma_general
+
+        return _chain_gma_general(FusedChain((first, second)), tiling, convention)
     return _ESTIMATORS[fcm_type](first, second, tiling, convention)
 
 
@@ -236,27 +218,11 @@ def fcm_footprints(
     """
     from .costs import STREAM_CHUNK, streamed_matmul_l1_bytes
 
-    eb = first.dtype.nbytes
     if fcm_type is FcmType.DWPW:
-        dw, pw = first, second
-        k, s = dw.kernel, dw.stride
-        tile_h = min(tiling["tile_h"], dw.out_h)
-        tile_w = min(tiling["tile_w"], dw.out_w)
-        tile_m = min(tiling["tile_m"], pw.out_channels)
-        comm = dw.in_channels * tile_h * tile_w * eb
-        in_h = (tile_h - 1) * s + k
-        in_w = (tile_w - 1) * s + k
-        # DW stage: halo window + filter slices; PW stage: streamed matmul
-        # against the resident commBuffer.
-        l1 = (
-            dw.in_channels * in_h * in_w * eb
-            + dw.in_channels * k * k * eb
-            + comm
-            + streamed_matmul_l1_bytes(tile_m, tile_h * tile_w, eb)
-        )
-        shared = comm
-        n_tiles = ceil_div(dw.out_h, tile_h) * ceil_div(dw.out_w, tile_w)
-        return l1, shared, n_tiles
+        from .chain_costs import _chain_footprints_general
+
+        return _chain_footprints_general(FusedChain((first, second)), tiling)
+    eb = first.dtype.nbytes
     if fcm_type is FcmType.PWDW:
         pw, dw = first, second
         tile_f = min(tiling["tile_f"], pw.out_channels)

@@ -229,41 +229,9 @@ def fcm_grid(
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
     _validate_pair(fcm_type, first, second)
+    if fcm_type is FcmType.DWPW:  # the length-2 DW->PW chain
+        return chain_grid(FusedChain((first, second)), gpu, convention)
     eb = first.dtype.nbytes
-    if fcm_type is FcmType.DWPW:
-        dw, pw = first, second
-        c, m = dw.in_channels, pw.out_channels
-        k, s, pad = dw.kernel, dw.stride, dw.padding
-        th = _pow2_axis(dw.out_h)
-        tw = _pow2_axis(dw.out_w)
-        tm = _pow2_axis(m)
-        shape = (th.size, tw.size, tm.size)
-        n_sp = _cdiv(dw.out_h, th)[:, None] * _cdiv(dw.out_w, tw)[None, :]
-        if convention == "paper":
-            ovl = ((_cdiv(dw.in_h, th * s) - 1) * max(k - s, 0) * dw.in_w)[:, None] + (
-                (_cdiv(dw.in_w, tw * s) - 1) * max(k - s, 0) * dw.in_h
-            )[None, :]
-            ifm = 2 * c * ovl + c * dw.in_h * dw.in_w
-        else:
-            rows = _loaded_table(dw.out_h, pow2_candidates(dw.out_h), k, s, pad, dw.in_h)
-            cols = _loaded_table(dw.out_w, pow2_candidates(dw.out_w), k, s, pad, dw.in_w)
-            ifm = c * rows[:, None] * cols[None, :]
-        reads = ifm + n_sp * (c * k * k + m * c)
-        gma = np.broadcast_to(((reads + m * pw.out_h * pw.out_w) * eb)[:, :, None], shape)
-        thw = th[:, None, None] * tw[None, :, None]
-        comm = c * th[:, None] * tw[None, :] * eb
-        ext_hw = ((th - 1) * s + k)[:, None] * ((tw - 1) * s + k)[None, :]
-        l1 = (c * ext_hw * eb + c * k * k * eb + comm)[:, :, None] + (
-            tm[None, None, :] * thw + STREAM_CHUNK * (tm[None, None, :] + thw)
-        ) * eb
-        feasible = (
-            (l1 <= gpu.l1_bytes)
-            & (comm[:, :, None] <= gpu.shared_bytes)
-            & (n_sp[:, :, None] >= gpu.sm_count)
-        )
-        zeros = np.zeros(shape, dtype=np.int64)
-        useful = np.broadcast_to(np.int64(dw.macs + pw.macs), shape)
-        return TilingGrid(("tile_h", "tile_w", "tile_m"), (th, tw, tm), feasible, gma, zeros, useful)
     if fcm_type is FcmType.PWDW:
         pw, dw = first, second
         c, cmid, k = pw.in_channels, pw.out_channels, dw.kernel

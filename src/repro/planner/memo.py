@@ -4,10 +4,9 @@ Zoo models repeat geometries heavily — MobileNetV2's inverted residuals
 reuse a handful of (channels, extent, stride) shapes, and *different* models
 share stem/head shapes too.  :class:`repro.planner.planner.FusePlanner`
 already memoizes per instance (``_lbl_cache`` / ``_chain_cache``); this
-module lifts that to a process-wide store shared across planner instances
-(the serving fleet builds one planner per worker) and persistable next to
-the tuning DB, in the same canonical-JSONL discipline as
-:class:`repro.tune.records.TuningDB`.
+module lifts that to a process-wide, in-memory store shared across planner
+instances (the serving fleet builds one planner per worker).  It is never
+saved: a fresh process starts with an empty memo.
 
 Only the three *search* families are memoized — ``best_lbl_tiling``,
 ``best_fcm_tiling``, ``best_chain_tiling`` — because their winners depend
@@ -20,19 +19,12 @@ parity suite always compares a real sweep against the grid search.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
-
-from ..errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search uses memos)
     from .search import SearchResult
 
 __all__ = ["GeometryMemo", "shared_memo"]
-
-SCHEMA_VERSION = 1
-_KIND = "repro-planmemo"
 
 
 def _spec_key(spec) -> tuple:
@@ -53,13 +45,6 @@ def _spec_key(spec) -> tuple:
 def _gpu_key(gpu) -> tuple:
     """Everything a tile search reads from the GPU: capacity limits only."""
     return (gpu.name, gpu.sm_count, gpu.l1_kb, gpu.shared_kb, gpu.warp_size)
-
-
-def _tuplify(obj):
-    """JSON arrays back to the hashable nested-tuple key form."""
-    if isinstance(obj, list):
-        return tuple(_tuplify(v) for v in obj)
-    return obj
 
 
 class GeometryMemo:
@@ -121,75 +106,6 @@ class GeometryMemo:
         value = search()
         self._store[key] = value
         return value
-
-    # ---- persistence ----------------------------------------------------------
-    def dumps(self) -> str:
-        """Canonical JSONL: header line + one row per key, sorted by key.
-
-        Same discipline as :meth:`repro.tune.records.TuningDB.dumps` —
-        equal stores serialize to equal bytes regardless of insertion order.
-        """
-        header = _canonical({"kind": _KIND, "schema": SCHEMA_VERSION})
-        rows = []
-        # repro: allow[RPR003] keys mix str/int/tuple and cannot be compared
-        # directly; the serialized rows are sorted below instead
-        for key, result in self._store.items():
-            if result is None:
-                payload = None
-            else:
-                payload = {
-                    "tiling": dict(result.tiling),
-                    "gma_bytes": result.gma_bytes,
-                    "redundancy_ratio": result.redundancy_ratio,
-                }
-            rows.append(_canonical({"key": key, "result": payload}))
-        return "\n".join([header] + sorted(rows)) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
-
-    @classmethod
-    def loads(cls, text: str) -> "GeometryMemo":
-        from .search import SearchResult
-
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise PlanError("geometry memo: empty file")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"geometry memo: corrupt header: {exc}") from exc
-        if header.get("kind") != _KIND:
-            raise PlanError(f"geometry memo: unknown kind {header.get('kind')!r}")
-        if header.get("schema", 0) > SCHEMA_VERSION:
-            raise PlanError(
-                f"geometry memo: schema {header.get('schema')} is newer than "
-                f"this build's {SCHEMA_VERSION}"
-            )
-        memo = cls()
-        for ln in lines[1:]:
-            try:
-                row = json.loads(ln)
-            except json.JSONDecodeError as exc:
-                raise PlanError(f"geometry memo: corrupt row: {exc}") from exc
-            payload = row.get("result")
-            result = None
-            if payload is not None:
-                result = SearchResult(
-                    tiling={k: int(v) for k, v in payload["tiling"].items()},
-                    gma_bytes=int(payload["gma_bytes"]),
-                    redundancy_ratio=float(payload["redundancy_ratio"]),
-                )
-            memo._store[_tuplify(row["key"])] = result
-        return memo
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GeometryMemo":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 #: The process-wide default memo every FusePlanner shares unless handed its

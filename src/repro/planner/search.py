@@ -12,7 +12,7 @@ GMA, then larger tiles (fewer blocks) as the tie-break.
 The ``best_*`` searches evaluate the whole candidate grid as array programs
 (:mod:`repro.planner.grid_search`); an optional
 :class:`repro.planner.memo.GeometryMemo` caches their winners across planner
-instances (and, persisted, across processes).  The ``scalar_*`` sweeps are
+instances in one process.  The ``scalar_*`` sweeps are
 the per-candidate loops the grid search replaced, kept as the oracles the
 parity suite compares against (:class:`repro.planner.planner.ScalarPlanner`
 plans with them); both return bit-identical :class:`SearchResult` winners.
@@ -162,14 +162,8 @@ def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -
 def _fcm_tiling_candidates(
     fcm_type: FcmType, first: ConvSpec, second: ConvSpec
 ) -> list[dict[str, int]]:
-    if fcm_type is FcmType.DWPW:
-        dw, pw = first, second
-        return [
-            {"tile_h": th, "tile_w": tw, "tile_m": tm}
-            for th in _pow2_upto(dw.out_h)
-            for tw in _pow2_upto(dw.out_w)
-            for tm in _pow2_upto(pw.out_channels)
-        ]
+    if fcm_type is FcmType.DWPW:  # the length-2 DW->PW chain
+        return _chain_tiling_candidates(FusedChain((first, second)))
     if fcm_type is FcmType.PWDW:
         return [{"tile_f": tf} for tf in _pow2_upto(first.out_channels)]
     if fcm_type is FcmType.PWDW_R:

@@ -372,7 +372,7 @@ class TestFusedChainKernel:
         assert ref.total_bytes == res.counters.total_bytes
 
     def test_registry_routes_pairwise_and_chain(self):
-        from repro.kernels.fused_dwpw import DwPwFusedKernel
+        from repro.kernels import DwPwFusedKernel
 
         dw, pw = _dw("d", 8, 12, 12), _pw("p", 8, 16, 12, 12)
         p_dw = make_layer_params(dw)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from helpers import dw_spec, pw_spec, random_ifm, ref_layer
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.errors import CapacityError, ShapeError, UnsupportedError
-from repro.gpu.specs import ORIN, RTX_A4000
+from repro.gpu.specs import ALL_GPUS, ORIN, RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import build_fcm_kernel, build_lbl_kernel
+from repro.kernels.registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
+from repro.models.zoo import build_model, model_names
+from repro.planner.planner import FusePlanner
 
 
 def _pair(first_spec, second_spec, seed=0):
@@ -234,3 +238,71 @@ class TestFusedCapacity:
         k = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 256})
         with pytest.raises(CapacityError):
             k.simulate(x, tiny_gpu)
+
+
+def _zoo_dwpw_steps():
+    """Every distinct DWPW step of the zoo plans, with the GPU first planning it."""
+    steps = {}
+    for model in model_names():
+        for dtype in (DType.FP32, DType.INT8):
+            graph = build_model(model, dtype)
+            for gpu in ALL_GPUS:
+                for max_chain in (2, 3):
+                    for step in FusePlanner(gpu, max_chain=max_chain).plan(graph).fcm_steps:
+                        if step.fcm_type is FcmType.DWPW:
+                            steps.setdefault((step.specs, tuple(step.tiling.items())), gpu)
+    return [(specs, dict(tiling), gpu) for (specs, tiling), gpu in steps.items()]
+
+
+#: the small DWPW cases of the classes above (dw, pw, tiling).
+_SMALL_DWPW = [
+    (dw_spec(c=8, h=14, w=14), pw_spec(c_in=8, c_out=24, h=14, w=14),
+     {"tile_h": 5, "tile_w": 5, "tile_m": 8}),
+    (dw_spec(c=8, h=14, w=14, stride=2), pw_spec(c_in=8, c_out=16, h=7, w=7),
+     {"tile_h": 3, "tile_w": 3, "tile_m": 16}),
+    (dw_spec(c=8, h=14, w=14), pw_spec(c_in=8, c_out=24, h=14, w=14),
+     {"tile_h": 7, "tile_w": 7, "tile_m": 8}),
+    (dw_spec(c=16, h=28, w=28), pw_spec(c_in=16, c_out=32, h=28, w=28),
+     {"tile_h": 7, "tile_w": 7, "tile_m": 32}),
+    (dw_spec(c=8, h=12, w=12, dtype=DType.INT8),
+     pw_spec(c_in=8, c_out=16, h=12, w=12, dtype=DType.INT8),
+     {"tile_h": 4, "tile_w": 4, "tile_m": 8}),
+]
+
+
+def _hash_dwpw_launch(h, dw, pw, tiling, gpu, engine: str) -> None:
+    """Feed one two-image DWPW launch into ``h``: output bytes, every counter
+    field and the launch statistics except the kernel's name."""
+    p_dw = make_layer_params(dw)
+    params = [p_dw, chain_quant(p_dw, pw)]
+    x = np.stack([random_ifm(dw, 0), random_ifm(dw, 1)])
+    res = build_chain_kernel(params, tiling, FcmType.DWPW).simulate_batch(x, gpu, engine)
+    c, st = res.counters, res.stats
+    h.update(repr((res.output.dtype.str, res.output.shape)).encode())
+    h.update(res.output.tobytes())
+    h.update(repr((
+        sorted(c.global_reads.items()), sorted(c.global_writes.items()),
+        c.shared_bytes, c.rereads, c.macs, c.redundant_macs, c.kernel_launches,
+        st.num_blocks, st.peak_shared_bytes, st.waves,
+    )).encode())
+
+
+class TestPinnedDwPwLaunches:
+    """Regression guard: the bytes and accounting of DWPW launches, pinned.
+
+    Every distinct DWPW step of the zoo plans runs on the fast engine and
+    the small cases above on the reference engine.  A change that means to
+    move them re-pins the digest and says so; any other change must leave
+    it as it is.
+    """
+
+    #: SHA-256 over every launch below, in sweep order.
+    DIGEST = "bc849e83e1e85076b760f61cfe155132118d8b6ce7435c3943e6c0920e46a290"
+
+    def test_dwpw_launches_are_pinned(self):
+        h = hashlib.sha256()
+        for specs, tiling, gpu in _zoo_dwpw_steps():
+            _hash_dwpw_launch(h, *specs, tiling, gpu, "fast")
+        for dw, pw, tiling in _SMALL_DWPW:
+            _hash_dwpw_launch(h, dw, pw, tiling, RTX_A4000, "reference")
+        assert h.hexdigest() == self.DIGEST

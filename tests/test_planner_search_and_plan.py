@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from helpers import dw_spec, pw_spec
@@ -9,9 +11,10 @@ from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
 from repro.errors import PlanError
-from repro.gpu.specs import GTX1660, ORIN, RTX_A4000, GpuSpec
+from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000, GpuSpec
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import ModelGraph
+from repro.models.zoo import build_model, model_names
 from repro.planner.costs import dw_feasible, pw_feasible
 from repro.planner.fcm_costs import fcm_feasible
 from repro.planner.plan import GlueStep, LblStep, StdStep
@@ -155,3 +158,30 @@ class TestFusePlanner:
             d = planner.evaluate_pair(first, second)
             if d is not None:
                 assert total >= d.savings_bytes or tuple(pair) in chosen
+
+
+class TestPinnedPlans:
+    """Regression guard: every zoo plan and every candidate behind it, pinned.
+
+    ``last_candidates`` holds the search of every fusable pair and chain,
+    chosen or not, so a change to any FCM or chain search shows here even
+    where the plan keeps its steps.  A change that means to move plans
+    re-pins the digest and says so; any other change must leave it as it is.
+    """
+
+    #: SHA-256 over every plan step and candidate report below, in sweep order.
+    DIGEST = "4a158f4645e16c3227c444b251b35ff29d8ac20974d24ddb34bde73f160ce242"
+
+    def test_plans_and_candidates_are_pinned(self):
+        h = hashlib.sha256()
+        for model in model_names():
+            for dtype in (DType.FP32, DType.INT8):
+                graph = build_model(model, dtype)
+                for gpu in ALL_GPUS:
+                    for max_chain in (1, 2, 3):
+                        planner = FusePlanner(gpu, max_chain=max_chain)
+                        plan = planner.plan(graph)
+                        h.update(f"{model}/{gpu.name}/{dtype}/{max_chain}".encode())
+                        for item in (*plan.steps, *planner.last_candidates):
+                            h.update(repr(item).encode())
+        assert h.hexdigest() == self.DIGEST

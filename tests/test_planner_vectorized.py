@@ -301,32 +301,3 @@ class TestGeometryMemo:
 
     def test_default_is_the_process_shared_memo(self):
         assert FusePlanner(RTX_A4000).memo is shared_memo()
-
-    def test_save_load_round_trip(self, tmp_path):
-        memo = GeometryMemo()
-        best_lbl_tiling(dw_spec(c=32, h=28, w=28), GTX1660, memo=memo)
-        first, second = _fcm_pair(FcmType.PWPW)
-        best_fcm_tiling(FcmType.PWPW, first, second, ORIN, memo=memo)  # a None row
-        best_chain_tiling(_chain3(), RTX_A4000, memo=memo)
-        path = tmp_path / "memo.jsonl"
-        memo.save(path)
-        loaded = GeometryMemo.load(path)
-        assert loaded.dumps() == memo.dumps()
-        assert len(loaded) == len(memo)
-        # Loaded winners serve lookups without searching.
-        res = best_lbl_tiling(dw_spec(c=32, h=28, w=28), GTX1660, memo=loaded)
-        assert res == best_lbl_tiling(dw_spec(c=32, h=28, w=28), GTX1660)
-        assert loaded.hits == 1 and loaded.misses == 0
-
-    def test_corrupt_and_foreign_files_rejected(self, tmp_path):
-        for text in (
-            "",
-            "not json\n",
-            '{"kind":"something-else","schema":1}\n',
-            '{"kind":"repro-planmemo","schema":99}\n',
-            '{"kind":"repro-planmemo","schema":1}\n{broken\n',
-        ):
-            p = tmp_path / "bad.jsonl"
-            p.write_text(text, encoding="utf-8")
-            with pytest.raises(PlanError):
-                GeometryMemo.load(p)
