@@ -17,6 +17,7 @@ plan marks add-glue as free (fused).  ``TvmSession``-style execution lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel  # noqa: F401  (perfbench/tracing.py patches this binding)
@@ -75,7 +76,12 @@ class TvmPlan:
 
 
 class TvmCompiler:
-    """Graph compiler with conv+elementwise fusion and 20-iteration auto-tuning."""
+    """Graph compiler with conv+elementwise fusion and 20-iteration auto-tuning.
+
+    A tuning depends only on the layer's geometry, precision and the GPU, so
+    it is shared process-wide: layers of one geometry, in any model, are
+    tuned once per GPU (:func:`_tuned`).
+    """
 
     #: GEMM output-tile blockings the tuner may pick.
     TILE_CANDIDATES = (32, 64, 128)
@@ -85,27 +91,25 @@ class TvmCompiler:
 
     def tune_layer(self, spec: ConvSpec) -> TvmConvStep:
         """Pick (algorithm, blocking) minimizing modelled latency."""
-        candidates = [
-            (algo, tile) for algo in CudnnAlgo for tile in self.TILE_CANDIDATES
-        ]
-
-        def evaluate(cfg: tuple[CudnnAlgo, int]) -> float:
-            algo, tile = cfg
-            return cudnn_timing(spec, algo, self.gpu, gemm_tile=tile).t_total_s
-
-        # The paper's 20 iterations cover all 9 candidates: the search is
-        # exhaustive, so no seed ever reaches it.
-        (algo, tile), cost, _evaluated = random_search(candidates, evaluate, 20)
+        geometry = (
+            spec.kind, spec.in_channels, spec.out_channels, spec.in_h, spec.in_w,
+            spec.kernel, spec.stride, spec.padding, spec.dtype,
+        )
+        algo, tile, cost = _tuned(geometry, self.gpu)
         return TvmConvStep(spec=spec, algo=algo, gemm_tile=tile, tuned_cost_s=cost)
 
     def compile(self, graph: ModelGraph, dtype: DType | None = None) -> TvmPlan:
-        """Compile a model: tune every conv, fuse elementwise glue."""
+        """Compile a model: tune every conv, fuse elementwise glue.
+
+        Without ``dtype`` the plan takes the graph's own precision (FP32 for
+        a graph without conv layers).
+        """
         graph.validate()
-        plan = TvmPlan(
-            model_name=graph.name,
-            gpu=self.gpu,
-            dtype=dtype if dtype is not None else DType.FP32,
-        )
+        if dtype is not None:
+            plan_dtype = dtype
+        else:
+            plan_dtype = graph.dtype if graph.dtype is not None else DType.FP32
+        plan = TvmPlan(model_name=graph.name, gpu=self.gpu, dtype=plan_dtype)
         for spec in graph.topological():
             if isinstance(spec, GlueSpec):
                 # TVM's injective-fusion folds residual adds into producers.
@@ -114,3 +118,23 @@ class TvmCompiler:
             conv = spec.with_dtype(dtype) if dtype is not None else spec
             plan.steps.append(self.tune_layer(conv))
         return plan
+
+
+@lru_cache(maxsize=None)
+def _tuned(geometry: tuple, gpu: GpuSpec) -> tuple[CudnnAlgo, int, float]:
+    """(algorithm, blocking, cost) of one layer geometry on one GPU.
+
+    ``geometry`` holds every :class:`ConvSpec` field after ``name`` except
+    the epilogue: all that :func:`cudnn_timing` reads.
+    """
+    spec = ConvSpec("", *geometry)
+    candidates = [(algo, tile) for algo in CudnnAlgo for tile in TvmCompiler.TILE_CANDIDATES]
+
+    def evaluate(cfg: tuple[CudnnAlgo, int]) -> float:
+        algo, tile = cfg
+        return cudnn_timing(spec, algo, gpu, gemm_tile=tile).t_total_s
+
+    # The paper's 20 iterations cover all 9 candidates: the search is
+    # exhaustive, so no seed ever reaches it.
+    (algo, tile), cost, _evaluated = random_search(candidates, evaluate, 20)
+    return algo, tile, cost

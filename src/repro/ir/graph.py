@@ -1,8 +1,10 @@
 """Model DAG: an ordered graph of :class:`~repro.ir.layers.ConvSpec` nodes.
 
 The paper's FusePlanner consumes "a DAG representing a model or set of layers,
-their weight and FM specifications, and the layers connectivity" (§IV).  We
-build that DAG on networkx.  Non-convolutional glue (residual adds, pooling,
+their weight and FM specifications, and the layers connectivity" (§IV).  The
+DAG is built in dataflow order, so its insertion order is its topological
+order, and what the planner derives from it (validation, fusion runs) is
+derived once per graph.  Non-convolutional glue (residual adds, pooling,
 classifier) is carried as opaque :class:`GlueSpec` nodes so end-to-end
 sessions account for them identically in ours and the baselines' executions.
 """
@@ -12,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
+from ..core.dtypes import DType
 from ..errors import ShapeError
 from .layers import ConvKind, ConvSpec
 
@@ -49,83 +50,104 @@ class FusionCandidate:
 class ModelGraph:
     """A directed acyclic graph of model layers.
 
-    Nodes are layer names; each carries a ``spec`` attribute holding either a
-    :class:`ConvSpec` or a :class:`GlueSpec`.  Edges follow dataflow.
+    Nodes are layer names; each carries either a :class:`ConvSpec` or a
+    :class:`GlueSpec`.  Edges follow dataflow.  :meth:`add` only wires a
+    layer after layers that already exist, so insertion order is a
+    topological order and the graph can never hold a cycle.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._g = nx.DiGraph()
-        self._order: list[str] = []
+        # Insertion-ordered; every list is kept in insertion position order.
+        self._specs: dict[str, ConvSpec | GlueSpec] = {}
+        self._pos: dict[str, int] = {}
+        self._preds: dict[str, list[str]] = {}
+        self._succs: dict[str, list[str]] = {}
+        # Derived once per graph, dropped by the next add().
+        self._validated = False
+        self._runs: list[list[ConvSpec]] | None = None
 
     # ---- construction ------------------------------------------------------
     def add(self, spec: ConvSpec | GlueSpec, after: str | list[str] | None = None) -> str:
         """Add a layer, optionally wiring it after one or more existing layers.
 
         Returns the layer name for chaining.  By default the new node is wired
-        after the most recently added node (linear model building).
+        after the most recently added node (linear model building).  A
+        predecessor listed twice is one edge.
         """
-        if spec.name in self._g:
-            raise ShapeError(f"duplicate layer name {spec.name!r} in model {self.name!r}")
+        name = spec.name
+        if name in self._specs:
+            raise ShapeError(f"duplicate layer name {name!r} in model {self.name!r}")
         preds: list[str]
         if after is None:
-            preds = [self._order[-1]] if self._order else []
+            preds = [next(reversed(self._specs))] if self._specs else []
         elif isinstance(after, str):
             preds = [after]
         else:
             preds = list(after)
         for p in preds:
-            if p not in self._g:
-                raise ShapeError(f"unknown predecessor {p!r} for layer {spec.name!r}")
-        self._g.add_node(spec.name, spec=spec)
+            if p not in self._specs:
+                raise ShapeError(f"unknown predecessor {p!r} for layer {name!r}")
+        preds = sorted(set(preds), key=self._pos.__getitem__)
+        self._pos[name] = len(self._specs)
+        self._specs[name] = spec
+        self._preds[name] = preds
+        self._succs[name] = []
         for p in preds:
-            self._g.add_edge(p, spec.name)
-        self._order.append(spec.name)
-        return spec.name
+            self._succs[p].append(name)
+        self._validated = False
+        self._runs = None
+        return name
 
     # ---- access -----------------------------------------------------------
     def spec(self, name: str) -> ConvSpec | GlueSpec:
         try:
-            return self._g.nodes[name]["spec"]
+            return self._specs[name]
         except KeyError:
             raise ShapeError(f"no layer named {name!r} in model {self.name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._g
+        return name in self._specs
 
     def __len__(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._specs)
 
     @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._g
+    def dtype(self) -> DType | None:
+        """Precision of the first conv layer (``None`` without conv layers)."""
+        return next((s.dtype for s in self._specs.values() if isinstance(s, ConvSpec)), None)
 
     def topological(self) -> Iterator[ConvSpec | GlueSpec]:
-        """Specs in a deterministic topological order (insertion-stable)."""
-        order = list(nx.lexicographical_topological_sort(self._g, key=self._order.index))
-        for name in order:
-            yield self._g.nodes[name]["spec"]
+        """Specs in a deterministic topological order: insertion order."""
+        return iter(self._specs.values())
 
     def conv_layers(self) -> list[ConvSpec]:
         """All convolutional layers in topological order."""
-        return [s for s in self.topological() if isinstance(s, ConvSpec)]
+        return [s for s in self._specs.values() if isinstance(s, ConvSpec)]
 
     def successors(self, name: str) -> list[str]:
-        return sorted(self._g.successors(name), key=self._order.index)
+        self.spec(name)
+        return list(self._succs[name])
 
     def predecessors(self, name: str) -> list[str]:
-        return sorted(self._g.predecessors(name), key=self._order.index)
+        self.spec(name)
+        return list(self._preds[name])
 
     # ---- validation ---------------------------------------------------------
     def validate(self) -> None:
-        """Check acyclicity and conv-to-conv shape compatibility along edges."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise ShapeError(f"model {self.name!r} contains a cycle")
-        for u, v in self._g.edges:
-            su, sv = self.spec(u), self.spec(v)
-            if isinstance(su, ConvSpec) and isinstance(sv, ConvSpec):
-                if (su.out_channels, su.out_h, su.out_w) != (
+        """Check conv-to-conv shape compatibility along edges.
+
+        Runs once per graph and again only after a further :meth:`add`.
+        """
+        if self._validated:
+            return
+        for u, succs in self._succs.items():
+            su = self._specs[u]
+            if not isinstance(su, ConvSpec):
+                continue
+            for v in succs:
+                sv = self._specs[v]
+                if isinstance(sv, ConvSpec) and (su.out_channels, su.out_h, su.out_w) != (
                     sv.in_channels,
                     sv.in_h,
                     sv.in_w,
@@ -135,6 +157,7 @@ class ModelGraph:
                         f"{su.out_channels}x{su.out_h}x{su.out_w} vs "
                         f"{sv.in_channels}x{sv.in_h}x{sv.in_w}"
                     )
+        self._validated = True
 
     # ---- fusion candidates ---------------------------------------------------
     def fusion_candidates(self) -> list[FusionCandidate]:
@@ -158,16 +181,16 @@ class ModelGraph:
         consumer is a DW/PW conv with no other producer, and the pair is not
         DW->DW.
         """
-        first = self.spec(name)
+        first = self._specs[name]
         if not isinstance(first, ConvSpec) or first.kind is ConvKind.STANDARD:
             return None
-        succ = self.successors(name)
+        succ = self._succs[name]
         if len(succ) != 1:
             return None
-        second = self.spec(succ[0])
+        second = self._specs[succ[0]]
         if not isinstance(second, ConvSpec) or second.kind is ConvKind.STANDARD:
             return None
-        if len(self.predecessors(succ[0])) != 1:
+        if len(self._preds[succ[0]]) != 1:
             return None
         if (first.kind, second.kind) == (ConvKind.DEPTHWISE, ConvKind.DEPTHWISE):
             return None
@@ -182,21 +205,22 @@ class ModelGraph:
         length ``>= 3`` are the chain planner's search space.  Every
         chainable edge leaves its endpoints with one eligible in- and
         out-edge at most, so runs are disjoint simple paths and the
-        decomposition is unique.
+        decomposition is unique.  Derived once per graph and again only
+        after a further :meth:`add`.
         """
-        next_of: dict[str, str] = {}
-        has_prev: set[str] = set()
-        for name in self._order:
-            nxt = self._chainable_edge(name)
-            if nxt is not None:
-                next_of[name] = nxt
-                has_prev.add(nxt)
-        runs: list[list[ConvSpec]] = []
-        for name in self._order:
-            if name in has_prev or (name not in next_of):
-                continue
-            run = [name]
-            while run[-1] in next_of:
-                run.append(next_of[run[-1]])
-            runs.append([self.spec(n) for n in run])
-        return runs
+        if self._runs is None:
+            next_of: dict[str, str] = {}
+            for name in self._specs:
+                nxt = self._chainable_edge(name)
+                if nxt is not None:
+                    next_of[name] = nxt
+            has_prev = set(next_of.values())
+            self._runs = []
+            for name in self._specs:
+                if name in has_prev or name not in next_of:
+                    continue
+                run = [name]
+                while run[-1] in next_of:
+                    run.append(next_of[run[-1]])
+                self._runs.append([self._specs[n] for n in run])
+        return [list(run) for run in self._runs]

@@ -37,6 +37,7 @@ Chain dataflow (one thread block):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from ..core.chain import FusedChain, chain_fcm_type, composed_receptive_field
@@ -88,34 +89,6 @@ def _clamp_tiles(chain: FusedChain, tiling: Mapping[str, int]) -> tuple[int, int
     return min(tiling["tile_h"], last.out_h), min(tiling["tile_w"], last.out_w)
 
 
-def _axis_ranges(
-    chain: FusedChain, tile: int, axis: int
-) -> list[list[tuple[int, int]]]:
-    """Per-boundary clamped index ranges of every final-output tile, one axis.
-
-    Boundary ``b`` is stage ``b``'s output grid (``b = 0`` is the chain
-    input).  ``ranges[b][t]`` is the half-open index range tile ``t`` needs
-    on boundary ``b`` — exactly what the simulated chain kernel loads
-    (``b = 0`` or ``1``) and computes (``0 < b < N``), so measured-convention
-    costs match the kernel's metered bytes.
-    """
-    specs = chain.specs
-    out_size = specs[-1].out_h if axis == 0 else specs[-1].out_w
-    cur = [
-        (t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile)
-    ]
-    per: list[list[tuple[int, int]]] = [cur]
-    for spec in reversed(specs):  # boundary i+1 -> boundary i through stage i+1
-        in_size = spec.in_h if axis == 0 else spec.in_w
-        cur = [
-            tile_input_range(lo, hi - lo, spec.kernel, spec.stride, spec.padding, in_size)
-            for lo, hi in cur
-        ]
-        per.append(cur)
-    per.reverse()
-    return per
-
-
 def _axis_sums(ranges: list[tuple[int, int]]) -> tuple[int, int]:
     """(summed extents, union of extents) of one boundary's axis ranges."""
     total = 0
@@ -128,6 +101,41 @@ def _axis_sums(ranges: list[tuple[int, int]]) -> tuple[int, int]:
             covered += hi - lo
             prev_hi = hi
     return total, covered
+
+
+@lru_cache(maxsize=None)
+def _boundary_sums(
+    out_size: int, stages: tuple[tuple[int, int, int, int], ...], tile: int
+) -> tuple[tuple[int, int], ...]:
+    """Per-boundary (summed, covered) extents of one axis under one tile size.
+
+    ``stages`` holds each stage's ``(kernel, stride, padding, in_size)``
+    along the axis, first stage first; ``out_size`` is the last stage's
+    output extent.  Boundary ``b`` is stage ``b``'s output grid (``b = 0``
+    is the chain input).  Every final-output tile's half-open index range is
+    propagated backward through the stages with
+    :func:`~repro.core.tiling.tile_input_range` — exactly what the simulated
+    chain kernel loads (``b = 0`` or ``1``) and computes (``0 < b < N``), so
+    measured-convention costs match the kernel's metered bytes.  Pure in its
+    arguments, so cached like the pairwise grids' axis tables.
+    """
+    cur = [(t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile)]
+    sums = [_axis_sums(cur)]
+    for kernel, stride, padding, in_size in reversed(stages):
+        cur = [tile_input_range(lo, hi - lo, kernel, stride, padding, in_size) for lo, hi in cur]
+        sums.append(_axis_sums(cur))
+    sums.reverse()
+    return tuple(sums)
+
+
+def _axis_boundary_sums(chain: FusedChain, tile: int, axis: int) -> tuple[tuple[int, int], ...]:
+    """:func:`_boundary_sums` of ``chain`` along ``axis`` (0 = rows, 1 = cols)."""
+    specs = chain.specs
+    if axis == 0:
+        stages = tuple((s.kernel, s.stride, s.padding, s.in_h) for s in specs)
+        return _boundary_sums(specs[-1].out_h, stages, tile)
+    stages = tuple((s.kernel, s.stride, s.padding, s.in_w) for s in specs)
+    return _boundary_sums(specs[-1].out_w, stages, tile)
 
 
 def _grid(chain: FusedChain, b: int) -> tuple[int, int]:
@@ -158,9 +166,9 @@ def chain_axis_tables(
     broadcasts over its (tile_h, tile_w) grid.
     """
     n_bounds = chain.length + 1
-    per_tile = [[_axis_sums(r) for r in _axis_ranges(chain, t, axis)] for t in tiles]
-    totals = [tuple(per_tile[i][b][0] for i in range(len(per_tile))) for b in range(n_bounds)]
-    covered = [tuple(per_tile[i][b][1] for i in range(len(per_tile))) for b in range(n_bounds)]
+    per_tile = [_axis_boundary_sums(chain, t, axis) for t in tiles]
+    totals = [tuple(sums[b][0] for sums in per_tile) for b in range(n_bounds)]
+    covered = [tuple(sums[b][1] for sums in per_tile) for b in range(n_bounds)]
     return totals, covered
 
 
@@ -218,12 +226,10 @@ def _chain_gma_general(
             redundant += stage.out_channels * ovl * mpe
             useful += stage.out_channels * h * w * mpe
     else:
-        rows = _axis_ranges(chain, tile_h, axis=0)
-        cols = _axis_ranges(chain, tile_w, axis=1)
         # Per-boundary (summed, covered) extents; rows/cols factorize because
         # the tiles form a grid: sum over (hi, wi) of rext*cext = (sum r)(sum c).
-        row_sums = [_axis_sums(r) for r in rows]
-        col_sums = [_axis_sums(c) for c in cols]
+        row_sums = _axis_boundary_sums(chain, tile_h, 0)
+        col_sums = _axis_boundary_sums(chain, tile_w, 1)
         ifm_reads = first.in_channels * row_sums[in_b][0] * col_sums[in_b][0]
         redundant = 0
         useful = last.macs

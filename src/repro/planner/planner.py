@@ -440,11 +440,10 @@ class FusePlanner:
                 chosen[dec.specs[0].name] = dec
                 consumed.update(s.name for s in dec.specs[1:])
 
-        plan = ExecutionPlan(
-            model_name=graph.name,
-            gpu=self.gpu,
-            dtype=dtype if dtype is not None else _graph_dtype(graph),
-        )
+        plan_dtype = dtype if dtype is not None else graph.dtype
+        if plan_dtype is None:
+            raise PlanError(f"model {graph.name!r} has no convolutional layers")
+        plan = ExecutionPlan(model_name=graph.name, gpu=self.gpu, dtype=plan_dtype)
         for spec in graph.topological():
             if isinstance(spec, GlueSpec):
                 plan.steps.append(GlueStep(spec))
@@ -480,10 +479,3 @@ class ScalarPlanner(FusePlanner):
 
     def _chain_tiling(self, chain: FusedChain) -> SearchResult | None:
         return scalar_chain_tiling(chain, self.gpu, self.convention)
-
-
-def _graph_dtype(graph: ModelGraph) -> DType:
-    for spec in graph.topological():
-        if isinstance(spec, ConvSpec):
-            return spec.dtype
-    raise PlanError(f"model {graph.name!r} has no convolutional layers")

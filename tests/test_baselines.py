@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, int32_conv2d, pw_spec, random_ifm, ref_layer
+from repro.baselines import tvm
 from repro.baselines.autotune import random_search
 from repro.baselines.cudnn import (
     CudnnAlgo,
@@ -24,8 +25,10 @@ from repro.core.ops import conv2d_depthwise, conv2d_standard
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, RTX_A4000
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
-from repro.ir.graph import ModelGraph
+from repro.ir.graph import GlueSpec, ModelGraph
 from repro.kernels.params import make_layer_params
+from repro.models.zoo import build_model
+from repro.runtime.session import TvmSession
 
 
 class TestIm2col:
@@ -212,3 +215,42 @@ class TestTvmCompiler:
     def test_describe(self):
         plan = TvmCompiler(GTX1660).compile(self._graph())
         assert "TvmPlan" in plan.describe()
+
+    def test_compile_takes_the_graph_precision(self):
+        """Without ``dtype`` an INT8 graph compiles (and is priced) as INT8."""
+        g = build_model("mobilenet_v1", DType.INT8)
+        plan = TvmCompiler(GTX1660).compile(g)
+        explicit = TvmCompiler(GTX1660).compile(g, DType.INT8)
+        assert plan.dtype is DType.INT8
+        assert plan.steps == explicit.steps
+        assert TvmSession(g, plan).run_analytic().records == \
+            TvmSession(g, explicit).run_analytic().records
+        glue_only = ModelGraph("glue")
+        glue_only.add(GlueSpec("gap", "gap", 16))
+        assert TvmCompiler(GTX1660).compile(glue_only).dtype is DType.FP32
+
+    def test_same_geometry_tuned_once_and_keeps_names(self):
+        g = ModelGraph("twins")
+        g.add(pw_spec("a", c_in=8, c_out=8, h=16, w=16))
+        g.add(pw_spec("b", c_in=8, c_out=8, h=16, w=16))
+        tvm._tuned.cache_clear()
+        plan = TvmCompiler(GTX1660).compile(g)
+        assert tvm._tuned.cache_info().misses == 1
+        assert [s.spec for s in plan.conv_steps] == [g.spec("a"), g.spec("b")]
+        a, b = plan.conv_steps
+        assert (a.algo, a.gemm_tile, a.tuned_cost_s) == (b.algo, b.gemm_tile, b.tuned_cost_s)
+        assert "CONV a:" in plan.describe() and "CONV b:" in plan.describe()
+        TvmCompiler(RTX_A4000).compile(g)  # another GPU is another tuning
+        assert tvm._tuned.cache_info().misses == 2
+
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8])
+    def test_cold_plan_equals_warm_plan(self, dtype):
+        graph = build_model("mobilenet_v2", dtype)
+        tvm._tuned.cache_clear()
+        cold = TvmCompiler(RTX_A4000).compile(graph, dtype)
+        for model in ("mobilenet_v1", "xception"):
+            TvmCompiler(RTX_A4000).compile(build_model(model, dtype), dtype)
+        warm = TvmCompiler(RTX_A4000).compile(graph, dtype)
+        assert tvm._tuned.cache_info().hits > 0
+        assert warm.steps == cold.steps
+        assert warm.describe() == cold.describe()

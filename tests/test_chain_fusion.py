@@ -23,7 +23,8 @@ from repro.planner.chain_costs import (
     chain_gma,
     chain_tiling_keys,
 )
-from repro.planner.fcm_costs import fcm_feasible, fcm_footprints, fcm_gma
+from repro.planner.costs import GmaEstimate
+from repro.planner.fcm_costs import FcmCost, fcm_feasible, fcm_footprints, fcm_gma
 from repro.planner.plan import ChainStep, StdStep
 from repro.planner.planner import FusePlanner
 from repro.planner.search import best_chain_tiling, best_lbl_tiling
@@ -105,6 +106,31 @@ class TestChainCostReduction:
          {"tile_hw": 49, "tile_m": 16}),
     ]
 
+    # DWPW is priced by the chain model itself, so its rows compare against
+    # literals: the fcm_gma / fcm_footprints / fcm_feasible values of the
+    # dedicated DW->PW model the chain model replaced, keyed by
+    # (tile_h, tile_w, tile_m).  FP32, so elem_bytes is 4.
+    DWPW_GMA = {
+        ((4, 8, 16), "paper"): ((47040, 25088), 514304),
+        ((4, 8, 16), "measured"): ((40128, 25088), 514304),
+        ((7, 14, 32), "paper"): ((14752, 6272), 128576),
+        ((7, 14, 32), "measured"): ((14304, 6272), 128576),
+        ((7, 28, 32), "paper"): ((20544, 25088), 514304),
+        ((7, 28, 32), "measured"): ((17856, 25088), 514304),
+        ((28, 28, 8), "paper"): ((13200, 25088), 514304),
+        ((28, 28, 8), "measured"): ((13200, 25088), 514304),
+    }
+    #: (L1 bytes, shared bytes, output tiles), then feasible on GTX/Orin/RTX.
+    DWPW_FOOTPRINTS = {
+        (4, 8, 16): ((10048, 2048, 28), (True, True, False)),
+        (7, 14, 32): ((51392, 6272, 2), (False, False, False)),
+    }
+
+    @classmethod
+    def _dwpw_cost(cls, tiling, convention) -> FcmCost:
+        (reads, writes), useful = cls.DWPW_GMA[tuple(tiling.values()), convention]
+        return FcmCost(GmaEstimate(reads, writes, 4), 0, useful)
+
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
     def test_len2_reproduces_fcm_gma(self, fcm_type, specs, tiling, convention):
@@ -112,29 +138,36 @@ class TestChainCostReduction:
         cg = chain_gma(chain, tiling, convention)
         fg = fcm_gma(fcm_type, specs[0], specs[1], tiling, convention)
         assert cg == fg
+        if fcm_type is FcmType.DWPW:
+            assert cg == self._dwpw_cost(tiling, convention)
 
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
     def test_len2_reproduces_footprints_and_feasibility(self, fcm_type, specs, tiling):
         chain = FusedChain(specs)
-        assert chain_footprints(chain, tiling) == fcm_footprints(
-            fcm_type, specs[0], specs[1], tiling
+        footprints = chain_footprints(chain, tiling)
+        assert footprints == fcm_footprints(fcm_type, specs[0], specs[1], tiling)
+        feasible = tuple(
+            chain_feasible(chain, tiling, gpu) for gpu in (GTX1660, ORIN, RTX_A4000)
         )
-        for gpu in (GTX1660, ORIN, RTX_A4000):
-            assert chain_feasible(chain, tiling, gpu) == fcm_feasible(
-                fcm_type, specs[0], specs[1], tiling, gpu
-            )
+        assert feasible == tuple(
+            fcm_feasible(fcm_type, specs[0], specs[1], tiling, gpu)
+            for gpu in (GTX1660, ORIN, RTX_A4000)
+        )
+        if fcm_type is FcmType.DWPW:
+            assert (footprints, feasible) == self.DWPW_FOOTPRINTS[tuple(tiling.values())]
 
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     def test_general_model_reduces_to_dwpw(self, convention):
-        """The compositional model itself (not dispatch) matches DWPW exactly:
-        the chain vocabulary coincides with DWPW's, so both paths must agree."""
+        """The compositional model itself (not dispatch) reproduces the
+        dedicated DW->PW model's GMA, pinned as literals."""
         from repro.planner.chain_costs import _chain_gma_general
 
         dw, pw = _dw("d", 16, 28, 28), _pw("p", 16, 32, 28, 28)
         for th, tw, tm in [(4, 8, 16), (7, 28, 32), (28, 28, 8)]:
             tiling = {"tile_h": th, "tile_w": tw, "tile_m": tm}
-            assert _chain_gma_general(FusedChain((dw, pw)), tiling, convention) == \
-                fcm_gma(FcmType.DWPW, dw, pw, tiling, convention)
+            expected = self._dwpw_cost(tiling, convention)
+            assert _chain_gma_general(FusedChain((dw, pw)), tiling, convention) == expected
+            assert fcm_gma(FcmType.DWPW, dw, pw, tiling, convention) == expected
 
     def test_tiling_keys(self):
         assert chain_tiling_keys(_pdp_chain()) == ("tile_h", "tile_w", "tile_m")

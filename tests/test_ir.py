@@ -10,6 +10,7 @@ from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
 from repro.ir.importer import import_model
 from repro.ir.layers import ConvKind, ConvSpec
+from repro.models.zoo import build_model, model_names
 
 
 class TestConvSpec:
@@ -85,6 +86,153 @@ class TestModelGraph:
         g = ModelGraph("m")
         with pytest.raises(ShapeError):
             g.spec("nope")
+        with pytest.raises(ShapeError):
+            g.successors("nope")
+
+    def test_validate_rechecks_after_add(self):
+        g = ModelGraph("m")
+        g.add(ConvSpec("a", ConvKind.POINTWISE, 4, 8, 8, 8))
+        g.add(ConvSpec("b", ConvKind.POINTWISE, 8, 4, 8, 8))
+        g.validate()
+        g.add(ConvSpec("c", ConvKind.POINTWISE, 16, 4, 8, 8))  # expects 16 chans
+        with pytest.raises(ShapeError, match="b->c"):
+            g.validate()
+
+    def test_fusion_runs_rederived_after_add(self):
+        g = ModelGraph("m")
+        dsc_block(g, "b1", 8, 16, 16, 16)
+        assert [[s.name for s in r] for r in g.fusion_runs()] == [["b1_dw", "b1_pw"]]
+        dsc_block(g, "b2", 16, 16, 16, 16)
+        assert [[s.name for s in r] for r in g.fusion_runs()] == [
+            ["b1_dw", "b1_pw", "b2_dw", "b2_pw"]
+        ]
+
+    def test_graph_dtype_is_first_conv_precision(self):
+        g = ModelGraph("m")
+        g.add(GlueSpec("in", "noop", 64))
+        assert g.dtype is None
+        g.add(ConvSpec("a", ConvKind.POINTWISE, 4, 8, 8, 8, dtype=DType.INT8))
+        g.add(ConvSpec("b", ConvKind.POINTWISE, 8, 8, 8, 8))
+        assert g.dtype is DType.INT8
+
+
+def _recorded(monkeypatch) -> list:
+    """Record every ``ModelGraph.add`` call as (graph, spec, after)."""
+    log: list = []
+    add = ModelGraph.add
+
+    def recording(self, spec, after=None):
+        log.append((self, spec, after))
+        return add(self, spec, after)
+
+    monkeypatch.setattr(ModelGraph, "add", recording)
+    return log
+
+
+def _networkx_view(graph: ModelGraph, log: list) -> dict:
+    """What the graph answered when it was stored as a networkx ``DiGraph``
+    and sorted with the keyed lexicographic sort: replays ``graph``'s add
+    calls from ``log`` and derives every answer the networkx way."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    order: list[str] = []
+    for owner, spec, after in log:
+        if owner is not graph:
+            continue
+        if after is None:
+            preds = order[-1:]
+        else:
+            preds = [after] if isinstance(after, str) else list(after)
+        g.add_node(spec.name, spec=spec)
+        for p in preds:
+            g.add_edge(p, spec.name)
+        order.append(spec.name)
+    assert nx.is_directed_acyclic_graph(g)
+    topo = [g.nodes[n]["spec"] for n in nx.lexicographical_topological_sort(g, key=order.index)]
+    succ = {n: sorted(g.successors(n), key=order.index) for n in order}
+    pred = {n: sorted(g.predecessors(n), key=order.index) for n in order}
+
+    def fusable(first, second) -> bool:
+        return (
+            all(isinstance(s, ConvSpec) and s.kind is not ConvKind.STANDARD
+                for s in (first, second))
+            and (first.kind, second.kind) != (ConvKind.DEPTHWISE, ConvKind.DEPTHWISE)
+        )
+
+    next_of = {
+        n: succ[n][0]
+        for n in order
+        if len(succ[n]) == 1 and len(pred[succ[n][0]]) == 1
+        and fusable(g.nodes[n]["spec"], g.nodes[succ[n][0]]["spec"])
+    }
+    runs = []
+    for n in order:
+        if n in next_of and n not in next_of.values():
+            run = [n]
+            while run[-1] in next_of:
+                run.append(next_of[run[-1]])
+            runs.append([g.nodes[m]["spec"] for m in run])
+    return {
+        "topological": topo,
+        "conv_layers": [s for s in topo if isinstance(s, ConvSpec)],
+        "successors": succ,
+        "predecessors": pred,
+        "fusion_runs": runs,
+    }
+
+
+def _assert_matches_networkx(graph: ModelGraph, log: list) -> None:
+    ref = _networkx_view(graph, log)
+    assert list(graph.topological()) == ref["topological"]
+    assert graph.conv_layers() == ref["conv_layers"]
+    assert len(graph) == len(ref["topological"])
+    for name in ref["successors"]:
+        assert graph.successors(name) == ref["successors"][name], name
+        assert graph.predecessors(name) == ref["predecessors"][name], name
+    assert graph.fusion_runs() == ref["fusion_runs"]
+
+
+class TestGraphMatchesNetworkx:
+    """The insertion-ordered graph answers exactly what the networkx
+    ``DiGraph`` and its keyed lexicographic sort answered."""
+
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8])
+    @pytest.mark.parametrize("model", model_names())
+    def test_zoo_models(self, model, dtype, monkeypatch):
+        log = _recorded(monkeypatch)
+        graph = build_model(model, dtype)
+        _assert_matches_networkx(graph, log)
+
+    def test_imported_model(self, monkeypatch):
+        log = _recorded(monkeypatch)
+        graph = import_model({
+            "name": "t",
+            "input": [8, 16, 16],
+            "layers": [
+                {"op": "conv", "kind": "pw", "out_channels": 16},
+                {"op": "conv", "kind": "dw", "kernel": 3, "stride": 2},
+                {"op": "conv", "kind": "pw", "out_channels": 32},
+                {"op": "glue", "glue": "gap"},
+            ],
+        })
+        _assert_matches_networkx(graph, log)
+
+    def test_out_of_order_and_repeated_predecessors(self, monkeypatch):
+        log = _recorded(monkeypatch)
+        g = ModelGraph("dag")
+        g.add(ConvSpec("a", ConvKind.POINTWISE, 4, 8, 8, 8))
+        g.add(ConvSpec("b", ConvKind.DEPTHWISE, 8, 8, 8, 8, kernel=3, padding=1))
+        g.add(GlueSpec("side", "noop", 8 * 8 * 8), after="a")
+        # Out of insertion order, with a predecessor repeated.
+        g.add(GlueSpec("join", "add", 8 * 8 * 8), after=["side", "b", "side", "a"])
+        g.add(ConvSpec("c", ConvKind.POINTWISE, 8, 8, 8, 8))
+        g.add(ConvSpec("d", ConvKind.DEPTHWISE, 8, 8, 8, 8, kernel=3, padding=1), after=["c", "c"])
+        g.add(ConvSpec("e", ConvKind.POINTWISE, 8, 4, 8, 8))
+        g.validate()
+        assert g.predecessors("join") == ["a", "b", "side"]
+        assert g.successors("a") == ["b", "side", "join"]
+        assert [[s.name for s in r] for r in g.fusion_runs()] == [["c", "d", "e"]]
+        _assert_matches_networkx(g, log)
 
 
 class TestInvertedResidual:
