@@ -12,10 +12,12 @@ from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.errors import CapacityError, ShapeError, UnsupportedError
 from repro.gpu.specs import ALL_GPUS, ORIN, RTX_A4000
+from repro.ir.layers import ConvKind
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
 from repro.models.zoo import build_model, model_names
 from repro.planner.planner import FusePlanner
+from repro.planner.search import best_fcm_tiling
 
 
 def _pair(first_spec, second_spec, seed=0):
@@ -240,17 +242,24 @@ class TestFusedCapacity:
             k.simulate(x, tiny_gpu)
 
 
-def _zoo_dwpw_steps():
-    """Every distinct DWPW step of the zoo plans, with the GPU first planning it."""
-    steps = {}
+def _zoo_fcm_steps():
+    """Every fused step of the zoo plans (6 models x FP32/INT8 x 3 GPUs x
+    ``max_chain`` 2-3), in planning order, with the GPU planning it."""
     for model in model_names():
         for dtype in (DType.FP32, DType.INT8):
             graph = build_model(model, dtype)
             for gpu in ALL_GPUS:
                 for max_chain in (2, 3):
                     for step in FusePlanner(gpu, max_chain=max_chain).plan(graph).fcm_steps:
-                        if step.fcm_type is FcmType.DWPW:
-                            steps.setdefault((step.specs, tuple(step.tiling.items())), gpu)
+                        yield step, gpu
+
+
+def _zoo_dwpw_steps():
+    """Every distinct DWPW step of the zoo plans, with the GPU first planning it."""
+    steps = {}
+    for step, gpu in _zoo_fcm_steps():
+        if step.fcm_type is FcmType.DWPW:
+            steps.setdefault((step.specs, tuple(step.tiling.items())), gpu)
     return [(specs, dict(tiling), gpu) for (specs, tiling), gpu in steps.items()]
 
 
@@ -306,3 +315,124 @@ class TestPinnedDwPwLaunches:
         for dw, pw, tiling in _SMALL_DWPW:
             _hash_dwpw_launch(h, dw, pw, tiling, RTX_A4000, "reference")
         assert h.hexdigest() == self.DIGEST
+
+
+def _geometry(spec) -> tuple:
+    """Everything a launch's accounting depends on, minus the layer name."""
+    return (
+        spec.kind, spec.in_channels, spec.out_channels, spec.in_h, spec.in_w,
+        spec.kernel, spec.stride, spec.padding, spec.dtype,
+    )
+
+
+def _zoo_pair_launches():
+    """(FCM type, first, second, tiling, GPU) of every distinct (type, stage
+    geometry, tiling) PWDW and PWDW_R step of the zoo plans, then of every
+    zoo PW->PW pair at its best feasible PWPW tiling on each GPU (no zoo plan
+    picks PWPW, but the planner's candidates hold these)."""
+    steps = {}
+    for step, gpu in _zoo_fcm_steps():
+        if step.fcm_type in (FcmType.PWDW, FcmType.PWDW_R):
+            key = (step.fcm_type, tuple(map(_geometry, step.specs)), tuple(step.tiling.items()))
+            steps.setdefault(key, (step.fcm_type, *step.specs, dict(step.tiling), gpu))
+    launches = list(steps.values())
+    pairs = {}
+    for model in model_names():
+        for dtype in (DType.FP32, DType.INT8):
+            for run in build_model(model, dtype).fusion_runs():
+                for a, b in zip(run, run[1:]):
+                    if a.kind is b.kind is ConvKind.POINTWISE:
+                        pairs.setdefault((_geometry(a), _geometry(b)), (a, b))
+    for a, b in pairs.values():
+        for gpu in ALL_GPUS:
+            res = best_fcm_tiling(FcmType.PWPW, a, b, gpu)
+            if res is not None:
+                launches.append((FcmType.PWPW, a, b, res.tiling, gpu))
+    return launches
+
+
+#: the small PWDW, PWDW_R and PWPW cases of the classes above, plus a PWDW
+#: case whose last channel group is partial and a PWPW case whose last pixel
+#: tile is partial, with several tile_m groups: (type, first, second, tiling).
+_SMALL_PAIRS = [
+    (FcmType.PWDW, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12, stride=2), {"tile_f": 4}),
+    (FcmType.PWDW, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 4}),
+    (FcmType.PWDW, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 16}),
+    (FcmType.PWDW, pw_spec(c_in=8, c_out=12, h=12, w=12),
+     dw_spec(c=12, h=12, w=12, stride=2), {"tile_f": 8}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 8, "tile_h": 3, "tile_w": 3}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12, stride=2), {"tile_f": 8, "tile_h": 3, "tile_w": 3}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 8, "tile_h": 4, "tile_w": 4}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=10, w=10),
+     dw_spec(c=16, h=10, w=10), {"tile_f": 4, "tile_h": 10, "tile_w": 10}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 8, "tile_h": 6, "tile_w": 6}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12),
+     dw_spec(c=16, h=12, w=12), {"tile_f": 8, "tile_h": 2, "tile_w": 2}),
+    (FcmType.PWPW, pw_spec("pw1", c_in=8, c_out=24, h=10, w=10),
+     pw_spec("pw2", c_in=24, c_out=16, h=10, w=10), {"tile_hw": 25, "tile_m": 8}),
+    (FcmType.PWPW, pw_spec("pw1", c_in=8, c_out=24, h=10, w=10),
+     pw_spec("pw2", c_in=24, c_out=16, h=10, w=10), {"tile_hw": 16, "tile_m": 6}),
+    (FcmType.PWDW, pw_spec(c_in=8, c_out=16, h=12, w=12, dtype=DType.INT8),
+     dw_spec(c=16, h=12, w=12, dtype=DType.INT8), {"tile_f": 8}),
+    (FcmType.PWDW_R, pw_spec(c_in=8, c_out=16, h=12, w=12, dtype=DType.INT8),
+     dw_spec(c=16, h=12, w=12, dtype=DType.INT8), {"tile_f": 8, "tile_h": 4, "tile_w": 4}),
+    (FcmType.PWPW, pw_spec("pw1", c_in=8, c_out=24, h=10, w=10, dtype=DType.INT8),
+     pw_spec("pw2", c_in=24, c_out=16, h=10, w=10, dtype=DType.INT8),
+     {"tile_hw": 25, "tile_m": 8}),
+]
+
+
+def _hash_pair_launch(h, fcm_type, first, second, tiling, gpu, engine: str):
+    """Feed one single-image launch into ``h`` as :func:`_hash_dwpw_launch`
+    does, minus the shared-memory metering; return the launch result."""
+    p1 = make_layer_params(first)
+    kernel = build_fcm_kernel(fcm_type, p1, chain_quant(p1, second), tiling)
+    res = kernel.simulate(random_ifm(first, 0), gpu, engine)
+    c, st = res.counters, res.stats
+    h.update(repr((res.output.dtype.str, res.output.shape)).encode())
+    h.update(res.output.tobytes())
+    h.update(repr((
+        sorted(c.global_reads.items()), sorted(c.global_writes.items()),
+        c.rereads, c.macs, c.redundant_macs, c.kernel_launches,
+        st.num_blocks, st.waves,
+    )).encode())
+    return res
+
+
+@pytest.fixture(scope="module")
+def pair_launches():
+    """Run every pinned pair launch once: (digest, [(case, result stats)])."""
+    h = hashlib.sha256()
+    seen = []
+    for fcm_type, first, second, tiling, gpu in _zoo_pair_launches():
+        res = _hash_pair_launch(h, fcm_type, first, second, tiling, gpu, "fast")
+        seen.append(((fcm_type, first, second, tiling), res.counters.shared_bytes, res.stats))
+    for fcm_type, first, second, tiling in _SMALL_PAIRS:
+        res = _hash_pair_launch(h, fcm_type, first, second, tiling, RTX_A4000, "reference")
+        seen.append(((fcm_type, first, second, tiling), res.counters.shared_bytes, res.stats))
+    return h.hexdigest(), seen
+
+
+class TestPinnedPairLaunches:
+    """Regression guard: the bytes and accounting of PWDW, PWDW_R and PWPW
+    launches, pinned.
+
+    Every distinct (type, geometry, tiling) PWDW and PWDW_R step of the zoo
+    plans and every zoo PW->PW pair at its best PWPW tiling per GPU run on
+    the fast engine, the small cases above on the reference engine.  The
+    hash leaves shared-memory metering out; everything else a launch
+    reports is in it.
+    """
+
+    #: SHA-256 over every launch of :func:`pair_launches`, in order.
+    DIGEST = "d5f3a8f74ad661e8c045a53ec626c251c610497d270ce07e1077bb3cb40696bc"
+
+    def test_pair_launches_are_pinned(self, pair_launches):
+        assert pair_launches[0] == self.DIGEST
