@@ -1,6 +1,6 @@
 """Core primitives: dtypes, reference operators, tiling math, quantization, FCM taxonomy."""
 
-from .chain import FusedChain, chain_fcm_type, composed_receptive_field
+from .chain import FusedChain, composed_receptive_field
 from .dtypes import DType
 from .fcm import FcmType, candidate_fcm_types, fcm_is_redundant
 from .ops import (
@@ -37,7 +37,6 @@ from .tiling import (
 __all__ = [
     "DType",
     "FusedChain",
-    "chain_fcm_type",
     "composed_receptive_field",
     "FcmType",
     "candidate_fcm_types",

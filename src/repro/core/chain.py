@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ShapeError, UnsupportedError
+from ..errors import ShapeError
 # repro: allow[RPR004] chain IR composes ConvSpec geometry; the core<->ir
 # split predates chain fusion and ir.layers never imports back into core.chain
 from ..ir.layers import ConvKind, ConvSpec
-from .fcm import FcmType
 
-__all__ = ["FusedChain", "chain_fcm_type", "composed_receptive_field"]
+__all__ = ["FusedChain", "composed_receptive_field"]
 
 #: Adjacent stage kinds a fused chain may contain (DW->DW is illegal).
 _LEGAL_ADJACENT = {("dw", "pw"), ("pw", "dw"), ("pw", "pw")}
@@ -129,24 +128,6 @@ class FusedChain:
             f"chain[{self.kinds}] {self.name} "
             f"{head.in_channels}ch {head.in_h}x{head.in_w} {head.dtype}"
         )
-
-
-def chain_fcm_type(chain: FusedChain, redundant: bool = False) -> FcmType:
-    """The pairwise FCM type a length-2 chain corresponds to.
-
-    ``redundant`` selects PWDW_R over PWDW for the ambiguous pw->dw pair
-    (the pairwise taxonomy distinguishes spatially-tiled from untiled).
-    """
-    if chain.length != 2:
-        raise UnsupportedError(
-            f"chain of length {chain.length} has no pairwise FCM type"
-        )
-    pair = (chain.specs[0].kind.short, chain.specs[1].kind.short)
-    if pair == ("dw", "pw"):
-        return FcmType.DWPW
-    if pair == ("pw", "dw"):
-        return FcmType.PWDW_R if redundant else FcmType.PWDW
-    return FcmType.PWPW
 
 
 def composed_receptive_field(

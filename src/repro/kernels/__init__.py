@@ -4,10 +4,13 @@ from .base import KernelResult, SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
 from .epilogue import ConvEpilogue
-from .fused_chain import DwPwFusedKernel, FusedChainKernel
-from .fused_pwdw import PwDwFusedKernel
-from .fused_pwdw_r import PwDwRFusedKernel
-from .fused_pwpw import PwPwFusedKernel
+from .fused_chain import (
+    DwPwFusedKernel,
+    FusedChainKernel,
+    PwDwFusedKernel,
+    PwDwRFusedKernel,
+    PwPwFusedKernel,
+)
 from .params import LayerParams, chain_quant, make_layer_params
 from .registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
 

@@ -2,9 +2,9 @@
 
 The planner emits *what* to run (fuse or not, which FCM type, which tile
 sizes); this registry turns those decisions into concrete simulated kernels.
-Tile-size vocabularies differ per kernel, so the registry also defines the
-canonical tiling-dict keys each kernel understands.  A DWPW module is the
-length-2 DW->PW chain and builds the chain kernel under its DWPW name.
+Tile-size vocabularies differ per kernel family: LBL kernels take their own
+keys, and every fused module is the length-2 chain kernel under its type's
+vocabulary (:data:`~repro.planner.chain_costs.FCM_TILING_KEYS`) and name.
 """
 
 from __future__ import annotations
@@ -15,13 +15,17 @@ from ..core.fcm import FcmType
 from ..core.tiling import DwTiling, PwTiling
 from ..errors import UnsupportedError
 from ..ir.layers import ConvKind
+from ..planner.chain_costs import FCM_TILING_KEYS
 from .base import SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
-from .fused_chain import DwPwFusedKernel, FusedChainKernel
-from .fused_pwdw import PwDwFusedKernel
-from .fused_pwdw_r import PwDwRFusedKernel
-from .fused_pwpw import PwPwFusedKernel
+from .fused_chain import (
+    DwPwFusedKernel,
+    FusedChainKernel,
+    PwDwFusedKernel,
+    PwDwRFusedKernel,
+    PwPwFusedKernel,
+)
 from .params import LayerParams
 
 __all__ = ["build_lbl_kernel", "build_fcm_kernel", "build_chain_kernel"]
@@ -43,6 +47,16 @@ def build_lbl_kernel(params: LayerParams, tiling: Mapping[str, int]) -> SimKerne
     raise UnsupportedError(f"no direct LBL kernel for {kind} layers in this library")
 
 
+#: the kernel class of each FCM: constructor-only chain kernels that check
+#: their pair and carry the module's name.
+_FCM_KERNELS = {
+    FcmType.DWPW: DwPwFusedKernel,
+    FcmType.PWDW: PwDwFusedKernel,
+    FcmType.PWDW_R: PwDwRFusedKernel,
+    FcmType.PWPW: PwPwFusedKernel,
+}
+
+
 def build_fcm_kernel(
     fcm_type: FcmType,
     first: LayerParams,
@@ -51,26 +65,15 @@ def build_fcm_kernel(
 ) -> SimKernel:
     """Build a fused kernel of the given FCM type.
 
-    ``tiling`` keys per type:
+    ``tiling`` keys per type (:data:`~repro.planner.chain_costs.FCM_TILING_KEYS`):
 
     * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m`` (the chain vocabulary)
     * PWDW   -> ``tile_f``
     * PWDW_R -> ``tile_f``, ``tile_h``, ``tile_w``
     * PWPW   -> ``tile_hw``, ``tile_m``
     """
-    if fcm_type is FcmType.DWPW:
-        return DwPwFusedKernel(
-            first, second, tiling["tile_h"], tiling["tile_w"], tiling["tile_m"]
-        )
-    if fcm_type is FcmType.PWDW:
-        return PwDwFusedKernel(first, second, tiling["tile_f"])
-    if fcm_type is FcmType.PWDW_R:
-        return PwDwRFusedKernel(
-            first, second, tiling["tile_f"], tiling["tile_h"], tiling["tile_w"]
-        )
-    if fcm_type is FcmType.PWPW:
-        return PwPwFusedKernel(first, second, tiling["tile_hw"], tiling["tile_m"])
-    raise UnsupportedError(f"unknown FCM type {fcm_type}")
+    keys = FCM_TILING_KEYS[fcm_type]
+    return _FCM_KERNELS[fcm_type](first, second, **{k: tiling[k] for k in keys})
 
 
 def build_chain_kernel(
@@ -81,10 +84,10 @@ def build_chain_kernel(
     """Build the fused kernel for a chain of any length.
 
     Length-2 chains carrying their pairwise ``fcm_type`` route through
-    :func:`build_fcm_kernel` (PWDW, PWDW_R and PWPW to their specialized
-    kernels, DWPW to the chain kernel under its DWPW name); other chains
-    build the generic :class:`~repro.kernels.fused_chain.FusedChainKernel`
-    with the chain vocabulary ``tile_h``/``tile_w``[/``tile_m``].
+    :func:`build_fcm_kernel`, which names the chain kernel after its module;
+    other chains build the generic
+    :class:`~repro.kernels.fused_chain.FusedChainKernel` with the chain
+    vocabulary ``tile_h``/``tile_w``[/``tile_m``].
     """
     if len(stages) < 2:
         raise UnsupportedError("a fused chain kernel needs at least two stages")

@@ -19,9 +19,9 @@ from ..core.tiling import DwTiling, PwTiling, ceil_div
 from ..errors import UnsupportedError
 from ..gpu.counters import AccessCounters
 from ..ir.layers import ConvKind, ConvSpec
-from .chain_costs import _chain_gma_general
+from .chain_costs import chain_dataflow, chain_gma
 from .costs import lbl_gma
-from .fcm_costs import fcm_gma
+from .fcm_costs import fcm_chain
 
 __all__ = ["lbl_counters", "fcm_counters", "chain_counters", "pair_lbl_counters"]
 
@@ -79,65 +79,19 @@ def fcm_counters(
     second: ConvSpec,
     tiling: Mapping[str, int],
 ) -> AccessCounters:
-    """Counters of one fused-module launch (redundant MACs included).
-
-    DWPW is the length-2 DW->PW chain and gets :func:`chain_counters`.
-    """
-    if fcm_type is FcmType.DWPW:
-        return chain_counters((first, second), tiling)
-    cost = fcm_gma(fcm_type, first, second, tiling, "measured")
-    counters = AccessCounters()
-    counters.kernel_launches = 1
-    counters.read("fcm", cost.gma.read_bytes)
-    counters.write("fcm", cost.gma.write_bytes)
-    counters.compute(cost.useful_macs, cost.redundant_macs)
-    eb = first.dtype.nbytes
-    w1 = first.weights_elements * eb
-    w2 = second.weights_elements * eb
-    if fcm_type is FcmType.PWDW:
-        pw = first
-        tile_f = min(tiling["tile_f"], pw.out_channels)
-        n_f = ceil_div(pw.out_channels, tile_f)
-        ifm_pass = pw.in_channels * pw.out_h * pw.out_w * eb
-        counters.reread(ifm_pass, (n_f - 1) * ifm_pass)
-    elif fcm_type is FcmType.PWDW_R:
-        pw, dw = first, second
-        tile_f = min(tiling["tile_f"], pw.out_channels)
-        tile_h = min(tiling["tile_h"], dw.out_h)
-        tile_w = min(tiling["tile_w"], dw.out_w)
-        n_f = ceil_div(pw.out_channels, tile_f)
-        n_sp = ceil_div(dw.out_h, tile_h) * ceil_div(dw.out_w, tile_w)
-        counters.reread(w1, (n_sp - 1) * w1)
-        counters.reread(w2, (n_sp - 1) * w2)
-        ifm_pass = pw.in_channels * pw.out_h * pw.out_w * eb
-        ifm_extra = counters.read_bytes - n_sp * (w1 + w2) - ifm_pass
-        counters.reread(ifm_pass, max(ifm_extra, 0))
-    elif fcm_type is FcmType.PWPW:
-        pw2 = second
-        out_hw = pw2.out_h * pw2.out_w
-        tile_hw = min(tiling["tile_hw"], out_hw)
-        n_sp = ceil_div(out_hw, tile_hw)
-        counters.reread(w1, (n_sp - 1) * w1)
-        counters.reread(w2, (n_sp - 1) * w2)
-    return counters
+    """Counters of one fused-module launch: the length-2 chain's."""
+    fcm_chain(fcm_type, first, second, tiling)
+    return chain_counters((first, second), tiling)
 
 
 def chain_counters(
-    specs: tuple[ConvSpec, ...],
-    tiling: Mapping[str, int],
-    fcm_type: FcmType | None = None,
+    specs: tuple[ConvSpec, ...], tiling: Mapping[str, int]
 ) -> AccessCounters:
-    """Counters of one fused-chain launch (redundant MACs included).
-
-    Length-2 chains with a pairwise ``fcm_type`` delegate to
-    :func:`fcm_counters` so the pairwise annotations are preserved
-    byte-for-byte; other chains, DWPW among them, use the compositional
-    chain estimator.
-    """
-    if fcm_type is not None and len(specs) == 2:
-        return fcm_counters(fcm_type, specs[0], specs[1], tiling)
-    chain = FusedChain(specs)
-    cost = _chain_gma_general(chain, tiling, "measured")
+    """Counters of one fused-chain launch (redundant MACs included), in any
+    tiling vocabulary the chain runs under."""
+    chain = FusedChain(tuple(specs))
+    flow = chain_dataflow(chain, tiling)
+    cost = chain_gma(chain, tiling, "measured")
     counters = AccessCounters()
     counters.kernel_launches = 1
     counters.read("fcm", cost.gma.read_bytes)
@@ -145,12 +99,10 @@ def chain_counters(
     counters.compute(cost.useful_macs, cost.redundant_macs)
     # Re-read annotations: every stage's weights stream once per spatial
     # tile; any input traffic beyond one pass over the (subsampled) IFM is
-    # halo re-loading of an L2-resident tensor.
+    # channel-group re-streaming or halo re-loading of an L2-resident tensor.
     eb = chain.dtype.nbytes
-    first, last = chain.first, chain.last
-    tile_h = min(tiling["tile_h"], last.out_h)
-    tile_w = min(tiling["tile_w"], last.out_w)
-    n_sp = ceil_div(last.out_h, tile_h) * ceil_div(last.out_w, tile_w)
+    first = chain.first
+    n_sp = flow.n_sp
     for spec in chain.specs:
         w = spec.weights_elements * eb
         counters.reread(w, (n_sp - 1) * w)
@@ -158,8 +110,7 @@ def chain_counters(
         ifm_pass = first.in_channels * first.out_h * first.out_w * eb
     else:
         ifm_pass = first.ifm.nbytes
-    total_w = chain.weights_bytes
-    ifm_extra = counters.read_bytes - n_sp * total_w - ifm_pass
+    ifm_extra = counters.read_bytes - n_sp * chain.weights_bytes - ifm_pass
     counters.reread(ifm_pass, max(ifm_extra, 0))
     return counters
 

@@ -1,29 +1,33 @@
 """Chain-fusion cost models: the Eq. 4 family generalized to N stages.
 
-The paper builds each FCM's GMA model from the DW and PW models (Eq. 2-3
-into the Eq. 4 family).  This module does that *compositionally* for any
+The paper builds each FCM's GMA model from the DW and PW models: "the
+equations of the other FCMs are constructed from the PW and DW Equations 2
+and 3 similarly" (§IV-B).  This module does that *compositionally* for any
 length: a chain's global memory accesses, shared-memory footprint and halo
 redundancy are derived per stage by propagating the final output tile
-backward through every stage's ``(kernel, stride, padding)`` geometry.  At
-length 2 the construction is the Eq. 4 family:
+backward through every stage's ``(kernel, stride, padding)`` geometry.
 
-* ``dw->pw``  — *is* :data:`~repro.core.fcm.FcmType.DWPW`: the chain
-  vocabulary is DWPW's, and :mod:`repro.planner.fcm_costs` prices DWPW
-  with the general model here;
-* ``pw->dw``  — the PWDW_R formulas with ``tile_f = Cmid`` (the chain
-  model always keeps all intermediate channels resident; the untiled PWDW
-  channel-group dataflow remains a pairwise specialization);
-* ``pw->pw``  — the PWPW formulas on a 2-D spatial grid instead of the
-  flattened ``tile_hw`` vocabulary.
+It is the only model of the four pairwise FCMs too.  Each is the length-2
+chain under its own tiling vocabulary (:data:`FCM_TILING_KEYS`), and
+:func:`chain_dataflow` reads every vocabulary as one chain dataflow:
 
-:func:`chain_gma` therefore dispatches length-2 chains carrying a pairwise
-``tile_f``/``tile_hw`` vocabulary straight to
-:func:`~repro.planner.fcm_costs.fcm_gma`, so pairwise numbers are
-reproduced bit-for-bit, and runs the general N-stage model everywhere else.
+* ``DWPW`` ``{tile_h, tile_w, tile_m}`` is the chain vocabulary itself;
+* ``PWDW_R`` ``{tile_f, tile_h, tile_w}``: ``tile_f`` groups the
+  intermediate's channels.  Each group is its own set of blocks; a block
+  re-reads the full-channel input window and computes only its ``tile_f``
+  channels of both stages;
+* ``PWDW`` ``{tile_f}``: the same with one tile spanning the whole plane,
+  whose rows stream through the block (its footprint keeps those
+  row-streamed terms, the one vocabulary-specific term of the model);
+* ``PWPW`` ``{tile_hw, tile_m}``: the PW-only chain seen on a 1 x H·W plane,
+  the first stage pre-subsampled and every stage at stride 1, so
+  ``tile_hw`` is its ``tile_w``.  A strided later stage has no such view,
+  so the vocabulary is infeasible there.
 
 Chain dataflow (one thread block):
 
-1. own one ``tile_h x tile_w`` tile of the *final* stage's output;
+1. own one ``tile_h x tile_w`` tile of the *final* stage's output (and one
+   ``tile_f`` channel group, when grouped);
 2. walk the stages backward to find each intermediate's halo-extended
    window (any non-first DW stage grows the window — those halo elements
    are recomputed by every sharing block, the PWDW_R redundancy
@@ -37,25 +41,53 @@ Chain dataflow (one thread block):
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
-from ..core.chain import FusedChain, chain_fcm_type, composed_receptive_field
+from ..core.chain import FusedChain, composed_receptive_field
+from ..core.fcm import FcmType
 from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_input_range
-from ..errors import UnsupportedError
+from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .costs import GmaEstimate
-from .fcm_costs import FcmCost, fcm_feasible, fcm_gma
+from .costs import STREAM_CHUNK, GmaEstimate, streamed_matmul_l1_bytes
 
 __all__ = [
+    "FCM_TILING_KEYS",
+    "ChainDataflow",
+    "FcmCost",
+    "chain_dataflow",
     "chain_gma",
     "chain_feasible",
     "chain_footprints",
     "chain_tiling_keys",
     "chain_axis_tables",
     "chain_window_extents",
+    "tiling_ladder",
 ]
+
+#: Tiling-dict keys of each FCM's vocabulary, in grid-axis (sweep) order.
+FCM_TILING_KEYS: dict[FcmType, tuple[str, ...]] = {
+    FcmType.DWPW: ("tile_h", "tile_w", "tile_m"),
+    FcmType.PWDW: ("tile_f",),
+    FcmType.PWDW_R: ("tile_f", "tile_h", "tile_w"),
+    FcmType.PWPW: ("tile_hw", "tile_m"),
+}
+
+
+@dataclass(frozen=True)
+class FcmCost:
+    """GMA estimate plus the redundancy the module incurs."""
+
+    gma: GmaEstimate
+    redundant_macs: int
+    useful_macs: int
+
+    @property
+    def redundancy_ratio(self) -> float:
+        total = self.useful_macs + self.redundant_macs
+        return self.redundant_macs / total if total else 0.0
 
 
 def chain_tiling_keys(chain: FusedChain) -> tuple[str, ...]:
@@ -66,27 +98,114 @@ def chain_tiling_keys(chain: FusedChain) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def _is_pairwise_tiling(chain: FusedChain, tiling: Mapping[str, int]) -> bool:
-    """Whether a length-2 chain's tiling uses a pairwise-only vocabulary."""
-    if chain.length != 2:
-        return False
-    return "tile_f" in tiling or "tile_hw" in tiling
+def _vocabularies(chain: FusedChain) -> list[tuple[str, ...]]:
+    """Every tiling vocabulary ``chain`` runs under (chain keys first)."""
+    vocabs = [chain_tiling_keys(chain)]
+    if chain.length == 2:
+        kinds = (chain.first.kind.short, chain.last.kind.short)
+        for fcm_type, keys in FCM_TILING_KEYS.items():
+            if (fcm_type.first_kind, fcm_type.second_kind) == kinds and keys not in vocabs:
+                vocabs.append(keys)
+    return vocabs
 
 
-def _pairwise_dispatch(
-    chain: FusedChain, tiling: Mapping[str, int]
-) -> "tuple[ConvSpec, ConvSpec, object]":
-    first, second = chain.specs
-    redundant = "tile_h" in tiling  # PWDW_R carries spatial keys, PWDW does not
-    return first, second, chain_fcm_type(chain, redundant=redundant)
+def _flattens(chain: FusedChain) -> bool:
+    """Whether a PW-only chain has a 1 x H·W view: no strided later stage."""
+    return all(s.stride == 1 for s in chain.specs[1:])
+
+
+def _flat_view(chain: FusedChain) -> FusedChain:
+    """The PW-only chain on a 1 x H·W plane, first stage pre-subsampled."""
+    if not _flattens(chain):
+        raise UnsupportedError(
+            f"{chain.name}: the flattened 1 x H*W plane has no strided later stage"
+        )
+    hw = chain.first.out_h * chain.first.out_w
+    return FusedChain(tuple(replace(s, in_h=1, in_w=hw, stride=1) for s in chain.specs))
+
+
+@dataclass(frozen=True)
+class ChainDataflow:
+    """One tiling dict read as the chain dataflow it runs.
+
+    ``chain`` holds the stages as the blocks see them (the flattened plane
+    for ``tile_hw``, the chain itself otherwise); the tile sizes are clamped
+    to it.  ``tile_f`` intermediate channels form one group, each group its
+    own set of blocks (``None``: every block keeps all channels).
+    ``streamed`` marks a grouped tiling without spatial keys (PWDW): one
+    tile spans the plane and its rows stream through the block.
+    """
+
+    chain: FusedChain
+    tile_h: int
+    tile_w: int
+    tile_m: int | None
+    tile_f: int | None
+    streamed: bool
+
+    @property
+    def n_f(self) -> int:
+        """Channel groups of the intermediate (1 when ungrouped)."""
+        if self.tile_f is None:
+            return 1
+        return ceil_div(self.chain.first.out_channels, self.tile_f)
+
+    @property
+    def n_sp(self) -> int:
+        """Spatial tiles of the final output."""
+        last = self.chain.last
+        return ceil_div(last.out_h, self.tile_h) * ceil_div(last.out_w, self.tile_w)
+
+    def channels(self, b: int) -> int:
+        """Channels of boundary ``b`` one block holds (grouped past the input)."""
+        if b == 0:
+            return self.chain.first.in_channels
+        if self.tile_f is not None:
+            return self.tile_f
+        return self.chain.specs[b - 1].out_channels
+
+
+def chain_dataflow(chain: FusedChain, tiling: Mapping[str, int]) -> ChainDataflow:
+    """Read ``tiling`` in whichever vocabulary it speaks (see module doc)."""
+    keys = tuple(k for k in ("tile_f", "tile_h", "tile_w", "tile_hw", "tile_m") if k in tiling)
+    if len(keys) != len(tiling) or keys not in _vocabularies(chain):
+        raise ShapeError(
+            f"{chain.name}: tiling keys {sorted(tiling)} are none of "
+            f"{[list(v) for v in _vocabularies(chain)]}"
+        )
+    if "tile_hw" in tiling:
+        chain = _flat_view(chain)
+    last = chain.last
+    tile_f = tile_m = None
+    if "tile_f" in tiling:
+        tile_f = min(tiling["tile_f"], chain.first.out_channels)
+    if "tile_m" in tiling:
+        tile_m = min(tiling["tile_m"], last.out_channels)
+    if "tile_hw" in tiling:
+        tile_h, tile_w = 1, min(tiling["tile_hw"], last.out_w)
+    elif "tile_h" in tiling:
+        tile_h, tile_w = min(tiling["tile_h"], last.out_h), min(tiling["tile_w"], last.out_w)
+    else:
+        tile_h, tile_w = last.out_h, last.out_w
+    streamed = tile_f is not None and "tile_h" not in tiling
+    return ChainDataflow(chain, tile_h, tile_w, tile_m, tile_f, streamed)
+
+
+def tiling_ladder(chain: FusedChain, key: str) -> tuple[int, int]:
+    """``(limit, minimum)`` of one tiling key's pow2 candidate ladder."""
+    last = chain.last
+    if key == "tile_f":
+        return chain.first.out_channels, 1
+    if key == "tile_m":
+        return last.out_channels, 1
+    if key == "tile_h":
+        return last.out_h, 1
+    if key == "tile_w":
+        return last.out_w, 1
+    return last.out_h * last.out_w, 4  # tile_hw: the flattened plane
 
 
 # ---- backward tile propagation ------------------------------------------------
-
-
-def _clamp_tiles(chain: FusedChain, tiling: Mapping[str, int]) -> tuple[int, int]:
-    last = chain.last
-    return min(tiling["tile_h"], last.out_h), min(tiling["tile_w"], last.out_w)
 
 
 def _axis_sums(ranges: list[tuple[int, int]]) -> tuple[int, int]:
@@ -117,7 +236,7 @@ def _boundary_sums(
     :func:`~repro.core.tiling.tile_input_range` — exactly what the simulated
     chain kernel loads (``b = 0`` or ``1``) and computes (``0 < b < N``), so
     measured-convention costs match the kernel's metered bytes.  Pure in its
-    arguments, so cached like the pairwise grids' axis tables.
+    arguments, so cached like the grid search's axis tables.
     """
     cur = [(t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile)]
     sums = [_axis_sums(cur)]
@@ -172,7 +291,7 @@ def chain_axis_tables(
     return totals, covered
 
 
-def chain_window_extents(chain: FusedChain, tiles) -> list[tuple[int, ...]]:
+def chain_window_extents(chain: FusedChain, tiles) -> tuple[tuple[int, ...], ...]:
     """Unclamped per-boundary window extents for every candidate tile size.
 
     ``ext[b][i]`` composes :func:`repro.core.tiling.input_extent` backward
@@ -181,29 +300,34 @@ def chain_window_extents(chain: FusedChain, tiles) -> list[tuple[int, ...]]:
     check.  Kernels are square, so the same table serves both axes (fed with
     that axis's candidate tile sizes).
     """
+    return _window_extents(tuple((s.kernel, s.stride) for s in chain.specs), tuple(tiles))
+
+
+@lru_cache(maxsize=None)
+def _window_extents(
+    stages: tuple[tuple[int, int], ...], tiles: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """:func:`chain_window_extents` of ``(kernel, stride)`` stages (cached)."""
     per_tile = []
     for t in tiles:
         e = t
         per = [e]
-        for spec in reversed(chain.specs):
-            e = input_extent(e, spec.kernel, spec.stride)
+        for kernel, stride in reversed(stages):
+            e = input_extent(e, kernel, stride)
             per.append(e)
         per.reverse()
         per_tile.append(per)
-    n_bounds = chain.length + 1
-    return [tuple(per_tile[i][b] for i in range(len(per_tile))) for b in range(n_bounds)]
+    return tuple(tuple(per[b] for per in per_tile) for b in range(len(stages) + 1))
 
 
 # ---- GMA ---------------------------------------------------------------------
 
 
-def _chain_gma_general(
-    chain: FusedChain, tiling: Mapping[str, int], convention: str
-) -> FcmCost:
+def _dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
+    chain = flow.chain
     n = chain.length
     first, last = chain.first, chain.last
-    tile_h, tile_w = _clamp_tiles(chain, tiling)
-    n_sp = ceil_div(last.out_h, tile_h) * ceil_div(last.out_w, tile_w)
+    tile_h, tile_w = flow.tile_h, flow.tile_w
     weights = sum(s.weights_elements for s in chain.specs)
     writes = last.out_channels * last.out_h * last.out_w
     # A first PW stage reads its (subsampled) input pixel-per-output, so its
@@ -241,7 +365,9 @@ def _chain_gma_general(
             redundant += (executed - unique) * mpe
             useful += unique * mpe
 
-    reads = ifm_reads + n_sp * weights
+    # Every channel group re-reads the input window; its weight slices and
+    # work sum to one full pass per spatial tile.
+    reads = flow.n_f * ifm_reads + flow.n_sp * weights
     return FcmCost(
         GmaEstimate(reads, writes, chain.dtype.nbytes), redundant, useful
     )
@@ -250,19 +376,10 @@ def _chain_gma_general(
 def chain_gma(
     chain: FusedChain, tiling: Mapping[str, int], convention: str = "paper"
 ) -> FcmCost:
-    """Estimate the global memory accesses of one fused-chain configuration.
-
-    Length-2 chains carrying a pairwise tiling vocabulary (``tile_f`` /
-    ``tile_hw``) are priced by the pairwise Eq. 4 estimators so the chain
-    layer reproduces every pairwise number exactly; everything else runs the
-    general per-stage model.
-    """
+    """Estimate the global memory accesses of one fused-chain configuration."""
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
-    if _is_pairwise_tiling(chain, tiling):
-        first, second, fcm_type = _pairwise_dispatch(chain, tiling)
-        return fcm_gma(fcm_type, first, second, tiling, convention)
-    return _chain_gma_general(chain, tiling, convention)
+    return _dataflow_gma(chain_dataflow(chain, tiling), convention)
 
 
 # ---- feasibility -------------------------------------------------------------
@@ -283,72 +400,65 @@ def _max_extents(chain: FusedChain, tile_h: int, tile_w: int) -> list[tuple[int,
 def chain_footprints(
     chain: FusedChain, tiling: Mapping[str, int]
 ) -> tuple[int, int, int]:
-    """(L1 working set, shared-memory need, #output tiles) of a configuration.
+    """(L1 working set, shared-memory need, #blocks) of a configuration.
 
     Mirrors the chain kernel's capacity checks: every intermediate lives in
     a commBuffer sized for the worst-case halo-extended window; a consumer
     stage frees its producer's buffer when it finishes, so the shared-memory
     high-water mark is the largest *adjacent pair* of commBuffers.  The L1
-    working set composes the same per-stage terms as the pairwise models:
-    resident DW windows/filters, streamed PW reduction chunks, and the final
-    stage's output tile.
+    working set composes the per-stage terms: resident DW windows/filters,
+    streamed PW reduction chunks, and the final stage's output tile, each at
+    the channels one block holds.  Residency follows the reduction-streaming
+    discipline (:data:`repro.planner.costs.STREAM_CHUNK`); weight tiles move
+    through registers (the paper's ``shfl_sync`` path, §III-B), so only the
+    commBuffers occupy shared memory.
     """
-    if _is_pairwise_tiling(chain, tiling):
-        from .fcm_costs import fcm_footprints
-
-        first, second, fcm_type = _pairwise_dispatch(chain, tiling)
-        return fcm_footprints(fcm_type, first, second, tiling)
-    return _chain_footprints_general(chain, tiling)
-
-
-def _chain_footprints_general(
-    chain: FusedChain, tiling: Mapping[str, int]
-) -> tuple[int, int, int]:
-    from .costs import STREAM_CHUNK, streamed_matmul_l1_bytes
-
+    flow = chain_dataflow(chain, tiling)
+    chain = flow.chain
     n = chain.length
     eb = chain.dtype.nbytes
-    tile_h, tile_w = _clamp_tiles(chain, tiling)
-    ext = _max_extents(chain, tile_h, tile_w)
+    first, last = chain.first, chain.last
+    ext = _max_extents(chain, flow.tile_h, flow.tile_w)
+    window = [h * w for h, w in ext]  # per-boundary window elements per channel
+    stream = list(window)  # pixels of one PW reduction chunk in flight
+    out_px = flow.tile_h * flow.tile_w
+    if flow.streamed:  # the clamped plane resident, one row streaming
+        h1, w1 = _grid(chain, 1)
+        window[1], stream[1], out_px = h1 * w1, w1, last.out_w
+    ch = flow.channels
     comm = [0] * n  # comm[b] holds boundary b's buffer bytes (1..n-1 used)
     for b in range(1, n):
-        c_b = chain.specs[b - 1].out_channels
-        comm[b] = c_b * ext[b][0] * ext[b][1] * eb
+        comm[b] = ch(b) * window[b] * eb
     if n == 2:
         shared = comm[1]
     else:
         shared = max(comm[b] + (comm[b + 1] if b + 1 < n else 0) for b in range(1, n))
 
     l1 = sum(comm)
-    first, last = chain.first, chain.last
     if first.kind is ConvKind.DEPTHWISE:
-        l1 += first.in_channels * ext[0][0] * ext[0][1] * eb
-        l1 += first.in_channels * first.kernel * first.kernel * eb
+        l1 += ch(0) * window[0] * eb
+        l1 += ch(0) * first.kernel * first.kernel * eb
     else:
-        l1 += STREAM_CHUNK * (first.out_channels + ext[1][0] * ext[1][1]) * eb
+        l1 += STREAM_CHUNK * (ch(1) + stream[1]) * eb
     for b in range(2, n):  # interior stages
         stage = chain.specs[b - 1]
         if stage.kind is ConvKind.DEPTHWISE:
-            l1 += stage.out_channels * stage.kernel * stage.kernel * eb
+            l1 += ch(b) * stage.kernel * stage.kernel * eb
         else:
-            l1 += STREAM_CHUNK * (stage.out_channels + ext[b][0] * ext[b][1]) * eb
+            l1 += STREAM_CHUNK * (ch(b) + stream[b]) * eb
     if last.kind is ConvKind.POINTWISE:
-        tile_m = min(tiling["tile_m"], last.out_channels)
-        l1 += streamed_matmul_l1_bytes(tile_m, tile_h * tile_w, eb)
+        l1 += streamed_matmul_l1_bytes(flow.tile_m, out_px, eb)
     else:
-        l1 += last.out_channels * last.kernel * last.kernel * eb
-        l1 += last.out_channels * tile_h * tile_w * eb
-
-    n_tiles = ceil_div(last.out_h, tile_h) * ceil_div(last.out_w, tile_w)
-    return l1, shared, n_tiles
+        l1 += ch(n) * last.kernel * last.kernel * eb
+        l1 += ch(n) * out_px * eb
+    return l1, shared, flow.n_f * flow.n_sp
 
 
 def chain_feasible(
     chain: FusedChain, tiling: Mapping[str, int], gpu: GpuSpec
 ) -> bool:
-    """Generalized Eq. 4 constraints: L1 fit, shared fit, >= #SMs tiles."""
-    if _is_pairwise_tiling(chain, tiling):
-        first, second, fcm_type = _pairwise_dispatch(chain, tiling)
-        return fcm_feasible(fcm_type, first, second, tiling, gpu)
+    """Generalized Eq. 4 constraints: L1 fit, shared fit, >= #SMs blocks."""
+    if "tile_hw" in tiling and not _flattens(chain):
+        return False
     l1, shared, n_tiles = chain_footprints(chain, tiling)
     return l1 <= gpu.l1_bytes and shared <= gpu.shared_bytes and n_tiles >= gpu.sm_count

@@ -32,13 +32,18 @@ from ..errors import PlanError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import (
+    FCM_TILING_KEYS,
+    _flat_view,
+    _flattens,
+    _grid,
     _stage_macs_per_elem,
     chain_axis_tables,
     chain_tiling_keys,
     chain_window_extents,
+    tiling_ladder,
 )
 from .costs import STREAM_CHUNK, _check_convention, loaded_axis_table
-from .fcm_costs import _validate_pair, covered_axis_table
+from .fcm_costs import fcm_chain
 
 __all__ = [
     "TilingGrid",
@@ -75,6 +80,10 @@ def _axis(vals) -> np.ndarray:
     return np.asarray(vals, dtype=np.int64)
 
 
+#: the size-1 axis of a canonical grid axis the vocabulary has no key for.
+_ONE = np.ones(1, dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _pow2_axis(limit: int, minimum: int = 1) -> np.ndarray:
     """The pow2 candidate ladder as a cached (treat-as-immutable) array."""
@@ -87,14 +96,6 @@ def _loaded_table(
 ) -> np.ndarray:
     """Cached measured-convention loaded-extent table (pure in its args)."""
     return _axis(loaded_axis_table(out, tiles, k, s, pad, in_size))
-
-
-@lru_cache(maxsize=None)
-def _covered_table(
-    out: int, tiles: tuple[int, ...], k: int, s: int, pad: int, in_size: int
-) -> np.ndarray:
-    """Cached measured-convention covered-extent table (pure in its args)."""
-    return _axis(covered_axis_table(out, tiles, k, s, pad, in_size))
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,9 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingG
     raise PlanError(f"{spec.name}: LBL search supports only DW/PW layers")
 
 
-# ---- pairwise FCMs (Eq. 4 family) ---------------------------------------------
+
+
+# ---- fused chains, and the FCMs as length-2 chains ------------------------------
 
 
 def fcm_grid(
@@ -225,141 +228,79 @@ def fcm_grid(
     gpu: GpuSpec,
     convention: str = "paper",
 ) -> TilingGrid:
-    """One pairwise FCM's GMA, redundancy and feasibility over its full grid."""
-    if convention not in ("paper", "measured"):
-        raise UnsupportedError(f"unknown cost convention {convention!r}")
-    _validate_pair(fcm_type, first, second)
-    if fcm_type is FcmType.DWPW:  # the length-2 DW->PW chain
-        return chain_grid(FusedChain((first, second)), gpu, convention)
-    eb = first.dtype.nbytes
-    if fcm_type is FcmType.PWDW:
-        pw, dw = first, second
-        c, cmid, k = pw.in_channels, pw.out_channels, dw.kernel
-        tf = _pow2_axis(cmid)
-        n_f = _cdiv(cmid, tf)
-        reads = n_f * (c * pw.out_h * pw.out_w) + cmid * c + cmid * k * k
-        gma = (reads + cmid * dw.out_h * dw.out_w) * eb
-        comm = tf * pw.out_h * pw.out_w * eb
-        l1 = tf * k * k * eb + STREAM_CHUNK * (tf + pw.out_w) * eb + tf * dw.out_w * eb + comm
-        feasible = (l1 <= gpu.l1_bytes) & (comm <= gpu.shared_bytes) & (n_f >= gpu.sm_count)
-        zeros = np.zeros(gma.shape, dtype=np.int64)
-        useful = np.broadcast_to(np.int64(pw.macs + dw.macs), gma.shape)
-        return TilingGrid(("tile_f",), (tf,), feasible, gma, zeros, useful)
-    if fcm_type is FcmType.PWDW_R:
-        pw, dw = first, second
-        c, cmid = pw.in_channels, pw.out_channels
-        k, s, pad = dw.kernel, dw.stride, dw.padding
-        tf = _pow2_axis(cmid)
-        th = _pow2_axis(dw.out_h)
-        tw = _pow2_axis(dw.out_w)
-        shape = (tf.size, th.size, tw.size)
-        n_f = _cdiv(cmid, tf)
-        n_sp = _cdiv(dw.out_h, th)[:, None] * _cdiv(dw.out_w, tw)[None, :]
-        if convention == "paper":
-            ovl = ((_cdiv(dw.in_h, th * s) - 1) * max(k - s, 0) * dw.in_w)[:, None] + (
-                (_cdiv(dw.in_w, tw * s) - 1) * max(k - s, 0) * dw.in_h
-            )[None, :]
-            ifm = (2 * c * ovl + c * pw.out_h * pw.out_w)[None, :, :] * n_f[:, None, None]
-            executed = cmid * (dw.in_h * dw.in_w + ovl)
-            unique = np.broadcast_to(np.int64(cmid * dw.in_h * dw.in_w), executed.shape)
-        else:
-            rows = _loaded_table(dw.out_h, pow2_candidates(dw.out_h), k, s, pad, dw.in_h)
-            cols = _loaded_table(dw.out_w, pow2_candidates(dw.out_w), k, s, pad, dw.in_w)
-            rows_u = _covered_table(dw.out_h, pow2_candidates(dw.out_h), k, s, pad, dw.in_h)
-            cols_u = _covered_table(dw.out_w, pow2_candidates(dw.out_w), k, s, pad, dw.in_w)
-            ifm = n_f[:, None, None] * (c * rows[:, None] * cols[None, :])[None, :, :]
-            executed = cmid * rows[:, None] * cols[None, :]
-            unique = cmid * rows_u[:, None] * cols_u[None, :]
-        reads = ifm + (n_sp * (cmid * c) + n_sp * (cmid * k * k))[None, :, :]
-        gma = (reads + cmid * dw.out_h * dw.out_w) * eb
-        redundant = np.broadcast_to((np.maximum(executed - unique, 0) * c)[None, :, :], shape)
-        useful = np.broadcast_to((unique * c + dw.macs)[None, :, :], shape)
-        wrc = ((th - 1) * s + k)[:, None] * ((tw - 1) * s + k)[None, :]
-        comm = tf[:, None, None] * wrc[None, :, :] * eb
-        l1 = (
-            comm
-            + (tf * k * k * eb)[:, None, None]
-            + STREAM_CHUNK * (tf[:, None, None] + wrc[None, :, :]) * eb
-            + tf[:, None, None] * (th[:, None] * tw[None, :])[None, :, :] * eb
-        )
-        n_tiles = n_f[:, None, None] * n_sp[None, :, :]
-        feasible = (
-            (l1 <= gpu.l1_bytes) & (comm <= gpu.shared_bytes) & (n_tiles >= gpu.sm_count)
-        )
-        return TilingGrid(("tile_f", "tile_h", "tile_w"), (tf, th, tw), feasible, gma, redundant, useful)
-    if fcm_type is FcmType.PWPW:
-        pw1, pw2 = first, second
-        c, cmid, m = pw1.in_channels, pw1.out_channels, pw2.out_channels
-        out_hw = pw2.out_h * pw2.out_w
-        thw = _pow2_axis(out_hw, 4)
-        tm = _pow2_axis(m)
-        shape = (thw.size, tm.size)
-        n_sp = _cdiv(out_hw, thw)
-        reads = c * out_hw + n_sp * (cmid * c + m * cmid)
-        gma = np.broadcast_to(((reads + m * out_hw) * eb)[:, None], shape)
-        comm = cmid * thw * eb
-        l1 = (comm + STREAM_CHUNK * (cmid + thw) * eb)[:, None] + (
-            tm[None, :] * thw[:, None] + STREAM_CHUNK * (tm[None, :] + thw[:, None])
-        ) * eb
-        feasible = (
-            (l1 <= gpu.l1_bytes)
-            & (comm[:, None] <= gpu.shared_bytes)
-            & (n_sp[:, None] >= gpu.sm_count)
-        )
-        zeros = np.zeros(shape, dtype=np.int64)
-        useful = np.broadcast_to(np.int64(pw1.macs + pw2.macs), shape)
-        return TilingGrid(("tile_hw", "tile_m"), (thw, tm), feasible, gma, zeros, useful)
-    raise PlanError(f"unknown FCM type {fcm_type}")
-
-
-# ---- N-stage chains -----------------------------------------------------------
+    """One FCM's GMA, redundancy and feasibility over its full grid: the
+    length-2 chain's grid in the type's tiling vocabulary."""
+    chain = fcm_chain(fcm_type, first, second)
+    return _dataflow_grid(chain, gpu, convention, FCM_TILING_KEYS[fcm_type])
 
 
 def chain_grid(chain: FusedChain, gpu: GpuSpec, convention: str = "paper") -> TilingGrid:
-    """The compositional chain model over the full (th, tw[, tm]) grid.
+    """The compositional chain model over the full (th, tw[, tm]) grid."""
+    return _dataflow_grid(chain, gpu, convention, chain_tiling_keys(chain))
+
+
+def _dataflow_grid(
+    chain: FusedChain, gpu: GpuSpec, convention: str, keys: tuple[str, ...]
+) -> TilingGrid:
+    """Every candidate of one tiling vocabulary, evaluated as arrays.
 
     Mirrors :func:`repro.planner.chain_costs.chain_gma` /
     :func:`~repro.planner.chain_costs.chain_footprints` term for term; the
     per-boundary overlap, clamped-extent and window-extent quantities come
     from the cost module's axis tables, one entry per candidate tile size.
+    Every term broadcasts over the canonical ``(tile_f, tile_h, tile_w,
+    tile_m)`` axes, with a size-1 axis where the vocabulary has no key; the
+    result arrays are views onto the vocabulary's own axes, whose order is
+    the canonical one, so C-order stays the scalar sweep's order.
     """
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
+    axes = {k: _pow2_axis(*tiling_ladder(chain, k)) for k in keys}
+    key_axes = tuple(axes[k] for k in keys)
+    if "tile_hw" in keys:
+        if not _flattens(chain):  # no flattened plane: nothing is feasible
+            shape = tuple(a.size for a in key_axes)
+            zeros = np.zeros(shape, dtype=np.int64)
+            return TilingGrid(keys, key_axes, np.zeros(shape, dtype=bool), zeros, zeros, zeros)
+        chain = _flat_view(chain)
     n = chain.length
     first, last = chain.first, chain.last
     eb = chain.dtype.nbytes
-    keys = chain_tiling_keys(chain)
-    th = _pow2_axis(last.out_h)
-    tw = _pow2_axis(last.out_w)
-    has_tm = last.kind is ConvKind.POINTWISE
-    n_sp = _cdiv(last.out_h, th)[:, None] * _cdiv(last.out_w, tw)[None, :]
+    grouped = "tile_f" in keys
+    spatial = "tile_h" in keys or "tile_hw" in keys
+    out_h, out_w = last.out_h, last.out_w
+    if spatial:  # a flattened plane's one row is tile_h = 1
+        th, tw = axes.get("tile_h", _ONE), axes.get("tile_w", axes.get("tile_hw"))
+    else:  # one tile spans the plane
+        th, tw = _axis((out_h,)), _axis((out_w,))
+    tf = axes.get("tile_f", _ONE)
+    tm = axes.get("tile_m", _ONE)
+    th4, tw4 = th[None, :, None, None], tw[None, None, :, None]
+
+    def rows(v) -> np.ndarray:
+        return _axis(v)[None, :, None, None]
+
+    def cols(v) -> np.ndarray:
+        return _axis(v)[None, None, :, None]
+
+    n_sp = _cdiv(out_h, th4) * _cdiv(out_w, tw4)
     weights = sum(s.weights_elements for s in chain.specs)
-    writes = last.out_channels * last.out_h * last.out_w
+    writes = last.out_channels * out_h * out_w
     in_b = 1 if first.kind is ConvKind.POINTWISE else 0
-
-    def grid_hw(b: int) -> tuple[int, int]:
-        if b == 0:
-            return first.in_h, first.in_w
-        sp = chain.specs[b - 1]
-        return sp.out_h, sp.out_w
-
-    sp_shape = (th.size, tw.size)
-    redundant = np.zeros(sp_shape, dtype=np.int64)
-    useful = np.full(sp_shape, last.macs, dtype=np.int64)
+    redundant = 0
+    useful = last.macs
     if convention == "paper":
 
         def ovl_at(b: int) -> np.ndarray:
-            h, w = grid_hw(b)
+            h, w = _grid(chain, b)
             k_eff, s_eff = composed_receptive_field(chain.specs[b:])
             o = max(k_eff - s_eff, 0)
-            return ((_cdiv(h, th * s_eff) - 1) * o * w)[:, None] + (
-                (_cdiv(w, tw * s_eff) - 1) * o * h
-            )[None, :]
+            return (_cdiv(h, th4 * s_eff) - 1) * o * w + (_cdiv(w, tw4 * s_eff) - 1) * o * h
 
-        h_in, w_in = grid_hw(in_b)
+        h_in, w_in = _grid(chain, in_b)
         ifm = first.in_channels * (2 * ovl_at(in_b) + h_in * w_in)
         for b in range(1, n):
-            h, w = grid_hw(b)
+            h, w = _grid(chain, b)
             stage = chain.specs[b - 1]
             mpe = _stage_macs_per_elem(stage)
             redundant = redundant + stage.out_channels * ovl_at(b) * mpe
@@ -367,24 +308,34 @@ def chain_grid(chain: FusedChain, gpu: GpuSpec, convention: str = "paper") -> Ti
     else:
         row_tot, row_cov = chain_axis_tables(chain, th.tolist(), 0)
         col_tot, col_cov = chain_axis_tables(chain, tw.tolist(), 1)
-        ifm = first.in_channels * _axis(row_tot[in_b])[:, None] * _axis(col_tot[in_b])[None, :]
+        ifm = first.in_channels * rows(row_tot[in_b]) * cols(col_tot[in_b])
         for b in range(1, n):
             stage = chain.specs[b - 1]
             mpe = _stage_macs_per_elem(stage)
-            executed = stage.out_channels * _axis(row_tot[b])[:, None] * _axis(col_tot[b])[None, :]
-            unique = stage.out_channels * _axis(row_cov[b])[:, None] * _axis(col_cov[b])[None, :]
+            executed = stage.out_channels * rows(row_tot[b]) * cols(col_tot[b])
+            unique = stage.out_channels * rows(row_cov[b]) * cols(col_cov[b])
             redundant = redundant + (executed - unique) * mpe
             useful = useful + unique * mpe
-    gma = (ifm + n_sp * weights + writes) * eb
+    n_f = _cdiv(first.out_channels, tf[:, None, None, None]) if grouped else 1
+    gma = (n_f * ifm + n_sp * weights + writes) * eb
 
     # Footprints: commBuffers from the worst-case window extents, plus the
     # same per-stage residency terms as chain_footprints.
-    eh = [_axis(v) for v in chain_window_extents(chain, th.tolist())]
-    ew = [_axis(v) for v in chain_window_extents(chain, tw.tolist())]
-    comms = [
-        chain.specs[b - 1].out_channels * eh[b][:, None] * ew[b][None, :] * eb
-        for b in range(1, n)
-    ]
+    eh = chain_window_extents(chain, th.tolist())
+    ew = chain_window_extents(chain, tw.tolist())
+    window = [rows(eh[b]) * cols(ew[b]) for b in range(n)]
+    stream = list(window)
+    out_px = th4 * tw4
+    if grouped and not spatial:  # PWDW: the plane resident, rows streaming
+        h1, w1 = _grid(chain, 1)
+        window[1], stream[1], out_px = h1 * w1, w1, out_w
+
+    def ch(b: int):  # channels of boundary b one block holds
+        if b == 0:
+            return first.in_channels
+        return tf[:, None, None, None] if grouped else chain.specs[b - 1].out_channels
+
+    comms = [ch(b) * window[b] * eb for b in range(1, n)]
     if n == 2:
         shared = comms[0]
     else:
@@ -394,38 +345,31 @@ def chain_grid(chain: FusedChain, gpu: GpuSpec, convention: str = "paper") -> Ti
             shared = pair if shared is None else np.maximum(shared, pair)
     l1 = sum(comms)
     if first.kind is ConvKind.DEPTHWISE:
-        l1 = l1 + first.in_channels * eh[0][:, None] * ew[0][None, :] * eb
-        l1 = l1 + first.in_channels * first.kernel * first.kernel * eb
+        l1 = l1 + ch(0) * window[0] * eb + ch(0) * first.kernel * first.kernel * eb
     else:
-        l1 = l1 + STREAM_CHUNK * (first.out_channels + eh[1][:, None] * ew[1][None, :]) * eb
+        l1 = l1 + STREAM_CHUNK * (ch(1) + stream[1]) * eb
     for b in range(2, n):
         stage = chain.specs[b - 1]
         if stage.kind is ConvKind.DEPTHWISE:
-            l1 = l1 + stage.out_channels * stage.kernel * stage.kernel * eb
+            l1 = l1 + ch(b) * stage.kernel * stage.kernel * eb
         else:
-            l1 = l1 + STREAM_CHUNK * (stage.out_channels + eh[b][:, None] * ew[b][None, :]) * eb
+            l1 = l1 + STREAM_CHUNK * (ch(b) + stream[b]) * eb
+    if last.kind is ConvKind.POINTWISE:
+        tm4 = tm[None, None, None, :]
+        l1 = l1 + (tm4 * out_px + STREAM_CHUNK * (tm4 + out_px)) * eb
+    else:
+        l1 = l1 + ch(n) * last.kernel * last.kernel * eb + ch(n) * out_px * eb
+    feasible = (l1 <= gpu.l1_bytes) & (shared <= gpu.shared_bytes) & (n_f * n_sp >= gpu.sm_count)
 
-    if has_tm:
-        tm = _pow2_axis(last.out_channels)
-        shape = (th.size, tw.size, tm.size)
-        thw = th[:, None, None] * tw[None, :, None]
-        l1_3 = l1[:, :, None] + (
-            tm[None, None, :] * thw + STREAM_CHUNK * (tm[None, None, :] + thw)
-        ) * eb
-        feasible = (
-            (l1_3 <= gpu.l1_bytes)
-            & (shared[:, :, None] <= gpu.shared_bytes)
-            & (n_sp[:, :, None] >= gpu.sm_count)
-        )
-        return TilingGrid(
-            keys,
-            (th, tw, tm),
-            feasible,
-            np.broadcast_to(gma[:, :, None], shape),
-            np.broadcast_to(redundant[:, :, None], shape),
-            np.broadcast_to(useful[:, :, None], shape),
-        )
-    l1 = l1 + last.out_channels * last.kernel * last.kernel * eb
-    l1 = l1 + last.out_channels * th[:, None] * tw[None, :] * eb
-    feasible = (l1 <= gpu.l1_bytes) & (shared <= gpu.shared_bytes) & (n_sp >= gpu.sm_count)
-    return TilingGrid(keys, (th, tw), feasible, gma, redundant, useful)
+    # feasible spans every axis already; the rest broadcast onto it.
+    full = np.zeros(feasible.shape, dtype=np.int64)
+    on_keys = (
+        slice(None) if grouped else 0,
+        slice(None) if "tile_h" in keys else 0,
+        slice(None) if spatial else 0,
+        slice(None) if "tile_m" in keys else 0,
+    )
+    return TilingGrid(
+        keys, key_axes, feasible[on_keys], (gma + full)[on_keys],
+        (redundant + full)[on_keys], (useful + full)[on_keys],
+    )

@@ -21,6 +21,7 @@ plans with them); both return bit-identical :class:`SearchResult` winners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
@@ -30,9 +31,16 @@ from ..core.tiling import DwTiling, PwTiling
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .chain_costs import chain_feasible, chain_gma
+from .chain_costs import (
+    FCM_TILING_KEYS,
+    FcmCost,
+    chain_feasible,
+    chain_gma,
+    chain_tiling_keys,
+    tiling_ladder,
+)
 from .costs import dw_feasible, dw_gma, pw_feasible, pw_gma
-from .fcm_costs import FcmCost, fcm_feasible, fcm_gma
+from .fcm_costs import fcm_chain, fcm_feasible, fcm_gma
 from .grid_search import chain_grid, fcm_grid, lbl_grid, pow2_candidates
 
 __all__ = [
@@ -159,29 +167,17 @@ def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -
     return _feasible_lbl(_best(scored), spec, gpu)
 
 
+def _tiling_candidates(chain: FusedChain, keys: tuple[str, ...]) -> list[dict[str, int]]:
+    """Every pow2 candidate of one tiling vocabulary, in sweep order (the
+    last key varies fastest, as the grid search's C-order does)."""
+    ladders = [_pow2_upto(*tiling_ladder(chain, k)) for k in keys]
+    return [dict(zip(keys, vals)) for vals in product(*ladders)]
+
+
 def _fcm_tiling_candidates(
     fcm_type: FcmType, first: ConvSpec, second: ConvSpec
 ) -> list[dict[str, int]]:
-    if fcm_type is FcmType.DWPW:  # the length-2 DW->PW chain
-        return _chain_tiling_candidates(FusedChain((first, second)))
-    if fcm_type is FcmType.PWDW:
-        return [{"tile_f": tf} for tf in _pow2_upto(first.out_channels)]
-    if fcm_type is FcmType.PWDW_R:
-        dw = second
-        return [
-            {"tile_f": tf, "tile_h": th, "tile_w": tw}
-            for tf in _pow2_upto(first.out_channels)
-            for th in _pow2_upto(dw.out_h)
-            for tw in _pow2_upto(dw.out_w)
-        ]
-    if fcm_type is FcmType.PWPW:
-        out_hw = second.out_h * second.out_w
-        return [
-            {"tile_hw": thw, "tile_m": tm}
-            for thw in _pow2_upto(out_hw, minimum=4)
-            for tm in _pow2_upto(second.out_channels)
-        ]
-    raise PlanError(f"unknown FCM type {fcm_type}")
+    return _tiling_candidates(fcm_chain(fcm_type, first, second), FCM_TILING_KEYS[fcm_type])
 
 
 def enumerate_fcm_tilings(
@@ -242,26 +238,12 @@ def scalar_fcm_tiling(
     return _best(scored)
 
 
-def _chain_tiling_candidates(chain: FusedChain) -> list[dict[str, int]]:
-    last = chain.last
-    spatial = [
-        {"tile_h": th, "tile_w": tw}
-        for th in _pow2_upto(last.out_h)
-        for tw in _pow2_upto(last.out_w)
-    ]
-    if last.kind is not ConvKind.POINTWISE:
-        return spatial
-    return [
-        {**d, "tile_m": tm}
-        for d in spatial
-        for tm in _pow2_upto(last.out_channels)
-    ]
-
-
 def enumerate_chain_tilings(chain: FusedChain, gpu: GpuSpec) -> list[dict[str, int]]:
     """All *feasible* tiling dicts of one fused chain, in sweep order."""
     return [
-        t for t in _chain_tiling_candidates(chain) if chain_feasible(chain, t, gpu)
+        t
+        for t in _tiling_candidates(chain, chain_tiling_keys(chain))
+        if chain_feasible(chain, t, gpu)
     ]
 
 

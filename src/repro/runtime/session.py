@@ -164,7 +164,7 @@ def step_record(
     if isinstance(step, ChainStep):
         name, kind = "+".join(step.layer_names), "fcm"
         if counters is None:
-            counters = chain_counters(step.specs, step.tiling, step.fcm_type).batched(
+            counters = chain_counters(step.specs, step.tiling).batched(
                 batch, sum(sp.weights_bytes for sp in step.specs)
             )
     elif isinstance(step, LblStep):

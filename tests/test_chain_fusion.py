@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
-from repro.core.chain import FusedChain, chain_fcm_type, composed_receptive_field
+from repro.core.chain import FusedChain, composed_receptive_field
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.errors import PlanError, ShapeError, UnsupportedError
@@ -18,6 +18,8 @@ from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel
 from repro.planner.analytic import chain_counters
 from repro.planner.chain_costs import (
+    FCM_TILING_KEYS,
+    chain_dataflow,
     chain_feasible,
     chain_footprints,
     chain_gma,
@@ -73,12 +75,28 @@ class TestFusedChainIR:
             FusedChain((_pw("p", 8, 16), std))
 
     def test_pairwise_type_mapping(self):
-        assert chain_fcm_type(FusedChain((_dw("d", 8), _pw("p", 8, 16)))) is FcmType.DWPW
-        pd = FusedChain((_pw("p", 8, 16), _dw("d", 16)))
-        assert chain_fcm_type(pd) is FcmType.PWDW
-        assert chain_fcm_type(pd, redundant=True) is FcmType.PWDW_R
-        with pytest.raises(UnsupportedError):
-            chain_fcm_type(_pdp_chain())
+        """Each FCM is the length-2 chain of its kinds under its own keys."""
+        dp = FusedChain((_dw("d", 8), _pw("p", 8, 16)))
+        pd = FusedChain((_pw("p", 8, 16), _dw("d", 16, stride=2)))
+        pp = FusedChain((_pw("p", 8, 16, stride=2), _pw("q", 16, 8, 8, 8)))
+        assert FCM_TILING_KEYS[FcmType.DWPW] == chain_tiling_keys(dp)
+        pwdw = chain_dataflow(pd, {"tile_f": 6})
+        assert (pwdw.tile_f, pwdw.n_f, pwdw.n_sp, pwdw.streamed) == (6, 3, 1, True)
+        pwdw_r = chain_dataflow(pd, {"tile_f": 32, "tile_h": 3, "tile_w": 8})
+        assert (pwdw_r.tile_f, pwdw_r.tile_h, pwdw_r.tile_w) == (16, 3, 8)
+        assert (pwdw_r.n_f, pwdw_r.n_sp, pwdw_r.streamed) == (1, 3, False)
+        pwpw = chain_dataflow(pp, {"tile_hw": 48, "tile_m": 4})
+        assert [s.ifm.shape for s in pwpw.chain.specs] == [(8, 1, 64), (16, 1, 64)]
+        assert (pwpw.tile_h, pwpw.tile_w, pwpw.tile_m, pwpw.n_sp) == (1, 48, 4, 2)
+        with pytest.raises(ShapeError):  # channel groups belong to pw->dw pairs
+            chain_dataflow(dp, {"tile_f": 4})
+        with pytest.raises(ShapeError):  # pairwise vocabularies are length-2
+            chain_dataflow(_pdp_chain(), {"tile_hw": 16, "tile_m": 8})
+        with pytest.raises(UnsupportedError):  # no flattened plane
+            chain_dataflow(
+                FusedChain((_pw("p", 8, 16), _pw("q", 16, 8, stride=2))),
+                {"tile_hw": 16, "tile_m": 8},
+            )
 
     def test_receptive_field_composition(self):
         c = _pdp_chain()
@@ -106,10 +124,11 @@ class TestChainCostReduction:
          {"tile_hw": 49, "tile_m": 16}),
     ]
 
-    # DWPW is priced by the chain model itself, so its rows compare against
-    # literals: the fcm_gma / fcm_footprints / fcm_feasible values of the
-    # dedicated DW->PW model the chain model replaced, keyed by
-    # (tile_h, tile_w, tile_m).  FP32, so elem_bytes is 4.
+    # Every FCM is priced by the chain model itself, so the rows compare
+    # against literals: the fcm_gma / fcm_footprints / fcm_feasible values of
+    # the dedicated pairwise models the chain model replaced.  DWPW's are
+    # keyed by (tile_h, tile_w, tile_m), the others' by (type, tiling
+    # values).  FP32, so elem_bytes is 4.
     DWPW_GMA = {
         ((4, 8, 16), "paper"): ((47040, 25088), 514304),
         ((4, 8, 16), "measured"): ((40128, 25088), 514304),
@@ -126,10 +145,42 @@ class TestChainCostReduction:
         (7, 14, 32): ((51392, 6272, 2), (False, False, False)),
     }
 
+    #: ((reads, writes), redundant MACs, useful MACs) of the other rows.
+    PAIR_GMA = {
+        (FcmType.PWDW, (8,), "paper"): ((25632, 25088), 0, 426496),
+        (FcmType.PWDW, (8,), "measured"): ((25632, 25088), 0, 426496),
+        (FcmType.PWDW_R, (16, 4, 4), "paper"): ((60704, 25088), 172032, 426496),
+        (FcmType.PWDW_R, (16, 4, 4), "measured"): ((52256, 25088), 208896, 426496),
+        (FcmType.PWDW_R, (32, 7, 7), "paper"): ((9344, 6272), 14336, 257152),
+        (FcmType.PWDW_R, (32, 7, 7), "measured"): ((8904, 6272), 14592, 257152),
+        (FcmType.PWPW, (49, 16), "paper"): ((18560, 12544), 0, 602112),
+        (FcmType.PWPW, (49, 16), "measured"): ((18560, 12544), 0, 602112),
+    }
+    PAIR_FOOTPRINTS = {
+        (FcmType.PWDW, (8,)): ((27424, 25088, 4), (False, False, False)),
+        (FcmType.PWDW_R, (16, 4, 4)): ((5568, 2304, 98), (True, True, True)),
+        (FcmType.PWDW_R, (32, 7, 7)): ((44448, 28800, 4), (False, False, False)),
+        (FcmType.PWPW, (49, 16)): ((14080, 6272, 16), (False, True, False)),
+    }
+
     @classmethod
     def _dwpw_cost(cls, tiling, convention) -> FcmCost:
         (reads, writes), useful = cls.DWPW_GMA[tuple(tiling.values()), convention]
         return FcmCost(GmaEstimate(reads, writes, 4), 0, useful)
+
+    @classmethod
+    def _replaced_cost(cls, fcm_type, tiling, convention) -> FcmCost:
+        if fcm_type is FcmType.DWPW:
+            return cls._dwpw_cost(tiling, convention)
+        key = (fcm_type, tuple(tiling.values()), convention)
+        (reads, writes), redundant, useful = cls.PAIR_GMA[key]
+        return FcmCost(GmaEstimate(reads, writes, 4), redundant, useful)
+
+    @classmethod
+    def _replaced_footprints(cls, fcm_type, tiling):
+        if fcm_type is FcmType.DWPW:
+            return cls.DWPW_FOOTPRINTS[tuple(tiling.values())]
+        return cls.PAIR_FOOTPRINTS[fcm_type, tuple(tiling.values())]
 
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
@@ -138,8 +189,7 @@ class TestChainCostReduction:
         cg = chain_gma(chain, tiling, convention)
         fg = fcm_gma(fcm_type, specs[0], specs[1], tiling, convention)
         assert cg == fg
-        if fcm_type is FcmType.DWPW:
-            assert cg == self._dwpw_cost(tiling, convention)
+        assert cg == self._replaced_cost(fcm_type, tiling, convention)
 
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
     def test_len2_reproduces_footprints_and_feasibility(self, fcm_type, specs, tiling):
@@ -153,20 +203,17 @@ class TestChainCostReduction:
             fcm_feasible(fcm_type, specs[0], specs[1], tiling, gpu)
             for gpu in (GTX1660, ORIN, RTX_A4000)
         )
-        if fcm_type is FcmType.DWPW:
-            assert (footprints, feasible) == self.DWPW_FOOTPRINTS[tuple(tiling.values())]
+        assert (footprints, feasible) == self._replaced_footprints(fcm_type, tiling)
 
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     def test_general_model_reduces_to_dwpw(self, convention):
-        """The compositional model itself (not dispatch) reproduces the
-        dedicated DW->PW model's GMA, pinned as literals."""
-        from repro.planner.chain_costs import _chain_gma_general
-
+        """The compositional model reproduces the dedicated DW->PW model's
+        GMA, pinned as literals."""
         dw, pw = _dw("d", 16, 28, 28), _pw("p", 16, 32, 28, 28)
         for th, tw, tm in [(4, 8, 16), (7, 28, 32), (28, 28, 8)]:
             tiling = {"tile_h": th, "tile_w": tw, "tile_m": tm}
             expected = self._dwpw_cost(tiling, convention)
-            assert _chain_gma_general(FusedChain((dw, pw)), tiling, convention) == expected
+            assert chain_gma(FusedChain((dw, pw)), tiling, convention) == expected
             assert fcm_gma(FcmType.DWPW, dw, pw, tiling, convention) == expected
 
     def test_tiling_keys(self):

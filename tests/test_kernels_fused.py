@@ -10,14 +10,18 @@ import pytest
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
+from repro.core.tiling import ceil_div, tile_input_range
 from repro.errors import CapacityError, ShapeError, UnsupportedError
 from repro.gpu.specs import ALL_GPUS, ORIN, RTX_A4000
+from repro.ir.graph import ModelGraph
 from repro.ir.layers import ConvKind
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
 from repro.models.zoo import build_model, model_names
+from repro.planner.fcm_costs import fcm_feasible
 from repro.planner.planner import FusePlanner
-from repro.planner.search import best_fcm_tiling
+from repro.planner.search import best_fcm_tiling, scalar_fcm_tiling
+from repro.runtime.session import InferenceSession
 
 
 def _pair(first_spec, second_spec, seed=0):
@@ -182,6 +186,28 @@ class TestPwPwFused:
         p2 = chain_quant(p1, pw2)
         with pytest.raises(UnsupportedError):
             build_fcm_kernel(FcmType.PWPW, p1, p2, {"tile_hw": 25, "tile_m": 8})
+
+    def test_strided_second_is_never_planned(self):
+        """The planner must not pick a PWPW tiling the kernel refuses: the
+        flattened plane has no strided later stage, so the grid, the scalar
+        sweep and fcm_feasible all find the vocabulary infeasible, and the
+        plan runs."""
+        pw1 = pw_spec("pw1", c_in=32, c_out=64, h=56, w=56, dtype=DType.INT8)
+        pw2 = pw_spec("pw2", c_in=64, c_out=32, h=56, w=56, stride=2, dtype=DType.INT8)
+        graph = ModelGraph("strided_pwpw")
+        graph.add(pw1)
+        graph.add(pw2)
+        x = random_ifm(pw1, 0)
+        for gpu in ALL_GPUS:
+            assert best_fcm_tiling(FcmType.PWPW, pw1, pw2, gpu) is None
+            assert scalar_fcm_tiling(FcmType.PWPW, pw1, pw2, gpu) is None
+            assert not fcm_feasible(
+                FcmType.PWPW, pw1, pw2, {"tile_hw": 16, "tile_m": 32}, gpu
+            )
+            plan = FusePlanner(gpu).plan(graph)
+            assert not plan.fcm_steps
+            out = InferenceSession(graph, plan).run(x).output
+            assert out.shape == pw2.ofm.shape
 
 
 class TestInt8FusedEquivalence:
@@ -436,3 +462,36 @@ class TestPinnedPairLaunches:
 
     def test_pair_launches_are_pinned(self, pair_launches):
         assert pair_launches[0] == self.DIGEST
+
+    def test_shared_memory_closed_form(self, pair_launches):
+        """Every launch meters shared memory by one rule: each commBuffer
+        window once written and once read at its actual clamped size, plus
+        one re-read per extra ``tile_m`` group; the peak is the largest
+        window."""
+        for (fcm_type, first, second, tiling), shared, stats in pair_launches[1]:
+            expected = _commbuffer_closed_form(fcm_type, first, second, tiling)
+            assert (shared, stats.peak_shared_bytes) == expected, (fcm_type, tiling)
+
+
+def _commbuffer_closed_form(fcm_type, first, second, tiling) -> tuple[int, int]:
+    """(shared bytes, peak shared bytes) of one single-image pair launch."""
+    eb, c_mid = first.dtype.nbytes, first.out_channels
+    if fcm_type is FcmType.PWPW:  # pixel tiles of the flattened plane
+        hw = second.out_h * second.out_w
+        tile = min(tiling["tile_hw"], hw)
+        groups = ceil_div(second.out_channels, min(tiling["tile_m"], second.out_channels))
+        pixels = [min(tile, hw - p0) for p0 in range(0, hw, tile)]
+        return eb * (1 + groups) * c_mid * sum(pixels), eb * c_mid * max(pixels)
+    dw = second  # PWDW (one tile over the plane) and PWDW_R
+
+    def windows(out: int, tile: int, in_size: int) -> list[int]:
+        spans = (
+            tile_input_range(t0, min(tile, out - t0), dw.kernel, dw.stride, dw.padding, in_size)
+            for t0 in range(0, out, tile)
+        )
+        return [hi - lo for lo, hi in spans]
+
+    rows = windows(dw.out_h, min(tiling.get("tile_h", dw.out_h), dw.out_h), dw.in_h)
+    cols = windows(dw.out_w, min(tiling.get("tile_w", dw.out_w), dw.out_w), dw.in_w)
+    tile_f = min(tiling["tile_f"], c_mid)
+    return eb * 2 * c_mid * sum(rows) * sum(cols), eb * tile_f * max(rows) * max(cols)
