@@ -52,6 +52,7 @@ from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
 from ..planner.chain_costs import chain_dataflow
+from ..planner.fcm_costs import fcm_chain
 from .base import SimKernel
 from .direct_dw import depthwise_tile
 from .params import LayerParams
@@ -95,13 +96,8 @@ class FusedChainKernel(SimKernel):
         self, fcm_type: FcmType, first: LayerParams, second: LayerParams,
         tiling: Mapping[str, int],
     ) -> None:
-        """Set up one FCM: its pair of kinds, in order, as a length-2 chain."""
-        kinds = (first.spec.kind.short, second.spec.kind.short)
-        if kinds != (fcm_type.first_kind, fcm_type.second_kind):
-            raise ShapeError(
-                f"{type(self).__name__} fuses a {fcm_type.first_kind.upper()} layer "
-                f"followed by a {fcm_type.second_kind.upper()} layer"
-            )
+        """Set up one FCM, after its pair checks, as a length-2 chain."""
+        fcm_chain(fcm_type, first.spec, second.spec, tiling)
         self._setup((first, second), tiling, fcm_type.value)
 
     # ---- capacity -------------------------------------------------------------

@@ -6,7 +6,9 @@ read traffic that revisit a tensor already streamed once (weight tiles
 re-fetched per spatial tile, IFMs re-streamed per filter group, halo lines).
 The roofline serves re-reads of L2-resident tensors on-chip, which is what
 lets weight-heavy layers (e.g. Xception's 728-channel middle flow) run at
-paper-like speed despite their nominal GMA.
+paper-like speed despite their nominal GMA.  Every fused module is a
+length-2 chain, so :func:`fcm_counters` is :func:`chain_counters` after a
+pair check, in whichever tiling vocabulary the module speaks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..core.tiling import DwTiling, PwTiling, ceil_div
 from ..errors import UnsupportedError
 from ..gpu.counters import AccessCounters
 from ..ir.layers import ConvKind, ConvSpec
-from .chain_costs import chain_dataflow, chain_gma
+from .chain_costs import chain_dataflow, dataflow_gma
 from .costs import lbl_gma
 from .fcm_costs import fcm_chain
 
@@ -91,7 +93,7 @@ def chain_counters(
     tiling vocabulary the chain runs under."""
     chain = FusedChain(tuple(specs))
     flow = chain_dataflow(chain, tiling)
-    cost = chain_gma(chain, tiling, "measured")
+    cost = dataflow_gma(flow, "measured")
     counters = AccessCounters()
     counters.kernel_launches = 1
     counters.read("fcm", cost.gma.read_bytes)

@@ -59,6 +59,7 @@ __all__ = [
     "FcmCost",
     "chain_dataflow",
     "chain_gma",
+    "dataflow_gma",
     "chain_feasible",
     "chain_footprints",
     "chain_tiling_keys",
@@ -98,15 +99,17 @@ def chain_tiling_keys(chain: FusedChain) -> tuple[str, ...]:
     return tuple(keys)
 
 
-def _vocabularies(chain: FusedChain) -> list[tuple[str, ...]]:
-    """Every tiling vocabulary ``chain`` runs under (chain keys first)."""
-    vocabs = [chain_tiling_keys(chain)]
-    if chain.length == 2:
-        kinds = (chain.first.kind.short, chain.last.kind.short)
-        for fcm_type, keys in FCM_TILING_KEYS.items():
-            if (fcm_type.first_kind, fcm_type.second_kind) == kinds and keys not in vocabs:
-                vocabs.append(keys)
-    return vocabs
+#: the stage kinds each FCM vocabulary belongs to.
+_VOCAB_KINDS = {keys: (t.first_kind, t.second_kind) for t, keys in FCM_TILING_KEYS.items()}
+
+
+def _speaks(chain: FusedChain, keys: tuple[str, ...]) -> bool:
+    """Whether ``chain`` runs under a tiling with these (canonically ordered)
+    keys: the chain keys, or a length-2 chain's FCM vocabulary."""
+    if keys == chain_tiling_keys(chain):
+        return True
+    kinds = (chain.first.kind.short, chain.last.kind.short)
+    return chain.length == 2 and _VOCAB_KINDS.get(keys) == kinds
 
 
 def _flattens(chain: FusedChain) -> bool:
@@ -168,11 +171,8 @@ class ChainDataflow:
 def chain_dataflow(chain: FusedChain, tiling: Mapping[str, int]) -> ChainDataflow:
     """Read ``tiling`` in whichever vocabulary it speaks (see module doc)."""
     keys = tuple(k for k in ("tile_f", "tile_h", "tile_w", "tile_hw", "tile_m") if k in tiling)
-    if len(keys) != len(tiling) or keys not in _vocabularies(chain):
-        raise ShapeError(
-            f"{chain.name}: tiling keys {sorted(tiling)} are none of "
-            f"{[list(v) for v in _vocabularies(chain)]}"
-        )
+    if len(keys) != len(tiling) or not _speaks(chain, keys):
+        raise ShapeError(f"{chain.describe()}: no dataflow for tiling keys {sorted(tiling)}")
     if "tile_hw" in tiling:
         chain = _flat_view(chain)
     last = chain.last
@@ -323,7 +323,8 @@ def _window_extents(
 # ---- GMA ---------------------------------------------------------------------
 
 
-def _dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
+def dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
+    """:func:`chain_gma` of a dataflow :func:`chain_dataflow` already read."""
     chain = flow.chain
     n = chain.length
     first, last = chain.first, chain.last
@@ -379,7 +380,7 @@ def chain_gma(
     """Estimate the global memory accesses of one fused-chain configuration."""
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
-    return _dataflow_gma(chain_dataflow(chain, tiling), convention)
+    return dataflow_gma(chain_dataflow(chain, tiling), convention)
 
 
 # ---- feasibility -------------------------------------------------------------

@@ -62,10 +62,7 @@ def fcm_chain(
         raise ShapeError(
             f"{fcm_type}: tiling keys {sorted(tiling)} != {list(FCM_TILING_KEYS[fcm_type])}"
         )
-    try:
-        return FusedChain((first, second))
-    except ShapeError as exc:
-        raise ShapeError(f"{fcm_type}: {exc}") from None
+    return FusedChain((first, second))
 
 
 def fcm_gma(
