@@ -39,14 +39,16 @@ from repro.tune import tune_models
 GPU = RTX_A4000
 
 
-def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo_per_model):
-    """Plan every model, returning (plans, wall seconds)."""
-    shared = GeometryMemo()
+def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo=None):
+    """Plan every model, returning (plans, wall seconds).
+
+    ``memo`` is shared by every model (and by later calls that pass it
+    again); without one, each model plans with a fresh memo.
+    """
     plans = []
     t0 = time.perf_counter()
     for m in models:
-        memo = GeometryMemo() if memo_per_model else shared
-        planner = planner_cls(GPU, memo=memo)
+        planner = planner_cls(GPU, memo=GeometryMemo() if memo is None else memo)
         plans.append(planner.plan(graphs[m]))
     return plans, time.perf_counter() - t0
 
@@ -56,13 +58,13 @@ def test_vectorized_vs_reference_plan_time(benchmark, once, capsys, smoke):
     graphs = {m: build_model(m, DType.FP32) for m in models}
 
     def run():
-        ref, t_ref = _plan_zoo(models, graphs, planner_cls=ScalarPlanner,
-                               memo_per_model=True)
-        cold, t_cold = _plan_zoo(models, graphs, memo_per_model=True)
+        ref, t_ref = _plan_zoo(models, graphs, planner_cls=ScalarPlanner)
+        cold, t_cold = _plan_zoo(models, graphs)
         # Warm: one shared memo, pre-seeded by a throwaway pass — the
         # steady state of a long-lived process planning the zoo again.
-        _plan_zoo(models, graphs, memo_per_model=False)
-        warm, t_warm = _plan_zoo(models, graphs, memo_per_model=False)
+        shared = GeometryMemo()
+        _plan_zoo(models, graphs, memo=shared)
+        warm, t_warm = _plan_zoo(models, graphs, memo=shared)
         return ref, cold, warm, {"reference": t_ref, "vectorized_cold": t_cold,
                                  "vectorized_warm": t_warm}
 
