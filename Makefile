@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-slo test-planner bench-smoke bench perf-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
+.PHONY: test test-slo test-planner bench-smoke bench-paper bench examples perf-selftest tune-smoke trace-smoke chaos-smoke docs-check lint profile
 
 ## tier-1 suite — must stay green (ROADMAP.md)
 test:
@@ -30,6 +30,25 @@ bench-smoke:
 	    benchmarks/bench_fault_tolerance.py \
 	    benchmarks/bench_obs_overhead.py --smoke \
 	    --benchmark-only --benchmark-json=BENCH_smoke.json -q -s
+
+## the paper-artifact benches bench-smoke leaves out: Fig. 1 and 6-11,
+## Table III, the tiling ablation and chain planning (a few seconds)
+bench-paper:
+	$(PYTHON) -m pytest benchmarks/bench_ablation_tiling.py \
+	    benchmarks/bench_chain_planner.py \
+	    benchmarks/bench_fig01_motivation.py \
+	    benchmarks/bench_fig06_speedup_fp32.py \
+	    benchmarks/bench_fig07_speedup_int8.py \
+	    benchmarks/bench_fig08_gma_breakdown.py \
+	    benchmarks/bench_fig09_cudnn.py \
+	    benchmarks/bench_fig10_end2end.py \
+	    benchmarks/bench_fig11_energy.py \
+	    benchmarks/bench_table3_roofline.py \
+	    --benchmark-only -q
+
+## every script under examples/, run to completion (a few seconds)
+examples:
+	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
 ## the repo benchmark's own tests (perfbench/selftest.py, ~2 min on 2 cores):
 ## tiny runs of every BENCHMARK.json workload, traced and untraced, so every
@@ -65,9 +84,10 @@ chaos-smoke:
 	    --slo-ms 12 --chaos 4:0.5 --retries 2 --retry-budget 0.5 \
 	    --chaos-out CHAOS_smoke.json
 
-## every paper artifact + the serving sweep (slow)
+## every paper artifact + the serving sweep (slow); the files are named
+## explicitly because pytest only collects test_*.py from a directory
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
+	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-only -q -s
 
 ## cProfile top-25 of one MobileNetV2 functional run (fast engine) — the
 ## starting point for simulator performance work; pass ARGS="--what plan"
@@ -79,7 +99,7 @@ profile:
 
 ## fail if README.md / docs reference modules, commands or files that don't exist
 docs-check:
-	$(PYTHON) tools/docs_check.py README.md docs/architecture.md
+	$(PYTHON) tools/docs_check.py README.md docs/architecture.md .claude/skills/verify/SKILL.md
 
 ## static checks: ruff (provisioned in CI; run `pip install ruff` locally)
 ## plus the in-tree AST invariant linter (determinism / parity / layering —

@@ -10,6 +10,7 @@
 """
 
 
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType, candidate_fcm_types
 from repro.core.tiling import PwTiling
@@ -18,8 +19,9 @@ from repro.experiments import format_table
 from repro.gpu.specs import GTX1660, RTX_A4000
 from repro.ir.layers import ConvKind, ConvSpec
 from repro.models.zoo import MODELS, build_model
+from repro.planner.chain_costs import FCM_TILING_KEYS
 from repro.planner.costs import pw_feasible, pw_gma
-from repro.planner.search import best_fcm_tiling, best_lbl_tiling
+from repro.planner.search import best_chain_tiling, best_lbl_tiling
 
 _LAYERS = [
     ConvSpec("early", ConvKind.POINTWISE, 32, 64, 112, 112),
@@ -90,9 +92,10 @@ def test_ablation_module_feasibility(benchmark, once, capsys):
                         types = candidate_fcm_types(*cand.pair_kinds)
                     except UnsupportedError:
                         continue
+                    chain = FusedChain((cand.first, cand.second))
                     for t in types:
                         counts[t.name][1] += 1
-                        if best_fcm_tiling(t, cand.first, cand.second, GTX1660):
+                        if best_chain_tiling(chain, FCM_TILING_KEYS[t], GTX1660):
                             counts[t.name][0] += 1
             for name, (ok, total) in counts.items():
                 if total:

@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
-from repro.core.fcm import FcmType
 from repro.gpu.specs import RTX_A4000
 from repro.ir.layers import ConvKind, ConvSpec
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import build_fcm_kernel, build_lbl_kernel
+from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 
 _PW = ConvSpec("pw", ConvKind.POINTWISE, 64, 128, 56, 56)
 _DW = ConvSpec("dw", ConvKind.DEPTHWISE, 128, 128, 56, 56, kernel=3, stride=1,
@@ -66,9 +65,7 @@ def test_bench_fcm_pwdw_r(benchmark, dtype):
     x = _ifm(pw, dtype)
     tiling = {"tile_f": 32, "tile_h": 14, "tile_w": 14}
     out = benchmark(
-        lambda: build_fcm_kernel(FcmType.PWDW_R, p1, p2, tiling).simulate(
-            x, RTX_A4000
-        )
+        lambda: build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
     )
     assert out.counters.total_bytes > 0
 

@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one paper artifact (table or figure): it times
 the harness computation via pytest-benchmark and prints the reproduced
-rows/series so `pytest benchmarks/ --benchmark-only -s` emits the full
-reproduction report (EXPERIMENTS.md records the paper-vs-measured deltas).
+rows/series so `pytest benchmarks/bench_*.py --benchmark-only -s` emits
+the full reproduction report (EXPERIMENTS.md records the paper-vs-measured
+deltas).
 """
 
 from __future__ import annotations

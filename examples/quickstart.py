@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.gpu import RTX_A4000
 from repro.ir import ConvKind, ConvSpec
-from repro.kernels import build_fcm_kernel, build_lbl_kernel, chain_quant, make_layer_params
+from repro.kernels import build_chain_kernel, build_lbl_kernel, chain_quant, make_layer_params
 from repro.planner import FusePlanner
 
 
@@ -23,11 +23,11 @@ def main() -> None:
 
     # 2. Let FusePlanner pick the module type and tile sizes for this GPU.
     planner = FusePlanner(RTX_A4000)
-    decision = planner.evaluate_pair(dw, pw)
+    decision = planner.evaluate_chain((dw, pw))
     assert decision is not None, "no feasible FCM for this pair on this GPU"
-    print(f"FusePlanner suggests {decision.fcm_type.name} with tiles {decision.fcm.tiling}")
-    print(f"  estimated GMA: fused {decision.fcm.gma_bytes / 1e6:.2f} MB vs "
-          f"LBL {(decision.lbl_first.gma_bytes + decision.lbl_second.gma_bytes) / 1e6:.2f} MB")
+    print(f"FusePlanner suggests {decision.fcm_type.name} with tiles {decision.result.tiling}")
+    print(f"  estimated GMA: fused {decision.result.gma_bytes / 1e6:.2f} MB vs "
+          f"LBL {decision.lbl_gma_bytes / 1e6:.2f} MB")
 
     # 3. Materialize weights and an input, then execute both ways.
     p_dw = make_layer_params(dw, seed=42)
@@ -38,9 +38,7 @@ def main() -> None:
     lbl_pw = build_lbl_kernel(p_pw, planner.lbl_plan(pw).tiling).simulate(
         lbl_dw.output, RTX_A4000
     )
-    fused = build_fcm_kernel(
-        decision.fcm_type, p_dw, p_pw, decision.fcm.tiling
-    ).simulate(x, RTX_A4000)
+    fused = build_chain_kernel([p_dw, p_pw], decision.result.tiling).simulate(x, RTX_A4000)
 
     # 4. Same numbers, fewer bytes, fewer kernels.
     np.testing.assert_allclose(fused.output, lbl_pw.output, rtol=1e-4, atol=1e-4)

@@ -26,7 +26,7 @@ def main() -> None:
             for gpu in ALL_GPUS:
                 planner = FusePlanner(gpu)
                 for first, second in ((pw1, dw), (dw, pw2)):
-                    d = planner.evaluate_pair(first, second)
+                    d = planner.evaluate_chain((first, second))
                     if d is None:
                         print(f"    {gpu.name:5s} {first.name}->{second.name}: no feasible FCM")
                         continue
@@ -34,7 +34,7 @@ def main() -> None:
                         f"    {gpu.name:5s} {first.name.split('_')[-1]}->"
                         f"{second.name.split('_')[-1]}: {d.fcm_type.name:7s} "
                         f"saves {d.savings_bytes / 1e3:8.1f} KB "
-                        f"(redundancy {d.fcm.redundancy_ratio:.0%}, tiles {d.fcm.tiling})"
+                        f"(redundancy {d.result.redundancy_ratio:.0%}, tiles {d.result.tiling})"
                     )
         print()
 

@@ -2,7 +2,7 @@
 
 from .chain import FusedChain, composed_receptive_field
 from .dtypes import DType
-from .fcm import FcmType, candidate_fcm_types, fcm_is_redundant
+from .fcm import FcmType, candidate_fcm_types
 from .ops import (
     ACTIVATIONS,
     apply_activation,
@@ -40,7 +40,6 @@ __all__ = [
     "composed_receptive_field",
     "FcmType",
     "candidate_fcm_types",
-    "fcm_is_redundant",
     "ACTIVATIONS",
     "apply_activation",
     "apply_norm",

@@ -30,10 +30,6 @@ from ..ir.layers import ConvKind, ConvSpec
 
 __all__ = ["FusedChain", "composed_receptive_field"]
 
-#: Adjacent stage kinds a fused chain may contain (DW->DW is illegal).
-_LEGAL_ADJACENT = {("dw", "pw"), ("pw", "dw"), ("pw", "pw")}
-
-
 @dataclass(frozen=True)
 class FusedChain:
     """An ordered, shape-checked run of DW/PW conv stages fused into one kernel."""
@@ -51,7 +47,7 @@ class FusedChain:
                 )
         first = self.specs[0]
         for prev, cur in zip(self.specs, self.specs[1:]):
-            if (prev.kind.short, cur.kind.short) not in _LEGAL_ADJACENT:
+            if prev.kind is cur.kind is ConvKind.DEPTHWISE:
                 raise ShapeError(
                     f"illegal {prev.kind.short}->{cur.kind.short} adjacency "
                     f"({prev.name}->{cur.name})"

@@ -22,7 +22,7 @@ import enum
 
 from ..errors import UnsupportedError
 
-__all__ = ["FcmType", "candidate_fcm_types", "fcm_is_redundant"]
+__all__ = ["FcmType", "candidate_fcm_types"]
 
 
 class FcmType(enum.Enum):
@@ -62,8 +62,3 @@ def candidate_fcm_types(first_kind: str, second_kind: str) -> tuple[FcmType, ...
     if pair == ("pw", "pw"):
         return (FcmType.PWPW,)
     raise UnsupportedError(f"no FCM fuses a {first_kind}->{second_kind} pair")
-
-
-def fcm_is_redundant(fcm_type: FcmType) -> bool:
-    """Whether the module recomputes intermediate halo values (paper Table II)."""
-    return fcm_type is FcmType.PWDW_R

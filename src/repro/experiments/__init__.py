@@ -1,6 +1,5 @@
 """Experiment harnesses regenerating every table and figure of the paper."""
 
-from .analytic import chain_counters, fcm_counters, lbl_counters, pair_lbl_counters
 from .chains import ChainComparison, chain_comparison, compare_chain_planning
 from .fig1 import Fig1Row, figure1
 from .fig10_fig11 import EndToEndPoint, end_to_end_point, figure10_11
@@ -12,13 +11,9 @@ from .reporting import format_table
 from .table3 import BoundRow, table3
 
 __all__ = [
-    "chain_counters",
-    "fcm_counters",
-    "lbl_counters",
     "ChainComparison",
     "chain_comparison",
     "compare_chain_planning",
-    "pair_lbl_counters",
     "Fig1Row",
     "figure1",
     "SpeedupPoint",

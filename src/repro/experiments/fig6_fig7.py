@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import ALL_GPUS, GpuSpec
+from ..planner.analytic import chain_counters, pair_lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, pair_lbl_counters
 from .fusion_cases import FusionCase, select_fusion_cases
 
 __all__ = ["SpeedupPoint", "fcm_vs_lbl_case", "figure6_7"]
@@ -50,15 +50,13 @@ def fcm_vs_lbl_case(case: FusionCase, gpu: GpuSpec) -> SpeedupPoint | None:
     planner = FusePlanner(gpu)
     lbl_first = planner.lbl_plan(case.first)
     lbl_second = planner.lbl_plan(case.second)
-    decision = planner.evaluate_pair(case.first, case.second)
+    decision = planner.evaluate_chain((case.first, case.second))
     if decision is None:
         return None
     c_lbl = pair_lbl_counters(
         case.first, case.second, lbl_first.tiling, lbl_second.tiling
     )
-    c_fcm = fcm_counters(
-        decision.fcm_type, case.first, case.second, decision.fcm.tiling
-    )
+    c_fcm = chain_counters(decision.specs, decision.result.tiling)
     dtype = case.dtype
     t_lbl = time_kernel(c_lbl, gpu, dtype)
     t_fcm = time_kernel(c_fcm, gpu, dtype)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GTX1660, RTX_A4000, GpuSpec
+from ..planner.analytic import chain_counters, pair_lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, pair_lbl_counters
 from .fusion_cases import select_fusion_cases
 
 __all__ = ["GmaTimeBar", "figure8"]
@@ -44,7 +44,7 @@ def figure8(
     for case in select_fusion_cases(dtype):
         for gpu in gpus:
             planner = FusePlanner(gpu)
-            decision = planner.evaluate_pair(case.first, case.second)
+            decision = planner.evaluate_chain((case.first, case.second))
             if decision is None:
                 continue
             c_lbl = pair_lbl_counters(
@@ -53,9 +53,7 @@ def figure8(
                 planner.lbl_plan(case.first).tiling,
                 planner.lbl_plan(case.second).tiling,
             )
-            c_fcm = fcm_counters(
-                decision.fcm_type, case.first, case.second, decision.fcm.tiling
-            )
+            c_fcm = chain_counters(decision.specs, decision.result.tiling)
             t_lbl = time_kernel(c_lbl, gpu, dtype)
             t_fcm = time_kernel(c_fcm, gpu, dtype)
             base = t_lbl.t_memory_s

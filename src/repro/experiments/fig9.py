@@ -16,8 +16,8 @@ from ..baselines.cudnn import CudnnAlgo, cudnn_counters, cudnn_timing
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import ALL_GPUS, GpuSpec
+from ..planner.analytic import chain_counters, pair_lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, pair_lbl_counters
 from .fusion_cases import FusionCase, select_fusion_cases
 
 __all__ = ["CudnnPoint", "figure9", "cudnn_pair_time_s"]
@@ -61,7 +61,7 @@ def figure9(
     for case in select_fusion_cases(dtype, gpus):
         for gpu in gpus:
             planner = FusePlanner(gpu)
-            decision = planner.evaluate_pair(case.first, case.second)
+            decision = planner.evaluate_chain((case.first, case.second))
             if decision is None:
                 continue
             t_ref = cudnn_pair_time_s(case, CudnnAlgo.IMPLICIT_PRECOMP_GEMM, gpu)
@@ -72,9 +72,7 @@ def figure9(
                 planner.lbl_plan(case.first).tiling,
                 planner.lbl_plan(case.second).tiling,
             )
-            c_fcm = fcm_counters(
-                decision.fcm_type, case.first, case.second, decision.fcm.tiling
-            )
+            c_fcm = chain_counters(decision.specs, decision.result.tiling)
             t_lbl = time_kernel(c_lbl, gpu, dtype).t_total_s
             t_fcm = time_kernel(c_fcm, gpu, dtype).t_total_s
             points.append(

@@ -24,7 +24,7 @@ from ..core.fcm import FcmType
 from ..gpu.specs import ALL_GPUS, GpuSpec
 from ..ir.layers import ConvSpec
 from ..models.zoo import MODELS, PAPER_LABELS, build_model
-from ..planner.plan import FcmStep
+from ..planner.plan import ChainStep
 from ..planner.planner import FusePlanner
 
 __all__ = ["FusionCase", "select_fusion_cases", "table2_rows"]
@@ -98,7 +98,7 @@ def select_fusion_cases(
         if model_name not in MODELS:
             continue
         graph = build_model(model_name, dtype)
-        per_gpu: list[dict[str, FcmStep]] = []
+        per_gpu: list[dict[str, ChainStep]] = []
         for gpu in gpus:
             plan = FusePlanner(gpu).plan(graph)
             per_gpu.append({s.first.name: s for s in plan.fcm_steps})

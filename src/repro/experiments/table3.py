@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GTX1660, RTX_A4000, GpuSpec
+from ..planner.analytic import chain_counters, lbl_counters
 from ..planner.planner import FusePlanner
-from .analytic import fcm_counters, lbl_counters
 from .fusion_cases import select_fusion_cases
 
 __all__ = ["BoundRow", "table3"]
@@ -45,7 +45,7 @@ def table3(
     for case in select_fusion_cases(dtype):
         for gpu in gpus:
             planner = FusePlanner(gpu)
-            decision = planner.evaluate_pair(case.first, case.second)
+            decision = planner.evaluate_chain((case.first, case.second))
             if decision is None:
                 continue
             b1 = time_kernel(
@@ -57,10 +57,7 @@ def table3(
                 gpu, dtype,
             ).bound
             bf = time_kernel(
-                fcm_counters(
-                    decision.fcm_type, case.first, case.second, decision.fcm.tiling
-                ),
-                gpu, dtype,
+                chain_counters(decision.specs, decision.result.tiling), gpu, dtype
             ).bound
             rows.append(BoundRow(case.case_id, gpu.name, b1, b2, bf))
     return rows

@@ -15,10 +15,10 @@ counters **in bulk** with closed-form per-block totals via
 :meth:`~repro.gpu.counters.AccessCounters.write_bulk` /
 :meth:`~repro.gpu.counters.AccessCounters.smem_bulk`.  The bulk charges are
 derived from the same clamped tile ranges the interpreted blocks use
-(:func:`axis_tile_extents` / :func:`axis_window_extents`), so metered totals,
-:class:`~repro.gpu.executor.LaunchStats` and roofline timings are
-*bit-identical* to the reference path — enforced by the zoo-wide parity
-matrix in ``tests/test_fastpath.py``.
+(:func:`axis_window_extents`, :func:`~repro.core.tiling.tile_input_range`),
+so metered totals, :class:`~repro.gpu.executor.LaunchStats` and roofline
+timings are *bit-identical* to the reference path — enforced by the
+zoo-wide parity matrix in ``tests/test_fastpath.py``.
 
 Whole-grid GEMMs go through :func:`repro.core.ops.exact_matmul`: INT8 runs
 as float32 BLAS while the reduction depth is at most 1024 and as float64
@@ -49,7 +49,6 @@ __all__ = [
     "resolve_engine",
     "GridProgram",
     "launch_fast",
-    "axis_tile_extents",
     "axis_window_extents",
     "grid_depthwise",
 ]
@@ -113,15 +112,6 @@ def launch_fast(kernel: GridProgram, gpu: GpuSpec, counters: AccessCounters) -> 
         peak_shared_bytes=peak,
         waves=waves,
     )
-
-
-def axis_tile_extents(out_size: int, tile: int) -> list[int]:
-    """Clamped output-tile extents along one axis, one entry per tile index.
-
-    ``sum()`` of the result is ``out_size``; the entries reproduce the
-    ``min(tile, out_size - t0)`` arithmetic of every ``run_block``.
-    """
-    return [min(tile, out_size - t0) for t0 in range(0, out_size, tile)]
 
 
 def axis_window_extents(

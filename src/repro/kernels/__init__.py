@@ -12,7 +12,7 @@ from .fused_chain import (
     PwPwFusedKernel,
 )
 from .params import LayerParams, chain_quant, make_layer_params
-from .registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
+from .registry import build_chain_kernel, build_lbl_kernel
 
 __all__ = [
     "KernelResult",
@@ -29,6 +29,5 @@ __all__ = [
     "chain_quant",
     "make_layer_params",
     "build_chain_kernel",
-    "build_fcm_kernel",
     "build_lbl_kernel",
 ]

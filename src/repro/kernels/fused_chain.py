@@ -30,8 +30,9 @@ is the largest live set of windows.
 
 The paper's four FCMs are length-2 chains, so this kernel is their only
 implementation: :class:`DwPwFusedKernel`, :class:`PwDwFusedKernel`,
-:class:`PwDwRFusedKernel` and :class:`PwPwFusedKernel` only check their pair
-and name it.
+:class:`PwDwRFusedKernel` and :class:`PwPwFusedKernel` only check that their
+pair and tiling speak their :attr:`~FusedChainKernel.FCM`
+(:func:`~repro.planner.chain_costs.fcm_type_of`) and name it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
-from ..planner.chain_costs import chain_dataflow
-from ..planner.fcm_costs import fcm_chain
+from ..planner.chain_costs import chain_dataflow, fcm_type_of
 from .base import SimKernel
 from .direct_dw import depthwise_tile
 from .params import LayerParams
@@ -68,6 +68,9 @@ __all__ = [
 
 class FusedChainKernel(SimKernel):
     """Simulated N-stage fused kernel exchanging intermediates via shared memory."""
+
+    #: the FCM a pairwise subclass runs (``None``: any chain vocabulary).
+    FCM: FcmType | None = None
 
     def __init__(
         self,
@@ -92,13 +95,15 @@ class FusedChainKernel(SimKernel):
         self.flow = chain_dataflow(self.chain, self.tiling)
         self._counters: AccessCounters | None = None
 
-    def _pair(
-        self, fcm_type: FcmType, first: LayerParams, second: LayerParams,
-        tiling: Mapping[str, int],
-    ) -> None:
-        """Set up one FCM, after its pair checks, as a length-2 chain."""
-        fcm_chain(fcm_type, first.spec, second.spec, tiling)
-        self._setup((first, second), tiling, fcm_type.value)
+    def _pair(self, first: LayerParams, second: LayerParams, tiling: Mapping[str, int]) -> None:
+        """Set up this class's FCM as a length-2 chain, once the pair's kinds
+        and the tiling's keys are checked to speak it."""
+        if fcm_type_of((first.spec, second.spec), tiling) is not self.FCM:
+            raise ShapeError(
+                f"{self.FCM}: {first.spec.kind.short}->{second.spec.kind.short} "
+                f"under tiling keys {sorted(tiling)} is not this module"
+            )
+        self._setup((first, second), tiling, self.FCM.value)
 
     # ---- capacity -------------------------------------------------------------
     def check_capacity(self, gpu: GpuSpec) -> None:
@@ -425,11 +430,12 @@ class DwPwFusedKernel(FusedChainKernel):
     commBuffer and the PW stage streams its filters in ``tile_m`` groups
     against it; nothing is written to global memory or recomputed."""
 
+    FCM = FcmType.DWPW
+
     def __init__(
         self, dw: LayerParams, pw: LayerParams, tile_h: int, tile_w: int, tile_m: int
     ) -> None:
-        tiling = {"tile_h": tile_h, "tile_w": tile_w, "tile_m": tile_m}
-        self._pair(FcmType.DWPW, dw, pw, tiling)
+        self._pair(dw, pw, {"tile_h": tile_h, "tile_w": tile_w, "tile_m": tile_m})
 
 
 class PwDwFusedKernel(FusedChainKernel):
@@ -438,8 +444,10 @@ class PwDwFusedKernel(FusedChainKernel):
     stage consumes with no halo and no recomputation; the PW input is
     re-streamed once per channel group."""
 
+    FCM = FcmType.PWDW
+
     def __init__(self, pw: LayerParams, dw: LayerParams, tile_f: int) -> None:
-        self._pair(FcmType.PWDW, pw, dw, {"tile_f": tile_f})
+        self._pair(pw, dw, {"tile_f": tile_f})
 
 
 class PwDwRFusedKernel(FusedChainKernel):
@@ -447,11 +455,12 @@ class PwDwRFusedKernel(FusedChainKernel):
     spatial tile, whose DW halo the PW stage recomputes in every block that
     shares it — the redundancy of paper Table II."""
 
+    FCM = FcmType.PWDW_R
+
     def __init__(
         self, pw: LayerParams, dw: LayerParams, tile_f: int, tile_h: int, tile_w: int
     ) -> None:
-        tiling = {"tile_f": tile_f, "tile_h": tile_h, "tile_w": tile_w}
-        self._pair(FcmType.PWDW_R, pw, dw, tiling)
+        self._pair(pw, dw, {"tile_f": tile_f, "tile_h": tile_h, "tile_w": tile_w})
 
 
 class PwPwFusedKernel(FusedChainKernel):
@@ -460,10 +469,12 @@ class PwPwFusedKernel(FusedChainKernel):
     re-read per pixel tile.  A strided second PW has no flattened plane and
     is refused."""
 
+    FCM = FcmType.PWPW
+
     def __init__(
         self, pw1: LayerParams, pw2: LayerParams, tile_hw: int, tile_m: int
     ) -> None:
-        self._pair(FcmType.PWPW, pw1, pw2, {"tile_hw": tile_hw, "tile_m": tile_m})
+        self._pair(pw1, pw2, {"tile_hw": tile_hw, "tile_m": tile_m})
 
 
 def _pw_window(

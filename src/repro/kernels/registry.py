@@ -1,21 +1,22 @@
-"""Kernel registry: build LBL or FCM kernels from specs + tiling choices.
+"""Kernel registry: build LBL or fused kernels from specs + tiling choices.
 
-The planner emits *what* to run (fuse or not, which FCM type, which tile
+The planner emits *what* to run (fuse or not, which stages, which tile
 sizes); this registry turns those decisions into concrete simulated kernels.
 Tile-size vocabularies differ per kernel family: LBL kernels take their own
-keys, and every fused module is the length-2 chain kernel under its type's
-vocabulary (:data:`~repro.planner.chain_costs.FCM_TILING_KEYS`) and name.
+keys, and every fused module is the chain kernel under one of its chain's
+vocabularies (:func:`~repro.planner.chain_costs.tiling_vocabulary`), named
+after the FCM the stage kinds and tiling keys speak, if any.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..core.fcm import FcmType
+from ..core.chain import FusedChain
 from ..core.tiling import DwTiling, PwTiling
 from ..errors import UnsupportedError
 from ..ir.layers import ConvKind
-from ..planner.chain_costs import FCM_TILING_KEYS
+from ..planner.chain_costs import fcm_type_of, tiling_vocabulary
 from .base import SimKernel
 from .direct_dw import DwDirectKernel
 from .direct_pw import PwDirectKernel
@@ -28,7 +29,7 @@ from .fused_chain import (
 )
 from .params import LayerParams
 
-__all__ = ["build_lbl_kernel", "build_fcm_kernel", "build_chain_kernel"]
+__all__ = ["build_lbl_kernel", "build_chain_kernel"]
 
 
 def build_lbl_kernel(params: LayerParams, tiling: Mapping[str, int]) -> SimKernel:
@@ -50,49 +51,25 @@ def build_lbl_kernel(params: LayerParams, tiling: Mapping[str, int]) -> SimKerne
 #: the kernel class of each FCM: constructor-only chain kernels that check
 #: their pair and carry the module's name.
 _FCM_KERNELS = {
-    FcmType.DWPW: DwPwFusedKernel,
-    FcmType.PWDW: PwDwFusedKernel,
-    FcmType.PWDW_R: PwDwRFusedKernel,
-    FcmType.PWPW: PwPwFusedKernel,
+    cls.FCM: cls for cls in (DwPwFusedKernel, PwDwFusedKernel, PwDwRFusedKernel, PwPwFusedKernel)
 }
 
 
-def build_fcm_kernel(
-    fcm_type: FcmType,
-    first: LayerParams,
-    second: LayerParams,
-    tiling: Mapping[str, int],
-) -> SimKernel:
-    """Build a fused kernel of the given FCM type.
-
-    ``tiling`` keys per type (:data:`~repro.planner.chain_costs.FCM_TILING_KEYS`):
-
-    * DWPW   -> ``tile_h``, ``tile_w``, ``tile_m`` (the chain vocabulary)
-    * PWDW   -> ``tile_f``
-    * PWDW_R -> ``tile_f``, ``tile_h``, ``tile_w``
-    * PWPW   -> ``tile_hw``, ``tile_m``
-    """
-    keys = FCM_TILING_KEYS[fcm_type]
-    return _FCM_KERNELS[fcm_type](first, second, **{k: tiling[k] for k in keys})
-
-
-def build_chain_kernel(
-    stages: Sequence[LayerParams],
-    tiling: Mapping[str, int],
-    fcm_type: FcmType | None = None,
-) -> SimKernel:
+def build_chain_kernel(stages: Sequence[LayerParams], tiling: Mapping[str, int]) -> SimKernel:
     """Build the fused kernel for a chain of any length.
 
-    Length-2 chains carrying their pairwise ``fcm_type`` route through
-    :func:`build_fcm_kernel`, which names the chain kernel after its module;
-    other chains build the generic
-    :class:`~repro.kernels.fused_chain.FusedChainKernel` with the chain
-    vocabulary ``tile_h``/``tile_w``[/``tile_m``].
+    A pair whose tiling speaks an FCM builds that module's kernel class
+    (``tiling`` keys per type in
+    :data:`~repro.planner.chain_costs.FCM_TILING_KEYS`); any other chain
+    builds the generic :class:`~repro.kernels.fused_chain.FusedChainKernel`
+    with the chain vocabulary ``tile_h``/``tile_w``[/``tile_m``].  A key set
+    naming no vocabulary of the chain raises :class:`~repro.errors.ShapeError`.
     """
     if len(stages) < 2:
         raise UnsupportedError("a fused chain kernel needs at least two stages")
-    if len(stages) == 2 and fcm_type is not None:
-        return build_fcm_kernel(fcm_type, stages[0], stages[1], tiling)
-    return FusedChainKernel(
-        stages, tiling["tile_h"], tiling["tile_w"], tiling.get("tile_m")
-    )
+    specs = tuple(p.spec for p in stages)
+    fcm_type = fcm_type_of(specs, tiling)
+    if fcm_type is not None:
+        return _FCM_KERNELS[fcm_type](*stages, **tiling)
+    tiling_vocabulary(FusedChain(specs), tiling)
+    return FusedChainKernel(stages, **tiling)

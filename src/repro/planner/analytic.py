@@ -7,8 +7,8 @@ re-fetched per spatial tile, IFMs re-streamed per filter group, halo lines).
 The roofline serves re-reads of L2-resident tensors on-chip, which is what
 lets weight-heavy layers (e.g. Xception's 728-channel middle flow) run at
 paper-like speed despite their nominal GMA.  Every fused module is a
-length-2 chain, so :func:`fcm_counters` is :func:`chain_counters` after a
-pair check, in whichever tiling vocabulary the module speaks.
+chain, so :func:`chain_counters` meters all of them, in whichever tiling
+vocabulary the module speaks.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.chain import FusedChain
-from ..core.fcm import FcmType
 from ..core.tiling import DwTiling, PwTiling, ceil_div
 from ..errors import UnsupportedError
 from ..gpu.counters import AccessCounters
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import chain_dataflow, dataflow_gma
 from .costs import lbl_gma
-from .fcm_costs import fcm_chain
 
-__all__ = ["lbl_counters", "fcm_counters", "chain_counters", "pair_lbl_counters"]
+__all__ = ["lbl_counters", "chain_counters", "pair_lbl_counters"]
 
 
 def _pw_rereads(spec: ConvSpec, tiling: PwTiling, counters: AccessCounters) -> None:
@@ -73,17 +71,6 @@ def lbl_counters(spec: ConvSpec, tiling: Mapping[str, int]) -> AccessCounters:
     else:
         _dw_rereads(spec, t, counters)
     return counters
-
-
-def fcm_counters(
-    fcm_type: FcmType,
-    first: ConvSpec,
-    second: ConvSpec,
-    tiling: Mapping[str, int],
-) -> AccessCounters:
-    """Counters of one fused-module launch: the length-2 chain's."""
-    fcm_chain(fcm_type, first, second, tiling)
-    return chain_counters((first, second), tiling)
 
 
 def chain_counters(

@@ -8,8 +8,11 @@ redundancy are derived per stage by propagating the final output tile
 backward through every stage's ``(kernel, stride, padding)`` geometry.
 
 It is the only model of the four pairwise FCMs too.  Each is the length-2
-chain under its own tiling vocabulary (:data:`FCM_TILING_KEYS`), and
-:func:`chain_dataflow` reads every vocabulary as one chain dataflow:
+chain under its own tiling vocabulary (:data:`FCM_TILING_KEYS`, the only
+owner of the vocabularies): :func:`chain_vocabularies` lists the ones a
+chain's search sweeps, :func:`fcm_type_of` reads the FCM type back off a
+chain's stage kinds and a tiling's keys, and :func:`chain_dataflow` reads
+every vocabulary as one chain dataflow:
 
 * ``DWPW`` ``{tile_h, tile_w, tile_m}`` is the chain vocabulary itself;
 * ``PWDW_R`` ``{tile_f, tile_h, tile_w}``: ``tile_f`` groups the
@@ -43,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 from ..core.chain import FusedChain, composed_receptive_field
-from ..core.fcm import FcmType
+from ..core.fcm import FcmType, candidate_fcm_types
 from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_input_range
 from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
@@ -63,6 +66,9 @@ __all__ = [
     "chain_feasible",
     "chain_footprints",
     "chain_tiling_keys",
+    "chain_vocabularies",
+    "fcm_type_of",
+    "tiling_vocabulary",
     "chain_axis_tables",
     "chain_window_extents",
     "tiling_ladder",
@@ -74,6 +80,16 @@ FCM_TILING_KEYS: dict[FcmType, tuple[str, ...]] = {
     FcmType.PWDW: ("tile_f",),
     FcmType.PWDW_R: ("tile_f", "tile_h", "tile_w"),
     FcmType.PWPW: ("tile_hw", "tile_m"),
+}
+
+#: the canonical key order: every vocabulary lists its keys in it, so it is
+#: the grid's axis order and the scalar sweep's loop nesting.
+_KEY_ORDER = ("tile_f", "tile_h", "tile_w", "tile_hw", "tile_m")
+
+#: (first kind, second kind, key set) -> the FCM that pair and vocabulary run.
+_VOCAB_TYPES = {
+    (ConvKind(t.first_kind), ConvKind(t.second_kind), frozenset(keys)): t
+    for t, keys in FCM_TILING_KEYS.items()
 }
 
 
@@ -99,17 +115,37 @@ def chain_tiling_keys(chain: FusedChain) -> tuple[str, ...]:
     return tuple(keys)
 
 
-#: the stage kinds each FCM vocabulary belongs to.
-_VOCAB_KINDS = {keys: (t.first_kind, t.second_kind) for t, keys in FCM_TILING_KEYS.items()}
+def chain_vocabularies(chain: FusedChain) -> tuple[tuple[str, ...], ...]:
+    """The tiling vocabularies a chain's search sweeps, in sweep order: a
+    length-2 chain's FCM vocabularies (in :func:`candidate_fcm_types` order,
+    so PWDW before PWDW_R), a longer chain's chain keys."""
+    if chain.length == 2:
+        types = candidate_fcm_types(chain.first.kind.short, chain.last.kind.short)
+        return tuple(FCM_TILING_KEYS[t] for t in types)
+    return (chain_tiling_keys(chain),)
 
 
-def _speaks(chain: FusedChain, keys: tuple[str, ...]) -> bool:
-    """Whether ``chain`` runs under a tiling with these (canonically ordered)
-    keys: the chain keys, or a length-2 chain's FCM vocabulary."""
-    if keys == chain_tiling_keys(chain):
-        return True
-    kinds = (chain.first.kind.short, chain.last.kind.short)
-    return chain.length == 2 and _VOCAB_KINDS.get(keys) == kinds
+def fcm_type_of(specs: Sequence[ConvSpec], keys: Collection[str]) -> FcmType | None:
+    """The FCM type a chain's stage kinds and a tiling's key set speak, or
+    ``None``: a longer chain, or a pair under the generic chain vocabulary
+    (PW->PW under ``tile_h``/``tile_w``/``tile_m``)."""
+    if len(specs) != 2:
+        return None
+    return _VOCAB_TYPES.get((specs[0].kind, specs[1].kind, frozenset(keys)))
+
+
+def tiling_vocabulary(chain: FusedChain, keys: Collection[str]) -> tuple[str, ...]:
+    """The vocabulary that ``keys`` names, in canonical order.
+
+    A chain speaks its chain keys, and a length-2 chain its FCM
+    vocabularies too; any other key set raises :class:`ShapeError`.
+    """
+    vocab = tuple(k for k in _KEY_ORDER if k in keys)
+    if len(vocab) != len(keys) or not (
+        vocab == chain_tiling_keys(chain) or fcm_type_of(chain.specs, vocab) is not None
+    ):
+        raise ShapeError(f"{chain.describe()}: no dataflow for tiling keys {sorted(keys)}")
+    return vocab
 
 
 def _flattens(chain: FusedChain) -> bool:
@@ -170,9 +206,7 @@ class ChainDataflow:
 
 def chain_dataflow(chain: FusedChain, tiling: Mapping[str, int]) -> ChainDataflow:
     """Read ``tiling`` in whichever vocabulary it speaks (see module doc)."""
-    keys = tuple(k for k in ("tile_f", "tile_h", "tile_w", "tile_hw", "tile_m") if k in tiling)
-    if len(keys) != len(tiling) or not _speaks(chain, keys):
-        raise ShapeError(f"{chain.describe()}: no dataflow for tiling keys {sorted(tiling)}")
+    tiling_vocabulary(chain, tiling)
     if "tile_hw" in tiling:
         chain = _flat_view(chain)
     last = chain.last

@@ -27,29 +27,25 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.chain import FusedChain, composed_receptive_field
-from ..core.fcm import FcmType
 from ..errors import PlanError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import (
-    FCM_TILING_KEYS,
     _flat_view,
     _flattens,
     _grid,
     _stage_macs_per_elem,
     chain_axis_tables,
-    chain_tiling_keys,
     chain_window_extents,
     tiling_ladder,
+    tiling_vocabulary,
 )
 from .costs import STREAM_CHUNK, _check_convention, loaded_axis_table
-from .fcm_costs import fcm_chain
 
 __all__ = [
     "TilingGrid",
     "pow2_candidates",
     "lbl_grid",
-    "fcm_grid",
     "chain_grid",
 ]
 
@@ -216,35 +212,17 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingG
     raise PlanError(f"{spec.name}: LBL search supports only DW/PW layers")
 
 
+# ---- fused chains (the FCMs are length-2 chains) ---------------------------------
 
 
-# ---- fused chains, and the FCMs as length-2 chains ------------------------------
-
-
-def fcm_grid(
-    fcm_type: FcmType,
-    first: ConvSpec,
-    second: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-) -> TilingGrid:
-    """One FCM's GMA, redundancy and feasibility over its full grid: the
-    length-2 chain's grid in the type's tiling vocabulary."""
-    chain = fcm_chain(fcm_type, first, second)
-    return _dataflow_grid(chain, gpu, convention, FCM_TILING_KEYS[fcm_type])
-
-
-def chain_grid(chain: FusedChain, gpu: GpuSpec, convention: str = "paper") -> TilingGrid:
-    """The compositional chain model over the full (th, tw[, tm]) grid."""
-    return _dataflow_grid(chain, gpu, convention, chain_tiling_keys(chain))
-
-
-def _dataflow_grid(
-    chain: FusedChain, gpu: GpuSpec, convention: str, keys: tuple[str, ...]
+def chain_grid(
+    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec, convention: str = "paper"
 ) -> TilingGrid:
     """Every candidate of one tiling vocabulary, evaluated as arrays.
 
-    Mirrors :func:`repro.planner.chain_costs.chain_gma` /
+    ``keys`` is one vocabulary the chain speaks
+    (:func:`~repro.planner.chain_costs.tiling_vocabulary`).  Mirrors
+    :func:`repro.planner.chain_costs.chain_gma` /
     :func:`~repro.planner.chain_costs.chain_footprints` term for term; the
     per-boundary overlap, clamped-extent and window-extent quantities come
     from the cost module's axis tables, one entry per candidate tile size.
@@ -253,6 +231,7 @@ def _dataflow_grid(
     result arrays are views onto the vocabulary's own axes, whose order is
     the canonical one, so C-order stays the scalar sweep's order.
     """
+    keys = tiling_vocabulary(chain, keys)
     if convention not in ("paper", "measured"):
         raise UnsupportedError(f"unknown cost convention {convention!r}")
     axes = {k: _pow2_axis(*tiling_ladder(chain, k)) for k in keys}

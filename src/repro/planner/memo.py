@@ -8,11 +8,12 @@ module lifts that to a process-wide, in-memory store shared across planner
 instances (the serving fleet builds one planner per worker).  It is never
 saved: a fresh process starts with an empty memo.
 
-Only the three *search* families are memoized — ``best_lbl_tiling``,
-``best_fcm_tiling``, ``best_chain_tiling`` — because their winners depend
-solely on (geometry, dtype, GPU limits, cost convention).  FCM-type
-arbitration and the run-partitioning DP are deliberately *not* memoized
-here: those decisions are calibration-dependent and stay in the planner.
+Only the two *search* families are memoized — ``best_lbl_tiling`` and
+``best_chain_tiling`` (one entry per chain and tiling vocabulary) — because
+their winners depend solely on (geometry, dtype, GPU limits, cost
+convention).  Arbitration between a chain's vocabularies and the
+run-partitioning DP are deliberately *not* memoized here: those decisions
+are calibration-dependent and stay in the planner.
 The scalar oracles (``scalar_*_tiling``) never read or fill a memo, so the
 parity suite always compares a real sweep against the grid search.
 """
@@ -71,20 +72,11 @@ class GeometryMemo:
     def lbl_key(self, spec, gpu, convention: str) -> tuple:
         return ("lbl", _spec_key(spec), _gpu_key(gpu), convention)
 
-    def fcm_key(self, fcm_type, first, second, gpu, convention: str) -> tuple:
-        return (
-            "fcm",
-            fcm_type.name,
-            _spec_key(first),
-            _spec_key(second),
-            _gpu_key(gpu),
-            convention,
-        )
-
-    def chain_key(self, chain, gpu, convention: str) -> tuple:
+    def chain_key(self, chain, keys, gpu, convention: str) -> tuple:
         return (
             "chain",
-            tuple(_spec_key(s) for s in chain.specs),
+            tuple(keys),
+            tuple(map(_spec_key, chain.specs)),
             _gpu_key(gpu),
             convention,
         )

@@ -6,25 +6,26 @@ steps, and glue steps (residual adds, pooling, ...).  Each conv-bearing step
 carries the tile sizes and the estimated GMA that justified the decision
 (paper Fig. 5's "FCMs / LBL" output box, generalized to chains).
 
-:class:`ChainStep` is the fused step; ``FcmStep`` is kept as an alias for
-the ubiquitous pairwise case (a length-2 chain carrying its pairwise
-:class:`~repro.core.fcm.FcmType`).
+:class:`ChainStep` is the fused step of any length; a length-2 step's
+pairwise :class:`~repro.core.fcm.FcmType` is read off its stage kinds and
+tiling keys, never stored apart from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from ..core.dtypes import DType
 from ..core.fcm import FcmType
 from ..gpu.specs import GpuSpec
 from ..ir.graph import GlueSpec
 from ..ir.layers import ConvSpec
+from .chain_costs import fcm_type_of
 
 __all__ = [
     "LblStep",
     "ChainStep",
-    "FcmStep",
     "GlueStep",
     "StdStep",
     "ExecutionPlan",
@@ -51,9 +52,10 @@ class LblStep:
 class ChainStep:
     """One fused module: a chain of convolutions executed as a single kernel.
 
-    Length-2 chains carry their pairwise taxonomy type in ``fcm_type`` (and
-    keep the pairwise tiling vocabulary); longer chains set it to ``None``
-    and use the chain vocabulary (``tile_h``/``tile_w``[/``tile_m``]).
+    ``fcm_type`` is derived, not passed: the pairwise taxonomy type the
+    stage kinds and tiling keys speak
+    (:func:`~repro.planner.chain_costs.fcm_type_of`), ``None`` for longer
+    chains, which use the chain vocabulary (``tile_h``/``tile_w``[/``tile_m``]).
     """
 
     specs: tuple[ConvSpec, ...]
@@ -61,7 +63,10 @@ class ChainStep:
     est_gma_bytes: int
     est_lbl_gma_bytes: int  # what the member layers would cost unfused
     redundancy_ratio: float
-    fcm_type: FcmType | None = None
+    fcm_type: FcmType | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fcm_type", fcm_type_of(self.specs, self.tiling))
 
     @property
     def length(self) -> int:
@@ -91,11 +96,6 @@ class ChainStep:
         return self.est_lbl_gma_bytes - self.est_gma_bytes
 
 
-#: Pairwise alias — every existing ``isinstance(step, FcmStep)`` check now
-#: covers chains of any length.
-FcmStep = ChainStep
-
-
 @dataclass(frozen=True)
 class StdStep:
     """A standard convolution (stem/exit layers) — outside FCM scope.
@@ -114,7 +114,7 @@ class GlueStep:
     spec: GlueSpec
 
 
-PlanStep = LblStep | FcmStep | StdStep | GlueStep
+PlanStep = LblStep | ChainStep | StdStep | GlueStep
 
 
 def lbl_family(spec: ConvSpec) -> str:
@@ -122,12 +122,13 @@ def lbl_family(spec: ConvSpec) -> str:
     return f"lbl-{spec.kind.short}"
 
 
-def chain_family(fcm_type: FcmType | None, length: int) -> str:
-    """Kernel-family name of one fused module: ``fcm-<type>`` for pairwise
-    chains carrying their taxonomy type, ``chain-<N>`` beyond."""
+def chain_family(specs: Sequence[ConvSpec], tiling: Mapping[str, int]) -> str:
+    """Kernel-family name of one fused module: ``fcm-<type>`` for a pair
+    whose tiling speaks an FCM, ``chain-<N>`` otherwise."""
+    fcm_type = fcm_type_of(specs, tiling)
     if fcm_type is not None:
         return f"fcm-{fcm_type.name.lower()}"
-    return f"chain-{length}"
+    return f"chain-{len(specs)}"
 
 
 def step_family(step: PlanStep) -> str:
@@ -142,7 +143,7 @@ def step_family(step: PlanStep) -> str:
     has exactly one owner.
     """
     if isinstance(step, ChainStep):
-        return chain_family(step.fcm_type, step.length)
+        return chain_family(step.specs, step.tiling)
     if isinstance(step, LblStep):
         return lbl_family(step.spec)
     if isinstance(step, StdStep):
@@ -162,12 +163,8 @@ class ExecutionPlan:
     # ---- summaries ----------------------------------------------------------
     @property
     def fcm_steps(self) -> list[ChainStep]:
-        """Fused steps of any length (``chain_steps`` is the modern alias)."""
+        """Fused steps of any length."""
         return [s for s in self.steps if isinstance(s, ChainStep)]
-
-    @property
-    def chain_steps(self) -> list[ChainStep]:
-        return self.fcm_steps
 
     @property
     def lbl_steps(self) -> list[LblStep]:
@@ -198,7 +195,7 @@ class ExecutionPlan:
     def est_total_gma_bytes(self) -> int:
         total = 0
         for s in self.steps:
-            if isinstance(s, (LblStep, FcmStep)):
+            if isinstance(s, (LblStep, ChainStep)):
                 total += s.est_gma_bytes
         return total
 

@@ -25,12 +25,13 @@ from dataclasses import dataclass, replace
 
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
-from ..core.fcm import FcmType, candidate_fcm_types
+from ..core.fcm import FcmType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.graph import GlueSpec, ModelGraph
 from ..ir.layers import ConvKind, ConvSpec
 from ..obs import resolve_metrics, resolve_tracer
+from .chain_costs import chain_vocabularies, fcm_type_of
 from .memo import shared_memo
 from .plan import (
     ChainStep,
@@ -44,30 +45,12 @@ from .plan import (
 from .search import (
     SearchResult,
     best_chain_tiling,
-    best_fcm_tiling,
     best_lbl_tiling,
     scalar_chain_tiling,
-    scalar_fcm_tiling,
     scalar_lbl_tiling,
 )
 
-__all__ = ["FusePlanner", "ScalarPlanner", "FusionDecision", "ChainDecision", "CandidateReport"]
-
-
-@dataclass(frozen=True)
-class FusionDecision:
-    """Outcome of evaluating one candidate pair."""
-
-    first: ConvSpec
-    second: ConvSpec
-    fcm_type: FcmType
-    fcm: SearchResult
-    lbl_first: SearchResult
-    lbl_second: SearchResult
-
-    @property
-    def savings_bytes(self) -> int:
-        return self.lbl_first.gma_bytes + self.lbl_second.gma_bytes - self.fcm.gma_bytes
+__all__ = ["FusePlanner", "ScalarPlanner", "ChainDecision", "CandidateReport"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +58,6 @@ class ChainDecision:
     """Outcome of evaluating one candidate chain (length >= 2)."""
 
     specs: tuple[ConvSpec, ...]
-    fcm_type: FcmType | None  # set for length-2 chains
     result: SearchResult
     lbl_gma_bytes: int  # what the member layers would cost unfused
 
@@ -84,13 +66,19 @@ class ChainDecision:
         return len(self.specs)
 
     @property
+    def fcm_type(self) -> FcmType | None:
+        """The FCM the winning tiling speaks (``None`` beyond length 2)."""
+        return fcm_type_of(self.specs, self.result.tiling)
+
+    @property
     def savings_bytes(self) -> int:
         return self.lbl_gma_bytes - self.result.gma_bytes
 
     @property
     def label(self) -> str:
-        if self.fcm_type is not None:
-            return self.fcm_type.name
+        fcm_type = self.fcm_type
+        if fcm_type is not None:
+            return fcm_type.name
         return "-".join(s.kind.short.upper() for s in self.specs)
 
     def to_step(self) -> ChainStep:
@@ -100,7 +88,6 @@ class ChainDecision:
             est_gma_bytes=self.result.gma_bytes,
             est_lbl_gma_bytes=self.lbl_gma_bytes,
             redundancy_ratio=self.result.redundancy_ratio,
-            fcm_type=self.fcm_type,
         )
 
 
@@ -191,7 +178,7 @@ class FusePlanner:
         self._lbl_cache: dict[tuple, SearchResult] = {}
         #: memoized chain searches by run geometry; layer names are excluded
         #: deliberately, so lbl_gma_bytes is recomputed per actual span.
-        self._chain_cache: dict[tuple, tuple[FcmType | None, SearchResult] | None] = {}
+        self._chain_cache: dict[tuple, SearchResult | None] = {}
         #: candidate evaluations of the most recent :meth:`plan` call.
         self.last_candidates: list[CandidateReport] = []
 
@@ -199,15 +186,8 @@ class FusePlanner:
     def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
         return best_lbl_tiling(spec, self.gpu, self.convention, memo=self.memo)
 
-    def _fcm_tiling(
-        self, fcm_type: FcmType, first: ConvSpec, second: ConvSpec
-    ) -> SearchResult | None:
-        return best_fcm_tiling(
-            fcm_type, first, second, self.gpu, self.convention, memo=self.memo
-        )
-
-    def _chain_tiling(self, chain: FusedChain) -> SearchResult | None:
-        return best_chain_tiling(chain, self.gpu, self.convention, memo=self.memo)
+    def _chain_tiling(self, chain: FusedChain, keys: tuple[str, ...]) -> SearchResult | None:
+        return best_chain_tiling(chain, keys, self.gpu, self.convention, memo=self.memo)
 
     # ---- single-layer pass ---------------------------------------------------
     def lbl_plan(self, spec: ConvSpec) -> SearchResult:
@@ -236,7 +216,7 @@ class FusePlanner:
         Uncalibrated: the estimated GMA bytes themselves (the paper's
         objective, kept as exact ints so plans reproduce bit-for-bit).
         Calibrated: per-family corrected seconds, which is where measured
-        feedback reorders fuse-vs-not and FCM-type decisions.
+        feedback reorders fuse-vs-not and tiling-vocabulary decisions.
         """
         if not self._calibrated(dtype):
             return gma_bytes
@@ -247,61 +227,31 @@ class FusePlanner:
     def _lbl_cost(self, spec: ConvSpec):
         return self._cost(lbl_family(spec), self.lbl_plan(spec).gma_bytes, spec.dtype)
 
+    def _fused_cost(self, specs: tuple[ConvSpec, ...], result: SearchResult):
+        """:meth:`_cost` of one fused candidate; its family is read off its
+        tiling only when a calibration needs it."""
+        if not self._calibrated(specs[0].dtype):
+            return result.gma_bytes
+        return self._cost(chain_family(specs, result.tiling), result.gma_bytes, specs[0].dtype)
+
     def _decision_savings(self, dec: "ChainDecision"):
         """DP weight of fusing one chain: unfused cost minus fused cost."""
         if not self._calibrated(dec.specs[0].dtype):
             return dec.savings_bytes
-        family = chain_family(dec.fcm_type, dec.length)
-        fused = self._cost(family, dec.result.gma_bytes, dec.specs[0].dtype)
-        return sum(self._lbl_cost(s) for s in dec.specs) - fused
-
-    # ---- pair evaluation --------------------------------------------------------
-    def _arbitrate_pair(
-        self, first: ConvSpec, second: ConvSpec
-    ) -> tuple[FcmType, SearchResult] | None:
-        """Best feasible FCM type for a pair (lowest cost, then redundancy)."""
-        types = candidate_fcm_types(first.kind.short, second.kind.short)
-        best: tuple[tuple, FcmType, SearchResult] | None = None
-        for t in types:
-            res = self._fcm_tiling(t, first, second)
-            if res is None:
-                continue
-            cost = self._cost(chain_family(t, 2), res.gma_bytes, first.dtype)
-            key = ((cost, res.redundancy_ratio), t, res)
-            if best is None or key[0] < best[0]:
-                best = key
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def evaluate_pair(self, first: ConvSpec, second: ConvSpec) -> FusionDecision | None:
-        """Best feasible FCM for a pair, or ``None`` if no module is feasible.
-
-        When both PWDW variants are feasible the one with lower estimated GMA
-        (calibrated cost, when calibrated) wins; ties prefer the
-        redundancy-free module.
-        """
-        hit = self._arbitrate_pair(first, second)
-        if hit is None:
-            return None
-        return FusionDecision(
-            first=first,
-            second=second,
-            fcm_type=hit[0],
-            fcm=hit[1],
-            lbl_first=self.lbl_plan(first),
-            lbl_second=self.lbl_plan(second),
-        )
+        return sum(self._lbl_cost(s) for s in dec.specs) - self._fused_cost(dec.specs, dec.result)
 
     # ---- chain evaluation -------------------------------------------------------
     def evaluate_chain(self, specs: tuple[ConvSpec, ...]) -> ChainDecision | None:
         """Best feasible fused implementation of a consecutive layer run.
 
-        Length-2 runs go through the pairwise taxonomy (so PWDW vs PWDW_R is
-        still arbitrated exactly as before); longer runs go through the
-        chain-tiling sweep.  Returns ``None`` when no tiling is feasible, and
-        raises :class:`~repro.errors.PlanError` when a member has no feasible
-        LBL tiling either (no baseline to compare against).
+        Every tiling vocabulary the run speaks is searched
+        (:func:`~repro.planner.chain_costs.chain_vocabularies`: a pair's FCM
+        vocabularies, a longer run's chain keys); the lowest cost wins (calibrated
+        cost, when calibrated), then the lower redundancy, then the earlier
+        vocabulary — so PWDW beats PWDW_R on a tie.  Returns ``None`` when
+        no tiling is feasible, and raises :class:`~repro.errors.PlanError`
+        when a member has no feasible LBL tiling either (no baseline to
+        compare against).
 
         The tiling search is memoized by the run's full geometry (not layer
         names), so repeated identical blocks — ubiquitous in the zoo models —
@@ -311,23 +261,22 @@ class FusePlanner:
         key = tuple(_lbl_key(s) for s in specs)
         if key not in self._chain_cache:
             self._chain_cache[key] = self._search_chain(specs)
-        hit = self._chain_cache[key]
-        if hit is None:
+        result = self._chain_cache[key]
+        if result is None:
             return None
-        fcm_type, result = hit
-        return ChainDecision(
-            specs=specs, fcm_type=fcm_type, result=result, lbl_gma_bytes=lbl_total
-        )
+        return ChainDecision(specs=specs, result=result, lbl_gma_bytes=lbl_total)
 
-    def _search_chain(
-        self, specs: tuple[ConvSpec, ...]
-    ) -> tuple[FcmType | None, SearchResult] | None:
-        if len(specs) == 2:
-            return self._arbitrate_pair(specs[0], specs[1])
-        res = self._chain_tiling(FusedChain(specs))
-        if res is None:
-            return None
-        return None, res
+    def _search_chain(self, specs: tuple[ConvSpec, ...]) -> SearchResult | None:
+        chain = FusedChain(specs)
+        best: tuple[tuple, SearchResult] | None = None
+        for keys in chain_vocabularies(chain):
+            res = self._chain_tiling(chain, keys)
+            if res is None:
+                continue
+            rank = (self._fused_cost(specs, res), res.redundancy_ratio)
+            if best is None or rank < best[0]:
+                best = (rank, res)
+        return None if best is None else best[1]
 
     # ---- run partitioning -------------------------------------------------------
     def _partition_run(
@@ -472,10 +421,5 @@ class ScalarPlanner(FusePlanner):
     def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
         return scalar_lbl_tiling(spec, self.gpu, self.convention)
 
-    def _fcm_tiling(
-        self, fcm_type: FcmType, first: ConvSpec, second: ConvSpec
-    ) -> SearchResult | None:
-        return scalar_fcm_tiling(fcm_type, first, second, self.gpu, self.convention)
-
-    def _chain_tiling(self, chain: FusedChain) -> SearchResult | None:
-        return scalar_chain_tiling(chain, self.gpu, self.convention)
+    def _chain_tiling(self, chain: FusedChain, keys: tuple[str, ...]) -> SearchResult | None:
+        return scalar_chain_tiling(chain, keys, self.gpu, self.convention)

@@ -26,33 +26,21 @@ from math import prod
 from typing import Iterable, Mapping
 
 from ..core.chain import FusedChain
-from ..core.fcm import FcmType
 from ..core.tiling import DwTiling, PwTiling
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .chain_costs import (
-    FCM_TILING_KEYS,
-    FcmCost,
-    chain_feasible,
-    chain_gma,
-    chain_tiling_keys,
-    tiling_ladder,
-)
+from .chain_costs import FcmCost, chain_feasible, chain_gma, tiling_ladder, tiling_vocabulary
 from .costs import dw_feasible, dw_gma, pw_feasible, pw_gma
-from .fcm_costs import fcm_chain, fcm_feasible, fcm_gma
-from .grid_search import chain_grid, fcm_grid, lbl_grid, pow2_candidates
+from .grid_search import chain_grid, lbl_grid, pow2_candidates
 
 __all__ = [
     "SearchResult",
     "best_lbl_tiling",
-    "best_fcm_tiling",
     "best_chain_tiling",
     "scalar_lbl_tiling",
-    "scalar_fcm_tiling",
     "scalar_chain_tiling",
     "enumerate_lbl_tilings",
-    "enumerate_fcm_tilings",
     "enumerate_chain_tilings",
 ]
 
@@ -170,112 +158,53 @@ def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -
 def _tiling_candidates(chain: FusedChain, keys: tuple[str, ...]) -> list[dict[str, int]]:
     """Every pow2 candidate of one tiling vocabulary, in sweep order (the
     last key varies fastest, as the grid search's C-order does)."""
+    keys = tiling_vocabulary(chain, keys)
     ladders = [_pow2_upto(*tiling_ladder(chain, k)) for k in keys]
     return [dict(zip(keys, vals)) for vals in product(*ladders)]
 
 
-def _fcm_tiling_candidates(
-    fcm_type: FcmType, first: ConvSpec, second: ConvSpec
+def enumerate_chain_tilings(
+    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec
 ) -> list[dict[str, int]]:
-    return _tiling_candidates(fcm_chain(fcm_type, first, second), FCM_TILING_KEYS[fcm_type])
-
-
-def enumerate_fcm_tilings(
-    fcm_type: FcmType, first: ConvSpec, second: ConvSpec, gpu: GpuSpec
-) -> list[dict[str, int]]:
-    """All *feasible* tiling dicts of one pairwise FCM, in sweep order."""
-    return [
-        t
-        for t in _fcm_tiling_candidates(fcm_type, first, second)
-        if fcm_feasible(fcm_type, first, second, t, gpu)
-    ]
-
-
-def best_fcm_tiling(
-    fcm_type: FcmType,
-    first: ConvSpec,
-    second: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-    *,
-    memo=None,
-) -> SearchResult | None:
-    """Minimize the FCM estimator over the feasible tile grid.
-
-    Returns ``None`` when no tiling satisfies the fused constraints — the
-    module is infeasible on this GPU at this precision (paper §IV-B: "PWPW
-    fusion is less likely when the weights use FP32").  ``None`` outcomes
-    are memoized too when a ``memo`` is supplied.
-    """
-    def search() -> SearchResult | None:
-        return _grid_best(fcm_grid(fcm_type, first, second, gpu, convention), gpu)
-
-    if memo is None:
-        return search()
-    return memo.get_or_search(
-        memo.fcm_key(fcm_type, first, second, gpu, convention), search
-    )
-
-
-def scalar_fcm_tiling(
-    fcm_type: FcmType,
-    first: ConvSpec,
-    second: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-) -> SearchResult | None:
-    """:func:`best_fcm_tiling` as the scalar per-candidate sweep (the oracle)."""
-    scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
-    for tiling in enumerate_fcm_tilings(fcm_type, first, second, gpu):
-        cost: FcmCost = fcm_gma(fcm_type, first, second, tiling, convention)
-        scored.append(
-            (
-                _rank_key(tiling, cost.gma.total_bytes, gpu.warp_size),
-                dict(tiling),
-                cost.redundancy_ratio,
-            )
-        )
-    return _best(scored)
-
-
-def enumerate_chain_tilings(chain: FusedChain, gpu: GpuSpec) -> list[dict[str, int]]:
-    """All *feasible* tiling dicts of one fused chain, in sweep order."""
-    return [
-        t
-        for t in _tiling_candidates(chain, chain_tiling_keys(chain))
-        if chain_feasible(chain, t, gpu)
-    ]
+    """All *feasible* tiling dicts of one fused chain in one vocabulary, in
+    sweep order."""
+    return [t for t in _tiling_candidates(chain, keys) if chain_feasible(chain, t, gpu)]
 
 
 def best_chain_tiling(
     chain: FusedChain,
+    keys: tuple[str, ...],
     gpu: GpuSpec,
     convention: str = "paper",
     *,
     memo=None,
 ) -> SearchResult | None:
-    """Minimize the N-stage chain estimator over the feasible tile grid.
+    """Minimize the chain estimator over one vocabulary's feasible tile grid.
 
-    Same sweep discipline as the pairwise search — powers of two per tile
-    axis, warp-multiple thread blocks preferred, minimum GMA, then larger
-    tiles — applied to the chain vocabulary (``tile_h``/``tile_w`` on the
-    final output plus ``tile_m`` when the last stage is pointwise).
-    Returns ``None`` when no tiling satisfies the chained constraints.
+    Powers of two per tile axis, warp-multiple thread blocks preferred,
+    minimum GMA, then larger tiles.  ``keys`` is one of the chain's
+    vocabularies (:func:`~repro.planner.chain_costs.chain_vocabularies`):
+    an FCM's for a length-2 chain, the chain keys (``tile_h``/``tile_w``
+    on the final output plus ``tile_m`` when the last stage is pointwise)
+    beyond.  Returns ``None`` when no tiling satisfies the fused
+    constraints — the module is infeasible on this GPU at this precision
+    (paper §IV-B: "PWPW fusion is less likely when the weights use FP32").
+    ``None`` outcomes are memoized too when a ``memo`` is supplied.
     """
     def search() -> SearchResult | None:
-        return _grid_best(chain_grid(chain, gpu, convention), gpu)
+        return _grid_best(chain_grid(chain, keys, gpu, convention), gpu)
 
     if memo is None:
         return search()
-    return memo.get_or_search(memo.chain_key(chain, gpu, convention), search)
+    return memo.get_or_search(memo.chain_key(chain, keys, gpu, convention), search)
 
 
 def scalar_chain_tiling(
-    chain: FusedChain, gpu: GpuSpec, convention: str = "paper"
+    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec, convention: str = "paper"
 ) -> SearchResult | None:
     """:func:`best_chain_tiling` as the scalar per-candidate sweep (the oracle)."""
     scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
-    for tiling in enumerate_chain_tilings(chain, gpu):
+    for tiling in enumerate_chain_tilings(chain, keys, gpu):
         cost: FcmCost = chain_gma(chain, tiling, convention)
         scored.append(
             (

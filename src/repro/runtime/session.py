@@ -245,9 +245,7 @@ class _PlanSession:
                 inputs = [values.get(p, batch_input) for p in preds] or [batch_input]
                 if isinstance(step, (ChainStep, LblStep)):
                     kernel = (
-                        build_chain_kernel(
-                            [params[sp.name] for sp in specs], step.tiling, step.fcm_type
-                        )
+                        build_chain_kernel([params[sp.name] for sp in specs], step.tiling)
                         if isinstance(step, ChainStep)
                         else build_lbl_kernel(params[step.spec.name], step.tiling)
                     )

@@ -51,11 +51,7 @@ from ..planner.plan import (
     step_family,
 )
 from ..planner.planner import FusePlanner
-from ..planner.search import (
-    enumerate_chain_tilings,
-    enumerate_fcm_tilings,
-    enumerate_lbl_tilings,
-)
+from ..planner.search import enumerate_chain_tilings, enumerate_lbl_tilings
 from ..runtime.network_params import materialize_network
 from ..runtime.session import InferenceSession, step_record
 from .calibrate import analytic_cost_s
@@ -123,7 +119,7 @@ def simulated_kernel_cost_s(
     for spec in specs[1:]:
         params.append(chain_quant(params[-1], spec, seed=seed))
     if isinstance(step, ChainStep):
-        kernel = build_chain_kernel(params, t, step.fcm_type)
+        kernel = build_chain_kernel(params, t)
     else:
         kernel = build_lbl_kernel(params[0], t)
     rng = np.random.default_rng(seed)
@@ -145,11 +141,7 @@ def _step_geometry(step: PlanStep) -> tuple:
 
 def _tiling_candidates(step: PlanStep, gpu: GpuSpec) -> list[dict[str, int]]:
     if isinstance(step, ChainStep):
-        if step.fcm_type is not None:
-            return enumerate_fcm_tilings(
-                step.fcm_type, step.specs[0], step.specs[1], gpu
-            )
-        return enumerate_chain_tilings(FusedChain(step.specs), gpu)
+        return enumerate_chain_tilings(FusedChain(step.specs), tuple(step.tiling), gpu)
     if isinstance(step, LblStep):
         return enumerate_lbl_tilings(step.spec, gpu)
     return []

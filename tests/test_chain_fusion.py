@@ -8,7 +8,7 @@ import pytest
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
 from repro.core.chain import FusedChain, composed_receptive_field
 from repro.core.dtypes import DType
-from repro.core.fcm import FcmType
+from repro.core.fcm import FcmType, candidate_fcm_types
 from repro.errors import PlanError, ShapeError, UnsupportedError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.ir.blocks import inverted_residual_block, standard_conv
@@ -19,14 +19,17 @@ from repro.kernels.registry import build_chain_kernel
 from repro.planner.analytic import chain_counters
 from repro.planner.chain_costs import (
     FCM_TILING_KEYS,
+    FcmCost,
     chain_dataflow,
     chain_feasible,
     chain_footprints,
     chain_gma,
     chain_tiling_keys,
+    chain_vocabularies,
+    fcm_type_of,
 )
 from repro.planner.costs import GmaEstimate
-from repro.planner.fcm_costs import FcmCost, fcm_feasible, fcm_footprints, fcm_gma
+from repro.planner.grid_search import chain_grid
 from repro.planner.plan import ChainStep, StdStep
 from repro.planner.planner import FusePlanner
 from repro.planner.search import best_chain_tiling, best_lbl_tiling
@@ -98,6 +101,47 @@ class TestFusedChainIR:
                 {"tile_hw": 16, "tile_m": 8},
             )
 
+    def test_fcm_vocabularies_derive_their_type(self):
+        """Every vocabulary a pair's search sweeps reads back as its FCM
+        type, in the taxonomy's order; longer chains and a pair under the
+        generic chain keys speak no FCM."""
+        pairs = (
+            FusedChain((_dw("d", 8), _pw("p", 8, 16))),
+            FusedChain((_pw("p", 8, 16), _dw("d", 16))),
+            FusedChain((_pw("p", 8, 16), _pw("q", 16, 8))),
+        )
+        for chain in pairs:
+            types = candidate_fcm_types(chain.first.kind.short, chain.last.kind.short)
+            vocabs = chain_vocabularies(chain)
+            assert vocabs == tuple(FCM_TILING_KEYS[t] for t in types)
+            assert tuple(fcm_type_of(chain.specs, keys) for keys in vocabs) == types
+        assert chain_vocabularies(_pdp_chain()) == (chain_tiling_keys(_pdp_chain()),)
+        assert fcm_type_of(_pdp_chain().specs, chain_tiling_keys(_pdp_chain())) is None
+        for chain in pairs[1:]:  # PW->DW and PW->PW under their chain keys
+            assert fcm_type_of(chain.specs, chain_tiling_keys(chain)) is None
+
+    def test_unspoken_vocabulary_is_refused_alike(self):
+        """A key set naming no vocabulary of the chain is a ShapeError for
+        the cost model, the grid and the kernel registry."""
+        dp = (_dw("d", 8, 12, 12), _pw("p", 8, 16, 12, 12))
+        cases = [
+            (dp, {"tile_f": 4}),  # channel groups belong to PW->DW pairs
+            (dp, {"tile_h": 4, "tile_w": 4, "tile_q": 8}),
+            (tuple(_pdp_chain(h=12).specs), {"tile_hw": 16, "tile_m": 8}),
+            ((_pw("p", 8, 16, 12, 12), _dw("d", 16, 12, 12)), {"tile_h": 4, "tile_m": 8}),
+        ]
+        for specs, tiling in cases:
+            chain = FusedChain(specs)
+            params = [make_layer_params(specs[0])]
+            for spec in specs[1:]:
+                params.append(chain_quant(params[-1], spec))
+            with pytest.raises(ShapeError):
+                chain_gma(chain, tiling)
+            with pytest.raises(ShapeError):
+                chain_grid(chain, tuple(tiling), ORIN)
+            with pytest.raises(ShapeError):
+                build_chain_kernel(params, tiling)
+
     def test_receptive_field_composition(self):
         c = _pdp_chain()
         k, s = composed_receptive_field(c.specs)
@@ -125,10 +169,10 @@ class TestChainCostReduction:
     ]
 
     # Every FCM is priced by the chain model itself, so the rows compare
-    # against literals: the fcm_gma / fcm_footprints / fcm_feasible values of
-    # the dedicated pairwise models the chain model replaced.  DWPW's are
-    # keyed by (tile_h, tile_w, tile_m), the others' by (type, tiling
-    # values).  FP32, so elem_bytes is 4.
+    # against literals: the GMA, footprint and feasibility values of the
+    # dedicated pairwise models the chain model replaced.  DWPW's are keyed
+    # by (tile_h, tile_w, tile_m), the others' by (type, tiling values).
+    # FP32, so elem_bytes is 4.
     DWPW_GMA = {
         ((4, 8, 16), "paper"): ((47040, 25088), 514304),
         ((4, 8, 16), "measured"): ((40128, 25088), 514304),
@@ -185,23 +229,16 @@ class TestChainCostReduction:
     @pytest.mark.parametrize("convention", ["paper", "measured"])
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
     def test_len2_reproduces_fcm_gma(self, fcm_type, specs, tiling, convention):
-        chain = FusedChain(specs)
-        cg = chain_gma(chain, tiling, convention)
-        fg = fcm_gma(fcm_type, specs[0], specs[1], tiling, convention)
-        assert cg == fg
+        assert fcm_type_of(specs, tiling) is fcm_type
+        cg = chain_gma(FusedChain(specs), tiling, convention)
         assert cg == self._replaced_cost(fcm_type, tiling, convention)
 
     @pytest.mark.parametrize("fcm_type,specs,tiling", CASES)
     def test_len2_reproduces_footprints_and_feasibility(self, fcm_type, specs, tiling):
         chain = FusedChain(specs)
         footprints = chain_footprints(chain, tiling)
-        assert footprints == fcm_footprints(fcm_type, specs[0], specs[1], tiling)
         feasible = tuple(
             chain_feasible(chain, tiling, gpu) for gpu in (GTX1660, ORIN, RTX_A4000)
-        )
-        assert feasible == tuple(
-            fcm_feasible(fcm_type, specs[0], specs[1], tiling, gpu)
-            for gpu in (GTX1660, ORIN, RTX_A4000)
         )
         assert (footprints, feasible) == self._replaced_footprints(fcm_type, tiling)
 
@@ -214,7 +251,6 @@ class TestChainCostReduction:
             tiling = {"tile_h": th, "tile_w": tw, "tile_m": tm}
             expected = self._dwpw_cost(tiling, convention)
             assert chain_gma(FusedChain((dw, pw)), tiling, convention) == expected
-            assert fcm_gma(FcmType.DWPW, dw, pw, tiling, convention) == expected
 
     def test_tiling_keys(self):
         assert chain_tiling_keys(_pdp_chain()) == ("tile_h", "tile_w", "tile_m")
@@ -240,7 +276,7 @@ class TestChainCostReduction:
 class TestChainSearchAndDP:
     def test_best_chain_tiling_feasible(self):
         chain = _pdp_chain(h=32)
-        res = best_chain_tiling(chain, ORIN)
+        res = best_chain_tiling(chain, chain_tiling_keys(chain), ORIN)
         assert res is not None
         assert chain_feasible(chain, res.tiling, ORIN)
         assert set(res.tiling) == set(chain_tiling_keys(chain))
@@ -253,7 +289,7 @@ class TestChainSearchAndDP:
                 _pw("p", 512, 256, 64, 64),
             )
         )
-        assert best_chain_tiling(chain, tiny_gpu) is None
+        assert best_chain_tiling(chain, chain_tiling_keys(chain), tiny_gpu) is None
 
     def _net(self, dtype=DType.FP32):
         g = ModelGraph("m")
@@ -457,9 +493,7 @@ class TestFusedChainKernel:
         dw, pw = _dw("d", 8, 12, 12), _pw("p", 8, 16, 12, 12)
         p_dw = make_layer_params(dw)
         p_pw = chain_quant(p_dw, pw)
-        k2 = build_chain_kernel(
-            [p_dw, p_pw], {"tile_h": 4, "tile_w": 4, "tile_m": 8}, FcmType.DWPW
-        )
+        k2 = build_chain_kernel([p_dw, p_pw], {"tile_h": 4, "tile_w": 4, "tile_m": 8})
         assert isinstance(k2, DwPwFusedKernel)
         chain = _pdp_chain(h=12)
         params = [make_layer_params(chain.specs[0])]
@@ -501,19 +535,20 @@ class TestPairwiseEquivalence:
         decisions = []
         for cand in graph.fusion_candidates():
             try:
-                dec = planner.evaluate_pair(cand.first, cand.second)
+                dec = planner.evaluate_chain((cand.first, cand.second))
             except PlanError:
                 continue
             if dec is not None and dec.savings_bytes > 0:
                 decisions.append(dec)
         m = nx.Graph()
         for i, dec in enumerate(decisions):
-            m.add_edge(dec.first.name, dec.second.name, weight=dec.savings_bytes, idx=i)
+            first, second = dec.specs
+            m.add_edge(first.name, second.name, weight=dec.savings_bytes, idx=i)
         chosen = {}
         for u, v in nx.max_weight_matching(m, maxcardinality=False):
             dec = decisions[m.edges[u, v]["idx"]]
-            chosen[dec.first.name] = dec
-        fused_seconds = {d.second.name for d in chosen.values()}
+            chosen[dec.specs[0].name] = dec
+        fused_seconds = {d.specs[1].name for d in chosen.values()}
         steps = []
         for spec in graph.topological():
             if isinstance(spec, GlueSpec):
@@ -522,8 +557,8 @@ class TestPairwiseEquivalence:
             if spec.name in chosen:
                 dec = chosen[spec.name]
                 steps.append((
-                    "fcm", dec.fcm_type, dec.first.name, dec.second.name,
-                    tuple(sorted(dec.fcm.tiling.items())), dec.fcm.gma_bytes,
+                    "fcm", dec.fcm_type, dec.specs[0].name, dec.specs[1].name,
+                    tuple(sorted(dec.result.tiling.items())), dec.result.gma_bytes,
                 ))
                 continue
             if spec.name in fused_seconds:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import dw_spec, pw_spec
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
-from repro.core.fcm import FcmType, candidate_fcm_types, fcm_is_redundant
+from repro.core.fcm import FcmType, candidate_fcm_types
 from repro.core.tensor import FeatureMapSpec, TensorSpec
 from repro.errors import ShapeError, UnsupportedError
+from repro.planner.chain_costs import chain_gma
 
 
 class TestDType:
@@ -65,9 +68,19 @@ class TestFcmTaxonomy:
             candidate_fcm_types("dw", "dw")
 
     def test_redundancy_flag(self):
-        assert fcm_is_redundant(FcmType.PWDW_R)
-        for t in (FcmType.DWPW, FcmType.PWDW, FcmType.PWPW):
-            assert not fcm_is_redundant(t)
+        """Only PWDW_R recomputes intermediate halo values (paper Table II):
+        each type's module tiled as finely as its vocabulary allows."""
+        dw_pw = FusedChain((dw_spec(), pw_spec()))
+        pw_dw = FusedChain((pw_spec(c_out=16), dw_spec(c=16)))
+        pw_pw = FusedChain((pw_spec(), pw_spec(c_in=16)))
+        modules = {
+            FcmType.DWPW: (dw_pw, {"tile_h": 2, "tile_w": 2, "tile_m": 4}),
+            FcmType.PWDW: (pw_dw, {"tile_f": 4}),
+            FcmType.PWDW_R: (pw_dw, {"tile_f": 4, "tile_h": 2, "tile_w": 2}),
+            FcmType.PWPW: (pw_pw, {"tile_hw": 4, "tile_m": 4}),
+        }
+        for t, (chain, tiling) in modules.items():
+            assert (chain_gma(chain, tiling).redundant_macs > 0) == (t is FcmType.PWDW_R)
 
     def test_kind_properties(self):
         assert FcmType.DWPW.first_kind == "dw" and FcmType.DWPW.second_kind == "pw"

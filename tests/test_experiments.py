@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
-from repro.experiments.analytic import fcm_counters, lbl_counters, pair_lbl_counters
 from repro.experiments.fig1 import figure1
 from repro.experiments.fig10_fig11 import end_to_end_point
 from repro.experiments.fig6_fig7 import fcm_vs_lbl_case, figure6_7
@@ -16,6 +15,7 @@ from repro.experiments.fusion_cases import select_fusion_cases, table2_rows
 from repro.experiments.reporting import format_table
 from repro.experiments.table3 import table3
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.planner.analytic import chain_counters, lbl_counters, pair_lbl_counters
 
 
 @pytest.fixture(scope="module")
@@ -208,11 +208,8 @@ class TestAnalyticCounters:
 
     def test_fcm_counters_track_redundancy(self):
         from helpers import dw_spec, pw_spec
-        from repro.core.fcm import FcmType
 
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12)
-        c = fcm_counters(
-            FcmType.PWDW_R, pw, dw, {"tile_f": 8, "tile_h": 4, "tile_w": 4}
-        )
+        c = chain_counters((pw, dw), {"tile_f": 8, "tile_h": 4, "tile_w": 4})
         assert c.redundant_macs > 0 and c.kernel_launches == 1

@@ -25,18 +25,13 @@ from repro.gpu.counters import AccessCounters
 from repro.gpu.executor import launch
 from repro.gpu.fastpath import (
     DEFAULT_ENGINE,
-    axis_tile_extents,
     axis_window_extents,
     launch_fast,
     resolve_engine,
 )
 from repro.gpu.specs import RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import (
-    build_chain_kernel,
-    build_fcm_kernel,
-    build_lbl_kernel,
-)
+from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 
 _DTYPES = (DType.FP32, DType.INT8)
 
@@ -118,9 +113,7 @@ def test_dwpw_parity(dtype):
     p2 = chain_quant(p1, pw)
     x = random_ifm(dw)
     assert_parity(
-        lambda: build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 5, "tile_w": 4, "tile_m": 5}
-        ),
+        lambda: build_chain_kernel([p1, p2], {"tile_h": 5, "tile_w": 4, "tile_m": 5}),
         x,
         dtype,
     )
@@ -137,7 +130,7 @@ def test_pwdw_parity(dtype, fcm):
     tiling = {"tile_f": 4}
     if fcm is FcmType.PWDW_R:
         tiling.update(tile_h=3, tile_w=2)  # odd remainders on a 5x5 output
-    assert_parity(lambda: build_fcm_kernel(fcm, p1, p2, tiling), x, dtype)
+    assert_parity(lambda: build_chain_kernel([p1, p2], tiling), x, dtype)
 
 
 @pytest.mark.parametrize("dtype", _DTYPES, ids=[d.value for d in _DTYPES])
@@ -148,7 +141,7 @@ def test_pwpw_parity(dtype):
     p2 = chain_quant(p1, pw2)
     x = random_ifm(pw1)
     assert_parity(
-        lambda: build_fcm_kernel(FcmType.PWPW, p1, p2, {"tile_hw": 13, "tile_m": 4}),
+        lambda: build_chain_kernel([p1, p2], {"tile_hw": 13, "tile_m": 4}),
         x,
         dtype,
     )
@@ -251,8 +244,6 @@ def test_pw_bulk_charges_equal_per_block_sums(c, m, h, stride, tile_m, tile_hw, 
 
 
 def test_axis_extent_helpers():
-    assert axis_tile_extents(10, 4) == [4, 4, 2]
-    assert sum(axis_tile_extents(113, 7)) == 113
     # 3x3 stride-1 pad-1 over 6 rows, tile 4: first window clamped at the
     # top border, second at the bottom.
     assert axis_window_extents(6, 4, 3, 1, 1, 6) == [5, 3]

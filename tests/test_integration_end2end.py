@@ -16,7 +16,7 @@ from repro.core.dtypes import DType
 from repro.gpu.specs import GTX1660, ORIN
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
-from repro.planner.plan import ExecutionPlan, FcmStep, GlueStep, LblStep, StdStep
+from repro.planner.plan import ChainStep, ExecutionPlan, GlueStep, LblStep, StdStep
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
 from repro.runtime.session import InferenceSession
@@ -39,7 +39,7 @@ def _unfused_plan(fused: ExecutionPlan, planner: FusePlanner) -> ExecutionPlan:
     """Rewrite a plan with every FCM step split back into two LBL steps."""
     out = ExecutionPlan(fused.model_name, fused.gpu, fused.dtype)
     for step in fused.steps:
-        if isinstance(step, FcmStep):
+        if isinstance(step, ChainStep):
             for spec in (step.first, step.second):
                 lbl = planner.lbl_plan(spec)
                 out.steps.append(
@@ -91,7 +91,7 @@ def test_plan_estimates_equal_metered_execution(rng):
         if r.kind in ("fcm", "lbl")
     }
     for step in plan.steps:
-        if isinstance(step, FcmStep):
+        if isinstance(step, ChainStep):
             assert metered["+".join(step.layer_names)] == step.est_gma_bytes
         elif isinstance(step, LblStep):
             assert metered[step.spec.name] == step.est_gma_bytes

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import ceil_div, tile_input_range
@@ -15,12 +16,13 @@ from repro.errors import CapacityError, ShapeError, UnsupportedError
 from repro.gpu.specs import ALL_GPUS, ORIN, RTX_A4000
 from repro.ir.graph import ModelGraph
 from repro.ir.layers import ConvKind
+from repro.kernels.fused_chain import DwPwFusedKernel, FusedChainKernel
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import build_chain_kernel, build_fcm_kernel, build_lbl_kernel
+from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 from repro.models.zoo import build_model, model_names
-from repro.planner.fcm_costs import fcm_feasible
+from repro.planner.chain_costs import FCM_TILING_KEYS, chain_feasible
 from repro.planner.planner import FusePlanner
-from repro.planner.search import best_fcm_tiling, scalar_fcm_tiling
+from repro.planner.search import best_chain_tiling, scalar_chain_tiling
 from repro.runtime.session import InferenceSession
 
 
@@ -36,8 +38,8 @@ class TestDwPwFused:
         dw = dw_spec(c=8, h=14, w=14)
         pw = pw_spec(c_in=8, c_out=24, h=14, w=14)
         p1, p2, x, ref = _pair(dw, pw)
-        res = build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 5, "tile_w": 5, "tile_m": 8}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_h": 5, "tile_w": 5, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
         assert res.counters.redundant_macs == 0
@@ -46,8 +48,8 @@ class TestDwPwFused:
         dw = dw_spec(c=8, h=14, w=14, stride=2)
         pw = pw_spec(c_in=8, c_out=16, h=7, w=7)
         p1, p2, x, ref = _pair(dw, pw)
-        res = build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 3, "tile_w": 3, "tile_m": 16}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_h": 3, "tile_w": 3, "tile_m": 16}
         ).simulate(x, RTX_A4000)
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
 
@@ -55,8 +57,8 @@ class TestDwPwFused:
         dw = dw_spec(c=8, h=14, w=14)
         pw = pw_spec(c_in=8, c_out=24, h=14, w=14)
         p1, p2, x, _ = _pair(dw, pw)
-        res = build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 7, "tile_w": 7, "tile_m": 8}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_h": 7, "tile_w": 7, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         # Global writes must be exactly the final OFM.
         assert res.counters.write_bytes == pw.ofm.nbytes
@@ -66,8 +68,8 @@ class TestDwPwFused:
         dw = dw_spec(c=16, h=28, w=28)
         pw = pw_spec(c_in=16, c_out=32, h=28, w=28)
         p1, p2, x, _ = _pair(dw, pw)
-        fcm = build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 7, "tile_w": 7, "tile_m": 32}
+        fcm = build_chain_kernel(
+            [p1, p2], {"tile_h": 7, "tile_w": 7, "tile_m": 32}
         ).simulate(x, RTX_A4000)
         l1 = build_lbl_kernel(p1, {"tile_c": 16, "tile_h": 7, "tile_w": 7}).simulate(
             x, RTX_A4000
@@ -83,7 +85,20 @@ class TestDwPwFused:
         p1 = make_layer_params(dw)
         p2 = make_layer_params(pw)
         with pytest.raises(ShapeError):
-            build_fcm_kernel(FcmType.DWPW, p1, p2, {"tile_h": 7, "tile_w": 7, "tile_m": 8})
+            build_chain_kernel([p1, p2], {"tile_h": 7, "tile_w": 7, "tile_m": 8})
+
+    def test_pw_pw_pair_refused(self):
+        """A PW->PW pair runs the chain keys as a generic chain, never as
+        the DWPW module."""
+        pw1 = pw_spec("pw1", c_in=8, c_out=16, h=14, w=14)
+        pw2 = pw_spec("pw2", c_in=16, c_out=24, h=14, w=14)
+        p1, p2, x, ref = _pair(pw1, pw2)
+        with pytest.raises(ShapeError):
+            DwPwFusedKernel(p1, p2, tile_h=7, tile_w=7, tile_m=8)
+        generic = build_chain_kernel([p1, p2], {"tile_h": 7, "tile_w": 7, "tile_m": 8})
+        assert type(generic) is FusedChainKernel
+        res = generic.simulate(x, RTX_A4000)
+        np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
 
 
 class TestPwDwFused:
@@ -91,7 +106,7 @@ class TestPwDwFused:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12, stride=2)
         p1, p2, x, ref = _pair(pw, dw)
-        res = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 4}).simulate(x, ORIN)
+        res = build_chain_kernel([p1, p2], {"tile_f": 4}).simulate(x, ORIN)
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
         assert res.counters.redundant_macs == 0
 
@@ -99,15 +114,15 @@ class TestPwDwFused:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12)
         p1, p2, x, _ = _pair(pw, dw)
-        r4 = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 4}).simulate(x, ORIN)
-        r16 = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 16}).simulate(x, ORIN)
+        r4 = build_chain_kernel([p1, p2], {"tile_f": 4}).simulate(x, ORIN)
+        r16 = build_chain_kernel([p1, p2], {"tile_f": 16}).simulate(x, ORIN)
         assert r4.counters.global_reads["ifm"] == 4 * r16.counters.global_reads["ifm"]
 
     def test_weights_read_once_total(self):
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12)
         p1, p2, x, _ = _pair(pw, dw)
-        res = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 4}).simulate(x, ORIN)
+        res = build_chain_kernel([p1, p2], {"tile_f": 4}).simulate(x, ORIN)
         assert res.counters.global_reads["weights"] == (
             pw.weights_bytes + dw.weights_bytes
         )
@@ -119,8 +134,8 @@ class TestPwDwRFused:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12, stride=stride)
         p1, p2, x, ref = _pair(pw, dw)
-        res = build_fcm_kernel(
-            FcmType.PWDW_R, p1, p2, {"tile_f": 8, "tile_h": 3, "tile_w": 3}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_f": 8, "tile_h": 3, "tile_w": 3}
         ).simulate(x, RTX_A4000)
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
 
@@ -128,8 +143,8 @@ class TestPwDwRFused:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12)
         p1, p2, x, _ = _pair(pw, dw)
-        res = build_fcm_kernel(
-            FcmType.PWDW_R, p1, p2, {"tile_f": 8, "tile_h": 4, "tile_w": 4}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_f": 8, "tile_h": 4, "tile_w": 4}
         ).simulate(x, RTX_A4000)
         assert res.counters.redundant_macs > 0
         assert 0 < res.counters.redundancy_ratio < 0.5
@@ -141,8 +156,8 @@ class TestPwDwRFused:
         pw = pw_spec(c_in=8, c_out=16, h=10, w=10)
         dw = dw_spec(c=16, h=10, w=10)
         p1, p2, x, _ = _pair(pw, dw)
-        res = build_fcm_kernel(
-            FcmType.PWDW_R, p1, p2, {"tile_f": 4, "tile_h": 10, "tile_w": 10}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_f": 4, "tile_h": 10, "tile_w": 10}
         ).simulate(x, RTX_A4000)
         assert res.counters.redundant_macs == 0
 
@@ -150,11 +165,11 @@ class TestPwDwRFused:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12)
         p1, p2, x, _ = _pair(pw, dw)
-        big = build_fcm_kernel(
-            FcmType.PWDW_R, p1, p2, {"tile_f": 8, "tile_h": 6, "tile_w": 6}
+        big = build_chain_kernel(
+            [p1, p2], {"tile_f": 8, "tile_h": 6, "tile_w": 6}
         ).simulate(x, RTX_A4000)
-        small = build_fcm_kernel(
-            FcmType.PWDW_R, p1, p2, {"tile_f": 8, "tile_h": 2, "tile_w": 2}
+        small = build_chain_kernel(
+            [p1, p2], {"tile_f": 8, "tile_h": 2, "tile_w": 2}
         ).simulate(x, RTX_A4000)
         assert small.counters.redundancy_ratio > big.counters.redundancy_ratio
 
@@ -164,8 +179,8 @@ class TestPwPwFused:
         pw1 = pw_spec("pw1", c_in=8, c_out=24, h=10, w=10)
         pw2 = pw_spec("pw2", c_in=24, c_out=16, h=10, w=10)
         p1, p2, x, ref = _pair(pw1, pw2)
-        res = build_fcm_kernel(
-            FcmType.PWPW, p1, p2, {"tile_hw": 25, "tile_m": 8}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_hw": 25, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
         assert res.counters.redundant_macs == 0
@@ -174,8 +189,8 @@ class TestPwPwFused:
         pw1 = pw_spec("pw1", c_in=8, c_out=24, h=10, w=10)
         pw2 = pw_spec("pw2", c_in=24, c_out=16, h=10, w=10)
         p1, p2, x, _ = _pair(pw1, pw2)
-        res = build_fcm_kernel(
-            FcmType.PWPW, p1, p2, {"tile_hw": 25, "tile_m": 8}
+        res = build_chain_kernel(
+            [p1, p2], {"tile_hw": 25, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         assert res.counters.global_reads["ifm"] == pw1.ifm.nbytes
 
@@ -185,12 +200,12 @@ class TestPwPwFused:
         p1 = make_layer_params(pw1)
         p2 = chain_quant(p1, pw2)
         with pytest.raises(UnsupportedError):
-            build_fcm_kernel(FcmType.PWPW, p1, p2, {"tile_hw": 25, "tile_m": 8})
+            build_chain_kernel([p1, p2], {"tile_hw": 25, "tile_m": 8})
 
     def test_strided_second_is_never_planned(self):
         """The planner must not pick a PWPW tiling the kernel refuses: the
         flattened plane has no strided later stage, so the grid, the scalar
-        sweep and fcm_feasible all find the vocabulary infeasible, and the
+        sweep and chain_feasible all find the vocabulary infeasible, and the
         plan runs."""
         pw1 = pw_spec("pw1", c_in=32, c_out=64, h=56, w=56, dtype=DType.INT8)
         pw2 = pw_spec("pw2", c_in=64, c_out=32, h=56, w=56, stride=2, dtype=DType.INT8)
@@ -198,12 +213,11 @@ class TestPwPwFused:
         graph.add(pw1)
         graph.add(pw2)
         x = random_ifm(pw1, 0)
+        chain, keys = FusedChain((pw1, pw2)), FCM_TILING_KEYS[FcmType.PWPW]
         for gpu in ALL_GPUS:
-            assert best_fcm_tiling(FcmType.PWPW, pw1, pw2, gpu) is None
-            assert scalar_fcm_tiling(FcmType.PWPW, pw1, pw2, gpu) is None
-            assert not fcm_feasible(
-                FcmType.PWPW, pw1, pw2, {"tile_hw": 16, "tile_m": 32}, gpu
-            )
+            assert best_chain_tiling(chain, keys, gpu) is None
+            assert scalar_chain_tiling(chain, keys, gpu) is None
+            assert not chain_feasible(chain, {"tile_hw": 16, "tile_m": 32}, gpu)
             plan = FusePlanner(gpu).plan(graph)
             assert not plan.fcm_steps
             out = InferenceSession(graph, plan).run(x).output
@@ -226,7 +240,7 @@ class TestInt8FusedEquivalence:
             {"tile_f": 8} if fcm_type is FcmType.PWDW
             else {"tile_f": 8, "tile_h": 4, "tile_w": 4}
         )
-        fused = build_fcm_kernel(fcm_type, p1, p2, tiling).simulate(x, RTX_A4000)
+        fused = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
         np.testing.assert_array_equal(fused.output, l2.output)
 
     def test_dwpw(self):
@@ -239,8 +253,8 @@ class TestInt8FusedEquivalence:
         l2 = build_lbl_kernel(p2, {"tile_m": 8, "tile_hw": 36}).simulate(
             l1.output, RTX_A4000
         )
-        fused = build_fcm_kernel(
-            FcmType.DWPW, p1, p2, {"tile_h": 4, "tile_w": 4, "tile_m": 8}
+        fused = build_chain_kernel(
+            [p1, p2], {"tile_h": 4, "tile_w": 4, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         np.testing.assert_array_equal(fused.output, l2.output)
 
@@ -252,8 +266,8 @@ class TestInt8FusedEquivalence:
         l2 = build_lbl_kernel(p2, {"tile_m": 8, "tile_hw": 25}).simulate(
             l1.output, RTX_A4000
         )
-        fused = build_fcm_kernel(
-            FcmType.PWPW, p1, p2, {"tile_hw": 25, "tile_m": 8}
+        fused = build_chain_kernel(
+            [p1, p2], {"tile_hw": 25, "tile_m": 8}
         ).simulate(x, RTX_A4000)
         np.testing.assert_array_equal(fused.output, l2.output)
 
@@ -263,7 +277,7 @@ class TestFusedCapacity:
         pw = pw_spec(c_in=16, c_out=256, h=32, w=32)
         dw = dw_spec(c=256, h=32, w=32)
         p1, p2, x, _ = _pair(pw, dw)
-        k = build_fcm_kernel(FcmType.PWDW, p1, p2, {"tile_f": 256})
+        k = build_chain_kernel([p1, p2], {"tile_f": 256})
         with pytest.raises(CapacityError):
             k.simulate(x, tiny_gpu)
 
@@ -311,7 +325,7 @@ def _hash_dwpw_launch(h, dw, pw, tiling, gpu, engine: str) -> None:
     p_dw = make_layer_params(dw)
     params = [p_dw, chain_quant(p_dw, pw)]
     x = np.stack([random_ifm(dw, 0), random_ifm(dw, 1)])
-    res = build_chain_kernel(params, tiling, FcmType.DWPW).simulate_batch(x, gpu, engine)
+    res = build_chain_kernel(params, tiling).simulate_batch(x, gpu, engine)
     c, st = res.counters, res.stats
     h.update(repr((res.output.dtype.str, res.output.shape)).encode())
     h.update(res.output.tobytes())
@@ -371,7 +385,7 @@ def _zoo_pair_launches():
                         pairs.setdefault((_geometry(a), _geometry(b)), (a, b))
     for a, b in pairs.values():
         for gpu in ALL_GPUS:
-            res = best_fcm_tiling(FcmType.PWPW, a, b, gpu)
+            res = best_chain_tiling(FusedChain((a, b)), FCM_TILING_KEYS[FcmType.PWPW], gpu)
             if res is not None:
                 launches.append((FcmType.PWPW, a, b, res.tiling, gpu))
     return launches
@@ -419,7 +433,8 @@ def _hash_pair_launch(h, fcm_type, first, second, tiling, gpu, engine: str):
     """Feed one single-image launch into ``h`` as :func:`_hash_dwpw_launch`
     does, minus the shared-memory metering; return the launch result."""
     p1 = make_layer_params(first)
-    kernel = build_fcm_kernel(fcm_type, p1, chain_quant(p1, second), tiling)
+    kernel = build_chain_kernel([p1, chain_quant(p1, second)], tiling)
+    assert kernel.FCM is fcm_type  # the registry builds the module's class
     res = kernel.simulate(random_ifm(first, 0), gpu, engine)
     c, st = res.counters, res.stats
     h.update(repr((res.output.dtype.str, res.output.shape)).encode())

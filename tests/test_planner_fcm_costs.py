@@ -1,24 +1,33 @@
-"""FCM estimator tests: Eq. 4 family, measured == simulated per module type."""
+"""FCM estimator tests: Eq. 4 family, measured == simulated per module type.
+
+Every FCM is the length-2 chain under its type's tiling vocabulary, so each
+check prices the pair through the chain model and runs it through the chain
+kernel the registry builds for that vocabulary.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from helpers import dw_spec, pw_spec, random_ifm
-from repro.core.fcm import FcmType
+from repro.core.chain import FusedChain
 from repro.core.tiling import ceil_div
 from repro.errors import ShapeError
 from repro.gpu.specs import ORIN, RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import build_fcm_kernel
-from repro.planner.fcm_costs import fcm_feasible, fcm_footprints, fcm_gma
+from repro.kernels.registry import build_chain_kernel
+from repro.planner.chain_costs import chain_feasible, chain_footprints, chain_gma
 
 
-def _simulate(fcm_type, first, second, tiling, gpu=RTX_A4000):
+def _simulate(first, second, tiling, gpu=RTX_A4000):
     p1 = make_layer_params(first)
     p2 = chain_quant(p1, second)
     x = random_ifm(first)
-    return build_fcm_kernel(fcm_type, p1, p2, tiling).simulate(x, gpu)
+    return build_chain_kernel([p1, p2], tiling).simulate(x, gpu)
+
+
+def _gma(first, second, tiling, convention="paper"):
+    return chain_gma(FusedChain((first, second)), tiling, convention)
 
 
 class TestMeasuredMatchesSimulator:
@@ -26,16 +35,16 @@ class TestMeasuredMatchesSimulator:
         dw = dw_spec(c=8, h=14, w=14)
         pw = pw_spec(c_in=8, c_out=24, h=14, w=14)
         tiling = {"tile_h": 5, "tile_w": 5, "tile_m": 8}
-        res = _simulate(FcmType.DWPW, dw, pw, tiling)
-        cost = fcm_gma(FcmType.DWPW, dw, pw, tiling, "measured")
+        res = _simulate(dw, pw, tiling)
+        cost = _gma(dw, pw, tiling, "measured")
         assert res.counters.total_bytes == cost.gma.total_bytes
         assert res.counters.total_macs == cost.useful_macs + cost.redundant_macs
 
     def test_pwdw(self):
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12, stride=2)
-        res = _simulate(FcmType.PWDW, pw, dw, {"tile_f": 4}, ORIN)
-        cost = fcm_gma(FcmType.PWDW, pw, dw, {"tile_f": 4}, "measured")
+        res = _simulate(pw, dw, {"tile_f": 4}, ORIN)
+        cost = _gma(pw, dw, {"tile_f": 4}, "measured")
         assert res.counters.total_bytes == cost.gma.total_bytes
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -43,8 +52,8 @@ class TestMeasuredMatchesSimulator:
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12, stride=stride)
         tiling = {"tile_f": 8, "tile_h": 3, "tile_w": 3}
-        res = _simulate(FcmType.PWDW_R, pw, dw, tiling)
-        cost = fcm_gma(FcmType.PWDW_R, pw, dw, tiling, "measured")
+        res = _simulate(pw, dw, tiling)
+        cost = _gma(pw, dw, tiling, "measured")
         assert res.counters.total_bytes == cost.gma.total_bytes
         assert res.counters.redundant_macs == cost.redundant_macs
         assert res.counters.redundancy_ratio == pytest.approx(cost.redundancy_ratio)
@@ -53,8 +62,8 @@ class TestMeasuredMatchesSimulator:
         pw1 = pw_spec("pw1", c_in=8, c_out=24, h=10, w=10)
         pw2 = pw_spec("pw2", c_in=24, c_out=16, h=10, w=10)
         tiling = {"tile_hw": 25, "tile_m": 8}
-        res = _simulate(FcmType.PWPW, pw1, pw2, tiling)
-        cost = fcm_gma(FcmType.PWPW, pw1, pw2, tiling, "measured")
+        res = _simulate(pw1, pw2, tiling)
+        cost = _gma(pw1, pw2, tiling, "measured")
         assert res.counters.total_bytes == cost.gma.total_bytes
 
 
@@ -64,7 +73,7 @@ class TestEquation4PaperConvention:
         pw = pw_spec(c_in=4, c_out=8, h=8, w=8)
         dw = dw_spec(c=8, h=8, w=8, kernel=3, stride=1)
         tiling = {"tile_f": 4, "tile_h": 4, "tile_w": 4}
-        cost = fcm_gma(FcmType.PWDW_R, pw, dw, tiling, "paper")
+        cost = _gma(pw, dw, tiling, "paper")
         from repro.core.tiling import overlap_elements
 
         ovl = overlap_elements(8, 8, 4, 4, 3, 3, 1)
@@ -79,18 +88,16 @@ class TestEquation4PaperConvention:
     def test_no_redundancy_without_spatial_tiling(self):
         pw = pw_spec(c_in=4, c_out=8, h=8, w=8)
         dw = dw_spec(c=8, h=8, w=8)
-        cost = fcm_gma(
-            FcmType.PWDW_R, pw, dw, {"tile_f": 4, "tile_h": 8, "tile_w": 8}, "paper"
-        )
+        cost = _gma(pw, dw, {"tile_f": 4, "tile_h": 8, "tile_w": 8}, "paper")
         assert cost.redundant_macs == 0
 
     def test_pair_validation(self):
         pw = pw_spec(c_in=4, c_out=8, h=8, w=8)
         dw = dw_spec(c=16, h=8, w=8)  # channel mismatch
         with pytest.raises(ShapeError):
-            fcm_gma(FcmType.PWDW_R, pw, dw, {"tile_f": 4, "tile_h": 4, "tile_w": 4})
-        with pytest.raises(ShapeError):
-            fcm_gma(FcmType.DWPW, pw, dw, {"tile_h": 4, "tile_w": 4, "tile_m": 4})
+            _gma(pw, dw, {"tile_f": 4, "tile_h": 4, "tile_w": 4})
+        with pytest.raises(ShapeError):  # a PW->DW pair does not speak DWPW
+            _gma(pw, dw_spec(c=8, h=8, w=8), {"tile_h": 4, "tile_w": 4, "tile_m": 4})
 
 
 class TestFootprintsAndFeasibility:
@@ -98,30 +105,28 @@ class TestFootprintsAndFeasibility:
         pw = pw_spec(c_in=8, c_out=32, h=16, w=16)
         dw = dw_spec(c=32, h=16, w=16)
         tiling = {"tile_f": 16, "tile_h": 4, "tile_w": 4}
-        _l1, shared, _n = fcm_footprints(FcmType.PWDW_R, pw, dw, tiling)
+        _l1, shared, _n = chain_footprints(FusedChain((pw, dw)), tiling)
         assert shared == 16 * 6 * 6 * 4  # tile_f x halo-extended window, fp32
 
     def test_tile_count(self):
         pw = pw_spec(c_in=8, c_out=32, h=16, w=16)
         dw = dw_spec(c=32, h=16, w=16)
-        _l1, _s, n = fcm_footprints(
-            FcmType.PWDW_R, pw, dw, {"tile_f": 16, "tile_h": 4, "tile_w": 4}
+        _l1, _s, n = chain_footprints(
+            FusedChain((pw, dw)), {"tile_f": 16, "tile_h": 4, "tile_w": 4}
         )
         assert n == 2 * 4 * 4
 
     def test_infeasible_when_comm_exceeds_shared(self, tiny_gpu):
         pw = pw_spec(c_in=16, c_out=128, h=32, w=32)
         dw = dw_spec(c=128, h=32, w=32)
-        assert not fcm_feasible(
-            FcmType.PWDW, pw, dw, {"tile_f": 128}, tiny_gpu
-        )
+        assert not chain_feasible(FusedChain((pw, dw)), {"tile_f": 128}, tiny_gpu)
 
     def test_occupancy_constraint(self):
         pw = pw_spec(c_in=8, c_out=16, h=8, w=8)
         dw = dw_spec(c=16, h=8, w=8)
         # Single tile -> one block -> violates #tiles >= 48 SMs on RTX.
-        assert not fcm_feasible(
-            FcmType.PWDW_R, pw, dw, {"tile_f": 16, "tile_h": 8, "tile_w": 8}, RTX_A4000
+        assert not chain_feasible(
+            FusedChain((pw, dw)), {"tile_f": 16, "tile_h": 8, "tile_w": 8}, RTX_A4000
         )
 
     def test_int8_widens_feasibility(self, tiny_gpu):
@@ -133,11 +138,9 @@ class TestFootprintsAndFeasibility:
         # commBuffer = tile_f*16*16 elems: 16 KiB at FP32 (> 8 KiB shared on
         # tiny_gpu), 4 KiB at INT8 (fits).
         tiling = {"tile_f": 16}
-        fits32 = fcm_feasible(FcmType.PWDW, pw32, dw32, tiling, tiny_gpu)
-        fits8 = fcm_feasible(
-            FcmType.PWDW,
-            pw32.with_dtype(DType.INT8),
-            dw32.with_dtype(DType.INT8),
+        fits32 = chain_feasible(FusedChain((pw32, dw32)), tiling, tiny_gpu)
+        fits8 = chain_feasible(
+            FusedChain((pw32.with_dtype(DType.INT8), dw32.with_dtype(DType.INT8))),
             tiling,
             tiny_gpu,
         )

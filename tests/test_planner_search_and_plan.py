@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from helpers import dw_spec, pw_spec
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
@@ -15,11 +16,11 @@ from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000, GpuSpec
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import ModelGraph
 from repro.models.zoo import build_model, model_names
+from repro.planner.chain_costs import FCM_TILING_KEYS, chain_feasible
 from repro.planner.costs import dw_feasible, pw_feasible
-from repro.planner.fcm_costs import fcm_feasible
 from repro.planner.plan import GlueStep, LblStep, StdStep
 from repro.planner.planner import FusePlanner
-from repro.planner.search import best_fcm_tiling, best_lbl_tiling
+from repro.planner.search import best_chain_tiling, best_lbl_tiling
 
 
 class TestLblSearch:
@@ -69,17 +70,15 @@ class TestLblSearch:
 
 class TestFcmSearch:
     def test_result_feasible(self):
-        pw = pw_spec(c_in=16, c_out=64, h=56, w=56)
-        dw = dw_spec(c=64, h=56, w=56)
-        r = best_fcm_tiling(FcmType.PWDW_R, pw, dw, RTX_A4000)
+        chain = FusedChain((pw_spec(c_in=16, c_out=64, h=56, w=56), dw_spec(c=64, h=56, w=56)))
+        r = best_chain_tiling(chain, FCM_TILING_KEYS[FcmType.PWDW_R], RTX_A4000)
         assert r is not None
-        assert fcm_feasible(FcmType.PWDW_R, pw, dw, r.tiling, RTX_A4000)
+        assert chain_feasible(chain, r.tiling, RTX_A4000)
         assert 0 <= r.redundancy_ratio < 1
 
     def test_infeasible_returns_none(self, tiny_gpu):
-        pw = pw_spec(c_in=64, c_out=512, h=64, w=64)
-        dw = dw_spec(c=512, h=64, w=64)
-        assert best_fcm_tiling(FcmType.PWDW, pw, dw, tiny_gpu) is None
+        chain = FusedChain((pw_spec(c_in=64, c_out=512, h=64, w=64), dw_spec(c=512, h=64, w=64)))
+        assert best_chain_tiling(chain, FCM_TILING_KEYS[FcmType.PWDW], tiny_gpu) is None
 
 
 class TestFusePlanner:
@@ -155,7 +154,7 @@ class TestFusePlanner:
         for pair in (("b1_dw", "b1_pw"), ("b1_pw", "b2_dw"), ("b2_dw", "b2_pw")):
             first = g.spec(pair[0])
             second = g.spec(pair[1])
-            d = planner.evaluate_pair(first, second)
+            d = planner.evaluate_chain((first, second))
             if d is not None:
                 assert total >= d.savings_bytes or tuple(pair) in chosen
 

@@ -3,7 +3,8 @@
 The grid search (``best_*_tiling``, ``FusePlanner``) must be a pure
 *implementation* change of the scalar sweeps (``scalar_*_tiling``,
 ``ScalarPlanner``) — bit-identical ``SearchResult`` winners and whole-model
-plans, including the rank order's
+plans for every fused module, each a (chain, vocabulary) case, including
+the rank order's
 tie-breaking (warp-multiple first, GMA, then larger tiles, first minimum in
 sweep order wins).  The hypothesis property tests pin the stronger invariant
 underneath: every grid cell's feasibility and GMA equals the scalar
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, pw_spec
@@ -26,45 +27,69 @@ from repro.core.tiling import DwTiling, PwTiling
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.models.zoo import build_model
-from repro.planner.chain_costs import chain_feasible, chain_gma
+from repro.planner.chain_costs import (
+    FCM_TILING_KEYS,
+    chain_feasible,
+    chain_gma,
+    chain_tiling_keys,
+)
 from repro.planner.costs import dw_feasible, dw_gma, pw_feasible, pw_gma
-from repro.planner.fcm_costs import fcm_feasible, fcm_gma
-from repro.planner.grid_search import chain_grid, fcm_grid, lbl_grid, pow2_candidates
+from repro.planner.grid_search import chain_grid, lbl_grid, pow2_candidates
 from repro.planner.memo import GeometryMemo, shared_memo
 from repro.planner.planner import FusePlanner, ScalarPlanner
 from repro.planner.search import (
     best_chain_tiling,
-    best_fcm_tiling,
     best_lbl_tiling,
     scalar_chain_tiling,
-    scalar_fcm_tiling,
     scalar_lbl_tiling,
 )
 
 GPUS = (GTX1660, RTX_A4000, ORIN)
 CONVENTIONS = ("paper", "measured")
 
+#: every fused module the parity suites cover: the four FCMs, each a pair
+#: under its type's vocabulary, and a PW->DW->PW chain under the chain keys.
+MODULES = ("DWPW", "PWDW", "PWDW_R", "PWPW", "PW-DW-PW")
 
-def _fcm_pair(fcm_type: FcmType, dtype: DType = DType.FP32):
-    """A valid (first, second) pair for each FCM variant."""
-    if fcm_type is FcmType.DWPW:
-        dw = dw_spec(c=32, h=28, w=28, dtype=dtype)
-        return dw, pw_spec(c_in=32, c_out=64, h=28, w=28, dtype=dtype)
-    if fcm_type in (FcmType.PWDW, FcmType.PWDW_R):
-        pw = pw_spec(c_in=16, c_out=32, h=28, w=28, dtype=dtype)
-        return pw, dw_spec(c=32, h=28, w=28, dtype=dtype)
-    return (
-        pw_spec(c_in=16, c_out=32, h=14, w=14, dtype=dtype),
-        pw_spec(c_in=32, c_out=64, h=14, w=14, dtype=dtype),
-    )
+#: (c, m, hw) of each module in the search-parity suite.
+SHAPES = {
+    "DWPW": (32, 64, 28),
+    "PWDW": (32, 16, 28),
+    "PWDW_R": (32, 16, 28),
+    "PWPW": (16, 32, 14),
+    "PW-DW-PW": (16, 32, 28),
+}
 
 
-def _chain3(dtype: DType = DType.FP32) -> FusedChain:
-    return FusedChain((
-        pw_spec("c_pw1", c_in=16, c_out=32, h=28, w=28, dtype=dtype),
-        dw_spec("c_dw", c=32, h=28, w=28, dtype=dtype),
-        pw_spec("c_pw2", c_in=32, c_out=64, h=28, w=28, dtype=dtype),
-    ))
+def _module(
+    module: str, c: int, m: int, hw: int, stride: int = 1, dtype: DType = DType.FP32
+) -> tuple[FusedChain, tuple[str, ...]]:
+    """One module as (chain, vocabulary): ``c`` and ``m`` channels on an
+    ``hw`` x ``hw`` plane, ``stride`` on the DW stage."""
+    if module == "DWPW":
+        dw = dw_spec(c=c, h=hw, w=hw, stride=stride, dtype=dtype)
+        specs = (dw, pw_spec(c_in=c, c_out=m, h=dw.out_h, w=dw.out_w, dtype=dtype))
+    elif module in ("PWDW", "PWDW_R"):
+        specs = (
+            pw_spec(c_in=m, c_out=c, h=hw, w=hw, dtype=dtype),
+            dw_spec(c=c, h=hw, w=hw, stride=stride, dtype=dtype),
+        )
+    elif module == "PWPW":
+        specs = (
+            pw_spec(c_in=c, c_out=m, h=hw, w=hw, dtype=dtype),
+            pw_spec(c_in=m, c_out=2 * m, h=hw, w=hw, dtype=dtype),
+        )
+    else:
+        dw = dw_spec(c=m, h=hw, w=hw, stride=stride, dtype=dtype)
+        specs = (
+            pw_spec(c_in=c, c_out=m, h=hw, w=hw, dtype=dtype),
+            dw,
+            pw_spec(c_in=m, c_out=2 * m, h=dw.out_h, w=dw.out_w, dtype=dtype),
+        )
+    chain = FusedChain(specs)
+    if module in FcmType.__members__:
+        return chain, FCM_TILING_KEYS[FcmType[module]]
+    return chain, chain_tiling_keys(chain)
 
 
 class TestPow2Candidates:
@@ -100,21 +125,13 @@ class TestDirectSearchParity:
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
     @pytest.mark.parametrize("convention", CONVENTIONS)
-    @pytest.mark.parametrize("fcm_type", list(FcmType), ids=lambda t: t.name)
-    def test_fcm(self, gpu, convention, fcm_type):
+    @pytest.mark.parametrize("module", MODULES)
+    def test_fcm(self, gpu, convention, module):
         for dtype in (DType.FP32, DType.INT8):
-            first, second = _fcm_pair(fcm_type, dtype)
-            vec = best_fcm_tiling(fcm_type, first, second, gpu, convention)
-            ref = scalar_fcm_tiling(fcm_type, first, second, gpu, convention)
+            chain, keys = _module(module, *SHAPES[module], dtype=dtype)
+            vec = best_chain_tiling(chain, keys, gpu, convention)
+            ref = scalar_chain_tiling(chain, keys, gpu, convention)
             assert vec == ref  # including both being None (infeasible)
-
-    @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
-    @pytest.mark.parametrize("convention", CONVENTIONS)
-    def test_chain(self, gpu, convention):
-        chain = _chain3()
-        vec = best_chain_tiling(chain, gpu, convention)
-        ref = scalar_chain_tiling(chain, gpu, convention)
-        assert vec == ref
 
     def test_infeasible_lbl_raises_same_error(self):
         from repro.gpu.specs import GpuSpec
@@ -205,44 +222,26 @@ class TestGridPointwise:
     @given(
         c=st.sampled_from((8, 16, 32)), m=st.sampled_from((8, 24, 64)),
         hw=st.integers(6, 24), stride=st.sampled_from((1, 2)),
-        fcm_type=st.sampled_from(list(FcmType)),
+        module=st.sampled_from(MODULES),
         convention=st.sampled_from(CONVENTIONS),
     )
-    def test_fcm_grid_matches_scalar(self, c, m, hw, stride, fcm_type, convention):
-        if fcm_type is FcmType.DWPW:
-            dw = dw_spec(c=c, h=hw, w=hw, stride=stride)
-            first, second = dw, pw_spec(c_in=c, c_out=m, h=dw.out_h, w=dw.out_w)
-        elif fcm_type in (FcmType.PWDW, FcmType.PWDW_R):
-            first = pw_spec(c_in=m, c_out=c, h=hw, w=hw)
-            second = dw_spec(c=c, h=hw, w=hw, stride=stride)
-        else:
-            first = pw_spec(c_in=c, c_out=m, h=hw, w=hw)
-            second = pw_spec(c_in=m, c_out=2 * m, h=hw, w=hw)
-        grid = fcm_grid(fcm_type, first, second, RTX_A4000, convention)
-        for cell in np.ndindex(grid.shape):
-            t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
-            assert bool(grid.feasible[cell]) == fcm_feasible(
-                fcm_type, first, second, t, RTX_A4000
-            )
-            if grid.feasible[cell]:
-                cost = fcm_gma(fcm_type, first, second, t, convention)
-                assert int(grid.gma_bytes[cell]) == cost.gma.total_bytes
-                red = int(grid.redundant_macs[cell])
-                useful = int(grid.useful_macs[cell])
-                total = red + useful
-                ratio = red / total if total else 0.0
-                assert ratio == cost.redundancy_ratio
-
-    @pytest.mark.parametrize("convention", CONVENTIONS)
-    def test_chain_grid_matches_scalar(self, convention):
-        chain = _chain3()
-        grid = chain_grid(chain, ORIN, convention)
-        for cell in np.ndindex(grid.shape):
-            t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
-            assert bool(grid.feasible[cell]) == chain_feasible(chain, t, ORIN)
-            if grid.feasible[cell]:
-                cost = chain_gma(chain, t, convention)
-                assert int(grid.gma_bytes[cell]) == cost.gma.total_bytes
+    @example(c=16, m=32, hw=28, stride=1, module="PW-DW-PW", convention="paper")
+    @example(c=16, m=32, hw=28, stride=1, module="PW-DW-PW", convention="measured")
+    def test_fcm_grid_matches_scalar(self, c, m, hw, stride, module, convention):
+        chain, keys = _module(module, c, m, hw, stride)
+        for gpu in (RTX_A4000, ORIN):
+            grid = chain_grid(chain, keys, gpu, convention)
+            for cell in np.ndindex(grid.shape):
+                t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
+                assert bool(grid.feasible[cell]) == chain_feasible(chain, t, gpu)
+                if grid.feasible[cell]:
+                    cost = chain_gma(chain, t, convention)
+                    assert int(grid.gma_bytes[cell]) == cost.gma.total_bytes
+                    red = int(grid.redundant_macs[cell])
+                    useful = int(grid.useful_macs[cell])
+                    total = red + useful
+                    ratio = red / total if total else 0.0
+                    assert ratio == cost.redundancy_ratio
 
 
 class TestGeometryMemo:
@@ -272,9 +271,9 @@ class TestGeometryMemo:
             clock_ghz=1,
         )
         memo = GeometryMemo()
-        first, second = _fcm_pair(FcmType.PWPW)
-        r1 = best_fcm_tiling(FcmType.PWPW, first, second, wide, memo=memo)
-        r2 = best_fcm_tiling(FcmType.PWPW, first, second, wide, memo=memo)
+        chain, keys = _module("PWPW", *SHAPES["PWPW"])
+        r1 = best_chain_tiling(chain, keys, wide, memo=memo)
+        r2 = best_chain_tiling(chain, keys, wide, memo=memo)
         assert r1 is None and r2 is None
         assert memo.hits == 1 and len(memo) == 1
 

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
-from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
 from repro.gpu.specs import RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
-from repro.kernels.registry import build_fcm_kernel, build_lbl_kernel
+from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
+from repro.planner.chain_costs import chain_gma
 from repro.planner.costs import dw_gma, pw_gma
-from repro.planner.fcm_costs import fcm_gma
 
 _DTYPES = st.sampled_from([DType.FP32, DType.INT8])
 
@@ -98,9 +98,9 @@ def test_pwdw_r_total_correctness(c, mid, h, dw_stride, tile_f, tile_h, dtype):
     p2 = chain_quant(p1, dw)
     x = random_ifm(pw)
     tiling = {"tile_f": tile_f, "tile_h": tile_h, "tile_w": tile_h}
-    res = build_fcm_kernel(FcmType.PWDW_R, p1, p2, tiling).simulate(x, RTX_A4000)
+    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
     _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = fcm_gma(FcmType.PWDW_R, pw, dw, tiling, "measured")
+    cost = chain_gma(FusedChain((pw, dw)), tiling, "measured")
     assert res.counters.total_bytes == cost.gma.total_bytes
     assert res.counters.redundant_macs == cost.redundant_macs
 
@@ -122,9 +122,9 @@ def test_pwpw_total_correctness(c, mid, m, h, tile_hw, tile_m, dtype):
     p2 = chain_quant(p1, pw2)
     x = random_ifm(pw1)
     tiling = {"tile_hw": tile_hw, "tile_m": tile_m}
-    res = build_fcm_kernel(FcmType.PWPW, p1, p2, tiling).simulate(x, RTX_A4000)
+    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
     _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = fcm_gma(FcmType.PWPW, pw1, pw2, tiling, "measured")
+    cost = chain_gma(FusedChain((pw1, pw2)), tiling, "measured")
     assert res.counters.total_bytes == cost.gma.total_bytes
 
 
@@ -145,8 +145,8 @@ def test_dwpw_total_correctness(c, m, h, dw_stride, tile_h, tile_m, dtype):
     p2 = chain_quant(p1, pw)
     x = random_ifm(dw)
     tiling = {"tile_h": tile_h, "tile_w": tile_h, "tile_m": tile_m}
-    res = build_fcm_kernel(FcmType.DWPW, p1, p2, tiling).simulate(x, RTX_A4000)
+    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
     _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = fcm_gma(FcmType.DWPW, dw, pw, tiling, "measured")
+    cost = chain_gma(FusedChain((dw, pw)), tiling, "measured")
     assert res.counters.total_bytes == cost.gma.total_bytes
     assert res.counters.redundant_macs == 0

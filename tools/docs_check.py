@@ -10,7 +10,8 @@ on any dead reference, so the README can't drift from the code:
   inside a fenced code block (``\\`` continuations joined, ``# comments``
   dropped) must parse with it;
 * repo-relative paths (``src/...``, ``benchmarks/...``, ``examples/...``,
-  ``docs/...``, ``tools/...``) — the file or directory must exist;
+  ``docs/...``, ``tools/...``) — the file or directory must exist (a glob
+  such as ``benchmarks/bench_*.py`` must match at least one);
 * ``make <target>`` mentions — the target must exist in the Makefile.
 
 Usage: ``python tools/docs_check.py README.md docs/architecture.md``
@@ -33,7 +34,7 @@ sys.path.insert(0, str(REPO / "src"))
 MODULE_RE = re.compile(r"\brepro(?:\.[a-zA-Z_][a-zA-Z_0-9]*)+")
 CLI = "python -m repro.cli"
 CLI_RE = re.compile(r"python -m repro\.cli ([a-z][a-z0-9-]*)")
-PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools)/[\w./-]*")
+PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools)/[\w./*-]*")
 # Backticked only: prose like "make sure" must not read as a target claim.
 MAKE_RE = re.compile(r"`make ([a-z][a-z-]*)`")
 
@@ -131,7 +132,8 @@ def check_file(path: Path, parser, targets: set[str]) -> list[str]:
             errors.append(f"{path.name}: {err}")
     for ref in sorted(set(PATH_RE.findall(text))):
         ref = ref.rstrip("./")
-        if ref and not (REPO / ref).exists():
+        exists = any(REPO.glob(ref)) if "*" in ref else (REPO / ref).exists()
+        if ref and not exists:
             errors.append(f"{path.name}: path {ref!r} does not exist")
     for target in sorted(set(MAKE_RE.findall(text))):
         if target not in targets:
