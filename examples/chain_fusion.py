@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import DType, gpu_by_name
 from repro.experiments import compare_chain_planning
-from repro.kernels import FusedChainKernel, build_lbl_kernel, make_layer_params
+from repro.kernels import build_chain_kernel, build_lbl_kernel, make_layer_params
 from repro.kernels.params import chain_quant
 from repro.models import build_model
 from repro.planner import FusePlanner, best_lbl_tiling
@@ -41,9 +41,7 @@ def main(gpu_name: str = "RTX") -> None:
     params = [make_layer_params(step.specs[0], seed=0)]
     for spec in step.specs[1:]:
         params.append(chain_quant(params[-1], spec, seed=0))
-    kernel = FusedChainKernel(
-        params, step.tiling["tile_h"], step.tiling["tile_w"], step.tiling.get("tile_m")
-    )
+    kernel = build_chain_kernel(params, step.tiling)
     x = np.random.default_rng(0).standard_normal(step.specs[0].ifm.shape).astype(np.float32)
     fused = kernel.simulate(x, gpu)
 
