@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, pw_spec
@@ -225,10 +225,15 @@ class TestGridPointwise:
         module=st.sampled_from(MODULES),
         convention=st.sampled_from(CONVENTIONS),
     )
-    @example(c=16, m=32, hw=28, stride=1, module="PW-DW-PW", convention="paper")
-    @example(c=16, m=32, hw=28, stride=1, module="PW-DW-PW", convention="measured")
     def test_fcm_grid_matches_scalar(self, c, m, hw, stride, module, convention):
-        chain, keys = _module(module, c, m, hw, stride)
+        self._check_grid(*_module(module, c, m, hw, stride), convention)
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_chain_grid_matches_scalar(self, convention):
+        self._check_grid(*_module("PW-DW-PW", *SHAPES["PW-DW-PW"]), convention)
+
+    @staticmethod
+    def _check_grid(chain, keys, convention):
         for gpu in (RTX_A4000, ORIN):
             grid = chain_grid(chain, keys, gpu, convention)
             for cell in np.ndindex(grid.shape):
