@@ -66,12 +66,13 @@ tune-smoke:
 	$(PYTHON) -m repro.cli tune show --db TUNE_smoke.json
 
 ## short deterministic autoscaled fleet replay -> Chrome-trace JSON +
-## Prometheus text (TRACE_smoke.json / METRICS_smoke.txt, CI artifacts),
-## then the offline trace summary as a smoke test of tools/trace_view.py
+## Prometheus text (TRACE_smoke.json / METRICS_smoke.txt, CI artifacts) and
+## the --explain routing lines rendered from that same tracer, then the
+## offline trace summary as a smoke test of tools/trace_view.py
 trace-smoke:
 	$(PYTHON) -m repro.cli fleet --gpus RTX,RTX --models mobilenet_v2,xception \
 	    --requests 48 --rate 20000 --autoscale 1:4 --cooldown-ms 2 \
-	    --trace-out TRACE_smoke.json --metrics-out METRICS_smoke.txt
+	    --trace-out TRACE_smoke.json --metrics-out METRICS_smoke.txt --explain
 	$(PYTHON) tools/trace_view.py TRACE_smoke.json
 
 ## seeded chaos replay over a 4-worker fleet (crashes + recoveries, retries,

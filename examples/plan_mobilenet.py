@@ -14,9 +14,10 @@ import numpy as np
 
 from repro import DType, gpu_by_name
 from repro.baselines import TvmCompiler
+from repro.experiments.reporting import format_table
 from repro.models import build_model
 from repro.planner import FusePlanner
-from repro.runtime import InferenceSession, TvmSession, compare, materialize_network, profile_table
+from repro.runtime import InferenceSession, TvmSession, materialize_network
 
 
 def main(gpu_name: str = "RTX") -> None:
@@ -39,9 +40,18 @@ def main(gpu_name: str = "RTX") -> None:
 
     print("ours:", ours.describe())
     print("tvm :", tvm.describe())
-    print(compare(ours, tvm).describe())
+    print(
+        f"vs TVM: speedup {tvm.latency_s / ours.latency_s:.2f}x, "
+        f"energy {ours.energy_j / tvm.energy_j:.2f}, "
+        f"GMA {ours.total_gma_bytes / tvm.total_gma_bytes:.2f}"
+    )
     print()
-    print(profile_table(ours, top=8))
+    heaviest = sorted(ours.records, key=lambda r: r.time_s, reverse=True)[:8]
+    print(format_table(
+        ["step", "kind", "time us", "GMA KB", "bound"],
+        [[r.name, r.kind, f"{r.time_s * 1e6:.1f}",
+          f"{r.counters.total_bytes / 1024:.1f}", r.bound] for r in heaviest],
+    ))
 
 
 if __name__ == "__main__":

@@ -164,7 +164,7 @@ def _export_obs(args: argparse.Namespace, tracer, metrics) -> None:
     """Write the requested exporter files and tell the operator where."""
     from .obs import write_chrome_trace, write_prometheus
 
-    if tracer is not None:
+    if args.trace_out:
         path = write_chrome_trace(tracer, args.trace_out)
         print(f"trace: {len(tracer.spans)} spans, {len(tracer.instants)} "
               f"instant events -> {path}")
@@ -399,12 +399,17 @@ def _write_chaos_out(path: str, report) -> None:
 def _cmd_replay(args: argparse.Namespace) -> int:
     """``serve`` and ``fleet``: one command that replays a request stream
     over a fleet (``serve MODEL`` is ``fleet --models MODEL``)."""
+    from .obs import Tracer
+    from .serve.fleet import explain_routes
     from .serve.loadgen import fleet_replay, read_trace
 
     db = calibration = None
     if args.db:
         db, calibration = _load_tuning(args.db)
     tracer, metrics = _obs_sinks(args)
+    if args.explain and tracer is None:
+        # --explain renders the scheduler's fleet.route trace instants.
+        tracer = Tracer()
     report = fleet_replay(
         _fleet_gpus(args.gpus),
         args.models.split(","),
@@ -420,7 +425,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         retry=_retry_policy(args),
         policy=args.policy,
         spill_factor=args.spill_factor,
-        trace=args.explain,
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms * 1e-3,
         max_chain=args.max_chain,
@@ -433,10 +437,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.chaos_out:
         _write_chaos_out(args.chaos_out, report)
     _export_obs(args, tracer, metrics)
-    if args.explain and report.routing_trace:
+    routes = explain_routes(tracer) if args.explain else []
+    if routes:
         print("\nrouting trace (one line per request):")
-        for decision in report.routing_trace:
-            print(f"  {decision.describe()}")
+        for line in routes:
+            print(f"  {line}")
     return 0
 
 
@@ -696,7 +701,8 @@ def _add_replay_args(p: argparse.ArgumentParser, gpus: str) -> None:
                    help="planner chain cap for served models (default 2)")
     p.add_argument("--explain", action="store_true",
                    help="print the scheduler's per-request routing trace "
-                        "(chosen worker, reason, backlog estimates)")
+                        "(chosen worker, reason, backlog estimates), "
+                        "rendered from its fleet.route trace instants")
     p.add_argument("--db", default="",
                    help="tuning DB path: every worker warm-starts its own "
                         "GPU's model records at boot")

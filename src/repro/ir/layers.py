@@ -27,9 +27,9 @@ class ConvKind(enum.Enum):
     DEPTHWISE = "dw"
     POINTWISE = "pw"
 
-    @property
-    def short(self) -> str:
-        return {"standard": "std", "dw": "dw", "pw": "pw"}[self.value]
+    def __init__(self, value: str) -> None:
+        #: the label of plan dumps and geometry keys: "std", "dw" or "pw".
+        self.short = "std" if value == "standard" else value
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,13 @@ __all__ = [
 
 
 def _json_safe(value):
-    """Coerce an attribute value to a JSON-serializable scalar."""
+    """Coerce an attribute value to JSON: scalars as they are, a dict (the
+    routing backlogs) as an object of coerced values, anything else as its
+    ``str``."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
     return str(value)
 
 

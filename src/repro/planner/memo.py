@@ -25,11 +25,12 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search uses memos)
     from .search import SearchResult
 
-__all__ = ["GeometryMemo", "shared_memo"]
+__all__ = ["GeometryMemo", "shared_memo", "spec_key"]
 
 
-def _spec_key(spec) -> tuple:
-    """Everything a tile search reads from one layer: geometry + precision."""
+def spec_key(spec) -> tuple:
+    """Everything a tile search reads from one layer: geometry + precision,
+    as plain strings and ints (cheap to hash, unlike enum members)."""
     return (
         spec.kind.short,
         spec.in_channels,
@@ -70,13 +71,13 @@ class GeometryMemo:
 
     # ---- keys ----------------------------------------------------------------
     def lbl_key(self, spec, gpu, convention: str) -> tuple:
-        return ("lbl", _spec_key(spec), _gpu_key(gpu), convention)
+        return ("lbl", spec_key(spec), _gpu_key(gpu), convention)
 
     def chain_key(self, chain, keys, gpu, convention: str) -> tuple:
         return (
             "chain",
             tuple(keys),
-            tuple(map(_spec_key, chain.specs)),
+            tuple(map(spec_key, chain.specs)),
             _gpu_key(gpu),
             convention,
         )

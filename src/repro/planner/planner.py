@@ -32,7 +32,7 @@ from ..ir.graph import GlueSpec, ModelGraph
 from ..ir.layers import ConvKind, ConvSpec
 from ..obs import resolve_metrics, resolve_tracer
 from .chain_costs import chain_vocabularies, fcm_type_of
-from .memo import shared_memo
+from .memo import shared_memo, spec_key
 from .plan import (
     ChainStep,
     ExecutionPlan,
@@ -108,27 +108,6 @@ class CandidateReport:
     cost_savings: float = 0.0
 
 
-def _lbl_key(spec: ConvSpec) -> tuple:
-    """Cache key covering everything the LBL tiling search depends on.
-
-    Deliberately *not* just the layer name: a planner reused across models
-    (as :class:`repro.serve.cache.PlanCache` encourages) can see two layers
-    sharing a common name (``conv1``) with different shapes, strides or
-    padding — keying on the full geometry prevents a stale-tiling collision.
-    """
-    return (
-        spec.kind,
-        spec.in_channels,
-        spec.out_channels,
-        spec.in_h,
-        spec.in_w,
-        spec.kernel,
-        spec.stride,
-        spec.padding,
-        spec.dtype,
-    )
-
-
 class FusePlanner:
     """Cost-model-driven fusion and tiling planner (paper Fig. 5).
 
@@ -191,8 +170,11 @@ class FusePlanner:
 
     # ---- single-layer pass ---------------------------------------------------
     def lbl_plan(self, spec: ConvSpec) -> SearchResult:
-        """Minimum-GMA layer-by-layer tiling for one DW/PW layer (cached)."""
-        key = _lbl_key(spec)
+        """Minimum-GMA layer-by-layer tiling for one DW/PW layer, cached by
+        the layer's full geometry (:func:`~repro.planner.memo.spec_key`),
+        never its name: a planner reused across models sees layers that
+        share a name (``conv1``) but not a shape."""
+        key = spec_key(spec)
         if key not in self._lbl_cache:
             self._lbl_cache[key] = self._lbl_tiling(spec)
         return self._lbl_cache[key]
@@ -258,7 +240,7 @@ class FusePlanner:
         are swept once.
         """
         lbl_total = sum(self.lbl_plan(s).gma_bytes for s in specs)
-        key = tuple(_lbl_key(s) for s in specs)
+        key = tuple(map(spec_key, specs))
         if key not in self._chain_cache:
             self._chain_cache[key] = self._search_chain(specs)
         result = self._chain_cache[key]

@@ -2,7 +2,6 @@
 
 from .glue import apply_glue, glue_counters
 from .network_params import NetworkParams, materialize_network
-from .profiler import Comparison, compare, profile_table
 from .session import (
     InferenceSession,
     SessionReport,
@@ -17,9 +16,6 @@ __all__ = [
     "glue_counters",
     "NetworkParams",
     "materialize_network",
-    "Comparison",
-    "compare",
-    "profile_table",
     "InferenceSession",
     "SessionReport",
     "StepRecord",

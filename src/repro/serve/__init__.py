@@ -38,7 +38,6 @@ from .admission import (
     ADMISSION_POLICIES,
     AdmissionController,
     AdmissionDecision,
-    AdmissionStats,
     admission_controller,
 )
 from .autoscale import Autoscaler, AutoscalePolicy, ScaleEvent
@@ -58,8 +57,8 @@ from .fleet import (
     FleetScheduler,
     FleetStats,
     FleetWorker,
-    RouteDecision,
     WorkerStats,
+    explain_routes,
 )
 from .loadgen import (
     ARRIVAL_KINDS,
@@ -87,7 +86,6 @@ __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionController",
     "AdmissionDecision",
-    "AdmissionStats",
     "admission_controller",
     "Autoscaler",
     "AutoscalePolicy",
@@ -108,8 +106,8 @@ __all__ = [
     "FleetScheduler",
     "FleetStats",
     "FleetWorker",
-    "RouteDecision",
     "WorkerStats",
+    "explain_routes",
     "ARRIVAL_KINDS",
     "AttainmentPoint",
     "FakeClock",

@@ -36,7 +36,6 @@ from .server import ModelServer
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionDecision",
-    "AdmissionStats",
     "AdmissionController",
     "admission_controller",
 ]
@@ -59,49 +58,20 @@ class AdmissionDecision:
         return self.action != "shed"
 
 
-@dataclass
-class AdmissionStats:
-    """Offered-request tally: every decision lands in exactly one bucket."""
-
-    accepted: int = 0
-    degraded: int = 0
-    shed: int = 0
-
-    @property
-    def offered(self) -> int:
-        return self.accepted + self.degraded + self.shed
-
-    def count(self, decision: AdmissionDecision) -> None:
-        if decision.action == "accept":
-            self.accepted += 1
-        elif decision.action == "degrade":
-            self.degraded += 1
-        else:
-            self.shed += 1
-
-
 class AdmissionController:
     """SLO-aware admission: accept, degrade to INT8, or shed (see module
-    docstring).  ``policy="shed"`` disables the degraded-precision fallback;
-    ``margin`` scales the projection (>1 sheds earlier, a safety factor)."""
+    docstring).  ``policy="shed"`` disables the degraded-precision fallback.
+    The caller tallies the verdicts (``fleet_replay`` per worker)."""
 
-    def __init__(
-        self,
-        policy: str = "degrade",
-        *,
-        degrade_dtype: DType = DType.INT8,
-        margin: float = 1.0,
-    ) -> None:
+    #: the fallback precision: INT8 is the only dtype below FP32.
+    degrade_dtype = DType.INT8
+
+    def __init__(self, policy: str = "degrade") -> None:
         if policy not in ADMISSION_POLICIES:
             raise PlanError(
                 f"unknown admission policy {policy!r}; choose from {ADMISSION_POLICIES}"
             )
-        if margin <= 0:
-            raise PlanError(f"admission margin must be > 0, got {margin}")
         self.policy = policy
-        self.degrade_dtype = degrade_dtype
-        self.margin = margin
-        self.stats = AdmissionStats()
 
     def projected_s(
         self,
@@ -135,7 +105,7 @@ class AdmissionController:
         occupancy_s: float = 0.0,
         throttle: float = 1.0,
     ) -> AdmissionDecision:
-        """Judge one offered request against ``slo_s`` and tally the outcome.
+        """Judge one offered request against ``slo_s``.
 
         ``occupancy_s`` is the budget already spent before the request can
         start: ``fleet_replay`` passes the routed worker's remaining busy
@@ -149,31 +119,21 @@ class AdmissionController:
         projected = self.projected_s(
             server, model, dtype, occupancy_s=occupancy_s, throttle=throttle
         )
-        if projected * self.margin <= slo_s:
-            decision = AdmissionDecision("accept", projected, slo_s)
-        elif self.policy == "degrade" and dtype is not self.degrade_dtype:
+        if projected <= slo_s:
+            return AdmissionDecision("accept", projected, slo_s)
+        if self.policy == "degrade" and dtype is not self.degrade_dtype:
             degraded = self.projected_s(
                 server, model, self.degrade_dtype,
                 occupancy_s=occupancy_s, throttle=throttle,
             )
-            if degraded * self.margin <= slo_s:
-                decision = AdmissionDecision("degrade", degraded, slo_s)
-            else:
-                decision = AdmissionDecision("shed", degraded, slo_s)
-        else:
-            decision = AdmissionDecision("shed", projected, slo_s)
-        self.stats.count(decision)
-        return decision
+            action = "degrade" if degraded <= slo_s else "shed"
+            return AdmissionDecision(action, degraded, slo_s)
+        return AdmissionDecision("shed", projected, slo_s)
 
 
-def admission_controller(
-    spec: "str | AdmissionController | None",
-) -> AdmissionController | None:
-    """Resolve a CLI/replay admission spec: None or ``"none"`` disable
-    admission, a policy name builds a fresh controller, and an existing
-    controller passes through (so callers can share one across replays)."""
-    if spec is None or spec == "" or spec == "none":
+def admission_controller(policy: str | None) -> AdmissionController | None:
+    """Resolve a CLI/replay admission policy name: None or ``"none"``
+    disable admission, any other name builds a controller."""
+    if policy is None or policy == "" or policy == "none":
         return None
-    if isinstance(spec, AdmissionController):
-        return spec
-    return AdmissionController(spec)
+    return AdmissionController(policy)

@@ -24,6 +24,10 @@ policies:
 
 Backlog estimation only *peeks* at plan caches (:meth:`PlanCache.peek`), so
 routing never perturbs the hit/miss accounting it is driven by.
+
+Each decision is recorded once, as the tracer's ``fleet.route`` instant
+(chosen worker, reason flags, per-worker backlogs); :func:`explain_routes`
+renders those instants as the ``fleet --explain`` lines.
 """
 
 from __future__ import annotations
@@ -42,44 +46,15 @@ from .cache import PlanKey
 from .server import InferenceRequest, InferenceResult, ModelServer
 
 __all__ = [
-    "RouteDecision",
     "FleetWorker",
     "FleetScheduler",
+    "explain_routes",
     "WorkerStats",
     "FleetStats",
     "Fleet",
 ]
 
 POLICIES = ("affinity", "round_robin")
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    """One routing trace entry (``fleet --explain`` renders these)."""
-
-    seq: int
-    model: str
-    dtype: str
-    worker: str
-    policy: str
-    affinity_hit: bool  # a plan-holding worker was chosen
-    spilled: bool  # affinity overruled: best holder was overloaded
-    backlog_s: dict[str, float]  # per-worker estimate at decision time
-
-    def describe(self) -> str:
-        reason = (
-            "round-robin" if self.policy == "round_robin"
-            else "spill (holder overloaded)" if self.spilled
-            else "plan affinity" if self.affinity_hit
-            else "no holder; least backlog"
-        )
-        backlogs = ", ".join(
-            f"{name}={est * 1e6:.1f}us" for name, est in self.backlog_s.items()
-        )
-        return (
-            f"#{self.seq} {self.model} -> {self.worker} [{reason}]"
-            + (f"  backlog: {backlogs}" if backlogs else "")
-        )
 
 
 class FleetWorker:
@@ -136,7 +111,8 @@ class FleetWorker:
 
 
 class FleetScheduler:
-    """Routes requests to workers; records a trace when asked to."""
+    """Routes requests to workers; each decision lands on the tracer as a
+    ``fleet.route`` instant."""
 
     def __init__(
         self,
@@ -144,7 +120,6 @@ class FleetScheduler:
         policy: str = "affinity",
         *,
         spill_factor: float = 2.0,
-        trace: bool = False,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -157,7 +132,6 @@ class FleetScheduler:
         self.workers = list(workers)
         self.policy = policy
         self.spill_factor = spill_factor
-        self.trace: list[RouteDecision] | None = [] if trace else None
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
         self._rr = 0
@@ -218,19 +192,6 @@ class FleetScheduler:
                     if gap > threshold:
                         worker = best_other
                         affinity_hit, spilled = False, True
-        if self.trace is not None:
-            self.trace.append(
-                RouteDecision(
-                    seq=self._seq,
-                    model=model,
-                    dtype=dtype.value,
-                    worker=worker.name,
-                    policy=self.policy,
-                    affinity_hit=affinity_hit,
-                    spilled=spilled,
-                    backlog_s=backlogs,
-                )
-            )
         if self.tracer.enabled or self.metrics.enabled:
             self.tracer.instant(
                 "fleet.route",
@@ -242,6 +203,7 @@ class FleetScheduler:
                 policy=self.policy,
                 affinity_hit=affinity_hit,
                 spilled=spilled,
+                backlog_s=backlogs,  # routable workers in worker order
             )
             self.metrics.counter(
                 "repro_routes_total", help="Routing decisions by outcome"
@@ -255,6 +217,31 @@ class FleetScheduler:
             )
         self._seq += 1
         return worker
+
+
+def explain_routes(tracer) -> list[str]:
+    """The ``fleet --explain`` lines: one per ``fleet.route`` instant, in
+    decision order, as ``#seq model -> worker [reason]`` followed by the
+    routable workers' backlogs in microseconds (round-robin weighs none)."""
+    lines = []
+    for rec in tracer.instants:
+        if rec.name != "fleet.route":
+            continue
+        a = dict(rec.attrs)
+        reason = (
+            "round-robin" if a["policy"] == "round_robin"
+            else "spill (holder overloaded)" if a["spilled"]
+            else "plan affinity" if a["affinity_hit"]
+            else "no holder; least backlog"
+        )
+        backlogs = ", ".join(
+            f"{name}={est * 1e6:.1f}us" for name, est in a["backlog_s"].items()
+        )
+        lines.append(
+            f"#{a['seq']} {a['model']} -> {rec.pid} [{reason}]"
+            + (f"  backlog: {backlogs}" if backlogs else "")
+        )
+    return lines
 
 
 @dataclass(frozen=True)
@@ -306,11 +293,13 @@ class Fleet:
     (heterogeneous, e.g. ``[RTX_A4000, ORIN, ORIN]``).  Every worker,
     autoscaled ones included, is a :class:`ModelServer` built from the
     forwarded ``**server`` settings; the fleet runs on its first worker's
-    clock and shares its sinks with the scheduler.  The queued path
-    mirrors the single-server API (``enqueue`` / ``step`` / ``pending`` /
-    ``next_deadline``) so :func:`repro.serve.loadgen.fleet_replay` can drive
-    it with the same discrete-event loop, and ``submit_analytic`` gives the
-    synchronous routed path the CLI batch sweeps use.
+    clock and shares its sinks with the scheduler.
+    :func:`repro.serve.loadgen.fleet_replay` routes each request through
+    :attr:`scheduler` and enqueues it on the chosen worker's server itself,
+    then flushes with :meth:`step` and waits on :meth:`next_deadline` /
+    :meth:`pending`.  ``enqueue`` is the same route-then-enqueue for callers
+    outside the replay, and ``submit_analytic`` gives the synchronous routed
+    path the CLI batch sweeps use.
     """
 
     def __init__(
@@ -319,7 +308,6 @@ class Fleet:
         *,
         policy: str = "affinity",
         spill_factor: float = 2.0,
-        trace: bool = False,
         **server,
     ) -> None:
         if not gpus:
@@ -341,7 +329,7 @@ class Fleet:
         self.tracer = first.tracer
         self.metrics = first.metrics
         self.scheduler = FleetScheduler(
-            self.workers, policy, spill_factor=spill_factor, trace=trace,
+            self.workers, policy, spill_factor=spill_factor,
             tracer=self.tracer, metrics=self.metrics,
         )
         # The scheduler routes over the fleet's *live* worker list, so
@@ -457,10 +445,6 @@ class Fleet:
     @property
     def policy(self) -> str:
         return self.scheduler.policy
-
-    @property
-    def trace(self) -> list[RouteDecision] | None:
-        return self.scheduler.trace
 
     # ---- synchronous routed path ----------------------------------------------
     def _occupy(self, worker: FleetWorker, now: float, report: SessionReport) -> None:

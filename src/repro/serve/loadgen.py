@@ -51,10 +51,10 @@ import numpy as np
 from ..core.dtypes import DType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
-from .admission import AdmissionController, admission_controller
+from .admission import admission_controller
 from .autoscale import AutoscalePolicy, ScaleEvent
 from .faults import FaultInjector, FaultPlan, FaultStats, RetryPolicy
-from .fleet import Fleet, FleetWorker, RouteDecision, WorkerStats
+from .fleet import Fleet, FleetWorker, WorkerStats
 from .server import InferenceResult, ModelServer
 
 __all__ = [
@@ -532,8 +532,6 @@ class FleetStreamReport:
     #: (``busy_s`` is the worker's cumulative simulated execution time).
     per_worker: tuple[WorkerStats, ...]
     latencies_s: list[float] = field(default_factory=list)
-    #: populated when the replay ran with ``trace=True`` (``fleet --explain``).
-    routing_trace: tuple[RouteDecision, ...] = ()
     #: planning passes that happened while requests were in flight — a
     #: TuningDB-warm-started fleet replays its tuned models at 0.
     critical_path_planner_invocations: int = 0
@@ -639,7 +637,7 @@ def fleet_replay(
     arrival: str | None = None,
     request_trace: Sequence[TraceRequest] | None = None,
     slo_s: float | None = None,
-    admission: "str | AdmissionController | None" = None,
+    admission: str | None = None,
     autoscale: AutoscalePolicy | None = None,
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
@@ -660,7 +658,7 @@ def fleet_replay(
     :data:`ARRIVAL_KINDS` (overriding the legacy ``poisson`` flag), and
     ``seed`` seeds it.
 
-    ``fleet_settings`` (``policy``, ``spill_factor``, ``trace`` and the
+    ``fleet_settings`` (``policy``, ``spill_factor`` and the
     :class:`~repro.serve.server.ModelServer` settings) build the replay's
     :class:`Fleet` on the shared clock.  Pass ``fleet`` to reuse one built
     on a FakeClock as both ``clock`` and ``sleep``; passing fleet settings
@@ -678,7 +676,7 @@ def fleet_replay(
 
     ``slo_s`` stamps a deadline on every generated request (a trace entry's
     own ``slo_s`` wins), which arms the servers' deadline-aware flushing.
-    ``admission`` (a policy name or an
+    ``admission`` (a policy name, see
     :class:`~repro.serve.admission.AdmissionController`) sheds or degrades
     requests whose projected latency would bust their SLO; it judges the
     request against the worker routing picked for it, occupancy included,
@@ -692,6 +690,8 @@ def fleet_replay(
     deterministic timeline: the tracer binds to the shared FakeClock and
     every worker, the scheduler, and the autoscaler emit into the same
     sinks, so two identical invocations export byte-identical traces.
+    The scheduler's ``fleet.route`` instants are the replay's routing record
+    (:func:`~repro.serve.fleet.explain_routes` renders them).
 
     ``faults``/``retry`` arm the chaos path (:mod:`repro.serve.faults`):
     a :class:`FaultInjector` replays the :class:`FaultPlan` on the shared
@@ -738,7 +738,7 @@ def fleet_replay(
     meta: dict[tuple[int, int], tuple[float, float | None]] = {}
     #: simulated energy of each served image
     energies: list[float] = []
-    attained = late = 0
+    #: the replay's one tally of SLO and admission outcomes, per worker.
     slo_counts: dict[str, dict[str, int]] = {}
 
     def worker_counts(name: str) -> dict[str, int]:
@@ -751,7 +751,6 @@ def fleet_replay(
         batch flushed at ``flush_now`` that ran on ``worker`` from ``start``
         for ``exec_s``.  The chaos path calls this when a batch settles,
         keyed by the logical request's original arrival instant and SLO."""
-        nonlocal attained, late
         latency = r.wait_s + (start - flush_now) + exec_s
         latencies.append(latency)
         energies.append(r.energy_per_image_j)
@@ -762,18 +761,12 @@ def fleet_replay(
         if slo is None:
             # best-effort requests in a mixed trace have no deadline to
             # miss: served counts as attained.
-            attained += 1
             counts["attained"] += 1
             return
         # The SLO clock starts at *arrival*: wait_s starts at enqueue
         # (= flush_now - wait_s), so add back any arrival->enqueue gap.
         gap = max(0.0, (flush_now - r.wait_s) - arrival_t)
-        if latency + gap <= slo:
-            attained += 1
-            counts["attained"] += 1
-        else:
-            late += 1
-            counts["late"] += 1
+        counts["attained" if latency + gap <= slo else "late"] += 1
 
     def handle(flushed: list[tuple[FleetWorker, InferenceResult]], now: float) -> None:
         # Batches start in flush order on their own device; occupancy is
@@ -998,7 +991,6 @@ def fleet_replay(
         planner_invocations=stats.planner_invocations,
         per_worker=stats.per_worker,
         latencies_s=latencies,
-        routing_trace=tuple(fleet.trace or ()),
         critical_path_planner_invocations=(
             stats.planner_invocations - boot_invocations
         ),
@@ -1007,8 +999,8 @@ def fleet_replay(
         admission=controller.policy if controller is not None else None,
         shed=sum(c["shed"] for c in slo_counts.values()),
         degraded=sum(c["degraded"] for c in slo_counts.values()),
-        late=late,
-        attained=attained,
+        late=sum(c["late"] for c in slo_counts.values()),
+        attained=sum(c["attained"] for c in slo_counts.values()),
         slo_per_worker=tuple(
             WorkerSloStats(worker=name, **counts)
             for name, counts in sorted(slo_counts.items())

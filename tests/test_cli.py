@@ -146,14 +146,41 @@ def test_fleet_command(capsys, tiny_model):
     assert "GTX#0" in out and "RTX#1" in out
 
 
+#: Pinned ``fleet --explain`` blocks of two tiny-zoo runs: no-holder,
+#: plan-affinity and spill lines, then round-robin's (which weighs no
+#: backlogs).
+_EXPLAIN_AFFINITY = """\
+routing trace (one line per request):
+  #0 tiny_cli -> GTX#0 [no holder; least backlog]  backlog: GTX#0=0.0us, RTX#1=0.0us
+  #1 tiny_cli -> GTX#0 [no holder; least backlog]  backlog: GTX#0=0.0us, RTX#1=0.0us
+  #2 tiny_cli -> GTX#0 [plan affinity]  backlog: GTX#0=12.1us, RTX#1=0.0us
+  #3 tiny_cli -> RTX#1 [spill (holder overloaded)]  backlog: GTX#0=23.7us, RTX#1=0.0us
+  #4 tiny_cli -> RTX#1 [spill (holder overloaded)]  backlog: GTX#0=22.7us, RTX#1=0.0us
+  #5 tiny_cli -> RTX#1 [plan affinity]  backlog: GTX#0=21.7us, RTX#1=11.6us
+  #6 tiny_cli -> GTX#0 [plan affinity]  backlog: GTX#0=20.7us, RTX#1=22.9us
+  #7 tiny_cli -> GTX#0 [plan affinity]  backlog: GTX#0=20.1us, RTX#1=21.9us
+"""
+_EXPLAIN_ROUND_ROBIN = """\
+routing trace (one line per request):
+  #0 tiny_cli -> GTX#0 [round-robin]
+  #1 tiny_cli -> RTX#1 [round-robin]
+  #2 tiny_cli -> GTX#0 [round-robin]
+  #3 tiny_cli -> RTX#1 [round-robin]
+"""
+
+
 def test_fleet_command_explain_traces_routing(capsys, tiny_model):
-    assert main([
-        "fleet", "--gpus", "GTX,RTX", "--models", tiny_model,
-        "--requests", "8", "--rate", "100000", "--explain",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "routing trace" in out
-    assert out.count("#0 ") >= 1  # at least the first decision is printed
+    for argv, block in (
+        (["--requests", "8", "--rate", "1000000", "--spill-factor", "0.5",
+          "--max-batch", "2"], _EXPLAIN_AFFINITY),
+        (["--requests", "4", "--rate", "100000", "--policy", "round_robin"],
+         _EXPLAIN_ROUND_ROBIN),
+    ):
+        assert main([
+            "fleet", "--gpus", "GTX,RTX", "--models", tiny_model, *argv, "--explain",
+        ]) == 0
+        # The report has no blank line; the explain block follows one.
+        assert capsys.readouterr().out.partition("\n\n")[2] == block
 
 
 def test_fleet_command_round_robin(capsys, tiny_model):

@@ -15,12 +15,14 @@ from helpers import check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.obs import Tracer
 from repro.serve import (
     FakeClock,
     Fleet,
     FleetScheduler,
     ModelServer,
     PlanCache,
+    explain_routes,
     fleet_replay,
 )
 
@@ -39,6 +41,15 @@ def _fleet(gpus, **kw) -> Fleet:
     fleet = Fleet(gpus, **kw)
     fleet.test_clock = clock  # convenience handle for tests
     return fleet
+
+
+def _routes(tracer) -> list[dict]:
+    """The ``fleet.route`` instants' attributes, the chosen worker added."""
+    return [
+        dict(rec.attrs, worker=rec.pid)
+        for rec in tracer.instants
+        if rec.name == "fleet.route"
+    ]
 
 
 class TestPlanCacheFleetContract:
@@ -120,32 +131,37 @@ class TestFleetConstruction:
 
 class TestRouting:
     def test_affinity_prefers_plan_holder(self):
-        fleet = _fleet([GTX1660, RTX_A4000], trace=True)
+        fleet = _fleet([GTX1660, RTX_A4000], tracer=Tracer())
         # Warm worker 1 only; routing must then stick to it.
         fleet.workers[1].server.submit_analytic("tiny_a", 1)
         worker, _ = fleet.submit_analytic("tiny_a", 1)
         assert worker.name == "RTX#1"
-        decision = fleet.trace[-1]
-        assert decision.affinity_hit and not decision.spilled
-        assert decision.worker == "RTX#1"
+        decision = _routes(fleet.tracer)[-1]
+        assert decision["affinity_hit"] and not decision["spilled"]
+        assert decision["worker"] == "RTX#1"
 
     def test_unplanned_model_routes_to_least_backlog(self):
-        fleet = _fleet([GTX1660, RTX_A4000], trace=True)
+        fleet = _fleet([GTX1660, RTX_A4000], tracer=Tracer())
         fleet.workers[0].busy_until = 1.0  # worker 0 is occupied
         worker, _ = fleet.submit_analytic("tiny_a", 1)
         assert worker.name == "RTX#1"
-        assert not fleet.trace[-1].affinity_hit
+        decision = _routes(fleet.tracer)[-1]
+        assert not decision["affinity_hit"]
+        assert decision["backlog_s"] == {"GTX#0": 1.0, "RTX#1": 0.0}
 
     def test_overloaded_holder_spills(self):
-        fleet = _fleet([GTX1660, RTX_A4000], trace=True)
+        fleet = _fleet([GTX1660, RTX_A4000], tracer=Tracer())
         fleet.workers[0].server.submit_analytic("tiny_a", 1)
         # Pin a backlog on the holder far beyond the spill threshold.
         fleet.workers[0].busy_until = 10.0
         worker, _ = fleet.submit_analytic("tiny_a", 1)
         assert worker.name == "RTX#1"
-        decision = fleet.trace[-1]
-        assert decision.spilled and not decision.affinity_hit
-        assert "spill" in decision.describe()
+        decision = _routes(fleet.tracer)[-1]
+        assert decision["spilled"] and not decision["affinity_hit"]
+        assert explain_routes(fleet.tracer)[-1] == (
+            "#0 tiny_a -> RTX#1 [spill (holder overloaded)]  "
+            "backlog: GTX#0=10000000.0us, RTX#1=0.0us"
+        )
 
     def test_round_robin_cycles_workers(self):
         fleet = _fleet(HETERO, policy="round_robin")
@@ -246,14 +262,19 @@ class TestFleetReplay:
         assert deep.latency_p99_s > 2 * shallow.latency_p99_s
 
     def test_trace_records_every_request(self):
+        tracer = Tracer()
         report = fleet_replay(
-            HETERO, ["tiny_a", "tiny_b"], 16, 5e4, trace=True
+            HETERO, ["tiny_a", "tiny_b"], 16, 5e4, tracer=tracer
         )
         check_replay(report)
-        assert len(report.routing_trace) == 16
-        assert [d.seq for d in report.routing_trace] == list(range(16))
-        assert {d.model for d in report.routing_trace} == {"tiny_a", "tiny_b"}
-        assert all(d.describe() for d in report.routing_trace)
+        routes = _routes(tracer)
+        assert [d["seq"] for d in routes] == list(range(16))
+        assert {d["model"] for d in routes} == {"tiny_a", "tiny_b"}
+        workers = ["GTX#0", "RTX#1", "Orin#2", "RTX#3"]
+        assert all(list(d["backlog_s"]) == workers for d in routes)
+        lines = explain_routes(tracer)
+        assert len(lines) == 16
+        assert all(line.startswith(f"#{i} ") for i, line in enumerate(lines))
 
     def test_mixed_dtype_streams_use_distinct_plans(self):
         fp32 = fleet_replay([GTX1660, RTX_A4000], "tiny_a", 16, 1e6)

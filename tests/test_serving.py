@@ -460,17 +460,25 @@ def _pinned_replays():
     """Yield ``(label, text)`` for every pinned replay, in order."""
     from repro.obs import MetricsRegistry, Tracer, chrome_trace_json, prometheus_text
     from repro.planner.memo import shared_memo
-    from repro.serve import AutoscalePolicy, FaultEvent, FaultPlan, RetryPolicy
+    from repro.serve import (
+        AutoscalePolicy,
+        FaultEvent,
+        FaultPlan,
+        RetryPolicy,
+        explain_routes,
+    )
 
     for policy in ("affinity", "round_robin"):
         for admission in ("degrade", "shed"):
+            tracer = Tracer()
             report = fleet_replay(
                 _PIN_FLEET, _PIN_MODELS, 96, 1e6, arrival="poisson", seed=3,
-                slo_s=4e-5, admission=admission, policy=policy, trace=True,
+                slo_s=4e-5, admission=admission, policy=policy, tracer=tracer,
                 max_batch=4, max_delay_s=2e-5, spill_factor=0.5,
             )
             check_replay(report)
             yield f"{policy}/{admission}", repr(report)
+            yield f"{policy}/{admission}/explain", "\n".join(explain_routes(tracer))
     # cache_capacity=1: every model or dtype switch evicts a plan mid-replay.
     report = fleet_replay(
         [GTX1660, RTX_A4000], request_trace=_pinned_trace(), admission="degrade",
@@ -516,13 +524,14 @@ class TestPinnedReplays:
     """Regression guard: fleet replay reports, pinned byte for byte.
 
     The replay counterpart of ``test_runtime.TestPinnedReports``: routing
-    (with its backlog trace), admission, deadline flushing, plan eviction,
-    autoscaling with both exports, and the fault path.  A change that
+    (with its ``--explain`` lines, backlogs included), admission, deadline
+    flushing, plan eviction, autoscaling with both exports, and the fault
+    path.  A change that
     means to move a replay re-pins the digest and says so.
     """
 
     #: SHA-256 over every replay of :func:`_pinned_replays`, in order.
-    DIGEST = "602e7434e6d81e1797a4e107506729564133dee70fe96b8cc56659cc00b9746f"
+    DIGEST = "5844534dc8ce77344df562df2c1e4aa599ea947e24d967945d00d74c98e4cf79"
 
     def test_replay_reports_are_pinned(self):
         h = hashlib.sha256()

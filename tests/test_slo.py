@@ -214,18 +214,15 @@ class TestDeadlines:
 
 
 class TestAdmission:
-    def test_policy_and_margin_validation(self):
+    def test_policy_validation(self):
         with pytest.raises(PlanError, match="unknown admission policy"):
             AdmissionController("panic")
-        with pytest.raises(PlanError, match="margin must be > 0"):
-            AdmissionController("shed", margin=0.0)
 
     def test_resolver(self):
         assert admission_controller(None) is None
         assert admission_controller("none") is None
         assert admission_controller("") is None
-        ctrl = AdmissionController("shed")
-        assert admission_controller(ctrl) is ctrl
+        assert admission_controller("shed").policy == "shed"
         assert admission_controller("degrade").policy == "degrade"
 
     def test_accepts_on_idle_server(self):
@@ -233,7 +230,6 @@ class TestAdmission:
         ctrl = AdmissionController("degrade")
         decision = ctrl.decide(srv, "tiny_a", DType.FP32, 1.0)
         assert decision.action == "accept" and decision.admitted
-        assert ctrl.stats.offered == ctrl.stats.accepted == 1
 
     def test_degrades_then_sheds_as_backlog_grows(self):
         srv = _server(max_batch=4, max_delay_s=1.0)
@@ -253,20 +249,21 @@ class TestAdmission:
         # int8 too (shed) — all three outcomes appear, in that order
         assert "degrade" in actions and "shed" in actions
         assert actions.index("degrade") < actions.index("shed")
-        assert ctrl.stats.offered == 64
-        assert ctrl.stats.shed == actions.count("shed")
+        assert set(actions) == {"accept", "degrade", "shed"}
 
     def test_shed_policy_never_degrades(self):
         srv = _server(max_batch=4, max_delay_s=1.0)
         ctrl = AdmissionController("shed")
         cap = capacity_rps(GTX1660, "tiny_a", max_batch=4)
         slo = 2 * 4 / cap
+        actions = []
         for _ in range(64):
             d = ctrl.decide(srv, "tiny_a", DType.FP32, slo)
+            actions.append(d.action)
             if d.admitted:
                 srv.enqueue("tiny_a", slo_s=slo)
-        assert ctrl.stats.degraded == 0
-        assert ctrl.stats.shed > 0
+        assert "degrade" not in actions
+        assert "shed" in actions
 
 
 # ---- the acceptance criteria ------------------------------------------------
