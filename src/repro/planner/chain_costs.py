@@ -86,10 +86,19 @@ FCM_TILING_KEYS: dict[FcmType, tuple[str, ...]] = {
 #: the grid's axis order and the scalar sweep's loop nesting.
 _KEY_ORDER = ("tile_f", "tile_h", "tile_w", "tile_hw", "tile_m")
 
-#: (first kind, second kind, key set) -> the FCM that pair and vocabulary run.
+#: (first kind, second kind, key set) -> the FCM that pair and vocabulary
+#: run.  Kinds are the ``ConvKind.short`` strings, so a lookup hashes no enum
+#: member.
 _VOCAB_TYPES = {
-    (ConvKind(t.first_kind), ConvKind(t.second_kind), frozenset(keys)): t
+    (t.first_kind, t.second_kind, frozenset(keys)): t
     for t, keys in FCM_TILING_KEYS.items()
+}
+
+#: (first kind, second kind) -> that pair's FCM vocabularies, in
+#: :func:`candidate_fcm_types` order (so PWDW before PWDW_R).
+_PAIR_VOCABS = {
+    pair: tuple(FCM_TILING_KEYS[t] for t in candidate_fcm_types(*pair))
+    for pair in dict.fromkeys((t.first_kind, t.second_kind) for t in FcmType)
 }
 
 
@@ -120,8 +129,10 @@ def chain_vocabularies(chain: FusedChain) -> tuple[tuple[str, ...], ...]:
     length-2 chain's FCM vocabularies (in :func:`candidate_fcm_types` order,
     so PWDW before PWDW_R), a longer chain's chain keys."""
     if chain.length == 2:
-        types = candidate_fcm_types(chain.first.kind.short, chain.last.kind.short)
-        return tuple(FCM_TILING_KEYS[t] for t in types)
+        pair = (chain.first.kind.short, chain.last.kind.short)
+        if pair not in _PAIR_VOCABS:
+            candidate_fcm_types(*pair)  # raises UnsupportedError: no FCM fuses it
+        return _PAIR_VOCABS[pair]
     return (chain_tiling_keys(chain),)
 
 
@@ -131,7 +142,7 @@ def fcm_type_of(specs: Sequence[ConvSpec], keys: Collection[str]) -> FcmType | N
     (PW->PW under ``tile_h``/``tile_w``/``tile_m``)."""
     if len(specs) != 2:
         return None
-    return _VOCAB_TYPES.get((specs[0].kind, specs[1].kind, frozenset(keys)))
+    return _VOCAB_TYPES.get((specs[0].kind.short, specs[1].kind.short, frozenset(keys)))
 
 
 def tiling_vocabulary(chain: FusedChain, keys: Collection[str]) -> tuple[str, ...]:

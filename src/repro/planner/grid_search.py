@@ -116,10 +116,6 @@ class TilingGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.axes)
 
-    @property
-    def n_candidates(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
-
     def threads(self) -> np.ndarray:
         """Thread-block size (tile-dimension product) of every candidate."""
         n = len(self.axes)

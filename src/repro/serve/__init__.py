@@ -9,24 +9,28 @@ session -> report) into a request-serving layer:
   :meth:`PlanCache.warm_start` preloading plans from a
   :class:`repro.tune.records.TuningDB` at boot;
 * :mod:`repro.serve.server` — :class:`ModelServer` with synchronous batched
-  submits and a micro-batching request queue (flush on ``max_batch``,
-  formation deadline, or a queued request's SLO slack running out), whose
-  constructor declares the serving settings every other entry point
-  forwards;
+  submits (functional or analytic) and an analytic micro-batching request
+  queue (flush on ``max_batch``, formation deadline, or a queued request's
+  SLO slack running out), whose constructor declares the serving settings
+  every other entry point forwards;
 * :mod:`repro.serve.admission` — SLO-aware :class:`AdmissionController`
   that sheds or degrades (to the INT8 plan variant) requests whose projected
   latency would bust their deadline;
 * :mod:`repro.serve.fleet` — multi-GPU :class:`Fleet` of per-GPU workers
   behind a :class:`FleetScheduler` (plan-affinity or round-robin routing),
   elastic via :meth:`Fleet.add_worker` / :meth:`Fleet.remove_worker`;
+  requests reach a worker through :func:`fleet_replay` (route with the
+  scheduler, enqueue on the worker's server) or the synchronous
+  :meth:`Fleet.submit_analytic`;
 * :mod:`repro.serve.autoscale` — reactive :class:`Autoscaler` resizing the
   fleet from its backlog signal (and from lost serving capacity under
   faults), with a replayable decision trace;
 * :mod:`repro.serve.faults` — deterministic chaos: JSONL-replayable
   :class:`FaultPlan` (crash / slowdown / transient / recover), per-worker
-  health state machine and :class:`CircuitBreaker`, :class:`RetryPolicy`
-  with budgeted backoff and p99-based hedging, all driven on the shared
-  clock by a :class:`FaultInjector`;
+  health state machine and :class:`CircuitBreaker` (constant threshold and
+  reset), :class:`RetryPolicy` with budgeted backoff of a constant shape and
+  p99-based hedging, all driven on the shared clock by a
+  :class:`FaultInjector`;
 * :mod:`repro.serve.loadgen` — deterministic arrival streams (uniform,
   Poisson, heavy-tailed lognormal/Pareto, diurnal), JSONL trace files, and
   the discrete-event :func:`fleet_replay` harness (a single GPU is a

@@ -7,7 +7,7 @@ occupancy plus the analytic cost of every queued request) and resizes the
 ``max_workers``:
 
 * **grow** — mean backlog per worker exceeds ``grow_backlog_s``: add one
-  worker on the policy's GPU preset (configured identically to the boot
+  worker on the fleet's first GPU (configured identically to the boot
   workers, warm-started from the same tuning DB).
 * **grow (lost capacity)** — faults (see :mod:`repro.serve.faults`) took
   the number of *serving* workers below ``min_workers``: replace the lost
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import PlanError
-from ..gpu.specs import GpuSpec
 from .fleet import Fleet, FleetWorker
 
 __all__ = ["ScaleEvent", "AutoscalePolicy", "Autoscaler"]
@@ -60,62 +59,45 @@ class ScaleEvent:
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Bindable autoscaler configuration (no fleet reference yet), so replay
-    harnesses and the CLI can describe scaling before the fleet exists."""
+    """The autoscaler's settings, validated when built: the replay harness
+    and the CLI describe scaling before the fleet exists, and
+    :meth:`bind` attaches an :class:`Autoscaler` to one."""
 
-    gpu: GpuSpec | None = None  # None -> the fleet's first worker's GPU
     min_workers: int = 1
     max_workers: int = 8
     grow_backlog_s: float = 2e-3
     shrink_backlog_s: float = 2e-4
     cooldown_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.min_workers < 1:
+            raise PlanError(f"min_workers must be >= 1, got {self.min_workers}")
+        if self.max_workers < self.min_workers:
+            raise PlanError(
+                f"max_workers ({self.max_workers}) must be >= min_workers "
+                f"({self.min_workers})"
+            )
+        if self.shrink_backlog_s < 0 or self.grow_backlog_s <= self.shrink_backlog_s:
+            raise PlanError(
+                "need grow_backlog_s > shrink_backlog_s >= 0, got "
+                f"grow={self.grow_backlog_s}, shrink={self.shrink_backlog_s}"
+            )
+        if self.cooldown_s < 0:
+            raise PlanError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
+
     def bind(self, fleet: Fleet) -> "Autoscaler":
-        return Autoscaler(
-            fleet,
-            gpu=self.gpu or fleet.workers[0].gpu,
-            min_workers=self.min_workers,
-            max_workers=self.max_workers,
-            grow_backlog_s=self.grow_backlog_s,
-            shrink_backlog_s=self.shrink_backlog_s,
-            cooldown_s=self.cooldown_s,
-        )
+        return Autoscaler(fleet, self)
 
 
 class Autoscaler:
-    """Reactive resize controller around one fleet (see module docstring)."""
+    """Reactive resize controller around one fleet (see module docstring),
+    reading its settings from ``policy``; it grows on the GPU of the
+    fleet's first worker."""
 
-    def __init__(
-        self,
-        fleet: Fleet,
-        gpu: GpuSpec,
-        *,
-        min_workers: int = 1,
-        max_workers: int = 8,
-        grow_backlog_s: float = 2e-3,
-        shrink_backlog_s: float = 2e-4,
-        cooldown_s: float = 0.0,
-    ) -> None:
-        if min_workers < 1:
-            raise PlanError(f"min_workers must be >= 1, got {min_workers}")
-        if max_workers < min_workers:
-            raise PlanError(
-                f"max_workers ({max_workers}) must be >= min_workers ({min_workers})"
-            )
-        if shrink_backlog_s < 0 or grow_backlog_s <= shrink_backlog_s:
-            raise PlanError(
-                "need grow_backlog_s > shrink_backlog_s >= 0, got "
-                f"grow={grow_backlog_s}, shrink={shrink_backlog_s}"
-            )
-        if cooldown_s < 0:
-            raise PlanError(f"cooldown_s must be >= 0, got {cooldown_s}")
+    def __init__(self, fleet: Fleet, policy: AutoscalePolicy) -> None:
         self.fleet = fleet
-        self.gpu = gpu
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.grow_backlog_s = grow_backlog_s
-        self.shrink_backlog_s = shrink_backlog_s
-        self.cooldown_s = cooldown_s
+        self.policy = policy
+        self.gpu = fleet.workers[0].gpu
         self.events: list[ScaleEvent] = []
         self._last_action_t: float | None = None
         #: high-water mark of fleet size (reported by fleet_replay).
@@ -140,7 +122,7 @@ class Autoscaler:
     def in_cooldown(self, now: float) -> bool:
         return (
             self._last_action_t is not None
-            and now - self._last_action_t < self.cooldown_s
+            and now - self._last_action_t < self.policy.cooldown_s
         )
 
     def _idle_worker(self, now: float) -> FleetWorker | None:
@@ -167,13 +149,14 @@ class Autoscaler:
         band, bounds reached, cooldown active, or nobody idle to retire)."""
         if self.in_cooldown(now):
             return None
+        policy = self.policy
         backlog = self.mean_backlog_s(now)
         event: ScaleEvent | None = None
         serving = self.serving_workers()
         if (
             serving < len(self.fleet.workers)  # somebody is actually down
-            and serving < self.min_workers
-            and len(self.fleet.workers) < self.max_workers
+            and serving < policy.min_workers
+            and len(self.fleet.workers) < policy.max_workers
         ):
             # Faults took serving capacity below the floor: replace the
             # lost worker(s) even with no backlog signal yet — requests
@@ -183,14 +166,14 @@ class Autoscaler:
                 now, "grow", worker.name, backlog, len(self.fleet.workers),
                 reason="lost_capacity",
             )
-        elif backlog > self.grow_backlog_s and len(self.fleet.workers) < self.max_workers:
+        elif backlog > policy.grow_backlog_s and len(self.fleet.workers) < policy.max_workers:
             worker = self.fleet.add_worker(self.gpu)
             event = ScaleEvent(
                 now, "grow", worker.name, backlog, len(self.fleet.workers)
             )
         elif (
-            backlog < self.shrink_backlog_s
-            and len(self.fleet.workers) > self.min_workers
+            backlog < policy.shrink_backlog_s
+            and len(self.fleet.workers) > policy.min_workers
         ):
             worker = self._idle_worker(now)
             if worker is not None:

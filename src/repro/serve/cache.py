@@ -63,18 +63,6 @@ class PlanKey:
             max_chain=max_chain,
         )
 
-    def variant(self, dtype: DType) -> "PlanKey":
-        """The same plan identity at another precision — the degraded-
-        precision reroute (:mod:`repro.serve.admission`) is a cache lookup
-        under this key, not a new serving path."""
-        return PlanKey(
-            model=self.model,
-            dtype=dtype.value,
-            gpu=self.gpu,
-            convention=self.convention,
-            max_chain=self.max_chain,
-        )
-
 
 @dataclass
 class CachedPlan:
@@ -87,7 +75,7 @@ class CachedPlan:
     session: InferenceSession
     #: memoized analytic reports, keyed by batch size (pricing a micro-batch
     #: of a size already seen is then a dict lookup).
-    _analytic: dict[int, SessionReport] = field(default_factory=dict)
+    _analytic: dict[int, SessionReport] = field(default_factory=dict, init=False)
 
     def analytic_report(self, batch_size: int) -> SessionReport:
         """Counters-only batched report for this plan (memoized per size)."""

@@ -11,13 +11,14 @@ artifact* on the shared simulated clock:
   (byte-identical ``save`` -> ``load`` round trip), plus a seeded
   :meth:`FaultPlan.chaos` generator drawing exponential crash/recover
   times from MTBF/MTTR.
-- :class:`RetryPolicy` — bounded attempts, exponential backoff with
-  *deterministic* jitter (an integer hash of ``(request, attempt)``, so
-  no RNG draw-order sensitivity), a retry budget as a fraction of
-  offered load, and an optional hedged duplicate after a p99-based
-  delay with first-wins cancellation.
+- :class:`RetryPolicy` — bounded attempts, exponential backoff of a
+  constant shape with *deterministic* jitter (an integer hash of
+  ``(request, attempt)``, so no RNG draw-order sensitivity), a retry
+  budget as a fraction of offered load, and an optional hedged duplicate
+  after a p99-based delay with first-wins cancellation.
 - :class:`CircuitBreaker` — per-worker consecutive-failure breaker with
-  a half-open probe, consulted by routing via ``FleetWorker.routable``.
+  a half-open probe (constant threshold and reset), consulted by routing
+  via ``FleetWorker.routable``.
 - :class:`FaultInjector` — the chaos runtime: an event heap on the
   replay clock that kills in-flight batches on crash, drains and
   requeues queued work to survivors, arms transient batch failures,
@@ -38,7 +39,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -178,26 +179,23 @@ class FaultPlan:
         mtbf_s: float,
         mttr_s: float,
         seed: int = 0,
-        slowdown_factor: float = 1.0,
     ) -> "FaultPlan":
         """Synthesize a seeded crash/recover schedule from MTBF / MTTR.
 
         Each worker alternates exponential up-times (mean ``mtbf_s``) and
-        down-times (mean ``mttr_s``) inside ``[0, duration_s)``.  When
-        ``slowdown_factor > 1`` the fault becomes a thermal throttle
-        instead of a crash (still paired with a ``recover``).
+        down-times (mean ``mttr_s``) inside ``[0, duration_s)``.  Slowdowns
+        load from a hand-written plan (:meth:`load`).
         """
         if n_workers < 1:
             raise PlanError(f"chaos plan needs >= 1 worker, got {n_workers}")
         if duration_s <= 0 or mtbf_s <= 0 or mttr_s <= 0:
             raise PlanError("chaos plan needs positive duration, mtbf and mttr")
         rng = np.random.default_rng(seed)
-        kind = "slowdown" if slowdown_factor > 1.0 else "crash"
         events: list[FaultEvent] = []
         for wid in range(n_workers):
             t = float(rng.exponential(mtbf_s))
             while t < duration_s:
-                events.append(FaultEvent(t=t, worker=wid, kind=kind, factor=slowdown_factor))
+                events.append(FaultEvent(t=t, worker=wid, kind="crash"))
                 t += float(rng.exponential(mttr_s))
                 events.append(FaultEvent(t=t, worker=wid, kind="recover"))
                 t += float(rng.exponential(mtbf_s))
@@ -231,28 +229,24 @@ class RetryPolicy:
     ``max_attempts`` counts the first submission: 3 means the original
     plus at most two retries.  Backoff for retry *k* (1-based) is
     ``backoff_s * backoff_factor**(k-1)``, stretched by up to ``jitter``
-    fraction via a deterministic hash of the request — no shared RNG.
-    ``budget`` caps total retries fleet-wide at that fraction of offered
-    load; ``hedge_delay_s`` (if set) launches one duplicate of a request
-    still unserved after that long, first copy to finish wins.
+    fraction via a deterministic hash of the request — no shared RNG; the
+    backoff shape is constant.  ``budget`` caps total retries fleet-wide at
+    that fraction of offered load; ``hedge_delay_s`` (if set) launches one
+    duplicate of a request still unserved after that long, first copy to
+    finish wins.
     """
 
+    backoff_s: ClassVar[float] = 2e-4
+    backoff_factor: ClassVar[float] = 2.0
+    jitter: ClassVar[float] = 0.5
+
     max_attempts: int = 3
-    backoff_s: float = 2e-4
-    backoff_factor: float = 2.0
-    jitter: float = 0.5
     budget: float = 0.2
     hedge_delay_s: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise PlanError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_s < 0:
-            raise PlanError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_factor < 1.0:
-            raise PlanError(f"backoff_factor must be >= 1.0, got {self.backoff_factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise PlanError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.budget < 0:
             raise PlanError(f"budget must be >= 0, got {self.budget}")
         if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
@@ -279,20 +273,17 @@ class RetryPolicy:
 
 
 class CircuitBreaker:
-    """Per-worker breaker: closed -> open on consecutive failures,
-    open -> half-open after ``reset_s`` (one probe request), half-open ->
-    closed on success or straight back to open on failure.
+    """Per-worker breaker: closed -> open on ``threshold`` consecutive
+    failures, open -> half-open after ``reset_s`` (one probe request),
+    half-open -> closed on success or straight back to open on failure.
     """
 
-    __slots__ = ("failures", "reset_s", "state", "threshold", "trips", "until")
+    __slots__ = ("failures", "state", "trips", "until")
 
-    def __init__(self, threshold: int = 3, reset_s: float = 1e-3) -> None:
-        if threshold < 1:
-            raise PlanError(f"breaker threshold must be >= 1, got {threshold}")
-        if reset_s <= 0:
-            raise PlanError(f"breaker reset_s must be positive, got {reset_s}")
-        self.threshold = threshold
-        self.reset_s = reset_s
+    threshold = 3
+    reset_s = 1e-3
+
+    def __init__(self) -> None:
         self.state = "closed"
         self.failures = 0
         self.trips = 0
@@ -440,33 +431,31 @@ class FaultInjector:
     retry: "RetryPolicy | None" = None
     offered: int = 0
     probe_s: float = 1e-4
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 1e-3
     submit: "Callable[..., bool] | None" = None
     commit: "Callable[..., None] | None" = None
     tracer: object = None
     metrics: object = None
 
     # accounting (finalized into FaultStats)
-    crashes: int = 0
-    slowdowns: int = 0
-    transients: int = 0
-    recoveries: int = 0
-    retries: int = 0
-    budget_denied: int = 0
-    requeues: int = 0
-    hedges: int = 0
-    hedges_won: int = 0
-    hedges_wasted: int = 0
-    hedges_cancelled: int = 0
-    lost: int = 0
+    crashes: int = field(default=0, init=False)
+    slowdowns: int = field(default=0, init=False)
+    transients: int = field(default=0, init=False)
+    recoveries: int = field(default=0, init=False)
+    retries: int = field(default=0, init=False)
+    budget_denied: int = field(default=0, init=False)
+    requeues: int = field(default=0, init=False)
+    hedges: int = field(default=0, init=False)
+    hedges_won: int = field(default=0, init=False)
+    hedges_wasted: int = field(default=0, init=False)
+    hedges_cancelled: int = field(default=0, init=False)
+    lost: int = field(default=0, init=False)
 
-    _heap: list = field(default_factory=list)
-    _seq: int = 0
-    _copies: dict = field(default_factory=dict)
-    _flights: dict = field(default_factory=dict)
-    _parked: list = field(default_factory=list)
-    _pending_retries: int = 0
+    _heap: list = field(default_factory=list, init=False)
+    _seq: int = field(default=0, init=False)
+    _copies: dict = field(default_factory=dict, init=False)
+    _flights: dict = field(default_factory=dict, init=False)
+    _parked: list = field(default_factory=list, init=False)
+    _pending_retries: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.tracer = resolve_tracer(self.tracer)
@@ -791,7 +780,7 @@ class FaultInjector:
 
     def _breaker(self, worker) -> CircuitBreaker:
         if worker.breaker is None:
-            worker.breaker = CircuitBreaker(self.breaker_threshold, self.breaker_reset_s)
+            worker.breaker = CircuitBreaker()
         return worker.breaker
 
     # -- obs --------------------------------------------------------------

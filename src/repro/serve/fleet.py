@@ -35,15 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from ..core.dtypes import DType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
-from ..obs import resolve_metrics, resolve_tracer
 from ..runtime.session import SessionReport
 from .cache import PlanKey
-from .server import InferenceRequest, InferenceResult, ModelServer
+from .server import InferenceResult, ModelServer
 
 __all__ = [
     "FleetWorker",
@@ -111,29 +108,22 @@ class FleetWorker:
 
 
 class FleetScheduler:
-    """Routes requests to workers; each decision lands on the tracer as a
-    ``fleet.route`` instant."""
+    """Routes requests over a :class:`Fleet`'s live workers, with the
+    fleet's ``policy`` and ``spill_factor``; each decision lands on the
+    fleet's tracer as a ``fleet.route`` instant."""
 
-    def __init__(
-        self,
-        workers: Sequence[FleetWorker],
-        policy: str = "affinity",
-        *,
-        spill_factor: float = 2.0,
-        tracer=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, fleet: Fleet, policy: str, spill_factor: float) -> None:
         if policy not in POLICIES:
             raise PlanError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        if not workers:
-            raise PlanError("a fleet needs at least one worker")
         if spill_factor < 0:
             raise PlanError(f"spill_factor must be >= 0, got {spill_factor}")
-        self.workers = list(workers)
+        #: the fleet's own list, so add_worker/remove_worker are visible
+        #: to routing immediately.
+        self.workers = fleet.workers
         self.policy = policy
         self.spill_factor = spill_factor
-        self.tracer = resolve_tracer(tracer)
-        self.metrics = resolve_metrics(metrics)
+        self.tracer = fleet.tracer
+        self.metrics = fleet.metrics
         self._rr = 0
         self._seq = 0
 
@@ -297,9 +287,8 @@ class Fleet:
     :func:`repro.serve.loadgen.fleet_replay` routes each request through
     :attr:`scheduler` and enqueues it on the chosen worker's server itself,
     then flushes with :meth:`step` and waits on :meth:`next_deadline` /
-    :meth:`pending`.  ``enqueue`` is the same route-then-enqueue for callers
-    outside the replay, and ``submit_analytic`` gives the synchronous routed
-    path the CLI batch sweeps use.
+    :meth:`pending`; ``submit_analytic`` is the synchronous routed path the
+    CLI batch sweeps use.
     """
 
     def __init__(
@@ -328,13 +317,7 @@ class Fleet:
         self.clock = first.clock
         self.tracer = first.tracer
         self.metrics = first.metrics
-        self.scheduler = FleetScheduler(
-            self.workers, policy, spill_factor=spill_factor,
-            tracer=self.tracer, metrics=self.metrics,
-        )
-        # The scheduler routes over the fleet's *live* worker list, so
-        # add_worker/remove_worker are visible to routing immediately.
-        self.scheduler.workers = self.workers
+        self.scheduler = FleetScheduler(self, policy, spill_factor)
 
     def _build_worker(self, gpu: GpuSpec) -> FleetWorker:
         worker = FleetWorker(self._next_worker_id, gpu, ModelServer(gpu, **self._server_settings))
@@ -388,37 +371,22 @@ class Fleet:
         attractive immediately."""
         return self._build_worker(gpu)
 
-    def remove_worker(
-        self, worker: FleetWorker, *, force: bool = False
-    ) -> list[InferenceRequest]:
+    def remove_worker(self, worker: FleetWorker) -> None:
         """Retire one *idle* worker (empty queue, device not executing).
 
         The worker moves to :attr:`retired` so its serving history stays in
         :meth:`stats`; removing the last worker or a busy one is an error —
-        the autoscaler only ever shrinks idle capacity.
-
-        With ``force=True`` (fault-driven removal) a busy worker is retired
-        anyway: its queued requests are drained and *returned* so the caller
-        can requeue them on survivors, and any un-elapsed device occupancy
-        is refunded so retired-worker utilization in :meth:`stats` stays
-        consistent.  Returns the drained requests (empty when not forced).
+        the autoscaler only ever shrinks idle capacity (a crashed worker is
+        drained by the fault injector and stays in the fleet).
         """
         if worker not in self.workers:
             raise PlanError(f"{worker.name} is not an active worker of this fleet")
         if len(self.workers) == 1:
             raise PlanError("cannot remove the last worker of a fleet")
-        drained: list[InferenceRequest] = []
-        now = self.clock()
-        if worker.server.pending() or worker.busy_until > now:
-            if not force:
-                raise PlanError(f"cannot remove busy worker {worker.name}")
-            drained = worker.server.drain()
-            if worker.busy_until > now:
-                worker.busy_s -= worker.busy_until - now
-                worker.busy_until = now
+        if worker.server.pending() or worker.busy_until > self.clock():
+            raise PlanError(f"cannot remove busy worker {worker.name}")
         self.workers.remove(worker)
         self.retired.append(worker)
-        return drained
 
     def rewarm(self, worker: FleetWorker) -> int:
         """Re-warm a recovering worker's plan cache from same-GPU peers.
@@ -447,13 +415,6 @@ class Fleet:
         return self.scheduler.policy
 
     # ---- synchronous routed path ----------------------------------------------
-    def _occupy(self, worker: FleetWorker, now: float, report: SessionReport) -> None:
-        """Charge a synchronous batch to the worker's occupancy timeline, so
-        later routing decisions see the device as busy (without this every
-        backlog estimate stays 0 and affinity pins all traffic to worker 0)."""
-        worker.busy_until = max(now, worker.busy_until) + report.latency_s
-        worker.busy_s += report.latency_s
-
     def submit_analytic(
         self, model: str, batch_size: int = 1, dtype: DType = DType.FP32
     ) -> tuple[FleetWorker, SessionReport]:
@@ -463,41 +424,14 @@ class Fleet:
         if worker is None:
             raise PlanError(f"no routable worker for {model} (fleet is down)")
         report = worker.server.submit_analytic(model, batch_size, dtype)
-        self._occupy(worker, now, report)
+        # Charge the batch to the worker's occupancy timeline, so later
+        # routing sees the device as busy (otherwise every backlog estimate
+        # stays 0 and affinity pins all traffic to worker 0).
+        worker.busy_until = max(now, worker.busy_until) + report.latency_s
+        worker.busy_s += report.latency_s
         return worker, report
 
-    def submit(
-        self, model: str, inputs: np.ndarray, dtype: DType = DType.FP32
-    ) -> tuple[FleetWorker, SessionReport]:
-        """Route one functional batch and run it on the chosen worker."""
-        now = self.clock()
-        worker = self.scheduler.route(model, dtype, now)
-        if worker is None:
-            raise PlanError(f"no routable worker for {model} (fleet is down)")
-        report = worker.server.submit(model, inputs, dtype)
-        self._occupy(worker, now, report)
-        return worker, report
-
-    # ---- queued routed path ----------------------------------------------------
-    def enqueue(
-        self,
-        model: str,
-        inputs: np.ndarray | None = None,
-        dtype: DType = DType.FP32,
-        *,
-        slo_s: float | None = None,
-        priority: int = 0,
-    ) -> tuple[FleetWorker, int]:
-        """Route one request onto a worker's queue; returns (worker, its
-        worker-local request id).  ``slo_s``/``priority`` thread through to
-        :meth:`ModelServer.enqueue` (deadline-aware flushing per worker)."""
-        worker = self.scheduler.route(model, dtype, self.clock())
-        if worker is None:
-            raise PlanError(f"no routable worker for {model} (fleet is down)")
-        return worker, worker.server.enqueue(
-            model, inputs, dtype, slo_s=slo_s, priority=priority
-        )
-
+    # ---- queued path (driven by loadgen.fleet_replay) ---------------------------
     def pending(self) -> int:
         return sum(w.server.pending() for w in self.workers)
 
@@ -505,12 +439,12 @@ class Fleet:
         deadlines = [d for w in self.workers if (d := w.server.next_deadline()) is not None]
         return min(deadlines) if deadlines else None
 
-    def step(self, *, force: bool = False) -> list[tuple[FleetWorker, InferenceResult]]:
+    def step(self) -> list[tuple[FleetWorker, InferenceResult]]:
         """Flush every worker's due micro-batches; results keep their worker
         so callers can advance per-device occupancy."""
         flushed: list[tuple[FleetWorker, InferenceResult]] = []
         for worker in self.workers:
-            flushed.extend((worker, r) for r in worker.server.step(force=force))
+            flushed.extend((worker, r) for r in worker.server.step())
         return flushed
 
     # ---- accounting -------------------------------------------------------------

@@ -241,30 +241,19 @@ def diurnal_arrival_times(
     return times
 
 
-def generate_arrivals(
-    kind: str,
-    n: int,
-    rate_rps: float,
-    *,
-    seed: int = 0,
-    sigma: float = 1.0,
-    alpha: float = 2.5,
-    period_s: float = 1.0,
-    amplitude: float = 0.5,
-) -> list[float]:
-    """Dispatch an arrival stream by kind (one of :data:`ARRIVAL_KINDS`)."""
+def generate_arrivals(kind: str, n: int, rate_rps: float, *, seed: int = 0) -> list[float]:
+    """Dispatch an arrival stream by kind (one of :data:`ARRIVAL_KINDS`),
+    each generator at its own default shape."""
     if kind == "uniform":
         return arrival_times(n, rate_rps, poisson=False, seed=seed)
     if kind == "poisson":
         return arrival_times(n, rate_rps, poisson=True, seed=seed)
     if kind == "lognormal":
-        return lognormal_arrival_times(n, rate_rps, sigma=sigma, seed=seed)
+        return lognormal_arrival_times(n, rate_rps, seed=seed)
     if kind == "pareto":
-        return pareto_arrival_times(n, rate_rps, alpha=alpha, seed=seed)
+        return pareto_arrival_times(n, rate_rps, seed=seed)
     if kind == "diurnal":
-        return diurnal_arrival_times(
-            n, rate_rps, period_s=period_s, amplitude=amplitude, seed=seed
-        )
+        return diurnal_arrival_times(n, rate_rps, seed=seed)
     raise PlanError(f"unknown arrival kind {kind!r}; choose from {ARRIVAL_KINDS}")
 
 
@@ -642,8 +631,6 @@ def fleet_replay(
     faults: FaultPlan | None = None,
     retry: RetryPolicy | None = None,
     probe_s: float = 1e-4,
-    breaker_threshold: int = 3,
-    breaker_reset_s: float = 1e-3,
     seed: int = 0,
     fleet: Fleet | None = None,
     **fleet_settings,
@@ -844,8 +831,6 @@ def fleet_replay(
             retry=retry,
             offered=len(entries),
             probe_s=probe_s,
-            breaker_threshold=breaker_threshold,
-            breaker_reset_s=breaker_reset_s,
             submit=chaos_submit,
             commit=commit,
             tracer=tracer,

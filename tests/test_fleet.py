@@ -17,11 +17,13 @@ from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.obs import Tracer
 from repro.serve import (
+    AutoscalePolicy,
     FakeClock,
+    FaultPlan,
     Fleet,
-    FleetScheduler,
     ModelServer,
     PlanCache,
+    RetryPolicy,
     explain_routes,
     fleet_replay,
 )
@@ -124,9 +126,8 @@ class TestFleetConstruction:
             Fleet([GTX1660], policy="random")
 
     def test_scheduler_validates_spill_factor(self):
-        fleet = _fleet([GTX1660])
-        with pytest.raises(PlanError):
-            FleetScheduler(fleet.workers, spill_factor=-1.0)
+        with pytest.raises(PlanError, match="spill_factor"):
+            _fleet([GTX1660], spill_factor=-1.0)
 
 
 class TestRouting:
@@ -185,9 +186,11 @@ class TestRouting:
     def test_queued_fleet_path_attributes_workers(self):
         fleet = _fleet([GTX1660, RTX_A4000])
         for _ in range(4):
-            fleet.enqueue("tiny_a")
+            worker = fleet.scheduler.route("tiny_a", DType.FP32, fleet.clock())
+            worker.server.enqueue("tiny_a")
         assert fleet.pending() == 4
-        flushed = fleet.step(force=True)
+        fleet.test_clock.advance(2 * fleet.workers[0].server.max_delay_s)
+        flushed = fleet.step()
         assert len(flushed) == 4
         assert fleet.pending() == 0
         workers = {worker.name for worker, _ in flushed}
@@ -317,6 +320,28 @@ class TestSettingsForwarding:
             fleet_replay([GTX1660], "tiny_a", 4, 100.0, seed=1, workers=2)
         with pytest.raises(TypeError, match="workers"):
             _fleet([GTX1660]).preplan(["tiny_a"], workers=2)
+        # Breaker and backoff values are constants; the keyword falls through
+        # fleet_replay's fleet settings to ModelServer, which refuses it.
+        with pytest.raises(TypeError, match="breaker_threshold"):
+            fleet_replay([GTX1660], "tiny_a", 4, 100.0, breaker_threshold=1)
+        with pytest.raises(TypeError, match="jitter"):
+            RetryPolicy(jitter=0.5)
+        # The autoscaler grows on the fleet's first GPU.
+        with pytest.raises(TypeError, match="gpu"):
+            AutoscalePolicy(gpu=GTX1660)
+        # --chaos synthesizes crashes only.
+        with pytest.raises(TypeError, match="slowdown_factor"):
+            FaultPlan.chaos(2, 1e-3, mtbf_s=1e-4, mttr_s=5e-5, slowdown_factor=2.0)
+        fleet = _fleet([GTX1660, GTX1660])
+        with pytest.raises(TypeError, match="force"):
+            fleet.remove_worker(fleet.workers[1], force=True)
+        server = fleet.workers[0].server
+        with pytest.raises(TypeError, match="force"):
+            server.step(force=True)
+        # The queue is analytic-only: a tensor no longer binds to dtype.
+        x = np.zeros((3, 32, 32), dtype=np.float32)
+        with pytest.raises(TypeError, match="positional"):
+            server.enqueue("tiny_a", x)
 
     def test_added_worker_gets_the_forwarded_settings(self):
         fleet = _fleet([GTX1660], max_batch=4, max_delay_s=1e-4)
@@ -338,12 +363,3 @@ class TestFleetFunctionalPath:
         assert w_a.busy_s == pytest.approx(report.latency_s)
         w_b, _ = fleet.submit_analytic("tiny_b", 8)
         assert w_b.name == "RTX#1"
-
-    def test_routed_submit_returns_outputs(self, rng):
-        fleet = _fleet([GTX1660, RTX_A4000])
-        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
-        worker, report = fleet.submit("tiny_a", x)
-        assert report.output.shape[0] == 2
-        # Affinity keeps the follow-up on the same worker.
-        worker2, _ = fleet.submit("tiny_a", x)
-        assert worker2 is worker

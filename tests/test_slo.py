@@ -205,7 +205,8 @@ class TestDeadlines:
         srv.enqueue("tiny_a")
         srv.enqueue("tiny_a")
         urgent = srv.enqueue("tiny_a", priority=5)
-        results = srv.step(force=True)
+        srv.test_clock.advance(2 * srv.max_delay_s)
+        results = srv.step()
         first_batch = [r.request_id for r in results[:2]]
         assert urgent in first_batch
 
@@ -392,19 +393,20 @@ class TestAutoscaler:
         eager planning makes the queue-cost estimate non-zero)."""
         fleet = _fleet(1, max_batch=4, max_delay_s=1.0)
         for _ in range(16):
-            fleet.enqueue("tiny_a", slo_s=1.0)
+            worker = fleet.scheduler.route("tiny_a", DType.FP32, fleet.clock())
+            worker.server.enqueue("tiny_a", slo_s=1.0)
         return fleet
 
     def test_policy_validation(self):
-        fleet = _fleet(1)
+        """The policy validates its settings when built, before any bind."""
         with pytest.raises(PlanError, match="min_workers"):
-            AutoscalePolicy(min_workers=0).bind(fleet)
+            AutoscalePolicy(min_workers=0)
         with pytest.raises(PlanError, match="max_workers"):
-            AutoscalePolicy(min_workers=4, max_workers=2).bind(fleet)
+            AutoscalePolicy(min_workers=4, max_workers=2)
         with pytest.raises(PlanError, match="grow_backlog_s > shrink_backlog_s"):
-            AutoscalePolicy(grow_backlog_s=1e-6, shrink_backlog_s=1e-3).bind(fleet)
+            AutoscalePolicy(grow_backlog_s=1e-6, shrink_backlog_s=1e-3)
         with pytest.raises(PlanError, match="cooldown_s"):
-            AutoscalePolicy(cooldown_s=-1.0).bind(fleet)
+            AutoscalePolicy(cooldown_s=-1.0)
 
     def test_grows_under_backlog(self):
         fleet = self._loaded_fleet()
@@ -427,11 +429,12 @@ class TestAutoscaler:
         ).bind(fleet)
         scaler.observe(0.0)
         assert len(fleet.workers) == 2
-        # drain everything, then move past any residual device occupancy
-        while fleet.pending():
-            fleet.step(force=True)
+        # move past any residual device occupancy to where every queue is
+        # due (max_delay_s = 1.0), then drain
         now = max(w.busy_until for w in fleet.workers) + 1.0
         fleet.test_clock.t = now
+        fleet.step()
+        assert fleet.pending() == 0
         event = scaler.observe(now)
         assert event is not None and event.action == "shrink"
         # the highest-numbered idle worker retires, and its accounting stays
@@ -459,8 +462,8 @@ class TestAutoscaler:
         lone = _fleet(1)
         with pytest.raises(PlanError, match="last worker"):
             lone.remove_worker(lone.workers[0])
-        fleet.enqueue("tiny_a", slo_s=1.0)
-        busy = next(w for w in fleet.workers if w.server.pending())
+        busy = fleet.scheduler.route("tiny_a", DType.FP32, fleet.clock())
+        busy.server.enqueue("tiny_a", slo_s=1.0)
         with pytest.raises(PlanError, match="busy worker"):
             fleet.remove_worker(busy)
         with pytest.raises(PlanError, match="not an active worker"):
