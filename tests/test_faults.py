@@ -257,13 +257,23 @@ class TestRetryPolicy:
         "kwargs",
         [
             dict(max_attempts=0),
+            dict(backoff_s=-1e-6),
+            dict(backoff_factor=0.5),
+            dict(jitter=1.5),
+            dict(jitter=-0.1),
             dict(budget=-0.1),
             dict(hedge_delay_s=0.0),
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(PlanError):
-            RetryPolicy(**kwargs)
+        (knob,) = kwargs
+        if knob in ("backoff_s", "backoff_factor", "jitter"):
+            # The backoff shape is a class constant: no value of it is accepted.
+            with pytest.raises(TypeError, match=knob):
+                RetryPolicy(**kwargs)
+        else:
+            with pytest.raises(PlanError, match=knob):
+                RetryPolicy(**kwargs)
 
     def test_backoff_deterministic_and_bounded(self):
         policy = RetryPolicy()
