@@ -54,7 +54,7 @@ from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_input_r
 from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .costs import STREAM_CHUNK, GmaEstimate, streamed_matmul_l1_bytes
+from .costs import STREAM_CHUNK, GmaEstimate, _check_convention, streamed_matmul_l1_bytes
 
 __all__ = [
     "FCM_TILING_KEYS",
@@ -69,7 +69,6 @@ __all__ = [
     "chain_vocabularies",
     "fcm_type_of",
     "tiling_vocabulary",
-    "chain_axis_tables",
     "chain_window_extents",
     "tiling_ladder",
 ]
@@ -281,7 +280,7 @@ def _boundary_sums(
     :func:`~repro.core.tiling.tile_input_range` — exactly what the simulated
     chain kernel loads (``b = 0`` or ``1``) and computes (``0 < b < N``), so
     measured-convention costs match the kernel's metered bytes.  Pure in its
-    arguments, so cached like the grid search's axis tables.
+    arguments, so cached per stage geometry and tile size.
     """
     cur = [(t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile)]
     sums = [_axis_sums(cur)]
@@ -318,24 +317,6 @@ def _stage_macs_per_elem(spec: ConvSpec) -> int:
     return per
 
 
-def chain_axis_tables(
-    chain: FusedChain, tiles, axis: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(summed, covered) per-boundary extents for every candidate tile size.
-
-    Returns ``(totals, covered)`` where ``totals[b][i]`` is the summed
-    clamped extent of boundary ``b`` under tile size ``tiles[i]`` along
-    ``axis`` (0 = rows, 1 = cols) and ``covered[b][i]`` the union of those
-    extents — the measured-convention inputs the vectorized chain search
-    broadcasts over its (tile_h, tile_w) grid.
-    """
-    n_bounds = chain.length + 1
-    per_tile = [_axis_boundary_sums(chain, t, axis) for t in tiles]
-    totals = [tuple(sums[b][0] for sums in per_tile) for b in range(n_bounds)]
-    covered = [tuple(sums[b][1] for sums in per_tile) for b in range(n_bounds)]
-    return totals, covered
-
-
 def chain_window_extents(chain: FusedChain, tiles) -> tuple[tuple[int, ...], ...]:
     """Unclamped per-boundary window extents for every candidate tile size.
 
@@ -370,6 +351,7 @@ def _window_extents(
 
 def dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
     """:func:`chain_gma` of a dataflow :func:`chain_dataflow` already read."""
+    _check_convention(convention)
     chain = flow.chain
     n = chain.length
     first, last = chain.first, chain.last
@@ -423,8 +405,6 @@ def chain_gma(
     chain: FusedChain, tiling: Mapping[str, int], convention: str = "paper"
 ) -> FcmCost:
     """Estimate the global memory accesses of one fused-chain configuration."""
-    if convention not in ("paper", "measured"):
-        raise UnsupportedError(f"unknown cost convention {convention!r}")
     return dataflow_gma(chain_dataflow(chain, tiling), convention)
 
 

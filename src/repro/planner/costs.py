@@ -2,15 +2,17 @@
 
 Costs are computed in *elements* and converted to bytes with the layer dtype,
 since the equations are element-counting identities.  Two conventions are
-implemented:
+implemented, each with one consumer:
 
 * ``paper`` — the equations exactly as printed.  Two notational choices are
   resolved as documented in DESIGN.md: Eq. 2's weight-reload factor is read
   as the number of *spatial* OFM tiles (consistent with Eq. 3), and Eq. 3
-  charges overlap as ``2 x IFMsD x Overlap``.
+  charges overlap as ``2 x IFMsD x Overlap``.  Every tile search ranks in
+  this convention.
 * ``measured`` — what an OS-LWS kernel actually issues, with border clamping
   and one extra load per shared halo element; this convention matches the
   simulator's byte counters exactly and is verified by integration tests.
+  The analytic counters (:mod:`repro.planner.analytic`) price in it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "dw_gma",
     "lbl_gma",
     "loaded_axis_elems",
-    "loaded_axis_table",
     "pw_tile_footprint",
     "dw_tile_footprint",
     "pw_feasible",
@@ -84,21 +85,6 @@ def loaded_axis_elems(
         lo, hi = tile_input_range(t0, tlen, kernel, stride, padding, in_size)
         total += max(hi - lo, 0)
     return total
-
-
-def loaded_axis_table(
-    out_size: int, tiles, kernel: int, stride: int, padding: int, in_size: int
-) -> tuple[int, ...]:
-    """:func:`loaded_axis_elems` for every candidate tile size along one axis.
-
-    The vectorized search evaluates whole candidate grids at once; the
-    measured convention is not closed-form (border clamping), but it *is*
-    axis-separable, so one small table per axis — one entry per distinct
-    tile size — is all the grid evaluation needs.
-    """
-    return tuple(
-        loaded_axis_elems(out_size, t, kernel, stride, padding, in_size) for t in tiles
-    )
 
 
 def pw_gma(spec: ConvSpec, tiling: PwTiling, convention: str = "paper") -> GmaEstimate:

@@ -8,15 +8,16 @@ pow2 axes are materialized as 1-D ``int64`` arrays, Eq. 2/3/4-family
 feasibility and GMA become broadcast expressions over their outer product,
 and the winner falls out of one stable lexsort.
 
-Every estimator here is axis-separable: GMA and footprint terms factor into
-small per-axis tables (``ceil_div`` ladders, Eq. 1 overlap terms, the
-measured convention's clamped ``loaded``/``covered`` extents), so a grid of
-thousands of candidates costs a handful of table builds plus a few
-broadcast multiplies.  All arithmetic stays in ``int64`` — the same exact
-integers the scalar path computes — and the rank order reproduces
-``search._rank_key`` bit-for-bit: warp-multiple thread blocks first, then
-GMA, then larger tiles, ties broken by the scalar sweep's visiting order
-(C-order flat index, axes nested exactly like the reference loops).
+Every search ranks in the paper convention (Eq. 1-4 as printed).  Its
+estimators are axis-separable: GMA and footprint terms factor into small
+per-axis tables (``ceil_div`` ladders, Eq. 1 overlap terms, window
+extents), so a grid of thousands of candidates costs a handful of table
+builds plus a few broadcast multiplies.  All arithmetic stays in
+``int64`` — the same exact integers the scalar path computes — and the
+rank order reproduces ``search._rank_key`` bit-for-bit: warp-multiple
+thread blocks first, then GMA, then larger tiles, ties broken by the
+scalar sweep's visiting order (C-order flat index, axes nested exactly
+like the reference loops).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.chain import FusedChain, composed_receptive_field
-from ..errors import PlanError, UnsupportedError
+from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import (
@@ -35,12 +36,11 @@ from .chain_costs import (
     _flattens,
     _grid,
     _stage_macs_per_elem,
-    chain_axis_tables,
     chain_window_extents,
     tiling_ladder,
     tiling_vocabulary,
 )
-from .costs import STREAM_CHUNK, _check_convention, loaded_axis_table
+from .costs import STREAM_CHUNK
 
 __all__ = [
     "TilingGrid",
@@ -84,14 +84,6 @@ _ONE = np.ones(1, dtype=np.int64)
 def _pow2_axis(limit: int, minimum: int = 1) -> np.ndarray:
     """The pow2 candidate ladder as a cached (treat-as-immutable) array."""
     return _axis(pow2_candidates(limit, minimum))
-
-
-@lru_cache(maxsize=None)
-def _loaded_table(
-    out: int, tiles: tuple[int, ...], k: int, s: int, pad: int, in_size: int
-) -> np.ndarray:
-    """Cached measured-convention loaded-extent table (pure in its args)."""
-    return _axis(loaded_axis_table(out, tiles, k, s, pad, in_size))
 
 
 @dataclass(frozen=True)
@@ -159,9 +151,8 @@ class TilingGrid:
 # ---- layer-by-layer (Eq. 2 / Eq. 3) -------------------------------------------
 
 
-def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingGrid:
+def lbl_grid(spec: ConvSpec, gpu: GpuSpec) -> TilingGrid:
     """Eq. 2 / Eq. 3 GMA and feasibility over the full LBL candidate grid."""
-    _check_convention(convention)
     eb = spec.dtype.nbytes
     if spec.kind is ConvKind.POINTWISE:
         m, c = spec.out_channels, spec.in_channels
@@ -170,7 +161,6 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingG
         thw = _pow2_axis(out_hw, 4)
         n_w = _cdiv(m, tm)[:, None]
         n_sp = _cdiv(out_hw, thw)[None, :]
-        # Eq. 2 is convention-independent (1x1 filters: no halo, no clamping).
         reads = n_w * (c * out_hw) + n_sp * (m * c)
         gma = (reads + m * out_hw) * eb
         l1 = (tm[:, None] * thw[None, :] + STREAM_CHUNK * (tm[:, None] + thw[None, :])) * eb
@@ -178,23 +168,18 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingG
         zeros = np.zeros(gma.shape, dtype=np.int64)
         return TilingGrid(("tile_m", "tile_hw"), (tm, thw), feasible, gma, zeros, zeros)
     if spec.kind is ConvKind.DEPTHWISE:
-        c, k, s, pad = spec.in_channels, spec.kernel, spec.stride, spec.padding
+        c, k, s = spec.in_channels, spec.kernel, spec.stride
         tc = _pow2_axis(c)
         th = _pow2_axis(spec.out_h)
         tw = _pow2_axis(spec.out_w)
         shape = (tc.size, th.size, tw.size)
         n_sp = _cdiv(spec.out_h, th)[:, None] * _cdiv(spec.out_w, tw)[None, :]
         weights = c * k * k
-        if convention == "paper":
-            # Eq. 1 overlap is a sum of one th-term and one tw-term.
-            ovl = ((_cdiv(spec.in_h, th * s) - 1) * max(k - s, 0) * spec.in_w)[:, None] + (
-                (_cdiv(spec.in_w, tw * s) - 1) * max(k - s, 0) * spec.in_h
-            )[None, :]
-            reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp * weights
-        else:
-            rows = _loaded_table(spec.out_h, pow2_candidates(spec.out_h), k, s, pad, spec.in_h)
-            cols = _loaded_table(spec.out_w, pow2_candidates(spec.out_w), k, s, pad, spec.in_w)
-            reads = c * rows[:, None] * cols[None, :] + n_sp * weights
+        # Eq. 1 overlap is a sum of one th-term and one tw-term.
+        ovl = ((_cdiv(spec.in_h, th * s) - 1) * max(k - s, 0) * spec.in_w)[:, None] + (
+            (_cdiv(spec.in_w, tw * s) - 1) * max(k - s, 0) * spec.in_h
+        )[None, :]
+        reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp * weights
         gma = np.broadcast_to(
             ((reads + c * spec.out_h * spec.out_w) * eb)[None, :, :], shape
         )
@@ -211,25 +196,21 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> TilingG
 # ---- fused chains (the FCMs are length-2 chains) ---------------------------------
 
 
-def chain_grid(
-    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec, convention: str = "paper"
-) -> TilingGrid:
+def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> TilingGrid:
     """Every candidate of one tiling vocabulary, evaluated as arrays.
 
     ``keys`` is one vocabulary the chain speaks
     (:func:`~repro.planner.chain_costs.tiling_vocabulary`).  Mirrors
     :func:`repro.planner.chain_costs.chain_gma` /
     :func:`~repro.planner.chain_costs.chain_footprints` term for term; the
-    per-boundary overlap, clamped-extent and window-extent quantities come
-    from the cost module's axis tables, one entry per candidate tile size.
-    Every term broadcasts over the canonical ``(tile_f, tile_h, tile_w,
-    tile_m)`` axes, with a size-1 axis where the vocabulary has no key; the
-    result arrays are views onto the vocabulary's own axes, whose order is
-    the canonical one, so C-order stays the scalar sweep's order.
+    per-boundary overlap and window-extent quantities are axis tables, one
+    entry per candidate tile size.  Every term broadcasts over the
+    canonical ``(tile_f, tile_h, tile_w, tile_m)`` axes, with a size-1 axis
+    where the vocabulary has no key; the result arrays are views onto the
+    vocabulary's own axes, whose order is the canonical one, so C-order
+    stays the scalar sweep's order.
     """
     keys = tiling_vocabulary(chain, keys)
-    if convention not in ("paper", "measured"):
-        raise UnsupportedError(f"unknown cost convention {convention!r}")
     axes = {k: _pow2_axis(*tiling_ladder(chain, k)) for k in keys}
     key_axes = tuple(axes[k] for k in keys)
     if "tile_hw" in keys:
@@ -251,46 +232,27 @@ def chain_grid(
     tf = axes.get("tile_f", _ONE)
     tm = axes.get("tile_m", _ONE)
     th4, tw4 = th[None, :, None, None], tw[None, None, :, None]
-
-    def rows(v) -> np.ndarray:
-        return _axis(v)[None, :, None, None]
-
-    def cols(v) -> np.ndarray:
-        return _axis(v)[None, None, :, None]
-
     n_sp = _cdiv(out_h, th4) * _cdiv(out_w, tw4)
     weights = sum(s.weights_elements for s in chain.specs)
     writes = last.out_channels * out_h * out_w
     in_b = 1 if first.kind is ConvKind.POINTWISE else 0
     redundant = 0
     useful = last.macs
-    if convention == "paper":
 
-        def ovl_at(b: int) -> np.ndarray:
-            h, w = _grid(chain, b)
-            k_eff, s_eff = composed_receptive_field(chain.specs[b:])
-            o = max(k_eff - s_eff, 0)
-            return (_cdiv(h, th4 * s_eff) - 1) * o * w + (_cdiv(w, tw4 * s_eff) - 1) * o * h
+    def ovl_at(b: int) -> np.ndarray:
+        h, w = _grid(chain, b)
+        k_eff, s_eff = composed_receptive_field(chain.specs[b:])
+        o = max(k_eff - s_eff, 0)
+        return (_cdiv(h, th4 * s_eff) - 1) * o * w + (_cdiv(w, tw4 * s_eff) - 1) * o * h
 
-        h_in, w_in = _grid(chain, in_b)
-        ifm = first.in_channels * (2 * ovl_at(in_b) + h_in * w_in)
-        for b in range(1, n):
-            h, w = _grid(chain, b)
-            stage = chain.specs[b - 1]
-            mpe = _stage_macs_per_elem(stage)
-            redundant = redundant + stage.out_channels * ovl_at(b) * mpe
-            useful = useful + stage.out_channels * h * w * mpe
-    else:
-        row_tot, row_cov = chain_axis_tables(chain, th.tolist(), 0)
-        col_tot, col_cov = chain_axis_tables(chain, tw.tolist(), 1)
-        ifm = first.in_channels * rows(row_tot[in_b]) * cols(col_tot[in_b])
-        for b in range(1, n):
-            stage = chain.specs[b - 1]
-            mpe = _stage_macs_per_elem(stage)
-            executed = stage.out_channels * rows(row_tot[b]) * cols(col_tot[b])
-            unique = stage.out_channels * rows(row_cov[b]) * cols(col_cov[b])
-            redundant = redundant + (executed - unique) * mpe
-            useful = useful + unique * mpe
+    h_in, w_in = _grid(chain, in_b)
+    ifm = first.in_channels * (2 * ovl_at(in_b) + h_in * w_in)
+    for b in range(1, n):
+        h, w = _grid(chain, b)
+        stage = chain.specs[b - 1]
+        mpe = _stage_macs_per_elem(stage)
+        redundant = redundant + stage.out_channels * ovl_at(b) * mpe
+        useful = useful + stage.out_channels * h * w * mpe
     n_f = _cdiv(first.out_channels, tf[:, None, None, None]) if grouped else 1
     gma = (n_f * ifm + n_sp * weights + writes) * eb
 
@@ -298,7 +260,10 @@ def chain_grid(
     # same per-stage residency terms as chain_footprints.
     eh = chain_window_extents(chain, th.tolist())
     ew = chain_window_extents(chain, tw.tolist())
-    window = [rows(eh[b]) * cols(ew[b]) for b in range(n)]
+    window = [
+        _axis(eh[b])[None, :, None, None] * _axis(ew[b])[None, None, :, None]
+        for b in range(n)
+    ]
     stream = list(window)
     out_px = th4 * tw4
     if grouped and not spatial:  # PWDW: the plane resident, rows streaming

@@ -10,10 +10,10 @@ saved: a fresh process starts with an empty memo.
 
 Only the two *search* families are memoized — ``best_lbl_tiling`` and
 ``best_chain_tiling`` (one entry per chain and tiling vocabulary) — because
-their winners depend solely on (geometry, dtype, GPU limits, cost
-convention).  Arbitration between a chain's vocabularies and the
-run-partitioning DP are deliberately *not* memoized here: those decisions
-are calibration-dependent and stay in the planner.
+their winners depend solely on (geometry, dtype, GPU limits); every search
+ranks in the paper cost convention.  Arbitration between a chain's
+vocabularies and the run-partitioning DP are deliberately *not* memoized
+here: those decisions are calibration-dependent and stay in the planner.
 The scalar oracles (``scalar_*_tiling``) never read or fill a memo, so the
 parity suite always compares a real sweep against the grid search.
 """
@@ -70,17 +70,11 @@ class GeometryMemo:
         self.misses = 0
 
     # ---- keys ----------------------------------------------------------------
-    def lbl_key(self, spec, gpu, convention: str) -> tuple:
-        return ("lbl", spec_key(spec), _gpu_key(gpu), convention)
+    def lbl_key(self, spec, gpu) -> tuple:
+        return ("lbl", spec_key(spec), _gpu_key(gpu))
 
-    def chain_key(self, chain, keys, gpu, convention: str) -> tuple:
-        return (
-            "chain",
-            tuple(keys),
-            tuple(map(spec_key, chain.specs)),
-            _gpu_key(gpu),
-            convention,
-        )
+    def chain_key(self, chain, keys, gpu) -> tuple:
+        return ("chain", tuple(keys), tuple(map(spec_key, chain.specs)), _gpu_key(gpu))
 
     # ---- lookup ---------------------------------------------------------------
     def get_or_search(

@@ -111,9 +111,10 @@ class CandidateReport:
 class FusePlanner:
     """Cost-model-driven fusion and tiling planner (paper Fig. 5).
 
+    Candidates rank in the paper cost convention (Eq. 2-4 as printed).
+
     Args:
         gpu: target GPU spec.
-        convention: cost convention, ``"paper"`` or ``"measured"``.
         max_chain: longest fused chain the DP may pick.  The default of 2
             reproduces the paper's pairwise FCM plans; 3+ unlocks e.g. the
             PW->DW->PW inverted-residual chains of MobileNetV2.
@@ -137,7 +138,7 @@ class FusePlanner:
     def __init__(
         self,
         gpu: GpuSpec,
-        convention: str = "paper",
+        *,
         max_chain: int = 2,
         calibration=None,
         memo=None,
@@ -147,7 +148,6 @@ class FusePlanner:
         if max_chain < 1:
             raise PlanError(f"max_chain must be >= 1, got {max_chain}")
         self.gpu = gpu
-        self.convention = convention
         self.max_chain = max_chain
         self.calibration = calibration
         self.memo = shared_memo() if memo is None else memo
@@ -163,10 +163,10 @@ class FusePlanner:
 
     # ---- tile searches (ScalarPlanner swaps in the scalar oracles) -----------
     def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
-        return best_lbl_tiling(spec, self.gpu, self.convention, memo=self.memo)
+        return best_lbl_tiling(spec, self.gpu, memo=self.memo)
 
     def _chain_tiling(self, chain: FusedChain, keys: tuple[str, ...]) -> SearchResult | None:
-        return best_chain_tiling(chain, keys, self.gpu, self.convention, memo=self.memo)
+        return best_chain_tiling(chain, keys, self.gpu, memo=self.memo)
 
     # ---- single-layer pass ---------------------------------------------------
     def lbl_plan(self, spec: ConvSpec) -> SearchResult:
@@ -341,7 +341,7 @@ class FusePlanner:
             "planner.plan",
             model=graph.name,
             gpu=self.gpu.name,
-            convention=self.convention,
+            convention="paper",
             max_chain=self.max_chain,
         ):
             result = self._plan_impl(graph, dtype)
@@ -401,7 +401,7 @@ class ScalarPlanner(FusePlanner):
     sweeps rather than replaying memoized grid-search winners."""
 
     def _lbl_tiling(self, spec: ConvSpec) -> SearchResult:
-        return scalar_lbl_tiling(spec, self.gpu, self.convention)
+        return scalar_lbl_tiling(spec, self.gpu)
 
     def _chain_tiling(self, chain: FusedChain, keys: tuple[str, ...]) -> SearchResult | None:
-        return scalar_chain_tiling(chain, keys, self.gpu, self.convention)
+        return scalar_chain_tiling(chain, keys, self.gpu)

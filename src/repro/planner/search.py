@@ -7,7 +7,10 @@ resource underutilization".  The warp rule applies to a thread block's
 *thread count* — the product of the tile dimensions — so late layers with
 tiny spatial extents (7x7) can still trade pixels for filters.  Among
 feasible configurations, warp-multiple blocks are preferred, then minimum
-GMA, then larger tiles (fewer blocks) as the tie-break.
+GMA, then larger tiles (fewer blocks) as the tie-break.  GMA is counted in
+the paper convention (Eq. 2-4 as printed); the measured convention, which
+the kernels meter, prices only the analytic counters
+(:mod:`repro.planner.analytic`).
 
 The ``best_*`` searches evaluate the whole candidate grid as array programs
 (:mod:`repro.planner.grid_search`); an optional
@@ -119,38 +122,30 @@ def enumerate_lbl_tilings(spec: ConvSpec, gpu: GpuSpec) -> list[dict[str, int]]:
     return out
 
 
-def best_lbl_tiling(
-    spec: ConvSpec,
-    gpu: GpuSpec,
-    convention: str = "paper",
-    *,
-    memo=None,
-) -> SearchResult:
+def best_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, *, memo=None) -> SearchResult:
     """Minimize Eq. 2 / Eq. 3 over the feasible tile grid for one layer.
 
     ``memo`` is an optional :class:`repro.planner.memo.GeometryMemo`
     consulted before searching.
     """
     def search() -> SearchResult | None:
-        return _grid_best(lbl_grid(spec, gpu, convention), gpu)
+        return _grid_best(lbl_grid(spec, gpu), gpu)
 
     if memo is None:
         res = search()
     else:
-        res = memo.get_or_search(memo.lbl_key(spec, gpu, convention), search)
+        res = memo.get_or_search(memo.lbl_key(spec, gpu), search)
     return _feasible_lbl(res, spec, gpu)
 
 
-def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, convention: str = "paper") -> SearchResult:
+def scalar_lbl_tiling(spec: ConvSpec, gpu: GpuSpec) -> SearchResult:
     """:func:`best_lbl_tiling` as the scalar per-candidate sweep (the oracle)."""
     scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
     for d in enumerate_lbl_tilings(spec, gpu):
         if spec.kind is ConvKind.POINTWISE:
-            gma = pw_gma(spec, PwTiling(d["tile_m"], d["tile_hw"]), convention).total_bytes
+            gma = pw_gma(spec, PwTiling(d["tile_m"], d["tile_hw"])).total_bytes
         else:
-            gma = dw_gma(
-                spec, DwTiling(d["tile_c"], d["tile_h"], d["tile_w"]), convention
-            ).total_bytes
+            gma = dw_gma(spec, DwTiling(d["tile_c"], d["tile_h"], d["tile_w"])).total_bytes
         scored.append((_rank_key(d, gma, gpu.warp_size), d, 0.0))
     return _feasible_lbl(_best(scored), spec, gpu)
 
@@ -172,12 +167,7 @@ def enumerate_chain_tilings(
 
 
 def best_chain_tiling(
-    chain: FusedChain,
-    keys: tuple[str, ...],
-    gpu: GpuSpec,
-    convention: str = "paper",
-    *,
-    memo=None,
+    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec, *, memo=None
 ) -> SearchResult | None:
     """Minimize the chain estimator over one vocabulary's feasible tile grid.
 
@@ -192,20 +182,20 @@ def best_chain_tiling(
     ``None`` outcomes are memoized too when a ``memo`` is supplied.
     """
     def search() -> SearchResult | None:
-        return _grid_best(chain_grid(chain, keys, gpu, convention), gpu)
+        return _grid_best(chain_grid(chain, keys, gpu), gpu)
 
     if memo is None:
         return search()
-    return memo.get_or_search(memo.chain_key(chain, keys, gpu, convention), search)
+    return memo.get_or_search(memo.chain_key(chain, keys, gpu), search)
 
 
 def scalar_chain_tiling(
-    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec, convention: str = "paper"
+    chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec
 ) -> SearchResult | None:
     """:func:`best_chain_tiling` as the scalar per-candidate sweep (the oracle)."""
     scored: list[tuple[tuple[int, int, int], dict[str, int], float]] = []
     for tiling in enumerate_chain_tilings(chain, keys, gpu):
-        cost: FcmCost = chain_gma(chain, tiling, convention)
+        cost: FcmCost = chain_gma(chain, tiling)
         scored.append(
             (
                 _rank_key(tiling, cost.gma.total_bytes, gpu.warp_size),

@@ -4,7 +4,7 @@ The serving subsystem turns the one-shot reproduction pipeline (plan ->
 session -> report) into a request-serving layer:
 
 * :mod:`repro.serve.cache` — LRU :class:`PlanCache` memoizing FusePlanner
-  plans + sessions per (model, dtype, GPU, convention, chain cap), whose
+  plans + sessions per (model, dtype, GPU, chain cap), whose
   weights are generated on the first functional request, with
   :meth:`PlanCache.warm_start` preloading plans from a
   :class:`repro.tune.records.TuningDB` at boot;

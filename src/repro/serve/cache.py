@@ -2,12 +2,13 @@
 
 FusePlanner's whole-model pass (tiling search over every layer and fusion
 candidate) costs orders of magnitude more than pricing one inference, yet its
-output depends only on (model, precision, GPU, cost convention, chain cap).
+output depends only on (model, precision, GPU, chain cap).
 The serving layer therefore memoizes the
 :class:`~repro.planner.plan.ExecutionPlan` *together with* a
 :class:`~repro.runtime.network_params.NetworkParams` handle and a ready
 :class:`~repro.runtime.session.InferenceSession`, keyed by exactly those
-five inputs.  The handle generates the weights when the first
+four inputs (:class:`PlanKey` also records the planner's cost convention,
+always ``"paper"``).  The handle generates the weights when the first
 functional request reads them; analytic (counters-only) serving never does,
 so its entries hold no weight tensors.  Cross-layer reuse work (Wang et al.)
 makes the same point for fused kernels: fusion pays off most when one plan is
@@ -38,7 +39,8 @@ class PlanKey:
     """Identity of one memoized plan: everything FusePlanner's output
     depends on (and nothing it doesn't — request batch size is *not* part
     of the key; one plan serves every batch size).  ``max_chain`` is part
-    of the identity because the DP emits different plans per chain cap."""
+    of the identity because the DP emits different plans per chain cap.
+    ``convention`` is always ``"paper"``, the one convention plans rank in."""
 
     model: str
     dtype: str
@@ -165,15 +167,10 @@ class PlanCache:
         return self._entries.get(key)
 
     def get(
-        self,
-        model: str,
-        dtype: DType,
-        gpu: GpuSpec,
-        convention: str = "paper",
-        max_chain: int = 2,
+        self, model: str, dtype: DType, gpu: GpuSpec, *, max_chain: int = 2
     ) -> CachedPlan:
         """Return the memoized plan, building (and possibly evicting) on miss."""
-        key = PlanKey.of(model, dtype, gpu, convention, max_chain)
+        key = PlanKey.of(model, dtype, gpu, "paper", max_chain)
         entry = self._entries.get(key)
         if entry is not None:
             self.stats.hits += 1
@@ -186,7 +183,7 @@ class PlanCache:
         self.stats.planner_invocations += 1
         self._count("planner_invocation")
         plan = FusePlanner(
-            gpu, convention, max_chain=max_chain, calibration=self.calibration,
+            gpu, max_chain=max_chain, calibration=self.calibration,
             tracer=self.tracer, metrics=self.metrics,
         ).plan(graph)
         return self._insert(_entry(key, dtype, graph, plan))
@@ -196,9 +193,8 @@ class PlanCache:
         model: str,
         dtype: DType,
         gpu: GpuSpec,
-        convention: str = "paper",
-        max_chain: int = 2,
         *,
+        max_chain: int = 2,
         plan: ExecutionPlan,
     ) -> CachedPlan:
         """Adopt a plan produced elsewhere as a resident entry
@@ -214,7 +210,7 @@ class PlanCache:
         resident entry wins: installing under a live key is a no-op so a
         preplan pass can never clobber serving state.
         """
-        key = PlanKey.of(model, dtype, gpu, convention, max_chain)
+        key = PlanKey.of(model, dtype, gpu, "paper", max_chain)
         resident = self._entries.get(key)
         if resident is not None:
             return resident
@@ -251,26 +247,19 @@ class PlanCache:
         self._count("warm_start")
         return entry
 
-    def warm_start(
-        self,
-        db,
-        gpu: GpuSpec,
-        *,
-        convention: str = "paper",
-        max_chain: int = 2,
-    ) -> list[PlanKey]:
+    def warm_start(self, db, gpu: GpuSpec, *, max_chain: int = 2) -> list[PlanKey]:
         """Preload plans from a tuning DB's model-level records at boot.
 
-        Every ``family == "model"`` record matching this GPU, convention and
-        chain cap is planned *now*, so the first request for a tuned model
-        finds its plan resident — cold-start planning leaves the serving
-        critical path entirely.  Records this build cannot replay — models
-        absent from the zoo, unknown dtypes, plans that no longer have a
-        feasible tiling (all possible with a DB tuned against another
-        build) — are skipped, not fatal: a stale record must never stop a
-        server from booting.  Returns the keys preloaded, in the DB's
-        canonical order; LRU capacity still applies, so a DB larger than
-        the cache keeps only the last ``capacity`` plans.
+        Every ``family == "model"`` record matching this GPU, the paper
+        convention and this chain cap is planned *now*, so the first request
+        for a tuned model finds its plan resident — cold-start planning
+        leaves the serving critical path entirely.  Records this build
+        cannot replay — models absent from the zoo, unknown dtypes, plans
+        that no longer have a feasible tiling (all possible with a DB tuned
+        against another build) — are skipped, not fatal: a stale record must
+        never stop a server from booting.  Returns the keys preloaded, in the
+        DB's canonical order; LRU capacity still applies, so a DB larger
+        than the cache keeps only the last ``capacity`` plans.
         """
         from ..errors import UnsupportedError
         from ..models.zoo import MODELS
@@ -278,7 +267,7 @@ class PlanCache:
         loaded: list[PlanKey] = []
         for rec in db:
             k = rec.key
-            if k.family != "model" or k.gpu != gpu.name or k.convention != convention:
+            if k.family != "model" or k.gpu != gpu.name or k.convention != "paper":
                 continue
             if not (isinstance(k.geometry, tuple) and len(k.geometry) == 2):
                 continue  # foreign tooling's model record: skip, not fatal
@@ -290,7 +279,7 @@ class PlanCache:
             except ValueError:
                 continue  # a dtype this build doesn't know: skip, not fatal
             try:
-                entry = self.get(model, dtype, gpu, convention, max_chain)
+                entry = self.get(model, dtype, gpu, max_chain=max_chain)
             except (UnsupportedError, PlanError):
                 continue
             self.stats.warm_starts += 1

@@ -12,7 +12,7 @@ Routing is where plans meet load.  :class:`FleetScheduler` implements two
 policies:
 
 * ``"affinity"`` (default) — prefer workers whose plan cache already holds
-  the routed ``(model, dtype, gpu, convention, max_chain)`` plan, breaking
+  the routed ``(model, dtype, gpu, max_chain)`` plan, breaking
   ties by least estimated backlog (device occupancy plus the analytic cost
   of every queued request).  When the best plan-holder is overloaded — its
   backlog exceeds the best non-holder's by more than ``spill_factor`` full

@@ -198,7 +198,7 @@ class ModelServer:
 
     def _plan(self, model: str, dtype: DType) -> CachedPlan:
         """Counted cache lookup under :meth:`plan_key`, planning on a miss."""
-        return self.cache.get(model, dtype, self.gpu, "paper", self.max_chain)
+        return self.cache.get(model, dtype, self.gpu, max_chain=self.max_chain)
 
     # ---- synchronous path -----------------------------------------------------
     def submit(

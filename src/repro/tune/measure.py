@@ -224,7 +224,6 @@ class ModelMeasurement:
     model: str
     gpu: str
     dtype: str
-    convention: str
     max_chain: int
     est_cost_s: float  # naive analytic plan estimate
     measured_cost_s: float  # observed plan latency (run_analytic)
@@ -251,7 +250,6 @@ def measure_model(
     dtype: DType = DType.FP32,
     *,
     db: TuningDB,
-    convention: str = "paper",
     max_chain: int = 2,
     mode: str = "guided",
     iterations: int = 20,
@@ -279,16 +277,16 @@ def measure_model(
     metrics = resolve_metrics(metrics)
     if not (tracer.enabled or metrics.enabled):
         return _measure_model_impl(
-            model, gpu, dtype, db=db, convention=convention, max_chain=max_chain,
-            mode=mode, iterations=iterations, seed=seed, backend=backend,
+            model, gpu, dtype, db=db, max_chain=max_chain, mode=mode,
+            iterations=iterations, seed=seed, backend=backend,
             tracer=tracer, metrics=metrics,
         )
     with tracer.span(
         "tune.measure", model=model, gpu=gpu.name, dtype=dtype.value, mode=mode
     ):
         mm = _measure_model_impl(
-            model, gpu, dtype, db=db, convention=convention, max_chain=max_chain,
-            mode=mode, iterations=iterations, seed=seed, backend=backend,
+            model, gpu, dtype, db=db, max_chain=max_chain, mode=mode,
+            iterations=iterations, seed=seed, backend=backend,
             tracer=tracer, metrics=metrics,
         )
     metrics.counter(
@@ -306,7 +304,6 @@ def _measure_model_impl(
     dtype: DType,
     *,
     db: TuningDB,
-    convention: str,
     max_chain: int,
     mode: str,
     iterations: int,
@@ -317,9 +314,7 @@ def _measure_model_impl(
 ) -> ModelMeasurement:
     record_engine = "analytic" if backend == "counters" else DEFAULT_ENGINE
     graph = build_model(model, dtype)
-    plan = FusePlanner(
-        gpu, convention, max_chain=max_chain, tracer=tracer, metrics=metrics
-    ).plan(graph)
+    plan = FusePlanner(gpu, max_chain=max_chain, tracer=tracer, metrics=metrics).plan(graph)
     session = InferenceSession(
         graph, plan, materialize_network(graph, dtype, seed)
     )
@@ -351,7 +346,7 @@ def _measure_model_impl(
             geometry=geometry,
             gpu=gpu.name,
             dtype=dtype.value,
-            convention=convention,
+            convention="paper",
         )
         added += db.add(
             TuningRecord(
@@ -379,7 +374,7 @@ def _measure_model_impl(
                 geometry=(model, max_chain),
                 gpu=gpu.name,
                 dtype=dtype.value,
-                convention=convention,
+                convention="paper",
             ),
             tiling={},
             est_cost_s=est_plan,
@@ -395,7 +390,6 @@ def _measure_model_impl(
         model=model,
         gpu=gpu.name,
         dtype=dtype.value,
-        convention=convention,
         max_chain=max_chain,
         est_cost_s=est_plan,
         measured_cost_s=measured_plan,
@@ -414,12 +408,11 @@ def _measure_one_job(job: tuple) -> tuple[str, ModelMeasurement]:
     the measurement summary.  Module-level so it is picklable by spawn-based
     pools too.
     """
-    (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend) = job
+    (model, gpu, dtype, max_chain, mode, iterations, seed, backend) = job
     child = TuningDB()
     mm = measure_model(
-        model, gpu, dtype, db=child, convention=convention,
-        max_chain=max_chain, mode=mode, iterations=iterations,
-        seed=seed, backend=backend,
+        model, gpu, dtype, db=child, max_chain=max_chain, mode=mode,
+        iterations=iterations, seed=seed, backend=backend,
     )
     return child.dumps(), mm
 
@@ -430,7 +423,6 @@ def tune_models(
     dtype: DType = DType.FP32,
     *,
     db: TuningDB | None = None,
-    convention: str = "paper",
     max_chain: int = 2,
     mode: str = "guided",
     iterations: int = 20,
@@ -458,17 +450,16 @@ def tune_models(
         raise TuneError(f"workers must be >= 1, got {workers}")
     db = db if db is not None else TuningDB()
     jobs = [
-        (model, gpu, dtype, convention, max_chain, mode, iterations, seed, backend)
+        (model, gpu, dtype, max_chain, mode, iterations, seed, backend)
         for gpu in gpus
         for model in models
     ]
     out: list[ModelMeasurement] = []
     if workers == 1 or len(jobs) <= 1:
         for job in jobs:
-            out.append(measure_model(job[0], job[1], dtype, db=db, convention=convention,
-                                     max_chain=max_chain, mode=mode, iterations=iterations,
-                                     seed=seed, backend=backend,
-                                     tracer=tracer, metrics=metrics))
+            out.append(measure_model(job[0], job[1], dtype, db=db, max_chain=max_chain,
+                                     mode=mode, iterations=iterations, seed=seed,
+                                     backend=backend, tracer=tracer, metrics=metrics))
         return db, out
 
     import multiprocessing

@@ -3,8 +3,8 @@
 The strongest whole-system check: run a real (small) network functionally
 under (a) an all-LBL plan and (b) FusePlanner's fused plan, on the simulated
 GPU, and require identical outputs — bit-exact for INT8.  Also verifies that
-the planner's GMA estimates equal the functional execution's metered bytes
-end to end (the measured-convention contract at system scale).
+each plan's analytic run, priced by the measured-convention counters, equals
+the functional execution's metered traffic end to end.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import assert_records_match
 from repro.core.dtypes import DType
-from repro.gpu.specs import GTX1660, ORIN
+from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
 from repro.planner.plan import ChainStep, ExecutionPlan, GlueStep, LblStep, StdStep
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
-from repro.runtime.session import InferenceSession
+from repro.runtime.session import InferenceSession, seeded_input
 
 
 def _small_net(dtype=DType.FP32) -> ModelGraph:
@@ -76,31 +77,22 @@ def test_fused_equals_unfused_end_to_end(dtype, rng):
     assert out_fused.kernel_launches < out_unfused.kernel_launches
 
 
-def test_plan_estimates_equal_metered_execution(rng):
-    """Sum of per-step estimates == functional session's metered GMA."""
-    g = _small_net()
-    planner = FusePlanner(GTX1660, convention="measured")
-    plan = planner.plan(g)
-    net = materialize_network(g, DType.FP32)
-    rep = InferenceSession(g, plan, net).run(
-        rng.standard_normal((3, 32, 32)).astype(np.float32)
-    )
-    metered = {
-        r.name: r.counters.total_bytes
-        for r in rep.records
-        if r.kind in ("fcm", "lbl")
-    }
-    for step in plan.steps:
-        if isinstance(step, ChainStep):
-            assert metered["+".join(step.layer_names)] == step.est_gma_bytes
-        elif isinstance(step, LblStep):
-            assert metered[step.spec.name] == step.est_gma_bytes
+def test_plan_estimates_equal_metered_execution():
+    """Every plan's analytic run (the measured-convention counters) equals
+    its functional run's metered bytes, MACs and redundant MACs, step by
+    step, on every GPU, at both precisions and chain caps 2 and 3."""
+    for dtype in (DType.FP32, DType.INT8):
+        g = _small_net(dtype)
+        x = seeded_input(g, dtype)
+        for gpu in ALL_GPUS:
+            for max_chain in (2, 3):
+                plan = FusePlanner(gpu, max_chain=max_chain).plan(g)
+                session = InferenceSession(g, plan, materialize_network(g, dtype))
+                assert_records_match(session.run(x), session.run_analytic())
 
 
 def test_plans_feasible_on_every_paper_gpu(rng):
     """The planner's choices must always survive kernel capacity checks."""
-    from repro.gpu.specs import ALL_GPUS
-
     for gpu in ALL_GPUS:
         g = _small_net()
         plan = FusePlanner(gpu).plan(g)

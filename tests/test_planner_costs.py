@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, pw_spec, random_ifm
+from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.tiling import DwTiling, PwTiling, ceil_div, overlap_elements
 from repro.errors import ShapeError, UnsupportedError
 from repro.gpu.specs import RTX_A4000
 from repro.kernels.params import make_layer_params
 from repro.kernels.registry import build_lbl_kernel
+from repro.planner.chain_costs import chain_dataflow, chain_gma, dataflow_gma
 from repro.planner.costs import (
     dw_feasible,
     dw_gma,
@@ -22,6 +24,9 @@ from repro.planner.costs import (
     pw_gma,
     pw_tile_footprint,
 )
+
+#: a DW->PW pair on the default 12x12 plane.
+_PAIR = FusedChain((dw_spec(), pw_spec()))
 
 
 class TestPwGmaEquation2:
@@ -163,3 +168,24 @@ def test_pw_measured_equals_simulated_property(c, m, hw, tile_m, tile_hw):
     )
     est = pw_gma(spec, PwTiling(tile_m, tile_hw), "measured")
     assert res.counters.total_bytes == est.total_bytes
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        lambda conv: pw_gma(pw_spec(), PwTiling(4, 16), conv),
+        lambda conv: dw_gma(dw_spec(), DwTiling(4, 4, 4), conv),
+        lambda conv: lbl_gma(dw_spec(), DwTiling(4, 4, 4), conv),
+        lambda conv: chain_gma(_PAIR, {"tile_h": 4, "tile_w": 4, "tile_m": 8}, conv),
+        lambda conv: dataflow_gma(
+            chain_dataflow(_PAIR, {"tile_h": 4, "tile_w": 4, "tile_m": 8}), conv
+        ),
+    ],
+    ids=["pw_gma", "dw_gma", "lbl_gma", "chain_gma", "dataflow_gma"],
+)
+def test_every_cost_function_checks_one_convention_list(cost):
+    """Both conventions price, and an unknown one raises the same error."""
+    for convention in ("paper", "measured"):
+        cost(convention)
+    with pytest.raises(UnsupportedError, match=r"unknown cost convention 'guessed'; use \("):
+        cost("guessed")

@@ -10,6 +10,13 @@ sweep order wins).  The hypothesis property tests pin the stronger invariant
 underneath: every grid cell's feasibility and GMA equals the scalar
 predicate evaluated pointwise, so parity of winners is not an accident of
 the argmin.
+
+The searches rank in the paper cost convention only.  The cases
+parametrized by convention check each convention where it is used:
+``paper`` cases compare the grid search with the scalar sweep, and
+``measured`` cases run the searched tilings on the simulated kernels and
+compare the metered launch with the analytic counters, which price in the
+measured convention.
 """
 
 from __future__ import annotations
@@ -19,14 +26,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dw_spec, pw_spec
+from helpers import assert_records_match, dw_spec, pw_spec, random_ifm
 from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.kernels.params import chain_quant, make_layer_params
+from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 from repro.models.zoo import build_model
+from repro.planner.analytic import chain_counters, lbl_counters
 from repro.planner.chain_costs import (
     FCM_TILING_KEYS,
     chain_feasible,
@@ -40,11 +50,14 @@ from repro.planner.planner import FusePlanner, ScalarPlanner
 from repro.planner.search import (
     best_chain_tiling,
     best_lbl_tiling,
+    enumerate_chain_tilings,
     scalar_chain_tiling,
     scalar_lbl_tiling,
 )
+from repro.runtime.session import InferenceSession, seeded_input
 
 GPUS = (GTX1660, RTX_A4000, ORIN)
+#: ``paper``: the search's convention; ``measured``: the analytic counters'.
 CONVENTIONS = ("paper", "measured")
 
 #: every fused module the parity suites cover: the four FCMs, each a pair
@@ -92,6 +105,27 @@ def _module(
     return chain, chain_tiling_keys(chain)
 
 
+def _metered(counters) -> tuple[int, int, int, int]:
+    return (counters.read_bytes, counters.write_bytes, counters.macs, counters.redundant_macs)
+
+
+def _assert_lbl_metered(spec, tiling, gpu) -> None:
+    """One LBL launch meters what its measured-convention counters price."""
+    kernel = build_lbl_kernel(make_layer_params(spec), tiling)
+    res = kernel.simulate(random_ifm(spec), gpu)
+    assert _metered(res.counters) == _metered(lbl_counters(spec, tiling)), (spec.name, tiling)
+
+
+def _assert_chain_metered(chain, tiling, gpu) -> None:
+    """One fused-chain launch meters what its measured-convention counters
+    price, redundant MACs included."""
+    params = [make_layer_params(chain.first)]
+    for spec in chain.specs[1:]:
+        params.append(chain_quant(params[-1], spec))
+    res = build_chain_kernel(params, tiling).simulate(random_ifm(chain.first), gpu)
+    assert _metered(res.counters) == _metered(chain_counters(chain.specs, tiling)), tiling
+
+
 class TestPow2Candidates:
     def test_tuple_sorted_unique_includes_limit(self):
         assert pow2_candidates(100) == (1, 2, 4, 8, 16, 32, 64, 100)
@@ -107,7 +141,9 @@ class TestPow2Candidates:
 
 
 class TestDirectSearchParity:
-    """Every best_* grid search equals its scalar_* sweep exactly."""
+    """Every best_* grid search equals its scalar_* sweep exactly
+    (``paper``), and its winner launches at what the analytic counters
+    price (``measured``)."""
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
     @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -119,9 +155,11 @@ class TestDirectSearchParity:
             dw_spec(c=32, h=56, w=56, dtype=dtype),
             dw_spec(c=96, h=28, w=28, stride=2, dtype=dtype),
         ):
-            vec = best_lbl_tiling(spec, gpu, convention)
-            ref = scalar_lbl_tiling(spec, gpu, convention)
-            assert vec == ref
+            vec = best_lbl_tiling(spec, gpu)
+            if convention == "paper":
+                assert vec == scalar_lbl_tiling(spec, gpu)
+            else:
+                _assert_lbl_metered(spec, vec.tiling, gpu)
 
     @pytest.mark.parametrize("gpu", GPUS, ids=lambda g: g.name)
     @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -129,9 +167,14 @@ class TestDirectSearchParity:
     def test_fcm(self, gpu, convention, module):
         for dtype in (DType.FP32, DType.INT8):
             chain, keys = _module(module, *SHAPES[module], dtype=dtype)
-            vec = best_chain_tiling(chain, keys, gpu, convention)
-            ref = scalar_chain_tiling(chain, keys, gpu, convention)
-            assert vec == ref  # including both being None (infeasible)
+            vec = best_chain_tiling(chain, keys, gpu)
+            if convention == "paper":
+                # including both being None (infeasible)
+                assert vec == scalar_chain_tiling(chain, keys, gpu)
+            elif vec is not None:
+                _assert_chain_metered(chain, vec.tiling, gpu)
+            else:  # nothing to launch: no candidate is feasible
+                assert not enumerate_chain_tilings(chain, keys, gpu)
 
     def test_infeasible_lbl_raises_same_error(self):
         from repro.gpu.specs import GpuSpec
@@ -149,7 +192,9 @@ class TestDirectSearchParity:
 class TestPlanParity:
     """Whole-model plans are bit-identical between FusePlanner and the
     ScalarPlanner oracle (the acceptance criterion).  The grid planner gets a
-    fresh memo; the scalar one never reads a memo, so it always sweeps."""
+    fresh memo; the scalar one never reads a memo, so it always sweeps.
+    A ``measured`` case runs the plan instead: its functional run meters
+    what its analytic run prices, step by step."""
 
     @pytest.mark.parametrize("gpu", (GTX1660, RTX_A4000), ids=lambda g: g.name)
     @pytest.mark.parametrize("model", ("mobilenet_v1", "mobilenet_v2", "xception"))
@@ -163,9 +208,13 @@ class TestPlanParity:
     @pytest.mark.parametrize("dtype", (DType.FP32, DType.INT8))
     def test_conventions_and_dtypes(self, convention, dtype):
         graph = build_model("mobilenet_v2", dtype)
-        vec = FusePlanner(ORIN, convention, memo=GeometryMemo()).plan(graph)
-        ref = ScalarPlanner(ORIN, convention).plan(graph)
-        assert vec.steps == ref.steps
+        vec = FusePlanner(ORIN, memo=GeometryMemo()).plan(graph)
+        if convention == "paper":
+            assert vec.steps == ScalarPlanner(ORIN).plan(graph).steps
+        else:
+            session = InferenceSession(graph, vec)
+            x = seeded_input(graph, dtype)
+            assert_records_match(session.run_batch(x[None]), session.run_analytic_batch(1))
 
     @pytest.mark.parametrize("max_chain", (3, 4))
     def test_chains(self, max_chain):
@@ -191,56 +240,61 @@ class TestGridPointwise:
     @given(
         c_in=st.integers(1, 96), c_out=st.integers(1, 96),
         hw=st.integers(4, 32), stride=st.sampled_from((1, 2)),
-        convention=st.sampled_from(CONVENTIONS),
         dtype=st.sampled_from((DType.FP32, DType.INT8)),
     )
-    def test_pw_grid_matches_scalar(self, c_in, c_out, hw, stride, convention, dtype):
+    def test_pw_grid_matches_scalar(self, c_in, c_out, hw, stride, dtype):
         spec = pw_spec(c_in=c_in, c_out=c_out, h=hw, w=hw, stride=stride, dtype=dtype)
-        grid = lbl_grid(spec, ORIN, convention)
+        grid = lbl_grid(spec, ORIN)
         for cell in np.ndindex(grid.shape):
             t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
             tiling = PwTiling(t["tile_m"], t["tile_hw"])
             assert bool(grid.feasible[cell]) == pw_feasible(spec, tiling, ORIN)
-            assert int(grid.gma_bytes[cell]) == pw_gma(spec, tiling, convention).total_bytes
+            assert int(grid.gma_bytes[cell]) == pw_gma(spec, tiling).total_bytes
 
     @settings(max_examples=25, deadline=None)
     @given(
         c=st.integers(1, 96), hw=st.integers(4, 32),
         kernel=st.sampled_from((3, 5)), stride=st.sampled_from((1, 2)),
-        convention=st.sampled_from(CONVENTIONS),
     )
-    def test_dw_grid_matches_scalar(self, c, hw, kernel, stride, convention):
+    def test_dw_grid_matches_scalar(self, c, hw, kernel, stride):
         spec = dw_spec(c=c, h=hw, w=hw, kernel=kernel, stride=stride)
-        grid = lbl_grid(spec, GTX1660, convention)
+        grid = lbl_grid(spec, GTX1660)
         for cell in np.ndindex(grid.shape):
             t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
             tiling = DwTiling(t["tile_c"], t["tile_h"], t["tile_w"])
             assert bool(grid.feasible[cell]) == dw_feasible(spec, tiling, GTX1660)
-            assert int(grid.gma_bytes[cell]) == dw_gma(spec, tiling, convention).total_bytes
+            assert int(grid.gma_bytes[cell]) == dw_gma(spec, tiling).total_bytes
 
     @settings(max_examples=15, deadline=None)
     @given(
         c=st.sampled_from((8, 16, 32)), m=st.sampled_from((8, 24, 64)),
         hw=st.integers(6, 24), stride=st.sampled_from((1, 2)),
         module=st.sampled_from(MODULES),
-        convention=st.sampled_from(CONVENTIONS),
     )
-    def test_fcm_grid_matches_scalar(self, c, m, hw, stride, module, convention):
-        self._check_grid(*_module(module, c, m, hw, stride), convention)
+    def test_fcm_grid_matches_scalar(self, c, m, hw, stride, module):
+        self._check_grid(*_module(module, c, m, hw, stride))
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_chain_grid_matches_scalar(self, convention):
-        self._check_grid(*_module("PW-DW-PW", *SHAPES["PW-DW-PW"]), convention)
+        chain, keys = _module("PW-DW-PW", *SHAPES["PW-DW-PW"])
+        if convention == "paper":
+            self._check_grid(chain, keys)
+            return
+        # Every feasible cell launches at what the analytic counters price.
+        for gpu in (RTX_A4000, ORIN):
+            grid = chain_grid(chain, keys, gpu)
+            for flat in np.flatnonzero(grid.feasible.ravel()):
+                _assert_chain_metered(chain, grid.tiling_at(int(flat)), gpu)
 
     @staticmethod
-    def _check_grid(chain, keys, convention):
+    def _check_grid(chain, keys):
         for gpu in (RTX_A4000, ORIN):
-            grid = chain_grid(chain, keys, gpu, convention)
+            grid = chain_grid(chain, keys, gpu)
             for cell in np.ndindex(grid.shape):
                 t = grid.tiling_at(int(np.ravel_multi_index(cell, grid.shape)))
                 assert bool(grid.feasible[cell]) == chain_feasible(chain, t, gpu)
                 if grid.feasible[cell]:
-                    cost = chain_gma(chain, t, convention)
+                    cost = chain_gma(chain, t)
                     assert int(grid.gma_bytes[cell]) == cost.gma.total_bytes
                     red = int(grid.redundant_macs[cell])
                     useful = int(grid.useful_macs[cell])
@@ -261,7 +315,7 @@ class TestGeometryMemo:
             calls += 1
             return None
 
-        again = memo.get_or_search(memo.lbl_key(spec, RTX_A4000, "paper"), counting)
+        again = memo.get_or_search(memo.lbl_key(spec, RTX_A4000), counting)
         assert calls == 0 and again == first
         assert memo.hits == 1 and memo.misses == 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -363,14 +364,18 @@ class TestWarmStart:
         boot_invocations = cache.stats.planner_invocations
         # Every tuned model now hits without planning.
         for name, _ch in TINY_ZOO:
-            cache.get(name, DType.FP32, GTX1660, "paper", 2)
+            cache.get(name, DType.FP32, GTX1660, max_chain=2)
         assert cache.stats.planner_invocations == boot_invocations
         assert cache.stats.hits == len(TINY_ZOO)
 
     def test_warm_start_skips_foreign_records(self, tiny_db):
         cache = PlanCache(capacity=8)
-        # Wrong convention / chain cap: nothing matches, nothing planned.
-        assert cache.warm_start(tiny_db, GTX1660, convention="measured") == []
+        # Another convention / chain cap: nothing matches, nothing planned.
+        foreign = TuningDB()
+        for rec in tiny_db:
+            foreign.add(replace(rec, key=replace(rec.key, convention="measured")))
+        assert len(foreign) == len(tiny_db)
+        assert cache.warm_start(foreign, GTX1660) == []
         assert cache.warm_start(tiny_db, GTX1660, max_chain=3) == []
         assert cache.stats.planner_invocations == 0
 
