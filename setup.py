@@ -1,9 +1,17 @@
-"""Legacy setup shim so `pip install -e .` works without the `wheel` package.
+"""Packaging for ``repro``, the package under ``src/``.
 
-All metadata lives in pyproject.toml; this file only provides the legacy
-`setup.py develop` entry point for offline environments.
+The metadata lives here; there is no ``pyproject.toml``.  Without the
+``wheel`` package, ``python setup.py develop`` installs the checkout in
+development mode; ``pip install -e .`` needs ``wheel``.  Every ``make``
+target runs with ``PYTHONPATH=src`` and needs neither.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+)

@@ -39,7 +39,6 @@ from ..core.dtypes import DType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..runtime.session import SessionReport
-from .cache import PlanKey
 from .server import InferenceResult, ModelServer
 
 __all__ = [
@@ -81,13 +80,6 @@ class FleetWorker:
         self.downtime_s = 0.0
         #: per-worker circuit breaker, created lazily by the injector.
         self.breaker = None
-
-    def plan_key(self, model: str, dtype: DType) -> PlanKey:
-        return self.server.plan_key(model, dtype)
-
-    def holds_plan(self, model: str, dtype: DType) -> bool:
-        """Does this worker's cache already hold the routed plan?"""
-        return self.server.cache.peek(self.plan_key(model, dtype)) is not None
 
     def occupancy_s(self, now: float) -> float:
         """Remaining device-busy time at instant ``now``."""
@@ -163,10 +155,11 @@ class FleetScheduler:
             def load(w: FleetWorker) -> tuple[float, int]:
                 return (backlogs[w.name], w.worker_id)  # deterministic ties
 
+            key = (model, dtype.value)
             holders: list[FleetWorker] = []
             others: list[FleetWorker] = []
             for w in pool:
-                (holders if w.holds_plan(model, dtype) else others).append(w)
+                (holders if w.server.holds_plan(key) else others).append(w)
             if not holders:
                 worker = min(others, key=load)
             else:
@@ -176,7 +169,7 @@ class FleetScheduler:
                     best_other = min(others, key=load)
                     # Tolerate spill_factor full micro-batches of imbalance
                     # before replicating the plan onto a fresh worker.
-                    per = worker.server.estimated_flush_cost_s((model, dtype.value), 1)
+                    per = worker.server.estimated_flush_cost_s(key, 1)
                     threshold = self.spill_factor * worker.server.max_batch * per
                     gap = backlogs[worker.name] - backlogs[best_other.name]
                     if gap > threshold:
@@ -440,11 +433,18 @@ class Fleet:
         return min(deadlines) if deadlines else None
 
     def step(self) -> list[tuple[FleetWorker, InferenceResult]]:
-        """Flush every worker's due micro-batches; results keep their worker
-        so callers can advance per-device occupancy."""
+        """Flush the due workers' micro-batches, in worker order; results
+        keep their worker so callers can advance per-device occupancy.
+
+        A worker is due once its :meth:`ModelServer.flush_at` has passed: a
+        queue holds a full batch, or a partial batch's flush instant is
+        reached.  Only due workers are stepped; the others would flush
+        nothing."""
+        now = self.clock()
         flushed: list[tuple[FleetWorker, InferenceResult]] = []
         for worker in self.workers:
-            flushed.extend((worker, r) for r in worker.server.step())
+            if worker.server.flush_at() <= now:
+                flushed.extend((worker, r) for r in worker.server.step())
         return flushed
 
     # ---- accounting -------------------------------------------------------------

@@ -32,6 +32,7 @@ deterministically (see :class:`~repro.serve.loadgen.FakeClock`).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -158,12 +159,14 @@ class ModelServer:
         self._next_batch = 0
         #: memos of what routing, admission and flushing derive from the
         #: queues and resident plans, filled by the same arithmetic on first
-        #: read: plan keys (kept), flush prices (dropped when the cache's
-        #: ``generation`` moves), each queue's due instant (dropped when that
-        #: queue changes, or with the prices) and the server-wide totals
-        #: (dropped on any change).  Queued requests are never mutated, so
-        #: nothing else can stale them.
+        #: read: plan keys (kept), plan residency and flush prices (dropped
+        #: when the cache's ``generation`` moves), each queue's due instant
+        #: (dropped when that queue changes, or with the prices) and the
+        #: server-wide totals: next deadline, earliest flush instant and
+        #: queue cost (dropped on any change).  Queued requests are never
+        #: mutated, so nothing else can stale them.
         self._plan_keys: dict[tuple[str, str], PlanKey] = {}
+        self._resident: dict[tuple[str, str], bool] = {}
         self._prices: dict[tuple[tuple[str, str], int], float | None] = {}
         self._dues: dict[tuple[str, str], float] = {}
         self._totals: dict[str, float | None] = {}
@@ -187,6 +190,7 @@ class ModelServer:
         """Drop every memo derived from resident plans once they moved."""
         if self._generation != self.cache.generation:
             self._generation = self.cache.generation
+            self._resident.clear()
             self._prices.clear()
             self._dues.clear()
             self._totals.clear()
@@ -195,6 +199,15 @@ class ModelServer:
         """Drop the memos derived from queue ``key``, which just changed."""
         self._dues.pop(key, None)
         self._totals.clear()
+
+    def holds_plan(self, key: tuple[str, str]) -> bool:
+        """Is queue ``key``'s plan resident?  Peeked (never perturbs cache
+        accounting) and memoized until the resident plans move."""
+        self._fresh()
+        held = self._resident.get(key)
+        if held is None:
+            held = self._resident[key] = self.cache.peek(self._plan_key(key)) is not None
+        return held
 
     def _plan(self, model: str, dtype: DType) -> CachedPlan:
         """Counted cache lookup under :meth:`plan_key`, planning on a miss."""
@@ -257,7 +270,7 @@ class ModelServer:
         )
         self._next_id += 1
         key = (model, dtype.value)
-        if slo_s is not None and self.cache.peek(self._plan_key(key)) is None:
+        if slo_s is not None and not self.holds_plan(key):
             self._plan(model, dtype)
         queue = self._queues.setdefault(key, deque())
         idx = len(queue)
@@ -358,19 +371,33 @@ class ModelServer:
             self._totals["next_deadline"] = min(dues) if dues else None
         return self._totals["next_deadline"]
 
+    def flush_at(self) -> float:
+        """Earliest instant at which :meth:`step` flushes anything: -inf
+        while a queue holds a full batch, :meth:`next_deadline` otherwise,
+        +inf while nothing is queued."""
+        self._fresh()
+        at = self._totals.get("flush_at")
+        if at is None:
+            if any(len(q) >= self.max_batch for q in self._queues.values()):
+                at = -math.inf
+            else:
+                due = self.next_deadline()
+                at = math.inf if due is None else due
+            self._totals["flush_at"] = at
+        return at
+
     def step(self, *, max_flushes: int | None = None) -> list[InferenceResult]:
         """Flush every due micro-batch: full batches always, partial ones
-        once their queue is due (:meth:`next_deadline`).
+        once their queue is due (:meth:`next_deadline`).  Before
+        :meth:`flush_at` it returns at once.
 
         ``max_flushes`` caps the number of micro-batches *executed* by this
         call (surplus due requests stay queued), which is how
         :meth:`serve_forever` enforces ``max_batches`` exactly.
         """
         now = self.clock()
-        if all(len(q) < self.max_batch for q in self._queues.values()):
-            due = self.next_deadline()
-            if due is None or now < due:
-                return []
+        if now < self.flush_at():
+            return []
         start = self._next_batch
         results: list[InferenceResult] = []
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -130,6 +132,13 @@ def rescan_queue_due(server, key: tuple[str, str], queue) -> float:
 def rescan_next_deadline(server) -> float | None:
     dues = [rescan_queue_due(server, k, q) for k, q in server._queues.items() if q]
     return min(dues) if dues else None
+
+
+def rescan_flush_at(server) -> float:
+    if any(len(q) >= server.max_batch for q in server._queues.values()):
+        return -math.inf
+    due = rescan_next_deadline(server)
+    return math.inf if due is None else due
 
 
 def rescan_queue_cost_s(server) -> float:

@@ -550,6 +550,22 @@ class TestChaosReplay:
         downtime = dict(stats.downtime_s)
         assert downtime[first.per_worker[1].worker] > 0.0
 
+    def test_every_server_step_flushes(self, monkeypatch):
+        """A fleet pump steps only its due workers: over the pinned chaos
+        replay, every ``ModelServer.step`` call flushes a batch."""
+        flushed = []
+        step = ModelServer.step
+
+        def counted(server, **kw):
+            results = step(server, **kw)
+            flushed.append(len(results))
+            return results
+
+        monkeypatch.setattr(ModelServer, "step", counted)
+        _chaos_replay()
+        assert flushed
+        assert 0 not in flushed, f"{flushed.count(0)} of {len(flushed)} steps flushed nothing"
+
     def test_retries_and_failover_beat_no_retry_baseline(self):
         # worker 0 drops its first two batches; without retries those
         # requests are simply lost

@@ -24,6 +24,7 @@ from helpers import (
     parity_sessions,
     register_tiny_zoo,
     rescan_drain_s,
+    rescan_flush_at,
     rescan_next_deadline,
     rescan_queue_cost_s,
     rescan_queue_due,
@@ -242,11 +243,15 @@ class TestBookkeepingMemos:
                 else:
                     srv.cache.adopt(peer.cache.peek(peer.plan_key(*args[0])))
                 assert srv.next_deadline() == rescan_next_deadline(srv)
+                assert srv.flush_at() == rescan_flush_at(srv)
                 assert srv.estimated_queue_cost_s() == rescan_queue_cost_s(srv)
                 for key, queue in srv._queues.items():
                     assert srv._queue_due(key, queue) == rescan_queue_due(srv, key, queue)
                 for extra in [None] + [(m, d.value) for m, d in _MEMO_KEYS]:
                     assert srv.estimated_drain_s(extra) == rescan_drain_s(srv, extra)
+                for model, dtype in _MEMO_KEYS:
+                    resident = srv.cache.peek(srv.plan_key(model, dtype)) is not None
+                    assert srv.holds_plan((model, dtype.value)) == resident
 
         run()
 

@@ -96,7 +96,7 @@ class TestFleetPreplan:
         assert stats.planner_invocations == 0  # planning happened via install
         for w in fleet.workers:
             for m in models:
-                assert w.holds_plan(m, DType.FP32)
+                assert w.server.holds_plan((m, DType.FP32.value))
 
     def test_homogeneous_fleet_plans_each_identity_once(self, monkeypatch):
         register_tiny_zoo(monkeypatch)
@@ -105,7 +105,7 @@ class TestFleetPreplan:
         installed = fleet.preplan([model])
         assert installed == 3  # one planning job, three installs
         plans = [
-            w.server.cache.peek(w.plan_key(model, DType.FP32)).plan
+            w.server.cache.peek(w.server.plan_key(model, DType.FP32)).plan
             for w in fleet.workers
         ]
         assert plans[0] is plans[1] is plans[2]  # literally the same object
