@@ -464,7 +464,6 @@ def _cmd_tune_run(args: argparse.Namespace) -> int:
         mode=args.mode,
         iterations=args.iterations,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
     )
     path = db.save(args.db)
@@ -630,8 +629,6 @@ _EPILOGS: dict[str, str] = {
         "--gpus GTX,RTX,Orin --dtype int8 --db TUNE_zoo.json\n"
         "  python -m repro.cli tune run --models mobilenet_v1 --gpus GTX "
         "--mode exhaustive --db TUNE_zoo.json\n"
-        "  python -m repro.cli tune run --models mobilenet_v1 --gpus GTX "
-        "--backend kernel --db TUNE_zoo.json\n"
         "  python -m repro.cli tune run --models mobilenet_v1,mobilenet_v2 "
         "--gpus GTX,RTX --workers 4 --db TUNE_zoo.json  # parallel sweep"
     ),
@@ -894,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "modes (default 20, the paper's setting)")
     tp.add_argument("--seed", type=int, default=0,
                     help="search/measurement seed (default 0)")
-    tp.add_argument("--backend", choices=["counters", "kernel"],
-                    default="counters",
-                    help="measurement backend: analytic counters (default) "
-                         "or the kernel-in-the-loop simulated grid")
     tp.add_argument("--workers", type=int, default=1,
                     help="process-pool size for the (model, GPU) sweep; the "
                          "merged DB is byte-identical for every worker count "

@@ -57,13 +57,14 @@ class KernelResult:
 class SimKernel(abc.ABC):
     """A simulated GPU kernel: a grid of blocks over instrumented buffers.
 
-    Every kernel supports two execution engines (both produce one
-    :class:`KernelResult`):
+    Every kernel implements both execution engines (both produce one
+    :class:`KernelResult`); a subclass missing either cannot be built:
 
     * ``"fast"`` (default) — the whole grid runs as one vectorized pass
       (:meth:`run_grid`) with bulk counter accounting, bit-identical totals;
-    * ``"reference"`` — the per-block interpreted launch through
-      :func:`repro.gpu.executor.launch`, the fidelity ground truth.
+    * ``"reference"`` — the per-block interpreted launch of
+      :meth:`run_block` through :func:`repro.gpu.executor.launch`, the
+      fidelity ground truth.
     """
 
     #: kernel name used in reports and error messages.
@@ -92,15 +93,11 @@ class SimKernel(abc.ABC):
     def output_array(self) -> np.ndarray:
         """The OFM array after the launch."""
 
+    @abc.abstractmethod
     def run_grid(self) -> int:
-        """Fast-path hook: execute the whole grid vectorized (see
-        :class:`repro.gpu.fastpath.GridProgram`).  Kernels without an
-        implementation transparently fall back to the reference launch."""
-        raise NotImplementedError(f"{self.name}: no fast-path grid program")
-
-    def has_fast_path(self) -> bool:
-        """Does this kernel implement the vectorized grid program?"""
-        return type(self).run_grid is not SimKernel.run_grid
+        """Execute the whole grid vectorized against the bound buffers (see
+        :class:`repro.gpu.fastpath.GridProgram`); returns the launch's peak
+        per-block shared-memory bytes."""
 
     def finalize(self, counters: AccessCounters) -> None:
         """Post-launch accounting hook (e.g. redundant-MAC reclassification)."""
@@ -167,7 +164,7 @@ class SimKernel(abc.ABC):
 
     def _launch(self, gpu: GpuSpec, counters: AccessCounters, engine: str) -> LaunchStats:
         """Dispatch one bound launch to the selected engine."""
-        if engine == "fast" and self.has_fast_path():
+        if engine == "fast":
             return launch_fast(self, gpu, counters)
         return launch(self, gpu, counters)
 

@@ -334,8 +334,6 @@ class FusePlanner:
             graph: the model; conv layers must already be at the target
                 precision, or pass ``dtype`` to re-type them on the fly.
         """
-        if not (self.tracer.enabled or self.metrics.enabled):
-            return self._plan_impl(graph, dtype)
         hits0, misses0 = self.memo.hits, self.memo.misses
         with self.tracer.span(
             "planner.plan",
@@ -344,7 +342,41 @@ class FusePlanner:
             convention="paper",
             max_chain=self.max_chain,
         ):
-            result = self._plan_impl(graph, dtype)
+            graph.validate()
+            retype = (lambda s: s.with_dtype(dtype)) if dtype is not None else (lambda s: s)
+
+            # Pass 1+2: evaluate candidates and partition every fusable run.
+            chosen: dict[str, ChainDecision] = {}
+            consumed: set[str] = set()
+            self.last_candidates = []
+            for run in graph.fusion_runs():
+                decisions, reports = self._partition_run([retype(s) for s in run])
+                self.last_candidates.extend(reports)
+                for dec in decisions:
+                    chosen[dec.specs[0].name] = dec
+                    consumed.update(s.name for s in dec.specs[1:])
+
+            plan_dtype = dtype if dtype is not None else graph.dtype
+            if plan_dtype is None:
+                raise PlanError(f"model {graph.name!r} has no convolutional layers")
+            plan = ExecutionPlan(model_name=graph.name, gpu=self.gpu, dtype=plan_dtype)
+            for spec in graph.topological():
+                if isinstance(spec, GlueSpec):
+                    plan.steps.append(GlueStep(spec))
+                    continue
+                spec = retype(spec)
+                if spec.name in chosen:
+                    plan.steps.append(chosen[spec.name].to_step())
+                    continue
+                if spec.name in consumed:
+                    continue  # executed inside its producer's chain step
+                if spec.kind is ConvKind.STANDARD:
+                    plan.steps.append(StdStep(spec))
+                    continue
+                lbl = self.lbl_plan(spec)
+                plan.steps.append(
+                    LblStep(spec=spec, tiling=lbl.tiling, est_gma_bytes=lbl.gma_bytes)
+                )
         self.metrics.counter(
             "repro_memo_hits_total", help="GeometryMemo hits during planning"
         ).inc(self.memo.hits - hits0)
@@ -354,44 +386,6 @@ class FusePlanner:
         self.metrics.counter(
             "repro_plans_total", help="Whole-model planning passes"
         ).inc(model=graph.name)
-        return result
-
-    def _plan_impl(self, graph: ModelGraph, dtype: DType | None = None) -> ExecutionPlan:
-        graph.validate()
-        retype = (lambda s: s.with_dtype(dtype)) if dtype is not None else (lambda s: s)
-
-        # Pass 1+2: evaluate candidates and partition every fusable run.
-        chosen: dict[str, ChainDecision] = {}
-        consumed: set[str] = set()
-        self.last_candidates = []
-        for run in graph.fusion_runs():
-            decisions, reports = self._partition_run([retype(s) for s in run])
-            self.last_candidates.extend(reports)
-            for dec in decisions:
-                chosen[dec.specs[0].name] = dec
-                consumed.update(s.name for s in dec.specs[1:])
-
-        plan_dtype = dtype if dtype is not None else graph.dtype
-        if plan_dtype is None:
-            raise PlanError(f"model {graph.name!r} has no convolutional layers")
-        plan = ExecutionPlan(model_name=graph.name, gpu=self.gpu, dtype=plan_dtype)
-        for spec in graph.topological():
-            if isinstance(spec, GlueSpec):
-                plan.steps.append(GlueStep(spec))
-                continue
-            spec = retype(spec)
-            if spec.name in chosen:
-                plan.steps.append(chosen[spec.name].to_step())
-                continue
-            if spec.name in consumed:
-                continue  # executed inside its producer's chain step
-            if spec.kind is ConvKind.STANDARD:
-                plan.steps.append(StdStep(spec))
-                continue
-            lbl = self.lbl_plan(spec)
-            plan.steps.append(
-                LblStep(spec=spec, tiling=lbl.tiling, est_gma_bytes=lbl.gma_bytes)
-            )
         return plan
 
 

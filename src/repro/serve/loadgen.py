@@ -653,6 +653,16 @@ def fleet_replay(
     :meth:`Fleet.preplan` serves the stream with no planning on the
     critical path.
 
+    One event loop drives the replay.  Each turn takes the earliest of
+    three sources: the injector's next event (chaos path only), the fleet's
+    next partial-batch deadline (:meth:`Fleet.next_deadline`) and the next
+    arrival.  Ties go to the injector event first, then the deadline, then
+    the arrival.  An event is processed and the fleet pumped
+    (:meth:`Fleet.step`); a deadline pumps the fleet; an arrival is routed,
+    judged by admission, enqueued, and the fleet pumped.  After the last
+    arrival the loop keeps taking events and deadlines until nothing is
+    queued and no chaos work is outstanding.
+
     The shared clock never advances by execution time: each
     :class:`FleetWorker` keeps its own occupancy timeline (``busy_until``),
     batches keep forming while devices execute, and a flushed batch starts
@@ -669,8 +679,10 @@ def fleet_replay(
     request against the worker routing picked for it, occupancy included,
     and a degraded request stays on that worker at the fallback precision.
     ``autoscale`` binds a reactive :class:`~repro.serve.autoscale.
-    Autoscaler` to the fleet; it observes the backlog at every arrival and
-    during the drain, and its decisions land in ``scale_events``.
+    Autoscaler` to the fleet; it observes the backlog at every arrival,
+    after the last arrival also at every event and deadline instant (before
+    that turn's processing and pump), and at the instant the last device
+    goes quiet.  Its decisions land in ``scale_events``.
 
     ``tracer``/``metrics`` (a :class:`repro.obs.Tracer` /
     :class:`repro.obs.MetricsRegistry`) capture the replay as a
@@ -721,7 +733,9 @@ def fleet_replay(
     scaler = autoscale.bind(fleet) if autoscale is not None else None
     slo_in_play = slo_s is not None or any(e.slo_s is not None for e in entries)
     latencies: list[float] = []
-    #: (worker_id, worker-local request id) -> (arrival instant, slo)
+    #: fault-free path: (worker_id, worker-local request id) -> (arrival
+    #: instant, slo) of each queued request, dropped when it commits (the
+    #: chaos path keys its commits on the injector's logical requests).
     meta: dict[tuple[int, int], tuple[float, float | None]] = {}
     #: simulated energy of each served image
     energies: list[float] = []
@@ -755,11 +769,12 @@ def fleet_replay(
         gap = max(0.0, (flush_now - r.wait_s) - arrival_t)
         counts["attained" if latency + gap <= slo else "late"] += 1
 
-    def handle(flushed: list[tuple[FleetWorker, InferenceResult]], now: float) -> None:
-        # Batches start in flush order on their own device; occupancy is
-        # per worker, so concurrently flushed workers overlap in time.
+    def pump(now: float) -> None:
+        """Flush the due micro-batches once.  Batches start in flush order
+        on their own device; occupancy is per worker, so concurrently
+        flushed workers overlap in time."""
         batches: dict[tuple[int, int], tuple[FleetWorker, list[InferenceResult]]] = {}
-        for worker, result in flushed:
+        for worker, result in fleet.step():
             key = (worker.worker_id, result.batch_seq)
             if key in batches:
                 batches[key][1].append(result)
@@ -794,14 +809,8 @@ def fleet_replay(
                 injector.on_flush(worker, batch, start, exec_s, now)
                 continue
             for r in batch:
-                arrival_t, slo = meta.get((worker.worker_id, r.request_id), (None, None))
+                arrival_t, slo = meta.pop((worker.worker_id, r.request_id), (None, None))
                 commit(worker, r, start, exec_s, now, arrival_t, slo)
-
-    def pump(now: float) -> int:
-        """Flush due micro-batches once; returns how many results flushed."""
-        flushed = fleet.step()
-        handle(flushed, now)
-        return len(flushed)
 
     def chaos_submit(logical, now, exclude=frozenset(), is_hedge=False) -> bool:
         """(Re)route one logical request into the fleet; False if nothing
@@ -837,29 +846,33 @@ def fleet_replay(
             metrics=metrics,
         )
 
-    for entry in entries:
-        t = entry.t
-        # Partial batches whose deadline expires before this arrival flush at
-        # their deadline, not lazily at the next enqueue.  With an injector
-        # armed, its events (faults, settles, retries, hedges, probes) that
-        # fall before this arrival interleave in time order, injector-first
-        # on ties; with none armed this is exactly the fault-free loop.
-        while True:
-            due = fleet.next_deadline()
-            ev = injector.next_t() if injector is not None else None
-            if ev is not None and ev <= t and (due is None or ev <= due):
-                clock.t = max(clock.t, ev)
-                injector.process(clock.t)
-                pump(clock.t)
-                continue
-            if due is None or due > t:
-                break
-            clock.t = max(clock.t, due)
-            progressed = pump(clock.t)
-            if injector is not None:
-                injector.process(clock.t)
-            if progressed == 0:
-                break
+    # The `<=` tests below are the tie order: injector event, then
+    # deadline, then arrival.
+    arrivals = iter(entries)
+    upcoming = next(arrivals, None)
+    while (
+        upcoming is not None
+        or fleet.pending()
+        or (injector is not None and injector.pending())
+    ):
+        due = fleet.next_deadline()
+        ev = injector.next_t() if injector is not None else None
+        t = upcoming.t if upcoming is not None else math.inf
+        if ev is not None and ev <= t and (due is None or ev <= due):
+            clock.t = max(clock.t, ev)
+            if scaler is not None and upcoming is None:
+                scaler.observe(clock.t)
+            injector.process(clock.t)
+            pump(clock.t)
+            continue
+        if upcoming is None or (due is not None and due <= t):
+            if due is not None:
+                clock.t = max(clock.t, due)
+            if scaler is not None and upcoming is None:
+                scaler.observe(clock.t)
+            pump(clock.t)
+            continue
+        entry, upcoming = upcoming, next(arrivals, None)
         clock.t = max(clock.t, t)
         if scaler is not None:
             scaler.observe(clock.t)
@@ -910,7 +923,6 @@ def fleet_replay(
         rid = worker.server.enqueue(
             entry.model, dtype=req_dtype, slo_s=req_slo, priority=entry.priority
         )
-        meta[(worker.worker_id, rid)] = (t, req_slo)
         if injector is not None:
             injector.track(
                 worker,
@@ -922,22 +934,8 @@ def fleet_replay(
                 priority=entry.priority,
                 now=clock.t,
             )
-        pump(clock.t)
-
-    while fleet.pending() or (injector is not None and injector.pending()):
-        due = fleet.next_deadline()
-        ev = injector.next_t() if injector is not None else None
-        if ev is not None and (due is None or ev <= due):
-            clock.t = max(clock.t, ev)
-            if scaler is not None:
-                scaler.observe(clock.t)
-            injector.process(clock.t)
-            pump(clock.t)
-            continue
-        if due is not None:
-            clock.t = max(clock.t, due)
-        if scaler is not None:
-            scaler.observe(clock.t)
+        else:
+            meta[(worker.worker_id, rid)] = (t, req_slo)
         pump(clock.t)
 
     if scaler is not None:

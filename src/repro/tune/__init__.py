@@ -3,8 +3,9 @@
 The loop the paper closes with real hardware (§V-C), closed here over the
 simulated substrate:
 
-* :mod:`repro.tune.measure` — run planned kernels / tiling candidates and
-  observe their cost (the analytic counters or the simulated kernel grid);
+* :mod:`repro.tune.measure` — price planned steps and tiling candidates
+  through the analytic counters, which meter what the simulated kernels
+  meter byte for byte (:func:`simulated_kernel_cost_s` is that oracle);
 * :mod:`repro.tune.records` — persist every observation in a versioned,
   deterministic JSON-lines :class:`TuningDB` keyed by full geometry + GPU +
   dtype + convention;

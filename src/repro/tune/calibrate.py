@@ -104,15 +104,15 @@ class Calibration:
         ]
 
 
-def fit_calibration(db: TuningDB, *, min_records: int = 1) -> Calibration:
+def fit_calibration(db: TuningDB) -> Calibration:
     """Fit per-(GPU, dtype, family) factors from a tuning DB.
 
     The factor is the geometric mean of ``measured / estimated`` over the
     family's records (the right mean for a multiplicative correction: one
     2x-over and one 2x-under estimate cancel).  Model-level records are
-    excluded — they aggregate every family and would double-count.  Groups
-    with fewer than ``min_records`` records are left uncalibrated.
-    Fitting is deterministic: records iterate in canonical DB order.
+    excluded — they aggregate every family and would double-count.  A
+    family gets a factor from its first record on.  Fitting is
+    deterministic: records iterate in canonical DB order.
     """
     logs: dict[tuple[str, str, str], list[float]] = {}
     for rec in db:
@@ -127,8 +127,6 @@ def fit_calibration(db: TuningDB, *, min_records: int = 1) -> Calibration:
     group_logs: dict[tuple[str, str], list[float]] = {}
     for group in sorted(logs):
         samples = logs[group]
-        if len(samples) < min_records:
-            continue
         factors[group] = math.exp(sum(samples) / len(samples))
         support[group] = len(samples)
         group_logs.setdefault(group[:2], []).extend(samples)

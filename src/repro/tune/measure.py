@@ -8,7 +8,7 @@ decisions are made in) next to the *observed cost* (the measured-convention
 counters through the roofline, i.e. what :meth:`InferenceSession.run_analytic`
 charges, which the functional kernels match byte-for-byte), then searches the
 step's feasible tiling grid by observed cost with the tie-break-fixed
-:func:`~repro.baselines.autotune.random_search` backend.
+:func:`~repro.baselines.autotune.random_search`.
 
 Search modes:
 
@@ -19,11 +19,12 @@ Search modes:
   tiling is always measured, plus ``iterations`` sampled candidates, so the
   tuned result can never be worse than what planning already picked.
 
-Two measurement backends exist for tilings: ``"counters"`` (default) prices
-a candidate through the analytic counter builders in microseconds, and
-``"kernel"`` actually materializes parameters and runs the simulated kernel
-grid — slower, but the full hardware-in-the-loop path (their counters are
-byte-identical by the integration tests, so both return the same cost).
+Every candidate is measured one way: :func:`measured_step_cost_s` prices it
+through the analytic counter builders in microseconds.  The kernel-in-the-
+loop oracle, :func:`simulated_kernel_cost_s`, materializes parameters and
+runs the simulated kernel grid; it meters the same counters byte for byte
+(the tests assert it on every tiling of an exhaustive search), so it returns
+the same cost and is kept as the oracle those tests check against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from ..baselines.autotune import random_search
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..errors import TuneError
-from ..gpu.fastpath import DEFAULT_ENGINE
 from ..gpu.specs import GpuSpec
 from ..kernels.params import chain_quant, make_layer_params
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
@@ -102,7 +102,7 @@ def simulated_kernel_cost_s(
     tiling: dict[str, int] | None = None,
     seed: int = 0,
 ) -> float:
-    """Hardware-in-the-loop variant: run the actual simulated kernel grid.
+    """The kernel-in-the-loop oracle: run the actual simulated kernel grid.
 
     Materializes deterministic parameters for the step's layer(s), builds the
     kernel through the registry, streams a seeded random IFM through the
@@ -155,9 +155,9 @@ def tune_step_tiling(
     mode: str = "guided",
     iterations: int = 20,
     seed: int = 0,
-    backend: str = "counters",
 ) -> tuple[dict[str, int], float, int]:
-    """Search one step's feasible tiling grid by *observed* cost.
+    """Search one step's feasible tiling grid by *observed* cost
+    (:func:`measured_step_cost_s`).
 
     Returns ``(tiling, measured_cost_s, candidates_evaluated)``.  Steps
     without a tiling vocabulary (std/glue) are measured as-is with one
@@ -165,8 +165,6 @@ def tune_step_tiling(
     """
     if mode not in MODES:
         raise TuneError(f"unknown search mode {mode!r}; choose from {MODES}")
-    if backend not in ("counters", "kernel"):
-        raise TuneError(f"unknown backend {backend!r}; 'counters' or 'kernel'")
     if iterations < 1:
         raise TuneError(f"measurement budget must be >= 1, got {iterations}")
     candidates = _tiling_candidates(step, gpu)
@@ -181,10 +179,7 @@ def tune_step_tiling(
     def evaluate(t: dict[str, int]) -> float:
         k = tuple(sorted(t.items()))
         if k not in memo:
-            if backend == "kernel":
-                memo[k] = simulated_kernel_cost_s(step, gpu, dtype, t, seed)
-            else:
-                memo[k] = measured_step_cost_s(step, gpu, dtype, t)
+            memo[k] = measured_step_cost_s(step, gpu, dtype, t)
         return memo[k]
 
     budget = len(candidates) if mode == "exhaustive" else iterations
@@ -254,7 +249,6 @@ def measure_model(
     mode: str = "guided",
     iterations: int = 20,
     seed: int = 0,
-    backend: str = "counters",
     tracer=None,
     metrics=None,
 ) -> ModelMeasurement:
@@ -264,9 +258,8 @@ def measure_model(
     geometry* (repeated identical blocks share a record; the best-measured
     one wins) plus one model-level record (family ``"model"``, geometry
     ``(model, max_chain)``) that the serving warm-start path replays.
-    Every record carries its measurement provenance: ``"analytic"`` for the
-    counter backend, else the execution engine the kernel backend ran on
-    (``"fast"``).
+    Every record carries its measurement provenance, ``"analytic"``: the
+    analytic counters priced it.
 
     ``tracer``/``metrics`` wrap the whole measurement in one
     ``tune.measure`` span (the planning pass nests inside) and tally
@@ -275,117 +268,87 @@ def measure_model(
     """
     tracer = resolve_tracer(tracer)
     metrics = resolve_metrics(metrics)
-    if not (tracer.enabled or metrics.enabled):
-        return _measure_model_impl(
-            model, gpu, dtype, db=db, max_chain=max_chain, mode=mode,
-            iterations=iterations, seed=seed, backend=backend,
-            tracer=tracer, metrics=metrics,
-        )
     with tracer.span(
         "tune.measure", model=model, gpu=gpu.name, dtype=dtype.value, mode=mode
     ):
-        mm = _measure_model_impl(
-            model, gpu, dtype, db=db, max_chain=max_chain, mode=mode,
-            iterations=iterations, seed=seed, backend=backend,
-            tracer=tracer, metrics=metrics,
+        graph = build_model(model, dtype)
+        plan = FusePlanner(
+            gpu, max_chain=max_chain, tracer=tracer, metrics=metrics
+        ).plan(graph)
+        session = InferenceSession(
+            graph, plan, materialize_network(graph, dtype, seed)
         )
-    metrics.counter(
-        "repro_tune_candidates_total", help="Tiling candidates measured"
-    ).inc(mm.evaluated, model=model, gpu=gpu.name)
-    metrics.counter(
-        "repro_tune_records_total", help="Tuning records persisted"
-    ).inc(mm.records_added, model=model, gpu=gpu.name)
-    return mm
+        report = session.run_analytic()
+        assert len(report.records) == len(plan.steps)
 
-
-def _measure_model_impl(
-    model: str,
-    gpu: GpuSpec,
-    dtype: DType,
-    *,
-    db: TuningDB,
-    max_chain: int,
-    mode: str,
-    iterations: int,
-    seed: int,
-    backend: str,
-    tracer,
-    metrics,
-) -> ModelMeasurement:
-    record_engine = "analytic" if backend == "counters" else DEFAULT_ENGINE
-    graph = build_model(model, dtype)
-    plan = FusePlanner(gpu, max_chain=max_chain, tracer=tracer, metrics=metrics).plan(graph)
-    session = InferenceSession(
-        graph, plan, materialize_network(graph, dtype, seed)
-    )
-    report = session.run_analytic()
-    assert len(report.records) == len(plan.steps)
-
-    added = 0
-    evaluated_total = 0
-    tuned_total = 0.0
-    #: repeated identical blocks are ubiquitous in the zoo; their geometry
-    #: shares one record, so the (dominant) tiling search runs once per
-    #: distinct geometry, not once per occurrence.
-    searched: dict[tuple[str, tuple], tuple[dict[str, int], float, int]] = {}
-    for step, rec in zip(plan.steps, report.records):
-        est = estimated_step_cost_s(step, gpu, dtype)
-        family = step_family(step)
-        geometry = _step_geometry(step)
-        if (family, geometry) not in searched:
-            result = tune_step_tiling(
-                step, gpu, dtype, mode=mode, iterations=iterations, seed=seed,
-                backend=backend,
-            )
-            searched[(family, geometry)] = result
-            evaluated_total += result[2]  # measurements actually performed
-        tiling, tuned, evaluated = searched[(family, geometry)]
-        tuned_total += tuned
-        key = TuningKey(
-            family=family,
-            geometry=geometry,
-            gpu=gpu.name,
-            dtype=dtype.value,
-            convention="paper",
-        )
-        added += db.add(
-            TuningRecord(
-                key=key,
-                tiling=tiling,
-                est_cost_s=est,
-                measured_cost_s=rec.time_s,
-                tuned_cost_s=tuned,
-                gma_bytes=(
-                    step.est_gma_bytes if isinstance(step, (LblStep, ChainStep))
-                    else rec.counters.total_bytes
-                ),
-                evaluated=evaluated,
-                seed=seed,
-                engine=record_engine,
-            )
-        )
-
-    est_plan = plan_cost_estimate(plan)
-    measured_plan = report.latency_s
-    added += db.add(
-        TuningRecord(
-            key=TuningKey(
-                family="model",
-                geometry=(model, max_chain),
+        added = 0
+        evaluated_total = 0
+        tuned_total = 0.0
+        #: repeated identical blocks are ubiquitous in the zoo; their
+        #: geometry shares one record, so the (dominant) tiling search runs
+        #: once per distinct geometry, not once per occurrence.
+        searched: dict[tuple[str, tuple], tuple[dict[str, int], float, int]] = {}
+        for step, rec in zip(plan.steps, report.records):
+            est = estimated_step_cost_s(step, gpu, dtype)
+            family = step_family(step)
+            geometry = _step_geometry(step)
+            if (family, geometry) not in searched:
+                result = tune_step_tiling(
+                    step, gpu, dtype, mode=mode, iterations=iterations, seed=seed
+                )
+                searched[(family, geometry)] = result
+                evaluated_total += result[2]  # measurements actually performed
+            tiling, tuned, evaluated = searched[(family, geometry)]
+            tuned_total += tuned
+            key = TuningKey(
+                family=family,
+                geometry=geometry,
                 gpu=gpu.name,
                 dtype=dtype.value,
                 convention="paper",
-            ),
-            tiling={},
-            est_cost_s=est_plan,
-            measured_cost_s=measured_plan,
-            tuned_cost_s=tuned_total,
-            gma_bytes=report.total_gma_bytes,
-            evaluated=evaluated_total,
-            seed=seed,
-            engine=record_engine,
+            )
+            added += db.add(
+                TuningRecord(
+                    key=key,
+                    tiling=tiling,
+                    est_cost_s=est,
+                    measured_cost_s=rec.time_s,
+                    tuned_cost_s=tuned,
+                    gma_bytes=(
+                        step.est_gma_bytes if isinstance(step, (LblStep, ChainStep))
+                        else rec.counters.total_bytes
+                    ),
+                    evaluated=evaluated,
+                    seed=seed,
+                )
+            )
+
+        est_plan = plan_cost_estimate(plan)
+        measured_plan = report.latency_s
+        added += db.add(
+            TuningRecord(
+                key=TuningKey(
+                    family="model",
+                    geometry=(model, max_chain),
+                    gpu=gpu.name,
+                    dtype=dtype.value,
+                    convention="paper",
+                ),
+                tiling={},
+                est_cost_s=est_plan,
+                measured_cost_s=measured_plan,
+                tuned_cost_s=tuned_total,
+                gma_bytes=report.total_gma_bytes,
+                evaluated=evaluated_total,
+                seed=seed,
+            )
         )
-    )
+    metrics.counter(
+        "repro_tune_candidates_total", help="Tiling candidates measured"
+    ).inc(evaluated_total, model=model, gpu=gpu.name)
+    metrics.counter(
+        "repro_tune_records_total", help="Tuning records persisted"
+    ).inc(added, model=model, gpu=gpu.name)
     return ModelMeasurement(
         model=model,
         gpu=gpu.name,
@@ -408,11 +371,11 @@ def _measure_one_job(job: tuple) -> tuple[str, ModelMeasurement]:
     the measurement summary.  Module-level so it is picklable by spawn-based
     pools too.
     """
-    (model, gpu, dtype, max_chain, mode, iterations, seed, backend) = job
+    (model, gpu, dtype, max_chain, mode, iterations, seed) = job
     child = TuningDB()
     mm = measure_model(
         model, gpu, dtype, db=child, max_chain=max_chain, mode=mode,
-        iterations=iterations, seed=seed, backend=backend,
+        iterations=iterations, seed=seed,
     )
     return child.dumps(), mm
 
@@ -427,7 +390,6 @@ def tune_models(
     mode: str = "guided",
     iterations: int = 20,
     seed: int = 0,
-    backend: str = "counters",
     workers: int = 1,
     tracer=None,
     metrics=None,
@@ -450,7 +412,7 @@ def tune_models(
         raise TuneError(f"workers must be >= 1, got {workers}")
     db = db if db is not None else TuningDB()
     jobs = [
-        (model, gpu, dtype, max_chain, mode, iterations, seed, backend)
+        (model, gpu, dtype, max_chain, mode, iterations, seed)
         for gpu in gpus
         for model in models
     ]
@@ -459,7 +421,7 @@ def tune_models(
         for job in jobs:
             out.append(measure_model(job[0], job[1], dtype, db=db, max_chain=max_chain,
                                      mode=mode, iterations=iterations, seed=seed,
-                                     backend=backend, tracer=tracer, metrics=metrics))
+                                     tracer=tracer, metrics=metrics))
         return db, out
 
     import multiprocessing

@@ -128,12 +128,12 @@ class TuningRecord:
     ``tiling`` / ``tuned_cost_s`` describe the best tiling the measurement
     search found (identical to the planner's when the analytic model already
     ranked candidates correctly), and ``evaluated`` is the search budget
-    actually spent.  ``engine`` records the measurement's provenance: the
-    analytic counter backend (``"analytic"``, the default — also assumed for
-    records written before the field existed) or, for kernel-in-the-loop
-    measurements, which execution engine ran the simulated grid (``"fast"``;
-    ``"reference"`` in DBs written when tuning could select that engine,
-    which still load and round-trip unchanged).
+    actually spent.  ``engine`` records the measurement's provenance.  The
+    tuner measures only through the analytic counters, so new records say
+    ``"analytic"`` (the default, also assumed for records written before the
+    field existed).  DBs written when tuning could run the simulated kernel
+    grid say which engine ran it (``"fast"`` or ``"reference"``); they still
+    load and round-trip unchanged.
     """
 
     key: TuningKey
@@ -185,8 +185,8 @@ class TuningRecord:
                 evaluated=int(obj["evaluated"]),
                 seed=int(obj["seed"]),
                 # Provenance field added after v1 records shipped: absent
-                # means the analytic counter backend, so old DBs stay
-                # readable without a schema bump.
+                # means the analytic counters, so old DBs stay readable
+                # without a schema bump.
                 engine=str(obj.get("engine", "analytic")),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -60,9 +60,13 @@ def test_plan_int8(capsys):
     ["tune", "run", "--models", "mobilenet_v1", "--db", "TUNE_removed.json",
      "--engine", "fast"],
     ["fleet", "--models", "mobilenet_v1", "--workers", "2"],
-], ids=["run-engine", "plan-search-engine", "tune-run-engine", "fleet-workers"])
+    ["tune", "run", "--models", "mobilenet_v1", "--db", "TUNE_removed.json",
+     "--backend", "kernel"],
+], ids=["run-engine", "plan-search-engine", "tune-run-engine", "fleet-workers",
+        "tune-run-backend"])
 def test_removed_selector_flags_are_usage_errors(argv, capsys):
-    """The oracle and preplan-pool selectors are gone from the CLI."""
+    """The oracle, tuning-backend and preplan-pool selectors are gone from
+    the CLI."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -261,23 +261,22 @@ def test_unknown_engine_rejected():
         resolve_engine("turbo")
 
 
-def test_reference_fallback_for_kernels_without_fast_path():
-    """A kernel that never implemented run_grid still simulates (reference)."""
+def test_kernel_without_run_grid_cannot_be_built():
+    """Every kernel implements both engines: ``run_grid`` is abstract, so a
+    subclass that drops it fails at construction instead of silently running
+    the reference launch."""
     from repro.core.tiling import PwTiling
     from repro.kernels.base import SimKernel
     from repro.kernels.direct_pw import PwDirectKernel
 
-    spec = pw_spec()
-    params = make_layer_params(spec)
-    assert build_lbl_kernel(params, {"tile_m": 8, "tile_hw": 32}).has_fast_path()
+    params = make_layer_params(pw_spec())
+    assert "run_grid" in SimKernel.__abstractmethods__
 
     class Legacy(PwDirectKernel):
         run_grid = SimKernel.run_grid
 
-    legacy = Legacy(params, PwTiling(8, 32))
-    assert not legacy.has_fast_path()
-    res = legacy.simulate(random_ifm(spec), RTX_A4000, engine="fast")
-    assert res.counters.total_bytes > 0
+    with pytest.raises(TypeError, match="run_grid"):
+        Legacy(params, PwTiling(8, 32))
 
 
 def test_removed_engine_selectors_are_rejected(monkeypatch):
@@ -286,7 +285,9 @@ def test_removed_engine_selectors_are_rejected(monkeypatch):
     from repro.planner.planner import FusePlanner
     from repro.planner.search import best_lbl_tiling
     from repro.runtime.session import InferenceSession, build_session
-    from repro.tune.measure import tune_models
+    from repro.tune.calibrate import fit_calibration
+    from repro.tune.measure import measure_model, tune_models, tune_step_tiling
+    from repro.tune.records import TuningDB
 
     register_tiny_zoo(monkeypatch)
     with pytest.raises(TypeError, match="search_engine"):
@@ -300,6 +301,15 @@ def test_removed_engine_selectors_are_rejected(monkeypatch):
         build_session("tiny_a", RTX_A4000, engine="reference")
     with pytest.raises(TypeError, match="engine"):
         tune_models(["tiny_a"], [RTX_A4000], engine="reference")
+    # Tuning measures through the analytic counters only: no kernel backend.
+    with pytest.raises(TypeError, match="backend"):
+        tune_step_tiling(session.plan.steps[1], RTX_A4000, DType.FP32, backend="kernel")
+    with pytest.raises(TypeError, match="backend"):
+        measure_model("tiny_a", RTX_A4000, db=TuningDB(), backend="kernel")
+    with pytest.raises(TypeError, match="backend"):
+        tune_models(["tiny_a"], [RTX_A4000], backend="kernel")
+    with pytest.raises(TypeError, match="min_records"):
+        fit_calibration(TuningDB(), min_records=2)
 
 
 # ---- batched execution -------------------------------------------------------
@@ -471,9 +481,46 @@ def test_measure_model_records_engine(monkeypatch, tmp_path):
     register_tiny_zoo(monkeypatch)
     db = TuningDB()
     measure_model("tiny_a", RTX_A4000, DType.FP32, db=db, iterations=2)
+    assert len(db) > 0
     assert all(r.engine == "analytic" for r in db)
-    db_k = TuningDB()
-    measure_model(
-        "tiny_a", RTX_A4000, DType.FP32, db=db_k, iterations=2, backend="kernel"
-    )
-    assert all(r.engine == "fast" for r in db_k)
+    # The provenance lands in the dump: the DB format keeps the field.
+    dumped = [json.loads(line) for line in db.dumps().splitlines()[1:]]
+    assert [rec["engine"] for rec in dumped] == ["analytic"] * len(db)
+
+
+def test_kernel_oracle_prices_every_exhaustive_tiling(monkeypatch):
+    """The kernel-in-the-loop oracle meters what the tuner's counters price.
+
+    For one LBL step of a tiny-zoo plan on the GTX and the fused DW->PW step
+    the planner weighed for the same pair, every tiling an exhaustive search
+    measures costs exactly the same through ``simulated_kernel_cost_s``."""
+    import repro.tune.measure as measure
+    from repro.gpu.specs import GTX1660
+    from repro.models.zoo import build_model
+    from repro.planner.plan import LblStep
+    from repro.planner.planner import FusePlanner
+
+    register_tiny_zoo(monkeypatch)
+    planner = FusePlanner(GTX1660)
+    lbl_steps = [
+        s for s in planner.plan(build_model("tiny_b")).steps if isinstance(s, LblStep)
+    ]
+    fused = planner.evaluate_chain(tuple(s.spec for s in lbl_steps)).to_step()
+    price = measure.measured_step_cost_s
+    for step in (lbl_steps[0], fused):
+        seen: list[dict[str, int]] = []
+
+        def recording(step, gpu, dtype, tiling=None, _seen=seen):
+            _seen.append(tiling)
+            return price(step, gpu, dtype, tiling)
+
+        monkeypatch.setattr(measure, "measured_step_cost_s", recording)
+        _t, _c, evaluated = measure.tune_step_tiling(
+            step, GTX1660, DType.FP32, mode="exhaustive"
+        )
+        monkeypatch.setattr(measure, "measured_step_cost_s", price)
+        assert evaluated == len(seen) > 1
+        for tiling in seen:
+            assert measure.simulated_kernel_cost_s(
+                step, GTX1660, DType.FP32, tiling
+            ) == price(step, GTX1660, DType.FP32, tiling), (type(step).__name__, tiling)

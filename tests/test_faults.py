@@ -28,6 +28,7 @@ from repro.core.dtypes import DType
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660
 from repro.serve import (
+    ARRIVAL_KINDS,
     FAULT_KINDS,
     WORKER_HEALTH,
     AutoscalePolicy,
@@ -747,3 +748,65 @@ class TestChaosReplay:
         text = report.describe()
         assert "availability" in text
         assert "1 crash" in text
+
+
+class TestReplayLoop:
+    """``fleet_replay`` is one event loop over injector events, partial-batch
+    deadlines and arrivals; ties go to the event, then the deadline, then
+    the arrival."""
+
+    def test_event_wins_a_tie_with_a_deadline(self):
+        # The lone request's partial batch is due at max_delay_s, the same
+        # instant the transient fault lands: the fault is applied first, so
+        # that very batch fails and is retried.
+        plan = FaultPlan((FaultEvent(t=1e-6, worker=0, kind="transient"),))
+        report = fleet_replay(
+            [GTX1660], ["tiny_a"], 1, 1e6, max_batch=4, max_delay_s=1e-6,
+            faults=plan, retry=RetryPolicy(max_attempts=2, budget=1.0),
+        )
+        check_replay(report)
+        assert report.fault_stats.retries == 1
+        assert report.per_worker[0].batches == 2
+
+    def test_deadline_wins_a_tie_with_an_arrival(self):
+        # Request 0's partial batch is due at 1 us, when request 1 arrives:
+        # the batch flushes first, so the two requests run as two batches.
+        report = fleet_replay(
+            [GTX1660], ["tiny_a"], 2, 1e6, max_batch=4, max_delay_s=1e-6
+        )
+        check_replay(report)
+        assert report.per_worker[0].batches == 2
+        assert report.mean_batch == 1.0
+
+    def test_event_wins_a_tie_with_an_arrival(self):
+        # Every arrival flushes at once (max_batch 1).  The transient lands
+        # as request 1 arrives, so it fails request 1's batch, not a later
+        # one: request 0 is served on the first try, request 1 is retried.
+        plan = FaultPlan((FaultEvent(t=1e-6, worker=0, kind="transient"),))
+        report = fleet_replay(
+            [GTX1660], ["tiny_a"], 2, 1e6, max_batch=1,
+            faults=plan, retry=RetryPolicy(max_attempts=2, budget=1.0),
+        )
+        check_replay(report)
+        assert report.fault_stats.retries == 1
+        assert report.per_worker[0].batches == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        arrival=st.sampled_from(ARRIVAL_KINDS),
+        chaos=st.sampled_from(("none", "plan", "plan+hedging")),
+        autoscale=st.booleans(),
+    )
+    def test_accounting_and_determinism_property(self, seed, arrival, chaos, autoscale):
+        kw = dict(max_batch=4, seed=seed, arrival=arrival, slo_s=5e-3)
+        if chaos != "none":
+            kw["faults"] = FaultPlan.chaos(3, 24e-6, mtbf_s=8e-6, mttr_s=4e-6, seed=seed)
+            kw["probe_s"] = 1e-6
+        if chaos == "plan+hedging":
+            kw["retry"] = RetryPolicy(max_attempts=3, budget=0.5, hedge_delay_s=2e-6)
+        if autoscale:
+            kw["autoscale"] = AutoscalePolicy(min_workers=3, max_workers=5)
+        first = fleet_replay([GTX1660] * 3, ["tiny_a", "tiny_b"], 24, 1e6, **kw)
+        check_replay(first)
+        assert fleet_replay([GTX1660] * 3, ["tiny_a", "tiny_b"], 24, 1e6, **kw) == first
