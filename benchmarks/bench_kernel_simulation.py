@@ -14,13 +14,14 @@ accumulates in CI artifacts.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
 from repro.gpu.specs import RTX_A4000
-from repro.ir.layers import ConvKind, ConvSpec
+from repro.ir.layers import ConvKind, ConvSpec, EpilogueSpec
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 
@@ -157,6 +158,46 @@ def test_bench_int8_stem_conv(benchmark, once):
     for fn in (conv2d_standard, conv_via_im2col):
         name = fn.__name__
         assert times_ms[f"{name}/int8"] <= 5 * times_ms[f"{name}/fp32"], times_ms
+
+
+#: CeiT's LeFF expansion (``blk*_leff_pw1``): 192->768 PW at 14x14, norm + GELU.
+_LEFF_PW = ConvSpec("leff_pw1", ConvKind.POINTWISE, 192, 768, 14, 14,
+                    epilogue=EpilogueSpec(norm=True, activation="gelu"))
+
+
+def test_bench_gelu_epilogue(benchmark, once):
+    """GELU epilogues cost a small multiple of ReLU ones.
+
+    ``ConvEpilogue.apply`` on CeiT's 768x14x14 LeFF tile, into an output
+    buffer as the kernels call it, with GELU and with ReLU, at FP32 and
+    INT8 (best of 5).  A GELU cubing through libm ``pow`` (``x**3``) costs
+    50-70x the ReLU epilogue at FP32 and 15-19x at INT8; ``x * x * x``
+    costs 5-6x and 2-3x.
+    """
+    rng = np.random.default_rng(0)
+    times_ms = {}
+    ratios = {}
+    for dtype in (DType.FP32, DType.INT8):
+        if dtype is DType.INT8:
+            acc = rng.integers(-20000, 20000, (768, 14 * 14)).astype(np.int32)
+        else:
+            acc = rng.standard_normal((768, 14 * 14)).astype(np.float32)
+        out = np.empty(acc.shape, dtype=dtype.np_dtype)
+        for act in ("relu", "gelu"):
+            spec = replace(_LEFF_PW, epilogue=EpilogueSpec(norm=True, activation=act))
+            epi = make_layer_params(spec.with_dtype(dtype)).epilogue
+            times_ms[f"{act}/{dtype.value}"] = 1e3 * _best_of(
+                lambda: epi.apply(acc, 0, 768, dtype, out=out), rounds=5
+            )
+        ratios[dtype.value] = times_ms[f"gelu/{dtype.value}"] / times_ms[f"relu/{dtype.value}"]
+    print("\nepilogue on the 768x14x14 LeFF tile (best of 5):")
+    for key, ms in times_ms.items():
+        print(f"{key:12s} {ms:8.3f} ms")
+    print("gelu/relu: " + ", ".join(f"{k} {v:.1f}x" for k, v in ratios.items()))
+    benchmark.extra_info["epilogue_ms"] = {k: round(v, 4) for k, v in times_ms.items()}
+    benchmark.extra_info["gelu_over_relu"] = {k: round(v, 2) for k, v in ratios.items()}
+    once(benchmark, lambda: epi.apply(acc, 0, 768, dtype, out=out))
+    assert all(r <= 12 for r in ratios.values()), ratios
 
 
 def test_bench_engine_speedup_models(benchmark, once, smoke):

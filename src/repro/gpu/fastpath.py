@@ -134,6 +134,12 @@ def axis_window_extents(
 
 
 # ---- whole-tensor compute primitives ------------------------------------------
+#: accumulator bytes per channel block of :func:`grid_depthwise`: a block's
+#: accumulator, product and canvas rows (about three times this) stay in a
+#: core's L2 across all ``k * k`` taps.
+_DW_BLOCK_BYTES = 256 * 1024
+
+
 def grid_depthwise(
     window: np.ndarray,
     weights: np.ndarray,
@@ -148,29 +154,40 @@ def grid_depthwise(
     """Whole-image depthwise convolution by shifted multiply-accumulate.
 
     Same canvas/clipping discipline (and argument contract) as
-    :func:`repro.kernels.direct_dw.depthwise_tile`, but one fused
-    multiply-add per filter tap over the full image instead of a windowed
-    einsum — several times faster at grid scale, and tap order matches the
-    einsum's ``(k, l)`` reduction order, so integer results are identical
-    and floating results agree at dtype tolerance.
+    :func:`repro.kernels.direct_dw.depthwise_tile`, but one multiply-add per
+    filter tap over a block of channels instead of a windowed einsum.  The
+    padded canvas is flat per channel and output rows are laid out at the
+    canvas width, so each tap reads one 1-D stride-``stride`` view of it,
+    for every stride; the extra ``canvas_w - cols_out`` columns per row are
+    computed and dropped, and the result is a ``(c, rows_out, cols_out)``
+    view.  Every element starts at zero and takes ``acc += x * w`` once per
+    tap in the einsum's ``(k, l)`` reduction order, so integer results are
+    identical and floating results agree at dtype tolerance.
     """
     c = window.shape[0]
     canvas_h = input_extent(rows_out, kernel, stride)
     canvas_w = input_extent(cols_out, kernel, stride)
-    canvas = np.zeros((c, canvas_h, canvas_w), dtype=acc_dtype)
+    n = rows_out * canvas_w
+    span = stride * (n - 1) + 1
+    # The last tap's view ends (kernel - 1) rows and columns past the first's.
+    canvas = np.zeros((c, (kernel - 1) * (canvas_w + 1) + span), dtype=acc_dtype)
     use_h = min(window.shape[1], canvas_h - row_off)
     use_w = min(window.shape[2], canvas_w - col_off)
-    canvas[:, row_off : row_off + use_h, col_off : col_off + use_w] = window[
+    plane = canvas[:, : canvas_h * canvas_w].reshape(c, canvas_h, canvas_w)
+    plane[:, row_off : row_off + use_h, col_off : col_off + use_w] = window[
         :, :use_h, :use_w
     ]
-    wk = weights.astype(acc_dtype, copy=False)
-    acc = np.zeros((c, rows_out, cols_out), dtype=acc_dtype)
-    h_span = (rows_out - 1) * stride + 1
-    w_span = (cols_out - 1) * stride + 1
-    for dk in range(kernel):
-        for dl in range(kernel):
-            acc += (
-                canvas[:, dk : dk + h_span : stride, dl : dl + w_span : stride]
-                * wk[:, dk : dk + 1, dl : dl + 1]
-            )
-    return acc
+    taps = weights.astype(acc_dtype, copy=False).reshape(c, kernel * kernel, 1)
+    acc = np.zeros((c, n), dtype=acc_dtype)
+    block = max(1, _DW_BLOCK_BYTES // acc[0].nbytes)
+    prod = np.empty((min(block, c), n), dtype=acc_dtype)
+    for c0 in range(0, c, block):
+        a = acc[c0 : c0 + block]
+        src = canvas[c0 : c0 + block]
+        w = taps[c0 : c0 + block]
+        p = prod[: a.shape[0]]
+        for t in range(kernel * kernel):
+            off = (t // kernel) * canvas_w + t % kernel
+            np.multiply(src[:, off : off + span : stride], w[:, t], out=p)
+            a += p
+    return acc.reshape(c, rows_out, canvas_w)[:, :, :cols_out]

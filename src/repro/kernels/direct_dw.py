@@ -186,7 +186,7 @@ class DwDirectKernel(SimKernel):
             stride=s,
             acc_dtype=self.dtype.acc_dtype,
         )
-        self._out.array[...] = self.params.epilogue.apply(acc, 0, c_all, self.dtype)
+        self.params.epilogue.apply(acc, 0, c_all, self.dtype, out=self._out.array)
         return 0  # direct kernels keep everything in registers / L1
 
     def output_array(self) -> np.ndarray:

@@ -112,7 +112,7 @@ class PwDirectKernel(SimKernel):
         ctr.compute(m_all * c_in * self.out_hw)
 
         acc = exact_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
-        self._out.array[...] = self.params.epilogue.apply(acc, 0, m_all, self.dtype)
+        self.params.epilogue.apply(acc, 0, m_all, self.dtype, out=self._out.array)
         return 0  # direct kernels keep everything in registers / L1
 
     def output_array(self) -> np.ndarray:

@@ -56,7 +56,14 @@ class ConvEpilogue:
             raise UnsupportedError("dequant_multiplier needs int8 scales")
         return self.in_scale.scale * self.w_scale.scale
 
-    def apply(self, acc: np.ndarray, ch0: int, ch1: int, dtype: DType) -> np.ndarray:
+    def apply(
+        self,
+        acc: np.ndarray,
+        ch0: int,
+        ch1: int,
+        dtype: DType,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Apply the epilogue to an accumulator tile.
 
         Args:
@@ -64,23 +71,32 @@ class ConvEpilogue:
             ch0, ch1: which out-channel range this tile covers (for slicing
                 the per-channel norm parameters).
             dtype: storage precision of the kernel's outputs.
+            out: where to write the finished tile (a kernel's output
+                buffer): an array of ``acc``'s shape in the storage dtype,
+                or ``None`` for a fresh one.
 
         Returns:
-            The tile in storage dtype (fp32 or int8).
+            The tile in storage dtype (fp32 or int8): ``out`` when given.
 
-        ``acc`` is never written, though an fp32 tile without norm may be
-        returned as-is.  INT8 dequantizes into one float64 copy, then
-        normalizes, divides, rounds and clips that copy in place; FP32
-        allocates once, for the norm.
+        ``acc`` is never written.  FP32 normalizes and activates straight
+        into ``out``; without it, it allocates once, for the norm (a tile
+        without norm or activation is returned as-is).  INT8 dequantizes
+        into one float64 copy, normalizes, activates, divides, rounds and
+        clips that copy in place, then narrows it into ``out`` (or a fresh
+        int8 array).  GELU allocates two temporaries of its own.
         """
+        # ``dst`` is where the next step writes: the INT8 working copy, or
+        # ``out`` until an FP32 step has produced an array of its own.
         quantized = dtype is DType.INT8
         if quantized:
             if not self.is_quantized:
                 raise UnsupportedError("INT8 kernel requires quantization scales")
             x = acc.astype(np.float64)
             x *= self.dequant_multiplier()
+            dst = x
         else:
             x = acc.astype(np.float32, copy=False)
+            dst = out
         if self.norm_scale is not None:
             bshape = (-1,) + (1,) * (acc.ndim - 1)
             scale = self.norm_scale[ch0:ch1].reshape(bshape)
@@ -89,15 +105,16 @@ class ConvEpilogue:
                 raise ShapeError(
                     f"epilogue norm slice [{ch0}:{ch1}] does not cover tile of {acc.shape[0]}"
                 )
-            if x is acc:
-                x = x * scale
-            else:
-                x *= scale
+            x = np.multiply(x, scale, out=dst)
             x += shift
-        x = apply_activation(x, self.activation)
+            dst = x
+        x = apply_activation(x, self.activation, out=dst)
         if quantized:
             x /= self.out_scale.scale
             np.rint(x, out=x)
             np.clip(x, -128, 127, out=x)
-            return x.astype(np.int8)
+            if out is None:
+                return x.astype(np.int8)
+            np.copyto(out, x, casting="unsafe")
+            return out
         return x.astype(np.float32, copy=False)

@@ -372,7 +372,8 @@ class FusedChainKernel(SimKernel):
                     block_peak = max(block_peak, a + b)
                 peak = max(peak, block_peak)
 
-        # Functional pass: every stage over its full tensor.
+        # Functional pass: every stage over its full tensor; the last
+        # stage's epilogue writes straight into the output buffer.
         acc_t = self.dtype.acc_dtype
         cur = self._ifm.array
         for i, (params, spec) in enumerate(zip(self.stages, specs)):
@@ -388,7 +389,6 @@ class FusedChainKernel(SimKernel):
                     stride=spec.stride,
                     acc_dtype=acc_t,
                 )
-                cur = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype)
             else:
                 # A first PW reads the pre-subsampled view bound at stride 1.
                 pw_stride = 1 if i == 0 and in_b == 1 else spec.stride
@@ -397,10 +397,9 @@ class FusedChainKernel(SimKernel):
                     self._weights[i].array,
                     np.ascontiguousarray(x).reshape(spec.in_channels, -1),
                     acc_t,
-                )
-                cur = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype)
-                cur = cur.reshape(spec.out_channels, spec.out_h, spec.out_w)
-        self._out.array[...] = cur
+                ).reshape(spec.out_channels, spec.out_h, spec.out_w)
+            out = self._out.array if i == n - 1 else None
+            cur = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=out)
         return peak
 
     def output_array(self) -> np.ndarray:

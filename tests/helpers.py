@@ -15,6 +15,7 @@ from repro.core.ops import (
     conv2d_pointwise,
     conv2d_standard,
 )
+from repro.core.tiling import input_extent
 from repro.ir.blocks import dsc_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
 from repro.ir.layers import ConvKind, ConvSpec, EpilogueSpec
@@ -187,6 +188,42 @@ def int32_conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.int32)
     win = sliding_window_view(xp, w.shape[2:], axis=(1, 2))[:, ::stride, ::stride]
     return np.einsum("chwkl,mckl->mhw", win, w.astype(np.int32))
+
+
+def per_tap_depthwise(
+    window: np.ndarray,
+    weights: np.ndarray,
+    rows_out: int,
+    cols_out: int,
+    row_off: int,
+    col_off: int,
+    kernel: int,
+    stride: int,
+    acc_dtype,
+) -> np.ndarray:
+    """Oracle of :func:`repro.gpu.fastpath.grid_depthwise`: the same taps
+    in the same ``(k, l)`` order, one ``acc += x * w`` each, over 3-D
+    strided views of a zeroed padded canvas instead of flat rows."""
+    c = window.shape[0]
+    canvas_h = input_extent(rows_out, kernel, stride)
+    canvas_w = input_extent(cols_out, kernel, stride)
+    canvas = np.zeros((c, canvas_h, canvas_w), dtype=acc_dtype)
+    use_h = min(window.shape[1], canvas_h - row_off)
+    use_w = min(window.shape[2], canvas_w - col_off)
+    canvas[:, row_off : row_off + use_h, col_off : col_off + use_w] = window[
+        :, :use_h, :use_w
+    ]
+    wk = weights.astype(acc_dtype, copy=False)
+    acc = np.zeros((c, rows_out, cols_out), dtype=acc_dtype)
+    h_span = (rows_out - 1) * stride + 1
+    w_span = (cols_out - 1) * stride + 1
+    for dk in range(kernel):
+        for dl in range(kernel):
+            acc += (
+                canvas[:, dk : dk + h_span : stride, dl : dl + w_span : stride]
+                * wk[:, dk : dk + 1, dl : dl + 1]
+            )
+    return acc
 
 
 def ref_layer(params: LayerParams, x: np.ndarray) -> np.ndarray:

@@ -202,6 +202,23 @@ class TestEpilogueOps:
         for name in ("relu", "relu6", "hswish", "gelu", "identity", None):
             assert name in ACTIVATIONS
 
+    def test_gelu_within_quarter_ulp_of_float64(self):
+        """FP32 GELU stays within 0.25 ulp(|x|) of the same tanh formula in
+        float64.  Its float32 rounding is in the cubic term; the tanh and the
+        final product run in float64 (``np.sqrt(2 / pi)`` is a float64
+        scalar).  An all-float32 evaluation misses by up to 1.8 ulp."""
+        rng = np.random.default_rng(2024)
+        x = np.concatenate([
+            (sigma * rng.standard_normal(50_000)).astype(np.float32)
+            for sigma in (0.5, 1.0, 2.0, 4.0)
+        ])
+        y = apply_activation(x, "gelu")
+        assert y.dtype == np.float64
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64**3)))
+        ulps = np.abs(y - ref) / np.spacing(np.abs(x)).astype(np.float64)
+        assert ulps.max() <= 0.25, ulps.max()
+
 
 @settings(max_examples=25, deadline=None)
 @given(

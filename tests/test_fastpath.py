@@ -14,18 +14,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dw_spec, pw_spec, random_ifm, register_tiny_zoo
+from helpers import dw_spec, per_tap_depthwise, pw_spec, random_ifm, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
+from repro.core.ops import out_dim
 from repro.errors import SimulationError, TuneError
 from repro.gpu.counters import AccessCounters
 from repro.gpu.executor import launch
 from repro.gpu.fastpath import (
     DEFAULT_ENGINE,
     axis_window_extents,
+    grid_depthwise,
     launch_fast,
     resolve_engine,
 )
@@ -241,6 +243,47 @@ def test_pw_bulk_charges_equal_per_block_sums(c, m, h, stride, tile_m, tile_hw, 
     fast_stats = launch_fast(fast_k, RTX_A4000, fast_ctr)
     assert_counters_equal(fast_ctr, ref_ctr)
     assert fast_stats == ref_stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(1, 9),
+    h=st.integers(1, 13),
+    w=st.integers(1, 13),
+    kernel=st.sampled_from([1, 3, 5, 7]),
+    stride=st.sampled_from([1, 2]),
+    values=st.sampled_from(["fp32", "fp32-signed-zeros", "int32"]),
+    data=st.data(),
+)
+def test_grid_depthwise_equals_per_tap_oracle(c, h, w, kernel, stride, values, data):
+    """The flat-row ``grid_depthwise`` equals the per-tap form byte for byte
+    on the paddings a layer gives (``row_off = col_off = padding``).  With
+    signed zeros, channel 0 has zero weights over non-positive inputs: its
+    products are -0.0, and only a sum started at +0.0 gives +0.0."""
+    padding = data.draw(st.integers(0, kernel // 2), label="padding")
+    assume(min(h, w) + 2 * padding >= kernel)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if values == "int32":
+        x = rng.integers(-128, 128, (c, h, w)).astype(np.int8)
+        weights = rng.integers(-128, 128, (c, kernel, kernel)).astype(np.int8)
+        acc_dtype = np.int32
+    else:
+        x = rng.standard_normal((c, h, w)).astype(np.float32)
+        weights = rng.standard_normal((c, kernel, kernel)).astype(np.float32)
+        acc_dtype = np.float32
+        if values == "fp32-signed-zeros":
+            x[rng.random(x.shape) < 0.3] = -0.0
+            weights[rng.random(weights.shape) < 0.3] = 0.0
+            x[0] = -np.abs(x[0])
+            weights[0] = 0.0
+    args = (
+        x, weights, out_dim(h, kernel, stride, padding), out_dim(w, kernel, stride, padding),
+        padding, padding, kernel, stride, acc_dtype,
+    )
+    got = grid_depthwise(*args)
+    want = per_tap_depthwise(*args)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_axis_extent_helpers():

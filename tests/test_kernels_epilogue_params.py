@@ -60,11 +60,13 @@ class TestConvEpilogue:
         out = epi.apply(acc, 0, 1, DType.INT8)
         np.testing.assert_array_equal(out, [[127, -128]])
 
+    @pytest.mark.parametrize("into", [False, True], ids=["fresh", "into-out"])
     @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8], ids=["fp32", "int8"])
     @pytest.mark.parametrize("norm", [False, True], ids=["plain", "norm"])
     @pytest.mark.parametrize("activation", ["identity", "relu", "relu6", "hswish", "gelu"])
-    def test_equals_out_of_place_and_keeps_acc(self, rng, dtype, norm, activation):
-        """Bit-identical to the out-of-place expression; ``acc`` unchanged."""
+    def test_equals_out_of_place_and_keeps_acc(self, rng, dtype, norm, activation, into):
+        """Bit-identical to the out-of-place expression, whether returned
+        fresh or written into a destination buffer; ``acc`` unchanged."""
         c = 3
         scale = rng.uniform(0.5, 2.0, c).astype(np.float32) if norm else None
         shift = rng.standard_normal(c).astype(np.float32) if norm else None
@@ -89,10 +91,13 @@ class TestConvEpilogue:
         else:
             want = x.astype(np.float32)
         before = acc.copy()
-        out = epi.apply(acc, 0, c, dtype)
+        dest = np.full(acc.shape, 7, dtype=want.dtype) if into else None
+        out = epi.apply(acc, 0, c, dtype, out=dest)
         np.testing.assert_array_equal(acc, before)
         assert out.dtype == want.dtype
-        np.testing.assert_array_equal(out, want)
+        if into:
+            assert out is dest
+        assert out.tobytes() == want.tobytes()
 
 
 class TestLayerParams:

@@ -473,7 +473,7 @@ class TestPinnedPairLaunches:
     """
 
     #: SHA-256 over every launch of :func:`pair_launches`, in order.
-    DIGEST = "d5f3a8f74ad661e8c045a53ec626c251c610497d270ce07e1077bb3cb40696bc"
+    DIGEST = "46d9052d9852a854eb7e38bd8c09d93150c9d196806094cccf28eca30f5d6ad9"
 
     def test_pair_launches_are_pinned(self, pair_launches):
         assert pair_launches[0] == self.DIGEST
