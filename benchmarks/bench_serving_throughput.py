@@ -8,6 +8,7 @@ stream's p50/p99 latency under micro-batching.
 """
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,9 @@ from repro.core.dtypes import DType
 from repro.experiments import format_table
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.models.zoo import CNN_MODELS
+from repro.planner.plan import ChainStep, LblStep
+from repro.runtime import session as runtime_session
+from repro.runtime.session import InferenceSession, price_key
 from repro.serve import FakeClock, Fleet, ModelServer, PlanCache, fleet_replay
 
 BATCHES = (1, 2, 4, 8, 16)
@@ -92,18 +96,45 @@ def test_bench_replay_bookkeeping(benchmark, once, capsys, monkeypatch):
     2000 Poisson requests at 6000 req/s over RTX+GTX+Orin+RTX, 10 ms SLO,
     degrade admission, every plan preplanned.  The guards are counts, which
     are deterministic (a timing bound would not be): ``PlanCache.peek``
-    calls per request, and ``ModelServer.step`` calls that flush nothing
-    (a fleet pump steps only its due workers, so there are none).  The
-    wall time rides along in ``extra_info``."""
+    calls per request, ``ModelServer.step`` calls that flush nothing (a
+    fleet pump steps only its due workers, so there are none), analytic
+    reports per (plan key, batch size) (same-GPU workers share one entry,
+    so at most one), and estimator calls (``chain_counters`` and
+    ``lbl_counters``): at most one per distinct DW/PW step of each resident
+    plan the replay priced, since a session derives its steps' counters
+    once.  The wall time rides along in ``extra_info``."""
     gpus = (RTX_A4000, GTX1660, ORIN, RTX_A4000)
     models = ("mobilenet_v1", "mobilenet_v2", "proxylessnas", "xception")
     n = 2000
     clock = FakeClock()
     fleet = Fleet(gpus, max_batch=8, max_delay_s=2e-3, clock=clock, sleep=clock.sleep)
     fleet.preplan(models, (DType.FP32, DType.INT8))
-    peeks = steps = idle_steps = 0
+    resident = {
+        id(entry.session): entry
+        for w in fleet.workers
+        for entry in map(w.server.cache.peek, w.server.cache.keys())
+    }
+    peeks = steps = idle_steps = estimator_calls = 0
+    reports: Counter = Counter()
     peek = PlanCache.peek
     step = ModelServer.step
+    run_analytic_batch = InferenceSession.run_analytic_batch
+
+    def counted_report(session, batch_size):
+        reports[resident[id(session)].key, batch_size] += 1
+        return run_analytic_batch(session, batch_size)
+
+    def counted_estimator(estimator):
+        def counted(*args):
+            nonlocal estimator_calls
+            estimator_calls += 1
+            return estimator(*args)
+        return counted
+
+    monkeypatch.setattr(InferenceSession, "run_analytic_batch", counted_report)
+    for name in ("chain_counters", "lbl_counters"):
+        estimator = getattr(runtime_session, name)
+        monkeypatch.setattr(runtime_session, name, counted_estimator(estimator))
 
     def counted(cache, key):
         nonlocal peeks
@@ -129,14 +160,26 @@ def test_bench_replay_bookkeeping(benchmark, once, capsys, monkeypatch):
         return report, time.perf_counter() - start
 
     report, wall_s = once(benchmark, replay)
+    priced = {key for key, _batch in reports}
+    distinct_steps = sum(
+        len({price_key(s) for s in e.plan.steps if isinstance(s, (ChainStep, LblStep))})
+        for e in resident.values() if e.key in priced
+    )
     per_request = peeks / n
     benchmark.extra_info["peeks_per_request"] = round(per_request, 3)
     benchmark.extra_info["server_steps_per_request"] = round(steps / n, 3)
+    benchmark.extra_info["analytic_reports"] = sum(reports.values())
+    benchmark.extra_info["estimator_calls"] = estimator_calls
     benchmark.extra_info["replay_wall_s"] = round(wall_s, 4)
     with capsys.disabled():
         print(f"\n[Serving] {report.describe().splitlines()[0]}")
         print(f"-> {per_request:.2f} plan-cache peeks and {steps / n:.2f} "
               f"ModelServer.step calls per request, {n / wall_s:.0f} simulated req/s")
+        print(f"-> {sum(reports.values())} analytic reports over {len(reports)} "
+              f"(plan, batch) pairs, {estimator_calls} estimator calls for "
+              f"{distinct_steps} distinct DW/PW steps")
     assert report.critical_path_planner_invocations == 0
     assert per_request <= MAX_PEEKS_PER_REQUEST, per_request
     assert idle_steps == 0, f"{idle_steps} of {steps} ModelServer.step calls flushed nothing"
+    assert reports and max(reports.values()) == 1, reports.most_common(3)
+    assert 0 < estimator_calls <= distinct_steps, (estimator_calls, distinct_steps)

@@ -11,7 +11,7 @@ For INT8 the epilogue also performs the dp4a pipeline's requantization:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class ConvEpilogue:
         activation: activation name (see :data:`repro.core.ops.ACTIVATIONS`).
         in_scale / w_scale / out_scale: symmetric quantization parameters for
             the INT8 path (``None`` for FP32 kernels).
+
+    A quantized epilogue also keeps float64 copies of the norm affine
+    (derived, not passed): its float64 working copy is normalized by them,
+    so no call casts the float32 parameters again.  The cast is exact, so
+    the products are the same bits.
     """
 
     norm_scale: np.ndarray | None = None
@@ -41,10 +46,18 @@ class ConvEpilogue:
     in_scale: QuantParams | None = None
     w_scale: QuantParams | None = None
     out_scale: QuantParams | None = None
+    _norm64: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if (self.norm_scale is None) != (self.norm_shift is None):
             raise ShapeError("norm_scale and norm_shift must be provided together")
+        if self.is_quantized and self.norm_scale is not None:
+            object.__setattr__(self, "_norm64", (
+                np.asarray(self.norm_scale, dtype=np.float64),
+                np.asarray(self.norm_shift, dtype=np.float64),
+            ))
 
     @property
     def is_quantized(self) -> bool:
@@ -99,8 +112,11 @@ class ConvEpilogue:
             dst = out
         if self.norm_scale is not None:
             bshape = (-1,) + (1,) * (acc.ndim - 1)
-            scale = self.norm_scale[ch0:ch1].reshape(bshape)
-            shift = self.norm_shift[ch0:ch1].reshape(bshape)
+            norm_scale, norm_shift = (
+                self._norm64 if quantized else (self.norm_scale, self.norm_shift)
+            )
+            scale = norm_scale[ch0:ch1].reshape(bshape)
+            shift = norm_shift[ch0:ch1].reshape(bshape)
             if scale.shape[0] != acc.shape[0]:
                 raise ShapeError(
                     f"epilogue norm slice [{ch0}:{ch1}] does not cover tile of {acc.shape[0]}"

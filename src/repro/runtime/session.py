@@ -17,12 +17,15 @@ DW/PW steps from the counters those kernels metered; the analytic walk
 (``run_analytic``, ``run_analytic_batch``) materializes nothing and prices
 them from the measured-convention estimators, whose global bytes, MACs and
 re-reads equal the metered ones exactly — so the large end-to-end sweeps
-get the same per-step latency in milliseconds.
+get the same per-step latency in milliseconds.  A session derives each
+distinct step's batch-1 counters once, and an analytic walk prices each
+distinct step (:func:`price_key`) once, handing its record to later steps
+with the same key under their own names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +41,8 @@ from ..gpu.specs import GpuSpec
 from ..ir.graph import ModelGraph
 from ..kernels.registry import build_chain_kernel, build_lbl_kernel
 from ..planner.analytic import chain_counters, lbl_counters
-from ..planner.plan import ChainStep, ExecutionPlan, LblStep, PlanStep, StdStep
+from ..planner.memo import spec_key
+from ..planner.plan import ChainStep, ExecutionPlan, GlueStep, LblStep, PlanStep, StdStep
 from .glue import apply_glue, glue_counters
 from .network_params import NetworkParams, materialize_network
 
@@ -46,6 +50,7 @@ __all__ = [
     "StepRecord",
     "SessionReport",
     "step_record",
+    "price_key",
     "InferenceSession",
     "TvmSession",
     "build_session",
@@ -144,6 +149,34 @@ def _cudnn_launch(step: StdStep | TvmConvStep) -> dict:
     return {"algo": _STD_ALGO}
 
 
+def _identity(step: PlanStep | TvmConvStep | TvmGlueStep) -> tuple[str, str]:
+    """A step's record name and kind."""
+    if isinstance(step, ChainStep):
+        return "+".join(step.layer_names), "fcm"
+    if isinstance(step, LblStep):
+        return step.spec.name, "lbl"
+    if isinstance(step, StdStep):
+        return step.spec.name, "std"
+    if isinstance(step, TvmConvStep):
+        return step.spec.name, "tvm-conv"
+    return step.spec.name, "glue"
+
+
+def _launch_counters(
+    step: ChainStep | LblStep | GlueStep | TvmGlueStep, dtype: DType
+) -> tuple[AccessCounters, int]:
+    """Counters of one batch-1 launch of a DW/PW or glue step, from the
+    measured-convention estimators, and the weight bytes a batched launch
+    re-streams from L2 (see :meth:`AccessCounters.batched`)."""
+    if isinstance(step, ChainStep):
+        weights = sum(sp.weights_bytes for sp in step.specs)
+        return chain_counters(step.specs, step.tiling), weights
+    if isinstance(step, LblStep):
+        return lbl_counters(step.spec, step.tiling), step.spec.weights_bytes
+    fused = isinstance(step, TvmGlueStep) and step.fused
+    return glue_counters(step.spec, dtype, fused=fused), 0
+
+
 def step_record(
     step: PlanStep | TvmConvStep | TvmGlueStep,
     gpu: GpuSpec,
@@ -153,42 +186,51 @@ def step_record(
 ) -> StepRecord:
     """Price one plan step launched once over ``batch`` images.
 
-    The one pricer of both sessions and of the tuning harness.  A DW/PW step
-    takes ``counters`` — what its kernel metered on a functional walk — or
-    else the measured-convention estimators' (:func:`chain_counters`,
-    :func:`lbl_counters`), through the roofline.  Library convs (our standard
-    convs and every TVM conv) price through :func:`cudnn_batched`, glue
-    through :func:`glue_counters` (free when TVM fused it).
+    The one pricer of both sessions and of the tuning harness.  A DW/PW or
+    glue step takes ``counters`` — the batched launch's: what its kernel
+    metered on a functional walk, or the analytic walk's batch-1 counters
+    scaled to the batch — or else derives them from the measured-convention
+    estimators (:func:`chain_counters`, :func:`lbl_counters`) or
+    :func:`glue_counters` (free when TVM fused it), and prices them through
+    the roofline.  Library convs (our standard convs and every TVM conv)
+    price through :func:`cudnn_batched`.
     """
-    timing = None
-    if isinstance(step, ChainStep):
-        name, kind = "+".join(step.layer_names), "fcm"
-        if counters is None:
-            counters = chain_counters(step.specs, step.tiling).batched(
-                batch, sum(sp.weights_bytes for sp in step.specs)
-            )
-    elif isinstance(step, LblStep):
-        name, kind = step.spec.name, "lbl"
-        if counters is None:
-            counters = lbl_counters(step.spec, step.tiling).batched(
-                batch, step.spec.weights_bytes
-            )
-    elif isinstance(step, (StdStep, TvmConvStep)):
-        name, kind = step.spec.name, "std" if isinstance(step, StdStep) else "tvm-conv"
+    name, kind = _identity(step)
+    if isinstance(step, (StdStep, TvmConvStep)):
         counters, timing = cudnn_batched(
             step.spec, gpu=gpu, batch=batch, **_cudnn_launch(step)
         )
     else:
-        name, kind = step.spec.name, "glue"
-        fused = isinstance(step, TvmGlueStep) and step.fused
-        counters = glue_counters(step.spec, dtype, fused=fused).batched(batch)
-    if timing is None:
+        if counters is None:
+            unit, weights = _launch_counters(step, dtype)
+            counters = unit.batched(batch, weights)
         timing = time_kernel(counters, gpu, dtype)
     energy = energy_of(counters, timing, gpu, dtype)
     return StepRecord(
         name=name, kind=kind, counters=counters, time_s=timing.t_total_s,
         energy_j=energy.total_j, bound=timing.bound,
     )
+
+
+def price_key(step: PlanStep | TvmConvStep | TvmGlueStep) -> tuple:
+    """Everything :func:`step_record` reads from ``step`` but its name.
+
+    Two steps priced on one GPU at one precision and batch get records that
+    differ only in ``name`` when their keys are equal.  The key holds the
+    record kind, each conv's :func:`~repro.planner.memo.spec_key`, and the
+    launch: the DW/PW tiling, the library conv's algorithm and blocking, or
+    the glue op, its size, its FLOPs and whether TVM fused it.  Plain
+    strings and ints, so a lookup hashes no enum member.
+    """
+    kind = _identity(step)[1]
+    if isinstance(step, (ChainStep, LblStep)):
+        specs = step.specs if isinstance(step, ChainStep) else (step.spec,)
+        return (kind, tuple(map(spec_key, specs)), tuple(sorted(step.tiling.items())))
+    if isinstance(step, (StdStep, TvmConvStep)):
+        launch = _cudnn_launch(step)
+        return (kind, spec_key(step.spec), launch["algo"].value, launch.get("gemm_tile"))
+    fused = isinstance(step, TvmGlueStep) and step.fused
+    return (kind, step.spec.op, step.spec.out_elements, step.spec.flops, fused)
 
 
 def _unbatched(report: SessionReport) -> SessionReport:
@@ -217,6 +259,8 @@ class _PlanSession:
         )
         if self.params.dtype is not plan.dtype:
             raise PlanError("network params precision differs from the plan's")
+        #: what the analytic walk derives once per session (:meth:`_pricing`).
+        self._priced: tuple[list, list] | None = None
 
     def _walk(
         self,
@@ -230,47 +274,97 @@ class _PlanSession:
         launch — DW/PW kernels on ``engine``, library convs and glue through
         their reference ops image by image — and prices DW/PW steps from the
         counters their kernels metered.  Without ``batch_input`` nothing is
-        materialized and :func:`step_record` prices every step analytically.
+        materialized: :meth:`_analytic_records` prices the steps.
         """
         if batch < 1:
             raise PlanError(f"batch_size must be >= 1, got {batch}")
         params, gpu, dtype = self.params, self.gpu, self.dtype
+        if batch_input is None:
+            return SessionReport(
+                self.plan.model_name, gpu, dtype, self._analytic_records(batch),
+                batch_size=batch,
+            )
         records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
         for step in self.plan.steps:
             metered = None
-            if batch_input is not None:
-                specs = step.specs if isinstance(step, ChainStep) else (step.spec,)
-                preds = self.graph.predecessors(specs[0].name)
-                inputs = [values.get(p, batch_input) for p in preds] or [batch_input]
-                if isinstance(step, (ChainStep, LblStep)):
-                    kernel = (
-                        build_chain_kernel([params[sp.name] for sp in specs], step.tiling)
-                        if isinstance(step, ChainStep)
-                        else build_lbl_kernel(params[step.spec.name], step.tiling)
-                    )
-                    res = kernel.simulate_batch(inputs[0], gpu, engine)
-                    out, metered = res.output, res.counters
-                elif isinstance(step, (StdStep, TvmConvStep)):
-                    launch = _cudnn_launch(step)
-                    out = np.stack([
-                        run_cudnn(params[step.spec.name], ifm, gpu=gpu, **launch)[0]
-                        for ifm in inputs[0]
-                    ])
-                else:
-                    scales = [params.out_scales.get(p) for p in preds]
-                    out = np.stack([
-                        apply_glue(step.spec, [x[i] for x in inputs], scales, dtype)[0]
-                        for i in range(batch)
-                    ])
-                values[specs[-1].name] = out
+            specs = step.specs if isinstance(step, ChainStep) else (step.spec,)
+            preds = self.graph.predecessors(specs[0].name)
+            inputs = [values.get(p, batch_input) for p in preds] or [batch_input]
+            if isinstance(step, (ChainStep, LblStep)):
+                kernel = (
+                    build_chain_kernel([params[sp.name] for sp in specs], step.tiling)
+                    if isinstance(step, ChainStep)
+                    else build_lbl_kernel(params[step.spec.name], step.tiling)
+                )
+                res = kernel.simulate_batch(inputs[0], gpu, engine)
+                out, metered = res.output, res.counters
+            elif isinstance(step, (StdStep, TvmConvStep)):
+                launch = _cudnn_launch(step)
+                out = np.stack([
+                    run_cudnn(params[step.spec.name], ifm, gpu=gpu, **launch)[0]
+                    for ifm in inputs[0]
+                ])
+            else:
+                scales = [params.out_scales.get(p) for p in preds]
+                out = np.stack([
+                    apply_glue(step.spec, [x[i] for x in inputs], scales, dtype)[0]
+                    for i in range(batch)
+                ])
+            values[specs[-1].name] = out
             records.append(step_record(step, gpu, dtype, batch, metered))
-        output = None
-        if batch_input is not None:
-            output = values.get([s.name for s in self.graph.topological()][-1])
+        output = values.get([s.name for s in self.graph.topological()][-1])
         return SessionReport(
             self.plan.model_name, gpu, dtype, tuple(records), output, batch_size=batch
         )
+
+    def _pricing(
+        self,
+    ) -> tuple[list[tuple[PlanStep, str, int]], list[tuple[AccessCounters, int] | None]]:
+        """Per plan step, the step, its record name and the slot of its
+        :func:`price_key` among the plan's distinct keys; per slot, its
+        batch-1 launch counters and weight bytes (``None`` for a library
+        conv, which :func:`cudnn_batched` prices per batch size).
+
+        Derived on the first analytic walk and kept (a session's plan never
+        changes), so the estimators run once per distinct step per session.
+        """
+        if self._priced is None:
+            slots: dict[tuple, int] = {}
+            steps, units = [], []
+            for step in self.plan.steps:
+                slot = slots.setdefault(price_key(step), len(slots))
+                if slot == len(units):
+                    units.append(
+                        None if isinstance(step, (StdStep, TvmConvStep))
+                        else _launch_counters(step, self.dtype)
+                    )
+                steps.append((step, _identity(step)[0], slot))
+            self._priced = steps, units
+        return self._priced
+
+    def _analytic_records(self, batch: int) -> tuple[StepRecord, ...]:
+        """Every step's record at ``batch``, pricing each distinct step once.
+
+        The first step of a slot is priced by :func:`step_record` from the
+        slot's batch-1 counters scaled to the batch; each later step of the
+        slot gets that record under its own name, so their records share one
+        :class:`AccessCounters` object (which nothing mutates).
+        """
+        gpu, dtype = self.gpu, self.dtype
+        steps, units = self._pricing()
+        priced: list[StepRecord | None] = [None] * len(units)
+        records = []
+        for step, name, slot in steps:
+            record = priced[slot]
+            if record is None:
+                unit = units[slot]
+                counters = None if unit is None else unit[0].batched(batch, unit[1])
+                record = priced[slot] = step_record(step, gpu, dtype, batch, counters)
+            else:
+                record = replace(record, name=name)
+            records.append(record)
+        return tuple(records)
 
 
 def _batch_size(batch_input: np.ndarray) -> int:
@@ -322,8 +416,11 @@ class InferenceSession(_PlanSession):
         """Counters-only batched execution (the serving fast path).
 
         Per-step bytes, MACs, re-reads and latency equal :meth:`run_batch`
-        exactly, with no tensors materialized — one call per (plan, batch
-        size) prices a whole micro-batch in microseconds.
+        exactly, with no tensors materialized.  The session's first analytic
+        call also derives every distinct step's batch-1 counters; each call
+        then prices each distinct step once, a fraction of a millisecond per
+        zoo plan, so serving memoizes one report per (plan, batch size)
+        (``repro.serve.cache.CachedPlan.analytic_report``).
         """
         return self._walk(batch_size)
 

@@ -68,7 +68,17 @@ class PlanKey:
 
 @dataclass
 class CachedPlan:
-    """One cache entry: the planned model, ready to execute at any batch size."""
+    """One cache entry: the planned model, ready to execute at any batch size.
+
+    An entry may be resident in several caches at once: same-GPU workers of
+    a fleet share one (:meth:`PlanCache.adopt`, from
+    :meth:`~repro.serve.fleet.Fleet.preplan` and
+    :meth:`~repro.serve.fleet.Fleet.rewarm`), and with it its weights
+    handle, its session and its memoized analytic reports.  Nothing in it
+    belongs to one worker: reports are never mutated once memoized, and
+    what the weights handle and the session derive lazily is derived once
+    for every holder.
+    """
 
     key: PlanKey
     graph: ModelGraph
@@ -199,7 +209,7 @@ class PlanCache:
     ) -> CachedPlan:
         """Adopt a plan produced elsewhere as a resident entry
         (:meth:`repro.serve.fleet.Fleet.preplan` plans once per GPU and
-        installs the plan on every worker sharing it).
+        installs the plan on the first worker with that GPU).
 
         The planner already ran, so this counts as a ``warm_start``, not a
         miss or a planner invocation: the plan-once/serve-many accounting
@@ -230,7 +240,8 @@ class PlanCache:
         return dropped
 
     def adopt(self, entry: CachedPlan) -> CachedPlan:
-        """Share a peer's resident entry (recovery re-warm path).
+        """Share a peer's resident entry (boot-time preplanning and the
+        recovery re-warm path).
 
         The plan, weights handle and session already exist on a same-GPU
         peer, so adopting the object is free (weights the peer generated are

@@ -39,6 +39,7 @@ from ..core.dtypes import DType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..runtime.session import SessionReport
+from .cache import CachedPlan, PlanKey
 from .server import InferenceResult, ModelServer
 
 __all__ = [
@@ -328,32 +329,37 @@ class Fleet:
         """Plan every (worker GPU, model, dtype) combination before serving.
 
         Planning is the expensive boot-time step.  Each *distinct* ``(gpu,
-        model, dtype)`` is planned once, and a homogeneous fleet installs
-        that one plan on every worker sharing the GPU.  Plans land via
-        :meth:`PlanCache.install`, counted as ``warm_starts``, so a replay
-        over the preplanned fleet has no planning on its critical path.
-        Returns the number of cache installs.
+        model, dtype)`` is planned once and installed on the first worker
+        with that GPU via :meth:`PlanCache.install`; every other worker
+        sharing the GPU adopts that same :class:`CachedPlan`, as
+        :meth:`rewarm` does, so same-GPU workers share one entry: its plan,
+        its weights handle and its memoized analytic reports.  Each install
+        and adoption counts as a ``warm_start``, so a replay over the
+        preplanned fleet has no planning on its critical path.  Returns the
+        number of entries made resident.
         """
         from ..models.zoo import build_model
         from ..planner.planner import FusePlanner
 
-        plans = {}  # (GPU name, model, dtype) -> its one plan
+        entries: dict[PlanKey, CachedPlan] = {}  # one per (GPU, model, dtype)
         installed = 0
         for w in self.workers:
+            cache = w.server.cache
             for model in models:
                 for dtype in dtypes:
-                    ident = (w.gpu.name, model, dtype)
-                    if ident not in plans:
-                        plans[ident] = FusePlanner(
+                    key = w.server.plan_key(model, dtype)
+                    before = cache.stats.warm_starts
+                    if key in entries:
+                        cache.adopt(entries[key])
+                    else:
+                        plan = FusePlanner(
                             w.gpu, max_chain=w.server.max_chain,
-                            calibration=w.server.cache.calibration,
+                            calibration=cache.calibration,
                         ).plan(build_model(model, dtype))
-                    before = w.server.cache.stats.warm_starts
-                    w.server.cache.install(
-                        model, dtype, w.gpu, max_chain=w.server.max_chain,
-                        plan=plans[ident],
-                    )
-                    installed += w.server.cache.stats.warm_starts - before
+                        entries[key] = cache.install(
+                            model, dtype, w.gpu, max_chain=w.server.max_chain, plan=plan,
+                        )
+                    installed += cache.stats.warm_starts - before
         return installed
 
     # ---- elasticity (driven by repro.serve.autoscale) ---------------------------

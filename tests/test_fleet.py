@@ -7,6 +7,8 @@ scaling sweep lives in benchmarks/bench_fleet_scaling.py.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.dtypes import DType
 from repro.errors import PlanError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
 from repro.obs import Tracer
+from repro.runtime.session import InferenceSession
 from repro.serve import (
     AutoscalePolicy,
     FakeClock,
@@ -297,6 +300,56 @@ class TestFleetReplay:
         fleet = Fleet([GTX1660], clock=time.monotonic)
         with pytest.raises(PlanError):
             fleet_replay([GTX1660], "tiny_a", 4, 100.0, fleet=fleet)
+
+
+class TestPreplanSharesEntries:
+    """``Fleet.preplan`` makes one :class:`CachedPlan` per (GPU, model,
+    dtype) resident on every worker with that GPU, so same-GPU workers share
+    its memoized analytic reports."""
+
+    GPUS = (RTX_A4000, GTX1660, ORIN, RTX_A4000)
+    MODELS = ("tiny_a", "tiny_b")
+    DTYPES = (DType.FP32, DType.INT8)
+
+    def _preplanned(self) -> Fleet:
+        fleet = _fleet(self.GPUS)
+        assert fleet.preplan(self.MODELS, self.DTYPES) == 16
+        return fleet
+
+    def test_same_gpu_workers_hold_one_entry_per_key(self):
+        fleet = self._preplanned()
+        # Adopting counts as a warm start, as installing did: 4 per worker.
+        assert [w.warm_starts for w in fleet.stats().per_worker] == [4, 4, 4, 4]
+        first, last = (fleet.workers[i].server.cache for i in (0, 3))
+        assert len(first) == 4 and first.keys() == last.keys()
+        for key in first.keys():
+            assert first.peek(key) is last.peek(key)
+        entries = {
+            id(w.server.cache.peek(key)) for w in fleet.workers for key in w.server.cache.keys()
+        }
+        assert len(entries) == 12  # 3 GPUs x 2 models x 2 dtypes
+
+    def test_replay_prices_each_plan_key_and_batch_once(self, monkeypatch):
+        fleet = self._preplanned()
+        keys = {
+            id(w.server.cache.peek(key).session): key
+            for w in fleet.workers for key in w.server.cache.keys()
+        }
+        calls: Counter = Counter()
+        run = InferenceSession.run_analytic_batch
+
+        def counted(session, batch_size):
+            calls[keys[id(session)], batch_size] += 1
+            return run(session, batch_size)
+
+        monkeypatch.setattr(InferenceSession, "run_analytic_batch", counted)
+        report = fleet_replay(
+            self.GPUS, list(self.MODELS), 128, 2e4, poisson=True, seed=3, fleet=fleet
+        )
+        check_replay(report)
+        # Both RTX workers served, so unshared entries would price twice.
+        assert all(w.batches for w in report.per_worker)
+        assert calls and max(calls.values()) == 1, calls
 
 
 class TestSettingsForwarding:

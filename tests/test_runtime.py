@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,20 @@ from repro.experiments.fig10_fig11 import end_to_end_point
 from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
 from repro.ir.graph import GlueSpec, ModelGraph
-from repro.ir.layers import ConvSpec
+from repro.ir.layers import ConvKind, ConvSpec
 from repro.models.zoo import build_model, model_names
+from repro.planner.plan import ExecutionPlan, GlueStep, LblStep
 from repro.planner.planner import FusePlanner
 from repro.runtime import network_params
 from repro.runtime.glue import apply_glue, glue_counters
 from repro.runtime.network_params import materialize_network
-from repro.runtime.session import InferenceSession, TvmSession, seeded_input
+from repro.runtime.session import (
+    InferenceSession,
+    TvmSession,
+    price_key,
+    seeded_input,
+    step_record,
+)
 from repro.serve import FakeClock, Fleet, ModelServer, fleet_replay
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -300,3 +308,70 @@ class TestPinnedReports:
                     h.update(f"tvm/{model}/{gpu.name}/{dtype}".encode())
                     _hash_records(h, tvm.run_analytic())
         assert h.hexdigest() == self.DIGEST
+
+
+def _assert_priced_per_step(report, plan) -> None:
+    """Each record of an analytic ``report`` of ``plan`` equals
+    :func:`step_record` of its own step alone, field by field: name, kind,
+    time, energy, bound and every counter (reads and writes per tensor kind,
+    re-reads, MACs, redundant MACs, launches, shared bytes)."""
+    assert len(report.records) == len(plan.steps)
+    for record, step in zip(report.records, plan.steps):
+        assert record == step_record(step, plan.gpu, plan.dtype, report.batch_size)
+
+
+class TestPricedOncePerKey:
+    """An analytic walk prices each distinct step once and hands the price
+    to later steps with the same :func:`price_key`: no record may differ
+    from pricing its own step alone."""
+
+    def test_zoo_records_equal_their_own_step_record(self):
+        for model in model_names():
+            for dtype in (DType.FP32, DType.INT8):
+                graph = build_model(model, dtype)
+                for gpu in ALL_GPUS:
+                    for max_chain in (1, 2, 3):
+                        plan = FusePlanner(gpu, max_chain=max_chain).plan(graph)
+                        sess = InferenceSession(graph, plan)
+                        for n in range(1, 9):
+                            _assert_priced_per_step(sess.run_analytic_batch(n), plan)
+                    tvm = TvmCompiler(gpu).compile(graph, dtype)
+                    _assert_priced_per_step(TvmSession(graph, tvm).run_analytic(), tvm)
+
+    def test_key_keeps_apart_steps_differing_in_one_priced_input(self):
+        """Each DW layer after ``base`` differs from it in exactly one input
+        the pricer reads (tiling, padding, stride), except ``twin``, which
+        differs only in its name, as ``add2`` does from ``add1``."""
+        geometry = {
+            "base": (1, 1), "twin": (1, 1), "tiled": (1, 1), "unpadded": (1, 0),
+            "strided": (2, 1),
+        }
+        whole = {"tile_c": 16, "tile_h": 16, "tile_w": 16}
+        tilings = dict.fromkeys(geometry, whole) | {
+            "tiled": {"tile_c": 16, "tile_h": 4, "tile_w": 4}
+        }
+        for dtype in (DType.FP32, DType.INT8):
+            g = ModelGraph("keys")
+            g.add(ConvSpec("stem", ConvKind.POINTWISE, 16, 16, 16, 16, dtype=dtype))
+            for name, (stride, padding) in geometry.items():
+                g.add(ConvSpec(
+                    name, ConvKind.DEPTHWISE, 16, 16, 16, 16, kernel=3,
+                    stride=stride, padding=padding, dtype=dtype,
+                ), after="stem")
+            g.add(GlueSpec("add1", "add", 16 * 16 * 16), after=["base", "twin"])
+            g.add(GlueSpec("add2", "add", 16 * 16 * 16), after=["base", "tiled"])
+            steps = [LblStep(g.spec("stem"), {"tile_m": 16, "tile_hw": 256}, 0)]
+            steps += [LblStep(g.spec(name), tilings[name], 0) for name in geometry]
+            steps += [GlueStep(g.spec("add1")), GlueStep(g.spec("add2"))]
+            assert len({price_key(s) for s in steps}) == len(steps) - 2
+            plan = ExecutionPlan("keys", RTX_A4000, dtype, steps)
+            sess = InferenceSession(g, plan)
+            for n in (1, 3):
+                report = sess.run_analytic_batch(n)
+                _assert_priced_per_step(report, plan)
+                rec = {r.name: r for r in report.records}
+                # A reused price hands its counters object on.
+                assert rec["twin"].counters is rec["base"].counters
+                assert rec["add2"].counters is rec["add1"].counters
+                for name in ("tiled", "unpadded", "strided"):
+                    assert replace(rec[name], name="base") != rec["base"], name
