@@ -32,6 +32,7 @@ from .tiling import (
     input_extent,
     overlap_elements,
     tile_input_range,
+    tile_windows,
 )
 
 __all__ = [
@@ -65,4 +66,5 @@ __all__ = [
     "input_extent",
     "overlap_elements",
     "tile_input_range",
+    "tile_windows",
 ]

@@ -14,6 +14,7 @@ halo elements are (re)loaded by every tile sharing them — Eq. 1 counts them:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import ShapeError
 
@@ -22,6 +23,7 @@ __all__ = [
     "overlap_elements",
     "input_extent",
     "tile_input_range",
+    "tile_windows",
     "PwTiling",
     "DwTiling",
 ]
@@ -69,13 +71,39 @@ def tile_input_range(
 ) -> tuple[int, int]:
     """Half-open input index range (unpadded coords, clamped) for an output tile.
 
-    Used by the simulated kernels to know which global-memory rows/cols a
-    thread block actually loads; clamping models the zero-padding border that
-    is never fetched from DRAM.
+    The one backward step :func:`tile_windows` composes; clamping models the
+    zero-padding border that is never fetched from DRAM.
     """
     lo = tile_start_out * stride - padding
     hi = (tile_start_out + tile_len_out - 1) * stride - padding + kernel
     return max(lo, 0), min(hi, in_size)
+
+
+@lru_cache(maxsize=None)
+def tile_windows(
+    out_size: int, tile: int, stages: tuple[tuple[int, int, int, int], ...]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every output tile's clamped window along one axis, per boundary.
+
+    ``stages`` holds each stage's ``(kernel, stride, padding, in_size)``
+    along the axis, first stage first; ``out_size`` is the last stage's
+    output extent.  ``windows[b][t]`` is the half-open ``(lo, hi)`` range of
+    tile ``t`` on boundary ``b`` (0 = the first stage's input, ``len(stages)``
+    = the output tiles themselves), found by walking each output tile
+    backward through the stages with :func:`tile_input_range`.  This is the
+    one window rule: what a thread block loads and computes, what the
+    measured cost convention charges, and what fused kernels park in their
+    commBuffers.  Pure in its arguments, so cached.
+    """
+    cur = tuple((t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile))
+    per = [cur]
+    for kernel, stride, padding, in_size in reversed(stages):
+        cur = tuple(
+            tile_input_range(lo, hi - lo, kernel, stride, padding, in_size) for lo, hi in cur
+        )
+        per.append(cur)
+    per.reverse()
+    return tuple(per)
 
 
 @dataclass(frozen=True)

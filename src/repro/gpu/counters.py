@@ -55,26 +55,6 @@ class AccessCounters:
         self.macs += int(macs)
         self.redundant_macs += int(redundant)
 
-    # ---- bulk recording (fast-path engine) -----------------------------------
-    # The vectorized whole-grid engine (:mod:`repro.gpu.fastpath`) does not
-    # touch instrumented buffers block by block; it charges each closed-form
-    # per-block total once, multiplied by the block count.  ``read_bulk(kind,
-    # nbytes, count)`` is therefore *defined* as what ``count`` per-block
-    # ``read(kind, nbytes)`` calls would have recorded — integer arithmetic,
-    # so the equality with the interpreted path is exact, not approximate.
-
-    def read_bulk(self, kind: str, nbytes: int, count: int = 1) -> None:
-        """Record ``count`` global-memory loads of ``nbytes`` each."""
-        self.global_reads[kind] += int(nbytes) * int(count)
-
-    def write_bulk(self, kind: str, nbytes: int, count: int = 1) -> None:
-        """Record ``count`` global-memory stores of ``nbytes`` each."""
-        self.global_writes[kind] += int(nbytes) * int(count)
-
-    def smem_bulk(self, nbytes: int, count: int = 1) -> None:
-        """Record ``count`` shared-memory transfers of ``nbytes`` each."""
-        self.shared_bytes += int(nbytes) * int(count)
-
     def reread(self, tensor_bytes: int, nbytes: int) -> None:
         """Annotate ``nbytes`` of already-counted reads as re-reads of a
         ``tensor_bytes``-sized tensor (candidate for L2 absorption)."""

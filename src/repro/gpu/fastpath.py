@@ -10,15 +10,16 @@ functional serving, kernel-in-the-loop tuning and every parity test.
 This module is the production alternative: a kernel that implements
 :class:`GridProgram` executes its **entire grid as whole-tensor NumPy ops**
 (one einsum/matmul per stage instead of one per block) and charges the
-counters **in bulk** with closed-form per-block totals via
-:meth:`~repro.gpu.counters.AccessCounters.read_bulk` /
-:meth:`~repro.gpu.counters.AccessCounters.write_bulk` /
-:meth:`~repro.gpu.counters.AccessCounters.smem_bulk`.  The bulk charges are
-derived from the same clamped tile ranges the interpreted blocks use
-(:func:`axis_window_extents`, :func:`~repro.core.tiling.tile_input_range`),
-so metered totals, :class:`~repro.gpu.executor.LaunchStats` and roofline
-timings are *bit-identical* to the reference path — enforced by the
-zoo-wide parity matrix in ``tests/test_fastpath.py``.
+counters **in bulk**, each total once.  Its global bytes and MACs are the
+measured cost model's (:func:`~repro.planner.costs.pw_gma`,
+:func:`~repro.planner.costs.dw_gma`,
+:func:`~repro.planner.chain_costs.dataflow_gma`); a fused kernel's
+commBuffer bytes come from the same clamped windows the interpreted blocks
+read (:func:`~repro.core.tiling.tile_windows`).  The reference engine is
+the oracle for both: metered totals, :class:`~repro.gpu.executor.LaunchStats`
+and roofline timings are *bit-identical* to it — enforced by the zoo-wide
+parity matrix in ``tests/test_fastpath.py`` and the kernel properties in
+``tests/test_properties_kernels.py``.
 
 Whole-grid GEMMs go through :func:`repro.core.ops.exact_matmul`: INT8 runs
 as float32 BLAS while the reduction depth is at most 1024 and as float64
@@ -37,7 +38,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..core.tiling import input_extent, tile_input_range
+from ..core.tiling import input_extent
 from ..errors import SimulationError
 from .counters import AccessCounters
 from .executor import LaunchStats
@@ -49,7 +50,6 @@ __all__ = [
     "resolve_engine",
     "GridProgram",
     "launch_fast",
-    "axis_window_extents",
     "grid_depthwise",
 ]
 
@@ -112,25 +112,6 @@ def launch_fast(kernel: GridProgram, gpu: GpuSpec, counters: AccessCounters) -> 
         peak_shared_bytes=peak,
         waves=waves,
     )
-
-
-def axis_window_extents(
-    out_size: int, tile: int, kernel: int, stride: int, padding: int, in_size: int
-) -> list[int]:
-    """Clamped *input-window* extents along one axis, one entry per tile.
-
-    Exactly the ``hi - lo`` of :func:`repro.core.tiling.tile_input_range`
-    per output tile — the rows/cols an interpreted block actually loads,
-    border clamping included.  Summing these (times channels times element
-    bytes) gives the bulk IFM charge of a halo-tiled launch.
-    """
-    out: list[int] = []
-    for t0 in range(0, out_size, tile):
-        lo, hi = tile_input_range(
-            t0, min(tile, out_size - t0), kernel, stride, padding, in_size
-        )
-        out.append(hi - lo)
-    return out
 
 
 # ---- whole-tensor compute primitives ------------------------------------------

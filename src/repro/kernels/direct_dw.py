@@ -11,19 +11,21 @@ re-loaded once per spatial tile, giving Eq. 3's
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.dtypes import DType
-from ..core.tiling import DwTiling, ceil_div, input_extent, tile_input_range
+from ..core.tiling import DwTiling, ceil_div, input_extent, tile_windows
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import axis_window_extents, grid_depthwise
+from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
+from ..planner.costs import dw_gma, dw_tile_footprint
 from .base import SimKernel
 from .params import LayerParams
 
@@ -79,25 +81,17 @@ class DwDirectKernel(SimKernel):
         self.spec = spec
         self.dtype: DType = spec.dtype
         self.name = f"dw_direct[{spec.name}]"
-        self.tile_c = min(tiling.tile_c, spec.in_channels)
-        self.tile_h = min(tiling.tile_h, spec.out_h)
-        self.tile_w = min(tiling.tile_w, spec.out_w)
+        #: the tiling clamped to the layer: what the grid runs and is priced at.
+        self.tiling = DwTiling(
+            min(tiling.tile_c, spec.in_channels),
+            min(tiling.tile_h, spec.out_h),
+            min(tiling.tile_w, spec.out_w),
+        )
         self._counters: AccessCounters | None = None
 
     # ---- capacity (Eq. 3 constraint) -----------------------------------------
-    def tile_footprint_bytes(self) -> int:
-        """Halo-extended IFM tile + OFM tile + filter slices, storage bytes."""
-        k, s = self.spec.kernel, self.spec.stride
-        eb = self.dtype.nbytes
-        in_h = input_extent(self.tile_h, k, s)
-        in_w = input_extent(self.tile_w, k, s)
-        ifm_tile = self.tile_c * in_h * in_w * eb
-        ofm_tile = self.tile_c * self.tile_h * self.tile_w * eb
-        w_tile = self.tile_c * k * k * eb
-        return ifm_tile + ofm_tile + w_tile
-
     def check_capacity(self, gpu: GpuSpec) -> None:
-        fp = self.tile_footprint_bytes()
+        fp = dw_tile_footprint(self.spec, self.tiling)
         if fp > gpu.l1_bytes:
             raise CapacityError(
                 f"{self.name}: tile working set {fp}B exceeds L1 {gpu.l1_bytes}B"
@@ -106,9 +100,10 @@ class DwDirectKernel(SimKernel):
     # ---- launch ---------------------------------------------------------------
     def grid(self) -> Sequence[tuple[int, ...]]:
         def build() -> list[tuple[int, ...]]:
-            nc = ceil_div(self.spec.in_channels, self.tile_c)
-            nh = ceil_div(self.spec.out_h, self.tile_h)
-            nw = ceil_div(self.spec.out_w, self.tile_w)
+            spec, t = self.spec, self.tiling
+            nc = ceil_div(spec.in_channels, t.tile_c)
+            nh = ceil_div(spec.out_h, t.tile_h)
+            nw = ceil_div(spec.out_w, t.tile_w)
             return [
                 (ci, hi, wi)
                 for ci in range(nc) for hi in range(nh) for wi in range(nw)
@@ -127,16 +122,14 @@ class DwDirectKernel(SimKernel):
 
     def run_block(self, coord: tuple[int, ...], shared: SharedMemory) -> None:
         ci, hi, wi = coord
-        spec = self.spec
+        spec, t = self.spec, self.tiling
         k, s, pad = spec.kernel, spec.stride, spec.padding
-        c0 = ci * self.tile_c
-        c1 = min(c0 + self.tile_c, spec.in_channels)
-        r0 = hi * self.tile_h
-        r1 = min(r0 + self.tile_h, spec.out_h)
-        q0 = wi * self.tile_w
-        q1 = min(q0 + self.tile_w, spec.out_w)
-        lo_r, hi_r = tile_input_range(r0, r1 - r0, k, s, pad, spec.in_h)
-        lo_q, hi_q = tile_input_range(q0, q1 - q0, k, s, pad, spec.in_w)
+        c0 = ci * t.tile_c
+        c1 = min(c0 + t.tile_c, spec.in_channels)
+        rows = tile_windows(spec.out_h, t.tile_h, ((k, s, pad, spec.in_h),))
+        cols = tile_windows(spec.out_w, t.tile_w, ((k, s, pad, spec.in_w),))
+        (lo_r, hi_r), (r0, r1) = rows[0][hi], rows[1][hi]
+        (lo_q, hi_q), (q0, q1) = cols[0][wi], cols[1][wi]
         window = self._ifm.load((slice(c0, c1), slice(lo_r, hi_r), slice(lo_q, hi_q)))
         w_tile = self._w.load(slice(c0, c1))
         acc = depthwise_tile(
@@ -157,23 +150,21 @@ class DwDirectKernel(SimKernel):
     def run_grid(self) -> int:
         """Whole-grid fast path: one full-extent depthwise pass.
 
-        Bulk charges reproduce the per-block sums exactly: window extents
-        are separable per axis, weight slices stream once per spatial tile,
-        every OFM element is stored exactly once.
+        The counters are charged what the measured cost model prices
+        (:func:`~repro.planner.costs.dw_gma`), split into the weight slices
+        streamed once per spatial tile and the halo-extended IFM windows;
+        the per-block reference engine is the oracle that model is held to.
         """
         spec = self.spec
         k, s, pad = spec.kernel, spec.stride, spec.padding
-        eb = self.dtype.nbytes
         c_all = spec.in_channels
-        nh = ceil_div(spec.out_h, self.tile_h)
-        nw = ceil_div(spec.out_w, self.tile_w)
-        wh = axis_window_extents(spec.out_h, self.tile_h, k, s, pad, spec.in_h)
-        ww = axis_window_extents(spec.out_w, self.tile_w, k, s, pad, spec.in_w)
+        est = dw_gma(spec, self.tiling, "measured")
+        weights = self.tiling.num_spatial_tiles(spec.out_h, spec.out_w) * spec.weights_bytes
         ctr = self._counters
-        ctr.read_bulk("ifm", c_all * sum(wh) * sum(ww) * eb)
-        ctr.read_bulk("weights", c_all * k * k * eb, nh * nw)
-        ctr.write_bulk("ofm", c_all * spec.out_h * spec.out_w * eb)
-        ctr.compute(c_all * spec.out_h * spec.out_w * k * k)
+        ctr.read("ifm", est.read_bytes - weights)
+        ctr.read("weights", weights)
+        ctr.write("ofm", est.write_bytes)
+        ctr.compute(spec.macs)
 
         acc = grid_depthwise(
             window=self._ifm.array,
@@ -199,8 +190,5 @@ class DwDirectKernel(SimKernel):
         """Annotate weight/halo re-reads for L2-aware timing."""
         from ..planner.analytic import lbl_counters
 
-        ref = lbl_counters(
-            self.spec,
-            {"tile_c": self.tile_c, "tile_h": self.tile_h, "tile_w": self.tile_w},
-        )
+        ref = lbl_counters(self.spec, asdict(self.tiling))
         counters.rereads.extend(ref.rereads)

@@ -9,6 +9,7 @@ IFMs are re-read once per filter group, weights once per spatial tile.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from ..gpu.counters import AccessCounters
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
+from ..planner.costs import pw_gma, pw_tile_footprint
 from .base import SimKernel
 from .params import LayerParams
 
@@ -39,19 +41,15 @@ class PwDirectKernel(SimKernel):
         self.dtype: DType = spec.dtype
         self.name = f"pw_direct[{spec.name}]"
         self.out_hw = spec.out_h * spec.out_w
-        self.tile_m = min(tiling.tile_m, spec.out_channels)
-        self.tile_hw = min(tiling.tile_hw, self.out_hw)
+        #: the tiling clamped to the layer: what the grid runs and is priced at.
+        self.tiling = PwTiling(
+            min(tiling.tile_m, spec.out_channels), min(tiling.tile_hw, self.out_hw)
+        )
         self._counters: AccessCounters | None = None
 
     # ---- capacity (Eq. 2 constraint, reduction-streaming residency) ----------
-    def tile_footprint_bytes(self) -> int:
-        """Output tile + in-flight reduction chunks, at storage precision."""
-        from ..planner.costs import streamed_matmul_l1_bytes
-
-        return streamed_matmul_l1_bytes(self.tile_m, self.tile_hw, self.dtype.nbytes)
-
     def check_capacity(self, gpu: GpuSpec) -> None:
-        fp = self.tile_footprint_bytes()
+        fp = pw_tile_footprint(self.spec, self.tiling)
         if fp > gpu.l1_bytes:
             raise CapacityError(
                 f"{self.name}: tile working set {fp}B exceeds L1 {gpu.l1_bytes}B"
@@ -60,8 +58,8 @@ class PwDirectKernel(SimKernel):
     # ---- launch -----------------------------------------------------------------
     def grid(self) -> Sequence[tuple[int, ...]]:
         def build() -> list[tuple[int, ...]]:
-            nm = ceil_div(self.spec.out_channels, self.tile_m)
-            ns = ceil_div(self.out_hw, self.tile_hw)
+            nm = ceil_div(self.spec.out_channels, self.tiling.tile_m)
+            ns = ceil_div(self.out_hw, self.tiling.tile_hw)
             return [(mi, si) for mi in range(nm) for si in range(ns)]
 
         return self._memo_grid(build)
@@ -81,10 +79,10 @@ class PwDirectKernel(SimKernel):
 
     def run_block(self, coord: tuple[int, ...], shared: SharedMemory) -> None:
         mi, si = coord
-        m0 = mi * self.tile_m
-        m1 = min(m0 + self.tile_m, self.spec.out_channels)
-        p0 = si * self.tile_hw
-        p1 = min(p0 + self.tile_hw, self.out_hw)
+        m0 = mi * self.tiling.tile_m
+        m1 = min(m0 + self.tiling.tile_m, self.spec.out_channels)
+        p0 = si * self.tiling.tile_hw
+        p1 = min(p0 + self.tiling.tile_hw, self.out_hw)
         acc_t = self.dtype.acc_dtype
         w_tile = self._w.load((slice(m0, m1), slice(None))).astype(acc_t)
         x_tile = self._ifm.load((slice(None), slice(p0, p1))).astype(acc_t)
@@ -96,23 +94,23 @@ class PwDirectKernel(SimKernel):
     def run_grid(self) -> int:
         """Whole-grid fast path: one full matmul over the subsampled IFM.
 
-        Per-block sums in closed form: the IFM streams once per filter
-        group, the weight matrix once per spatial tile, every OFM element
-        is written exactly once.
+        The counters are charged what the measured cost model prices
+        (:func:`~repro.planner.costs.pw_gma`), split into the weight matrix
+        streamed once per spatial tile and the IFM streamed once per filter
+        group; the per-block reference engine is the oracle that model is
+        held to.
         """
         spec = self.spec
-        eb = self.dtype.nbytes
-        m_all, c_in = spec.out_channels, spec.in_channels
-        nm = ceil_div(m_all, self.tile_m)
-        ns = ceil_div(self.out_hw, self.tile_hw)
+        est = pw_gma(spec, self.tiling, "measured")
+        weights = self.tiling.num_spatial_tiles(self.out_hw) * spec.weights_bytes
         ctr = self._counters
-        ctr.read_bulk("weights", m_all * c_in * eb, ns)
-        ctr.read_bulk("ifm", c_in * self.out_hw * eb, nm)
-        ctr.write_bulk("ofm", m_all * self.out_hw * eb)
-        ctr.compute(m_all * c_in * self.out_hw)
+        ctr.read("weights", weights)
+        ctr.read("ifm", est.read_bytes - weights)
+        ctr.write("ofm", est.write_bytes)
+        ctr.compute(spec.macs)
 
         acc = exact_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
-        self.params.epilogue.apply(acc, 0, m_all, self.dtype, out=self._out.array)
+        self.params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=self._out.array)
         return 0  # direct kernels keep everything in registers / L1
 
     def output_array(self) -> np.ndarray:
@@ -128,5 +126,5 @@ class PwDirectKernel(SimKernel):
         :mod:`repro.planner.analytic`, so functional == analytic timing)."""
         from ..planner.analytic import lbl_counters
 
-        ref = lbl_counters(self.spec, {"tile_m": self.tile_m, "tile_hw": self.tile_hw})
+        ref = lbl_counters(self.spec, asdict(self.tiling))
         counters.rereads.extend(ref.rereads)

@@ -5,10 +5,10 @@ with the dataflow the chain cost models price
 (:mod:`repro.planner.chain_costs`, :func:`~repro.planner.chain_costs.chain_dataflow`):
 
 * one thread block owns a ``tile_h x tile_w`` tile of the *final* stage's
-  output; the required window of every earlier boundary is found by walking
-  the stage geometries backward (the same ``tile_input_range`` composition
-  the cost model uses, so metered bytes match the measured-convention
-  estimates exactly);
+  output; the required window of every earlier boundary is the dataflow's
+  :attr:`~repro.planner.chain_costs.ChainDataflow.windows` (the one
+  :func:`~repro.core.tiling.tile_windows` rule the cost model prices, so
+  metered bytes match the measured-convention estimates exactly);
 * each intermediate is computed over its halo-extended window into a shared
   commBuffer; a buffer is freed as soon as the consuming stage finishes, so
   at most two commBuffers are live at once (the capacity rule
@@ -45,14 +45,14 @@ from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..core.fcm import FcmType
 from ..core.ops import exact_matmul
-from ..core.tiling import ceil_div, tile_input_range
+from ..core.tiling import ceil_div
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
 from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
-from ..planner.chain_costs import chain_dataflow, fcm_type_of
+from ..planner.chain_costs import chain_dataflow, dataflow_gma, fcm_type_of
 from .base import SimKernel
 from .direct_dw import depthwise_tile
 from .params import LayerParams
@@ -157,39 +157,15 @@ class FusedChainKernel(SimKernel):
         self._out = self.make_buffer("ofm", out, "ofm", counters)
         self._counters = counters
 
-    def _block_ranges(
-        self, r0: int, r1: int, q0: int, q1: int
-    ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Per-boundary clamped ((row lo, hi), (col lo, hi)) for one block.
-
-        Index ``b`` is the boundary (0 = chain input, N = final output);
-        the same backward composition as the chain cost model.
-        """
-        rows, cols = (r0, r1), (q0, q1)
-        per = [(rows, cols)]
-        for spec in reversed(self.flow.chain.specs):
-            rows = tile_input_range(
-                rows[0], rows[1] - rows[0], spec.kernel, spec.stride, spec.padding, spec.in_h
-            )
-            cols = tile_input_range(
-                cols[0], cols[1] - cols[0], spec.kernel, spec.stride, spec.padding, spec.in_w
-            )
-            per.append((rows, cols))
-        per.reverse()
-        return per
-
     def run_block(self, coord: tuple[int, ...], shared: SharedMemory) -> None:
         fi, hi, wi = coord
         flow = self.flow
         specs = flow.chain.specs
         n = len(specs)
-        last = flow.chain.last
         acc_t = self.dtype.acc_dtype
-        r0 = hi * flow.tile_h
-        r1 = min(r0 + flow.tile_h, last.out_h)
-        q0 = wi * flow.tile_w
-        q1 = min(q0 + flow.tile_w, last.out_w)
-        ranges = self._block_ranges(r0, r1, q0, q1)
+        # Per-boundary ((row lo, hi), (col lo, hi)) of this block: index b is
+        # the boundary (0 = chain input, N = the block's output tile).
+        ranges = [(r[hi], c[wi]) for r, c in zip(*flow.windows)]
         group = None  # this block's channel group, in every stage
         if flow.tile_f is not None:
             f0 = fi * flow.tile_f
@@ -268,94 +244,46 @@ class FusedChainKernel(SimKernel):
                 cur_origin = (o_lo_r, o_lo_q)
                 prev_slot = slot
 
-    def _axis_extents(self, vertical: bool) -> list[list[int]]:
-        """Per-boundary clamped extents along one axis, one entry per tile.
-
-        ``out[b][t]`` is the row (or column) extent of boundary ``b``'s
-        window in tile ``t`` — the same backward composition
-        :meth:`_block_ranges` performs, but separable per axis because
-        :func:`~repro.core.tiling.tile_input_range` composes rows and
-        columns independently.
-        """
-        flow = self.flow
-        last = flow.chain.last
-        total = last.out_h if vertical else last.out_w
-        tile = flow.tile_h if vertical else flow.tile_w
-        per_tile: list[list[tuple[int, int]]] = []
-        for t0 in range(0, total, tile):
-            rng = (t0, min(t0 + tile, total))
-            per = [rng]
-            for spec in reversed(flow.chain.specs):
-                in_size = spec.in_h if vertical else spec.in_w
-                rng = tile_input_range(
-                    rng[0], rng[1] - rng[0], spec.kernel, spec.stride,
-                    spec.padding, in_size,
-                )
-                per.append(rng)
-            per.reverse()
-            per_tile.append(per)
-        n_bounds = len(flow.chain.specs) + 1
-        return [
-            [per[b][1] - per[b][0] for per in per_tile] for b in range(n_bounds)
-        ]
-
     def run_grid(self) -> int:
         """Whole-grid fast path: the chain as N full-tensor stage passes.
 
-        Bulk charges come from the separable per-axis window extents every
-        interpreted block derives with :meth:`_block_ranges`: every channel
-        group re-reads the input windows, stage weights stream once per
-        spatial tile (channel groups and a final PW's filter groups slice
-        them, summing to the same total), intermediate commBuffers see one
-        write plus one read each (plus the final PW's per-group re-reads),
-        and the halo-extended stage extents reproduce the redundant compute
-        that :meth:`finalize` later reclassifies.
+        Global reads, writes and MACs are what the measured cost model
+        prices (:func:`~repro.planner.chain_costs.dataflow_gma`), halo
+        recomputation included (:meth:`finalize` reclassifies it), with
+        every stage's weights streamed once per spatial tile split from the
+        channel groups' input windows; the per-block reference engine is
+        the oracle that model is held to.  The model does not price shared
+        memory, so the commBuffer traffic and peak are charged here from
+        the same :attr:`~repro.planner.chain_costs.ChainDataflow.windows`
+        every interpreted block reads.
         """
         flow = self.flow
         specs = flow.chain.specs
         n = len(specs)
         eb = self.dtype.nbytes
-        rows = self._axis_extents(vertical=True)
-        cols = self._axis_extents(vertical=False)
-        sum_r = [sum(r) for r in rows]
-        sum_c = [sum(c) for c in cols]
-        n_sp = len(rows[0]) * len(cols[0])
-        in_b = 1 if specs[0].kind is ConvKind.POINTWISE else 0
-        last = flow.chain.last
-        n_groups = (
-            ceil_div(last.out_channels, flow.tile_m)
-            if last.kind is ConvKind.POINTWISE
-            else 0
-        )
+        cost = dataflow_gma(flow, "measured")
+        weights = flow.n_sp * flow.chain.weights_bytes
         ctr = self._counters
-        ctr.read_bulk("ifm", specs[0].in_channels * sum_r[in_b] * sum_c[in_b] * eb, flow.n_f)
-        for i, spec in enumerate(specs):
-            if spec.kind is ConvKind.DEPTHWISE:
-                per_block_w = spec.out_channels * spec.kernel * spec.kernel
-                stage_macs = (
-                    spec.out_channels * spec.kernel * spec.kernel
-                    * sum_r[i + 1] * sum_c[i + 1]
-                )
-            else:
-                per_block_w = spec.out_channels * spec.in_channels
-                stage_macs = (
-                    spec.out_channels * spec.in_channels * sum_r[i + 1] * sum_c[i + 1]
-                )
-            ctr.read_bulk("weights", per_block_w * eb, n_sp)
-            ctr.compute(stage_macs)
-        ctr.write_bulk("ofm", last.out_channels * sum_r[n] * sum_c[n] * eb)
+        ctr.read("ifm", cost.gma.read_bytes - weights)
+        ctr.read("weights", weights)
+        ctr.write("ofm", cost.gma.write_bytes)
+        ctr.compute(cost.useful_macs + cost.redundant_macs)
+
         # commBuffer traffic: slot i (stage i's output window) is written
         # once and read once when consumed; a final PW re-reads the last
         # slot once per extra filter group.  Channel groups split each
         # window's channels, so the totals do not depend on them.
+        rows = [[hi - lo for lo, hi in r] for r in flow.windows[0]]
+        cols = [[hi - lo for lo, hi in c] for c in flow.windows[1]]
         comm_totals = [
-            specs[i].out_channels * sum_r[i + 1] * sum_c[i + 1] * eb
+            specs[i].out_channels * sum(rows[i + 1]) * sum(cols[i + 1]) * eb
             for i in range(n - 1)
         ]
         for total in comm_totals:
-            ctr.smem_bulk(2 * total)
-        if n_groups > 1:
-            ctr.smem_bulk((n_groups - 1) * comm_totals[-1])
+            ctr.smem(2 * total)
+        last = flow.chain.last
+        if last.kind is ConvKind.POINTWISE:
+            ctr.smem((ceil_div(last.out_channels, flow.tile_m) - 1) * comm_totals[-1])
 
         # Peak shared bytes: walk every block's alloc/free timeline (sizes
         # are per-axis products, so this is integer-only and tiny); the
@@ -391,7 +319,7 @@ class FusedChainKernel(SimKernel):
                 )
             else:
                 # A first PW reads the pre-subsampled view bound at stride 1.
-                pw_stride = 1 if i == 0 and in_b == 1 else spec.stride
+                pw_stride = 1 if i == 0 else spec.stride
                 x = cur if pw_stride == 1 else cur[:, ::pw_stride, ::pw_stride]
                 acc = exact_matmul(
                     self._weights[i].array,

@@ -7,7 +7,6 @@ from .costs import (
     dw_gma,
     dw_tile_footprint,
     lbl_gma,
-    loaded_axis_elems,
     pw_feasible,
     pw_gma,
     pw_tile_footprint,
@@ -30,7 +29,6 @@ __all__ = [
     "dw_gma",
     "dw_tile_footprint",
     "lbl_gma",
-    "loaded_axis_elems",
     "pw_feasible",
     "pw_gma",
     "pw_tile_footprint",

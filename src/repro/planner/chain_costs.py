@@ -45,16 +45,22 @@ Chain dataflow (one thread block):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Collection, Mapping, Sequence
 
 from ..core.chain import FusedChain, composed_receptive_field
 from ..core.fcm import FcmType, candidate_fcm_types
-from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_input_range
+from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_windows
 from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .costs import STREAM_CHUNK, GmaEstimate, _check_convention, streamed_matmul_l1_bytes
+from .costs import (
+    STREAM_CHUNK,
+    GmaEstimate,
+    _axis_sums,
+    _check_convention,
+    streamed_matmul_l1_bytes,
+)
 
 __all__ = [
     "FCM_TILING_KEYS",
@@ -213,6 +219,26 @@ class ChainDataflow:
             return self.tile_f
         return self.chain.specs[b - 1].out_channels
 
+    @cached_property
+    def windows(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``(rows, cols)``: :func:`~repro.core.tiling.tile_windows` of the
+        stages along each axis, so ``rows[b][hi]`` x ``cols[b][wi]`` is the
+        window block ``(hi, wi)`` reads (``b = 0`` or ``1``) or computes
+        (``0 < b < N``) on boundary ``b``."""
+        specs = self.chain.specs
+        return (
+            tile_windows(
+                specs[-1].out_h,
+                self.tile_h,
+                tuple((s.kernel, s.stride, s.padding, s.in_h) for s in specs),
+            ),
+            tile_windows(
+                specs[-1].out_w,
+                self.tile_w,
+                tuple((s.kernel, s.stride, s.padding, s.in_w) for s in specs),
+            ),
+        )
+
 
 def chain_dataflow(chain: FusedChain, tiling: Mapping[str, int]) -> ChainDataflow:
     """Read ``tiling`` in whichever vocabulary it speaks (see module doc)."""
@@ -252,55 +278,6 @@ def tiling_ladder(chain: FusedChain, key: str) -> tuple[int, int]:
 # ---- backward tile propagation ------------------------------------------------
 
 
-def _axis_sums(ranges: list[tuple[int, int]]) -> tuple[int, int]:
-    """(summed extents, union of extents) of one boundary's axis ranges."""
-    total = 0
-    covered = 0
-    prev_hi = 0
-    for lo, hi in ranges:
-        total += max(hi - lo, 0)
-        lo = max(lo, prev_hi)
-        if hi > lo:
-            covered += hi - lo
-            prev_hi = hi
-    return total, covered
-
-
-@lru_cache(maxsize=None)
-def _boundary_sums(
-    out_size: int, stages: tuple[tuple[int, int, int, int], ...], tile: int
-) -> tuple[tuple[int, int], ...]:
-    """Per-boundary (summed, covered) extents of one axis under one tile size.
-
-    ``stages`` holds each stage's ``(kernel, stride, padding, in_size)``
-    along the axis, first stage first; ``out_size`` is the last stage's
-    output extent.  Boundary ``b`` is stage ``b``'s output grid (``b = 0``
-    is the chain input).  Every final-output tile's half-open index range is
-    propagated backward through the stages with
-    :func:`~repro.core.tiling.tile_input_range` — exactly what the simulated
-    chain kernel loads (``b = 0`` or ``1``) and computes (``0 < b < N``), so
-    measured-convention costs match the kernel's metered bytes.  Pure in its
-    arguments, so cached per stage geometry and tile size.
-    """
-    cur = [(t0, min(t0 + tile, out_size)) for t0 in range(0, out_size, tile)]
-    sums = [_axis_sums(cur)]
-    for kernel, stride, padding, in_size in reversed(stages):
-        cur = [tile_input_range(lo, hi - lo, kernel, stride, padding, in_size) for lo, hi in cur]
-        sums.append(_axis_sums(cur))
-    sums.reverse()
-    return tuple(sums)
-
-
-def _axis_boundary_sums(chain: FusedChain, tile: int, axis: int) -> tuple[tuple[int, int], ...]:
-    """:func:`_boundary_sums` of ``chain`` along ``axis`` (0 = rows, 1 = cols)."""
-    specs = chain.specs
-    if axis == 0:
-        stages = tuple((s.kernel, s.stride, s.padding, s.in_h) for s in specs)
-        return _boundary_sums(specs[-1].out_h, stages, tile)
-    stages = tuple((s.kernel, s.stride, s.padding, s.in_w) for s in specs)
-    return _boundary_sums(specs[-1].out_w, stages, tile)
-
-
 def _grid(chain: FusedChain, b: int) -> tuple[int, int]:
     """(H, W) of boundary ``b`` (chain input for 0, stage b output otherwise)."""
     if b == 0:
@@ -321,10 +298,11 @@ def chain_window_extents(chain: FusedChain, tiles) -> tuple[tuple[int, ...], ...
     """Unclamped per-boundary window extents for every candidate tile size.
 
     ``ext[b][i]`` composes :func:`repro.core.tiling.input_extent` backward
-    through the stages (the worst-case interior tile of :func:`_max_extents`),
-    one axis at a time — the footprint tables of the vectorized feasibility
-    check.  Kernels are square, so the same table serves both axes (fed with
-    that axis's candidate tile sizes).
+    through the stages (the worst-case interior tile, the unclamped bound of
+    :func:`~repro.core.tiling.tile_windows`), one axis at a time — the
+    footprint tables of :func:`chain_footprints` and of the vectorized
+    feasibility check.  Kernels are square, so the same table serves both
+    axes (fed with that axis's candidate tile sizes).
     """
     return _window_extents(tuple((s.kernel, s.stride) for s in chain.specs), tuple(tiles))
 
@@ -380,8 +358,9 @@ def dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
     else:
         # Per-boundary (summed, covered) extents; rows/cols factorize because
         # the tiles form a grid: sum over (hi, wi) of rext*cext = (sum r)(sum c).
-        row_sums = _axis_boundary_sums(chain, tile_h, 0)
-        col_sums = _axis_boundary_sums(chain, tile_w, 1)
+        rows, cols = flow.windows
+        row_sums = [_axis_sums(r) for r in rows]
+        col_sums = [_axis_sums(c) for c in cols]
         ifm_reads = first.in_channels * row_sums[in_b][0] * col_sums[in_b][0]
         redundant = 0
         useful = last.macs
@@ -411,18 +390,6 @@ def chain_gma(
 # ---- feasibility -------------------------------------------------------------
 
 
-def _max_extents(chain: FusedChain, tile_h: int, tile_w: int) -> list[tuple[int, int]]:
-    """Unclamped per-boundary window extents (worst-case interior tile)."""
-    eh, ew = tile_h, tile_w
-    per = [(eh, ew)]
-    for spec in reversed(chain.specs):
-        eh = input_extent(eh, spec.kernel, spec.stride)
-        ew = input_extent(ew, spec.kernel, spec.stride)
-        per.append((eh, ew))
-    per.reverse()
-    return per
-
-
 def chain_footprints(
     chain: FusedChain, tiling: Mapping[str, int]
 ) -> tuple[int, int, int]:
@@ -444,7 +411,7 @@ def chain_footprints(
     n = chain.length
     eb = chain.dtype.nbytes
     first, last = chain.first, chain.last
-    ext = _max_extents(chain, flow.tile_h, flow.tile_w)
+    ext = chain_window_extents(chain, (flow.tile_h, flow.tile_w))
     window = [h * w for h, w in ext]  # per-boundary window elements per channel
     stream = list(window)  # pixels of one PW reduction chunk in flight
     out_px = flow.tile_h * flow.tile_w

@@ -18,8 +18,9 @@ implemented, each with one consumer:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ..core.tiling import DwTiling, PwTiling, overlap_elements, tile_input_range
+from ..core.tiling import DwTiling, PwTiling, input_extent, overlap_elements, tile_windows
 from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
@@ -29,7 +30,6 @@ __all__ = [
     "pw_gma",
     "dw_gma",
     "lbl_gma",
-    "loaded_axis_elems",
     "pw_tile_footprint",
     "dw_tile_footprint",
     "pw_feasible",
@@ -71,20 +71,21 @@ def _check_convention(convention: str) -> None:
         raise UnsupportedError(f"unknown cost convention {convention!r}; use {_CONVENTIONS}")
 
 
-def loaded_axis_elems(
-    out_size: int, tile: int, kernel: int, stride: int, padding: int, in_size: int
-) -> int:
-    """Input elements loaded along one axis, summed over all tiles (clamped).
-
-    This is the measured-convention analogue of ``size + overlap``: each tile
-    loads its halo-extended window, borders clamp to the feature map.
-    """
+@lru_cache(maxsize=None)
+def _axis_sums(ranges: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(summed extents, union of extents) of one boundary's
+    :func:`~repro.core.tiling.tile_windows` ranges along one axis (cached
+    with them: the analytic counters price each chain step per session)."""
     total = 0
-    for t0 in range(0, out_size, tile):
-        tlen = min(tile, out_size - t0)
-        lo, hi = tile_input_range(t0, tlen, kernel, stride, padding, in_size)
+    covered = 0
+    prev_hi = 0
+    for lo, hi in ranges:
         total += max(hi - lo, 0)
-    return total
+        lo = max(lo, prev_hi)
+        if hi > lo:
+            covered += hi - lo
+            prev_hi = hi
+    return total, covered
 
 
 def pw_gma(spec: ConvSpec, tiling: PwTiling, convention: str = "paper") -> GmaEstimate:
@@ -133,9 +134,11 @@ def dw_gma(spec: ConvSpec, tiling: DwTiling, convention: str = "paper") -> GmaEs
         )
         reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp_tiles * weights
     else:
-        rows = loaded_axis_elems(spec.out_h, tiling.tile_h, k, s, pad, spec.in_h)
-        cols = loaded_axis_elems(spec.out_w, tiling.tile_w, k, s, pad, spec.in_w)
-        reads = c * rows * cols + n_sp_tiles * weights
+        # Each tile loads its clamped halo-extended window; rows and columns
+        # factorize because the tiles form a grid.
+        rows = tile_windows(spec.out_h, tiling.tile_h, ((k, s, pad, spec.in_h),))[0]
+        cols = tile_windows(spec.out_w, tiling.tile_w, ((k, s, pad, spec.in_w),))[0]
+        reads = c * _axis_sums(rows)[0] * _axis_sums(cols)[0] + n_sp_tiles * weights
     writes = c * spec.out_h * spec.out_w
     return GmaEstimate(reads, writes, spec.dtype.nbytes)
 
@@ -182,14 +185,13 @@ def pw_tile_footprint(spec: ConvSpec, tiling: PwTiling) -> int:
 def dw_tile_footprint(spec: ConvSpec, tiling: DwTiling) -> int:
     """Eq. 3's L1 constraint operand, with the halo-extended input tile."""
     k, s = spec.kernel, spec.stride
-    eb = spec.dtype.nbytes
-    in_h = (tiling.tile_h - 1) * s + k
-    in_w = (tiling.tile_w - 1) * s + k
+    in_h = input_extent(tiling.tile_h, k, s)
+    in_w = input_extent(tiling.tile_w, k, s)
     return (
         tiling.tile_c * in_h * in_w
         + tiling.tile_c * tiling.tile_h * tiling.tile_w
         + tiling.tile_c * k * k
-    ) * eb
+    ) * spec.dtype.nbytes
 
 
 def pw_feasible(spec: ConvSpec, tiling: PwTiling, gpu: GpuSpec) -> bool:

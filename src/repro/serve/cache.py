@@ -89,6 +89,17 @@ class CachedPlan:
     #: of a size already seen is then a dict lookup).
     _analytic: dict[int, SessionReport] = field(default_factory=dict, init=False)
 
+    @classmethod
+    def of(
+        cls, key: PlanKey, dtype: DType, graph: ModelGraph, plan: ExecutionPlan
+    ) -> "CachedPlan":
+        """A ready-to-serve entry for ``plan``, made from the ``graph`` it
+        planned: its session and a weights handle that generates the weights
+        when a functional request first reads them."""
+        params = materialize_network(graph, dtype)
+        session = InferenceSession(graph, plan, params)
+        return cls(key=key, graph=graph, plan=plan, params=params, session=session)
+
     def analytic_report(self, batch_size: int) -> SessionReport:
         """Counters-only batched report for this plan (memoized per size)."""
         if batch_size not in self._analytic:
@@ -196,35 +207,7 @@ class PlanCache:
             gpu, max_chain=max_chain, calibration=self.calibration,
             tracer=self.tracer, metrics=self.metrics,
         ).plan(graph)
-        return self._insert(_entry(key, dtype, graph, plan))
-
-    def install(
-        self,
-        model: str,
-        dtype: DType,
-        gpu: GpuSpec,
-        *,
-        max_chain: int = 2,
-        plan: ExecutionPlan,
-    ) -> CachedPlan:
-        """Adopt a plan produced elsewhere as a resident entry
-        (:meth:`repro.serve.fleet.Fleet.preplan` plans once per GPU and
-        installs the plan on the first worker with that GPU).
-
-        The planner already ran, so this counts as a ``warm_start``, not a
-        miss or a planner invocation: the plan-once/serve-many accounting
-        the replay asserts must not depend on *where* boot-time planning
-        happened.  The graph, weights handle and session are built here
-        (cheap relative to planning); the weights themselves are generated
-        only when a functional request first reads them.  An already
-        resident entry wins: installing under a live key is a no-op so a
-        preplan pass can never clobber serving state.
-        """
-        key = PlanKey.of(model, dtype, gpu, "paper", max_chain)
-        resident = self._entries.get(key)
-        if resident is not None:
-            return resident
-        return self.adopt(_entry(key, dtype, build_model(model, dtype), plan))
+        return self._insert(CachedPlan.of(key, dtype, graph, plan))
 
     def clear(self) -> int:
         """Drop every resident entry, keeping cumulative stats (crash path).
@@ -240,15 +223,17 @@ class PlanCache:
         return dropped
 
     def adopt(self, entry: CachedPlan) -> CachedPlan:
-        """Share a peer's resident entry (boot-time preplanning and the
-        recovery re-warm path).
+        """Make an entry planned elsewhere resident (boot-time preplanning
+        and the recovery re-warm path).
 
-        The plan, weights handle and session already exist on a same-GPU
-        peer, so adopting the object is free (weights the peer generated are
-        shared, not generated again) and counts as a ``warm_start`` exactly
-        like :meth:`install`.  An already resident entry wins (no-op), and
-        adoption respects capacity via LRU eviction like any other
-        insertion.
+        The planner already ran, so this counts as a ``warm_start``, not a
+        miss or a planner invocation: the plan-once/serve-many accounting
+        the replay asserts must not depend on *where* boot-time planning
+        happened.  A same-GPU peer's entry is shared as it is (weights the
+        peer generated are shared, not generated again).  An already
+        resident entry wins (no-op), so a preplan pass can never clobber
+        serving state, and adoption respects capacity via LRU eviction like
+        any other insertion.
         """
         resident = self._entries.get(entry.key)
         if resident is not None:
@@ -308,11 +293,3 @@ class PlanCache:
             self.stats.evictions += 1
             self._count("eviction")
         return entry
-
-
-def _entry(key: PlanKey, dtype: DType, graph: ModelGraph, plan: ExecutionPlan) -> CachedPlan:
-    """A ready-to-serve entry for ``plan``: its session and a weights handle
-    that generates the weights when a functional request first reads them."""
-    params = materialize_network(graph, dtype)
-    session = InferenceSession(graph, plan, params)
-    return CachedPlan(key=key, graph=graph, plan=plan, params=params, session=session)

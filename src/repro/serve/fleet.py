@@ -329,20 +329,20 @@ class Fleet:
         """Plan every (worker GPU, model, dtype) combination before serving.
 
         Planning is the expensive boot-time step.  Each *distinct* ``(gpu,
-        model, dtype)`` is planned once and installed on the first worker
-        with that GPU via :meth:`PlanCache.install`; every other worker
-        sharing the GPU adopts that same :class:`CachedPlan`, as
+        model, dtype)`` is planned once, and one :class:`CachedPlan` is made
+        from the graph that was planned (:meth:`CachedPlan.of`); every
+        worker with that GPU adopts it (:meth:`PlanCache.adopt`), as
         :meth:`rewarm` does, so same-GPU workers share one entry: its plan,
-        its weights handle and its memoized analytic reports.  Each install
-        and adoption counts as a ``warm_start``, so a replay over the
-        preplanned fleet has no planning on its critical path.  Returns the
-        number of entries made resident.
+        its weights handle and its memoized analytic reports.  Each adoption
+        counts as a ``warm_start``, so a replay over the preplanned fleet
+        has no planning on its critical path.  Returns the number of entries
+        made resident.
         """
         from ..models.zoo import build_model
         from ..planner.planner import FusePlanner
 
         entries: dict[PlanKey, CachedPlan] = {}  # one per (GPU, model, dtype)
-        installed = 0
+        adopted = 0
         for w in self.workers:
             cache = w.server.cache
             for model in models:
@@ -352,15 +352,14 @@ class Fleet:
                     if key in entries:
                         cache.adopt(entries[key])
                     else:
+                        graph = build_model(model, dtype)
                         plan = FusePlanner(
                             w.gpu, max_chain=w.server.max_chain,
                             calibration=cache.calibration,
-                        ).plan(build_model(model, dtype))
-                        entries[key] = cache.install(
-                            model, dtype, w.gpu, max_chain=w.server.max_chain, plan=plan,
-                        )
-                    installed += cache.stats.warm_starts - before
-        return installed
+                        ).plan(graph)
+                        entries[key] = cache.adopt(CachedPlan.of(key, dtype, graph, plan))
+                    adopted += cache.stats.warm_starts - before
+        return adopted
 
     # ---- elasticity (driven by repro.serve.autoscale) ---------------------------
     def add_worker(self, gpu: GpuSpec) -> FleetWorker:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +102,20 @@ class TestTileInputRange:
             lo, hi = tile_input_range(t0, min(4, out - t0), k, s, pad, in_size)
             covered.update(range(lo, hi))
         assert covered == set(range(in_size))
+
+    def test_only_tile_windows_composes_it(self):
+        """One window rule: every clamped tile window in ``src/`` comes from
+        ``repro.core.tiling.tile_windows``, so no other module may call
+        ``tile_input_range`` and compose its own."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        callers = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                    if name == "tile_input_range":
+                        callers.add(path.relative_to(src).as_posix())
+        assert callers == {"repro/core/tiling.py"}
 
 
 class TestTilingDataclasses:

@@ -21,12 +21,12 @@ from helpers import dw_spec, per_tap_depthwise, pw_spec, random_ifm, register_ti
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.ops import out_dim
+from repro.core.tiling import tile_windows
 from repro.errors import SimulationError, TuneError
 from repro.gpu.counters import AccessCounters
 from repro.gpu.executor import launch
 from repro.gpu.fastpath import (
     DEFAULT_ENGINE,
-    axis_window_extents,
     grid_depthwise,
     launch_fast,
     resolve_engine,
@@ -289,7 +289,15 @@ def test_grid_depthwise_equals_per_tap_oracle(c, h, w, kernel, stride, values, d
 def test_axis_extent_helpers():
     # 3x3 stride-1 pad-1 over 6 rows, tile 4: first window clamped at the
     # top border, second at the bottom.
-    assert axis_window_extents(6, 4, 3, 1, 1, 6) == [5, 3]
+    assert tile_windows(6, 4, ((3, 1, 1, 6),))[0] == ((0, 5), (3, 6))
+    # PW -> 3x3 stride-2 pad-1 DW over 12 rows (6 output rows), tile 4:
+    # every boundary's ranges, the DW halo clamped at both borders and the
+    # PW passing it through unchanged.
+    assert tile_windows(6, 4, ((1, 1, 0, 12), (3, 2, 1, 12))) == (
+        ((0, 8), (7, 12)),
+        ((0, 8), (7, 12)),
+        ((0, 4), (4, 6)),
+    )
 
 
 # ---- engine selection --------------------------------------------------------

@@ -351,6 +351,24 @@ class TestPreplanSharesEntries:
         assert all(w.batches for w in report.per_worker)
         assert calls and max(calls.values()) == 1, calls
 
+    def test_each_planned_graph_is_built_once(self, monkeypatch):
+        """The shared entry is made from the graph that was planned: one
+        ``build_model`` per (GPU, model, dtype), none more for the entry."""
+        from repro.models import zoo
+        from repro.serve import cache
+
+        built: Counter = Counter()
+        build = zoo.build_model
+
+        def counted(model, *args, **kwargs):
+            built[model] += 1
+            return build(model, *args, **kwargs)
+
+        monkeypatch.setattr(zoo, "build_model", counted)
+        monkeypatch.setattr(cache, "build_model", counted)
+        self._preplanned()
+        assert sum(built.values()) == 12  # 3 GPUs x 2 models x 2 dtypes
+
 
 class TestSettingsForwarding:
     """ModelServer declares the serving settings; Fleet and fleet_replay

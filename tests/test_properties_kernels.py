@@ -1,9 +1,12 @@
 """Property-based tests: simulated kernels vs golden reference on random geometry.
 
-Hypothesis drives layer geometry, tile sizes and precision; every draw must
-satisfy (1) functional equivalence with the reference operators, (2) exact
-agreement between the measured-convention estimators and the metered bytes,
-(3) the output-stationary invariant (OFMs written exactly once).
+Hypothesis drives layer geometry, tile sizes and precision; every draw runs
+on both engines and must satisfy (1) functional equivalence with the
+reference operators, (2) exact agreement between the measured-convention
+estimators and the metered bytes and MACs, (3) the output-stationary
+invariant (OFMs written exactly once).  The fast engine charges the
+measured model, so the per-block reference engine is what holds the model
+to the blocks' actual loads, stores and work.
 """
 
 from __future__ import annotations
@@ -32,6 +35,31 @@ def _assert_matches(res, ref, dtype):
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
 
 
+def _run_both(kernel, x, ref, dtype, total_bytes: int, total_macs: int):
+    """Simulate ``kernel`` on the fast and the reference engine; both must
+    match ``ref`` and meter exactly the model's bytes and MACs.  Returns
+    ``(fast, reference)`` results."""
+    results = (kernel.simulate(x, RTX_A4000), kernel.simulate(x, RTX_A4000, "reference"))
+    for res in results:
+        _assert_matches(res, ref, dtype)
+        assert res.counters.total_bytes == total_bytes
+        assert res.counters.total_macs == total_macs
+    return results
+
+
+def _check_chain(params, tiling, x, ref, dtype):
+    """:func:`_run_both` on a fused chain against the measured chain model;
+    the redundant (recomputed halo) MACs are the model's on both engines."""
+    cost = chain_gma(FusedChain(tuple(p.spec for p in params)), tiling, "measured")
+    results = _run_both(
+        build_chain_kernel(params, tiling), x, ref, dtype,
+        cost.gma.total_bytes, cost.useful_macs + cost.redundant_macs,
+    )
+    for res in results:
+        assert res.counters.redundant_macs == cost.redundant_macs
+    return results
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     c=st.sampled_from([3, 8, 16]),
@@ -46,16 +74,14 @@ def test_pw_kernel_total_correctness(c, m, h, stride, tile_m, tile_hw, dtype):
     spec = pw_spec(c_in=c, c_out=m, h=h, w=h, stride=stride, dtype=dtype)
     params = make_layer_params(spec)
     x = random_ifm(spec)
-    res = build_lbl_kernel(params, {"tile_m": tile_m, "tile_hw": tile_hw}).simulate(
-        x, RTX_A4000
-    )
-    _assert_matches(res, ref_layer(params, x), dtype)
     tm = min(tile_m, m)
     thw = min(tile_hw, spec.out_h * spec.out_w)
-    assert res.counters.total_bytes == pw_gma(
-        spec, PwTiling(tm, thw), "measured"
-    ).total_bytes
-    assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
+    for res in _run_both(
+        build_lbl_kernel(params, {"tile_m": tile_m, "tile_hw": tile_hw}),
+        x, ref_layer(params, x), dtype,
+        pw_gma(spec, PwTiling(tm, thw), "measured").total_bytes, spec.macs,
+    ):
+        assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,13 +98,13 @@ def test_dw_kernel_total_correctness(c, h, kernel, stride, tile_c, tile_h, dtype
     spec = dw_spec(c=c, h=h, w=h, kernel=kernel, stride=stride, dtype=dtype)
     params = make_layer_params(spec)
     x = random_ifm(spec)
-    res = build_lbl_kernel(
-        params, {"tile_c": tile_c, "tile_h": tile_h, "tile_w": tile_h}
-    ).simulate(x, RTX_A4000)
-    _assert_matches(res, ref_layer(params, x), dtype)
     t = DwTiling(min(tile_c, c), min(tile_h, spec.out_h), min(tile_h, spec.out_w))
-    assert res.counters.total_bytes == dw_gma(spec, t, "measured").total_bytes
-    assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
+    for res in _run_both(
+        build_lbl_kernel(params, {"tile_c": tile_c, "tile_h": tile_h, "tile_w": tile_h}),
+        x, ref_layer(params, x), dtype,
+        dw_gma(spec, t, "measured").total_bytes, spec.macs,
+    ):
+        assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
 
 
 @settings(max_examples=25, deadline=None)
@@ -98,11 +124,7 @@ def test_pwdw_r_total_correctness(c, mid, h, dw_stride, tile_f, tile_h, dtype):
     p2 = chain_quant(p1, dw)
     x = random_ifm(pw)
     tiling = {"tile_f": tile_f, "tile_h": tile_h, "tile_w": tile_h}
-    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
-    _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = chain_gma(FusedChain((pw, dw)), tiling, "measured")
-    assert res.counters.total_bytes == cost.gma.total_bytes
-    assert res.counters.redundant_macs == cost.redundant_macs
+    _check_chain([p1, p2], tiling, x, ref_layer(p2, ref_layer(p1, x)), dtype)
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,10 +144,7 @@ def test_pwpw_total_correctness(c, mid, m, h, tile_hw, tile_m, dtype):
     p2 = chain_quant(p1, pw2)
     x = random_ifm(pw1)
     tiling = {"tile_hw": tile_hw, "tile_m": tile_m}
-    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
-    _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = chain_gma(FusedChain((pw1, pw2)), tiling, "measured")
-    assert res.counters.total_bytes == cost.gma.total_bytes
+    _check_chain([p1, p2], tiling, x, ref_layer(p2, ref_layer(p1, x)), dtype)
 
 
 @settings(max_examples=20, deadline=None)
@@ -145,8 +164,33 @@ def test_dwpw_total_correctness(c, m, h, dw_stride, tile_h, tile_m, dtype):
     p2 = chain_quant(p1, pw)
     x = random_ifm(dw)
     tiling = {"tile_h": tile_h, "tile_w": tile_h, "tile_m": tile_m}
-    res = build_chain_kernel([p1, p2], tiling).simulate(x, RTX_A4000)
-    _assert_matches(res, ref_layer(p2, ref_layer(p1, x)), dtype)
-    cost = chain_gma(FusedChain((dw, pw)), tiling, "measured")
-    assert res.counters.total_bytes == cost.gma.total_bytes
-    assert res.counters.redundant_macs == 0
+    fast, _ = _check_chain([p1, p2], tiling, x, ref_layer(p2, ref_layer(p1, x)), dtype)
+    assert fast.counters.redundant_macs == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    c=st.sampled_from([3, 8]),
+    mid=st.sampled_from([4, 12]),
+    m=st.sampled_from([4, 10]),
+    h=st.integers(5, 14),
+    kernel=st.sampled_from([3, 5]),
+    dw_stride=st.integers(1, 2),
+    tile_h=st.sampled_from([1, 3, 4, 16]),
+    tile_w=st.sampled_from([2, 5, 16]),
+    tile_m=st.sampled_from([2, 8, 64]),
+    dtype=_DTYPES,
+)
+def test_chain3_total_correctness(c, mid, m, h, kernel, dw_stride, tile_h, tile_w, tile_m, dtype):
+    """PW -> DW -> PW under the chain keys: the middle DW's halo is
+    recomputed by every block sharing it, through two backward steps."""
+    pw_a = pw_spec("A", c_in=c, c_out=mid, h=h, w=h, dtype=dtype)
+    dw_b = dw_spec("B", c=mid, h=h, w=h, kernel=kernel, stride=dw_stride, dtype=dtype)
+    pw_c = pw_spec("C", c_in=mid, c_out=m, h=dw_b.out_h, w=dw_b.out_w, dtype=dtype)
+    p_a = make_layer_params(pw_a)
+    p_b = chain_quant(p_a, dw_b)
+    p_c = chain_quant(p_b, pw_c)
+    x = random_ifm(pw_a)
+    tiling = {"tile_h": tile_h, "tile_w": tile_w, "tile_m": tile_m}
+    ref = ref_layer(p_c, ref_layer(p_b, ref_layer(p_a, x)))
+    _check_chain([p_a, p_b, p_c], tiling, x, ref, dtype)

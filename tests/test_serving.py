@@ -34,7 +34,6 @@ from helpers import (
 from repro.core.dtypes import DType
 from repro.errors import PlanError, ShapeError
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
-from repro.models.zoo import build_model
 from repro.planner.planner import FusePlanner
 from repro.runtime.network_params import materialize_network
 from repro.runtime.session import InferenceSession, seeded_input
@@ -94,19 +93,16 @@ class TestPlanCache:
         with pytest.raises(PlanError):
             PlanCache(capacity=0)
 
-    @pytest.mark.parametrize("call", ["FusePlanner", "get", "install"])
+    @pytest.mark.parametrize("call", ["FusePlanner", "get"])
     def test_positional_convention_is_rejected(self, call):
         # max_chain is keyword-only: a stale positional convention raises
         # instead of binding to it (and keying a plan by max_chain="paper").
         cache = PlanCache()
-        plan = FusePlanner(GTX1660).plan(build_model("tiny_a", DType.FP32))
         with pytest.raises(TypeError, match="positional"):
             if call == "FusePlanner":
                 FusePlanner(GTX1660, "paper")
-            elif call == "get":
-                cache.get("tiny_a", DType.FP32, GTX1660, "paper")
             else:
-                cache.install("tiny_a", DType.FP32, GTX1660, "paper", plan=plan)
+                cache.get("tiny_a", DType.FP32, GTX1660, "paper")
         assert len(cache) == 0
 
     def test_generation_moves_with_residency_only(self):

@@ -3,7 +3,7 @@
 The contract is that worker count is an *execution* knob, never a *result*
 knob: `tune_models(workers=N)` merges child DBs in submission order into
 byte-identical canonical JSONL for every N.  `Fleet.preplan` plans each
-distinct (GPU, model, dtype) once, in-process, and installs the same
+distinct (GPU, model, dtype) once, in-process, and adopts the same
 bit-identical plans the lazy path would build, counted as warm starts — so
 a replay over a preplanned fleet has no planning on its critical path.
 """
@@ -16,7 +16,9 @@ from helpers import TINY_ZOO, check_replay, register_tiny_zoo
 from repro.core.dtypes import DType
 from repro.errors import TuneError
 from repro.gpu.specs import GTX1660, RTX_A4000
-from repro.serve.cache import PlanCache, PlanKey
+from repro.models.zoo import build_model
+from repro.planner.planner import FusePlanner
+from repro.serve.cache import CachedPlan, PlanCache, PlanKey
 from repro.serve.fleet import Fleet
 from repro.serve.loadgen import FakeClock, fleet_replay
 from repro.tune.measure import tune_models
@@ -56,14 +58,18 @@ class TestTuneWorkers:
 
 
 class TestPlanCacheInstall:
+    """Making a plan planned elsewhere resident, as ``Fleet.preplan`` does:
+    an entry built from the planned graph, adopted."""
+
     def test_install_counts_warm_start_not_miss(self, monkeypatch):
         register_tiny_zoo(monkeypatch)
         model = TINY_ZOO[0][0]
-        donor = PlanCache()
-        plan = donor.get(model, DType.FP32, GTX1660).plan
+        graph = build_model(model, DType.FP32)
+        plan = FusePlanner(GTX1660).plan(graph)
+        key = PlanKey.of(model, DType.FP32, GTX1660, "paper")
         cache = PlanCache()
-        entry = cache.install(model, DType.FP32, GTX1660, plan=plan)
-        assert entry.plan is plan
+        entry = cache.adopt(CachedPlan.of(key, DType.FP32, graph, plan))
+        assert entry.plan is plan and entry.graph is graph
         assert cache.stats.warm_starts == 1
         assert cache.stats.misses == 0 and cache.stats.planner_invocations == 0
         # The next get() is a hit, not a rebuild.
@@ -75,9 +81,9 @@ class TestPlanCacheInstall:
         model = TINY_ZOO[0][0]
         cache = PlanCache()
         live = cache.get(model, DType.FP32, GTX1660)
-        again = cache.install(model, DType.FP32, GTX1660, plan=live.plan)
+        again = cache.adopt(CachedPlan.of(live.key, DType.FP32, live.graph, live.plan))
         assert again is live
-        assert cache.stats.warm_starts == 0  # no-op install
+        assert cache.stats.warm_starts == 0  # no-op adoption
 
 
 class TestFleetPreplan:
@@ -93,7 +99,7 @@ class TestFleetPreplan:
         assert installed == 4  # 2 workers x 2 models x 1 dtype
         stats = fleet.stats()
         assert stats.warm_starts == 4
-        assert stats.planner_invocations == 0  # planning happened via install
+        assert stats.planner_invocations == 0  # planning happened in preplan
         for w in fleet.workers:
             for m in models:
                 assert w.server.holds_plan((m, DType.FP32.value))
@@ -103,7 +109,7 @@ class TestFleetPreplan:
         model = TINY_ZOO[0][0]
         fleet = self._fleet([GTX1660, GTX1660, GTX1660])
         installed = fleet.preplan([model])
-        assert installed == 3  # one planning job, three installs
+        assert installed == 3  # one planning job, three adoptions
         plans = [
             w.server.cache.peek(w.server.plan_key(model, DType.FP32)).plan
             for w in fleet.workers
