@@ -24,7 +24,7 @@ from .quantize import (
     requantize,
     unpack_int8x4,
 )
-from .tensor import FeatureMapSpec, TensorSpec
+from .tensor import FeatureMapSpec
 from .tiling import (
     DwTiling,
     PwTiling,
@@ -59,7 +59,6 @@ __all__ = [
     "requantize",
     "unpack_int8x4",
     "FeatureMapSpec",
-    "TensorSpec",
     "DwTiling",
     "PwTiling",
     "ceil_div",

@@ -1,51 +1,19 @@
-"""Lightweight tensor *descriptors* used by the IR and the cost models.
+"""Feature-map *descriptors* used by the IR and the cost models.
 
 The planner reasons about sizes without materializing data, while the
-functional simulator carries real NumPy arrays.  :class:`TensorSpec` is the
-shared vocabulary: a shape plus a :class:`~repro.core.dtypes.DType`.
+functional simulator carries real NumPy arrays.  :class:`FeatureMapSpec` is
+the shared vocabulary: a ``(C, H, W)`` shape plus a
+:class:`~repro.core.dtypes.DType`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ShapeError
 from .dtypes import DType
 
-__all__ = ["TensorSpec", "FeatureMapSpec"]
-
-
-@dataclass(frozen=True)
-class TensorSpec:
-    """Shape + dtype descriptor of any buffer (weights, FMs, commBuffer)."""
-
-    shape: tuple[int, ...]
-    dtype: DType = DType.FP32
-
-    def __post_init__(self) -> None:
-        if not self.shape or any(d <= 0 for d in self.shape):
-            raise ShapeError(f"non-positive dimension in shape {self.shape}")
-
-    @property
-    def num_elements(self) -> int:
-        """Total element count."""
-        return math.prod(self.shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Size in bytes at the spec's precision."""
-        return self.num_elements * self.dtype.nbytes
-
-    def with_dtype(self, dtype: DType) -> "TensorSpec":
-        """Same shape at a different precision (used for FP32->INT8 sweeps)."""
-        return TensorSpec(self.shape, dtype)
-
-    def zeros(self) -> np.ndarray:
-        """Materialize a zero array matching the spec."""
-        return np.zeros(self.shape, dtype=self.dtype.np_dtype)
+__all__ = ["FeatureMapSpec"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +47,3 @@ class FeatureMapSpec:
     @property
     def nbytes(self) -> int:
         return self.num_elements * self.dtype.nbytes
-
-    def as_tensor(self) -> TensorSpec:
-        return TensorSpec(self.shape, self.dtype)

@@ -3,7 +3,7 @@
 from .counters import AccessCounters
 from .energy import EnergyBreakdown, energy_of
 from .executor import LaunchStats, launch
-from .fastpath import DEFAULT_ENGINE, ENGINES, GridProgram, launch_fast, resolve_engine
+from .fastpath import DEFAULT_ENGINE, ENGINES, resolve_engine
 from .memory import GlobalBuffer, SharedMemory
 from .roofline import KernelTiming, time_kernel
 from .specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000, GpuSpec, gpu_by_name
@@ -16,8 +16,6 @@ __all__ = [
     "launch",
     "DEFAULT_ENGINE",
     "ENGINES",
-    "GridProgram",
-    "launch_fast",
     "resolve_engine",
     "GlobalBuffer",
     "SharedMemory",

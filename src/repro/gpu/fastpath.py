@@ -1,25 +1,24 @@
-"""Fast-path launch engine: one vectorized pass over a kernel's whole grid.
+"""Fast-path engine: one vectorized pass over a kernel's whole grid.
 
 The reference executor (:mod:`repro.gpu.executor`) interprets a launch the
 way the CUDA runtime schedules it — one Python call per thread block, every
 slice metered through :class:`~repro.gpu.memory.GlobalBuffer`.  That fidelity
 is the simulator's ground truth, but it pays an interpreter tax per block
 that real fused kernels never would, and it dominates the wall-clock of
-functional serving, kernel-in-the-loop tuning and every parity test.
+functional serving and every parity test.
 
-This module is the production alternative: a kernel that implements
-:class:`GridProgram` executes its **entire grid as whole-tensor NumPy ops**
-(one einsum/matmul per stage instead of one per block) and charges the
-counters **in bulk**, each total once.  Its global bytes and MACs are the
-measured cost model's (:func:`~repro.planner.costs.pw_gma`,
-:func:`~repro.planner.costs.dw_gma`,
-:func:`~repro.planner.chain_costs.dataflow_gma`); a fused kernel's
-commBuffer bytes come from the same clamped windows the interpreted blocks
-read (:func:`~repro.core.tiling.tile_windows`).  The reference engine is
-the oracle for both: metered totals, :class:`~repro.gpu.executor.LaunchStats`
-and roofline timings are *bit-identical* to it — enforced by the zoo-wide
-parity matrix in ``tests/test_fastpath.py`` and the kernel properties in
-``tests/test_properties_kernels.py``.
+The fast engine is the production alternative: a kernel's ``run_grid``
+executes its **entire grid as whole-tensor NumPy ops** (one einsum/matmul
+per stage instead of one per block) and counts nothing.  The launch reports
+the measured model's counters instead
+(:meth:`~repro.kernels.base.SimKernel.model_counters`:
+:func:`~repro.planner.analytic.lbl_counters`,
+:func:`~repro.planner.analytic.chain_counters`), commBuffer traffic and peak
+included.  The reference engine is the independent meter the model is held
+to: its metered totals, :class:`~repro.gpu.executor.LaunchStats` and
+roofline timings are *bit-identical* to the fast engine's — enforced by the
+zoo-wide parity matrix in ``tests/test_fastpath.py`` and the kernel
+properties in ``tests/test_properties_kernels.py``.
 
 Whole-grid GEMMs go through :func:`repro.core.ops.exact_matmul`: INT8 runs
 as float32 BLAS while the reduction depth is at most 1024 and as float64
@@ -27,29 +26,23 @@ beyond, bit-equal to the reference engine's integer matmuls.
 
 The engine is a string (``"fast"`` — the default — or ``"reference"``),
 validated by :func:`resolve_engine` and taken by ``SimKernel.simulate`` /
-``simulate_batch``.  Every session, the tuning harness and serving run the
-fast engine; :func:`repro.runtime.session.reference_run` replays a whole
-plan on the reference engine for the parity tests and the benches.
+``simulate_batch``.  Every session and serving run the fast engine;
+:func:`repro.runtime.session.reference_run` replays a whole plan on the
+reference engine for the parity tests and the benches, and
+:func:`repro.tune.measure.simulated_kernel_cost_s` prices one step on it.
 """
 
 from __future__ import annotations
-
-from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from ..core.tiling import input_extent
 from ..errors import SimulationError
-from .counters import AccessCounters
-from .executor import LaunchStats
-from .specs import GpuSpec
 
 __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
     "resolve_engine",
-    "GridProgram",
-    "launch_fast",
     "grid_depthwise",
 ]
 
@@ -70,48 +63,6 @@ def resolve_engine(engine: str | None) -> str:
             f"unknown execution engine {engine!r}; choose from {ENGINES}"
         )
     return engine
-
-
-@runtime_checkable
-class GridProgram(Protocol):
-    """A kernel that can execute its whole grid in one vectorized pass.
-
-    ``run_grid`` runs against the buffers prepared by ``bind``: it computes
-    the full OFM with whole-tensor ops, charges the counters in bulk (exactly
-    what the per-block path would have metered), and returns the launch's
-    peak per-block shared-memory bytes for :class:`LaunchStats`.
-    """
-
-    name: str
-
-    def grid(self) -> Sequence[tuple[int, ...]]:
-        """Block coordinates of the launch grid (for occupancy stats)."""
-        ...
-
-    def run_grid(self) -> int:
-        """Execute the whole grid vectorized; returns peak shared bytes."""
-        ...
-
-
-def launch_fast(kernel: GridProgram, gpu: GpuSpec, counters: AccessCounters) -> LaunchStats:
-    """Launch a kernel grid through the vectorized fast path.
-
-    Mirrors :func:`repro.gpu.executor.launch` exactly — empty-grid guard,
-    one launch charged to the counters, waves from the block count — except
-    the blocks execute as a single whole-tensor pass.
-    """
-    blocks = kernel.grid()
-    if not blocks:
-        raise SimulationError(f"kernel {kernel.name!r} launched with an empty grid")
-    counters.kernel_launches += 1
-    peak = int(kernel.run_grid())
-    waves = -(-len(blocks) // gpu.sm_count)
-    return LaunchStats(
-        kernel_name=kernel.name,
-        num_blocks=len(blocks),
-        peak_shared_bytes=peak,
-        waves=waves,
-    )
 
 
 # ---- whole-tensor compute primitives ------------------------------------------

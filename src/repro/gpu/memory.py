@@ -74,10 +74,6 @@ class GlobalBuffer:
         self._counters.read(self.kind, view.size * self._elem_bytes)
         return view
 
-    def load_free(self, index: Any) -> np.ndarray:
-        """Read without charging (e.g. values already resident in registers)."""
-        return self._array[index]
-
     def store(self, index: Any, values: np.ndarray) -> None:
         """Write a slice to global memory, charging the counters."""
         target = self._array[index]

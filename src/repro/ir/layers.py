@@ -81,6 +81,12 @@ class ConvSpec:
             )
         if self.kind is not ConvKind.POINTWISE and self.kernel <= 0:
             raise ShapeError(f"{self.name}: kernel must be positive")
+        if not 0 <= self.padding < self.kernel:
+            # A padding as large as the kernel gives output tiles that read
+            # only padding: their input windows are empty.
+            raise ShapeError(
+                f"{self.name}: padding {self.padding} must be in [0, kernel {self.kernel})"
+            )
         # Validate the output geometry eagerly so broken specs fail at build time.
         out_dim(self.in_h, self.kernel, self.stride, self.padding)
         out_dim(self.in_w, self.kernel, self.stride, self.padding)

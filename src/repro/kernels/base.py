@@ -5,8 +5,10 @@ Simulated kernels follow the structure of the paper's FCM skeleton
 weight tiles, (3) compute the first conv-norm-act into the commBuffer, and
 (4) compute the second from it.  LBL kernels are the degenerate single-stage
 case.  :meth:`SimKernel.simulate` wires up instrumented global buffers, runs
-the grid through :func:`repro.gpu.executor.launch`, and returns both the
-functional output and the metered statistics.
+the grid on one of two engines, and returns both the functional output and
+the launch's counters and statistics.  A launch's counters have one model,
+:mod:`repro.planner.analytic` (:meth:`SimKernel.model_counters`): the fast
+engine reports it, and the reference engine meters it block by block.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..errors import ShapeError
 from ..gpu.counters import AccessCounters
 from ..gpu.energy import EnergyBreakdown, energy_of
 from ..gpu.executor import LaunchStats, launch
-from ..gpu.fastpath import launch_fast, resolve_engine
+from ..gpu.fastpath import resolve_engine
 from ..gpu.memory import GlobalBuffer, SharedMemory
 from ..gpu.roofline import KernelTiming, time_kernel
 from ..gpu.specs import GpuSpec
@@ -58,13 +60,19 @@ class SimKernel(abc.ABC):
     """A simulated GPU kernel: a grid of blocks over instrumented buffers.
 
     Every kernel implements both execution engines (both produce one
-    :class:`KernelResult`); a subclass missing either cannot be built:
+    :class:`KernelResult`) and the model of its counters; a subclass
+    missing any of them cannot be built:
 
     * ``"fast"`` (default) — the whole grid runs as one vectorized pass
-      (:meth:`run_grid`) with bulk counter accounting, bit-identical totals;
+      (:meth:`run_grid`), which only computes; the launch reports the
+      model's counters (:meth:`model_counters`) and shared-memory peak
+      (:meth:`model_shared_peak`);
     * ``"reference"`` — the per-block interpreted launch of
-      :meth:`run_block` through :func:`repro.gpu.executor.launch`, the
-      fidelity ground truth.
+      :meth:`run_block` through :func:`repro.gpu.executor.launch`, which
+      meters every block's loads, stores, commBuffer traffic and MACs: the
+      independent check on the model.  Only what no block can see comes
+      from the model: which MACs recompute a halo, and which reads revisit
+      a tensor the roofline may serve from L2.
     """
 
     #: kernel name used in reports and error messages.
@@ -94,13 +102,20 @@ class SimKernel(abc.ABC):
         """The OFM array after the launch."""
 
     @abc.abstractmethod
-    def run_grid(self) -> int:
-        """Execute the whole grid vectorized against the bound buffers (see
-        :class:`repro.gpu.fastpath.GridProgram`); returns the launch's peak
-        per-block shared-memory bytes."""
+    def run_grid(self) -> None:
+        """Compute the whole grid's OFM vectorized against the bound buffers
+        (counting nothing: the fast launch reports :meth:`model_counters`)."""
 
-    def finalize(self, counters: AccessCounters) -> None:
-        """Post-launch accounting hook (e.g. redundant-MAC reclassification)."""
+    @abc.abstractmethod
+    def model_counters(self) -> AccessCounters:
+        """The measured model's counters of one launch
+        (:func:`~repro.planner.analytic.lbl_counters` or
+        :func:`~repro.planner.analytic.chain_counters`)."""
+
+    def model_shared_peak(self) -> int:
+        """The model's peak per-block shared-memory bytes of one launch
+        (0: direct kernels keep everything in registers / L1)."""
+        return 0
 
     def weight_bytes(self) -> int:
         """Bytes of the kernel's weight tensors at storage precision.
@@ -163,10 +178,18 @@ class SimKernel(abc.ABC):
         return out
 
     def _launch(self, gpu: GpuSpec, counters: AccessCounters, engine: str) -> LaunchStats:
-        """Dispatch one bound launch to the selected engine."""
-        if engine == "fast":
-            return launch_fast(self, gpu, counters)
-        return launch(self, gpu, counters)
+        """Run one bound launch on ``engine``; only the reference engine
+        counts (into ``counters``)."""
+        if engine == "reference":
+            return launch(self, gpu, counters)
+        self.run_grid()
+        blocks = len(self.grid())
+        return LaunchStats(
+            kernel_name=self.name,
+            num_blocks=blocks,
+            peak_shared_bytes=self.model_shared_peak(),
+            waves=-(-blocks // gpu.sm_count),
+        )
 
     def simulate(
         self, ifm: np.ndarray, gpu: GpuSpec, engine: str | None = None
@@ -175,7 +198,8 @@ class SimKernel(abc.ABC):
 
         ``engine`` selects the execution path (``"fast"`` by default,
         ``"reference"`` for the per-block interpreted launch); outputs are
-        allclose at dtype tolerance and counters/stats exactly equal.
+        allclose at dtype tolerance and counters/stats exactly equal (see
+        the class docstring for where each engine's counters come from).
         """
         engine = resolve_engine(engine)
         if ifm.dtype != self.dtype.np_dtype:
@@ -186,7 +210,13 @@ class SimKernel(abc.ABC):
         self.check_capacity(gpu)
         self.bind(ifm, counters)
         stats = self._launch(gpu, counters, engine)
-        self.finalize(counters)
+        model = self.model_counters()
+        if engine == "fast":
+            counters.merge(model)
+        else:
+            counters.macs -= model.redundant_macs
+            counters.redundant_macs += model.redundant_macs
+            counters.rereads.extend(model.rereads)
         return KernelResult(
             output=self.output_array(),
             counters=counters,
@@ -208,10 +238,10 @@ class SimKernel(abc.ABC):
 
         Batched counters are the first image's totals scaled by the batch
         (see :meth:`AccessCounters.batched` — asserted in the test suite),
-        so only image 0 runs metered-and-finalized; the remaining images
-        execute functionally against scratch counters, sharing one finalize
-        pass and recycling the OFM buffer (each image's output is copied
-        into the batch array before the next ``bind``).
+        so only image 0 is counted; the remaining images execute
+        functionally against scratch counters, recycling the OFM buffer
+        (each image's output is copied into the batch array before the next
+        ``bind``).
         """
         if ifms.ndim < 2 or ifms.shape[0] < 1:
             raise ShapeError(f"{self.name}: batched IFM needs a leading batch dim")

@@ -25,7 +25,8 @@ from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
-from ..planner.costs import dw_gma, dw_tile_footprint
+from ..planner.analytic import lbl_counters
+from ..planner.costs import dw_tile_footprint
 from .base import SimKernel
 from .params import LayerParams
 
@@ -147,48 +148,29 @@ class DwDirectKernel(SimKernel):
         self._out.store((slice(c0, c1), slice(r0, r1), slice(q0, q1)), y)
         self._counters.compute((c1 - c0) * (r1 - r0) * (q1 - q0) * k * k)
 
-    def run_grid(self) -> int:
-        """Whole-grid fast path: one full-extent depthwise pass.
-
-        The counters are charged what the measured cost model prices
-        (:func:`~repro.planner.costs.dw_gma`), split into the weight slices
-        streamed once per spatial tile and the halo-extended IFM windows;
-        the per-block reference engine is the oracle that model is held to.
-        """
+    def run_grid(self) -> None:
+        """Whole-grid fast path: one full-extent depthwise pass."""
         spec = self.spec
-        k, s, pad = spec.kernel, spec.stride, spec.padding
-        c_all = spec.in_channels
-        est = dw_gma(spec, self.tiling, "measured")
-        weights = self.tiling.num_spatial_tiles(spec.out_h, spec.out_w) * spec.weights_bytes
-        ctr = self._counters
-        ctr.read("ifm", est.read_bytes - weights)
-        ctr.read("weights", weights)
-        ctr.write("ofm", est.write_bytes)
-        ctr.compute(spec.macs)
-
         acc = grid_depthwise(
             window=self._ifm.array,
             weights=self._w.array,
             rows_out=spec.out_h,
             cols_out=spec.out_w,
-            row_off=pad,
-            col_off=pad,
-            kernel=k,
-            stride=s,
+            row_off=spec.padding,
+            col_off=spec.padding,
+            kernel=spec.kernel,
+            stride=spec.stride,
             acc_dtype=self.dtype.acc_dtype,
         )
-        self.params.epilogue.apply(acc, 0, c_all, self.dtype, out=self._out.array)
-        return 0  # direct kernels keep everything in registers / L1
+        self.params.epilogue.apply(
+            acc, 0, spec.in_channels, self.dtype, out=self._out.array
+        )
+
+    def model_counters(self) -> AccessCounters:
+        return lbl_counters(self.spec, asdict(self.tiling))
 
     def output_array(self) -> np.ndarray:
         return self._out.array
 
     def weight_bytes(self) -> int:
         return self.spec.weights_bytes
-
-    def finalize(self, counters: AccessCounters) -> None:
-        """Annotate weight/halo re-reads for L2-aware timing."""
-        from ..planner.analytic import lbl_counters
-
-        ref = lbl_counters(self.spec, asdict(self.tiling))
-        counters.rereads.extend(ref.rereads)

@@ -22,7 +22,8 @@ from ..gpu.counters import AccessCounters
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
-from ..planner.costs import pw_gma, pw_tile_footprint
+from ..planner.analytic import lbl_counters
+from ..planner.costs import pw_tile_footprint
 from .base import SimKernel
 from .params import LayerParams
 
@@ -91,27 +92,15 @@ class PwDirectKernel(SimKernel):
         self._out.store((slice(m0, m1), slice(p0, p1)), y)
         self._counters.compute((m1 - m0) * self.spec.in_channels * (p1 - p0))
 
-    def run_grid(self) -> int:
-        """Whole-grid fast path: one full matmul over the subsampled IFM.
-
-        The counters are charged what the measured cost model prices
-        (:func:`~repro.planner.costs.pw_gma`), split into the weight matrix
-        streamed once per spatial tile and the IFM streamed once per filter
-        group; the per-block reference engine is the oracle that model is
-        held to.
-        """
-        spec = self.spec
-        est = pw_gma(spec, self.tiling, "measured")
-        weights = self.tiling.num_spatial_tiles(self.out_hw) * spec.weights_bytes
-        ctr = self._counters
-        ctr.read("weights", weights)
-        ctr.read("ifm", est.read_bytes - weights)
-        ctr.write("ofm", est.write_bytes)
-        ctr.compute(spec.macs)
-
+    def run_grid(self) -> None:
+        """Whole-grid fast path: one full matmul over the subsampled IFM."""
         acc = exact_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
-        self.params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=self._out.array)
-        return 0  # direct kernels keep everything in registers / L1
+        self.params.epilogue.apply(
+            acc, 0, self.spec.out_channels, self.dtype, out=self._out.array
+        )
+
+    def model_counters(self) -> AccessCounters:
+        return lbl_counters(self.spec, asdict(self.tiling))
 
     def output_array(self) -> np.ndarray:
         return self._out.array.reshape(
@@ -120,11 +109,3 @@ class PwDirectKernel(SimKernel):
 
     def weight_bytes(self) -> int:
         return self.spec.weights_bytes
-
-    def finalize(self, counters: AccessCounters) -> None:
-        """Annotate weight/IFM re-reads for L2-aware timing (same math as
-        :mod:`repro.planner.analytic`, so functional == analytic timing)."""
-        from ..planner.analytic import lbl_counters
-
-        ref = lbl_counters(self.spec, asdict(self.tiling))
-        counters.rereads.extend(ref.rereads)

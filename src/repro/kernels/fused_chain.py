@@ -14,7 +14,8 @@ with the dataflow the chain cost models price
   at most two commBuffers are live at once (the capacity rule
   :func:`~repro.planner.chain_costs.chain_footprints` enforces);
 * halo elements of any boundary feeding a later DW stage are recomputed by
-  every sharing block — :meth:`finalize` reclassifies them as redundant
+  every sharing block — the model
+  (:func:`~repro.planner.analytic.chain_counters`) counts them as redundant
   MACs, generalizing the PWDW_R accounting;
 * a final PW stage streams its filter matrix in ``tile_m`` groups against
   the resident last commBuffer; a final DW stage consumes it channel-wise;
@@ -26,7 +27,11 @@ with the dataflow the chain cost models price
 Shared memory is metered one way for every launch: each commBuffer window is
 charged once written and once read at its actual (border-clamped,
 partial-group) size, plus one re-read per extra ``tile_m`` group; the peak
-is the largest live set of windows.
+is the largest live set of windows.  The reference engine meters that in
+every block; the model prices it in closed form
+(:attr:`~repro.planner.chain_costs.ChainDataflow.comm_bytes` and
+:attr:`~repro.planner.chain_costs.ChainDataflow.comm_peak`), and the fast
+engine reports the model.
 
 The paper's four FCMs are length-2 chains, so this kernel is their only
 implementation: :class:`DwPwFusedKernel`, :class:`PwDwFusedKernel`,
@@ -52,7 +57,8 @@ from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
-from ..planner.chain_costs import chain_dataflow, dataflow_gma, fcm_type_of
+from ..planner.analytic import chain_counters
+from ..planner.chain_costs import chain_dataflow, fcm_type_of
 from .base import SimKernel
 from .direct_dw import depthwise_tile
 from .params import LayerParams
@@ -244,64 +250,11 @@ class FusedChainKernel(SimKernel):
                 cur_origin = (o_lo_r, o_lo_q)
                 prev_slot = slot
 
-    def run_grid(self) -> int:
-        """Whole-grid fast path: the chain as N full-tensor stage passes.
-
-        Global reads, writes and MACs are what the measured cost model
-        prices (:func:`~repro.planner.chain_costs.dataflow_gma`), halo
-        recomputation included (:meth:`finalize` reclassifies it), with
-        every stage's weights streamed once per spatial tile split from the
-        channel groups' input windows; the per-block reference engine is
-        the oracle that model is held to.  The model does not price shared
-        memory, so the commBuffer traffic and peak are charged here from
-        the same :attr:`~repro.planner.chain_costs.ChainDataflow.windows`
-        every interpreted block reads.
-        """
-        flow = self.flow
-        specs = flow.chain.specs
+    def run_grid(self) -> None:
+        """Whole-grid fast path: the chain as N full-tensor stage passes; the
+        last stage's epilogue writes straight into the output buffer."""
+        specs = self.flow.chain.specs
         n = len(specs)
-        eb = self.dtype.nbytes
-        cost = dataflow_gma(flow, "measured")
-        weights = flow.n_sp * flow.chain.weights_bytes
-        ctr = self._counters
-        ctr.read("ifm", cost.gma.read_bytes - weights)
-        ctr.read("weights", weights)
-        ctr.write("ofm", cost.gma.write_bytes)
-        ctr.compute(cost.useful_macs + cost.redundant_macs)
-
-        # commBuffer traffic: slot i (stage i's output window) is written
-        # once and read once when consumed; a final PW re-reads the last
-        # slot once per extra filter group.  Channel groups split each
-        # window's channels, so the totals do not depend on them.
-        rows = [[hi - lo for lo, hi in r] for r in flow.windows[0]]
-        cols = [[hi - lo for lo, hi in c] for c in flow.windows[1]]
-        comm_totals = [
-            specs[i].out_channels * sum(rows[i + 1]) * sum(cols[i + 1]) * eb
-            for i in range(n - 1)
-        ]
-        for total in comm_totals:
-            ctr.smem(2 * total)
-        last = flow.chain.last
-        if last.kind is ConvKind.POINTWISE:
-            ctr.smem((ceil_div(last.out_channels, flow.tile_m) - 1) * comm_totals[-1])
-
-        # Peak shared bytes: walk every block's alloc/free timeline (sizes
-        # are per-axis products, so this is integer-only and tiny); the
-        # first channel group is a full one.
-        peak = 0
-        for hi in range(len(rows[0])):
-            for wi in range(len(cols[0])):
-                sizes = [
-                    flow.channels(i + 1) * rows[i + 1][hi] * cols[i + 1][wi] * eb
-                    for i in range(n - 1)
-                ]
-                block_peak = sizes[0]
-                for a, b in zip(sizes, sizes[1:]):
-                    block_peak = max(block_peak, a + b)
-                peak = max(peak, block_peak)
-
-        # Functional pass: every stage over its full tensor; the last
-        # stage's epilogue writes straight into the output buffer.
         acc_t = self.dtype.acc_dtype
         cur = self._ifm.array
         for i, (params, spec) in enumerate(zip(self.stages, specs)):
@@ -328,27 +281,18 @@ class FusedChainKernel(SimKernel):
                 ).reshape(spec.out_channels, spec.out_h, spec.out_w)
             out = self._out.array if i == n - 1 else None
             cur = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=out)
-        return peak
+
+    def model_counters(self) -> AccessCounters:
+        return chain_counters(self.chain.specs, self.tiling)
+
+    def model_shared_peak(self) -> int:
+        return self.flow.comm_peak
 
     def output_array(self) -> np.ndarray:
         return self._out.array.reshape(self.chain.last.ofm.shape)
 
     def weight_bytes(self) -> int:
         return self.chain.weights_bytes
-
-    def finalize(self, counters: AccessCounters) -> None:
-        """Reclassify recomputed halo elements and annotate re-reads.
-
-        The analytic :func:`~repro.planner.analytic.chain_counters` uses the
-        same backward range composition, so its useful/redundant split and
-        re-read annotations apply to this launch byte-for-byte.
-        """
-        from ..planner.analytic import chain_counters
-
-        ref = chain_counters(self.chain.specs, self.tiling)
-        counters.macs -= ref.redundant_macs
-        counters.redundant_macs += ref.redundant_macs
-        counters.rereads.extend(ref.rereads)
 
 
 class DwPwFusedKernel(FusedChainKernel):

@@ -1,14 +1,21 @@
-"""Analytic counter builders with L2 re-read annotations.
+"""Analytic counter builders: the one model of a DW/PW launch's counters.
 
-These produce :class:`~repro.gpu.counters.AccessCounters` byte-identical to
-what the simulated kernels meter, plus *re-read annotations*: portions of the
-read traffic that revisit a tensor already streamed once (weight tiles
-re-fetched per spatial tile, IFMs re-streamed per filter group, halo lines).
-The roofline serves re-reads of L2-resident tensors on-chip, which is what
-lets weight-heavy layers (e.g. Xception's 728-channel middle flow) run at
-paper-like speed despite their nominal GMA.  Every fused module is a
-chain, so :func:`chain_counters` meters all of them, in whichever tiling
-vocabulary the module speaks.
+These produce the :class:`~repro.gpu.counters.AccessCounters` of one launch
+in the measured convention: global traffic labelled by tensor (``ifm``,
+``weights``, ``ofm``) as the kernels' buffers label it, a fused launch's
+commBuffer traffic, useful and redundant MACs, and *re-read annotations*:
+portions of the read traffic that revisit a tensor already streamed once
+(weight tiles re-fetched per spatial tile, IFMs re-streamed per filter
+group, halo lines).  The roofline serves re-reads of L2-resident tensors
+on-chip, which is what lets weight-heavy layers (e.g. Xception's
+728-channel middle flow) run at paper-like speed despite their nominal GMA.
+Every fused module is a chain, so :func:`chain_counters` meters all of
+them, in whichever tiling vocabulary the module speaks.
+
+A kernel's fast launch reports exactly these counters
+(:meth:`~repro.kernels.base.SimKernel.model_counters`); its per-block
+reference launch meters them block by block, which is what the tests hold
+this model to.
 """
 
 from __future__ import annotations
@@ -48,23 +55,29 @@ def _dw_rereads(spec: ConvSpec, tiling: DwTiling, counters: AccessCounters) -> N
     counters.reread(w, (n_sp - 1) * w)
     # Halo re-loads: everything the kernel read beyond one IFM pass.
     ifm_bytes = spec.ifm.nbytes
-    halo = counters.global_reads.get("lbl", counters.read_bytes) - w * n_sp - ifm_bytes
+    halo = counters.read_bytes - w * n_sp - ifm_bytes
     counters.reread(ifm_bytes, max(halo, 0))
 
 
 def lbl_counters(spec: ConvSpec, tiling: Mapping[str, int]) -> AccessCounters:
-    """Counters of one layer-by-layer kernel launch (measured convention)."""
+    """Counters of one layer-by-layer kernel launch (measured convention):
+    the weights streamed once per spatial tile, the rest of the reads the
+    IFM (re-streamed per filter group, or halo-extended)."""
     if spec.kind is ConvKind.POINTWISE:
         t = PwTiling(tiling["tile_m"], tiling["tile_hw"])
+        n_sp = t.num_spatial_tiles(spec.out_h * spec.out_w)
     elif spec.kind is ConvKind.DEPTHWISE:
         t = DwTiling(tiling["tile_c"], tiling["tile_h"], tiling["tile_w"])
+        n_sp = t.num_spatial_tiles(spec.out_h, spec.out_w)
     else:
         raise UnsupportedError(f"{spec.name}: no LBL counters for {spec.kind}")
     est = lbl_gma(spec, t, "measured")
+    weights = n_sp * spec.weights_bytes
     counters = AccessCounters()
     counters.kernel_launches = 1
-    counters.read("lbl", est.read_bytes)
-    counters.write("lbl", est.write_bytes)
+    counters.read("ifm", est.read_bytes - weights)
+    counters.read("weights", weights)
+    counters.write("ofm", est.write_bytes)
     counters.compute(spec.macs)
     if spec.kind is ConvKind.POINTWISE:
         _pw_rereads(spec, t, counters)
@@ -77,21 +90,27 @@ def chain_counters(
     specs: tuple[ConvSpec, ...], tiling: Mapping[str, int]
 ) -> AccessCounters:
     """Counters of one fused-chain launch (redundant MACs included), in any
-    tiling vocabulary the chain runs under."""
+    tiling vocabulary the chain runs under: every stage's weights streamed
+    once per spatial tile, the rest of the reads the input windows of every
+    channel group, and the commBuffer traffic
+    (:attr:`~repro.planner.chain_costs.ChainDataflow.comm_bytes`)."""
     chain = FusedChain(tuple(specs))
     flow = chain_dataflow(chain, tiling)
     cost = dataflow_gma(flow, "measured")
+    n_sp = flow.n_sp
+    weights = n_sp * chain.weights_bytes
     counters = AccessCounters()
     counters.kernel_launches = 1
-    counters.read("fcm", cost.gma.read_bytes)
-    counters.write("fcm", cost.gma.write_bytes)
+    counters.read("ifm", cost.gma.read_bytes - weights)
+    counters.read("weights", weights)
+    counters.write("ofm", cost.gma.write_bytes)
+    counters.smem(flow.comm_bytes)
     counters.compute(cost.useful_macs, cost.redundant_macs)
     # Re-read annotations: every stage's weights stream once per spatial
     # tile; any input traffic beyond one pass over the (subsampled) IFM is
     # channel-group re-streaming or halo re-loading of an L2-resident tensor.
     eb = chain.dtype.nbytes
     first = chain.first
-    n_sp = flow.n_sp
     for spec in chain.specs:
         w = spec.weights_elements * eb
         counters.reread(w, (n_sp - 1) * w)
@@ -99,7 +118,7 @@ def chain_counters(
         ifm_pass = first.in_channels * first.out_h * first.out_w * eb
     else:
         ifm_pass = first.ifm.nbytes
-    ifm_extra = counters.read_bytes - n_sp * chain.weights_bytes - ifm_pass
+    ifm_extra = counters.read_bytes - weights - ifm_pass
     counters.reread(ifm_pass, max(ifm_extra, 0))
     return counters
 

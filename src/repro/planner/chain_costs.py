@@ -239,6 +239,54 @@ class ChainDataflow:
             ),
         )
 
+    def _extents(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per-boundary row and column extents of every tile's window."""
+        rows = [[hi - lo for lo, hi in r] for r in self.windows[0]]
+        cols = [[hi - lo for lo, hi in c] for c in self.windows[1]]
+        return rows, cols
+
+    @cached_property
+    def comm_bytes(self) -> int:
+        """Shared-memory traffic of one launch: slot ``i`` (stage ``i``'s
+        output window) is written once and read once when consumed; a final
+        PW re-reads the last slot once per extra filter group.  Channel
+        groups split each window's channels, so the total does not depend
+        on them."""
+        specs = self.chain.specs
+        eb = self.chain.dtype.nbytes
+        rows, cols = self._extents()
+        comm_totals = [
+            specs[i].out_channels * sum(rows[i + 1]) * sum(cols[i + 1]) * eb
+            for i in range(len(specs) - 1)
+        ]
+        total = 2 * sum(comm_totals)
+        last = self.chain.last
+        if last.kind is ConvKind.POINTWISE:
+            total += (ceil_div(last.out_channels, self.tile_m) - 1) * comm_totals[-1]
+        return total
+
+    @cached_property
+    def comm_peak(self) -> int:
+        """Peak per-block shared bytes of one launch: the largest live set
+        of commBuffer windows over every block's alloc/free timeline (sizes
+        are per-axis products, so this is integer-only and tiny); the first
+        channel group is a full one."""
+        n = self.chain.length
+        eb = self.chain.dtype.nbytes
+        rows, cols = self._extents()
+        peak = 0
+        for hi in range(len(rows[0])):
+            for wi in range(len(cols[0])):
+                sizes = [
+                    self.channels(i + 1) * rows[i + 1][hi] * cols[i + 1][wi] * eb
+                    for i in range(n - 1)
+                ]
+                block_peak = sizes[0]
+                for a, b in zip(sizes, sizes[1:]):
+                    block_peak = max(block_peak, a + b)
+                peak = max(peak, block_peak)
+        return peak
+
 
 def chain_dataflow(chain: FusedChain, tiling: Mapping[str, int]) -> ChainDataflow:
     """Read ``tiling`` in whichever vocabulary it speaks (see module doc)."""

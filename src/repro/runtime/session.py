@@ -378,9 +378,9 @@ def _batch_size(batch_input: np.ndarray) -> int:
 class InferenceSession(_PlanSession):
     """Execute a FusePlanner :class:`ExecutionPlan` end to end.
 
-    DW/PW simulated kernels run each grid as one vectorized pass with bulk
-    counter accounting; :func:`reference_run` replays a batch on the
-    per-block engine they are checked against.
+    DW/PW simulated kernels run each grid as one vectorized pass and report
+    the measured model's counters; :func:`reference_run` replays a batch on
+    the per-block engine that model is checked against.
     """
 
     # ---- functional execution -------------------------------------------------

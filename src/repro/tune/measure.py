@@ -22,9 +22,11 @@ Search modes:
 Every candidate is measured one way: :func:`measured_step_cost_s` prices it
 through the analytic counter builders in microseconds.  The kernel-in-the-
 loop oracle, :func:`simulated_kernel_cost_s`, materializes parameters and
-runs the simulated kernel grid; it meters the same counters byte for byte
-(the tests assert it on every tiling of an exhaustive search), so it returns
-the same cost and is kept as the oracle those tests check against.
+runs the simulated kernel grid block by block on the reference engine (the
+fast engine reports the analytic counters themselves, so it could not tell
+them wrong); its metered counters equal the analytic ones byte for byte (the
+tests assert it on every tiling of an exhaustive search), so it returns the
+same cost and is kept as the oracle those tests check against.
 """
 
 from __future__ import annotations
@@ -106,10 +108,9 @@ def simulated_kernel_cost_s(
 
     Materializes deterministic parameters for the step's layer(s), builds the
     kernel through the registry, streams a seeded random IFM through the
-    instrumented launch and prices the metered counters.  The launch runs on
-    the vectorized fast path, whose counters are bit-identical to the
-    per-block reference launch, so the tuning loop measures the same cost
-    without paying the interpreter tax per candidate.
+    per-block reference launch and prices the metered counters: an
+    independent measurement of what :func:`measured_step_cost_s` prices from
+    the analytic counters.
     """
     if not isinstance(step, (LblStep, ChainStep)):
         raise TuneError("only DW/PW (LBL or fused) steps have simulated kernels")
@@ -128,7 +129,7 @@ def simulated_kernel_cost_s(
         ifm = rng.integers(-128, 128, shape).astype(np.int8)
     else:
         ifm = rng.standard_normal(shape).astype(np.float32)
-    return kernel.simulate(ifm, gpu).time_s
+    return kernel.simulate(ifm, gpu, "reference").time_s
 
 
 def _step_geometry(step: PlanStep) -> tuple:

@@ -9,7 +9,7 @@ from helpers import dw_spec, pw_spec
 from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.fcm import FcmType, candidate_fcm_types
-from repro.core.tensor import FeatureMapSpec, TensorSpec
+from repro.core.tensor import FeatureMapSpec
 from repro.errors import ShapeError, UnsupportedError
 from repro.planner.chain_costs import chain_gma
 
@@ -34,25 +34,11 @@ class TestDType:
 
 
 class TestTensorSpec:
-    def test_sizes(self):
-        t = TensorSpec((4, 8, 8), DType.FP32)
-        assert t.num_elements == 256
-        assert t.nbytes == 1024
-        assert t.with_dtype(DType.INT8).nbytes == 256
-
-    def test_zeros(self):
-        z = TensorSpec((2, 3), DType.INT8).zeros()
-        assert z.shape == (2, 3) and z.dtype == np.int8
-
-    def test_invalid(self):
-        with pytest.raises(ShapeError):
-            TensorSpec((0, 3))
-
     def test_feature_map(self):
         f = FeatureMapSpec(16, 14, 14, DType.INT8)
         assert f.hw == 196
         assert f.nbytes == 16 * 196
-        assert f.as_tensor().shape == (16, 14, 14)
+        assert f.shape == (16, 14, 14)
         with pytest.raises(ShapeError):
             FeatureMapSpec(0, 1, 1)
 

@@ -82,12 +82,6 @@ class TestGlobalBuffer:
         buf.load((slice(None), slice(None)))
         assert c.read_bytes == 16
 
-    def test_load_free_not_metered(self, rng):
-        c = AccessCounters()
-        buf = GlobalBuffer("x", np.zeros((2, 2), np.float32), "ifm", c)
-        buf.load_free((0, 0))
-        assert c.read_bytes == 0
-
     def test_store_shape_mismatch(self):
         c = AccessCounters()
         buf = GlobalBuffer("x", np.zeros((2, 2), np.float32), "ofm", c)

@@ -34,6 +34,25 @@ class TestConvSpec:
         with pytest.raises(ShapeError):
             ConvSpec("p", ConvKind.POINTWISE, 8, 8, 10, 10, kernel=3)
 
+    def test_padding_below_kernel(self):
+        """A padding as large as the kernel leaves whole output tiles in the
+        padding (a 3x3 DW with padding 4 over 6x6 has a 1x1 tile whose input
+        window is empty), so the spec is refused; one less is accepted."""
+        with pytest.raises(ShapeError, match="padding"):
+            ConvSpec("d", ConvKind.DEPTHWISE, 2, 2, 6, 6, kernel=3, padding=4)
+        with pytest.raises(ShapeError, match="padding"):
+            ConvSpec("d", ConvKind.DEPTHWISE, 2, 2, 6, 6, kernel=3, padding=3)
+        with pytest.raises(ShapeError, match="padding"):
+            ConvSpec("p", ConvKind.POINTWISE, 8, 8, 10, 10, padding=1)
+        with pytest.raises(ShapeError, match="padding"):
+            ConvSpec("d", ConvKind.DEPTHWISE, 2, 2, 6, 6, kernel=3, padding=-1)
+        assert ConvSpec("d", ConvKind.DEPTHWISE, 2, 2, 6, 6, kernel=3, padding=2).out_h == 8
+
+    @pytest.mark.parametrize("dtype", [DType.FP32, DType.INT8])
+    def test_every_zoo_model_builds(self, dtype):
+        for name in model_names():
+            assert build_model(name, dtype).conv_layers(), name
+
     def test_with_dtype(self):
         s = ConvSpec("p", ConvKind.POINTWISE, 8, 8, 10, 10)
         assert s.with_dtype(DType.INT8).weights_bytes == 64

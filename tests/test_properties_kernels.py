@@ -3,10 +3,11 @@
 Hypothesis drives layer geometry, tile sizes and precision; every draw runs
 on both engines and must satisfy (1) functional equivalence with the
 reference operators, (2) exact agreement between the measured-convention
-estimators and the metered bytes and MACs, (3) the output-stationary
-invariant (OFMs written exactly once).  The fast engine charges the
-measured model, so the per-block reference engine is what holds the model
-to the blocks' actual loads, stores and work.
+estimators and the metered bytes, MACs, commBuffer bytes and peak shared
+bytes, (3) the output-stationary invariant (OFMs written exactly once).
+The fast engine reports the measured model, so the per-block reference
+engine is what holds the model to the blocks' actual loads, stores,
+shared-memory traffic and work.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.tiling import DwTiling, PwTiling
 from repro.gpu.specs import RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
-from repro.planner.chain_costs import chain_gma
+from repro.planner.chain_costs import chain_dataflow, dataflow_gma
 from repro.planner.costs import dw_gma, pw_gma
 
 _DTYPES = st.sampled_from([DType.FP32, DType.INT8])
@@ -35,25 +36,29 @@ def _assert_matches(res, ref, dtype):
         np.testing.assert_allclose(res.output, ref, rtol=1e-4, atol=1e-4)
 
 
-def _run_both(kernel, x, ref, dtype, total_bytes: int, total_macs: int):
+def _run_both(kernel, x, ref, dtype, total_bytes: int, total_macs: int, shared=(0, 0)):
     """Simulate ``kernel`` on the fast and the reference engine; both must
-    match ``ref`` and meter exactly the model's bytes and MACs.  Returns
-    ``(fast, reference)`` results."""
+    match ``ref`` and meter exactly the model's bytes, MACs and ``shared``
+    ``(commBuffer bytes, peak per-block shared bytes)`` (none for a direct
+    kernel).  Returns ``(fast, reference)`` results."""
     results = (kernel.simulate(x, RTX_A4000), kernel.simulate(x, RTX_A4000, "reference"))
     for res in results:
         _assert_matches(res, ref, dtype)
         assert res.counters.total_bytes == total_bytes
         assert res.counters.total_macs == total_macs
+        assert (res.counters.shared_bytes, res.stats.peak_shared_bytes) == shared
     return results
 
 
 def _check_chain(params, tiling, x, ref, dtype):
     """:func:`_run_both` on a fused chain against the measured chain model;
     the redundant (recomputed halo) MACs are the model's on both engines."""
-    cost = chain_gma(FusedChain(tuple(p.spec for p in params)), tiling, "measured")
+    flow = chain_dataflow(FusedChain(tuple(p.spec for p in params)), tiling)
+    cost = dataflow_gma(flow, "measured")
     results = _run_both(
         build_chain_kernel(params, tiling), x, ref, dtype,
         cost.gma.total_bytes, cost.useful_macs + cost.redundant_macs,
+        (flow.comm_bytes, flow.comm_peak),
     )
     for res in results:
         assert res.counters.redundant_macs == cost.redundant_macs

@@ -506,7 +506,7 @@ class TestPinnedReplays:
     """
 
     #: SHA-256 over every replay of :func:`_pinned_replays`, in order.
-    DIGEST = "5844534dc8ce77344df562df2c1e4aa599ea947e24d967945d00d74c98e4cf79"
+    DIGEST = "9b93e258dc6495aeec96e5022d9f70af624159e4624dec11e867bbd85304f2f7"
 
     def test_replay_reports_are_pinned(self):
         h = hashlib.sha256()
