@@ -397,9 +397,11 @@ class _At:
 class RegistryParityRule(Rule):
     """RPR005: registered kernels and schema records keep their pairs.
 
-    Every kernel class the registry builds must implement both execution
-    engines — ``run_block`` (reference, per-block) and ``run_grid`` (fast,
-    vectorized) — so engine parity stays testable.  Every class in a
+    Every kernel class the registry builds must define what the fast pass
+    (``SimKernel.forward``, shared by every kernel) is held to: its
+    per-block meter ``run_block`` (the reference engine) and its counter
+    model ``model_counters`` (what a fast launch reports), so engine parity
+    stays testable.  Every class in a
     ``SCHEMA_VERSION``-bearing module must keep its canonical round-trip
     pair complete: ``to_json``/``from_json``, ``dumps``/``loads``,
     ``save``/``load``.
@@ -446,16 +448,16 @@ class RegistryParityRule(Rule):
                 if not any(b and b.split(".")[-1] == "SimKernel" for b in bases):
                     continue
                 methods = self._methods(node)
-                for required, engine in (
-                    ("run_block", "reference (per-block)"),
-                    ("run_grid", "fast (vectorized)"),
+                for required, role in (
+                    ("run_block", "per-block meter (the reference engine)"),
+                    ("model_counters", "counter model (what a fast launch reports)"),
                 ):
                     if required not in methods:
                         yield _finding(
                             info, node, self.rule_id,
                             f"registered kernel `{cls_name}` does not define "
-                            f"`{required}`: every registry kernel implements "
-                            f"the {engine} engine so parity stays testable",
+                            f"`{required}`: every registry kernel defines "
+                            f"its {role} so parity stays testable",
                         )
 
     def _check_schemas(self, ctx: AnalysisContext) -> Iterator[Finding]:

@@ -7,10 +7,11 @@ is the simulator's ground truth, but it pays an interpreter tax per block
 that real fused kernels never would, and it dominates the wall-clock of
 functional serving and every parity test.
 
-The fast engine is the production alternative: a kernel's ``run_grid``
-executes its **entire grid as whole-tensor NumPy ops** (one einsum/matmul
-per stage instead of one per block) and counts nothing.  The launch reports
-the measured model's counters instead
+The fast engine is the production alternative: one program for every
+kernel, :meth:`~repro.kernels.base.SimKernel.forward`, executes the
+**entire grid as whole-tensor NumPy ops** (one :func:`grid_depthwise` or
+matmul per stage instead of one per block) and counts nothing.  The launch
+reports the measured model's counters instead
 (:meth:`~repro.kernels.base.SimKernel.model_counters`:
 :func:`~repro.planner.analytic.lbl_counters`,
 :func:`~repro.planner.analytic.chain_counters`), commBuffer traffic and peak

@@ -4,11 +4,14 @@ Simulated kernels follow the structure of the paper's FCM skeleton
 (Listing 1): per thread block they (1) allocate shared buffers, (2) prefetch
 weight tiles, (3) compute the first conv-norm-act into the commBuffer, and
 (4) compute the second from it.  LBL kernels are the degenerate single-stage
-case.  :meth:`SimKernel.simulate` wires up instrumented global buffers, runs
-the grid on one of two engines, and returns both the functional output and
-the launch's counters and statistics.  A launch's counters have one model,
-:mod:`repro.planner.analytic` (:meth:`SimKernel.model_counters`): the fast
-engine reports it, and the reference engine meters it block by block.
+case.  :meth:`SimKernel.simulate` runs the grid on one of two engines and
+returns both the functional output and the launch's counters and
+statistics.  The fast engine computes every kernel the same way, one
+whole-tensor pass per stage (:meth:`SimKernel.forward`): a fused kernel
+changes where its intermediates live, not what it computes.  A launch's
+counters have one model, :mod:`repro.planner.analytic`
+(:meth:`SimKernel.model_counters`): the fast engine reports it, and the
+reference engine meters it block by block over instrumented global buffers.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
+from ..core.ops import exact_matmul
 from ..errors import ShapeError
 from ..gpu.counters import AccessCounters
 from ..gpu.energy import EnergyBreakdown, energy_of
 from ..gpu.executor import LaunchStats, launch
-from ..gpu.fastpath import resolve_engine
+from ..gpu.fastpath import grid_depthwise, resolve_engine
 from ..gpu.memory import GlobalBuffer, SharedMemory
 from ..gpu.roofline import KernelTiming, time_kernel
 from ..gpu.specs import GpuSpec
+from ..ir.layers import ConvKind
+from .params import LayerParams
 
 __all__ = ["KernelResult", "SimKernel"]
 
@@ -57,33 +63,32 @@ class KernelResult:
 
 
 class SimKernel(abc.ABC):
-    """A simulated GPU kernel: a grid of blocks over instrumented buffers.
+    """A simulated GPU kernel: a grid of blocks over the layers it fuses.
 
-    Every kernel implements both execution engines (both produce one
-    :class:`KernelResult`) and the model of its counters; a subclass
-    missing any of them cannot be built:
+    Every kernel runs on both execution engines (both produce one
+    :class:`KernelResult`) and defines the model of its counters; a
+    subclass missing its per-block program or its model cannot be built:
 
-    * ``"fast"`` (default) — the whole grid runs as one vectorized pass
-      (:meth:`run_grid`), which only computes; the launch reports the
-      model's counters (:meth:`model_counters`) and shared-memory peak
+    * ``"fast"`` (default) — :meth:`forward`, one whole-tensor pass per
+      stage, which only computes; the launch reports the model's counters
+      (:meth:`model_counters`) and shared-memory peak
       (:meth:`model_shared_peak`);
     * ``"reference"`` — the per-block interpreted launch of
-      :meth:`run_block` through :func:`repro.gpu.executor.launch`, which
-      meters every block's loads, stores, commBuffer traffic and MACs: the
-      independent check on the model.  Only what no block can see comes
-      from the model: which MACs recompute a halo, and which reads revisit
-      a tensor the roofline may serve from L2.
+      :meth:`run_block` over the buffers :meth:`bind` instruments, through
+      :func:`repro.gpu.executor.launch`, which meters every block's loads,
+      stores, commBuffer traffic and MACs: the independent check on the
+      model.  Only what no block can see comes from the model: which MACs
+      recompute a halo, and which reads revisit a tensor the roofline may
+      serve from L2.
     """
 
     #: kernel name used in reports and error messages.
     name: str
     #: storage precision of feature maps and weights.
     dtype: DType
-    #: when True, ``bind`` may hand out the memoized OFM buffer again for a
-    #: re-simulation with the same geometry (the batch loops set this while
-    #: they copy each image's output out immediately; default off so two
-    #: independent ``simulate`` calls never alias their outputs).
-    reuse_output: bool = False
+    #: the layers the kernel runs, in order: one for an LBL kernel, the
+    #: chain's for a fused one.
+    stages: Sequence[LayerParams]
 
     @abc.abstractmethod
     def grid(self) -> Sequence[tuple[int, ...]]:
@@ -91,7 +96,8 @@ class SimKernel(abc.ABC):
 
     @abc.abstractmethod
     def bind(self, ifm: np.ndarray, counters: AccessCounters) -> None:
-        """Wrap inputs/outputs/weights into instrumented global buffers."""
+        """Wrap inputs/outputs/weights into instrumented global buffers for a
+        reference launch."""
 
     @abc.abstractmethod
     def run_block(self, coord: tuple[int, ...], shared: SharedMemory) -> None:
@@ -99,12 +105,7 @@ class SimKernel(abc.ABC):
 
     @abc.abstractmethod
     def output_array(self) -> np.ndarray:
-        """The OFM array after the launch."""
-
-    @abc.abstractmethod
-    def run_grid(self) -> None:
-        """Compute the whole grid's OFM vectorized against the bound buffers
-        (counting nothing: the fast launch reports :meth:`model_counters`)."""
+        """The OFM array after a reference launch."""
 
     @abc.abstractmethod
     def model_counters(self) -> AccessCounters:
@@ -118,14 +119,13 @@ class SimKernel(abc.ABC):
         return 0
 
     def weight_bytes(self) -> int:
-        """Bytes of the kernel's weight tensors at storage precision.
+        """Bytes of every stage's weight tensors at storage precision.
 
         Batch-invariant traffic: a batched launch streams weights once from
         DRAM and re-reads them from L2 for the remaining images (see
-        :meth:`~repro.gpu.counters.AccessCounters.batched`).  Kernels without
-        weights (the default) return 0.
+        :meth:`~repro.gpu.counters.AccessCounters.batched`).
         """
-        return 0
+        return sum(p.spec.weights_bytes for p in self.stages)
 
     def check_capacity(self, gpu: GpuSpec) -> None:
         """Validate the L1 working-set constraint before launching.
@@ -155,36 +155,53 @@ class SimKernel(abc.ABC):
             self._grid_cache = cached
         return cached
 
-    def _fresh_output(self, shape: tuple[int, ...], np_dtype) -> np.ndarray:
-        """Zeroed OFM array for ``bind``, recycled when the caller allows it.
+    def forward(self, ifm: np.ndarray) -> np.ndarray:
+        """The fast engine's launch: the whole grid as one pass per stage.
 
-        With :attr:`reuse_output` set (batch loops that copy each image's
-        output out before the next ``bind``), a re-simulation with the same
-        geometry re-zeroes the memoized buffer instead of allocating a new
-        one.  Otherwise every ``bind`` allocates, so independently returned
-        :class:`KernelResult` outputs never alias.
+        A DW stage convolves the whole plane (:func:`grid_depthwise`), a PW
+        stage multiplies its filters into the strided pixels
+        (:func:`~repro.core.ops.exact_matmul`), and each stage's epilogue
+        feeds the next; the last one writes into a fresh output array.  The
+        tiling decides where a fused kernel keeps its intermediates, not what
+        it computes, so the pass ignores it, and it counts nothing: the
+        launch reports :meth:`model_counters`.
         """
-        cached = getattr(self, "_out_cache", None)
-        if (
-            self.reuse_output
-            and cached is not None
-            and cached.shape == shape
-            and cached.dtype == np_dtype
-        ):
-            cached.fill(0)
-            return cached
-        out = np.zeros(shape, dtype=np_dtype)
-        self._out_cache = out
-        return out
+        acc_t = self.dtype.acc_dtype
+        x = ifm
+        last = len(self.stages) - 1
+        for i, params in enumerate(self.stages):
+            spec = params.spec
+            if spec.kind is ConvKind.DEPTHWISE:
+                acc = grid_depthwise(
+                    window=x,
+                    weights=params.weights,
+                    rows_out=spec.out_h,
+                    cols_out=spec.out_w,
+                    row_off=spec.padding,
+                    col_off=spec.padding,
+                    kernel=spec.kernel,
+                    stride=spec.stride,
+                    acc_dtype=acc_t,
+                )
+            else:
+                s = spec.stride
+                pixels = np.ascontiguousarray(x[:, ::s, ::s]).reshape(spec.in_channels, -1)
+                acc = exact_matmul(params.weights, pixels, acc_t).reshape(spec.ofm.shape)
+            out = np.empty(spec.ofm.shape, self.dtype.np_dtype) if i == last else None
+            x = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=out)
+        return x
 
-    def _launch(self, gpu: GpuSpec, counters: AccessCounters, engine: str) -> LaunchStats:
-        """Run one bound launch on ``engine``; only the reference engine
-        counts (into ``counters``)."""
+    def _launch(
+        self, ifm: np.ndarray, gpu: GpuSpec, counters: AccessCounters, engine: str
+    ) -> tuple[np.ndarray, LaunchStats]:
+        """Run one launch on ``engine``: its output and stats.  Only the
+        reference engine binds buffers and counts (into ``counters``)."""
         if engine == "reference":
-            return launch(self, gpu, counters)
-        self.run_grid()
+            self.bind(ifm, counters)
+            stats = launch(self, gpu, counters)
+            return self.output_array(), stats
         blocks = len(self.grid())
-        return LaunchStats(
+        return self.forward(ifm), LaunchStats(
             kernel_name=self.name,
             num_blocks=blocks,
             peak_shared_bytes=self.model_shared_peak(),
@@ -206,10 +223,12 @@ class SimKernel(abc.ABC):
             raise ShapeError(
                 f"{self.name}: IFM dtype {ifm.dtype} does not match kernel {self.dtype}"
             )
+        expected = self.stages[0].spec.ifm.shape
+        if ifm.shape != expected:
+            raise ShapeError(f"{self.name}: IFM shape {ifm.shape} != {expected}")
         counters = AccessCounters()
         self.check_capacity(gpu)
-        self.bind(ifm, counters)
-        stats = self._launch(gpu, counters, engine)
+        output, stats = self._launch(ifm, gpu, counters, engine)
         model = self.model_counters()
         if engine == "fast":
             counters.merge(model)
@@ -218,7 +237,7 @@ class SimKernel(abc.ABC):
             counters.redundant_macs += model.redundant_macs
             counters.rereads.extend(model.rereads)
         return KernelResult(
-            output=self.output_array(),
+            output=output,
             counters=counters,
             stats=stats,
             gpu=gpu,
@@ -239,9 +258,8 @@ class SimKernel(abc.ABC):
         Batched counters are the first image's totals scaled by the batch
         (see :meth:`AccessCounters.batched` — asserted in the test suite),
         so only image 0 is counted; the remaining images execute
-        functionally against scratch counters, recycling the OFM buffer
-        (each image's output is copied into the batch array before the next
-        ``bind``).
+        functionally against scratch counters, each output copied into the
+        batch array.
         """
         if ifms.ndim < 2 or ifms.shape[0] < 1:
             raise ShapeError(f"{self.name}: batched IFM needs a leading batch dim")
@@ -250,16 +268,9 @@ class SimKernel(abc.ABC):
         first = self.simulate(ifms[0], gpu, engine)
         out = np.empty((n,) + first.output.shape, dtype=first.output.dtype)
         out[0] = first.output
-        prev_reuse = self.reuse_output
-        self.reuse_output = True
-        try:
-            scratch = AccessCounters()
-            for i in range(1, n):
-                self.bind(ifms[i], scratch)
-                self._launch(gpu, scratch, engine)
-                out[i] = self.output_array()
-        finally:
-            self.reuse_output = prev_reuse
+        scratch = AccessCounters()
+        for i in range(1, n):
+            out[i] = self._launch(ifms[i], gpu, scratch, engine)[0]
         counters = first.counters.batched(n, self.weight_bytes())
         return KernelResult(
             output=out,

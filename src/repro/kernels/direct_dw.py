@@ -21,7 +21,6 @@ from ..core.dtypes import DType
 from ..core.tiling import DwTiling, ceil_div, input_extent, tile_windows
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -79,6 +78,7 @@ class DwDirectKernel(SimKernel):
         if spec.kind is not ConvKind.DEPTHWISE:
             raise ShapeError(f"{spec.name}: DwDirectKernel needs a depthwise layer")
         self.params = params
+        self.stages = (params,)
         self.spec = spec
         self.dtype: DType = spec.dtype
         self.name = f"dw_direct[{spec.name}]"
@@ -113,11 +113,9 @@ class DwDirectKernel(SimKernel):
         return self._memo_grid(build)
 
     def bind(self, ifm: np.ndarray, counters: AccessCounters) -> None:
-        if ifm.shape != self.spec.ifm.shape:
-            raise ShapeError(f"{self.name}: IFM shape {ifm.shape} != {self.spec.ifm.shape}")
         self._ifm = self.make_buffer("ifm", ifm, "ifm", counters)
         self._w = self.make_buffer("weights", self.params.weights, "weights", counters)
-        out = self._fresh_output(self.spec.ofm.shape, self.dtype.np_dtype)
+        out = np.zeros(self.spec.ofm.shape, dtype=self.dtype.np_dtype)
         self._out = self.make_buffer("ofm", out, "ofm", counters)
         self._counters = counters
 
@@ -148,29 +146,8 @@ class DwDirectKernel(SimKernel):
         self._out.store((slice(c0, c1), slice(r0, r1), slice(q0, q1)), y)
         self._counters.compute((c1 - c0) * (r1 - r0) * (q1 - q0) * k * k)
 
-    def run_grid(self) -> None:
-        """Whole-grid fast path: one full-extent depthwise pass."""
-        spec = self.spec
-        acc = grid_depthwise(
-            window=self._ifm.array,
-            weights=self._w.array,
-            rows_out=spec.out_h,
-            cols_out=spec.out_w,
-            row_off=spec.padding,
-            col_off=spec.padding,
-            kernel=spec.kernel,
-            stride=spec.stride,
-            acc_dtype=self.dtype.acc_dtype,
-        )
-        self.params.epilogue.apply(
-            acc, 0, spec.in_channels, self.dtype, out=self._out.array
-        )
-
     def model_counters(self) -> AccessCounters:
         return lbl_counters(self.spec, asdict(self.tiling))
 
     def output_array(self) -> np.ndarray:
         return self._out.array
-
-    def weight_bytes(self) -> int:
-        return self.spec.weights_bytes

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.dtypes import DType
-from ..core.ops import exact_matmul
 from ..core.tiling import PwTiling, ceil_div
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
@@ -38,6 +37,7 @@ class PwDirectKernel(SimKernel):
         if spec.kind is not ConvKind.POINTWISE:
             raise ShapeError(f"{spec.name}: PwDirectKernel needs a pointwise layer")
         self.params = params
+        self.stages = (params,)
         self.spec = spec
         self.dtype: DType = spec.dtype
         self.name = f"pw_direct[{spec.name}]"
@@ -66,15 +66,13 @@ class PwDirectKernel(SimKernel):
         return self._memo_grid(build)
 
     def bind(self, ifm: np.ndarray, counters: AccessCounters) -> None:
-        if ifm.shape != self.spec.ifm.shape:
-            raise ShapeError(f"{self.name}: IFM shape {ifm.shape} != {self.spec.ifm.shape}")
         s = self.spec.stride
         # A strided PW only ever touches the subsampled pixels; bind that view
         # so byte accounting charges exactly the elements a real kernel loads.
         x = np.ascontiguousarray(ifm[:, ::s, ::s]).reshape(self.spec.in_channels, -1)
         self._ifm = self.make_buffer("ifm", x, "ifm", counters)
         self._w = self.make_buffer("weights", self.params.weights, "weights", counters)
-        out = self._fresh_output((self.spec.out_channels, self.out_hw), self.dtype.np_dtype)
+        out = np.zeros((self.spec.out_channels, self.out_hw), dtype=self.dtype.np_dtype)
         self._out = self.make_buffer("ofm", out, "ofm", counters)
         self._counters = counters
 
@@ -92,13 +90,6 @@ class PwDirectKernel(SimKernel):
         self._out.store((slice(m0, m1), slice(p0, p1)), y)
         self._counters.compute((m1 - m0) * self.spec.in_channels * (p1 - p0))
 
-    def run_grid(self) -> None:
-        """Whole-grid fast path: one full matmul over the subsampled IFM."""
-        acc = exact_matmul(self._w.array, self._ifm.array, self.dtype.acc_dtype)
-        self.params.epilogue.apply(
-            acc, 0, self.spec.out_channels, self.dtype, out=self._out.array
-        )
-
     def model_counters(self) -> AccessCounters:
         return lbl_counters(self.spec, asdict(self.tiling))
 
@@ -106,6 +97,3 @@ class PwDirectKernel(SimKernel):
         return self._out.array.reshape(
             self.spec.out_channels, self.spec.out_h, self.spec.out_w
         )
-
-    def weight_bytes(self) -> int:
-        return self.spec.weights_bytes

@@ -31,7 +31,10 @@ is the largest live set of windows.  The reference engine meters that in
 every block; the model prices it in closed form
 (:attr:`~repro.planner.chain_costs.ChainDataflow.comm_bytes` and
 :attr:`~repro.planner.chain_costs.ChainDataflow.comm_peak`), and the fast
-engine reports the model.
+engine reports the model.  The fast engine computes the chain as every
+kernel does, one whole-tensor pass per stage
+(:meth:`~repro.kernels.base.SimKernel.forward` over :attr:`stages`): the
+commBuffers change where the intermediates live, not what is computed.
 
 The paper's four FCMs are length-2 chains, so this kernel is their only
 implementation: :class:`DwPwFusedKernel`, :class:`PwDwFusedKernel`,
@@ -49,11 +52,9 @@ import numpy as np
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
 from ..core.fcm import FcmType
-from ..core.ops import exact_matmul
 from ..core.tiling import ceil_div
 from ..errors import CapacityError, ShapeError
 from ..gpu.counters import AccessCounters
-from ..gpu.fastpath import grid_depthwise
 from ..gpu.memory import SharedMemory
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind
@@ -141,10 +142,6 @@ class FusedChainKernel(SimKernel):
 
     def bind(self, ifm: np.ndarray, counters: AccessCounters) -> None:
         first = self.chain.first
-        if ifm.shape != first.ifm.shape:
-            raise ShapeError(
-                f"{self.name}: IFM shape {ifm.shape} != {first.ifm.shape}"
-            )
         if first.kind is ConvKind.POINTWISE:
             # A strided first PW touches only the subsampled pixels; bind that
             # view on the boundary-1 grid so later DW windows index it directly.
@@ -159,7 +156,7 @@ class FusedChainKernel(SimKernel):
             self.make_buffer(f"w{i}_{p.spec.name}", p.weights, "weights", counters)
             for i, p in enumerate(self.stages)
         ]
-        out = self._fresh_output(self.flow.chain.last.ofm.shape, self.dtype.np_dtype)
+        out = np.zeros(self.flow.chain.last.ofm.shape, dtype=self.dtype.np_dtype)
         self._out = self.make_buffer("ofm", out, "ofm", counters)
         self._counters = counters
 
@@ -250,38 +247,6 @@ class FusedChainKernel(SimKernel):
                 cur_origin = (o_lo_r, o_lo_q)
                 prev_slot = slot
 
-    def run_grid(self) -> None:
-        """Whole-grid fast path: the chain as N full-tensor stage passes; the
-        last stage's epilogue writes straight into the output buffer."""
-        specs = self.flow.chain.specs
-        n = len(specs)
-        acc_t = self.dtype.acc_dtype
-        cur = self._ifm.array
-        for i, (params, spec) in enumerate(zip(self.stages, specs)):
-            if spec.kind is ConvKind.DEPTHWISE:
-                acc = grid_depthwise(
-                    window=cur,
-                    weights=self._weights[i].array,
-                    rows_out=spec.out_h,
-                    cols_out=spec.out_w,
-                    row_off=spec.padding,
-                    col_off=spec.padding,
-                    kernel=spec.kernel,
-                    stride=spec.stride,
-                    acc_dtype=acc_t,
-                )
-            else:
-                # A first PW reads the pre-subsampled view bound at stride 1.
-                pw_stride = 1 if i == 0 else spec.stride
-                x = cur if pw_stride == 1 else cur[:, ::pw_stride, ::pw_stride]
-                acc = exact_matmul(
-                    self._weights[i].array,
-                    np.ascontiguousarray(x).reshape(spec.in_channels, -1),
-                    acc_t,
-                ).reshape(spec.out_channels, spec.out_h, spec.out_w)
-            out = self._out.array if i == n - 1 else None
-            cur = params.epilogue.apply(acc, 0, spec.out_channels, self.dtype, out=out)
-
     def model_counters(self) -> AccessCounters:
         return chain_counters(self.chain.specs, self.tiling)
 
@@ -290,9 +255,6 @@ class FusedChainKernel(SimKernel):
 
     def output_array(self) -> np.ndarray:
         return self._out.array.reshape(self.chain.last.ofm.shape)
-
-    def weight_bytes(self) -> int:
-        return self.chain.weights_bytes
 
 
 class DwPwFusedKernel(FusedChainKernel):

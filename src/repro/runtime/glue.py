@@ -66,7 +66,7 @@ def apply_glue(
             real = a.astype(np.float32) * sa.scale + b.astype(np.float32) * sb.scale
             q = np.clip(np.rint(real / sa.scale), -128, 127).astype(np.int8)
             return q, sa
-        return (a + b).astype(a.dtype), scales[0]
+        return (a + b).astype(a.dtype, copy=False), scales[0]
     if spec.op == "maxpool2":
         return _maxpool2(inputs[0]), scales[0]
     if spec.op == "gap":

@@ -261,6 +261,8 @@ class _PlanSession:
             raise PlanError("network params precision differs from the plan's")
         #: what the analytic walk derives once per session (:meth:`_pricing`).
         self._priced: tuple[list, list] | None = None
+        #: what the functional walk derives once per session (:meth:`_reads`).
+        self._step_reads: list[tuple[tuple[str, ...], tuple[str, ...]]] | None = None
 
     def _walk(
         self,
@@ -286,11 +288,10 @@ class _PlanSession:
             )
         records: list[StepRecord] = []
         values: dict[str, np.ndarray] = {}
-        for step in self.plan.steps:
+        for step, (preds, last_reads) in zip(self.plan.steps, self._reads()):
             metered = None
             specs = step.specs if isinstance(step, ChainStep) else (step.spec,)
-            preds = self.graph.predecessors(specs[0].name)
-            inputs = [values.get(p, batch_input) for p in preds] or [batch_input]
+            inputs = [values[p] for p in preds] if preds else [batch_input]
             if isinstance(step, (ChainStep, LblStep)):
                 kernel = (
                     build_chain_kernel([params[sp.name] for sp in specs], step.tiling)
@@ -312,11 +313,38 @@ class _PlanSession:
                     for i in range(batch)
                 ])
             values[specs[-1].name] = out
+            for p in last_reads:
+                del values[p]
             records.append(step_record(step, gpu, dtype, batch, metered))
-        output = values.get([s.name for s in self.graph.topological()][-1])
+        output = values[[s.name for s in self.graph.topological()][-1]]
         return SessionReport(
             self.plan.model_name, gpu, dtype, tuple(records), output, batch_size=batch
         )
+
+    def _reads(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Per plan step, the step outputs it reads (its graph predecessors;
+        none only for the first step, which reads the network input) and
+        those it reads for the last time, which the functional walk drops
+        once the step has run.  The graph's output has no reader, so it is
+        kept.  Derived once per session (a session's plan never changes).
+        """
+        if self._step_reads is None:
+            reads, last = [], {}
+            for i, step in enumerate(self.plan.steps):
+                first = step.specs[0] if isinstance(step, ChainStep) else step.spec
+                preds = tuple(self.graph.predecessors(first.name))
+                if not preds and i > 0:
+                    raise PlanError(
+                        f"plan step {i} ({first.name!r}) reads no step output"
+                    )
+                reads.append(preds)
+                for p in preds:
+                    last[p] = i
+            drops: list[list[str]] = [[] for _ in reads]
+            for name, i in last.items():
+                drops[i].append(name)
+            self._step_reads = [(r, tuple(d)) for r, d in zip(reads, drops)]
+        return self._step_reads
 
     def _pricing(
         self,

@@ -330,7 +330,7 @@ class TestRegistryParityRule:
         ), rules="RPR005")
         assert findings == []
 
-    def test_registered_kernel_missing_run_grid(self, tmp_path):
+    def test_registered_kernel_missing_model_counters(self, tmp_path):
         _write(tmp_path, "repro/__init__.py", "")
         _write(tmp_path, "repro/kernels/__init__.py", "")
         _write(tmp_path, "repro/kernels/base.py", (
@@ -349,7 +349,7 @@ class TestRegistryParityRule:
         ))
         findings, _ = analyze_paths([tmp_path / "repro"], rules="RPR005")
         assert len(findings) == 1
-        assert "`HalfKernel` does not define `run_grid`" in findings[0].message
+        assert "`HalfKernel` does not define `model_counters`" in findings[0].message
 
 
 class TestSubmissionOrderRule:

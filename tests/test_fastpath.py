@@ -289,41 +289,75 @@ def test_unknown_engine_rejected():
         resolve_engine("turbo")
 
 
-def test_kernel_without_run_grid_cannot_be_built():
-    """Every kernel implements both engines: ``run_grid`` is abstract, so a
-    subclass that drops it fails at construction instead of silently running
-    the reference launch."""
+def test_kernel_without_meter_or_model_cannot_be_built():
+    """Every kernel keeps its per-block program and its counter model:
+    ``run_block`` and ``model_counters`` are abstract, so a subclass that
+    drops either fails at construction (the fast pass,
+    ``SimKernel.forward``, is the base class's own)."""
     from repro.core.tiling import PwTiling
     from repro.kernels.base import SimKernel
     from repro.kernels.direct_pw import PwDirectKernel
 
     params = make_layer_params(pw_spec())
-    assert {"run_grid", "model_counters"} <= SimKernel.__abstractmethods__
+    assert {"run_block", "model_counters"} <= SimKernel.__abstractmethods__
+    assert "forward" not in SimKernel.__abstractmethods__
 
-    class Legacy(PwDirectKernel):
-        run_grid = SimKernel.run_grid
+    for method in ("run_block", "model_counters"):
+        legacy = type("Legacy", (PwDirectKernel,), {method: getattr(SimKernel, method)})
+        with pytest.raises(TypeError, match=method):
+            legacy(params, PwTiling(8, 32))
 
-    with pytest.raises(TypeError, match="run_grid"):
-        Legacy(params, PwTiling(8, 32))
 
-
-def test_no_run_grid_counts():
-    """One counter model: a fast launch reports ``model_counters``, so no
-    ``run_grid`` under ``src/repro/kernels`` may call a counter method."""
+def test_forward_counts_nothing():
+    """One counter model and one fast pass: ``SimKernel.forward`` is the only
+    ``forward`` under ``src/repro/kernels``, takes no counters and calls no
+    counter method (a fast launch reports ``model_counters``)."""
     counting = {"read", "write", "smem", "compute", "reread", "merge"}
     kernels = Path(__file__).resolve().parents[1] / "src" / "repro" / "kernels"
-    calls = []
+    defs, calls = [], []
     for path in sorted(kernels.rglob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "run_grid":
-                calls += [
-                    (path.name, node.lineno, node.func.attr)
-                    for node in ast.walk(fn)
-                    if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in counting
-                ]
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "forward":
+                    defs.append((path.name, cls.name, [a.arg for a in fn.args.args]))
+                    calls += [
+                        (path.name, node.lineno, node.func.attr)
+                        for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in counting
+                    ]
+    assert defs == [("base.py", "SimKernel", ["self", "ifm"])]
     assert calls == []
+
+
+def test_fast_launch_binds_no_buffer(monkeypatch):
+    """A fast launch computes on the arrays themselves: no kernel family
+    builds an instrumented ``GlobalBuffer`` (only the reference meter does)."""
+    from repro.gpu.memory import GlobalBuffer
+
+    dw, pw = dw_spec(c=6, h=8, w=8), pw_spec(c_in=6, c_out=5, h=8, w=8)
+    dwp = make_layer_params(dw)
+    kernels = [
+        build_lbl_kernel(dwp, {"tile_c": 4, "tile_h": 4, "tile_w": 4}),
+        build_lbl_kernel(make_layer_params(pw), {"tile_m": 4, "tile_hw": 16}),
+        build_chain_kernel(
+            [dwp, chain_quant(dwp, pw)], {"tile_h": 4, "tile_w": 4, "tile_m": 4}
+        ),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fast launch built a GlobalBuffer")
+
+    monkeypatch.setattr(GlobalBuffer, "__init__", refuse)
+    ifm = random_ifm(dw)
+    for kernel in kernels:
+        kernel.simulate(ifm, RTX_A4000, engine="fast")
+        kernel.simulate_batch(np.stack([ifm, ifm]), RTX_A4000, engine="fast")
+    with pytest.raises(AssertionError, match="GlobalBuffer"):
+        kernels[0].simulate(ifm, RTX_A4000, engine="reference")
 
 
 def test_removed_engine_selectors_are_rejected(monkeypatch):
@@ -375,8 +409,7 @@ def test_batched_counters_scale_single_image_totals(engine):
     expected = single.counters.batched(3, kernel.weight_bytes())
     assert_counters_equal(res.counters, expected)
     assert res.stats == single.stats
-    # Every image's output matches its standalone simulation (no aliasing
-    # between the recycled OFM buffer and the stacked batch output).
+    # Every image's output matches its standalone simulation.
     for i in range(3):
         np.testing.assert_allclose(
             res.output[i],

@@ -66,12 +66,9 @@ def test_fused_equals_unfused_end_to_end(dtype, rng):
     )
     out_fused = InferenceSession(g, fused_plan, net).run(x)
     out_unfused = InferenceSession(g, unfused_plan, net).run(x)
-    if dtype is DType.INT8:
-        np.testing.assert_array_equal(out_fused.output, out_unfused.output)
-    else:
-        np.testing.assert_allclose(
-            out_fused.output, out_unfused.output, rtol=1e-4, atol=1e-5
-        )
+    # Fused and layer-by-layer steps run the same stage passes, so even FP32
+    # outputs are the same bytes.
+    assert out_fused.output.tobytes() == out_unfused.output.tobytes()
     # Fusion must strictly reduce end-to-end global traffic and launches.
     assert out_fused.total_gma_bytes < out_unfused.total_gma_bytes
     assert out_fused.kernel_launches < out_unfused.kernel_launches

@@ -16,7 +16,7 @@ from helpers import assert_records_match, check_replay, parity_sessions, registe
 from repro.baselines.tvm import TvmCompiler
 from repro.core.dtypes import DType
 from repro.core.quantize import QuantParams
-from repro.errors import ShapeError, UnsupportedError
+from repro.errors import PlanError, ShapeError, UnsupportedError
 from repro.experiments.fig10_fig11 import end_to_end_point
 from repro.gpu.specs import ALL_GPUS, GTX1660, ORIN, RTX_A4000
 from repro.ir.blocks import dsc_block, inverted_residual_block, standard_conv
@@ -31,6 +31,7 @@ from repro.runtime.network_params import materialize_network
 from repro.runtime.session import (
     InferenceSession,
     TvmSession,
+    build_session,
     price_key,
     seeded_input,
     step_record,
@@ -268,6 +269,36 @@ class TestSessions:
         plan = FusePlanner(GTX1660).plan(g)
         rep = InferenceSession(g, plan, None).run_analytic()
         assert "toy on GTX" in rep.describe()
+
+    def test_functional_walk_drops_outputs_after_their_last_read(self):
+        """A functional run holds each step output only until its last
+        reader has run: one xception FP32 image peaks at about 56 MB of
+        traced allocations (153 MB while every output lived to the end)."""
+        import tracemalloc
+
+        sess = build_session("xception", RTX_A4000)
+        x = seeded_input(sess.graph, DType.FP32)
+        sess.params.layers  # generate the weights before tracing
+        tracemalloc.start()
+        try:
+            sess.run(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    def test_missing_producer_is_an_error(self, rng):
+        """A step reads its producers' outputs, and only the first step reads
+        the network input: a plan that lost the stem step cannot run, nor can
+        a graph with a second source."""
+        g = _toy_graph()
+        plan = FusePlanner(GTX1660).plan(g)
+        x = rng.standard_normal((3, 32, 32)).astype(np.float32)
+        with pytest.raises(KeyError, match="stem"):
+            InferenceSession(g, replace(plan, steps=plan.steps[1:])).run(x)
+        g.add(GlueSpec("gap2", "gap", 3), after=[])
+        with pytest.raises(PlanError, match="gap2"):
+            InferenceSession(g, FusePlanner(GTX1660).plan(g)).run(x)
 
 
 def _hash_records(h, report) -> None:

@@ -1,6 +1,6 @@
 """Validate that docs reference only things that exist (`make docs-check`).
 
-Scans the given markdown files for three kinds of claims and fails (exit 1)
+Scans the given markdown files for five kinds of claims and fails (exit 1)
 on any dead reference, so the README can't drift from the code:
 
 * dotted ``repro.*`` module paths — the module must import (a trailing
@@ -12,13 +12,17 @@ on any dead reference, so the README can't drift from the code:
 * repo-relative paths (``src/...``, ``benchmarks/...``, ``examples/...``,
   ``docs/...``, ``tools/...``) — the file or directory must exist (a glob
   such as ``benchmarks/bench_*.py`` must match at least one);
-* ``make <target>`` mentions — the target must exist in the Makefile.
+* ``make <target>`` mentions — the target must exist in the Makefile;
+* test ids (``tests/test_x.py::Name[::name]``, also under ``benchmarks/``)
+  — the file must exist and, read through its AST, each ``::`` part must
+  be a top-level def or class, or a method of the class before it.
 
 Usage: ``python tools/docs_check.py README.md docs/architecture.md``
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -37,6 +41,7 @@ CLI_RE = re.compile(r"python -m repro\.cli ([a-z][a-z0-9-]*)")
 PATH_RE = re.compile(r"\b(?:src|benchmarks|examples|docs|tools)/[\w./*-]*")
 # Backticked only: prose like "make sure" must not read as a target claim.
 MAKE_RE = re.compile(r"`make ([a-z][a-z-]*)`")
+TEST_ID_RE = re.compile(r"\b((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)+)")
 
 
 def check_module(dotted: str) -> str | None:
@@ -101,6 +106,30 @@ def check_cli_example(line: str, parser) -> str | None:
     return None
 
 
+def check_test_id(path: str, names: list[str]) -> str | None:
+    """Return an error string if a ``path::name[::name]`` test id does not
+    resolve: each name must be a def or class of the scope before it (the
+    module, then the class just named)."""
+    ref = "::".join([path, *names])
+    file = REPO / path
+    if not file.is_file():
+        return f"test id {ref!r}: {path} does not exist"
+    scope = ast.parse(file.read_text(), str(file)).body
+    for name in names:
+        node = next(
+            (
+                n for n in scope
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and n.name == name
+            ),
+            None,
+        )
+        if node is None:
+            return f"test id {ref!r}: no {name!r} where it points"
+        scope = node.body if isinstance(node, ast.ClassDef) else []
+    return None
+
+
 def make_targets() -> set[str]:
     targets: set[str] = set()
     makefile = REPO / "Makefile"
@@ -138,6 +167,10 @@ def check_file(path: Path, parser, targets: set[str]) -> list[str]:
     for target in sorted(set(MAKE_RE.findall(text))):
         if target not in targets:
             errors.append(f"{path.name}: make target {target!r} not in Makefile")
+    for file, names in sorted(set(TEST_ID_RE.findall(text))):
+        err = check_test_id(file, names.split("::")[1:])
+        if err:
+            errors.append(f"{path.name}: {err}")
     return errors
 
 
