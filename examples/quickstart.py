@@ -23,11 +23,11 @@ def main() -> None:
 
     # 2. Let FusePlanner pick the module type and tile sizes for this GPU.
     planner = FusePlanner(RTX_A4000)
-    decision = planner.evaluate_chain((dw, pw))
-    assert decision is not None, "no feasible FCM for this pair on this GPU"
-    print(f"FusePlanner suggests {decision.fcm_type.name} with tiles {decision.result.tiling}")
-    print(f"  estimated GMA: fused {decision.result.gma_bytes / 1e6:.2f} MB vs "
-          f"LBL {decision.lbl_gma_bytes / 1e6:.2f} MB")
+    step = planner.evaluate_chain((dw, pw))
+    assert step is not None, "no feasible FCM for this pair on this GPU"
+    print(f"FusePlanner suggests {step.fcm_type.name} with tiles {step.tiling}")
+    print(f"  estimated GMA: fused {step.est_gma_bytes / 1e6:.2f} MB vs "
+          f"LBL {step.est_lbl_gma_bytes / 1e6:.2f} MB")
 
     # 3. Materialize weights and an input, then execute both ways.
     p_dw = make_layer_params(dw, seed=42)
@@ -38,7 +38,7 @@ def main() -> None:
     lbl_pw = build_lbl_kernel(p_pw, planner.lbl_plan(pw).tiling).simulate(
         lbl_dw.output, RTX_A4000
     )
-    fused = build_chain_kernel([p_dw, p_pw], decision.result.tiling).simulate(x, RTX_A4000)
+    fused = build_chain_kernel([p_dw, p_pw], step.tiling).simulate(x, RTX_A4000)
 
     # 4. Same numbers, fewer bytes, fewer kernels.
     np.testing.assert_allclose(fused.output, lbl_pw.output, rtol=1e-4, atol=1e-4)

@@ -26,15 +26,15 @@ def main() -> None:
             for gpu in ALL_GPUS:
                 planner = FusePlanner(gpu)
                 for first, second in ((pw1, dw), (dw, pw2)):
-                    d = planner.evaluate_chain((first, second))
-                    if d is None:
+                    step = planner.evaluate_chain((first, second))
+                    if step is None:
                         print(f"    {gpu.name:5s} {first.name}->{second.name}: no feasible FCM")
                         continue
                     print(
                         f"    {gpu.name:5s} {first.name.split('_')[-1]}->"
-                        f"{second.name.split('_')[-1]}: {d.fcm_type.name:7s} "
-                        f"saves {d.savings_bytes / 1e3:8.1f} KB "
-                        f"(redundancy {d.result.redundancy_ratio:.0%}, tiles {d.result.tiling})"
+                        f"{second.name.split('_')[-1]}: {step.fcm_type.name:7s} "
+                        f"saves {step.est_savings_bytes / 1e3:8.1f} KB "
+                        f"(redundancy {step.redundancy_ratio:.0%}, tiles {step.tiling})"
                     )
         print()
 

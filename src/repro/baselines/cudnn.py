@@ -199,19 +199,13 @@ def best_cudnn_algo(spec: ConvSpec, gpu: GpuSpec) -> tuple[CudnnAlgo, KernelTimi
     return algo, cudnn_timing(spec, algo, gpu)
 
 
-def run_cudnn(
-    params: LayerParams,
-    ifm: np.ndarray,
-    algo: CudnnAlgo,
-    gpu: GpuSpec,
-    gemm_tile: int = _GEMM_TILE,
-) -> tuple[np.ndarray, AccessCounters, KernelTiming]:
-    """Execute one layer functionally with cuDNN-modelled accounting.
+def run_cudnn(params: LayerParams, ifm: np.ndarray, algo: CudnnAlgo) -> np.ndarray:
+    """Execute one layer functionally as the library computes it.
 
     The convolution itself goes through the im2col/GEMM oracles (explicit
     algorithm) or the direct reference (implicit ones) — numerically
     identical — and its tail through the layer's ``ConvEpilogue``, like
-    every simulated kernel; the counters/timing come from the traffic model.
+    every simulated kernel.  Pricing the launch is :func:`cudnn_batched`'s.
     """
     spec = params.spec
     if ifm.shape != spec.ifm.shape:
@@ -227,6 +221,4 @@ def run_cudnn(
             if algo is CudnnAlgo.GEMM
             else conv2d_standard(ifm, params.weights, spec.stride, spec.padding)
         )
-    out = params.epilogue.apply(acc, 0, acc.shape[0], spec.dtype)
-    counters, timing = cudnn_batched(spec, algo, gpu, 1, gemm_tile)
-    return out, counters, timing
+    return params.epilogue.apply(acc, 0, acc.shape[0], spec.dtype)

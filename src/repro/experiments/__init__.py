@@ -3,10 +3,10 @@
 from .chains import ChainComparison, chain_comparison, compare_chain_planning
 from .fig1 import Fig1Row, figure1
 from .fig10_fig11 import EndToEndPoint, end_to_end_point, figure10_11
-from .fig6_fig7 import SpeedupPoint, fcm_vs_lbl_case, figure6_7
+from .fig6_fig7 import SpeedupPoint, figure6_7
 from .fig8 import GmaTimeBar, figure8
 from .fig9 import CudnnPoint, cudnn_pair_time_s, figure9
-from .fusion_cases import FusionCase, select_fusion_cases, table2_rows
+from .fusion_cases import CaseRun, FusionCase, case_runs, select_fusion_cases, table2_rows
 from .reporting import format_table
 from .table3 import BoundRow, table3
 
@@ -17,7 +17,6 @@ __all__ = [
     "Fig1Row",
     "figure1",
     "SpeedupPoint",
-    "fcm_vs_lbl_case",
     "figure6_7",
     "GmaTimeBar",
     "figure8",
@@ -28,7 +27,9 @@ __all__ = [
     "end_to_end_point",
     "figure10_11",
     "FusionCase",
+    "CaseRun",
     "select_fusion_cases",
+    "case_runs",
     "table2_rows",
     "format_table",
     "BoundRow",

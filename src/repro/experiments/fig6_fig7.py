@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import ALL_GPUS, GpuSpec
-from ..planner.analytic import chain_counters, pair_lbl_counters
-from ..planner.planner import FusePlanner
-from .fusion_cases import FusionCase, select_fusion_cases
+from .fusion_cases import case_runs, select_fusion_cases
 
-__all__ = ["SpeedupPoint", "fcm_vs_lbl_case", "figure6_7"]
+__all__ = ["SpeedupPoint", "figure6_7"]
 
 
 @dataclass(frozen=True)
@@ -45,41 +43,25 @@ class SpeedupPoint:
         return 1.0 - self.fcm_gma_bytes / self.lbl_gma_bytes
 
 
-def fcm_vs_lbl_case(case: FusionCase, gpu: GpuSpec) -> SpeedupPoint | None:
-    """Evaluate one fusion case on one GPU; None if no module is feasible."""
-    planner = FusePlanner(gpu)
-    lbl_first = planner.lbl_plan(case.first)
-    lbl_second = planner.lbl_plan(case.second)
-    decision = planner.evaluate_chain((case.first, case.second))
-    if decision is None:
-        return None
-    c_lbl = pair_lbl_counters(
-        case.first, case.second, lbl_first.tiling, lbl_second.tiling
-    )
-    c_fcm = chain_counters(decision.specs, decision.result.tiling)
-    dtype = case.dtype
-    t_lbl = time_kernel(c_lbl, gpu, dtype)
-    t_fcm = time_kernel(c_fcm, gpu, dtype)
-    return SpeedupPoint(
-        case_id=case.case_id,
-        gpu=gpu.name,
-        fcm_type=decision.fcm_type.name,
-        lbl_time_s=t_lbl.t_total_s,
-        fcm_time_s=t_fcm.t_total_s,
-        lbl_gma_bytes=c_lbl.total_bytes,
-        fcm_gma_bytes=c_fcm.total_bytes,
-        redundancy_ratio=c_fcm.redundancy_ratio,
-    )
-
-
 def figure6_7(
     dtype: DType, gpus: tuple[GpuSpec, ...] = ALL_GPUS
 ) -> list[SpeedupPoint]:
     """All speedup points of Fig. 6 (FP32) or Fig. 7 (INT8)."""
     points: list[SpeedupPoint] = []
-    for case in select_fusion_cases(dtype, gpus):
-        for gpu in gpus:
-            p = fcm_vs_lbl_case(case, gpu)
-            if p is not None:
-                points.append(p)
+    for run in case_runs(select_fusion_cases(dtype, gpus), gpus):
+        c_lbl = run.lbl_pair
+        t_lbl = time_kernel(c_lbl, run.gpu, dtype)
+        t_fcm = time_kernel(run.fused, run.gpu, dtype)
+        points.append(
+            SpeedupPoint(
+                case_id=run.case.case_id,
+                gpu=run.gpu.name,
+                fcm_type=run.step.fcm_type.name,
+                lbl_time_s=t_lbl.t_total_s,
+                fcm_time_s=t_fcm.t_total_s,
+                lbl_gma_bytes=c_lbl.total_bytes,
+                fcm_gma_bytes=run.fused.total_bytes,
+                redundancy_ratio=run.fused.redundancy_ratio,
+            )
+        )
     return points

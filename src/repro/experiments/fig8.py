@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GTX1660, RTX_A4000, GpuSpec
-from ..planner.analytic import chain_counters, pair_lbl_counters
-from ..planner.planner import FusePlanner
-from .fusion_cases import select_fusion_cases
+from .fusion_cases import case_runs, select_fusion_cases
 
 __all__ = ["GmaTimeBar", "figure8"]
 
@@ -39,34 +37,18 @@ class GmaTimeBar:
 def figure8(
     gpus: tuple[GpuSpec, ...] = (GTX1660, RTX_A4000), dtype: DType = DType.FP32
 ) -> list[GmaTimeBar]:
-    """Compute all Fig. 8 bars (paper uses GTX and RTX at FP32)."""
+    """Compute all Fig. 8 bars (paper uses GTX and RTX at FP32) for the
+    cases selected on all three GPUs."""
     bars: list[GmaTimeBar] = []
-    for case in select_fusion_cases(dtype):
-        for gpu in gpus:
-            planner = FusePlanner(gpu)
-            decision = planner.evaluate_chain((case.first, case.second))
-            if decision is None:
-                continue
-            c_lbl = pair_lbl_counters(
-                case.first,
-                case.second,
-                planner.lbl_plan(case.first).tiling,
-                planner.lbl_plan(case.second).tiling,
-            )
-            c_fcm = chain_counters(decision.specs, decision.result.tiling)
-            t_lbl = time_kernel(c_lbl, gpu, dtype)
-            t_fcm = time_kernel(c_fcm, gpu, dtype)
-            base = t_lbl.t_memory_s
+    for run in case_runs(select_fusion_cases(dtype), gpus):
+        t_lbl = time_kernel(run.lbl_pair, run.gpu, dtype)
+        t_fcm = time_kernel(run.fused, run.gpu, dtype)
+        base = t_lbl.t_memory_s
+        for variant, t in (("LBL", t_lbl), ("FCM", t_fcm)):
             bars.append(
                 GmaTimeBar(
-                    case.case_id, gpu.name, "LBL",
-                    t_lbl.t_mem_read_s / base, t_lbl.t_mem_write_s / base,
-                )
-            )
-            bars.append(
-                GmaTimeBar(
-                    case.case_id, gpu.name, "FCM",
-                    t_fcm.t_mem_read_s / base, t_fcm.t_mem_write_s / base,
+                    run.case.case_id, run.gpu.name, variant,
+                    t.t_mem_read_s / base, t.t_mem_write_s / base,
                 )
             )
     return bars

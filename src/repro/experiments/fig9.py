@@ -16,9 +16,7 @@ from ..baselines.cudnn import CudnnAlgo, cudnn_counters, cudnn_timing
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import ALL_GPUS, GpuSpec
-from ..planner.analytic import chain_counters, pair_lbl_counters
-from ..planner.planner import FusePlanner
-from .fusion_cases import FusionCase, select_fusion_cases
+from .fusion_cases import FusionCase, case_runs, select_fusion_cases
 
 __all__ = ["CudnnPoint", "figure9", "cudnn_pair_time_s"]
 
@@ -58,34 +56,24 @@ def figure9(
 ) -> list[CudnnPoint]:
     """All Fig. 9 points (paper shows FP32; INT8 is implicit via Fig. 10b)."""
     points: list[CudnnPoint] = []
-    for case in select_fusion_cases(dtype, gpus):
-        for gpu in gpus:
-            planner = FusePlanner(gpu)
-            decision = planner.evaluate_chain((case.first, case.second))
-            if decision is None:
-                continue
-            t_ref = cudnn_pair_time_s(case, CudnnAlgo.IMPLICIT_PRECOMP_GEMM, gpu)
-            gma_ref = cudnn_pair_gma_bytes(case, CudnnAlgo.IMPLICIT_PRECOMP_GEMM)
-            c_lbl = pair_lbl_counters(
-                case.first,
-                case.second,
-                planner.lbl_plan(case.first).tiling,
-                planner.lbl_plan(case.second).tiling,
+    for run in case_runs(select_fusion_cases(dtype, gpus), gpus):
+        case, gpu = run.case, run.gpu
+        t_ref = cudnn_pair_time_s(case, CudnnAlgo.IMPLICIT_PRECOMP_GEMM, gpu)
+        gma_ref = cudnn_pair_gma_bytes(case, CudnnAlgo.IMPLICIT_PRECOMP_GEMM)
+        c_lbl = run.lbl_pair
+        t_lbl = time_kernel(c_lbl, gpu, dtype).t_total_s
+        t_fcm = time_kernel(run.fused, gpu, dtype).t_total_s
+        points.append(
+            CudnnPoint(
+                case_id=case.case_id,
+                gpu=gpu.name,
+                gemm_speedup=t_ref / cudnn_pair_time_s(case, CudnnAlgo.GEMM, gpu),
+                implicit_gemm_speedup=t_ref
+                / cudnn_pair_time_s(case, CudnnAlgo.IMPLICIT_GEMM, gpu),
+                lbl_speedup=t_ref / t_lbl,
+                fcm_speedup=t_ref / t_fcm,
+                lbl_gma_saving=1.0 - c_lbl.total_bytes / gma_ref,
+                fcm_gma_saving=1.0 - run.fused.total_bytes / gma_ref,
             )
-            c_fcm = chain_counters(decision.specs, decision.result.tiling)
-            t_lbl = time_kernel(c_lbl, gpu, dtype).t_total_s
-            t_fcm = time_kernel(c_fcm, gpu, dtype).t_total_s
-            points.append(
-                CudnnPoint(
-                    case_id=case.case_id,
-                    gpu=gpu.name,
-                    gemm_speedup=t_ref / cudnn_pair_time_s(case, CudnnAlgo.GEMM, gpu),
-                    implicit_gemm_speedup=t_ref
-                    / cudnn_pair_time_s(case, CudnnAlgo.IMPLICIT_GEMM, gpu),
-                    lbl_speedup=t_ref / t_lbl,
-                    fcm_speedup=t_ref / t_fcm,
-                    lbl_gma_saving=1.0 - c_lbl.total_bytes / gma_ref,
-                    fcm_gma_saving=1.0 - c_fcm.total_bytes / gma_ref,
-                )
-            )
+        )
     return points

@@ -18,16 +18,19 @@ elements double the feasible tile extents (§VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..core.dtypes import DType
 from ..core.fcm import FcmType
+from ..gpu.counters import AccessCounters
 from ..gpu.specs import ALL_GPUS, GpuSpec
 from ..ir.layers import ConvSpec
 from ..models.zoo import MODELS, PAPER_LABELS, build_model
+from ..planner.analytic import chain_counters, lbl_counters
 from ..planner.plan import ChainStep
 from ..planner.planner import FusePlanner
 
-__all__ = ["FusionCase", "select_fusion_cases", "table2_rows"]
+__all__ = ["FusionCase", "CaseRun", "select_fusion_cases", "case_runs", "table2_rows"]
 
 #: Model order of the paper's Table II columns (two cases per model).
 _CASE_MODEL_ORDER = (
@@ -155,6 +158,41 @@ def select_fusion_cases(
             )
             counter += 1
     return cases
+
+
+@dataclass(frozen=True)
+class CaseRun:
+    """One fusion case evaluated on one GPU, as the fine-grained figures
+    (Table III, Figs. 6-9) read it: the fused step FusePlanner picks for the
+    pair there, and the analytic counters of the pair's two layer-by-layer
+    launches (at their minimum-GMA tilings) and of the fused launch."""
+
+    case: FusionCase
+    gpu: GpuSpec
+    step: ChainStep
+    lbl: tuple[AccessCounters, AccessCounters]
+    fused: AccessCounters
+
+    @property
+    def lbl_pair(self) -> AccessCounters:
+        """The two layer-by-layer launches as one tally."""
+        return AccessCounters().merge(self.lbl[0]).merge(self.lbl[1])
+
+
+def case_runs(cases: Sequence[FusionCase], gpus: Sequence[GpuSpec]) -> list[CaseRun]:
+    """Evaluate every case on every GPU once, case by case; a case no fused
+    module fits on a GPU has no run there."""
+    planners = [FusePlanner(gpu) for gpu in gpus]
+    runs: list[CaseRun] = []
+    for case in cases:
+        for planner in planners:
+            step = planner.evaluate_chain((case.first, case.second))
+            if step is None:
+                continue
+            lbl = tuple(lbl_counters(s, planner.lbl_plan(s).tiling) for s in step.specs)
+            fused = chain_counters(step.specs, step.tiling)
+            runs.append(CaseRun(case, planner.gpu, step, lbl, fused))
+    return runs
 
 
 def table2_rows(dtype: DType) -> list[dict[str, str]]:

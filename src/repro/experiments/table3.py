@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from ..core.dtypes import DType
 from ..gpu.roofline import time_kernel
 from ..gpu.specs import GTX1660, RTX_A4000, GpuSpec
-from ..planner.analytic import chain_counters, lbl_counters
-from ..planner.planner import FusePlanner
-from .fusion_cases import select_fusion_cases
+from .fusion_cases import case_runs, select_fusion_cases
 
 __all__ = ["BoundRow", "table3"]
 
@@ -40,24 +38,13 @@ class BoundRow:
 def table3(
     gpus: tuple[GpuSpec, ...] = (GTX1660, RTX_A4000), dtype: DType = DType.FP32
 ) -> list[BoundRow]:
-    """Classify every fusion case's kernels on the requested GPUs."""
-    rows: list[BoundRow] = []
-    for case in select_fusion_cases(dtype):
-        for gpu in gpus:
-            planner = FusePlanner(gpu)
-            decision = planner.evaluate_chain((case.first, case.second))
-            if decision is None:
-                continue
-            b1 = time_kernel(
-                lbl_counters(case.first, planner.lbl_plan(case.first).tiling),
-                gpu, dtype,
-            ).bound
-            b2 = time_kernel(
-                lbl_counters(case.second, planner.lbl_plan(case.second).tiling),
-                gpu, dtype,
-            ).bound
-            bf = time_kernel(
-                chain_counters(decision.specs, decision.result.tiling), gpu, dtype
-            ).bound
-            rows.append(BoundRow(case.case_id, gpu.name, b1, b2, bf))
-    return rows
+    """Classify the kernels of every fusion case selected on all three GPUs
+    on the requested GPUs."""
+    return [
+        BoundRow(
+            run.case.case_id,
+            run.gpu.name,
+            *(time_kernel(c, run.gpu, dtype).bound for c in (*run.lbl, run.fused)),
+        )
+        for run in case_runs(select_fusion_cases(dtype), gpus)
+    ]

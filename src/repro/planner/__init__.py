@@ -6,7 +6,6 @@ from .costs import (
     dw_feasible,
     dw_gma,
     dw_tile_footprint,
-    lbl_gma,
     pw_feasible,
     pw_gma,
     pw_tile_footprint,
@@ -14,7 +13,7 @@ from .costs import (
 from .grid_search import TilingGrid, chain_grid, lbl_grid, pow2_candidates
 from .memo import GeometryMemo, shared_memo
 from .plan import ChainStep, ExecutionPlan, GlueStep, LblStep, StdStep
-from .planner import CandidateReport, ChainDecision, FusePlanner, ScalarPlanner
+from .planner import CandidateReport, FusePlanner, ScalarPlanner
 from .search import (
     SearchResult,
     best_chain_tiling,
@@ -28,7 +27,6 @@ __all__ = [
     "dw_feasible",
     "dw_gma",
     "dw_tile_footprint",
-    "lbl_gma",
     "pw_feasible",
     "pw_gma",
     "pw_tile_footprint",
@@ -44,7 +42,6 @@ __all__ = [
     "StdStep",
     "FusePlanner",
     "ScalarPlanner",
-    "ChainDecision",
     "CandidateReport",
     "SearchResult",
     "best_chain_tiling",

@@ -54,13 +54,7 @@ from ..core.tiling import ceil_div, input_extent, overlap_elements, tile_windows
 from ..errors import ShapeError, UnsupportedError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
-from .costs import (
-    STREAM_CHUNK,
-    GmaEstimate,
-    _axis_sums,
-    _check_convention,
-    streamed_matmul_l1_bytes,
-)
+from .costs import STREAM_CHUNK, GmaEstimate, streamed_matmul_l1_bytes
 
 __all__ = [
     "FCM_TILING_KEYS",
@@ -68,7 +62,6 @@ __all__ = [
     "FcmCost",
     "chain_dataflow",
     "chain_gma",
-    "dataflow_gma",
     "chain_feasible",
     "chain_footprints",
     "chain_tiling_keys",
@@ -375,11 +368,13 @@ def _window_extents(
 # ---- GMA ---------------------------------------------------------------------
 
 
-def dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
-    """:func:`chain_gma` of a dataflow :func:`chain_dataflow` already read."""
-    _check_convention(convention)
+def chain_gma(chain: FusedChain, tiling: Mapping[str, int]) -> FcmCost:
+    """The Eq. 4 family for one fused-chain configuration, as printed: each
+    boundary's halo overlap comes from the receptive field composed from it
+    to the output, charged twice at the input (as Eq. 3 does) and as
+    recomputed MACs at every intermediate."""
+    flow = chain_dataflow(chain, tiling)
     chain = flow.chain
-    n = chain.length
     first, last = chain.first, chain.last
     tile_h, tile_w = flow.tile_h, flow.tile_w
     weights = sum(s.weights_elements for s in chain.specs)
@@ -387,52 +382,26 @@ def dataflow_gma(flow: ChainDataflow, convention: str) -> FcmCost:
     # A first PW stage reads its (subsampled) input pixel-per-output, so its
     # traffic follows boundary 1's grid; a first DW stage reads boundary 0.
     in_b = 1 if first.kind is ConvKind.POINTWISE else 0
-
-    if convention == "paper":
-        redundant = 0
-        useful = last.macs
-        in_h, in_w = _grid(chain, in_b)
-        k_eff, s_eff = composed_receptive_field(chain.specs[in_b:])
-        ovl_in = overlap_elements(in_w, in_h, tile_w * s_eff, tile_h * s_eff, k_eff, k_eff, s_eff)
-        ifm_reads = first.in_channels * (2 * ovl_in + in_h * in_w)
-        for b in range(1, n):  # intermediate boundaries
-            h, w = _grid(chain, b)
-            k_eff, s_eff = composed_receptive_field(chain.specs[b:])
-            ovl = overlap_elements(w, h, tile_w * s_eff, tile_h * s_eff, k_eff, k_eff, s_eff)
-            stage = chain.specs[b - 1]
-            mpe = _stage_macs_per_elem(stage)
-            redundant += stage.out_channels * ovl * mpe
-            useful += stage.out_channels * h * w * mpe
-    else:
-        # Per-boundary (summed, covered) extents; rows/cols factorize because
-        # the tiles form a grid: sum over (hi, wi) of rext*cext = (sum r)(sum c).
-        rows, cols = flow.windows
-        row_sums = [_axis_sums(r) for r in rows]
-        col_sums = [_axis_sums(c) for c in cols]
-        ifm_reads = first.in_channels * row_sums[in_b][0] * col_sums[in_b][0]
-        redundant = 0
-        useful = last.macs
-        for b in range(1, n):
-            stage = chain.specs[b - 1]
-            mpe = _stage_macs_per_elem(stage)
-            executed = stage.out_channels * row_sums[b][0] * col_sums[b][0]
-            unique = stage.out_channels * row_sums[b][1] * col_sums[b][1]
-            redundant += (executed - unique) * mpe
-            useful += unique * mpe
-
+    in_h, in_w = _grid(chain, in_b)
+    k_eff, s_eff = composed_receptive_field(chain.specs[in_b:])
+    ovl_in = overlap_elements(in_w, in_h, tile_w * s_eff, tile_h * s_eff, k_eff, k_eff, s_eff)
+    ifm_reads = first.in_channels * (2 * ovl_in + in_h * in_w)
+    redundant = 0
+    useful = last.macs
+    for b in range(1, chain.length):  # intermediate boundaries
+        h, w = _grid(chain, b)
+        k_eff, s_eff = composed_receptive_field(chain.specs[b:])
+        ovl = overlap_elements(w, h, tile_w * s_eff, tile_h * s_eff, k_eff, k_eff, s_eff)
+        stage = chain.specs[b - 1]
+        mpe = _stage_macs_per_elem(stage)
+        redundant += stage.out_channels * ovl * mpe
+        useful += stage.out_channels * h * w * mpe
     # Every channel group re-reads the input window; its weight slices and
     # work sum to one full pass per spatial tile.
     reads = flow.n_f * ifm_reads + flow.n_sp * weights
     return FcmCost(
         GmaEstimate(reads, writes, chain.dtype.nbytes), redundant, useful
     )
-
-
-def chain_gma(
-    chain: FusedChain, tiling: Mapping[str, int], convention: str = "paper"
-) -> FcmCost:
-    """Estimate the global memory accesses of one fused-chain configuration."""
-    return dataflow_gma(chain_dataflow(chain, tiling), convention)
 
 
 # ---- feasibility -------------------------------------------------------------

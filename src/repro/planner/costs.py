@@ -1,27 +1,22 @@
 """Layer-by-layer global-memory-access estimators (paper Eq. 2 and Eq. 3).
 
 Costs are computed in *elements* and converted to bytes with the layer dtype,
-since the equations are element-counting identities.  Two conventions are
-implemented, each with one consumer:
-
-* ``paper`` — the equations exactly as printed.  Two notational choices are
-  resolved as documented in DESIGN.md: Eq. 2's weight-reload factor is read
-  as the number of *spatial* OFM tiles (consistent with Eq. 3), and Eq. 3
-  charges overlap as ``2 x IFMsD x Overlap``.  Every tile search ranks in
-  this convention.
-* ``measured`` — what an OS-LWS kernel actually issues, with border clamping
-  and one extra load per shared halo element; this convention matches the
-  simulator's byte counters exactly and is verified by integration tests.
-  The analytic counters (:mod:`repro.planner.analytic`) price in it.
+since the equations are element-counting identities.  They are the equations
+as printed, which every tile search ranks by, with two notational choices
+resolved: Eq. 2's weight-reload factor is read as the number of *spatial*
+OFM tiles (consistent with Eq. 3), and Eq. 3 charges overlap as
+``2 x IFMsD x Overlap``.  What a kernel actually issues (border-clamped
+halo windows, one extra load per shared halo element) is the analytic
+counters' model (:mod:`repro.planner.analytic`); for a PW layer that is
+Eq. 2 itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from ..core.tiling import DwTiling, PwTiling, input_extent, overlap_elements, tile_windows
-from ..errors import ShapeError, UnsupportedError
+from ..core.tiling import DwTiling, PwTiling, input_extent, overlap_elements
+from ..errors import ShapeError
 from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 
@@ -29,7 +24,6 @@ __all__ = [
     "GmaEstimate",
     "pw_gma",
     "dw_gma",
-    "lbl_gma",
     "pw_tile_footprint",
     "dw_tile_footprint",
     "pw_feasible",
@@ -37,8 +31,6 @@ __all__ = [
     "STREAM_CHUNK",
     "streamed_matmul_l1_bytes",
 ]
-
-_CONVENTIONS = ("paper", "measured")
 
 
 @dataclass(frozen=True)
@@ -61,40 +53,13 @@ class GmaEstimate:
     def read_bytes(self) -> int:
         return self.reads_elems * self.elem_bytes
 
-    @property
-    def write_bytes(self) -> int:
-        return self.writes_elems * self.elem_bytes
 
-
-def _check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise UnsupportedError(f"unknown cost convention {convention!r}; use {_CONVENTIONS}")
-
-
-@lru_cache(maxsize=None)
-def _axis_sums(ranges: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """(summed extents, union of extents) of one boundary's
-    :func:`~repro.core.tiling.tile_windows` ranges along one axis (cached
-    with them: the analytic counters price each chain step per session)."""
-    total = 0
-    covered = 0
-    prev_hi = 0
-    for lo, hi in ranges:
-        total += max(hi - lo, 0)
-        lo = max(lo, prev_hi)
-        if hi > lo:
-            covered += hi - lo
-            prev_hi = hi
-    return total, covered
-
-
-def pw_gma(spec: ConvSpec, tiling: PwTiling, convention: str = "paper") -> GmaEstimate:
+def pw_gma(spec: ConvSpec, tiling: PwTiling) -> GmaEstimate:
     """Eq. 2: pointwise-layer global memory accesses under OS-LWS tiling.
 
     ``PwGMA = ceil(WeightsSz/WeightsTileSz) * IFMsSz + OFMsSz
             + n_spatial_tiles * WeightsSz``
     """
-    _check_convention(convention)
     if spec.kind is not ConvKind.POINTWISE:
         raise ShapeError(f"{spec.name}: pw_gma needs a pointwise layer")
     m, c = spec.out_channels, spec.in_channels
@@ -110,52 +75,29 @@ def pw_gma(spec: ConvSpec, tiling: PwTiling, convention: str = "paper") -> GmaEs
     return GmaEstimate(reads, writes, spec.dtype.nbytes)
 
 
-def dw_gma(spec: ConvSpec, tiling: DwTiling, convention: str = "paper") -> GmaEstimate:
+def dw_gma(spec: ConvSpec, tiling: DwTiling) -> GmaEstimate:
     """Eq. 3: depthwise-layer global memory accesses under OS-LWS tiling.
 
     ``DwGMA = 2 * IFMsD * Overlap + IFMsSz + OFMsSz
             + ceil(OFMsHW / OFMsTileHW) * WeightsSz``
     """
-    _check_convention(convention)
     if spec.kind is not ConvKind.DEPTHWISE:
         raise ShapeError(f"{spec.name}: dw_gma needs a depthwise layer")
-    c, k, s, pad = spec.in_channels, spec.kernel, spec.stride, spec.padding
+    c, k, s = spec.in_channels, spec.kernel, spec.stride
     weights = c * k * k
     n_sp_tiles = tiling.num_spatial_tiles(spec.out_h, spec.out_w)
-    if convention == "paper":
-        ovl = overlap_elements(
-            channel_w=spec.in_w,
-            channel_h=spec.in_h,
-            tile_w=tiling.tile_w * s,
-            tile_h=tiling.tile_h * s,
-            filter_w=k,
-            filter_h=k,
-            stride=s,
-        )
-        reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp_tiles * weights
-    else:
-        # Each tile loads its clamped halo-extended window; rows and columns
-        # factorize because the tiles form a grid.
-        rows = tile_windows(spec.out_h, tiling.tile_h, ((k, s, pad, spec.in_h),))[0]
-        cols = tile_windows(spec.out_w, tiling.tile_w, ((k, s, pad, spec.in_w),))[0]
-        reads = c * _axis_sums(rows)[0] * _axis_sums(cols)[0] + n_sp_tiles * weights
+    ovl = overlap_elements(
+        channel_w=spec.in_w,
+        channel_h=spec.in_h,
+        tile_w=tiling.tile_w * s,
+        tile_h=tiling.tile_h * s,
+        filter_w=k,
+        filter_h=k,
+        stride=s,
+    )
+    reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp_tiles * weights
     writes = c * spec.out_h * spec.out_w
     return GmaEstimate(reads, writes, spec.dtype.nbytes)
-
-
-def lbl_gma(
-    spec: ConvSpec, tiling: PwTiling | DwTiling, convention: str = "paper"
-) -> GmaEstimate:
-    """Dispatch Eq. 2 / Eq. 3 by layer kind."""
-    if spec.kind is ConvKind.POINTWISE:
-        if not isinstance(tiling, PwTiling):
-            raise ShapeError(f"{spec.name}: pointwise layer needs a PwTiling")
-        return pw_gma(spec, tiling, convention)
-    if spec.kind is ConvKind.DEPTHWISE:
-        if not isinstance(tiling, DwTiling):
-            raise ShapeError(f"{spec.name}: depthwise layer needs a DwTiling")
-        return dw_gma(spec, tiling, convention)
-    raise UnsupportedError(f"{spec.name}: no LBL cost model for {spec.kind}")
 
 
 # ---- feasibility constraints (shared with the FCM estimators) -----------------

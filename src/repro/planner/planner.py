@@ -25,13 +25,12 @@ from dataclasses import dataclass, replace
 
 from ..core.chain import FusedChain
 from ..core.dtypes import DType
-from ..core.fcm import FcmType
 from ..errors import PlanError
 from ..gpu.specs import GpuSpec
 from ..ir.graph import GlueSpec, ModelGraph
 from ..ir.layers import ConvKind, ConvSpec
 from ..obs import resolve_metrics, resolve_tracer
-from .chain_costs import chain_vocabularies, fcm_type_of
+from .chain_costs import chain_vocabularies
 from .memo import shared_memo, spec_key
 from .plan import (
     ChainStep,
@@ -50,45 +49,7 @@ from .search import (
     scalar_lbl_tiling,
 )
 
-__all__ = ["FusePlanner", "ScalarPlanner", "ChainDecision", "CandidateReport"]
-
-
-@dataclass(frozen=True)
-class ChainDecision:
-    """Outcome of evaluating one candidate chain (length >= 2)."""
-
-    specs: tuple[ConvSpec, ...]
-    result: SearchResult
-    lbl_gma_bytes: int  # what the member layers would cost unfused
-
-    @property
-    def length(self) -> int:
-        return len(self.specs)
-
-    @property
-    def fcm_type(self) -> FcmType | None:
-        """The FCM the winning tiling speaks (``None`` beyond length 2)."""
-        return fcm_type_of(self.specs, self.result.tiling)
-
-    @property
-    def savings_bytes(self) -> int:
-        return self.lbl_gma_bytes - self.result.gma_bytes
-
-    @property
-    def label(self) -> str:
-        fcm_type = self.fcm_type
-        if fcm_type is not None:
-            return fcm_type.name
-        return "-".join(s.kind.short.upper() for s in self.specs)
-
-    def to_step(self) -> ChainStep:
-        return ChainStep(
-            specs=self.specs,
-            tiling=self.result.tiling,
-            est_gma_bytes=self.result.gma_bytes,
-            est_lbl_gma_bytes=self.lbl_gma_bytes,
-            redundancy_ratio=self.result.redundancy_ratio,
-        )
+__all__ = ["FusePlanner", "ScalarPlanner", "CandidateReport"]
 
 
 @dataclass(frozen=True)
@@ -156,7 +117,7 @@ class FusePlanner:
         self._covered: dict[DType, bool] = {}
         self._lbl_cache: dict[tuple, SearchResult] = {}
         #: memoized chain searches by run geometry; layer names are excluded
-        #: deliberately, so lbl_gma_bytes is recomputed per actual span.
+        #: deliberately, so est_lbl_gma_bytes is recomputed per actual span.
         self._chain_cache: dict[tuple, SearchResult | None] = {}
         #: candidate evaluations of the most recent :meth:`plan` call.
         self.last_candidates: list[CandidateReport] = []
@@ -209,22 +170,25 @@ class FusePlanner:
     def _lbl_cost(self, spec: ConvSpec):
         return self._cost(lbl_family(spec), self.lbl_plan(spec).gma_bytes, spec.dtype)
 
-    def _fused_cost(self, specs: tuple[ConvSpec, ...], result: SearchResult):
-        """:meth:`_cost` of one fused candidate; its family is read off its
-        tiling only when a calibration needs it."""
+    def _fused_cost(self, specs: tuple[ConvSpec, ...], tiling: dict[str, int], gma_bytes: int):
+        """:meth:`_cost` of one fused candidate that moves ``gma_bytes`` under
+        ``tiling``; its family is read off the tiling only when a calibration
+        needs it."""
         if not self._calibrated(specs[0].dtype):
-            return result.gma_bytes
-        return self._cost(chain_family(specs, result.tiling), result.gma_bytes, specs[0].dtype)
+            return gma_bytes
+        return self._cost(chain_family(specs, tiling), gma_bytes, specs[0].dtype)
 
-    def _decision_savings(self, dec: "ChainDecision"):
+    def _step_savings(self, step: ChainStep):
         """DP weight of fusing one chain: unfused cost minus fused cost."""
-        if not self._calibrated(dec.specs[0].dtype):
-            return dec.savings_bytes
-        return sum(self._lbl_cost(s) for s in dec.specs) - self._fused_cost(dec.specs, dec.result)
+        if not self._calibrated(step.first.dtype):
+            return step.est_savings_bytes
+        fused = self._fused_cost(step.specs, step.tiling, step.est_gma_bytes)
+        return sum(self._lbl_cost(s) for s in step.specs) - fused
 
     # ---- chain evaluation -------------------------------------------------------
-    def evaluate_chain(self, specs: tuple[ConvSpec, ...]) -> ChainDecision | None:
-        """Best feasible fused implementation of a consecutive layer run.
+    def evaluate_chain(self, specs: tuple[ConvSpec, ...]) -> ChainStep | None:
+        """Best feasible fused implementation of a consecutive layer run, as
+        the plan step that would run it.
 
         Every tiling vocabulary the run speaks is searched
         (:func:`~repro.planner.chain_costs.chain_vocabularies`: a pair's FCM
@@ -246,7 +210,13 @@ class FusePlanner:
         result = self._chain_cache[key]
         if result is None:
             return None
-        return ChainDecision(specs=specs, result=result, lbl_gma_bytes=lbl_total)
+        return ChainStep(
+            specs=specs,
+            tiling=result.tiling,
+            est_gma_bytes=result.gma_bytes,
+            est_lbl_gma_bytes=lbl_total,
+            redundancy_ratio=result.redundancy_ratio,
+        )
 
     def _search_chain(self, specs: tuple[ConvSpec, ...]) -> SearchResult | None:
         chain = FusedChain(specs)
@@ -255,7 +225,7 @@ class FusePlanner:
             res = self._chain_tiling(chain, keys)
             if res is None:
                 continue
-            rank = (self._fused_cost(specs, res), res.redundancy_ratio)
+            rank = (self._fused_cost(specs, res.tiling, res.gma_bytes), res.redundancy_ratio)
             if best is None or rank < best[0]:
                 best = (rank, res)
         return None if best is None else best[1]
@@ -263,7 +233,7 @@ class FusePlanner:
     # ---- run partitioning -------------------------------------------------------
     def _partition_run(
         self, specs: list[ConvSpec]
-    ) -> tuple[list[ChainDecision], list[CandidateReport]]:
+    ) -> tuple[list[ChainStep], list[CandidateReport]]:
         """Optimal partition of one linear run into chains of length 1..K.
 
         Interval DP maximizing total estimated savings over the run — GMA
@@ -275,7 +245,7 @@ class FusePlanner:
         n = len(specs)
         best = [0] * (n + 1)
         choice = [1] * (n + 1)
-        picked: dict[tuple[int, int], ChainDecision] = {}
+        picked: dict[tuple[int, int], ChainStep] = {}
         reports: list[CandidateReport] = []
         for i in range(1, n + 1):
             best[i] = best[i - 1]
@@ -283,35 +253,35 @@ class FusePlanner:
             for length in range(2, min(self.max_chain, i) + 1):
                 span = tuple(specs[i - length : i])
                 try:
-                    dec = self.evaluate_chain(span)
+                    step = self.evaluate_chain(span)
                     lbl = (
-                        dec.lbl_gma_bytes
-                        if dec is not None
+                        step.est_lbl_gma_bytes
+                        if step is not None
                         else sum(self.lbl_plan(s).gma_bytes for s in span)
                     )
                 except PlanError:
-                    dec, lbl = None, 0  # no feasible LBL baseline either
-                savings = self._decision_savings(dec) if dec is not None else 0
+                    step, lbl = None, 0  # no feasible LBL baseline either
+                savings = self._step_savings(step) if step is not None else 0
                 reports.append(
                     CandidateReport(
                         layers=tuple(s.name for s in span),
-                        label=dec.label if dec is not None else "infeasible",
-                        feasible=dec is not None,
-                        gma_bytes=dec.result.gma_bytes if dec is not None else 0,
+                        label=step.label if step is not None else "infeasible",
+                        feasible=step is not None,
+                        gma_bytes=step.est_gma_bytes if step is not None else 0,
                         lbl_gma_bytes=lbl,
-                        savings_bytes=dec.savings_bytes if dec is not None else 0,
+                        savings_bytes=step.est_savings_bytes if step is not None else 0,
                         chosen=False,
                         cost_savings=float(savings),
                     )
                 )
-                if dec is None or savings <= 0:
+                if step is None or savings <= 0:
                     continue
-                picked[(i - length, i)] = dec
+                picked[(i - length, i)] = step
                 total = best[i - length] + savings
                 if total > best[i]:
                     best[i] = total
                     choice[i] = length
-        chosen: list[ChainDecision] = []
+        chosen: list[ChainStep] = []
         i = n
         while i > 0:
             length = choice[i]
@@ -319,7 +289,7 @@ class FusePlanner:
                 chosen.append(picked[(i - length, i)])
             i -= length
         chosen.reverse()
-        chosen_layers = {tuple(s.name for s in d.specs) for d in chosen}
+        chosen_layers = {step.layer_names for step in chosen}
         reports = [
             r if r.layers not in chosen_layers else replace(r, chosen=True)
             for r in reports
@@ -346,15 +316,15 @@ class FusePlanner:
             retype = (lambda s: s.with_dtype(dtype)) if dtype is not None else (lambda s: s)
 
             # Pass 1+2: evaluate candidates and partition every fusable run.
-            chosen: dict[str, ChainDecision] = {}
+            chosen: dict[str, ChainStep] = {}
             consumed: set[str] = set()
             self.last_candidates = []
             for run in graph.fusion_runs():
-                decisions, reports = self._partition_run([retype(s) for s in run])
+                steps, reports = self._partition_run([retype(s) for s in run])
                 self.last_candidates.extend(reports)
-                for dec in decisions:
-                    chosen[dec.specs[0].name] = dec
-                    consumed.update(s.name for s in dec.specs[1:])
+                for step in steps:
+                    chosen[step.first.name] = step
+                    consumed.update(step.layer_names[1:])
 
             plan_dtype = dtype if dtype is not None else graph.dtype
             if plan_dtype is None:
@@ -366,7 +336,7 @@ class FusePlanner:
                     continue
                 spec = retype(spec)
                 if spec.name in chosen:
-                    plan.steps.append(chosen[spec.name].to_step())
+                    plan.steps.append(chosen[spec.name])
                     continue
                 if spec.name in consumed:
                     continue  # executed inside its producer's chain step

@@ -301,10 +301,9 @@ class _PlanSession:
                 res = kernel.simulate_batch(inputs[0], gpu, engine)
                 out, metered = res.output, res.counters
             elif isinstance(step, (StdStep, TvmConvStep)):
-                launch = _cudnn_launch(step)
+                algo = _cudnn_launch(step)["algo"]
                 out = np.stack([
-                    run_cudnn(params[step.spec.name], ifm, gpu=gpu, **launch)[0]
-                    for ifm in inputs[0]
+                    run_cudnn(params[step.spec.name], ifm, algo) for ifm in inputs[0]
                 ])
             else:
                 scales = [params.out_scales.get(p) for p in preds]

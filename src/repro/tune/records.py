@@ -31,6 +31,7 @@ from typing import Iterable, Iterator
 
 from ..errors import TuneError
 from ..ir.layers import ConvSpec
+from ..planner.memo import spec_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,22 +50,10 @@ _DB_KIND = "repro-tunedb"
 
 
 def spec_geometry(spec: ConvSpec) -> tuple:
-    """Geometry tuple of one conv layer — everything its cost depends on.
-
-    Mirrors the planner's LBL memo key (kind, channels, spatial extent,
-    kernel, stride, padding) minus the dtype, which lives on the
-    :class:`TuningKey` itself.
-    """
-    return (
-        spec.kind.short,
-        spec.in_channels,
-        spec.out_channels,
-        spec.in_h,
-        spec.in_w,
-        spec.kernel,
-        spec.stride,
-        spec.padding,
-    )
+    """Geometry tuple of one conv layer — everything its cost depends on:
+    the planner's memo key (:func:`~repro.planner.memo.spec_key`) minus the
+    dtype, which lives on the :class:`TuningKey` itself."""
+    return spec_key(spec)[:-1]
 
 
 def chain_geometry(specs: Iterable[ConvSpec]) -> tuple:

@@ -133,15 +133,13 @@ class TestCudnnModels:
         ):
             params = make_layer_params(spec)
             x = random_ifm(spec)
-            out, counters, timing = run_cudnn(params, x, CudnnAlgo.IMPLICIT_GEMM,
-                                              RTX_A4000)
+            out = run_cudnn(params, x, CudnnAlgo.IMPLICIT_GEMM)
             ref = ref_layer(params, x)
+            assert out.shape == spec.ofm.shape and out.dtype == ref.dtype
             if spec.dtype is DType.INT8:
                 np.testing.assert_array_equal(out, ref)
             else:
                 np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-4)
-            assert counters.kernel_launches == 1
-            assert timing.t_total_s > 0
 
 
 class TestAutotune:

@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
+from repro.core.fcm import FcmType
 from repro.experiments.fig1 import figure1
 from repro.experiments.fig10_fig11 import end_to_end_point
-from repro.experiments.fig6_fig7 import fcm_vs_lbl_case, figure6_7
+from repro.experiments.fig6_fig7 import figure6_7
 from repro.experiments.fig8 import figure8
 from repro.experiments.fig9 import figure9
-from repro.experiments.fusion_cases import select_fusion_cases, table2_rows
+from repro.experiments.fusion_cases import (
+    FusionCase,
+    case_runs,
+    select_fusion_cases,
+    table2_rows,
+)
 from repro.experiments.reporting import format_table
 from repro.experiments.table3 import table3
 from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
-from repro.planner.analytic import chain_counters, lbl_counters, pair_lbl_counters
+from repro.planner.analytic import chain_counters, lbl_counters
+from repro.planner.planner import FusePlanner
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +111,62 @@ class TestFig6Fig7:
                 assert p.fcm_gma_bytes < p.lbl_gma_bytes
 
     def test_single_case_api(self, fp32_cases):
-        p = fcm_vs_lbl_case(fp32_cases[0], RTX_A4000)
-        assert p is not None and p.gpu == "RTX"
+        (run,) = case_runs(fp32_cases[:1], (RTX_A4000,))
+        assert run.case is fp32_cases[0] and run.gpu is RTX_A4000
+        assert run.step.specs == (run.case.first, run.case.second)
+        assert run.fused.kernel_launches == 1
+
+
+class TestCaseRuns:
+    def test_each_case_evaluated_once_per_gpu(self, fp32_cases):
+        gpus = (GTX1660, RTX_A4000, ORIN)
+        runs = case_runs(fp32_cases, gpus)
+        keys = [(r.case.case_id, r.gpu.name) for r in runs]
+        # Case by case, in the GPUs' order, each (case, GPU) at most once.
+        rank = {
+            (c.case_id, g.name): (i, j)
+            for i, c in enumerate(fp32_cases)
+            for j, g in enumerate(gpus)
+        }
+        assert keys == sorted(keys, key=rank.__getitem__)
+        assert len(set(keys)) == len(keys)
+        for run in runs:
+            planner = FusePlanner(run.gpu)
+            assert run.step == planner.evaluate_chain((run.case.first, run.case.second))
+            assert run.fused == chain_counters(run.step.specs, run.step.tiling)
+
+    def test_unfusable_case_has_no_run(self, tiny_gpu):
+        from helpers import dw_spec, pw_spec
+
+        dw = dw_spec(c=512, h=64, w=64)
+        pw = pw_spec(c_in=512, c_out=512, h=64, w=64)
+        case = FusionCase("X1", "mobilenet_v1", dw, pw, FcmType.DWPW, 0.0, 1)
+        assert FusePlanner(tiny_gpu).evaluate_chain((dw, pw)) is None
+        (run,) = case_runs([case], (tiny_gpu, RTX_A4000))
+        assert run.gpu is RTX_A4000 and run.step.fcm_type is FcmType.DWPW
+
+    def test_figures_map_the_runs(self):
+        """Figs. 6/7 draw a point per run, Fig. 8 an LBL and an FCM bar and
+        Table III a row, in the runs' order; Figs. 6/7 select cases on the
+        GPUs they draw, Fig. 8 and Table III on all three."""
+        gpus = (GTX1660,)
+        runs = case_runs(select_fusion_cases(DType.FP32, gpus), gpus)
+        points = figure6_7(DType.FP32, gpus)
+        assert [(p.case_id, p.gpu) for p in points] == [
+            (r.case.case_id, r.gpu.name) for r in runs
+        ]
+        for p, run in zip(points, runs):
+            assert p.fcm_type == run.step.fcm_type.name
+            assert p.lbl_gma_bytes == run.lbl_pair.total_bytes
+            assert p.fcm_gma_bytes == run.fused.total_bytes
+
+        all_gpu_cases = select_fusion_cases(DType.FP32)
+        keys = [(r.case.case_id, r.gpu.name) for r in case_runs(all_gpu_cases, gpus)]
+        bars = figure8(gpus=gpus)
+        assert [(b.case_id, b.gpu, b.variant) for b in bars] == [
+            (*k, v) for k in keys for v in ("LBL", "FCM")
+        ]
+        assert [(r.case_id, r.gpu) for r in table3(gpus=gpus)] == keys
 
 
 class TestFig8:
@@ -173,6 +236,30 @@ class TestTable3:
         assert flips
 
 
+class TestPinnedFigures:
+    """Regression guard: every point of the fine-grained evaluation, pinned.
+
+    The other tests here check signs and shares only.  A change that means
+    to move a figure (the simulated clock, the case selection, the planner)
+    re-pins the digest and says so; any other change must leave it as it is.
+    """
+
+    #: SHA-256 over ``repr`` of every point below, in this order (165 points).
+    DIGEST = "aa9b31723d2ca2087d3def8fcf25b84e3a982bbc1d4dc34b8f4a2ad636c8216e"
+
+    def test_figures_are_pinned(self):
+        h = hashlib.sha256()
+        for point in (
+            *figure6_7(DType.FP32),
+            *figure6_7(DType.INT8),
+            *figure8(),
+            *figure9(DType.FP32),
+            *table3(),
+        ):
+            h.update(repr(point).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("model", ["mobilenet_v1", "mobilenet_v2"])
     def test_we_beat_tvm(self, model):
@@ -193,18 +280,16 @@ class TestEndToEnd:
 
 
 class TestAnalyticCounters:
-    def test_pair_merge(self):
-        from helpers import dw_spec, pw_spec
-
-        pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
-        dw = dw_spec(c=16, h=12, w=12)
-        a = lbl_counters(pw, {"tile_m": 8, "tile_hw": 36})
-        b = lbl_counters(dw, {"tile_c": 8, "tile_h": 4, "tile_w": 4})
-        pair = pair_lbl_counters(
-            pw, dw, {"tile_m": 8, "tile_hw": 36}, {"tile_c": 8, "tile_h": 4, "tile_w": 4}
-        )
-        assert pair.total_bytes == a.total_bytes + b.total_bytes
-        assert pair.kernel_launches == 2
+    def test_pair_merge(self, fp32_cases):
+        for run in case_runs(fp32_cases[:2], (GTX1660, RTX_A4000)):
+            a, b = run.lbl
+            assert (a, b) == tuple(
+                lbl_counters(s, FusePlanner(run.gpu).lbl_plan(s).tiling) for s in run.step.specs
+            )
+            pair = run.lbl_pair
+            assert pair.total_bytes == a.total_bytes + b.total_bytes
+            assert pair.kernel_launches == 2
+            assert (a.kernel_launches, b.kernel_launches) == (1, 1)  # not merged in place
 
     def test_fcm_counters_track_redundancy(self):
         from helpers import dw_spec, pw_spec

@@ -585,7 +585,7 @@ def test_kernel_oracle_prices_every_exhaustive_tiling(monkeypatch):
     lbl_steps = [
         s for s in planner.plan(build_model("tiny_b")).steps if isinstance(s, LblStep)
     ]
-    fused = planner.evaluate_chain(tuple(s.spec for s in lbl_steps)).to_step()
+    fused = planner.evaluate_chain(tuple(s.spec for s in lbl_steps))
     price = measure.measured_step_cost_s
     for step in (lbl_steps[0], fused):
         seen: list[dict[str, int]] = []

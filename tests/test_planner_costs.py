@@ -1,6 +1,9 @@
-"""Cost-model tests: paper equations verbatim + measured == simulated."""
+"""Cost-model tests: paper equations verbatim + the analytic counters == simulated."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,25 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dw_spec, pw_spec, random_ifm
-from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
 from repro.core.tiling import DwTiling, PwTiling, ceil_div, overlap_elements
 from repro.errors import ShapeError, UnsupportedError
 from repro.gpu.specs import RTX_A4000
+from repro.ir.layers import ConvKind, ConvSpec
 from repro.kernels.params import make_layer_params
 from repro.kernels.registry import build_lbl_kernel
-from repro.planner.chain_costs import chain_dataflow, chain_gma, dataflow_gma
+from repro.planner.analytic import lbl_counters
 from repro.planner.costs import (
     dw_feasible,
     dw_gma,
-    lbl_gma,
     pw_feasible,
     pw_gma,
     pw_tile_footprint,
 )
-
-#: a DW->PW pair on the default 12x12 plane.
-_PAIR = FusedChain((dw_spec(), pw_spec()))
 
 
 class TestPwGmaEquation2:
@@ -34,7 +33,7 @@ class TestPwGmaEquation2:
         """Eq. 2 on a hand-computable case."""
         spec = pw_spec(c_in=8, c_out=16, h=12, w=12)  # out_hw = 144
         t = PwTiling(tile_m=4, tile_hw=36)
-        est = pw_gma(spec, t, "paper")
+        est = pw_gma(spec, t)
         weights = 16 * 8
         reads = ceil_div(16, 4) * (8 * 144) + ceil_div(144, 36) * weights
         assert est.reads_elems == reads
@@ -60,7 +59,9 @@ class TestPwGmaEquation2:
             pw_gma(dw_spec(), PwTiling(4, 16))
 
     def test_unknown_convention(self):
-        with pytest.raises(UnsupportedError):
+        # The equations take no convention: the measured model is the
+        # analytic counters'.
+        with pytest.raises(TypeError):
             pw_gma(pw_spec(), PwTiling(4, 16), "guessed")
 
 
@@ -68,7 +69,7 @@ class TestDwGmaEquation3:
     def test_verbatim_value_stride1(self):
         spec = dw_spec(c=8, h=16, w=16, kernel=3, stride=1)
         t = DwTiling(tile_c=8, tile_h=8, tile_w=8)
-        est = dw_gma(spec, t, "paper")
+        est = dw_gma(spec, t)
         ovl = overlap_elements(16, 16, 8, 8, 3, 3, 1)
         reads = 2 * 8 * ovl + 8 * 16 * 16 + 4 * (8 * 9)
         assert est.reads_elems == reads
@@ -76,7 +77,7 @@ class TestDwGmaEquation3:
 
     def test_single_tile_no_overlap_term(self):
         spec = dw_spec(c=4, h=10, w=10)
-        est = dw_gma(spec, DwTiling(4, 10, 10), "paper")
+        est = dw_gma(spec, DwTiling(4, 10, 10))
         assert est.reads_elems == 4 * 100 + 4 * 9
 
     def test_measured_matches_simulator_exactly(self):
@@ -86,10 +87,9 @@ class TestDwGmaEquation3:
             spec = dw_spec(c=8, h=16, w=16, kernel=kernel, stride=stride)
             params = make_layer_params(spec)
             x = random_ifm(spec)
-            res = build_lbl_kernel(
-                params, {"tile_c": tc, "tile_h": th, "tile_w": tw}
-            ).simulate(x, RTX_A4000)
-            est = dw_gma(spec, DwTiling(tc, th, tw), "measured")
+            tiling = {"tile_c": tc, "tile_h": th, "tile_w": tw}
+            res = build_lbl_kernel(params, tiling).simulate(x, RTX_A4000, "reference")
+            est = lbl_counters(spec, tiling)
             assert res.counters.total_bytes == est.total_bytes
             assert res.counters.read_bytes == est.read_bytes
             assert res.counters.write_bytes == est.write_bytes
@@ -99,9 +99,8 @@ class TestDwGmaEquation3:
         spec = dw_spec(c=8, h=28, w=28)
         for th in (4, 7, 14):
             t = DwTiling(8, th, th)
-            assert dw_gma(spec, t, "paper").total_bytes >= dw_gma(
-                spec, t, "measured"
-            ).total_bytes
+            measured = lbl_counters(spec, {"tile_c": 8, "tile_h": th, "tile_w": th})
+            assert dw_gma(spec, t).total_bytes >= measured.total_bytes
 
 
 class TestPwMeasuredMatchesSimulator:
@@ -109,20 +108,19 @@ class TestPwMeasuredMatchesSimulator:
     def test_exact(self, tile_m, tile_hw):
         spec = pw_spec(c_in=8, c_out=16, h=12, w=12)
         params = make_layer_params(spec)
-        res = build_lbl_kernel(
-            params, {"tile_m": tile_m, "tile_hw": tile_hw}
-        ).simulate(random_ifm(spec), RTX_A4000)
-        est = pw_gma(spec, PwTiling(tile_m, tile_hw), "measured")
-        assert res.counters.total_bytes == est.total_bytes
+        tiling = {"tile_m": tile_m, "tile_hw": tile_hw}
+        res = build_lbl_kernel(params, tiling).simulate(random_ifm(spec), RTX_A4000, "reference")
+        assert res.counters.total_bytes == lbl_counters(spec, tiling).total_bytes
+        # Eq. 2 is exactly what a PW kernel issues.
+        assert res.counters.total_bytes == pw_gma(spec, PwTiling(tile_m, tile_hw)).total_bytes
 
     def test_strided(self):
         spec = pw_spec(stride=2)
         params = make_layer_params(spec)
         res = build_lbl_kernel(params, {"tile_m": 4, "tile_hw": 9}).simulate(
-            random_ifm(spec), RTX_A4000
+            random_ifm(spec), RTX_A4000, "reference"
         )
-        est = pw_gma(spec, PwTiling(4, 9), "measured")
-        assert res.counters.total_bytes == est.total_bytes
+        assert res.counters.total_bytes == pw_gma(spec, PwTiling(4, 9)).total_bytes
 
 
 class TestConstraints:
@@ -145,9 +143,10 @@ class TestConstraints:
 
     def test_lbl_dispatch(self):
         with pytest.raises(ShapeError):
-            lbl_gma(pw_spec(), DwTiling(1, 1, 1))
-        with pytest.raises(ShapeError):
-            lbl_gma(dw_spec(), PwTiling(1, 1))
+            dw_gma(pw_spec(), DwTiling(1, 1, 1))
+        std = ConvSpec("std", ConvKind.STANDARD, 3, 8, 12, 12, kernel=3, stride=1, padding=1)
+        with pytest.raises(UnsupportedError):
+            lbl_counters(std, {"tile_m": 1, "tile_hw": 1})
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,33 +158,34 @@ class TestConstraints:
     tile_hw=st.sampled_from([4, 16, 64, 256]),
 )
 def test_pw_measured_equals_simulated_property(c, m, hw, tile_m, tile_hw):
-    """Property: Eq. 2 (measured) == simulator bytes on random configs."""
+    """Property: Eq. 2 == the analytic counters == simulator bytes on random
+    configs."""
     spec = pw_spec(c_in=c, c_out=m, h=hw, w=hw)
     params = make_layer_params(spec)
     x = np.random.default_rng(0).standard_normal(spec.ifm.shape).astype(np.float32)
-    res = build_lbl_kernel(params, {"tile_m": tile_m, "tile_hw": tile_hw}).simulate(
-        x, RTX_A4000
-    )
-    est = pw_gma(spec, PwTiling(tile_m, tile_hw), "measured")
-    assert res.counters.total_bytes == est.total_bytes
+    tiling = {"tile_m": tile_m, "tile_hw": tile_hw}
+    res = build_lbl_kernel(params, tiling).simulate(x, RTX_A4000, "reference")
+    assert res.counters.total_bytes == lbl_counters(spec, tiling).total_bytes
+    assert res.counters.total_bytes == pw_gma(spec, PwTiling(tile_m, tile_hw)).total_bytes
 
 
-@pytest.mark.parametrize(
-    "cost",
-    [
-        lambda conv: pw_gma(pw_spec(), PwTiling(4, 16), conv),
-        lambda conv: dw_gma(dw_spec(), DwTiling(4, 4, 4), conv),
-        lambda conv: lbl_gma(dw_spec(), DwTiling(4, 4, 4), conv),
-        lambda conv: chain_gma(_PAIR, {"tile_h": 4, "tile_w": 4, "tile_m": 8}, conv),
-        lambda conv: dataflow_gma(
-            chain_dataflow(_PAIR, {"tile_h": 4, "tile_w": 4, "tile_m": 8}), conv
-        ),
-    ],
-    ids=["pw_gma", "dw_gma", "lbl_gma", "chain_gma", "dataflow_gma"],
-)
-def test_every_cost_function_checks_one_convention_list(cost):
-    """Both conventions price, and an unknown one raises the same error."""
-    for convention in ("paper", "measured"):
-        cost(convention)
-    with pytest.raises(UnsupportedError, match=r"unknown cost convention 'guessed'; use \("):
-        cost("guessed")
+def test_cost_equations_and_measured_model_are_split():
+    """The cost functions are the paper's equations only and the measured
+    model lives in :mod:`repro.planner.analytic`: no function under
+    ``src/repro/planner`` takes a ``convention``, and only the analytic
+    module defines ``_axis_sums`` (the clamped-window sums it prices)."""
+    planner = Path(__file__).resolve().parents[1] / "src" / "repro" / "planner"
+    takes_convention, defines_axis_sums = [], []
+    for path in sorted(planner.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if "convention" in names:
+                takes_convention.append(f"{path.name}::{node.name}")
+            if node.name == "_axis_sums":
+                defines_axis_sums.append(path.name)
+    assert takes_convention == []
+    assert defines_axis_sums == ["analytic.py"]

@@ -1,8 +1,10 @@
-"""FCM estimator tests: Eq. 4 family, measured == simulated per module type.
+"""FCM estimator tests: Eq. 4 family, analytic counters == simulated per
+module type.
 
 Every FCM is the length-2 chain under its type's tiling vocabulary, so each
-check prices the pair through the chain model and runs it through the chain
-kernel the registry builds for that vocabulary.
+check prices the pair through the chain model (the paper's equations, or the
+measured model of :func:`~repro.planner.analytic.chain_counters`) and runs it
+through the chain kernel the registry builds for that vocabulary.
 """
 
 from __future__ import annotations
@@ -16,18 +18,20 @@ from repro.errors import ShapeError
 from repro.gpu.specs import ORIN, RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel
+from repro.planner.analytic import chain_counters
 from repro.planner.chain_costs import chain_feasible, chain_footprints, chain_gma
 
 
 def _simulate(first, second, tiling, gpu=RTX_A4000):
+    """The per-block reference launch, which meters every block itself."""
     p1 = make_layer_params(first)
     p2 = chain_quant(p1, second)
     x = random_ifm(first)
-    return build_chain_kernel([p1, p2], tiling).simulate(x, gpu)
+    return build_chain_kernel([p1, p2], tiling).simulate(x, gpu, "reference")
 
 
-def _gma(first, second, tiling, convention="paper"):
-    return chain_gma(FusedChain((first, second)), tiling, convention)
+def _gma(first, second, tiling):
+    return chain_gma(FusedChain((first, second)), tiling)
 
 
 class TestMeasuredMatchesSimulator:
@@ -36,16 +40,16 @@ class TestMeasuredMatchesSimulator:
         pw = pw_spec(c_in=8, c_out=24, h=14, w=14)
         tiling = {"tile_h": 5, "tile_w": 5, "tile_m": 8}
         res = _simulate(dw, pw, tiling)
-        cost = _gma(dw, pw, tiling, "measured")
-        assert res.counters.total_bytes == cost.gma.total_bytes
-        assert res.counters.total_macs == cost.useful_macs + cost.redundant_macs
+        cost = chain_counters((dw, pw), tiling)
+        assert res.counters.total_bytes == cost.total_bytes
+        assert res.counters.total_macs == cost.total_macs
 
     def test_pwdw(self):
         pw = pw_spec(c_in=8, c_out=16, h=12, w=12)
         dw = dw_spec(c=16, h=12, w=12, stride=2)
         res = _simulate(pw, dw, {"tile_f": 4}, ORIN)
-        cost = _gma(pw, dw, {"tile_f": 4}, "measured")
-        assert res.counters.total_bytes == cost.gma.total_bytes
+        cost = chain_counters((pw, dw), {"tile_f": 4})
+        assert res.counters.total_bytes == cost.total_bytes
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_pwdw_r(self, stride):
@@ -53,8 +57,8 @@ class TestMeasuredMatchesSimulator:
         dw = dw_spec(c=16, h=12, w=12, stride=stride)
         tiling = {"tile_f": 8, "tile_h": 3, "tile_w": 3}
         res = _simulate(pw, dw, tiling)
-        cost = _gma(pw, dw, tiling, "measured")
-        assert res.counters.total_bytes == cost.gma.total_bytes
+        cost = chain_counters((pw, dw), tiling)
+        assert res.counters.total_bytes == cost.total_bytes
         assert res.counters.redundant_macs == cost.redundant_macs
         assert res.counters.redundancy_ratio == pytest.approx(cost.redundancy_ratio)
 
@@ -63,8 +67,8 @@ class TestMeasuredMatchesSimulator:
         pw2 = pw_spec("pw2", c_in=24, c_out=16, h=10, w=10)
         tiling = {"tile_hw": 25, "tile_m": 8}
         res = _simulate(pw1, pw2, tiling)
-        cost = _gma(pw1, pw2, tiling, "measured")
-        assert res.counters.total_bytes == cost.gma.total_bytes
+        cost = chain_counters((pw1, pw2), tiling)
+        assert res.counters.total_bytes == cost.total_bytes
 
 
 class TestEquation4PaperConvention:
@@ -73,7 +77,7 @@ class TestEquation4PaperConvention:
         pw = pw_spec(c_in=4, c_out=8, h=8, w=8)
         dw = dw_spec(c=8, h=8, w=8, kernel=3, stride=1)
         tiling = {"tile_f": 4, "tile_h": 4, "tile_w": 4}
-        cost = _gma(pw, dw, tiling, "paper")
+        cost = _gma(pw, dw, tiling)
         from repro.core.tiling import overlap_elements
 
         ovl = overlap_elements(8, 8, 4, 4, 3, 3, 1)
@@ -88,7 +92,7 @@ class TestEquation4PaperConvention:
     def test_no_redundancy_without_spatial_tiling(self):
         pw = pw_spec(c_in=4, c_out=8, h=8, w=8)
         dw = dw_spec(c=8, h=8, w=8)
-        cost = _gma(pw, dw, {"tile_f": 4, "tile_h": 8, "tile_w": 8}, "paper")
+        cost = _gma(pw, dw, {"tile_f": 4, "tile_h": 8, "tile_w": 8})
         assert cost.redundant_macs == 0
 
     def test_pair_validation(self):

@@ -117,6 +117,16 @@ class TestFusePlanner:
             if isinstance(s, LblStep):
                 assert s.spec.dtype is DType.INT8
 
+    def test_evaluate_chain_returns_the_planned_step(self):
+        """A candidate is priced once, as the very step the plan keeps."""
+        for gpu in (GTX1660, ORIN):
+            for max_chain in (2, 3):
+                plan = FusePlanner(gpu, max_chain=max_chain).plan(self._graph())
+                assert plan.fcm_steps
+                for step in plan.fcm_steps:
+                    fresh = FusePlanner(gpu, max_chain=max_chain).evaluate_chain(step.specs)
+                    assert fresh == step
+
     def test_fused_fraction_bounds(self):
         plan = FusePlanner(ORIN).plan(self._graph())
         assert 0.0 <= plan.fused_layer_fraction <= 1.0
@@ -156,7 +166,7 @@ class TestFusePlanner:
             second = g.spec(pair[1])
             d = planner.evaluate_chain((first, second))
             if d is not None:
-                assert total >= d.savings_bytes or tuple(pair) in chosen
+                assert total >= d.est_savings_bytes or tuple(pair) in chosen
 
 
 class TestPinnedPlans:

@@ -2,9 +2,10 @@
 
 Hypothesis drives layer geometry, tile sizes and precision; every draw runs
 on both engines and must satisfy (1) functional equivalence with the
-reference operators, (2) exact agreement between the measured-convention
-estimators and the metered bytes, MACs, commBuffer bytes and peak shared
-bytes, (3) the output-stationary invariant (OFMs written exactly once).
+reference operators, (2) exact agreement between the analytic counters
+(:mod:`repro.planner.analytic`, the measured model) and the metered bytes,
+MACs, commBuffer bytes and peak shared bytes, (3) the output-stationary
+invariant (OFMs written exactly once).
 The fast engine reports the measured model, so the per-block reference
 engine is what holds the model to the blocks' actual loads, stores,
 shared-memory traffic and work.
@@ -19,12 +20,11 @@ from hypothesis import strategies as st
 from helpers import dw_spec, pw_spec, random_ifm, ref_layer
 from repro.core.chain import FusedChain
 from repro.core.dtypes import DType
-from repro.core.tiling import DwTiling, PwTiling
 from repro.gpu.specs import RTX_A4000
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
-from repro.planner.chain_costs import chain_dataflow, dataflow_gma
-from repro.planner.costs import dw_gma, pw_gma
+from repro.planner.analytic import chain_counters, lbl_counters
+from repro.planner.chain_costs import chain_dataflow
 
 _DTYPES = st.sampled_from([DType.FP32, DType.INT8])
 
@@ -53,15 +53,15 @@ def _run_both(kernel, x, ref, dtype, total_bytes: int, total_macs: int, shared=(
 def _check_chain(params, tiling, x, ref, dtype):
     """:func:`_run_both` on a fused chain against the measured chain model;
     the redundant (recomputed halo) MACs are the model's on both engines."""
-    flow = chain_dataflow(FusedChain(tuple(p.spec for p in params)), tiling)
-    cost = dataflow_gma(flow, "measured")
+    specs = tuple(p.spec for p in params)
+    flow = chain_dataflow(FusedChain(specs), tiling)
+    model = chain_counters(specs, tiling)
     results = _run_both(
         build_chain_kernel(params, tiling), x, ref, dtype,
-        cost.gma.total_bytes, cost.useful_macs + cost.redundant_macs,
-        (flow.comm_bytes, flow.comm_peak),
+        model.total_bytes, model.total_macs, (flow.comm_bytes, flow.comm_peak),
     )
     for res in results:
-        assert res.counters.redundant_macs == cost.redundant_macs
+        assert res.counters.redundant_macs == model.redundant_macs
     return results
 
 
@@ -79,12 +79,10 @@ def test_pw_kernel_total_correctness(c, m, h, stride, tile_m, tile_hw, dtype):
     spec = pw_spec(c_in=c, c_out=m, h=h, w=h, stride=stride, dtype=dtype)
     params = make_layer_params(spec)
     x = random_ifm(spec)
-    tm = min(tile_m, m)
-    thw = min(tile_hw, spec.out_h * spec.out_w)
+    tiling = {"tile_m": tile_m, "tile_hw": tile_hw}
     for res in _run_both(
-        build_lbl_kernel(params, {"tile_m": tile_m, "tile_hw": tile_hw}),
-        x, ref_layer(params, x), dtype,
-        pw_gma(spec, PwTiling(tm, thw), "measured").total_bytes, spec.macs,
+        build_lbl_kernel(params, tiling), x, ref_layer(params, x), dtype,
+        lbl_counters(spec, tiling).total_bytes, spec.macs,
     ):
         assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
 
@@ -103,11 +101,10 @@ def test_dw_kernel_total_correctness(c, h, kernel, stride, tile_c, tile_h, dtype
     spec = dw_spec(c=c, h=h, w=h, kernel=kernel, stride=stride, dtype=dtype)
     params = make_layer_params(spec)
     x = random_ifm(spec)
-    t = DwTiling(min(tile_c, c), min(tile_h, spec.out_h), min(tile_h, spec.out_w))
+    tiling = {"tile_c": tile_c, "tile_h": tile_h, "tile_w": tile_h}
     for res in _run_both(
-        build_lbl_kernel(params, {"tile_c": tile_c, "tile_h": tile_h, "tile_w": tile_h}),
-        x, ref_layer(params, x), dtype,
-        dw_gma(spec, t, "measured").total_bytes, spec.macs,
+        build_lbl_kernel(params, tiling), x, ref_layer(params, x), dtype,
+        lbl_counters(spec, tiling).total_bytes, spec.macs,
     ):
         assert res.counters.global_writes["ofm"] == spec.ofm.nbytes
 
