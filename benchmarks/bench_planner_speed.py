@@ -18,7 +18,11 @@ the same zoo:
 The parity assertion — every configuration returns bit-identical plans —
 is the acceptance criterion; the speedups land in ``BENCH_smoke.json``
 under ``extra_info`` so the plan-time trajectory accumulates in CI
-artifacts.  A second benchmark records the `tune_models` process-pool
+artifacts.  A cross-GPU benchmark plans the same zoo on GTX, RTX and Orin
+two ways — one geometry memo shared by the three GPUs, whose candidate
+tables every GPU picks from, and a fresh memo per GPU, which rebuilds every
+table per GPU — asserts identical plans and records both wall times.
+A further benchmark records the `tune_models` process-pool
 sweep wall-clock at workers=1 vs workers=4 (near-linear on multi-core
 hosts; on single-core CI runners the pool only adds overhead, so the
 recorded host core count is what makes the number interpretable) and
@@ -30,7 +34,7 @@ import time
 
 from repro.core.dtypes import DType
 from repro.experiments import format_table
-from repro.gpu.specs import GTX1660, RTX_A4000
+from repro.gpu.specs import ALL_GPUS, GTX1660, RTX_A4000
 from repro.models.zoo import build_model, model_names
 from repro.planner.memo import GeometryMemo
 from repro.planner.planner import FusePlanner, ScalarPlanner
@@ -39,8 +43,8 @@ from repro.tune import tune_models
 GPU = RTX_A4000
 
 
-def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo=None):
-    """Plan every model, returning (plans, wall seconds).
+def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo=None, gpu=GPU):
+    """Plan every model on ``gpu``, returning (plans, wall seconds).
 
     ``memo`` is shared by every model (and by later calls that pass it
     again); without one, each model plans with a fresh memo.
@@ -48,7 +52,7 @@ def _plan_zoo(models, graphs, *, planner_cls=FusePlanner, memo=None):
     plans = []
     t0 = time.perf_counter()
     for m in models:
-        planner = planner_cls(GPU, memo=GeometryMemo() if memo is None else memo)
+        planner = planner_cls(gpu, memo=GeometryMemo() if memo is None else memo)
         plans.append(planner.plan(graphs[m]))
     return plans, time.perf_counter() - t0
 
@@ -91,6 +95,48 @@ def test_vectorized_vs_reference_plan_time(benchmark, once, capsys, smoke):
         ))
     assert speedup_cold > 1.0  # the grid search must actually be faster
     assert speedup_warm >= speedup_cold * 0.9  # memo hits never slow it down
+
+
+def _plan_zoo_on_gpus(models, graphs, memo_for):
+    """Plan every model on GTX, RTX and Orin in turn, each GPU with memo
+    ``memo_for(gpu)``; returns (plans, wall seconds)."""
+    plans, wall = [], 0.0
+    for gpu in ALL_GPUS:
+        gpu_plans, seconds = _plan_zoo(models, graphs, memo=memo_for(gpu), gpu=gpu)
+        plans += gpu_plans
+        wall += seconds
+    return plans, wall
+
+
+def test_cross_gpu_plan_time(benchmark, once, capsys, smoke):
+    models = ("mobilenet_v1", "mobilenet_v2", "xception") if smoke else model_names()
+    graphs = {m: build_model(m, DType.FP32) for m in models}
+
+    def run():
+        # A throwaway pass fills the process-wide caches below the memo
+        # (pow2 ladders, window extents), so neither timed pass pays them.
+        _plan_zoo_on_gpus(models, graphs, lambda gpu: GeometryMemo())
+        per_gpu, t_per_gpu = _plan_zoo_on_gpus(models, graphs, lambda gpu: GeometryMemo())
+        shared = GeometryMemo()
+        across, t_shared = _plan_zoo_on_gpus(models, graphs, lambda gpu: shared)
+        return per_gpu, across, {"memo_per_gpu": t_per_gpu, "shared_memo": t_shared}
+
+    per_gpu, across, walls = once(benchmark, run)
+    for a, b in zip(per_gpu, across):
+        assert a.steps == b.steps
+    speedup = walls["memo_per_gpu"] / walls["shared_memo"]
+    benchmark.extra_info["cross_gpu_plan_wall_s"] = {k: round(v, 4) for k, v in walls.items()}
+    benchmark.extra_info["cross_gpu_speedup"] = round(speedup, 2)
+    benchmark.extra_info["gpus"] = [gpu.name for gpu in ALL_GPUS]
+    benchmark.extra_info["models"] = len(models)
+    with capsys.disabled():
+        print(f"\n[Planner] zoo plan time on {', '.join(g.name for g in ALL_GPUS)}, "
+              f"{len(models)} models{' (smoke)' if smoke else ''}")
+        print(format_table(
+            ["memo", "wall ms", "speedup vs fresh per GPU"],
+            [["fresh per GPU", f"{walls['memo_per_gpu'] * 1e3:.1f}", "1.00x"],
+             ["shared across GPUs", f"{walls['shared_memo'] * 1e3:.1f}", f"{speedup:.2f}x"]],
+        ))
 
 
 def test_tune_sweep_workers_wall_clock(benchmark, once, capsys, smoke):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "cudnn_timing",
     "cudnn_batched",
     "best_cudnn_algo",
+    "layer_geometry",
     "run_cudnn",
 ]
 
@@ -73,7 +75,8 @@ _GEMM_TILE = 64
 
 
 def cudnn_counters(spec: ConvSpec, algo: CudnnAlgo, gemm_tile: int = _GEMM_TILE) -> AccessCounters:
-    """Analytic traffic + MAC tally of one cuDNN-algorithm launch.
+    """Analytic traffic + MAC tally of one cuDNN-algorithm launch, fresh on
+    every call (the caller's to mutate).
 
     Traffic model (elements; ``K`` = reduction depth, ``N`` = output pixels,
     ``M`` = output channels):
@@ -150,6 +153,34 @@ def cudnn_blocks(spec: ConvSpec, gemm_tile: int = _GEMM_TILE) -> int:
     return ceil_div(spec.out_channels, gemm_tile) * ceil_div(n, gemm_tile)
 
 
+def layer_geometry(spec: ConvSpec) -> tuple:
+    """Every :class:`ConvSpec` field after ``name`` except the epilogue: all
+    that library pricing reads, so ``ConvSpec("", *geometry)`` prices alike."""
+    return (
+        spec.kind, spec.in_channels, spec.out_channels, spec.in_h, spec.in_w,
+        spec.kernel, spec.stride, spec.padding, spec.dtype,
+    )
+
+
+@lru_cache(maxsize=None)
+def _unit_launch(
+    geometry: tuple, algo: CudnnAlgo, gemm_tile: int
+) -> tuple[AccessCounters, int, _AlgoProfile, int]:
+    """What :func:`cudnn_batched` reads of one launch but the GPU and the
+    batch, derived once per process for each (:func:`layer_geometry`,
+    algorithm, blocking) and shared by every GPU that tunes or prices it:
+    the batch-1 tally (:func:`cudnn_counters`; shared, so only read —
+    callers get ``batched`` copies), the block count, the efficiency knobs
+    and the weight bytes."""
+    spec = ConvSpec("", *geometry)
+    return (
+        cudnn_counters(spec, algo, gemm_tile),
+        cudnn_blocks(spec, gemm_tile),
+        _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)],
+        spec.weights_bytes,
+    )
+
+
 def cudnn_timing(
     spec: ConvSpec, algo: CudnnAlgo, gpu: GpuSpec, gemm_tile: int = _GEMM_TILE
 ) -> KernelTiming:
@@ -176,11 +207,9 @@ def cudnn_batched(
     DRAM for images beyond the first, and the launch grid grows
     ``batch``-fold, lifting the occupancy of the small-grid layers.
     """
-    counters = cudnn_counters(spec, algo, gemm_tile=gemm_tile).batched(
-        batch, spec.weights_bytes
-    )
-    prof = _PROFILES[(algo, spec.kind is ConvKind.DEPTHWISE)]
-    occ = min(1.0, batch * cudnn_blocks(spec, gemm_tile) / gpu.sm_count)
+    tally, blocks, prof, weights_bytes = _unit_launch(layer_geometry(spec), algo, gemm_tile)
+    counters = tally.batched(batch, weights_bytes)
+    occ = min(1.0, batch * blocks / gpu.sm_count)
     timing = time_kernel(
         counters,
         gpu,

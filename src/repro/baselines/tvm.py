@@ -25,7 +25,7 @@ from ..gpu.specs import GpuSpec
 from ..ir.graph import GlueSpec, ModelGraph
 from ..ir.layers import ConvSpec
 from .autotune import random_search
-from .cudnn import CudnnAlgo, cudnn_timing
+from .cudnn import CudnnAlgo, cudnn_timing, layer_geometry
 
 __all__ = ["TvmConvStep", "TvmGlueStep", "TvmPlan", "TvmCompiler"]
 
@@ -79,8 +79,11 @@ class TvmCompiler:
     """Graph compiler with conv+elementwise fusion and 20-iteration auto-tuning.
 
     A tuning depends only on the layer's geometry, precision and the GPU, so
-    it is shared process-wide: layers of one geometry, in any model, are
-    tuned once per GPU (:func:`_tuned`).
+    it is shared process-wide at two levels: the nine candidates' batch-1
+    cuDNN tallies are derived once per geometry, for every GPU
+    (:func:`repro.baselines.cudnn.cudnn_batched` reads them), and layers of
+    one geometry, in any model, are tuned once per GPU (:func:`_tuned`),
+    each GPU timing every candidate.
     """
 
     #: GEMM output-tile blockings the tuner may pick.
@@ -91,11 +94,7 @@ class TvmCompiler:
 
     def tune_layer(self, spec: ConvSpec) -> TvmConvStep:
         """Pick (algorithm, blocking) minimizing modelled latency."""
-        geometry = (
-            spec.kind, spec.in_channels, spec.out_channels, spec.in_h, spec.in_w,
-            spec.kernel, spec.stride, spec.padding, spec.dtype,
-        )
-        algo, tile, cost = _tuned(geometry, self.gpu)
+        algo, tile, cost = _tuned(layer_geometry(spec), self.gpu)
         return TvmConvStep(spec=spec, algo=algo, gemm_tile=tile, tuned_cost_s=cost)
 
     def compile(self, graph: ModelGraph, dtype: DType | None = None) -> TvmPlan:
@@ -124,8 +123,8 @@ class TvmCompiler:
 def _tuned(geometry: tuple, gpu: GpuSpec) -> tuple[CudnnAlgo, int, float]:
     """(algorithm, blocking, cost) of one layer geometry on one GPU.
 
-    ``geometry`` holds every :class:`ConvSpec` field after ``name`` except
-    the epilogue: all that :func:`cudnn_timing` reads.
+    ``geometry`` is :func:`~repro.baselines.cudnn.layer_geometry`: all that
+    :func:`cudnn_timing` reads.
     """
     spec = ConvSpec("", *geometry)
     candidates = [(algo, tile) for algo in CudnnAlgo for tile in TvmCompiler.TILE_CANDIDATES]

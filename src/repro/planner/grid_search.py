@@ -5,14 +5,26 @@ with Python loops — after the fast-path engine removed kernel execution from
 the profile, that interpreter-bound search became the dominant planning cost.
 This module evaluates each family's *entire* candidate grid at once: the
 pow2 axes are materialized as 1-D ``int64`` arrays, Eq. 2/3/4-family
-feasibility and GMA become broadcast expressions over their outer product,
+footprints and GMA become broadcast expressions over their outer product,
 and the winner falls out of one stable lexsort.
+
+Each search splits in two.  The cost models price a tiling from the layer
+geometry alone, and the GPU enters only through its capacity limits, so a
+:class:`TileTable` holds everything the geometry decides — per candidate,
+Eq. 2-4 GMA, useful and redundant MACs, the L1 and shared-memory footprints
+and the thread-block count — and one table serves every GPU.  Its per-GPU
+view, :meth:`TileTable.on`, is a :class:`TilingGrid`: feasibility against
+that GPU's L1 and shared-memory capacity and SM count, and the winner under
+its warp size.  The table builders (``lbl_table``, ``chain_table``) read no
+GPU field.
 
 Every search ranks in the paper convention (Eq. 1-4 as printed).  Its
 estimators are axis-separable: GMA and footprint terms factor into small
 per-axis tables (``ceil_div`` ladders, Eq. 1 overlap terms, window
 extents), so a grid of thousands of candidates costs a handful of table
-builds plus a few broadcast multiplies.  All arithmetic stays in
+builds plus a few broadcast multiplies.  A table keeps each term in its
+own broadcast shape (size 1 along an axis it does not vary on), never a
+materialized copy.  All arithmetic stays in
 ``int64`` — the same exact integers the scalar path computes — and the
 rank order reproduces ``search._rank_key`` bit-for-bit: warp-multiple
 thread blocks first, then GMA, then larger tiles, ties broken by the
@@ -43,8 +55,11 @@ from .chain_costs import (
 from .costs import STREAM_CHUNK
 
 __all__ = [
+    "TileTable",
     "TilingGrid",
     "pow2_candidates",
+    "lbl_table",
+    "chain_table",
     "lbl_grid",
     "chain_grid",
 ]
@@ -86,40 +101,92 @@ def _pow2_axis(limit: int, minimum: int = 1) -> np.ndarray:
     return _axis(pow2_candidates(limit, minimum))
 
 
-@dataclass(frozen=True)
-class TilingGrid:
-    """One search family's full candidate grid, evaluated as arrays.
+@lru_cache(maxsize=None)
+def _zeros(ndim: int) -> np.ndarray:
+    """A read-only zero that broadcasts over any ``ndim``-axis grid."""
+    out = np.zeros((1,) * ndim, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
-    ``axes[i]`` holds the pow2 candidates of ``keys[i]``; the result arrays
-    all broadcast to the outer-product shape, with axes ordered exactly as
-    the scalar sweep nests its loops — so a C-order flat index *is* the
-    scalar enumeration index, which is what makes :meth:`best` reproduce
-    the reference tie-breaking.
+
+def _cells(values: np.ndarray, idx: tuple) -> np.ndarray:
+    """A compact table term (size 1 along axes it does not vary on) at
+    full-grid cells ``idx``."""
+    return values[tuple(i if n > 1 else 0 for i, n in zip(idx, values.shape))]
+
+
+@dataclass(frozen=True)
+class TileTable:
+    """One search family's candidate table for one geometry, before any GPU.
+
+    ``axes[i]`` holds the pow2 candidates of ``keys[i]``, ordered exactly as
+    the scalar sweep nests its loops, so a C-order flat index *is* the
+    scalar enumeration index.  Every other field broadcasts to
+    :attr:`shape` with size 1 along the axes it does not vary on:
+    ``blocks`` is a candidate's thread-block count, ``l1_footprint`` and
+    ``shared_footprint`` its per-block L1 working set and shared-memory
+    need in bytes (the operands of Eq. 2-4's capacity constraints).
     """
 
     keys: tuple[str, ...]
     axes: tuple[np.ndarray, ...]
-    feasible: np.ndarray
     gma_bytes: np.ndarray
     redundant_macs: np.ndarray
     useful_macs: np.ndarray
+    l1_footprint: np.ndarray
+    shared_footprint: np.ndarray
+    blocks: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.axes)
 
-    def threads(self) -> np.ndarray:
-        """Thread-block size (tile-dimension product) of every candidate."""
-        n = len(self.axes)
-        out = np.ones(self.shape, dtype=np.int64)
-        for i, ax in enumerate(self.axes):
-            out = out * ax.reshape((1,) * i + (-1,) + (1,) * (n - i - 1))
-        return out
+    def on(self, gpu: GpuSpec) -> TilingGrid:
+        """This table on one GPU: every candidate's L1 fit, shared-memory fit
+        and at least one block per SM."""
+        feasible = (
+            (self.l1_footprint <= gpu.l1_bytes)
+            & (self.shared_footprint <= gpu.shared_bytes)
+            & (self.blocks >= gpu.sm_count)
+        )
+        if feasible.shape != self.shape:
+            feasible = np.broadcast_to(feasible, self.shape)
+        return TilingGrid(self, feasible)
+
+
+@dataclass(frozen=True)
+class TilingGrid:
+    """A :class:`TileTable`'s per-GPU view: which candidates are feasible,
+    and the winner under the scalar rank order.
+
+    The cost arrays are the table's, broadcast to the full grid shape
+    (read-only views), so ``grid.gma_bytes[cell]`` indexes like
+    ``grid.feasible[cell]``.
+    """
+
+    table: TileTable
+    feasible: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.table.shape
+
+    @property
+    def gma_bytes(self) -> np.ndarray:
+        return np.broadcast_to(self.table.gma_bytes, self.shape)
+
+    @property
+    def redundant_macs(self) -> np.ndarray:
+        return np.broadcast_to(self.table.redundant_macs, self.shape)
+
+    @property
+    def useful_macs(self) -> np.ndarray:
+        return np.broadcast_to(self.table.useful_macs, self.shape)
 
     def tiling_at(self, flat_index: int) -> dict[str, int]:
         """The tiling dict of one candidate by scalar-sweep (C-order) index."""
         idx = np.unravel_index(flat_index, self.shape)
-        return {k: int(ax[i]) for k, ax, i in zip(self.keys, self.axes, idx)}
+        return {k: int(ax[i]) for k, ax, i in zip(self.table.keys, self.table.axes, idx)}
 
     def best(self, warp_size: int) -> tuple[dict[str, int], int, float] | None:
         """Winner under the scalar rank order, or ``None`` if none feasible.
@@ -132,27 +199,28 @@ class TilingGrid:
         flat = np.flatnonzero(self.feasible.ravel())
         if flat.size == 0:
             return None
+        table = self.table
         idx = np.unravel_index(flat, self.shape)
-        thr = self.axes[0][idx[0]]
-        for ax, ii in zip(self.axes[1:], idx[1:]):
+        thr = table.axes[0][idx[0]]
+        for ax, ii in zip(table.axes[1:], idx[1:]):
             thr = thr * ax[ii]
-        gma = self.gma_bytes[idx]
+        gma = _cells(table.gma_bytes, idx)
         warp_bad = thr % warp_size != 0
         at = int(np.lexsort((-thr, gma, warp_bad))[0])
         sel = tuple(int(ii[at]) for ii in idx)
-        red = int(self.redundant_macs[sel])
-        useful = int(self.useful_macs[sel])
+        red = int(_cells(table.redundant_macs, sel))
+        useful = int(_cells(table.useful_macs, sel))
         total = red + useful
         ratio = red / total if total else 0.0
-        tiling = {k: int(ax[i]) for k, ax, i in zip(self.keys, self.axes, sel)}
+        tiling = {k: int(ax[i]) for k, ax, i in zip(table.keys, table.axes, sel)}
         return tiling, int(gma[at]), ratio
 
 
 # ---- layer-by-layer (Eq. 2 / Eq. 3) -------------------------------------------
 
 
-def lbl_grid(spec: ConvSpec, gpu: GpuSpec) -> TilingGrid:
-    """Eq. 2 / Eq. 3 GMA and feasibility over the full LBL candidate grid."""
+def lbl_table(spec: ConvSpec) -> TileTable:
+    """Eq. 2 / Eq. 3 GMA and footprints over the full LBL candidate grid."""
     eb = spec.dtype.nbytes
     if spec.kind is ConvKind.POINTWISE:
         m, c = spec.out_channels, spec.in_channels
@@ -164,15 +232,13 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec) -> TilingGrid:
         reads = n_w * (c * out_hw) + n_sp * (m * c)
         gma = (reads + m * out_hw) * eb
         l1 = (tm[:, None] * thw[None, :] + STREAM_CHUNK * (tm[:, None] + thw[None, :])) * eb
-        feasible = (l1 <= gpu.l1_bytes) & (n_w * n_sp >= gpu.sm_count)
-        zeros = np.zeros(gma.shape, dtype=np.int64)
-        return TilingGrid(("tile_m", "tile_hw"), (tm, thw), feasible, gma, zeros, zeros)
+        zero = _zeros(2)
+        return TileTable(("tile_m", "tile_hw"), (tm, thw), gma, zero, zero, l1, zero, n_w * n_sp)
     if spec.kind is ConvKind.DEPTHWISE:
         c, k, s = spec.in_channels, spec.kernel, spec.stride
         tc = _pow2_axis(c)
         th = _pow2_axis(spec.out_h)
         tw = _pow2_axis(spec.out_w)
-        shape = (tc.size, th.size, tw.size)
         n_sp = _cdiv(spec.out_h, th)[:, None] * _cdiv(spec.out_w, tw)[None, :]
         weights = c * k * k
         # Eq. 1 overlap is a sum of one th-term and one tw-term.
@@ -180,23 +246,27 @@ def lbl_grid(spec: ConvSpec, gpu: GpuSpec) -> TilingGrid:
             (_cdiv(spec.in_w, tw * s) - 1) * max(k - s, 0) * spec.in_h
         )[None, :]
         reads = 2 * c * ovl + c * spec.in_h * spec.in_w + n_sp * weights
-        gma = np.broadcast_to(
-            ((reads + c * spec.out_h * spec.out_w) * eb)[None, :, :], shape
-        )
+        gma = ((reads + c * spec.out_h * spec.out_w) * eb)[None, :, :]
         ext_hw = ((th - 1) * s + k)[:, None] * ((tw - 1) * s + k)[None, :]
         per_c = ext_hw + th[:, None] * tw[None, :] + k * k
         l1 = tc[:, None, None] * per_c[None, :, :] * eb
-        n_ofm = _cdiv(c, tc)[:, None, None] * n_sp[None, :, :]
-        feasible = (l1 <= gpu.l1_bytes) & (n_ofm >= gpu.sm_count)
-        zeros = np.zeros(shape, dtype=np.int64)
-        return TilingGrid(("tile_c", "tile_h", "tile_w"), (tc, th, tw), feasible, gma, zeros, zeros)
+        blocks = _cdiv(c, tc)[:, None, None] * n_sp[None, :, :]
+        zero = _zeros(3)
+        return TileTable(
+            ("tile_c", "tile_h", "tile_w"), (tc, th, tw), gma, zero, zero, l1, zero, blocks
+        )
     raise PlanError(f"{spec.name}: LBL search supports only DW/PW layers")
+
+
+def lbl_grid(spec: ConvSpec, gpu: GpuSpec) -> TilingGrid:
+    """:func:`lbl_table` on one GPU."""
+    return lbl_table(spec).on(gpu)
 
 
 # ---- fused chains (the FCMs are length-2 chains) ---------------------------------
 
 
-def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> TilingGrid:
+def chain_table(chain: FusedChain, keys: tuple[str, ...]) -> TileTable:
     """Every candidate of one tiling vocabulary, evaluated as arrays.
 
     ``keys`` is one vocabulary the chain speaks
@@ -206,7 +276,7 @@ def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> Tiling
     per-boundary overlap and window-extent quantities are axis tables, one
     entry per candidate tile size.  Every term broadcasts over the
     canonical ``(tile_f, tile_h, tile_w, tile_m)`` axes, with a size-1 axis
-    where the vocabulary has no key; the result arrays are views onto the
+    where the vocabulary has no key; the table keeps views onto the
     vocabulary's own axes, whose order is the canonical one, so C-order
     stays the scalar sweep's order.
     """
@@ -214,10 +284,9 @@ def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> Tiling
     axes = {k: _pow2_axis(*tiling_ladder(chain, k)) for k in keys}
     key_axes = tuple(axes[k] for k in keys)
     if "tile_hw" in keys:
-        if not _flattens(chain):  # no flattened plane: nothing is feasible
-            shape = tuple(a.size for a in key_axes)
-            zeros = np.zeros(shape, dtype=np.int64)
-            return TilingGrid(keys, key_axes, np.zeros(shape, dtype=bool), zeros, zeros, zeros)
+        if not _flattens(chain):  # no flattened plane: no block to launch
+            zero = _zeros(len(keys))
+            return TileTable(keys, key_axes, zero, zero, zero, zero, zero, zero)
         chain = _flat_view(chain)
     n = chain.length
     first, last = chain.first, chain.last
@@ -299,17 +368,26 @@ def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> Tiling
         l1 = l1 + (tm4 * out_px + STREAM_CHUNK * (tm4 + out_px)) * eb
     else:
         l1 = l1 + ch(n) * last.kernel * last.kernel * eb + ch(n) * out_px * eb
-    feasible = (l1 <= gpu.l1_bytes) & (shared <= gpu.shared_bytes) & (n_f * n_sp >= gpu.sm_count)
 
-    # feasible spans every axis already; the rest broadcast onto it.
-    full = np.zeros(feasible.shape, dtype=np.int64)
+    # Every term is 4-D (or a constant) with size 1 on the canonical axes
+    # the vocabulary lacks; dropping those leaves the vocabulary's own axes.
     on_keys = (
         slice(None) if grouped else 0,
         slice(None) if "tile_h" in keys else 0,
         slice(None) if spatial else 0,
         slice(None) if "tile_m" in keys else 0,
     )
-    return TilingGrid(
-        keys, key_axes, feasible[on_keys], (gma + full)[on_keys],
-        (redundant + full)[on_keys], (useful + full)[on_keys],
+
+    def own(term) -> np.ndarray:
+        term = np.asarray(term, dtype=np.int64)
+        return (term if term.ndim else term.reshape(1, 1, 1, 1))[on_keys]
+
+    return TileTable(
+        keys, key_axes, own(gma), own(redundant), own(useful), own(l1), own(shared),
+        own(n_f * n_sp),
     )
+
+
+def chain_grid(chain: FusedChain, keys: tuple[str, ...], gpu: GpuSpec) -> TilingGrid:
+    """:func:`chain_table` on one GPU."""
+    return chain_table(chain, keys).on(gpu)

@@ -13,9 +13,10 @@ the kernels meter, prices only the analytic counters
 (:mod:`repro.planner.analytic`).
 
 The ``best_*`` searches evaluate the whole candidate grid as array programs
-(:mod:`repro.planner.grid_search`); an optional
-:class:`repro.planner.memo.GeometryMemo` caches their winners across planner
-instances in one process.  The ``scalar_*`` sweeps are
+(:mod:`repro.planner.grid_search`): a GPU-independent candidate table, then
+its per-GPU pick.  An optional :class:`repro.planner.memo.GeometryMemo`
+keeps both across planner instances in one process — each table once per
+geometry, each winner once per GPU.  The ``scalar_*`` sweeps are
 the per-candidate loops the grid search replaced, kept as the oracles the
 parity suite compares against (:class:`repro.planner.planner.ScalarPlanner`
 plans with them); both return bit-identical :class:`SearchResult` winners.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..core.chain import FusedChain
 from ..core.tiling import DwTiling, PwTiling
@@ -35,7 +36,7 @@ from ..gpu.specs import GpuSpec
 from ..ir.layers import ConvKind, ConvSpec
 from .chain_costs import FcmCost, chain_feasible, chain_gma, tiling_ladder, tiling_vocabulary
 from .costs import dw_feasible, dw_gma, pw_feasible, pw_gma
-from .grid_search import chain_grid, lbl_grid, pow2_candidates
+from .grid_search import TileTable, chain_table, lbl_table, pow2_candidates
 
 __all__ = [
     "SearchResult",
@@ -57,11 +58,6 @@ class SearchResult:
     redundancy_ratio: float = 0.0
 
 
-def _pow2_upto(limit: int, minimum: int = 1) -> tuple[int, ...]:
-    """Powers of two in [minimum, limit], always including ``limit`` itself."""
-    return pow2_candidates(limit, minimum)
-
-
 def _rank_key(tiling: Mapping[str, int], gma: int, warp: int) -> tuple[int, int, int]:
     """Search ordering: warp-multiple blocks first, then GMA, then big tiles."""
     threads = prod(tiling.values())
@@ -81,12 +77,23 @@ def _best(
     return SearchResult(tiling=best[1], gma_bytes=best[0][1], redundancy_ratio=best[2])
 
 
-def _grid_best(grid, gpu: GpuSpec) -> SearchResult | None:
-    """A grid's winner under the same rank order (``None`` if none feasible)."""
-    win = grid.best(gpu.warp_size)
+def _pick(table: TileTable, gpu: GpuSpec) -> SearchResult | None:
+    """A table's winner on ``gpu`` under the same rank order (``None`` if
+    none is feasible)."""
+    win = table.on(gpu).best(gpu.warp_size)
     if win is None:
         return None
     return SearchResult(tiling=win[0], gma_bytes=win[1], redundancy_ratio=win[2])
+
+
+def _search(key_of, build: Callable[[], TileTable], gpu: GpuSpec, memo) -> SearchResult | None:
+    """The winner of ``build``'s table on ``gpu``.  With a ``memo`` the
+    winner is memoized under ``key_of(memo)`` and the table under its
+    geometry, so every GPU picks from one table."""
+    if memo is None:
+        return _pick(build(), gpu)
+    key = key_of(memo)
+    return memo.get_or_search(key, lambda: _pick(memo.table(key, build), gpu))
 
 
 def _feasible_lbl(res: SearchResult | None, spec: ConvSpec, gpu: GpuSpec) -> SearchResult:
@@ -107,14 +114,14 @@ def enumerate_lbl_tilings(spec: ConvSpec, gpu: GpuSpec) -> list[dict[str, int]]:
     out: list[dict[str, int]] = []
     if spec.kind is ConvKind.POINTWISE:
         out_hw = spec.out_h * spec.out_w
-        for tm in _pow2_upto(spec.out_channels):
-            for thw in _pow2_upto(out_hw, minimum=4):
+        for tm in pow2_candidates(spec.out_channels):
+            for thw in pow2_candidates(out_hw, minimum=4):
                 if pw_feasible(spec, PwTiling(tm, thw), gpu):
                     out.append({"tile_m": tm, "tile_hw": thw})
     elif spec.kind is ConvKind.DEPTHWISE:
-        for tc in _pow2_upto(spec.in_channels):
-            for th in _pow2_upto(spec.out_h):
-                for tw in _pow2_upto(spec.out_w):
+        for tc in pow2_candidates(spec.in_channels):
+            for th in pow2_candidates(spec.out_h):
+                for tw in pow2_candidates(spec.out_w):
                     if dw_feasible(spec, DwTiling(tc, th, tw), gpu):
                         out.append({"tile_c": tc, "tile_h": th, "tile_w": tw})
     else:
@@ -126,15 +133,9 @@ def best_lbl_tiling(spec: ConvSpec, gpu: GpuSpec, *, memo=None) -> SearchResult:
     """Minimize Eq. 2 / Eq. 3 over the feasible tile grid for one layer.
 
     ``memo`` is an optional :class:`repro.planner.memo.GeometryMemo`
-    consulted before searching.
+    consulted before searching; without one the table is built and dropped.
     """
-    def search() -> SearchResult | None:
-        return _grid_best(lbl_grid(spec, gpu), gpu)
-
-    if memo is None:
-        res = search()
-    else:
-        res = memo.get_or_search(memo.lbl_key(spec, gpu), search)
+    res = _search(lambda m: m.lbl_key(spec, gpu), lambda: lbl_table(spec), gpu, memo)
     return _feasible_lbl(res, spec, gpu)
 
 
@@ -154,7 +155,7 @@ def _tiling_candidates(chain: FusedChain, keys: tuple[str, ...]) -> list[dict[st
     """Every pow2 candidate of one tiling vocabulary, in sweep order (the
     last key varies fastest, as the grid search's C-order does)."""
     keys = tiling_vocabulary(chain, keys)
-    ladders = [_pow2_upto(*tiling_ladder(chain, k)) for k in keys]
+    ladders = [pow2_candidates(*tiling_ladder(chain, k)) for k in keys]
     return [dict(zip(keys, vals)) for vals in product(*ladders)]
 
 
@@ -181,12 +182,9 @@ def best_chain_tiling(
     (paper §IV-B: "PWPW fusion is less likely when the weights use FP32").
     ``None`` outcomes are memoized too when a ``memo`` is supplied.
     """
-    def search() -> SearchResult | None:
-        return _grid_best(chain_grid(chain, keys, gpu), gpu)
-
-    if memo is None:
-        return search()
-    return memo.get_or_search(memo.chain_key(chain, keys, gpu), search)
+    return _search(
+        lambda m: m.chain_key(chain, keys, gpu), lambda: chain_table(chain, keys), gpu, memo
+    )
 
 
 def scalar_chain_tiling(

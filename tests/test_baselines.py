@@ -13,6 +13,7 @@ from repro.baselines.autotune import random_search
 from repro.baselines.cudnn import (
     CudnnAlgo,
     best_cudnn_algo,
+    cudnn_batched,
     cudnn_blocks,
     cudnn_counters,
     cudnn_timing,
@@ -124,6 +125,24 @@ class TestCudnnModels:
         # The giant blocking moves fewer bytes but may not win once occupancy
         # collapses; at minimum both remain finite and ordered deterministically.
         assert t64.t_total_s > 0 and t512.t_total_s > 0
+
+    @pytest.mark.parametrize("batch", (1, 2))
+    def test_tallies_are_fresh_per_caller(self, batch):
+        """Pricing reads one per-process tally per launch geometry, but no
+        caller can reach it: a tally from ``cudnn_counters`` or from
+        ``cudnn_batched`` is the caller's own to mutate."""
+        spec = dw_spec(c=32, h=28, w=28)
+        algo = CudnnAlgo.IMPLICIT_GEMM
+        expected = cudnn_batched(spec, algo, RTX_A4000, batch)
+        tally = cudnn_counters(spec, algo)
+        assert tally is not cudnn_counters(spec, algo)
+        tally.read("ifm", 4096)
+        tally.compute(4096)
+        tally.reread(4096, 4096)
+        cudnn_batched(spec, algo, RTX_A4000, batch)[0].read("ifm", 4096)
+        again = cudnn_batched(spec, algo, RTX_A4000, batch)
+        assert again == expected
+        assert again[0] == cudnn_counters(spec, algo).batched(batch, spec.weights_bytes)
 
     def test_run_cudnn_matches_reference(self):
         for spec in (

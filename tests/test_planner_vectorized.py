@@ -14,12 +14,17 @@ the argmin.
 The searches rank in the paper cost convention only.  The cases
 parametrized by convention check each convention where it is used:
 ``paper`` cases compare the grid search with the scalar sweep, and
-``measured`` cases run the searched tilings on the simulated kernels and
-compare the metered launch with the analytic counters, which price in the
-measured convention.
+``measured`` cases launch the searched tilings on the per-block reference
+engine and compare what it meters with the analytic counters, which price
+in the measured convention.  (The fast engine reports those counters
+themselves, so it could not tell them apart.)
 """
 
 from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +37,11 @@ from repro.core.dtypes import DType
 from repro.core.fcm import FcmType
 from repro.core.tiling import DwTiling, PwTiling
 from repro.errors import PlanError
-from repro.gpu.specs import GTX1660, ORIN, RTX_A4000
+from repro.gpu.specs import GTX1660, ORIN, RTX_A4000, GpuSpec
 from repro.kernels.params import chain_quant, make_layer_params
 from repro.kernels.registry import build_chain_kernel, build_lbl_kernel
 from repro.models.zoo import build_model
+from repro.planner import search
 from repro.planner.analytic import chain_counters, lbl_counters
 from repro.planner.chain_costs import (
     FCM_TILING_KEYS,
@@ -45,7 +51,7 @@ from repro.planner.chain_costs import (
 )
 from repro.planner.costs import dw_feasible, dw_gma, pw_feasible, pw_gma
 from repro.planner.grid_search import chain_grid, lbl_grid, pow2_candidates
-from repro.planner.memo import GeometryMemo, shared_memo
+from repro.planner.memo import GeometryMemo, shared_memo, spec_key
 from repro.planner.planner import FusePlanner, ScalarPlanner
 from repro.planner.search import (
     best_chain_tiling,
@@ -54,7 +60,7 @@ from repro.planner.search import (
     scalar_chain_tiling,
     scalar_lbl_tiling,
 )
-from repro.runtime.session import InferenceSession, seeded_input
+from repro.runtime.session import InferenceSession, reference_run, seeded_input
 
 GPUS = (GTX1660, RTX_A4000, ORIN)
 #: ``paper``: the search's convention; ``measured``: the analytic counters'.
@@ -105,24 +111,36 @@ def _module(
     return chain, chain_tiling_keys(chain)
 
 
+def _lbl_specs(dtype: DType) -> tuple:
+    """The DW and PW layers of the LBL search-parity suite."""
+    return (
+        pw_spec(c_in=32, c_out=64, h=56, w=56, dtype=dtype),
+        pw_spec(c_in=144, c_out=24, h=28, w=28, dtype=dtype),
+        dw_spec(c=32, h=56, w=56, dtype=dtype),
+        dw_spec(c=96, h=28, w=28, stride=2, dtype=dtype),
+    )
+
+
 def _metered(counters) -> tuple[int, int, int, int]:
     return (counters.read_bytes, counters.write_bytes, counters.macs, counters.redundant_macs)
 
 
 def _assert_lbl_metered(spec, tiling, gpu) -> None:
-    """One LBL launch meters what its measured-convention counters price."""
+    """One LBL launch on the reference engine meters what its
+    measured-convention counters price."""
     kernel = build_lbl_kernel(make_layer_params(spec), tiling)
-    res = kernel.simulate(random_ifm(spec), gpu)
+    res = kernel.simulate(random_ifm(spec), gpu, "reference")
     assert _metered(res.counters) == _metered(lbl_counters(spec, tiling)), (spec.name, tiling)
 
 
 def _assert_chain_metered(chain, tiling, gpu) -> None:
-    """One fused-chain launch meters what its measured-convention counters
-    price, redundant MACs included."""
+    """One fused-chain launch on the reference engine meters what its
+    measured-convention counters price, redundant MACs included."""
     params = [make_layer_params(chain.first)]
     for spec in chain.specs[1:]:
         params.append(chain_quant(params[-1], spec))
-    res = build_chain_kernel(params, tiling).simulate(random_ifm(chain.first), gpu)
+    kernel = build_chain_kernel(params, tiling)
+    res = kernel.simulate(random_ifm(chain.first), gpu, "reference")
     assert _metered(res.counters) == _metered(chain_counters(chain.specs, tiling)), tiling
 
 
@@ -149,12 +167,7 @@ class TestDirectSearchParity:
     @pytest.mark.parametrize("convention", CONVENTIONS)
     @pytest.mark.parametrize("dtype", (DType.FP32, DType.INT8))
     def test_lbl(self, gpu, convention, dtype):
-        for spec in (
-            pw_spec(c_in=32, c_out=64, h=56, w=56, dtype=dtype),
-            pw_spec(c_in=144, c_out=24, h=28, w=28, dtype=dtype),
-            dw_spec(c=32, h=56, w=56, dtype=dtype),
-            dw_spec(c=96, h=28, w=28, stride=2, dtype=dtype),
-        ):
+        for spec in _lbl_specs(dtype):
             vec = best_lbl_tiling(spec, gpu)
             if convention == "paper":
                 assert vec == scalar_lbl_tiling(spec, gpu)
@@ -193,8 +206,8 @@ class TestPlanParity:
     """Whole-model plans are bit-identical between FusePlanner and the
     ScalarPlanner oracle (the acceptance criterion).  The grid planner gets a
     fresh memo; the scalar one never reads a memo, so it always sweeps.
-    A ``measured`` case runs the plan instead: its functional run meters
-    what its analytic run prices, step by step."""
+    A ``measured`` case runs the plan instead: its functional run on the
+    reference engine meters what its analytic run prices, step by step."""
 
     @pytest.mark.parametrize("gpu", (GTX1660, RTX_A4000), ids=lambda g: g.name)
     @pytest.mark.parametrize("model", ("mobilenet_v1", "mobilenet_v2", "xception"))
@@ -214,7 +227,7 @@ class TestPlanParity:
         else:
             session = InferenceSession(graph, vec)
             x = seeded_input(graph, dtype)
-            assert_records_match(session.run_batch(x[None]), session.run_analytic_batch(1))
+            assert_records_match(reference_run(session, x[None]), session.run_analytic_batch(1))
 
     @pytest.mark.parametrize("max_chain", (3, 4))
     def test_chains(self, max_chain):
@@ -280,11 +293,20 @@ class TestGridPointwise:
         if convention == "paper":
             self._check_grid(chain, keys)
             return
-        # Every feasible cell launches at what the analytic counters price.
+        # A fixed sample of the feasible cells (every 16th over both GPUs
+        # from the 9th, plus each GPU's winner) launches at what the
+        # analytic counters price; all 259 take over ten seconds on the
+        # reference engine.
+        cells = []
         for gpu in (RTX_A4000, ORIN):
             grid = chain_grid(chain, keys, gpu)
-            for flat in np.flatnonzero(grid.feasible.ravel()):
-                _assert_chain_metered(chain, grid.tiling_at(int(flat)), gpu)
+            cells += [(gpu, grid.tiling_at(int(f))) for f in np.flatnonzero(grid.feasible)]
+        sample = cells[8::16]
+        for gpu in (RTX_A4000, ORIN):
+            sample.append((gpu, best_chain_tiling(chain, keys, gpu).tiling))
+        assert len(cells) > 200 and len(sample) <= 20
+        for gpu, tiling in sample:
+            _assert_chain_metered(chain, tiling, gpu)
 
     @staticmethod
     def _check_grid(chain, keys):
@@ -359,3 +381,104 @@ class TestGeometryMemo:
 
     def test_default_is_the_process_shared_memo(self):
         assert FusePlanner(RTX_A4000).memo is shared_memo()
+
+
+#: the GPU fields a search reads; the table builders must read none of them.
+GPU_LIMITS = ("l1_bytes", "shared_bytes", "sm_count", "warp_size")
+
+
+@st.composite
+def _gpu_limits(draw) -> tuple[int, int, int]:
+    """(l1_kb, shared_kb, sm_count) of a valid GPU."""
+    l1_kb = draw(st.integers(2, 256))
+    return l1_kb, draw(st.integers(1, l1_kb)), draw(st.integers(1, 512))
+
+
+def _gpu(name: str, l1_kb: int, shared_kb: int, sm_count: int) -> GpuSpec:
+    return GpuSpec(
+        name=name, compute_capability="0", sm_count=sm_count, cuda_cores=1,
+        l1_kb=l1_kb, shared_kb=shared_kb, l2_mb=1, dram="X", dram_bw_gbps=1,
+        clock_ghz=1,
+    )
+
+
+def _lbl_or_none(searched, spec, gpu, **kw):
+    try:
+        return searched(spec, gpu, **kw)
+    except PlanError:
+        return None
+
+
+class TestTablesAcrossGpus:
+    """One GPU-independent candidate table per geometry serves every GPU's
+    search: picks from a memo's shared tables equal the scalar sweeps."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        limits=st.lists(_gpu_limits(), min_size=2, max_size=3),
+        dtype=st.sampled_from((DType.FP32, DType.INT8)),
+    )
+    def test_shared_tables_pick_scalar_winners(self, limits, dtype):
+        memo = GeometryMemo()
+        for i, lim in enumerate(limits):
+            gpu = _gpu(f"drawn{i}", *lim)
+            for module in MODULES:
+                chain, keys = _module(module, *SHAPES[module], dtype=dtype)
+                assert best_chain_tiling(chain, keys, gpu, memo=memo) == \
+                    scalar_chain_tiling(chain, keys, gpu)
+            for spec in _lbl_specs(dtype):
+                assert _lbl_or_none(best_lbl_tiling, spec, gpu, memo=memo) == \
+                    _lbl_or_none(scalar_lbl_tiling, spec, gpu)
+
+    def test_each_table_built_once_across_gpus(self, monkeypatch):
+        built: list[tuple] = []
+        lbl_table, chain_table = search.lbl_table, search.chain_table
+
+        def counting_lbl(spec):
+            built.append(("lbl", spec_key(spec)))
+            return lbl_table(spec)
+
+        def counting_chain(chain, keys):
+            built.append(("chain", tuple(keys), tuple(map(spec_key, chain.specs))))
+            return chain_table(chain, keys)
+
+        monkeypatch.setattr(search, "lbl_table", counting_lbl)
+        monkeypatch.setattr(search, "chain_table", counting_chain)
+        memo = GeometryMemo()
+        graph = build_model("mobilenet_v2", DType.FP32)
+        misses = []
+        for gpu in (GTX1660, RTX_A4000):
+            FusePlanner(gpu, memo=memo).plan(graph)
+            misses.append(memo.misses)
+        before_orin = len(built)
+        FusePlanner(ORIN, memo=memo).plan(graph)
+        assert len(built) == before_orin  # Orin picks from tables GTX/RTX built
+        assert memo.misses > misses[-1] > misses[0] > 0  # but searches again
+        assert set(Counter(built).values()) == {1}
+        assert len(memo) == memo.misses  # winners stay per GPU
+
+    def test_table_builders_read_no_gpu_limit(self):
+        """The builders (and every planner function they call) take no GPU
+        and read none of its limits: the GPU enters only at the per-GPU
+        pick (``TileTable.on``)."""
+        planner = Path(__file__).resolve().parents[1] / "src" / "repro" / "planner"
+        defs = {}
+        for name in ("grid_search.py", "chain_costs.py", "costs.py"):
+            for node in ast.parse((planner / name).read_text()).body:
+                if isinstance(node, ast.FunctionDef):
+                    defs[node.name] = node
+        todo, seen, reads = ["lbl_table", "chain_table"], set(), []
+        while todo:
+            fn = todo.pop()
+            if fn in seen or fn not in defs:
+                continue
+            seen.add(fn)
+            for node in ast.walk(defs[fn]):
+                if isinstance(node, ast.Attribute) and node.attr in GPU_LIMITS:
+                    reads.append(f"{fn}: .{node.attr}")
+                elif isinstance(node, ast.arg) and node.arg == "gpu":
+                    reads.append(f"{fn}: gpu argument")
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    todo.append(node.func.id)
+        assert {"lbl_table", "chain_table", "chain_window_extents"} <= seen
+        assert reads == []
