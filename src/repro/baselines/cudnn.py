@@ -40,7 +40,6 @@ __all__ = [
     "cudnn_timing",
     "cudnn_batched",
     "best_cudnn_algo",
-    "layer_geometry",
     "run_cudnn",
 ]
 

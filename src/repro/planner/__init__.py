@@ -10,15 +10,7 @@ from .costs import (
     pw_gma,
     pw_tile_footprint,
 )
-from .grid_search import (
-    TileTable,
-    TilingGrid,
-    chain_grid,
-    chain_table,
-    lbl_grid,
-    lbl_table,
-    pow2_candidates,
-)
+from .grid_search import TilingGrid, chain_grid, lbl_grid, pow2_candidates
 from .memo import GeometryMemo, shared_memo
 from .plan import ChainStep, ExecutionPlan, GlueStep, LblStep, StdStep
 from .planner import CandidateReport, FusePlanner, ScalarPlanner
@@ -56,10 +48,7 @@ __all__ = [
     "best_lbl_tiling",
     "scalar_chain_tiling",
     "scalar_lbl_tiling",
-    "TileTable",
     "TilingGrid",
-    "lbl_table",
-    "chain_table",
     "lbl_grid",
     "chain_grid",
     "pow2_candidates",

@@ -109,12 +109,6 @@ def _zeros(ndim: int) -> np.ndarray:
     return out
 
 
-def _cells(values: np.ndarray, idx: tuple) -> np.ndarray:
-    """A compact table term (size 1 along axes it does not vary on) at
-    full-grid cells ``idx``."""
-    return values[tuple(i if n > 1 else 0 for i, n in zip(idx, values.shape))]
-
-
 @dataclass(frozen=True)
 class TileTable:
     """One search family's candidate table for one geometry, before any GPU.
@@ -204,12 +198,12 @@ class TilingGrid:
         thr = table.axes[0][idx[0]]
         for ax, ii in zip(table.axes[1:], idx[1:]):
             thr = thr * ax[ii]
-        gma = _cells(table.gma_bytes, idx)
+        gma = self.gma_bytes[idx]
         warp_bad = thr % warp_size != 0
         at = int(np.lexsort((-thr, gma, warp_bad))[0])
         sel = tuple(int(ii[at]) for ii in idx)
-        red = int(_cells(table.redundant_macs, sel))
-        useful = int(_cells(table.useful_macs, sel))
+        red = int(self.redundant_macs[sel])
+        useful = int(self.useful_macs[sel])
         total = red + useful
         ratio = red / total if total else 0.0
         tiling = {k: int(ax[i]) for k, ax, i in zip(table.keys, table.axes, sel)}

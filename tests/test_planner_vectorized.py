@@ -112,12 +112,16 @@ def _module(
 
 
 def _lbl_specs(dtype: DType) -> tuple:
-    """The DW and PW layers of the LBL search-parity suite."""
+    """The DW and PW layers of the LBL search-parity suite.  The last two
+    output a 1 x 1 plane: only ``tile_c`` varies, so their GMA term is one
+    cell wide."""
     return (
         pw_spec(c_in=32, c_out=64, h=56, w=56, dtype=dtype),
         pw_spec(c_in=144, c_out=24, h=28, w=28, dtype=dtype),
         dw_spec(c=32, h=56, w=56, dtype=dtype),
         dw_spec(c=96, h=28, w=28, stride=2, dtype=dtype),
+        dw_spec(c=64, h=1, w=1, dtype=dtype),
+        dw_spec(c=256, h=2, w=2, stride=2, dtype=dtype),
     )
 
 
@@ -252,7 +256,7 @@ class TestGridPointwise:
     @settings(max_examples=25, deadline=None)
     @given(
         c_in=st.integers(1, 96), c_out=st.integers(1, 96),
-        hw=st.integers(4, 32), stride=st.sampled_from((1, 2)),
+        hw=st.integers(1, 32), stride=st.sampled_from((1, 2)),
         dtype=st.sampled_from((DType.FP32, DType.INT8)),
     )
     def test_pw_grid_matches_scalar(self, c_in, c_out, hw, stride, dtype):
@@ -263,10 +267,12 @@ class TestGridPointwise:
             tiling = PwTiling(t["tile_m"], t["tile_hw"])
             assert bool(grid.feasible[cell]) == pw_feasible(spec, tiling, ORIN)
             assert int(grid.gma_bytes[cell]) == pw_gma(spec, tiling).total_bytes
+        assert _lbl_or_none(best_lbl_tiling, spec, ORIN) == \
+            _lbl_or_none(scalar_lbl_tiling, spec, ORIN)
 
     @settings(max_examples=25, deadline=None)
     @given(
-        c=st.integers(1, 96), hw=st.integers(4, 32),
+        c=st.integers(1, 96), hw=st.integers(1, 32),
         kernel=st.sampled_from((3, 5)), stride=st.sampled_from((1, 2)),
     )
     def test_dw_grid_matches_scalar(self, c, hw, kernel, stride):
@@ -277,6 +283,8 @@ class TestGridPointwise:
             tiling = DwTiling(t["tile_c"], t["tile_h"], t["tile_w"])
             assert bool(grid.feasible[cell]) == dw_feasible(spec, tiling, GTX1660)
             assert int(grid.gma_bytes[cell]) == dw_gma(spec, tiling).total_bytes
+        assert _lbl_or_none(best_lbl_tiling, spec, GTX1660) == \
+            _lbl_or_none(scalar_lbl_tiling, spec, GTX1660)
 
     @settings(max_examples=15, deadline=None)
     @given(
